@@ -107,9 +107,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // ALU-heavy long loop via a bare Execute — no campaign machinery, no
 // tracing, no injection — so the compiled plan's fast paths (pre-decoded
 // closures, straight-run batching, warp batching) are the only thing on the
-// profile. The BenchmarkInterpStep* / BenchmarkInterpStepReference ratio is
-// the headline win of plan compilation (DESIGN.md §3.8).
-func benchInterpStep(b *testing.B, warpSize int, interpret bool) {
+// profile. The reference interpreter's last recorded numbers on the same
+// launches (BenchmarkInterpStep*Reference in BENCH_pr10.json, ~3x slower)
+// are the headline win of plan compilation DESIGN.md §3.8 quotes.
+func benchInterpStep(b *testing.B, warpSize int) {
 	b.Helper()
 	prog, err := ptx.Assemble("stepbench", `
 		cvt.u32.u16 $r0, %tid.x
@@ -135,13 +136,12 @@ func benchInterpStep(b *testing.B, warpSize int, interpret bool) {
 	const threads = 64
 	dev := gpusim.NewDevice(threads * 4)
 	launch := &gpusim.Launch{
-		Prog:      prog,
-		Grid:      gpusim.Dim3{X: 1, Y: 1, Z: 1},
-		Block:     gpusim.Dim3{X: threads, Y: 1, Z: 1},
-		Params:    []uint32{0, 2000},
-		Watchdog:  1 << 30,
-		WarpSize:  warpSize,
-		Interpret: interpret,
+		Prog:     prog,
+		Grid:     gpusim.Dim3{X: 1, Y: 1, Z: 1},
+		Block:    gpusim.Dim3{X: threads, Y: 1, Z: 1},
+		Params:   []uint32{0, 2000},
+		Watchdog: 1 << 30,
+		WarpSize: warpSize,
 	}
 	var dyn int64
 	b.ResetTimer()
@@ -158,14 +158,10 @@ func benchInterpStep(b *testing.B, warpSize int, interpret bool) {
 	b.ReportMetric(float64(dyn), "instrs/exec")
 }
 
-// BenchmarkInterpStep and BenchmarkInterpStepWarp run the compiled plan
-// under the serial and SIMT-lockstep schedulers; the two Reference variants
-// run the identical launches through the reference interpreter
-// (Launch.Interpret, the CLI's -compiled=false).
-func BenchmarkInterpStep(b *testing.B)              { benchInterpStep(b, 0, false) }
-func BenchmarkInterpStepWarp(b *testing.B)          { benchInterpStep(b, 32, false) }
-func BenchmarkInterpStepReference(b *testing.B)     { benchInterpStep(b, 0, true) }
-func BenchmarkInterpStepWarpReference(b *testing.B) { benchInterpStep(b, 32, true) }
+// BenchmarkInterpStep and BenchmarkInterpStepWarp run the scheduler at its
+// serial (one-lane warps) and SIMT-lockstep widths.
+func BenchmarkInterpStep(b *testing.B)     { benchInterpStep(b, 0) }
+func BenchmarkInterpStepWarp(b *testing.B) { benchInterpStep(b, 32) }
 
 // BenchmarkAssemble measures the PTX assembler on the largest kernel source.
 func BenchmarkAssemble(b *testing.B) {

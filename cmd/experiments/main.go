@@ -84,15 +84,12 @@ func main() {
 			}
 		}
 	}
-	switch *scale {
-	case "small":
-		cfg.Scale = kernels.ScaleSmall
-	case "paper":
-		cfg.Scale = kernels.ScalePaper
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := kernels.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	cfg.Scale = sc
 
 	selected := []experiments.Experiment{}
 	if len(exps) == 1 && exps[0] == "all" {

@@ -96,9 +96,9 @@ func buildTarget(fp journal.Fingerprint) *kernels.Instance {
 	if !ok {
 		fatal(fmt.Errorf("journal names unknown kernel %q", fp.Kernel))
 	}
-	sc := kernels.ScaleSmall
-	if fp.Scale == kernels.ScalePaper.String() {
-		sc = kernels.ScalePaper
+	sc, err := kernels.ParseScale(fp.Scale)
+	if err != nil {
+		fatal(fmt.Errorf("journal names %w", err))
 	}
 	inst, err := spec.Build(sc)
 	fatal(err)
@@ -124,9 +124,9 @@ func fromLiveCampaign(kernel, scale string, seed int64, nSites int, modelName st
 		fmt.Fprintf(os.Stderr, "unknown kernel %q\n", kernel)
 		os.Exit(2)
 	}
-	sc := kernels.ScaleSmall
-	if scale == kernels.ScalePaper.String() {
-		sc = kernels.ScalePaper
+	sc, err := kernels.ParseScale(scale)
+	if err != nil {
+		usageError("%v", err)
 	}
 	inst, err := spec.Build(sc)
 	fatal(err)

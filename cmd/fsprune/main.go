@@ -62,7 +62,6 @@ func main() {
 	intraStride := flag.Int("intra-stride", 0, "dynamic instructions between intra-CTA warp snapshots (0 = auto-tune, <0 = disable)")
 	journalPath := flag.String("journal", "", "write-ahead outcome journal for -action campaign (created, or resumed if it exists)")
 	shardSpec := flag.String("shard", "", `run only shard "i/n" of the campaign (with -action campaign)`)
-	compiled := flag.Bool("compiled", true, "execute via the pre-decoded compiled plan (false = reference interpreter; outcomes are bit-identical)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file (written on normal exit)")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on normal exit")
 	flag.Parse()
@@ -153,9 +152,9 @@ func main() {
 		return
 	}
 
-	sc := kernels.ScaleSmall
-	if *scale == "paper" {
-		sc = kernels.ScalePaper
+	sc, err := kernels.ParseScale(*scale)
+	if err != nil {
+		usageError("%v", err)
 	}
 	spec, ok := kernels.ByName(*kernel)
 	if !ok {
@@ -168,7 +167,6 @@ func main() {
 	inst.Target.FullRun = *fullRun
 	inst.Target.CheckpointStride = *ckptStride
 	inst.Target.IntraStride = *intraStride
-	inst.Target.Interpret = !*compiled
 	// Route every Prepare of this process through the shared cache: the
 	// pipeline stages below (auto-loop, plan, estimate, baseline) each
 	// amortize this target's golden run instead of repeating it.

@@ -19,6 +19,18 @@ func fakeSites(n int) []WeightedSite {
 	return sites
 }
 
+// runWith drives runEngine with a single shared site evaluator and no
+// scheduling affinity: the stub-runner harness of the engine's behavioral
+// tests (here and in durability_internal_test.go).
+func runWith(sites []WeightedSite, order []int, opt CampaignOptions,
+	runSite func(Site) (Outcome, runCost, error)) (*CampaignResult, CampaignStats, error) {
+	return runEngine(sites, order, opt, campaignEngine{
+		newRunner: func() (func(Site) (Outcome, runCost, error), func()) {
+			return runSite, func() {}
+		},
+	})
+}
+
 // TestRunWithDeterministicLowestError: whichever worker hits an error first,
 // runWith must report the error of the lowest-index failing site. The old
 // engine reported whichever failing site a worker saw first, which varied

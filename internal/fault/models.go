@@ -106,24 +106,6 @@ func (m Model) Persistent() bool {
 	return false
 }
 
-// FastForwardSound reports whether sites of this model may run on the
-// checkpointed fast-forward engine. Every built-in model is sound:
-// transient models and ModelStuckPred by the arguments of DESIGN.md
-// §3.2/§3.5/§3.9 (the fault state is confined to the injected thread's
-// private registers), and the scheduler-corrupting ModelStuckActiveMask /
-// ModelStuckBarrier by the scheduler-complete snapshot argument of §3.11 —
-// snapshots capture the full scheduler and barrier ledger (CTA boundaries
-// carry none by construction; warp snapshots store every thread's parked
-// flag, barrier id, and retirement count), gpusim.Execute rejects a resume
-// past the fault's activation point, and the convergence early exit is
-// gated on fault retirement. A model returning false degrades its sites to
-// per-site full runs (CampaignStats.FullRunFallbacks) instead of risking a
-// silently unsound fast-forward; the hook remains for future models whose
-// fault state outlives the injected thread (e.g. SM-level stuck-ats).
-func (m Model) FastForwardSound() bool {
-	return true
-}
-
 // StuckBits is the size of a persistent model's Site.Bit encoding space (0
 // for transient models): stuck value × location. ModelStuckPred enumerates
 // both stuck values of every flag bit of every predicate register; the

@@ -38,7 +38,6 @@ type prepareKey struct {
 	sharedBytes    int
 	warpSize       int
 	fullRun        bool
-	interpret      bool
 	stride         int
 	intraStride    int
 	watchdogFactor int64
@@ -69,7 +68,6 @@ func (t *Target) prepareKey() prepareKey {
 		sharedBytes:    t.SharedBytes,
 		warpSize:       t.WarpSize,
 		fullRun:        t.FullRun,
-		interpret:      t.Interpret,
 		stride:         t.CheckpointStride,
 		intraStride:    t.IntraStride,
 		watchdogFactor: t.WatchdogFactor,

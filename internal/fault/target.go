@@ -61,13 +61,6 @@ type Target struct {
 	// FullRun is set.
 	IntraStride int
 
-	// Interpret disables the simulator's compiled execution plan for every
-	// run of this target (gpusim.Launch.Interpret): the reference
-	// interpreter executes each instruction instead of the pre-decoded
-	// closure plan. Outcomes are bit-identical either way; the switch is
-	// the -compiled=false differential-testing escape hatch.
-	Interpret bool
-
 	// Cache, when non-nil, routes Prepare through a shared prepared-target
 	// cache: the first target with a given key (see prepareKey) performs the
 	// golden run, concurrent callers block on the in-flight entry, and later
@@ -106,7 +99,6 @@ func (t *Target) launch(inj *gpusim.Injection, tracer gpusim.Tracer, watchdog in
 		Inject:      inj,
 		Tracer:      tracer,
 		WarpSize:    t.WarpSize,
-		Interpret:   t.Interpret,
 	}
 }
 
@@ -328,14 +320,6 @@ type runCost struct {
 	ctasSkipped  int64
 	earlyExit    bool
 	intraResumed bool
-	// fullRunFallback marks a site whose model is not fast-forward sound:
-	// the target had a checkpoint store but this run deliberately ignored
-	// it and re-executed from the pristine image. Every built-in model is
-	// sound since the scheduler-complete snapshot work (DESIGN.md §3.11),
-	// so this is always false today; it survives as the safety valve for
-	// future models and to keep journal `fb` replay of old campaigns
-	// faithful.
-	fullRunFallback bool
 }
 
 // injectOn is the campaign hot path: one unchecked injection experiment on a
@@ -366,16 +350,6 @@ func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, 
 	}
 	launch := t.launch(inj, nil, t.watchdog)
 	ck, wck := t.ckpt, t.wck
-	if (ck != nil || wck != nil) && !model.FastForwardSound() {
-		// The model corrupts state the fast-forward soundness argument does
-		// not cover: degrade this site to a per-site full run rather than
-		// resume from a snapshot that may not reproduce it. No built-in model
-		// takes this path anymore (DESIGN.md §3.11 extends the proof to the
-		// scheduler-corrupting stuck-at models); it remains as the safety
-		// valve for future models.
-		cost.fullRunFallback = true
-		ck, wck = nil, nil
-	}
 	if ck == nil && wck == nil {
 		dev.ResetFrom(t.Init)
 		res, err := gpusim.Execute(dev, launch)

@@ -124,11 +124,6 @@ type Launch struct {
 	// CTA-boundary state with the snapshot's page delta already restored
 	// (see WarpSnapshot.RestorePages).
 	Resume *WarpSnapshot
-	// Interpret disables the compiled execution plan (plan.go) and runs the
-	// launch on the reference interpreter instead. The two paths are
-	// bit-identical by construction (DESIGN.md §3.8); the switch exists as
-	// the differential-testing escape hatch and costs one branch per CTA.
-	Interpret bool
 }
 
 // InjectKind selects the fault model applied at the injection point.

@@ -2,17 +2,25 @@ package gpusim
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/isa"
+	"repro/internal/ptx"
 )
 
 // fuzzProgram generates a structurally valid random program of n
-// instructions from an LCG seeded with seed. Shared by the never-panic
-// property and the compiled-vs-interpreter differential fuzz target.
-func fuzzProgram(t *testing.T, seed uint64, n int) *isa.Program {
+// instructions from a SplitMix64 stream seeded with seed. Shared by the never-panic and
+// plan-vs-reference fuzz targets. Operands occasionally read %tid.x so the
+// four lanes diverge (guarded forward and backward branches, loads and
+// stores to shared and global memory they race on), and the opcode mix
+// includes bar.sync on ids 0 and 1, optionally guarded — so lanes park at
+// different barriers, skip them, or exit before them, which is what
+// exercises the scheduler's min-PC / park / release / deadlock-trap election
+// under both widths.
+func fuzzProgram(t testing.TB, seed uint64, n int) *isa.Program {
 	t.Helper()
 	ops := []isa.Opcode{
 		isa.OpMov, isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpMad, isa.OpDiv,
@@ -20,27 +28,67 @@ func fuzzProgram(t *testing.T, seed uint64, n int) *isa.Program {
 		isa.OpNot, isa.OpShl, isa.OpShr, isa.OpSet, isa.OpCvt, isa.OpAbs,
 		isa.OpNeg, isa.OpRcp, isa.OpSqrt, isa.OpLd, isa.OpSt, isa.OpBra,
 		isa.OpSad, isa.OpSelp, isa.OpSlct, isa.OpCnot, isa.OpEx2,
+		isa.OpBar, isa.OpBar,
 	}
 	types := []isa.DataType{isa.TypeU32, isa.TypeS32, isa.TypeF32, isa.TypeU16, isa.TypeB32}
 
+	// SplitMix64: consecutive draws under small moduli must be independent,
+	// or whole operand shapes (a draw selecting "global", the next selecting
+	// its base) are never generated.
 	rnd := func(mod uint64) uint64 {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return (seed >> 33) % mod
+		seed += 0x9E3779B97F4A7C15
+		z := seed
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		return (z ^ z>>31) % mod
 	}
 	reg := func() isa.Operand { return isa.R(int(rnd(16))) }
-	operand := func() isa.Operand {
-		switch rnd(4) {
-		case 0:
-			return isa.Imm(uint32(rnd(1 << 16)))
-		case 1:
-			return isa.MemDirect(isa.SpaceShared, uint32(rnd(256))*4)
-		case 2:
+	// global addresses the 256-byte device: word-aligned off the zero
+	// register (always in range) fifteen times in sixteen, otherwise off a
+	// computed register at any byte offset, which usually faults — enough
+	// memory traps to compare them, few enough that programs run deep.
+	global := func() isa.Operand {
+		if rnd(16) == 0 {
 			return isa.MemIndirect(isa.SpaceGlobal, isa.Reg{Class: isa.RegGPR, Index: uint8(rnd(16))}, uint32(rnd(64)))
+		}
+		return isa.MemIndirect(isa.SpaceGlobal, isa.Reg{Class: isa.RegGPR, Index: isa.ZeroReg}, uint32(rnd(64))*4)
+	}
+	operand := func() isa.Operand {
+		switch rnd(8) {
+		case 0, 1:
+			return isa.Imm(uint32(rnd(1 << 16)))
+		case 2:
+			return isa.MemDirect(isa.SpaceShared, uint32(rnd(256))*4)
+		case 3:
+			return global()
+		case 4:
+			return isa.Special(isa.SpecTidX)
 		default:
 			return reg()
 		}
 	}
+	pred := func() isa.Reg { return isa.Reg{Class: isa.RegPred, Index: uint8(rnd(4))} }
+	guard := func() isa.Guard {
+		return isa.Guard{Reg: pred(), Cond: isa.CmpEq + isa.CmpOp(rnd(10)), Not: rnd(2) == 0}
+	}
+	// aluDest picks an ALU destination: mostly a plain GPR (the plan's
+	// fused tier), sometimes the dual "$pN/$rM" or a bare predicate, so the
+	// flag-deriving closures (carry, overflow, zero, sign) are compared too.
+	aluDest := func(in *isa.Instruction) {
+		in.Dst = reg()
+		switch rnd(6) {
+		case 0:
+			in.DstPred = pred()
+		case 1:
+			in.Dst = isa.Operand{Kind: isa.OpdReg, Reg: pred()}
+		}
+	}
 	p := &isa.Program{Name: "fuzz", Labels: map[string]int{}}
+	label := func(pc int) string {
+		name := fmt.Sprintf("l%d", pc)
+		p.Labels[name] = pc
+		return name
+	}
 	for i := 0; i < n; i++ {
 		op := ops[rnd(uint64(len(ops)))]
 		in := isa.Instruction{PC: i, Op: op,
@@ -48,33 +96,53 @@ func fuzzProgram(t *testing.T, seed uint64, n int) *isa.Program {
 		in.SType = in.DType
 		switch op {
 		case isa.OpBra:
-			in.Target = "lend"
+			// Mostly forward to any later instruction (lanes diverge, then
+			// reconverge under min-PC election), sometimes to the exit, and
+			// occasionally a guarded back edge (loops, watchdog traps).
+			switch r := rnd(8); {
+			case r == 0:
+				in.Target = "lend"
+			case r == 1 && i > 0:
+				in.Target = label(int(rnd(uint64(i))))
+				in.Guard = guard()
+			default:
+				in.Target = label(i + 1 + int(rnd(uint64(n-i))))
+			}
 			if rnd(2) == 0 {
-				in.Guard = isa.Guard{Reg: isa.Reg{Class: isa.RegPred, Index: uint8(rnd(4))},
-					Cond: isa.CmpEq}
+				in.Guard = guard()
+			}
+		case isa.OpBar:
+			in.Srcs = []isa.Operand{isa.Imm(uint32(rnd(2)))}
+			if rnd(2) == 0 {
+				in.Guard = guard()
 			}
 		case isa.OpSt:
-			in.Dst = isa.MemIndirect(isa.SpaceGlobal,
-				isa.Reg{Class: isa.RegGPR, Index: uint8(rnd(16))}, uint32(rnd(64)))
+			in.Dst = global()
+			if rnd(2) == 0 {
+				in.Dst = isa.MemDirect(isa.SpaceShared, uint32(rnd(256))*4)
+			}
 			in.Srcs = []isa.Operand{reg()}
 		case isa.OpSet:
 			in.Cmp = isa.CmpOp(1 + rnd(6))
-			in.DstPred = isa.Reg{Class: isa.RegPred, Index: uint8(rnd(4))}
+			in.DstPred = pred()
 			in.Dst = isa.R(isa.SinkReg)
 			in.Srcs = []isa.Operand{operand(), operand()}
 		case isa.OpSelp:
-			in.Dst = reg()
+			aluDest(&in)
 			in.Srcs = []isa.Operand{operand(), operand(), isa.P(int(rnd(4)))}
 		case isa.OpMad, isa.OpSad, isa.OpSlct:
-			in.Dst = reg()
+			aluDest(&in)
 			in.Srcs = []isa.Operand{operand(), operand(), operand()}
 		case isa.OpMov, isa.OpLd, isa.OpNot, isa.OpCnot, isa.OpAbs,
 			isa.OpNeg, isa.OpCvt, isa.OpRcp, isa.OpSqrt, isa.OpEx2:
-			in.Dst = reg()
+			aluDest(&in)
 			in.Srcs = []isa.Operand{operand()}
 		default:
-			in.Dst = reg()
+			aluDest(&in)
 			in.Srcs = []isa.Operand{operand(), operand()}
+		}
+		if op.Sequential() && rnd(8) == 0 {
+			in.Guard = guard() // annulment on the straight-line fast paths
 		}
 		p.Instrs = append(p.Instrs, in)
 	}
@@ -86,149 +154,313 @@ func fuzzProgram(t *testing.T, seed uint64, n int) *isa.Program {
 	return p
 }
 
-// TestRandomProgramsNeverPanic drives both execution paths with randomly
-// generated (structurally valid) programs and random initial state: any
-// behaviour is acceptable — clean exit, memory fault, watchdog — except a
-// panic or a missed watchdog. This is the robustness property fault
+// injectKinds lists every InjectKind; the differentials iterate or index it.
+var injectKinds = []InjectKind{
+	InjectDestValue, InjectDestDouble, InjectMemAddr, InjectDestByte,
+	InjectLaneCorrelated, InjectStuckPred, InjectStuckActiveMask, InjectStuckBarrier,
+}
+
+// fuzzInjection decodes a fuzzer-chosen selector into an injection on the
+// 4-thread fuzz launch.
+func fuzzInjection(injSel uint32) *Injection {
+	return &Injection{
+		Thread:  int(injSel % 4),
+		DynInst: int64((injSel >> 2) % 64),
+		Bit:     int((injSel >> 8) % 64),
+		Kind:    injectKinds[(injSel>>14)%uint32(len(injectKinds))],
+	}
+}
+
+// addFuzzSeeds seeds a (seed, size, injSel) fuzz target with 200
+// LCG-derived inputs, so a plain `go test` exercises as many random
+// programs per run as the testing/quick properties these targets replaced;
+// the checked-in corpus under testdata/fuzz adds inputs selected for
+// coverage (every kind firing on a program with barriers, every trap kind).
+func addFuzzSeeds(f *testing.F) {
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < 200; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		f.Add(x, uint8(x>>40), uint32(x>>8))
+	}
+}
+
+// FuzzExecuteNeverPanics drives Execute — and the reference interpreter
+// behind the same launch validation — with randomly generated
+// (structurally valid) programs, with and without an injection, under both
+// scheduler widths: any behaviour is acceptable — clean exit, memory fault,
+// watchdog, deadlock — except a panic, a setup error, or the two engines
+// disagreeing on the Result. This is the robustness property fault
 // injection relies on: a bit flip can steer execution anywhere, and the
 // simulator must classify, not crash.
-func TestRandomProgramsNeverPanic(t *testing.T) {
-	f := func(seed uint64, size uint8) bool {
+func FuzzExecuteNeverPanics(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, seed uint64, size uint8, injSel uint32) {
 		prog := fuzzProgram(t, seed, int(size%40)+1)
-		for _, interpret := range []bool{false, true} {
-			dev := NewDevice(256)
-			res, err := Execute(dev, &Launch{
-				Prog:      prog,
-				Grid:      Dim3{X: 1, Y: 1, Z: 1},
-				Block:     Dim3{X: 4, Y: 1, Z: 1},
-				Watchdog:  10_000,
-				Interpret: interpret,
-			})
-			if err != nil {
-				return false // setup errors indicate a generator bug
+		for _, warp := range []int{0, 4} {
+			for _, inj := range []*Injection{nil, fuzzInjection(injSel)} {
+				run := func(execute func(*Device, *Launch) (*Result, error)) (*Result, []byte) {
+					dev := NewDevice(256)
+					res, err := execute(dev, &Launch{
+						Prog:     prog,
+						Grid:     Dim3{X: 1, Y: 1, Z: 1},
+						Block:    Dim3{X: 4, Y: 1, Z: 1},
+						Watchdog: 2_000,
+						WarpSize: warp,
+						Inject:   inj,
+					})
+					if err != nil {
+						t.Fatalf("seed %d warp %d inj %+v: setup error (generator bug): %v", seed, warp, inj, err)
+					}
+					return res, dev.Bytes()
+				}
+				got, gotMem := run(Execute)
+				ref, refMem := run(executeReference)
+				if !sameTrap(ref.Trap, got.Trap) || ref.TotalDyn != got.TotalDyn ||
+					!slices.Equal(ref.ThreadICnt, got.ThreadICnt) || !bytes.Equal(refMem, gotMem) {
+					t.Fatalf("seed %d warp %d inj %+v: Result diverges:\nreference %+v\nplan      %+v",
+						seed, warp, inj, ref, got)
+				}
 			}
-			// Any trap kind is fine; what matters is we returned.
-			_ = res
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	})
+}
+
+// diffCase is one launch (X-only geometry) that both engines run.
+type diffCase struct {
+	prog        *isa.Program
+	grid, block int
+	shared      int // per-CTA shared memory bytes
+	params      []uint32
+	init        *Device // pristine image, cloned per run
+	warp        int
+	inj         *Injection
+}
+
+// fuzzCase is the single-CTA 4-thread launch the fuzz targets use.
+func fuzzCase(prog *isa.Program, warp int, inj *Injection) diffCase {
+	return diffCase{prog: prog, grid: 1, block: 4, shared: DefaultSharedBytes,
+		init: NewDevice(256), warp: warp, inj: inj}
 }
 
 // diffRunState is the full observable architectural state of one run,
 // captured for bit-exact comparison between the compiled plan and the
 // reference interpreter.
 type diffRunState struct {
-	threads []threadState // final per-thread state by value: regs, preds, ofs, pc, dynCount, done
-	shared  []byte
+	threads []threadState // final state of every thread that ran, by value: regs, preds, ofs, pc, dynCount, done, waiting, barID
+	shared  [][]byte      // final shared memory of every CTA that ran
 	dev     []byte
 	trap    *Trap
 }
 
-// diffRun executes prog on a fresh single-CTA 4-thread launch, keeping the
-// CTA state alive so final registers and predicates can be compared
-// directly. It mirrors Execute's setup and dispatches through the same
-// scheduler switch.
-func diffRun(t *testing.T, prog *isa.Program, warpSize int, inj *Injection, interpret bool) diffRunState {
-	t.Helper()
-	dev := NewDevice(256)
+// diffRun executes c through the given per-CTA runner, keeping each CTA's
+// state alive so final registers and predicates can be compared directly.
+// It mirrors Execute's CTA construction for X-only geometry and stops at the
+// first trap, like Execute.
+func diffRun(c diffCase, runCTA func(*exec, *ctaState) *Trap) diffRunState {
+	dev := c.init.Clone()
 	launch := &Launch{
-		Prog:      prog,
-		Grid:      Dim3{X: 1, Y: 1, Z: 1},
-		Block:     Dim3{X: 4, Y: 1, Z: 1},
-		Watchdog:  10_000,
-		WarpSize:  warpSize,
-		Inject:    inj,
-		Interpret: interpret,
+		Prog:     c.prog,
+		Grid:     Dim3{X: c.grid, Y: 1, Z: 1},
+		Block:    Dim3{X: c.block, Y: 1, Z: 1},
+		Params:   c.params,
+		Watchdog: 2_000,
+		WarpSize: c.warp,
+		Inject:   c.inj,
 	}
 	e := &exec{
-		prog:        prog,
+		prog:        c.prog,
 		dev:         dev,
 		launch:      launch,
 		block:       launch.Block,
 		grid:        launch.Grid,
 		watchdog:    launch.Watchdog,
 		addrFlipBit: -1,
+		persist:     newPersistState(c.inj),
+		plan:        planFor(c.prog),
 	}
-	if !interpret {
-		e.plan = planFor(prog)
+	var st diffRunState
+	all := make([]threadState, c.grid*c.block) // one backing array: CTAs point into it
+	for ctaIndex := 0; ctaIndex < c.grid && st.trap == nil; ctaIndex++ {
+		cta := &ctaState{shared: make([]byte, c.shared)}
+		for i, p := range c.params {
+			putWord(cta.shared, ParamBase+4*i, p)
+		}
+		for tx := 0; tx < c.block; tx++ {
+			th := &all[ctaIndex*c.block+tx]
+			*th = threadState{flat: ctaIndex*c.block + tx, tid: Dim3{X: tx}, ctaid: Dim3{X: ctaIndex}}
+			cta.threads = append(cta.threads, th)
+		}
+		st.trap = runCTA(e, cta)
+		st.threads = all[:(ctaIndex+1)*c.block]
+		st.shared = append(st.shared, cta.shared)
 	}
-	e.persist = newPersistState(inj)
-	cta := &ctaState{shared: make([]byte, DefaultSharedBytes)}
-	for tx := 0; tx < launch.Block.X; tx++ {
-		cta.threads = append(cta.threads, &threadState{flat: tx, tid: Dim3{X: tx}})
-	}
-	var trap *Trap
-	switch {
-	case warpSize > 0 && e.plan != nil:
-		trap = e.runCTAWarpedCompiled(cta, warpSize)
-	case warpSize > 0:
-		trap = e.runCTAWarped(cta, warpSize)
-	case e.plan != nil:
-		trap = e.runCTACompiled(cta)
-	default:
-		trap = e.runCTA(cta)
-	}
-	st := diffRunState{shared: cta.shared, dev: dev.Bytes(), trap: trap}
-	for _, th := range cta.threads {
-		st.threads = append(st.threads, *th)
-	}
+	st.dev = dev.Bytes()
 	return st
 }
 
-// TestCompiledMatchesInterpreterFuzz is the differential property behind the
-// compiled execution plan (DESIGN.md §3.8): for random programs, under both
-// schedulers, with and without an injected fault, the compiled plan and the
-// reference interpreter must agree on every observable — final registers,
-// predicates, offset registers, PCs, dynamic instruction counts, shared and
+// sameTrap compares traps by value (kind, thread, PC and message).
+func sameTrap(a, b *Trap) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
+// diffEngines runs c on the reference interpreter and on the compiled plan
+// and reports the first observable on which they disagree — trap, any
+// thread's final state, shared memory, global memory — or "" when the runs
+// are bit-identical. The reference state is returned for coverage checks.
+func diffEngines(c diffCase) (ref diffRunState, divergence string) {
+	ref = diffRun(c, (*exec).referenceRunCTA)
+	got := diffRun(c, (*exec).runCTA)
+	switch {
+	case !sameTrap(ref.trap, got.trap):
+		return ref, fmt.Sprintf("trap diverges: reference %v, plan %v", ref.trap, got.trap)
+	case len(ref.threads) != len(got.threads):
+		return ref, fmt.Sprintf("ran %d threads, reference ran %d", len(got.threads), len(ref.threads))
+	}
+	for i := range ref.threads {
+		if ref.threads[i] != got.threads[i] {
+			return ref, fmt.Sprintf("thread %d state diverges:\nreference %+v\nplan      %+v",
+				ref.threads[i].flat, ref.threads[i], got.threads[i])
+		}
+	}
+	for i := range ref.shared {
+		if !bytes.Equal(ref.shared[i], got.shared[i]) {
+			return ref, fmt.Sprintf("shared memory of CTA %d diverges", i)
+		}
+	}
+	if !bytes.Equal(ref.dev, got.dev) {
+		return ref, "global memory diverges"
+	}
+	return ref, ""
+}
+
+// FuzzPlanMatchesReference is the differential property behind the compiled
+// execution plan and its scheduler (DESIGN.md §3.8): for random programs
+// with barriers, under both scheduler widths, with and without an injected
+// fault of any kind, the compiled plan and the reference interpreter must
+// agree on every observable — final registers, predicates, offset
+// registers, PCs, dynamic instruction counts, barrier ledger, shared and
 // global memory, and the trap (kind, thread, PC and message).
-func TestCompiledMatchesInterpreterFuzz(t *testing.T) {
-	f := func(seed uint64, size uint8, injSel uint32) bool {
+func FuzzPlanMatchesReference(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, seed uint64, size uint8, injSel uint32) {
 		prog := fuzzProgram(t, seed, int(size%40)+1)
-		kinds := []InjectKind{
-			InjectDestValue, InjectDestValue, InjectDestDouble, InjectMemAddr,
-			InjectDestByte, InjectLaneCorrelated,
-			InjectStuckPred, InjectStuckActiveMask, InjectStuckBarrier,
-		}
-		inj := &Injection{
-			Thread:  int(injSel % 4),
-			DynInst: int64((injSel >> 2) % 64),
-			Bit:     int((injSel >> 8) % 64),
-			Kind:    kinds[(injSel>>14)%uint32(len(kinds))],
-		}
 		for _, warp := range []int{0, 4} {
-			for _, in := range []*Injection{nil, inj} {
-				ref := diffRun(t, prog, warp, in, true)
-				got := diffRun(t, prog, warp, in, false)
-				if (ref.trap == nil) != (got.trap == nil) ||
-					(ref.trap != nil && *ref.trap != *got.trap) {
-					t.Errorf("seed %d warp %d inj %+v: trap diverges: interpreter %v, compiled %v",
-						seed, warp, in, ref.trap, got.trap)
-					return false
-				}
-				for i := range ref.threads {
-					if ref.threads[i] != got.threads[i] {
-						t.Errorf("seed %d warp %d inj %+v: thread %d state diverges:\ninterpreter %+v\ncompiled    %+v",
-							seed, warp, in, i, ref.threads[i], got.threads[i])
-						return false
-					}
-				}
-				if !bytes.Equal(ref.shared, got.shared) {
-					t.Errorf("seed %d warp %d inj %+v: shared memory diverges", seed, warp, in)
-					return false
-				}
-				if !bytes.Equal(ref.dev, got.dev) {
-					t.Errorf("seed %d warp %d inj %+v: global memory diverges", seed, warp, in)
-					return false
+			for _, inj := range []*Injection{nil, fuzzInjection(injSel)} {
+				if _, d := diffEngines(fuzzCase(prog, warp, inj)); d != "" {
+					t.Fatalf("seed %d size %d warp %d inj %+v: %s", seed, size, warp, inj, d)
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	})
+}
+
+// chainhangCase builds the adversarial multi-CTA kernel the fault-level
+// differentials use (internal/fault's chainHangTarget): 4 CTAs of 8 threads
+// with cross-CTA global-memory dependence plus a predicate-guarded barrier
+// split, so exhaustive injection reaches clean exits, wrong results,
+// address faults and barrier deadlocks in any CTA.
+func chainhangCase(t *testing.T, warp int) diffCase {
+	t.Helper()
+	prog, err := ptx.Assemble("chainhang", `
+		cvt.u32.u16 $r0, %tid.x
+		cvt.u32.u16 $r1, %ctaid.x
+		cvt.u32.u16 $r2, %ntid.x
+		mad.lo.u32 $r3, $r1, $r2, $r0      // gid
+		set.ge.u32.u32 $p0/$o127, $r0, 8   // never true fault-free
+		@$p0.ne bra lother
+		bar.sync 0x00000000
+		bra lwork
+		lother: bar.sync 0x00000001
+		lwork: shl.u32 $r4, $r0, 0x00000002
+		add.u32 $r4, $r4, s[0x0010]        // &acc[tid]
+		ld.global.u32 $r5, [$r4]
+		add.u32 $r5, $r5, $r3
+		add.u32 $r5, $r5, 0x00000001
+		st.global.u32 [$r4], $r5           // acc[tid] += gid+1
+		shl.u32 $r6, $r3, 0x00000002
+		add.u32 $r6, $r6, s[0x0014]        // &out[gid]
+		st.global.u32 [$r6], $r5
+		exit
+	`)
+	if err != nil {
 		t.Fatal(err)
+	}
+	dev := NewDevice(32 + 4*32)
+	dev.WriteWords(0, []uint32{7, 11, 13, 17, 19, 23, 29, 31})
+	// A small shared window (the kernel only reads its two params) keeps
+	// the ~10^5 runs of the exhaustive sweep from being dominated by
+	// clearing 16 KiB of shared memory per CTA.
+	return diffCase{prog: prog, grid: 4, block: 8, shared: 256, params: []uint32{0, 32},
+		init: dev, warp: warp}
+}
+
+// TestPlanMatchesReferenceChainhangExhaustive is the exhaustive half of the
+// plan-vs-reference differential: on chainhang, every dynamic instruction
+// of every thread × every injection kind × every bit of the kind's encoding
+// space, under both scheduler widths, must leave the compiled plan and the
+// reference interpreter in bit-identical architectural state with
+// bit-identical traps — not merely the same outcome class. It replaces
+// internal/fault's campaign-level TestCompiledCampaignMatchesInterpreter,
+// which could only compare outcome classes and only for dest-value; the
+// fault-level differentials keep pinning checkpointed = full-run on the
+// plan, so plan + checkpoints = reference + full runs follows by
+// composition.
+func TestPlanMatchesReferenceChainhangExhaustive(t *testing.T) {
+	for _, warp := range []int{0, 4} {
+		warp := warp
+		name := "serial"
+		if warp > 0 {
+			name = "warp4"
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			c := chainhangCase(t, warp)
+			golden, d := diffEngines(c)
+			if d != "" {
+				t.Fatalf("golden run: %s", d)
+			}
+			if golden.trap != nil {
+				t.Fatalf("golden run trapped: %v", golden.trap)
+			}
+			sites := 0
+			traps := map[TrapKind]int{}
+			for _, th := range golden.threads {
+				for dyn := int64(0); dyn < th.dynCount; dyn++ {
+					for _, kind := range injectKinds {
+						bits := 32
+						switch kind {
+						case InjectStuckPred:
+							bits = 2 * stuckPredSpan
+						case InjectStuckActiveMask, InjectStuckBarrier:
+							bits = 2
+						}
+						for bit := 0; bit < bits; bit++ {
+							c.inj = &Injection{Thread: th.flat, DynInst: dyn, Bit: bit, Kind: kind}
+							ref, d := diffEngines(c)
+							if d != "" {
+								t.Fatalf("inj %+v: %s", c.inj, d)
+							}
+							sites++
+							if ref.trap != nil {
+								traps[ref.trap.Kind]++
+							}
+						}
+					}
+				}
+			}
+			t.Logf("%d injections, traps %v", sites, traps)
+			if sites < 10_000 {
+				t.Fatalf("implausibly small exhaustive space: %d", sites)
+			}
+			for _, k := range []TrapKind{TrapMemFault, TrapDeadlock} {
+				if traps[k] == 0 {
+					t.Fatalf("exhaustive space reaches no %v trap: %v", k, traps)
+				}
+			}
+		})
 	}
 }
 
@@ -301,8 +533,8 @@ func TestCompiledMatchesInterpreterInvalidCmp(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := tc.prog(t)
 			for _, warp := range []int{0, 4} {
-				ref := diffRun(t, prog, warp, nil, true)
-				got := diffRun(t, prog, warp, nil, false)
+				ref := diffRun(fuzzCase(prog, warp, nil), (*exec).referenceRunCTA)
+				got := diffRun(fuzzCase(prog, warp, nil), (*exec).runCTA)
 				for _, st := range []struct {
 					mode string
 					s    diffRunState

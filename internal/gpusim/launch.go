@@ -9,8 +9,9 @@ import (
 //
 // CTAs run sequentially in launch order (ctaid.z-major, then y, then x-minor)
 // and threads within a CTA are interleaved round-robin at barrier boundaries:
-// each thread runs until it parks at a bar.sync, exits, or traps; a barrier
-// releases once every non-exited thread of the CTA has arrived. This is a
+// each thread (each lockstep warp, when Launch.WarpSize > 0) runs until it
+// parks at a bar.sync, exits, or traps; a barrier releases once every
+// non-exited thread of the CTA has arrived (see runCTA). This is a
 // functional (not timing) model, but it is deterministic, which the paper's
 // methodology needs: a fault site (thread, dynamic instruction, bit) must
 // denote the same architectural event in every run.
@@ -19,6 +20,14 @@ import (
 // terminations (memory faults, hangs, deadlocks) are reported in
 // Result.Trap because they are expected fault-injection outcomes.
 func Execute(dev *Device, launch *Launch) (*Result, error) {
+	return execute(dev, launch, (*exec).runCTA)
+}
+
+// execute is Execute with the per-CTA runner as a parameter: production
+// always passes (*exec).runCTA, and the differential tests pass the
+// reference interpreter's runner (reference_test.go) — the only way any code
+// reaches the oracle.
+func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (*Result, error) {
 	if launch.Prog == nil || len(launch.Prog.Instrs) == 0 {
 		return nil, errors.New("gpusim: empty program")
 	}
@@ -46,11 +55,9 @@ func Execute(dev *Device, launch *Launch) (*Result, error) {
 		watchdog:    watchdog,
 		intra:       launch.IntraRec,
 		addrFlipBit: -1,
+		persist:     newPersistState(launch.Inject),
+		plan:        planFor(launch.Prog),
 	}
-	if !launch.Interpret {
-		e.plan = planFor(launch.Prog)
-	}
-	e.persist = newPersistState(launch.Inject)
 
 	nCTA := launch.Grid.Count()
 	if launch.FirstCTA < 0 || launch.FirstCTA >= nCTA {
@@ -141,17 +148,7 @@ func Execute(dev *Device, launch *Launch) (*Result, error) {
 		if e.intra != nil {
 			e.intra.beginCTA(ctaIndex, cta)
 		}
-		var trap *Trap
-		switch {
-		case launch.WarpSize > 0 && e.plan != nil:
-			trap = e.runCTAWarpedCompiled(cta, launch.WarpSize)
-		case launch.WarpSize > 0:
-			trap = e.runCTAWarped(cta, launch.WarpSize)
-		case e.plan != nil:
-			trap = e.runCTACompiled(cta)
-		default:
-			trap = e.runCTA(cta)
-		}
+		trap := runCTA(e, cta)
 		for _, th := range cta.threads {
 			res.ThreadICnt[th.flat] = th.dynCount
 			res.TotalDyn += th.dynCount
@@ -176,102 +173,6 @@ const (
 	ctaFinished                      // every thread exited
 	ctaReleased                      // a barrier completed and was released
 )
-
-// runCTA interleaves the CTA's threads at barrier boundaries until all exit.
-func (e *exec) runCTA(cta *ctaState) *Trap {
-	for {
-		progress := false
-		for _, th := range cta.threads {
-			if th.done || th.waiting || e.laneFrozen(th) {
-				continue
-			}
-			// Run this thread until it parks, exits, freezes, or traps.
-			for !th.done && !th.waiting && !e.laneFrozen(th) {
-				blocked, trap := e.step(th, cta)
-				if trap != nil {
-					return trap
-				}
-				if e.intra != nil {
-					// Any post-step point is resume-safe in serial mode:
-					// threads earlier in schedule order are parked or done,
-					// so a resumed round re-reaches this thread first.
-					e.intra.step()
-					e.intra.flush()
-				}
-				if blocked {
-					break
-				}
-			}
-			progress = true
-		}
-		status, trap := e.resolveBarrier(cta, progress)
-		if trap != nil {
-			return trap
-		}
-		if status == ctaFinished {
-			return nil
-		}
-	}
-}
-
-// runCTAWarped executes the CTA in SIMT lockstep: threads are partitioned
-// into warps of warpSize; each scheduling round issues one instruction to
-// every warp's active subset — the eligible threads sharing the minimal PC.
-// Min-PC selection is a classic reconvergence heuristic: diverged paths
-// serialize, and threads rejoin as soon as they reach the same PC, without
-// an explicit SIMT stack. Per-thread semantics are identical to runCTA.
-func (e *exec) runCTAWarped(cta *ctaState, warpSize int) *Trap {
-	for {
-		progress := false
-		for base := 0; base < len(cta.threads); base += warpSize {
-			end := base + warpSize
-			if end > len(cta.threads) {
-				end = len(cta.threads)
-			}
-			warp := cta.threads[base:end]
-			// Drive this warp until its threads all park or exit.
-			for {
-				minPC := -1
-				for _, th := range warp {
-					if th.done || th.waiting || e.laneFrozen(th) {
-						continue
-					}
-					if minPC < 0 || th.pc < minPC {
-						minPC = th.pc
-					}
-				}
-				if minPC < 0 {
-					break
-				}
-				for _, th := range warp {
-					if th.done || th.waiting || th.pc != minPC || e.laneFrozen(th) {
-						continue
-					}
-					if _, trap := e.step(th, cta); trap != nil {
-						return trap
-					}
-					if e.intra != nil {
-						e.intra.step()
-					}
-					progress = true
-				}
-				if e.intra != nil {
-					// Capture only at min-PC sweep boundaries: the drive
-					// loop recomputes the minimum PC from scratch here, so
-					// a resumed warp replays exactly this continuation.
-					e.intra.flush()
-				}
-			}
-		}
-		status, trap := e.resolveBarrier(cta, progress)
-		if trap != nil {
-			return trap
-		}
-		if status == ctaFinished {
-			return nil
-		}
-	}
-}
 
 // ProfileTrace is the Tracer used for fault-free profiling runs: it records
 // the static PC sequence of every thread, with the high bit of each entry

@@ -8,10 +8,11 @@ import "repro/internal/isa"
 // value for the remainder of the run. The fault state is bound to the
 // injected thread: predicate clamps only touch that thread's registers, a
 // frozen or barrier-stuck lane stops mattering once the thread retires, so
-// the fault's reach ends with the injected thread's CTA. Both execution
-// paths (the reference interpreter and the compiled plan) share every
-// function in this file, which is what keeps them bit-identical under
-// persistent faults (DESIGN.md §3.9).
+// the fault's reach ends with the injected thread's CTA. The test-side
+// reference interpreter shares every function in this file with the
+// engine, so the plan-vs-reference differentials cannot see a bug here; the
+// persistent-fault semantics themselves are pinned by TestInjectionKinds and
+// the fault-level stuck-at differentials (DESIGN.md §3.9).
 
 // persistState is the live state of an armed persistent fault, decoded once
 // from the Injection at launch.
@@ -62,20 +63,19 @@ func newPersistState(inj *Injection) *persistState {
 
 // persistAfterStep enforces an armed persistent fault after one retired
 // dynamic instruction of th, activating it when the step just crossed the
-// activation point. It runs at the end of step and stepCompiled — only the
+// activation point. It runs at the end of stepCompiled — only the
 // injected thread's own steps write its predicate and barrier state, so a
-// post-step clamp is in force before every later read.
-//
-// The returned blocked flag replaces the step's: a stuck-at-1 active mask
-// keeps the lane active through bar.sync, so the park is undone.
-func (e *exec) persistAfterStep(th *threadState, blocked bool) bool {
+// post-step clamp is in force before every later read. A stuck-at-1 active
+// mask keeps the lane active through bar.sync, so a park the step just made
+// is undone.
+func (e *exec) persistAfterStep(th *threadState) {
 	p := e.persist
 	if th.flat != p.thread {
-		return blocked
+		return
 	}
 	if !p.active {
 		if th.dynCount <= p.dynInst {
-			return blocked
+			return
 		}
 		p.active = true
 	}
@@ -87,14 +87,12 @@ func (e *exec) persistAfterStep(th *threadState, blocked bool) bool {
 			th.preds[p.predReg] &^= p.predMask
 		}
 	case InjectStuckActiveMask:
-		if p.stuck1 && th.waiting {
+		if p.stuck1 {
 			// The lane's active bit never clears: it blows through the
 			// barrier instead of parking at it.
 			th.waiting = false
-			blocked = false
 		}
 	}
-	return blocked
 }
 
 // persistLive reports whether the launch's persistent fault can still
@@ -114,8 +112,8 @@ func (e *exec) persistLive(injTh *threadState) bool {
 }
 
 // laneFrozen reports whether th is the faulty lane of an activated
-// stuck-at-0 active-mask fault: the lane is never scheduled again. All four
-// scheduler loops consult this alongside done/waiting.
+// stuck-at-0 active-mask fault: the lane is never scheduled again. The
+// scheduler's election consults this alongside done/waiting.
 func (e *exec) laneFrozen(th *threadState) bool {
 	p := e.persist
 	return p != nil && p.active && p.kind == InjectStuckActiveMask &&
@@ -129,8 +127,7 @@ func (e *exec) laneFrozen(th *threadState) bool {
 // Persistent faults bend the arrival rules: a thread whose barrier-arrival
 // state is stuck at 1 counts as arrived while still running, one stuck at 0
 // parks without its arrival ever registering (the barrier deadlocks), and a
-// frozen lane (active mask stuck at 0) can never arrive at all. Shared by
-// the interpreter and compiled schedulers so traps stay bit-identical.
+// frozen lane (active mask stuck at 0) can never arrive at all.
 func (e *exec) resolveBarrier(cta *ctaState, progress bool) (barrierStatus, *Trap) {
 	p := e.persist
 	if p != nil && !p.active {
@@ -197,7 +194,7 @@ func (e *exec) resolveBarrier(cta *ctaState, progress bool) (barrierStatus, *Tra
 		}
 		if waitingCnt > 0 {
 			// Cannot happen fault-free — exited threads reduce alive and
-			// runnable threads always progress — but guard interpreter bugs.
+			// runnable threads always progress — but guard scheduler bugs.
 			return ctaRunning, &Trap{Kind: TrapDeadlock, Thread: -1, PC: -1,
 				Msg: "no runnable threads but barrier unsatisfied"}
 		}

@@ -1,48 +1,48 @@
 package gpusim
 
-// The compiled dispatch loops. Two tiers:
+// The dispatch loops of the compiled plan. Two tiers:
 //
 //   - stepCompiled is the careful path: one dynamic instruction with every
-//     observable of exec.step intact (tracer callback, injection arm/disarm
-//     and writeback, watchdog, guard annulment). It is used whenever
-//     something watches the thread — a Tracer, an intra-CTA recorder, or a
-//     not-yet-fired injection.
+//     observable intact (tracer callback, injection arm/disarm and
+//     writeback, watchdog, guard annulment, persistent-fault enforcement).
+//     It is used whenever something watches the thread — a Tracer, an
+//     intra-CTA recorder, or a pending injection.
 //   - runThreadFast/runWarpBatch are the fast paths for unobserved
 //     execution: they dispatch straight-line runs of pre-decoded closures
 //     without re-entering the scheduler, keeping only the per-instruction
 //     dynCount/watchdog/guard work the architectural semantics require.
 //
 // The fast paths are taken exactly when Tracer == nil, intra == nil, and no
-// injection is pending on the thread/warp, so e.addrFlipBit is always -1
-// there and all injection arm/disarm points live in stepCompiled, in the
-// same positions as the reference step. A *persistent* injection
-// (InjectKind.Persistent) never stops being pending: its thread (and warp)
-// stay on the careful path for the remainder of the run, until the faulty
-// thread exits and the fault dies with it. Scheduling order (serial
-// round-robin at barrier boundaries; warped min-PC sweeps) is identical to
-// runCTA/runCTAWarped by construction — see DESIGN.md §3.8.
+// injection is pending on the warp (faultPending), so e.addrFlipBit is
+// always -1 there and all injection arm/disarm points live in stepCompiled.
+// A *persistent* injection (InjectKind.Persistent) never stops being
+// pending: its warp stays on the careful path until the faulty thread exits
+// and the fault dies with it. Both tiers run under the one scheduler,
+// runCTA, and are pinned against the test-side reference interpreter
+// (reference_test.go) — see DESIGN.md §3.8.
 
-// stepCompiled executes one dynamic instruction via the plan, mirroring
-// exec.step observable for observable.
-func (e *exec) stepCompiled(th *threadState, cta *ctaState) (blocked bool, trap *Trap) {
+// stepCompiled executes one dynamic instruction via the plan, returning a
+// trap on abnormal termination. A thread that parked at a barrier is left
+// with waiting set and pc already advanced past the bar.sync.
+func (e *exec) stepCompiled(th *threadState, cta *ctaState) *Trap {
 	ops := e.plan.ops
 	if th.pc < 0 || th.pc >= len(ops) {
 		// Falling off the end retires the thread, like an implicit exit.
 		th.done = true
-		return false, nil
+		return nil
 	}
 	op := &ops[th.pc]
 
 	th.dynCount++
 	if th.dynCount > e.watchdog {
-		return false, e.watchdogTrap(th)
+		return e.watchdogTrap(th)
 	}
 
 	executed := true
 	if op.guard != nil {
 		ok, tr := op.guard(th)
 		if tr != nil {
-			return false, tr
+			return tr
 		}
 		executed = ok
 	}
@@ -66,14 +66,14 @@ func (e *exec) stepCompiled(th *threadState, cta *ctaState) (blocked bool, trap 
 		if op.seq != nil {
 			if tr := op.seq(e, th, cta); tr != nil {
 				e.addrFlipBit = -1
-				return false, tr
+				return tr
 			}
 		} else {
 			var tr *Trap
-			nextPC, blocked, tr = op.ctrl(e, th, cta)
+			nextPC, _, tr = op.ctrl(e, th, cta)
 			if tr != nil {
 				e.addrFlipBit = -1
-				return false, tr
+				return tr
 			}
 		}
 	}
@@ -93,11 +93,11 @@ func (e *exec) stepCompiled(th *threadState, cta *ctaState) (blocked bool, trap 
 		}
 	}
 	if e.persist != nil {
-		blocked = e.persistAfterStep(th, blocked)
+		e.persistAfterStep(th)
 	}
 
 	th.pc = nextPC
-	return blocked, nil
+	return nil
 }
 
 // runThreadFast runs one unobserved thread until it parks, exits, or
@@ -171,73 +171,6 @@ func (e *exec) runThreadFast(th *threadState, cta *ctaState) *Trap {
 	}
 }
 
-// runCTACompiled is the compiled counterpart of runCTA: identical
-// round-robin scheduling at barrier boundaries, with unobserved threads
-// driven by runThreadFast. An injected thread steps carefully until its
-// injection fires, then joins the fast path — except under a persistent
-// fault, which never retires: the faulty thread then stays on the careful
-// path for the remainder of the run so every enforcement point (predicate
-// clamp, barrier blow-through, lane freeze) is observed.
-func (e *exec) runCTACompiled(cta *ctaState) *Trap {
-	instrumented := e.launch.Tracer != nil || e.intra != nil
-	inj := e.launch.Inject
-	for {
-		progress := false
-		for _, th := range cta.threads {
-			if th.done || th.waiting || e.laneFrozen(th) {
-				continue
-			}
-			if instrumented {
-				for !th.done && !th.waiting {
-					blocked, trap := e.stepCompiled(th, cta)
-					if trap != nil {
-						return trap
-					}
-					if e.intra != nil {
-						// Same resume-safe points as runCTA: any post-step
-						// boundary in serial mode.
-						e.intra.step()
-						e.intra.flush()
-					}
-					if blocked {
-						break
-					}
-				}
-			} else {
-				if inj != nil && th.flat == inj.Thread {
-					// Careful until the injection fires: the step that starts
-					// with dynCount == DynInst retires dynamic instruction
-					// DynInst and applies the fault. Persistent kinds never
-					// fire-and-retire, so the thread steps carefully forever.
-					blocked := false
-					for !th.done && !blocked && !e.laneFrozen(th) &&
-						(inj.Kind.Persistent() || th.dynCount <= inj.DynInst) {
-						var trap *Trap
-						blocked, trap = e.stepCompiled(th, cta)
-						if trap != nil {
-							return trap
-						}
-					}
-				}
-				if !th.done && !th.waiting && !e.laneFrozen(th) &&
-					(inj == nil || th.flat != inj.Thread || !inj.Kind.Persistent()) {
-					if trap := e.runThreadFast(th, cta); trap != nil {
-						return trap
-					}
-				}
-			}
-			progress = true
-		}
-		status, trap := e.resolveBarrier(cta, progress)
-		if trap != nil {
-			return trap
-		}
-		if status == ctaFinished {
-			return nil
-		}
-	}
-}
-
 // runWarpBatch executes a straight-line run for the warp's min-PC lanes:
 // the active set is every eligible lane at minPC, and the run extends to
 // the earlier of the straight-run end and the lowest PC of any other
@@ -286,32 +219,53 @@ func (e *exec) runWarpBatch(warp []*threadState, minPC int, cta *ctaState) (bool
 	return len(active) > 0, nil
 }
 
-// runCTAWarpedCompiled is the compiled counterpart of runCTAWarped:
-// identical min-PC lockstep scheduling, with unobserved warps batching
-// straight-line runs across all active lanes. Warps containing a pending
-// injection step carefully until it fires.
-func (e *exec) runCTAWarpedCompiled(cta *ctaState, warpSize int) *Trap {
-	instrumented := e.launch.Tracer != nil || e.intra != nil
+// faultPending reports whether the launch's injection can still act on its
+// thread th: a transient fault until the step that retires dynamic
+// instruction DynInst has run, a persistent one until th exits and the
+// fault dies with it. While it holds, th's warp stays on the careful path so
+// every arm/fire/enforcement point in stepCompiled is observed.
+func (e *exec) faultPending(th *threadState) bool {
 	inj := e.launch.Inject
-	nInstr := len(e.plan.ops)
+	return !th.done && (inj.Kind.Persistent() || th.dynCount <= inj.DynInst)
+}
+
+// runCTA is the CTA scheduler: rounds over the CTA's warps until every
+// thread has exited, resolving barriers between rounds. Within a round each
+// warp is driven until all its lanes park, exit or freeze: elect the
+// minimal PC among the runnable lanes, issue one instruction to every lane
+// at that PC, repeat. Min-PC election is a classic reconvergence heuristic:
+// diverged paths serialize, and lanes rejoin as soon as they reach the same
+// PC, without an explicit SIMT stack.
+//
+// Launch.WarpSize picks the warp width. Serial scheduling (WarpSize 0) is
+// the same loop over one-lane warps: the election is trivial, so a thread
+// simply runs until it parks at a barrier or exits before the next one
+// starts, and every sweep boundary is a step boundary.
+//
+// A warp nothing observes — no Tracer, no intra-CTA recorder, no pending
+// fault — skips the per-instruction sweep for a fast path that retires the
+// identical dynamic instructions in the identical order: runThreadFast for
+// a one-lane warp, runWarpBatch across the lanes of a lockstep warp.
+func (e *exec) runCTA(cta *ctaState) *Trap {
+	lockstep := e.launch.WarpSize > 0
+	width := max(e.launch.WarpSize, 1)
+	observed := e.launch.Tracer != nil || e.intra != nil
+	// The injected thread's CTA-local index; outside [0, len) in other CTAs.
+	injLocal := -1
+	if inj := e.launch.Inject; inj != nil {
+		injLocal = inj.Thread - cta.threads[0].flat
+	}
+	ops := e.plan.ops
 	for {
 		progress := false
-		for base := 0; base < len(cta.threads); base += warpSize {
-			end := base + warpSize
-			if end > len(cta.threads) {
-				end = len(cta.threads)
-			}
+		for base := 0; base < len(cta.threads); base += width {
+			end := min(base+width, len(cta.threads))
 			warp := cta.threads[base:end]
 			var injTh *threadState
-			if inj != nil {
-				for _, th := range warp {
-					if th.flat == inj.Thread {
-						injTh = th
-						break
-					}
-				}
+			if injLocal >= base && injLocal < end {
+				injTh = cta.threads[injLocal]
 			}
-			// Drive this warp until its threads all park or exit.
+			// Drive this warp until its lanes all park, exit or freeze.
 			for {
 				minPC := -1
 				for _, th := range warp {
@@ -325,39 +279,39 @@ func (e *exec) runCTAWarpedCompiled(cta *ctaState, warpSize int) *Trap {
 				if minPC < 0 {
 					break
 				}
-				// A warp holding a pending transient injection steps
-				// carefully until it fires; a persistent one never retires,
-				// so that warp stays careful for the whole run (unless the
-				// faulty thread already exited, which ends the fault's reach).
-				if !instrumented &&
-					(injTh == nil || injTh.done ||
-						(!inj.Kind.Persistent() && injTh.dynCount > inj.DynInst)) &&
-					minPC < nInstr && e.plan.ops[minPC].straight > 0 {
-					stepped, trap := e.runWarpBatch(warp, minPC, cta)
-					if trap != nil {
-						return trap
+				// An elected PC always retires at least one instruction.
+				progress = true
+				if !observed && (injTh == nil || !e.faultPending(injTh)) {
+					if !lockstep {
+						if trap := e.runThreadFast(warp[0], cta); trap != nil {
+							return trap
+						}
+						continue
 					}
-					if stepped {
-						progress = true
+					if minPC < len(ops) && ops[minPC].straight > 0 {
+						if _, trap := e.runWarpBatch(warp, minPC, cta); trap != nil {
+							return trap
+						}
+						continue
 					}
-					continue
 				}
-				// Careful sweep, identical to the reference loop.
+				// Careful sweep: one instruction for every lane at minPC.
 				for _, th := range warp {
 					if th.done || th.waiting || th.pc != minPC || e.laneFrozen(th) {
 						continue
 					}
-					if _, trap := e.stepCompiled(th, cta); trap != nil {
+					if trap := e.stepCompiled(th, cta); trap != nil {
 						return trap
 					}
 					if e.intra != nil {
 						e.intra.step()
 					}
-					progress = true
 				}
 				if e.intra != nil {
-					// Same resume-safe points as runCTAWarped: min-PC sweep
-					// boundaries only.
+					// Sweep boundaries are the resume-safe capture points: the
+					// next election starts from scratch here, and every warp
+					// earlier in the round is parked or done, so a resumed CTA
+					// replays exactly this continuation.
 					e.intra.flush()
 				}
 			}

@@ -31,7 +31,7 @@ type ctaState struct {
 	shared  []byte
 }
 
-// exec bundles everything the interpreter needs for one launch.
+// exec bundles everything the engine needs for one launch.
 type exec struct {
 	prog     *isa.Program
 	dev      *Device
@@ -48,8 +48,7 @@ type exec struct {
 	// persist is the armed persistent (stuck-at) fault, decoded from
 	// Launch.Inject; nil for transient or absent injections. See persist.go.
 	persist *persistState
-	// plan is the compiled execution plan; nil when Launch.Interpret
-	// selected the reference interpreter.
+	// plan is the compiled execution plan of prog.
 	plan *execPlan
 	// warpActive is runWarpBatch's reused active-lane scratch.
 	warpActive []*threadState
@@ -96,22 +95,6 @@ func (e *exec) readReg(th *threadState, r isa.Reg) uint32 {
 		}
 	}
 	return 0
-}
-
-// writeReg stores a raw 32-bit value into a register of thread th. Writes to
-// the zero register and the $o127 sink are discarded, matching PTXPlus.
-func (e *exec) writeReg(th *threadState, r isa.Reg, v uint32) {
-	switch r.Class {
-	case isa.RegGPR:
-		if r.Index == isa.ZeroReg || r.Index == isa.SinkReg {
-			return
-		}
-		th.regs[r.Index] = v
-	case isa.RegPred:
-		th.preds[r.Index] = uint8(v) & 0xF
-	case isa.RegOfs:
-		th.ofs[r.Index] = v
-	}
 }
 
 // flipRegBit applies a single-bit fault to a register.
@@ -161,40 +144,6 @@ func (e *exec) flipLaneGroup(th *threadState, cta *ctaState, r isa.Reg, bit int)
 	for _, o := range cta.threads[base:end] {
 		e.flipRegBit(o, r, bit)
 	}
-}
-
-// sourceValue resolves a source operand to its raw 32-bit value, applying
-// half-selection and negation. Memory sources go through load and may trap.
-func (e *exec) sourceValue(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataType) (uint32, *Trap) {
-	switch o.Kind {
-	case isa.OpdReg:
-		v := e.readReg(th, o.Reg)
-		switch o.Half {
-		case isa.HalfLo:
-			v &= 0xFFFF
-			if t.Signed() {
-				v = uint32(int32(int16(v)))
-			}
-		case isa.HalfHi:
-			v >>= 16
-			if t.Signed() {
-				v = uint32(int32(int16(v)))
-			}
-		}
-		if o.Neg {
-			if t.Float() {
-				v ^= 0x80000000
-			} else {
-				v = -v
-			}
-		}
-		return v, nil
-	case isa.OpdImm:
-		return o.Imm, nil
-	case isa.OpdMem:
-		return e.load(th, cta, o, t)
-	}
-	return 0, &Trap{Kind: TrapInvalid, Thread: th.flat, PC: th.pc, Msg: "empty operand"}
 }
 
 // address computes the effective byte address of a memory operand, applying

@@ -11,6 +11,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/fault"
@@ -35,6 +36,19 @@ func (s Scale) String() string {
 		return "paper"
 	}
 	return "small"
+}
+
+// ParseScale maps a scale name ("small" or "paper") to its Scale. Every
+// entry point that accepts a scale from outside the program goes through
+// it, so a misspelt name is an error everywhere rather than a silent small.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case ScaleSmall.String():
+		return ScaleSmall, nil
+	case ScalePaper.String():
+		return ScalePaper, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want %q or %q)", name, ScaleSmall, ScalePaper)
 }
 
 // Meta describes a kernel in the paper's terms.

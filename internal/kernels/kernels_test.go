@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -70,5 +71,26 @@ func TestPaperThreadCounts(t *testing.T) {
 				t.Fatalf("threads = %d, want %d", got, spec.Meta.PaperThreads)
 			}
 		})
+	}
+}
+
+// TestParseScale: both scale names round-trip through ParseScale, and
+// anything else — a typo, the empty string, a different case — is an error
+// naming the accepted values rather than a silent small.
+func TestParseScale(t *testing.T) {
+	for _, sc := range []Scale{ScaleSmall, ScalePaper} {
+		got, err := ParseScale(sc.String())
+		if err != nil || got != sc {
+			t.Fatalf("ParseScale(%q) = %v, %v", sc.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"papr", "", "Paper", "small "} {
+		_, err := ParseScale(bad)
+		if err == nil {
+			t.Fatalf("ParseScale(%q) accepted", bad)
+		}
+		if want := fmt.Sprintf("unknown scale %q (want \"small\" or \"paper\")", bad); err.Error() != want {
+			t.Fatalf("ParseScale(%q) error = %q, want %q", bad, err, want)
+		}
 	}
 }

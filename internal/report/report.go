@@ -155,8 +155,11 @@ type Campaign struct {
 	CTAsSkipped    int64   `json:"ctas_skipped,omitempty"`
 	EarlyExits     int64   `json:"early_exits,omitempty"`
 	IntraSkips     int64   `json:"intra_skips,omitempty"`
-	// FullRunFallbacks counts runs degraded to a full re-execution because
-	// their fault model is not fast-forward sound.
+	// FullRunFallbacks counts journal records carrying fb=1: runs an older
+	// engine degraded to a full re-execution because it did not yet trust
+	// the fast-forward path for their fault model (DESIGN.md §3.11). The
+	// engine has no such path anymore; only NewMerged sets this, so old-era
+	// journals keep merging to the same report bytes.
 	FullRunFallbacks int64 `json:"full_run_fallbacks,omitempty"`
 	Checkpoints      int   `json:"checkpoints,omitempty"`
 	CheckpointBytes  int64 `json:"checkpoint_bytes,omitempty"`
@@ -183,7 +186,6 @@ func NewCampaign(s fault.CampaignStats) Campaign {
 		CTAsSkipped:          s.CTAsSkipped,
 		EarlyExits:           s.EarlyExits,
 		IntraSkips:           s.IntraSkips,
-		FullRunFallbacks:     s.FullRunFallbacks,
 		Checkpoints:          s.Checkpoints,
 		CheckpointBytes:      s.CheckpointBytes,
 		IntraCheckpointBytes: s.IntraCheckpointBytes,
@@ -227,6 +229,7 @@ type Merged struct {
 func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 	var dist fault.Dist
 	var stats fault.CampaignStats
+	var fallbacks int64
 	quarantined := 0
 	for _, r := range recs {
 		o := fault.Outcome(r.Outcome)
@@ -243,7 +246,7 @@ func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 			stats.IntraSkips++
 		}
 		if r.FullRunFallback {
-			stats.FullRunFallbacks++
+			fallbacks++
 		}
 		if r.Attempts > 1 {
 			stats.Retries += int64(r.Attempts - 1)
@@ -253,6 +256,8 @@ func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 			quarantined++
 		}
 	}
+	campaign := NewCampaign(stats)
+	campaign.FullRunFallbacks = fallbacks
 	return Merged{
 		Kernel:      fp.Kernel,
 		Scale:       fp.Scale,
@@ -263,7 +268,7 @@ func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 		Completed:   len(recs),
 		Quarantined: quarantined,
 		Profile:     NewProfile(dist),
-		Campaign:    NewCampaign(stats),
+		Campaign:    campaign,
 	}, nil
 }
 

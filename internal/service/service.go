@@ -75,13 +75,11 @@ func (s Submission) normalize() (Submission, error) {
 	if _, ok := kernels.ByName(s.Kernel); !ok {
 		return s, fmt.Errorf("unknown kernel %q", s.Kernel)
 	}
-	switch s.Scale {
-	case "":
+	if s.Scale == "" {
 		s.Scale = kernels.ScaleSmall.String()
-	case kernels.ScaleSmall.String(), kernels.ScalePaper.String():
-	default:
-		return s, fmt.Errorf("unknown scale %q (want %q or %q)",
-			s.Scale, kernels.ScaleSmall, kernels.ScalePaper)
+	}
+	if _, err := kernels.ParseScale(s.Scale); err != nil {
+		return s, err
 	}
 	if s.Model == "" {
 		s.Model = fault.ModelDestValue.String()
@@ -141,10 +139,8 @@ func (s Submission) shard() fault.Shard {
 
 // scale maps the validated scale name to the kernels constant.
 func (s Submission) scale() kernels.Scale {
-	if s.Scale == kernels.ScalePaper.String() {
-		return kernels.ScalePaper
-	}
-	return kernels.ScaleSmall
+	sc, _ := kernels.ParseScale(s.Scale) // normalize already rejected unknown names
+	return sc
 }
 
 // ownedSites is the number of campaign sites this submission's shard
