@@ -17,9 +17,9 @@ BENCH_OUT   ?= BENCH_pr14.json
 BENCH_COUNT ?= 6
 BENCH_PASSES ?= 3
 
-.PHONY: ci vet build test race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke doccheck bench-smoke bench bench-check bench-full
+.PHONY: ci vet build test race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke doccheck recipe-check bench-smoke bench bench-check bench-full
 
-ci: vet build race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke doccheck bench-check
+ci: vet build race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke doccheck recipe-check bench-check
 
 vet:
 	$(GO) vet ./...
@@ -79,6 +79,8 @@ advise-smoke:
 	grep -q '"frontier"' $$t/replay.json && grep -q '"overhead_pct"' $$t/replay.json && \
 	$(GO) run ./cmd/fsadvise -kernel "GEMM K1" -sites 120 -json > $$t/live.json && \
 	cmp $$t/replay.json $$t/live.json && \
+	{ $(GO) run ./cmd/fsadvise -kernel "GEMM K1" -sites -1 > /dev/null 2> $$t/neg.err; [ $$? -eq 1 ]; } && \
+	grep -q "exit status 2" $$t/neg.err && ! grep -q "panic:" $$t/neg.err && \
 	rm -rf $$t
 
 # Documentation gate: every internal package carries a package comment,
@@ -88,6 +90,18 @@ advise-smoke:
 # references in EXPERIMENTS.md name flags some command defines.
 doccheck:
 	$(GO) run ./cmd/doccheck
+
+# One campaign recipe: the site-sampling stream and the copy of the engine
+# strides onto a built kernel instance live in internal/campaign and nowhere
+# else outside tests. Fails, printing the offending lines, when either
+# appears in more than one non-test file under cmd/ and internal/.
+recipe-check:
+	@for pat in 'Split("baseline")' '\.\(CheckpointStride\|IntraStride\) *=[^=]'; do \
+		hits=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$pat" cmd internal); \
+		if [ $$(echo "$$hits" | cut -d: -f1 | sort -u | grep -c .) -gt 1 ]; then \
+			echo "recipe-check: $$pat is pasted outside internal/campaign:"; echo "$$hits"; exit 1; \
+		fi; \
+	done
 
 # One iteration of the headline benchmark, piped through benchjson: catches
 # gross regressions and panics in the campaign engine (and keeps the JSON

@@ -23,12 +23,11 @@ import (
 	"strings"
 
 	"repro/internal/advisor"
+	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/interrupts"
 	"repro/internal/journal"
-	"repro/internal/kernels"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -60,7 +59,11 @@ func main() {
 	if *journalSpec != "" {
 		in = fromJournals(strings.Split(*journalSpec, ","))
 	} else {
-		in = fromLiveCampaign(*kernel, *scale, *seed, *sites, *modelName, *par)
+		spec := campaign.Spec{Kernel: *kernel, Scale: *scale, Seed: *seed, Sites: *sites, Model: *modelName}
+		if err := spec.Validate(); err != nil {
+			usageError("%v", err)
+		}
+		in = fromLiveCampaign(spec, *par)
 	}
 
 	adv, err := advisor.Analyze(in, opt)
@@ -75,7 +78,7 @@ func main() {
 }
 
 // fromJournals replays one or more shard journals of a single campaign and
-// rebuilds the target the fingerprint describes, so attribution resolves
+// prepares the spec the fingerprint describes, so attribution resolves
 // against the same profile the campaign ran on.
 func fromJournals(paths []string) *advisor.Input {
 	for i := range paths {
@@ -83,61 +86,21 @@ func fromJournals(paths []string) *advisor.Input {
 	}
 	fp, recs, err := journal.Merge(paths, false)
 	fatal(err)
-	inst := buildTarget(fp)
-	in, err := advisor.FromJournal(inst.Target, fp, recs)
+	spec, err := campaign.FromFingerprint(fp)
+	fatal(err)
+	p, err := spec.Prepare(fault.DefaultPreparedCache())
+	fatal(err)
+	in, err := advisor.FromJournal(p.Target, fp, recs)
 	fatal(err)
 	return in
 }
 
-// buildTarget reconstructs and prepares the campaign's target from its
-// journal fingerprint.
-func buildTarget(fp journal.Fingerprint) *kernels.Instance {
-	spec, ok := kernels.ByName(fp.Kernel)
-	if !ok {
-		fatal(fmt.Errorf("journal names unknown kernel %q", fp.Kernel))
-	}
-	sc, err := kernels.ParseScale(fp.Scale)
-	if err != nil {
-		fatal(fmt.Errorf("journal names %w", err))
-	}
-	inst, err := spec.Build(sc)
-	fatal(err)
-	inst.Target.WarpSize = fp.Warp
-	inst.Target.FullRun = fp.FullRun
-	inst.Target.CheckpointStride = fp.Stride
-	inst.Target.IntraStride = fp.IntraStride
-	inst.Target.Cache = fault.DefaultPreparedCache()
-	fatal(inst.Target.Prepare())
-	return inst
-}
-
 // fromLiveCampaign runs the campaign fsprune would run for the same flags
-// (identical site-sampling recipe) with per-site outcomes retained, then
-// attributes the result.
-func fromLiveCampaign(kernel, scale string, seed int64, nSites int, modelName string, par int) *advisor.Input {
-	model, err := fault.ParseModel(modelName)
-	if err != nil {
-		usageError("%v", err)
-	}
-	spec, ok := kernels.ByName(kernel)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown kernel %q\n", kernel)
-		os.Exit(2)
-	}
-	sc, err := kernels.ParseScale(scale)
-	if err != nil {
-		usageError("%v", err)
-	}
-	inst, err := spec.Build(sc)
+// with per-site outcomes retained, then attributes the result.
+func fromLiveCampaign(spec campaign.Spec, par int) *advisor.Input {
+	p, err := spec.Prepare(fault.DefaultPreparedCache())
 	fatal(err)
-	inst.Target.Cache = fault.DefaultPreparedCache()
-	fatal(inst.Target.Prepare())
-
-	space := fault.NewSpace(inst.Target.Profile())
-	rng := stats.NewRNG(seed).Split("baseline")
-	siteList := fault.Uniform(space.RandomModel(rng, nSites, model))
-
-	res, err := fault.RunModel(inst.Target, siteList, model, fault.CampaignOptions{
+	res, err := p.Run(fault.CampaignOptions{
 		Parallelism: par,
 		KeepPerSite: true,
 		Interrupt:   interrupts.Notify(),
@@ -148,8 +111,7 @@ func fromLiveCampaign(kernel, scale string, seed int64, nSites int, modelName st
 		os.Exit(130)
 	}
 	fatal(err)
-
-	in, err := advisor.FromCampaign(inst.Target, spec.Meta.Name(), sc.String(), seed, model, siteList, res)
+	in, err := advisor.FromCampaign(p.Target, spec.Fingerprint(), p.Sites(), res)
 	fatal(err)
 	return in
 }

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	bl "repro/internal/baseline"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/interrupts"
@@ -57,7 +58,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	showStats := flag.Bool("stats", false, "report campaign execution stats (runs, rate, COW pages, devices, fast-forward skips)")
 	warp := flag.Int("warp", 0, "SIMT lockstep warp width for every run (0 = serial thread interleaving)")
-	fullRun := flag.Bool("full-run", false, "disable checkpointed fast-forward; re-execute the whole grid per experiment (reference engine)")
 	ckptStride := flag.Int("ckpt-stride", 0, "CTA boundaries between golden checkpoints (0 = auto from grid size)")
 	intraStride := flag.Int("intra-stride", 0, "dynamic instructions between intra-CTA warp snapshots (0 = auto-tune, <0 = disable)")
 	journalPath := flag.String("journal", "", "write-ahead outcome journal for -action campaign (created, or resumed if it exists)")
@@ -66,51 +66,62 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on normal exit")
 	flag.Parse()
 
+	if *list {
+		for _, s := range kernels.All() {
+			fmt.Printf("%-16s %-10s %-20s %6d threads (paper)\n",
+				s.Meta.Name(), s.Meta.Suite, s.Meta.Kernel, s.Meta.PaperThreads)
+		}
+		return
+	}
+
+	// Every action runs on the campaign the flags name; the Spec owns the
+	// usage rules, the target wiring, the site recipe and the fingerprint.
+	spec := campaign.Spec{
+		Kernel:      *kernel,
+		Scale:       *scale,
+		Seed:        *seed,
+		Sites:       *baseline,
+		Model:       *modelName,
+		Warp:        *warp,
+		CkptStride:  *ckptStride,
+		IntraStride: *intraStride,
+	}
+	if *shardSpec != "" {
+		i, n, ok := strings.Cut(*shardSpec, "/")
+		var err1, err2 error
+		spec.ShardIndex, err1 = strconv.Atoi(i)
+		spec.ShardCount, err2 = strconv.Atoi(n)
+		if !ok || err1 != nil || err2 != nil || spec.ShardCount == 0 {
+			usageError("invalid -shard %q (want i/n, e.g. 0/4)", *shardSpec)
+		}
+	}
+	if err := spec.Validate(); err != nil {
+		usageError("%v", err)
+	}
 	if *par < 0 {
 		usageError("-par must be >= 0 (0 = GOMAXPROCS), got %d", *par)
 	}
-	if *warp < 0 {
-		usageError("-warp must be >= 0 (0 = serial interleaving), got %d", *warp)
-	}
-	if *ckptStride < 0 {
-		usageError("-ckpt-stride must be >= 0 (0 = auto), got %d", *ckptStride)
-	}
 	// Flags that contradict each other are rejected up front instead of
-	// silently ignored: -full-run disables the entire fast-forward engine, so
-	// tuning either checkpoint stride alongside it is an operator mistake,
-	// and -auto-loop overwrites any explicit -loop-iters choice.
+	// silently ignored: -auto-loop overwrites any explicit -loop-iters
+	// choice.
 	explicit := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if *fullRun && explicit["ckpt-stride"] && *ckptStride != 0 {
-		usageError("-full-run disables checkpointing; it cannot be combined with -ckpt-stride %d", *ckptStride)
-	}
-	if *fullRun && explicit["intra-stride"] && *intraStride != 0 {
-		usageError("-full-run disables checkpointing; it cannot be combined with -intra-stride %d", *intraStride)
-	}
 	if *autoLoop && explicit["loop-iters"] {
 		usageError("-auto-loop selects the loop sample size itself; it cannot be combined with an explicit -loop-iters")
-	}
-	shard, err := parseShard(*shardSpec)
-	if err != nil {
-		usageError("%v", err)
 	}
 	if (*journalPath != "" || *shardSpec != "") && *action != "campaign" {
 		usageError("-journal and -shard apply only to -action campaign")
 	}
-	model, err := fault.ParseModel(*modelName)
-	if err != nil {
-		usageError("%v", err)
-	}
-	if model != fault.ModelDestValue {
+	if *modelName != fault.ModelDestValue.String() {
 		// The pruning pipeline (plan/estimate/baseline) is the paper's
 		// dest-value methodology; alternate models run plain campaigns.
 		if *action != "campaign" {
-			usageError("-model %s applies only to -action campaign (the pruning pipeline is defined over dest-value sites)", model)
+			usageError("-model %s applies only to -action campaign (the pruning pipeline is defined over dest-value sites)", *modelName)
 		}
 		// Bit-sampling subsamples destination-register bit positions, which
 		// mem-addr and stuck-at sites do not have.
 		if explicit["bits"] || explicit["bit-samples"] {
-			usageError("-bit-samples subsamples destination-register bits; it cannot be combined with -model %s", model)
+			usageError("-bit-samples subsamples destination-register bits; it cannot be combined with -model %s", *modelName)
 		}
 	}
 
@@ -140,49 +151,26 @@ func main() {
 	interrupt := interrupts.Notify()
 
 	sink := &fault.StatsSink{}
-	campaign := func() fault.CampaignOptions {
+	options := func() fault.CampaignOptions {
 		return fault.CampaignOptions{Parallelism: *par, Sink: sink, Interrupt: interrupt}
 	}
 
-	if *list {
-		for _, s := range kernels.All() {
-			fmt.Printf("%-16s %-10s %-20s %6d threads (paper)\n",
-				s.Meta.Name(), s.Meta.Suite, s.Meta.Kernel, s.Meta.PaperThreads)
-		}
-		return
-	}
-
-	sc, err := kernels.ParseScale(*scale)
-	if err != nil {
-		usageError("%v", err)
-	}
-	spec, ok := kernels.ByName(*kernel)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown kernel %q (use -list)\n", *kernel)
-		os.Exit(2)
-	}
-	inst, err := spec.Build(sc)
-	fatal(err)
-	inst.Target.WarpSize = *warp
-	inst.Target.FullRun = *fullRun
-	inst.Target.CheckpointStride = *ckptStride
-	inst.Target.IntraStride = *intraStride
-	// Route every Prepare of this process through the shared cache: the
+	// Every Prepare of this process goes through the shared cache: the
 	// pipeline stages below (auto-loop, plan, estimate, baseline) each
 	// amortize this target's golden run instead of repeating it.
-	inst.Target.Cache = fault.DefaultPreparedCache()
-	fatal(inst.Target.Prepare())
+	inst, err := spec.Prepare(fault.DefaultPreparedCache())
+	fatal(err)
 	prof := inst.Target.Profile()
 	space := fault.NewSpace(prof)
 
 	switch *action {
 	case "profile":
 		if *asJSON {
-			fatal(report.Write(os.Stdout, report.NewKernelProfile(spec.Meta.Name(), prof)))
+			fatal(report.Write(os.Stdout, report.NewKernelProfile(spec.Kernel, prof)))
 			return
 		}
 		fmt.Printf("%s (%s): %d threads, %d CTAs, %d dynamic instructions\n",
-			spec.Meta.Name(), sc, inst.Target.Threads(), prof.NumCTAs(), prof.TotalDyn())
+			spec.Kernel, spec.Scale, inst.Target.Threads(), prof.NumCTAs(), prof.TotalDyn())
 		groups := core.GroupCTAs(prof)
 		fmt.Printf("CTA groups: %d\n", len(groups))
 		for gi, g := range groups {
@@ -198,7 +186,7 @@ func main() {
 
 	case "sites":
 		fmt.Printf("%s (%s): exhaustive fault sites (Eq. 1) = %d\n",
-			spec.Meta.Name(), sc, space.Total())
+			spec.Kernel, spec.Scale, space.Total())
 		t := stats.TStat(0.998)
 		fmt.Printf("random baseline for 99.8%% CI, 0.63%% margin: %d runs\n",
 			stats.SampleSize(space.Total(), 0.0063, t, 0.5))
@@ -211,7 +199,7 @@ func main() {
 		if *autoLoop {
 			auto, err := core.AutoLoopIters(inst.Target, core.AutoLoopOptions{
 				Base:     core.Options{Seed: *seed, BitSamples: *bitSamples},
-				Campaign: campaign(),
+				Campaign: options(),
 			})
 			fatal(err)
 			iters = auto.Iters
@@ -236,12 +224,10 @@ func main() {
 		if !*asJSON {
 			fmt.Println(plan)
 		}
-		estRes, err := plan.EstimateResult(campaign())
+		estRes, err := plan.EstimateResult(options())
 		fatal(err)
 		est := estRes.Dist
-		rng := stats.NewRNG(*seed).Split("baseline")
-		sites := space.Random(rng, *baseline)
-		res, err := fault.Run(inst.Target, fault.Uniform(sites), campaign())
+		res, err := inst.Run(options())
 		fatal(err)
 		if *asJSON {
 			var cs *fault.CampaignStats
@@ -265,7 +251,7 @@ func main() {
 			Margin:   *margin,
 			MaxRuns:  *baseline,
 			Seed:     *seed,
-			Campaign: campaign(),
+			Campaign: options(),
 		})
 		fatal(err)
 		fmt.Printf("adaptive random baseline: %s\n", res)
@@ -279,19 +265,14 @@ func main() {
 		// The site list derives deterministically from (kernel, scale,
 		// seed, size, model), which is exactly what the journal fingerprint
 		// pins.
-		rng := stats.NewRNG(*seed).Split("baseline")
-		sites := fault.Uniform(space.RandomModel(rng, *baseline, model))
-		opt := campaign()
-		opt.Shard = shard
-
+		opt := options()
 		var j *journal.Journal
 		if *journalPath != "" {
-			fp := inst.Target.JournalFingerprint(model, len(sites), sc.String(), *seed, shard)
-			j, err = journal.Open(*journalPath, fp)
+			j, err = journal.Open(*journalPath, spec.Fingerprint())
 			fatal(err)
 			opt.Journal = j
 		}
-		res, err := fault.RunModel(inst.Target, sites, model, opt)
+		res, err := inst.Run(opt)
 		if errors.Is(err, fault.ErrInterrupted) {
 			if j != nil {
 				if cerr := j.Close(); cerr != nil {
@@ -324,12 +305,12 @@ func main() {
 				Profile   report.Profile  `json:"profile"`
 				Campaign  report.Campaign `json:"campaign"`
 			}{
-				Kernel:    spec.Meta.Name(),
-				Scale:     sc.String(),
-				Seed:      *seed,
-				Model:     model.String(),
+				Kernel:    spec.Kernel,
+				Scale:     spec.Scale,
+				Seed:      spec.Seed,
+				Model:     spec.Model,
 				Shard:     *shardSpec,
-				Sites:     len(sites),
+				Sites:     spec.Sites,
 				Completed: res.Completed,
 				Profile:   report.NewProfile(res.Dist),
 				Campaign:  report.NewCampaign(sink.Total()),
@@ -339,9 +320,9 @@ func main() {
 		}
 		if *shardSpec != "" {
 			fmt.Printf("%s (%s): model %s, shard %s, %d of %d sites\n",
-				spec.Meta.Name(), sc, model, *shardSpec, res.Completed, len(sites))
+				spec.Kernel, spec.Scale, spec.Model, *shardSpec, res.Completed, spec.Sites)
 		} else {
-			fmt.Printf("%s (%s): model %s, %d sites\n", spec.Meta.Name(), sc, model, res.Completed)
+			fmt.Printf("%s (%s): model %s, %d sites\n", spec.Kernel, spec.Scale, spec.Model, res.Completed)
 		}
 		fmt.Printf("profile: %s\n", res.Dist)
 		if n := len(res.Quarantined); n > 0 {
@@ -359,23 +340,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown action %q\n", *action)
 		os.Exit(2)
 	}
-}
-
-// parseShard parses "i/n"; the empty string is the whole campaign.
-func parseShard(s string) (fault.Shard, error) {
-	if s == "" {
-		return fault.Shard{}, nil
-	}
-	a, b, ok := strings.Cut(s, "/")
-	if !ok {
-		return fault.Shard{}, fmt.Errorf("invalid -shard %q (want i/n, e.g. 0/4)", s)
-	}
-	i, err1 := strconv.Atoi(a)
-	n, err2 := strconv.Atoi(b)
-	if err1 != nil || err2 != nil || n < 1 || i < 0 || i >= n {
-		return fault.Shard{}, fmt.Errorf("invalid -shard %q (want i/n with 0 <= i < n)", s)
-	}
-	return fault.Shard{Index: i, Count: n}, nil
 }
 
 func usageError(format string, args ...any) {

@@ -62,7 +62,13 @@ func main() {
 	fmt.Printf("fsserve listening on %s (data %s)\n", ln.Addr(), *data)
 
 	srv.Start()
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: service.ReadHeaderTimeout,
+		ReadTimeout:       service.ReadTimeout,
+		WriteTimeout:      service.WriteTimeout,
+		IdleTimeout:       service.IdleTimeout,
+	}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

@@ -17,9 +17,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/gpusim"
-	"repro/internal/kernels"
 )
 
 func main() {
@@ -53,31 +53,26 @@ func main() {
 		}()
 	}
 
-	sc, err := kernels.ParseScale(*scale)
+	inst, err := campaign.Spec{
+		Kernel:      *kernel,
+		Scale:       *scale,
+		Model:       *modelName,
+		IntraStride: *intraStride,
+	}.Prepare(fault.DefaultPreparedCache())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	spec, ok := kernels.ByName(*kernel)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown kernel %q\n", *kernel)
-		os.Exit(2)
-	}
-	inst, err := spec.Build(sc)
-	fatal(err)
 
 	if *disasm {
-		fmt.Printf("// %s (%s, %s)\n", spec.Meta.Kernel, spec.Meta.Suite, spec.Meta.App)
+		fmt.Printf("// %s (%s, %s)\n", inst.Meta.Kernel, inst.Meta.Suite, inst.Meta.App)
 		fmt.Print(inst.Target.Prog.String())
 		return
 	}
 
-	inst.Target.IntraStride = *intraStride
-	inst.Target.Cache = fault.DefaultPreparedCache()
-	fatal(inst.Target.Prepare())
 	prof := inst.Target.Profile()
 	fmt.Printf("%s: grid %v block %v = %d threads, %d dynamic instructions\n",
-		spec.Meta.Name(), inst.Target.Grid, inst.Target.Block,
+		inst.Meta.Name(), inst.Target.Grid, inst.Target.Block,
 		inst.Target.Threads(), prof.TotalDyn())
 
 	if *warp > 0 {
@@ -132,14 +127,9 @@ func main() {
 		if _, err := fmt.Sscanf(*inject, "%d:%d:%d", &site.Thread, &site.DynInst, &site.Bit); err != nil {
 			fatal(fmt.Errorf("bad -inject %q: %v", *inject, err))
 		}
-		model, err := fault.ParseModel(*modelName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		outcome, err := inst.Target.RunSiteModel(site, model)
+		outcome, err := inst.Target.RunSiteModel(site, inst.Model)
 		fatal(err)
-		fmt.Printf("injection %v (%s) -> %s\n", site, model, outcome)
+		fmt.Printf("injection %v (%s) -> %s\n", site, inst.Model, outcome)
 	}
 
 	if *showStats {

@@ -54,11 +54,14 @@ type Input struct {
 	Prof *trace.Profile
 }
 
-// FromCampaign attributes a live campaign result. The campaign must have
-// run with CampaignOptions.KeepPerSite over exactly these sites and model
-// on t, unsharded and complete.
-func FromCampaign(t *fault.Target, kernel, scale string, seed int64, model fault.Model,
-	sites []fault.WeightedSite, res *fault.CampaignResult) (*Input, error) {
+// FromCampaign attributes a live campaign result: res must come from
+// running the campaign fp names over exactly these sites on t with
+// CampaignOptions.KeepPerSite, unsharded and complete.
+func FromCampaign(t *fault.Target, fp journal.Fingerprint, sites []fault.WeightedSite, res *fault.CampaignResult) (*Input, error) {
+	model, err := fault.ParseModel(fp.Model)
+	if err != nil {
+		return nil, err
+	}
 	attributed, err := res.Attributed(t, model, sites)
 	if err != nil {
 		return nil, err
@@ -74,9 +77,9 @@ func FromCampaign(t *fault.Target, kernel, scale string, seed int64, model fault
 		}
 	}
 	return &Input{
-		Kernel:  kernel,
-		Scale:   scale,
-		Seed:    seed,
+		Kernel:  fp.Kernel,
+		Scale:   fp.Scale,
+		Seed:    fp.Seed,
 		Model:   model,
 		Sites:   len(sites),
 		Records: recs,

@@ -84,7 +84,7 @@ func TestLiveJournalByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	liveIn, err := advisor.FromCampaign(tgt, fp.Kernel, fp.Scale, seed, model, sites, res)
+	liveIn, err := advisor.FromCampaign(tgt, fp, sites, res)
 	if err != nil {
 		t.Fatal(err)
 	}

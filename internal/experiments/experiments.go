@@ -10,6 +10,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/kernels"
 )
@@ -168,20 +169,16 @@ func ByID(id string) (Experiment, bool) {
 // kernel+scale (each table and figure builds its own instances) performs
 // one golden run per distinct configuration instead of one per instance.
 func buildPrepared(name string, cfg Config) (*kernels.Instance, error) {
-	spec, ok := kernels.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown kernel %q", name)
-	}
-	inst, err := spec.Build(cfg.Scale)
+	p, err := campaign.Spec{
+		Kernel:      name,
+		Scale:       cfg.Scale.String(),
+		Model:       fault.ModelDestValue.String(),
+		IntraStride: cfg.IntraStride,
+	}.Prepare(fault.DefaultPreparedCache())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	inst.Target.IntraStride = cfg.IntraStride
-	inst.Target.Cache = fault.DefaultPreparedCache()
-	if err := inst.Target.Prepare(); err != nil {
-		return nil, err
-	}
-	return inst, nil
+	return p.Instance, nil
 }
 
 // distRow formats a three-class profile as table cells.

@@ -72,6 +72,16 @@ func (s Shard) owns(pos int) bool {
 	return pos%n.Count == n.Index
 }
 
+// Owned is how many of the schedule positions 0..n-1 this shard owns — its
+// completion target on an n-site campaign.
+func (s Shard) Owned(n int) int {
+	sh := s.normalize()
+	if n <= sh.Index {
+		return 0
+	}
+	return (n - sh.Index + sh.Count - 1) / sh.Count
+}
+
 // SiteFailure records one quarantined site: the engine could not produce an
 // outcome for it within CampaignOptions.MaxAttempts attempts, so its
 // outcome is EngineError and the cause is kept here (and in the journal).
@@ -210,25 +220,15 @@ func (t *Target) JournalFingerprint(model Model, sites int, scale string, seed i
 }
 
 // validateJournal cross-checks an attached journal against the campaign the
-// engine is about to run: fault-level fingerprint fields must match (the
-// kernel/scale/seed fields were already enforced by journal.Open against
-// the caller's fingerprint).
+// engine is about to run: the header must be the fingerprint this target,
+// model, size and shard produce. Scale and seed describe how the caller
+// derived the site list, which the engine cannot see, so they are taken
+// from the header (journal.Open already held them to the caller's
+// fingerprint, and replay checks every record's site key).
 func (t *Target) validateJournal(j *journal.Journal, model Model, nsites int, shard Shard) error {
 	fp := j.Fingerprint()
-	sh := shard.normalize()
-	switch {
-	case fp.Sites != nsites:
-		return fmt.Errorf("fault: journal %s covers %d sites, campaign has %d", j.Path(), fp.Sites, nsites)
-	case fp.Model != model.String():
-		return fmt.Errorf("fault: journal %s was recorded under model %s, campaign uses %s", j.Path(), fp.Model, model)
-	case fp.Warp != t.WarpSize || fp.Stride != t.CheckpointStride ||
-		fp.IntraStride != t.IntraStride || fp.FullRun != t.FullRun:
-		return fmt.Errorf("fault: journal %s was recorded under a different engine configuration (warp=%d stride=%d intra=%d fullrun=%v; campaign warp=%d stride=%d intra=%d fullrun=%v)",
-			j.Path(), fp.Warp, fp.Stride, fp.IntraStride, fp.FullRun,
-			t.WarpSize, t.CheckpointStride, t.IntraStride, t.FullRun)
-	case fp.ShardIndex != sh.Index || fp.ShardCount != sh.Count:
-		return fmt.Errorf("fault: journal %s belongs to shard %d/%d, campaign runs shard %d/%d",
-			j.Path(), fp.ShardIndex, fp.ShardCount, sh.Index, sh.Count)
+	if want := t.JournalFingerprint(model, nsites, fp.Scale, fp.Seed, shard); fp != want {
+		return fmt.Errorf("fault: journal %s was recorded for a different campaign (%s)", j.Path(), want.Diff(fp))
 	}
 	return nil
 }

@@ -197,6 +197,31 @@ func TestRunWithInterrupt(t *testing.T) {
 	}
 }
 
+// TestShardOwnedCountsOwns: the closed form a shard's completion target
+// comes from counts exactly the schedule positions owns hands it, zero
+// Shard included.
+func TestShardOwnedCountsOwns(t *testing.T) {
+	shards := []Shard{{}}
+	for count := 1; count <= 5; count++ {
+		for index := 0; index < count; index++ {
+			shards = append(shards, Shard{Index: index, Count: count})
+		}
+	}
+	for _, sh := range shards {
+		for n := 0; n <= 64; n++ {
+			want := 0
+			for pos := 0; pos < n; pos++ {
+				if sh.owns(pos) {
+					want++
+				}
+			}
+			if got := sh.Owned(n); got != want {
+				t.Fatalf("shard %d/%d of %d positions: Owned %d, owns counts %d", sh.Index, sh.Count, n, got, want)
+			}
+		}
+	}
+}
+
 // TestShardPartition: shards are disjoint, cover everything, and their
 // per-shard distributions merge to the unsharded one.
 func TestShardPartition(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/fault"
@@ -45,7 +46,7 @@ func (s *Server) Status(id string) (Status, error) {
 		ID:         c.id,
 		State:      c.state,
 		Submission: c.sub,
-		OwnedSites: c.owned,
+		OwnedSites: c.sub.OwnedSites(),
 		Completed:  int(c.completed.Load()),
 		Error:      c.errMsg,
 	}
@@ -77,7 +78,7 @@ func (s *Server) Report(id string) (report.Merged, error) {
 	if c.state != StateDone {
 		return report.Merged{}, ErrNotFinished
 	}
-	return report.NewMerged(c.fp, c.recs)
+	return report.NewMerged(c.sub.Fingerprint(), c.recs)
 }
 
 // Advice returns the campaign's selective-hardening advice document — the
@@ -90,7 +91,7 @@ func (s *Server) Advice(id string, opt advisor.Options) (*report.Advice, error) 
 		return nil, err
 	}
 	c.mu.Lock()
-	state, fp, recs := c.state, c.fp, c.recs
+	state, fp, recs := c.state, c.sub.Fingerprint(), c.recs
 	c.mu.Unlock()
 	if state != StateDone {
 		return nil, fmt.Errorf("%w: campaign is %s", ErrNotFinished, state)
@@ -102,11 +103,14 @@ func (s *Server) Advice(id string, opt advisor.Options) (*report.Advice, error) 
 		return nil, fmt.Errorf("%w: advice requires an unsharded campaign (this is shard %d of %d)",
 			ErrBadRequest, fp.ShardIndex, fp.ShardCount)
 	}
-	inst, err := s.buildTarget(c.sub)
+	// Prepared like the campaign itself was, so advice is attributed
+	// against exactly the profile it ran on; the shared prepared-target
+	// cache makes this Prepare a lookup, not a golden re-run.
+	p, err := c.sub.Prepare(s.cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
-	in, err := advisor.FromJournal(inst.Target, fp, recs)
+	in, err := advisor.FromJournal(p.Target, fp, recs)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +184,7 @@ func (s *Server) Stats() Stats {
 			ID:         c.id,
 			Kernel:     c.sub.Kernel,
 			State:      c.state,
-			OwnedSites: c.owned,
+			OwnedSites: c.sub.OwnedSites(),
 			Completed:  int(c.completed.Load()),
 			Campaign:   report.NewCampaign(c.sink.Total()),
 		})
@@ -201,7 +205,8 @@ type submitResponse struct {
 
 // Handler returns the service's HTTP surface. Routes:
 //
-//	POST /campaigns               submit (202 accepted, 200 deduplicated)
+//	POST /campaigns               submit (202 accepted, 200 deduplicated,
+//	                              413 body over MaxSubmissionBytes)
 //	GET  /campaigns/{id}          live status + incremental profile
 //	GET  /campaigns/{id}/report   final report (409 until done)
 //	GET  /campaigns/{id}/advice   selective-hardening advice (409 until done;
@@ -223,12 +228,30 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Limits at the HTTP byte boundary. Constants, not flags: a submission is
+// ten scalar fields, and every response is built from memory or (advice on a
+// cold cache) one Prepare.
+const (
+	// MaxSubmissionBytes bounds a POST /campaigns body (overflow is 413).
+	MaxSubmissionBytes = 64 << 10
+	// The timeouts cmd/fsserve gives its http.Server.
+	ReadHeaderTimeout = 5 * time.Second
+	ReadTimeout       = 30 * time.Second
+	WriteTimeout      = 2 * time.Minute
+	IdleTimeout       = 2 * time.Minute
+)
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sub Submission
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmissionBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sub); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, err)
 		return
 	}
 	id, deduped, err := s.Submit(sub)

@@ -10,10 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	cspec "repro/internal/campaign" // the server-side record type is named campaign
 	"repro/internal/fault"
 	"repro/internal/journal"
-	"repro/internal/kernels"
-	"repro/internal/stats"
 )
 
 // Config shapes a Server. The zero value of every field selects a usable
@@ -76,12 +75,10 @@ const (
 
 // campaign is the server-side record of one submission.
 type campaign struct {
-	id    string
-	sub   Submission
-	fp    journal.Fingerprint
-	path  string
-	owned int
-	sink  *fault.StatsSink
+	id   string
+	sub  Submission
+	path string
+	sink *fault.StatsSink
 
 	// completed counts journaled sites (replayed + executed), updated
 	// live from the engine's Progress hook.
@@ -179,34 +176,38 @@ func (s *Server) recover() ([]*campaign, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: recover %s: %w", path, err)
 		}
-		sub, err := submissionFromFingerprint(fp)
+		sub, err := cspec.FromFingerprint(fp)
 		if err != nil {
 			return nil, fmt.Errorf("service: recover %s: %w", path, err)
 		}
-		id := campaignID(fp)
-		if want := filepath.Join(s.cfg.DataDir, id+".journal"); path != want {
-			return nil, fmt.Errorf("service: recover %s: journal belongs at %s (fingerprint %s)", path, want, fp)
-		}
-		c := &campaign{
-			id:    id,
-			sub:   sub,
-			fp:    fp,
-			path:  path,
-			owned: sub.ownedSites(),
-			sink:  &fault.StatsSink{},
+		c := s.newCampaign(sub)
+		if path != c.path {
+			return nil, fmt.Errorf("service: recover %s: journal belongs at %s (fingerprint %s)", path, c.path, fp)
 		}
 		c.completed.Store(int64(len(recs)))
-		if len(recs) >= c.owned {
+		if len(recs) >= sub.OwnedSites() {
 			sort.Slice(recs, func(i, k int) bool { return recs[i].Index < recs[k].Index })
 			c.state = StateDone
 			c.recs = recs
 		} else {
-			c.state = StateQueued
 			pending = append(pending, c)
 		}
-		s.campaigns[id] = c
+		s.campaigns[c.id] = c
 	}
 	return pending, nil
+}
+
+// newCampaign is the queued record of a validated submission; its id and
+// journal path are the spec's content address.
+func (s *Server) newCampaign(sub Submission) *campaign {
+	id := sub.ID()
+	return &campaign{
+		id:    id,
+		sub:   sub,
+		path:  filepath.Join(s.cfg.DataDir, id+".journal"),
+		state: StateQueued,
+		sink:  &fault.StatsSink{},
+	}
 }
 
 // Start launches the worker pool. Call once, before serving HTTP.
@@ -232,19 +233,18 @@ func (s *Server) Stop() {
 // returned id names it — no second engine run is started, matching how the
 // prepared-target cache singleflights golden runs.
 func (s *Server) Submit(sub Submission) (string, bool, error) {
-	sub, err := sub.normalize()
-	if err != nil {
+	sub = withDefaults(sub)
+	if err := sub.Validate(); err != nil {
 		return "", false, err
 	}
-	fp := sub.fingerprint()
-	id := campaignID(fp)
+	c := s.newCampaign(sub)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.submitted++
-	if _, ok := s.campaigns[id]; ok {
+	if _, ok := s.campaigns[c.id]; ok {
 		s.dedupHits++
-		return id, true, nil
+		return c.id, true, nil
 	}
 	if s.queued >= s.cfg.QueueDepth {
 		return "", false, ErrQueueFull
@@ -253,8 +253,7 @@ func (s *Server) Submit(sub Submission) (string, bool, error) {
 	// Write the journal header before acknowledging the submission: an
 	// admitted-but-queued campaign must survive a daemon restart, and the
 	// journal is the only durable record of it.
-	path := filepath.Join(s.cfg.DataDir, id+".journal")
-	j, err := journal.Open(path, fp)
+	j, err := journal.Open(c.path, sub.Fingerprint())
 	if err != nil {
 		return "", false, fmt.Errorf("service: create journal: %w", err)
 	}
@@ -262,19 +261,10 @@ func (s *Server) Submit(sub Submission) (string, bool, error) {
 		return "", false, fmt.Errorf("service: create journal: %w", err)
 	}
 
-	c := &campaign{
-		id:    id,
-		sub:   sub,
-		fp:    fp,
-		path:  path,
-		owned: sub.ownedSites(),
-		state: StateQueued,
-		sink:  &fault.StatsSink{},
-	}
-	s.campaigns[id] = c
+	s.campaigns[c.id] = c
 	s.queued++
 	s.queue <- c // never blocks: queued is bounded by QueueDepth <= cap
-	return id, false, nil
+	return c.id, false, nil
 }
 
 // worker drains the run queue until Stop.
@@ -290,10 +280,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runCampaign executes one campaign end to end: rebuild the kernel
-// instance exactly as fsprune's campaign action does, open the journal
-// (replaying any prior progress), run the engine, and record the terminal
-// state.
+// runCampaign executes one campaign end to end: prepare the spec's target
+// (the call fsprune's campaign action makes), open the journal (replaying
+// any prior progress), run the engine, and record the terminal state.
 func (s *Server) runCampaign(c *campaign) {
 	s.mu.Lock()
 	s.queued--
@@ -326,53 +315,14 @@ func (s *Server) runCampaign(c *campaign) {
 	}
 }
 
-// buildTarget reconstructs and prepares a submission's injection target.
-// Both execute and Advice go through it, so advice is attributed against
-// exactly the profile the campaign ran on (and the shared prepared-target
-// cache makes the second Prepare a lookup, not a golden re-run).
-func (s *Server) buildTarget(sub Submission) (*kernels.Instance, error) {
-	spec, ok := kernels.ByName(sub.Kernel)
-	if !ok {
-		return nil, fmt.Errorf("unknown kernel %q", sub.Kernel)
-	}
-	inst, err := spec.Build(sub.scale())
-	if err != nil {
-		return nil, err
-	}
-	inst.Target.WarpSize = sub.Warp
-	inst.Target.FullRun = sub.FullRun
-	inst.Target.CheckpointStride = sub.CkptStride
-	inst.Target.IntraStride = sub.IntraStride
-	inst.Target.Cache = s.cfg.Cache
-	if err := inst.Target.Prepare(); err != nil {
-		return nil, err
-	}
-	return inst, nil
-}
-
 // execute is the engine-facing half of runCampaign; it returns the final
 // index-sorted record list on full completion.
 func (s *Server) execute(c *campaign) ([]journal.Record, error) {
-	inst, err := s.buildTarget(c.sub)
+	p, err := c.sub.Prepare(s.cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
-
-	// The site list derives deterministically from (kernel, scale, seed,
-	// size, model) — the same recipe as fsprune, pinned by the fingerprint.
-	model := c.sub.model()
-	space := fault.NewSpace(inst.Target.Profile())
-	rng := stats.NewRNG(c.sub.Seed).Split("baseline")
-	sites := fault.Uniform(space.RandomModel(rng, c.sub.Sites, model))
-
-	shard := c.sub.shard()
-	fp := inst.Target.JournalFingerprint(model, len(sites), c.sub.Scale, c.sub.Seed, shard)
-	if fp != c.fp {
-		// Submission-side and target-side fingerprints are derived
-		// independently; disagreement means a bug, not a bad request.
-		return nil, fmt.Errorf("service: fingerprint drift (%s)", c.fp.Diff(fp))
-	}
-	j, err := journal.Open(c.path, fp)
+	j, err := journal.Open(c.path, c.sub.Fingerprint())
 	if err != nil {
 		return nil, err
 	}
@@ -384,15 +334,13 @@ func (s *Server) execute(c *campaign) ([]journal.Record, error) {
 	c.j = j
 	c.mu.Unlock()
 
-	opt := fault.CampaignOptions{
+	_, runErr := p.Run(fault.CampaignOptions{
 		Parallelism: s.cfg.Parallelism,
 		Sink:        c.sink,
 		Journal:     j,
-		Shard:       shard,
 		Interrupt:   s.stopc,
 		Progress:    func(completed, _ int) { c.completed.Store(int64(completed)) },
-	}
-	_, runErr := fault.RunModel(inst.Target, sites, model, opt)
+	})
 
 	c.mu.Lock()
 	c.j = nil

@@ -42,7 +42,6 @@ func standalone(t *testing.T, dir string, sub service.Submission) (fault.Dist, [
 		t.Fatal(err)
 	}
 	inst.Target.WarpSize = sub.Warp
-	inst.Target.FullRun = sub.FullRun
 	inst.Target.CheckpointStride = sub.CkptStride
 	inst.Target.IntraStride = sub.IntraStride
 	if err := inst.Target.Prepare(); err != nil {
@@ -406,8 +405,6 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative sites", service.Submission{Kernel: "GEMM K1", Sites: -1}},
 		{"negative warp", service.Submission{Kernel: "GEMM K1", Warp: -2}},
 		{"negative stride", service.Submission{Kernel: "GEMM K1", CkptStride: -1}},
-		{"fullrun+stride", service.Submission{Kernel: "GEMM K1", FullRun: true, CkptStride: 3}},
-		{"fullrun+intra", service.Submission{Kernel: "GEMM K1", FullRun: true, IntraStride: 2}},
 		{"shard index without count", service.Submission{Kernel: "GEMM K1", ShardIndex: 1}},
 		{"shard index out of range", service.Submission{Kernel: "GEMM K1", ShardIndex: 2, ShardCount: 2}},
 		{"negative shard index", service.Submission{Kernel: "GEMM K1", ShardIndex: -1, ShardCount: 2}},
@@ -582,13 +579,81 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("report of queued campaign: HTTP %d, want 409", resp.StatusCode)
 	}
 
-	resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(`{"kernel": 42}`))
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"malformed body", `{"kernel": 42}`, http.StatusBadRequest},
+		{"retired full_run field", `{"kernel": "GEMM K1", "full_run": true}`, http.StatusBadRequest},
+		{"oversize body", `{"kernel": "` + strings.Repeat("x", service.MaxSubmissionBytes) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if derr != nil || body.Error == "" {
+			t.Errorf("%s: no JSON error body (%v)", tc.name, derr)
+		}
+	}
+}
+
+// TestRecoverSeedZeroJournal: a journal fsprune wrote under -seed 0, named
+// by its campaign id, recovers as seed 0 — complete, so straight to done
+// with its report servable. (An omitted JSON seed still means DefaultSeed;
+// only recovery can carry an explicit 0.)
+func TestRecoverSeedZeroJournal(t *testing.T) {
+	sub := service.Submission{Kernel: "GEMM K1", Scale: "small", Seed: 0, Model: "dest-value", Sites: 40, ShardCount: 1}
+	p, err := sub.Prepare(fault.NewPreparedCache(256 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: HTTP %d, want 400", resp.StatusCode)
+	dir := t.TempDir()
+	j, err := journal.Open(filepath.Join(dir, sub.ID()+".journal"), sub.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(fault.CampaignOptions{Journal: j}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := service.New(service.Config{DataDir: dir, Cache: fault.NewPreparedCache(1)})
+	if err != nil {
+		t.Fatalf("seed-0 journal does not recover: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	st := getStatus(t, ts, sub.ID())
+	if st.State != service.StateDone || st.Submission.Seed != 0 || st.Completed != 40 {
+		t.Fatalf("recovered seed-0 campaign: state %s seed %d completed %d", st.State, st.Submission.Seed, st.Completed)
+	}
+	var doc report.Merged
+	if err := json.Unmarshal(reportBytes(t, ts, sub.ID()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Seed != 0 || doc.Sites != 40 {
+		t.Errorf("seed-0 report carries seed %d, sites %d", doc.Seed, doc.Sites)
+	}
+
+	// Over HTTP the same request without a seed is a different campaign.
+	srv.Start()
+	defer srv.Stop()
+	id, deduped, _ := postCampaign(t, ts, service.Submission{Kernel: "GEMM K1", Sites: 40})
+	if deduped || id == sub.ID() {
+		t.Errorf("omitted seed deduplicated against the seed-0 campaign (id %s)", id)
+	}
+	if got := getStatus(t, ts, id).Submission.Seed; got != service.DefaultSeed {
+		t.Errorf("omitted seed ran as %d, want %d", got, service.DefaultSeed)
 	}
 }
 
