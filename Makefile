@@ -1,25 +1,10 @@
 GO ?= go
 
-# The perf trajectory across PRs: `make bench` records the current tree as
-# $(BENCH_OUT); `make ci` (via bench-check) fails when any benchmark present
-# in both files regressed more than 25% against $(BENCH_PREV).
-#
-# BENCH_COUNT is 6 because the gate runs on a shared single-vCPU box where
-# contention arrives in bursts: with only 2 samples per pass, both can land
-# inside one burst and a healthy benchmark reads as a >25% REGRESS purely
-# from noise (observed on PR 9's gate runs — interleaved re-measurement
-# showed unchanged medians). Six samples per pass, spread across
-# $(BENCH_PASSES) interleaved suite passes, put minutes between a
-# benchmark's samples so at least some of them dodge every burst; the
-# min-merge in benchjson then recovers the uncontended time.
-BENCH_PREV  ?= BENCH_pr10.json
-BENCH_OUT   ?= BENCH_pr14.json
-BENCH_COUNT ?= 6
-BENCH_PASSES ?= 3
+.PHONY: ci vet build test race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke examples-smoke doccheck recipe-check bench bench-record experiments
 
-.PHONY: ci vet build test race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke doccheck recipe-check bench-smoke bench bench-check bench-full
-
-ci: vet build race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke doccheck recipe-check bench-check
+# The perf smoke is part of race: TestSmokeEveryWorkload and TestSmokeTraced
+# in ./benchmark run every workload, traced and untraced, at reduced size.
+ci: vet build race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke examples-smoke doccheck recipe-check
 
 vet:
 	$(GO) vet ./...
@@ -51,14 +36,12 @@ campaign-smoke:
 # full scheduler/synchronization ledger (DESIGN.md §3.11), so every
 # persistent model — scheduler-corrupting ones included — must ride the
 # fast-forward engine. For each model the -stats line must show CTA
-# skipping, and the -json report must omit the legacy full_run_fallbacks
-# field (only reports merged from old-era journals carry it).
+# skipping.
 stuckat-smoke:
 	for m in stuck-active-mask stuck-barrier stuck-pred; do \
 		out=$$($(GO) run ./cmd/fsprune -kernel "GEMM K1" -action campaign -model $$m -baseline 40 -stats) || exit 1; \
 		echo "$$out" | grep "CTAs skipped" > /dev/null || { echo "stuckat-smoke: $$m stats line lacks CTA skipping"; exit 1; }; \
 		echo "$$out" | grep " 0 CTAs skipped" && { echo "stuckat-smoke: $$m campaign skipped no CTAs"; exit 1; }; \
-		$(GO) run ./cmd/fsprune -kernel "GEMM K1" -action campaign -model $$m -baseline 40 -json | grep full_run_fallbacks && { echo "stuckat-smoke: $$m json carries full_run_fallbacks"; exit 1; }; \
 	done; exit 0
 
 # The campaign service end to end against the real fsserve binary: serve on
@@ -103,37 +86,34 @@ recipe-check:
 		fi; \
 	done
 
-# One iteration of the headline benchmark, piped through benchjson: catches
-# gross regressions and panics in the campaign engine (and keeps the JSON
-# extractor building) without a full benchmark run.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable2$$' -benchtime 1x . | $(GO) run ./cmd/benchjson > /dev/null
+# Every example program runs to completion (vet and build only compile
+# them).
+examples-smoke:
+	for e in examples/*/; do \
+		$(GO) run ./$$e > /dev/null || { echo "examples-smoke: $$e failed"; exit 1; }; \
+	done
 
-# Table/figure and campaign-engine benchmarks in smoke mode (one iteration
-# each), recorded as ns/op per benchmark in $(BENCH_OUT). The recording is
-# the best of $(BENCH_PASSES) full suite passes × $(BENCH_COUNT) samples
-# each, min-merged by benchjson: a single 1x sample swings tens of percent
-# with scheduler and GC jitter, and on a shared single-vCPU box contention
-# arrives in bursts of tens of seconds — back-to-back samples of one
-# benchmark all land inside the same burst, so the passes interleave the
-# whole suite to spread each benchmark's samples minutes apart. Repeats
-# share the process-wide prepared cache, so cache-backed benches report
-# their warm path; BenchmarkPipelineColdPrepare attaches a fresh cache per
-# iteration and stays the designated cold-Prepare gauge.
+# The repository benchmark (benchmark/README.md): five output-checked
+# workloads, each in its own process, end-to-end metrics against the bounds
+# in BENCHMARK.json. Timings are only comparable within one session; to judge
+# a change, alternate this tree with a build of the parent commit.
 bench:
-	for i in $$(seq $(BENCH_PASSES)); do \
-		$(GO) test -run '^$$' -bench '^Benchmark(Table|Fig|Campaign|Pipeline|InterpStep)' -benchtime 1x -count $(BENCH_COUNT) . || exit 1; \
-	done | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
+	$(GO) run ./benchmark
 
-# Regression gate: rerun the benchmarks and diff against the previous PR's
-# recording; any >25% slowdown fails with a readable per-benchmark report.
-# -allow-missing keeps ci green on clones without the baseline recording.
-# -min-time-ms 5 is the noise floor: sub-5ms benches jitter tens of percent
-# at smoke sample counts (interleaved reruns show unchanged medians), so
-# they are reported but cannot flake the gate.
-bench-check: bench
-	$(GO) run ./cmd/benchdiff -allow-missing -max-regress 25 -min-time-ms 5 $(BENCH_PREV) $(BENCH_OUT)
+# The trajectory file: each workload's result line (the last line a workload
+# process prints) as one JSON object keyed by workload.
+bench-record:
+	for w in deep-paper shallow-durable warp-persistent prune-suite service-mix; do \
+		out=$$($(GO) run ./benchmark -workload $$w) || exit 1; \
+		printf '"%s": %s\n' $$w "$$(printf '%s\n' "$$out" | tail -n 1)"; \
+	done > BENCH_pr21.json
+	sed -i -e '$$!s/$$/,/' -e '1s/^/{\n/' -e '$$s/$$/\n}/' BENCH_pr21.json
 
-# The full benchmark suite with allocation stats (slow).
-bench-full:
-	$(GO) test -run '^$$' -bench . -benchtime 3x -benchmem .
+# Regenerates experiments_output.txt (untracked), the transcript every
+# "measured" value in EXPERIMENTS.md comes from: seed 1, the whole suite at
+# small scale, then the two profiling-only tables at paper scale. -out
+# appends, hence the rm.
+experiments:
+	rm -f experiments_output.txt
+	$(GO) run ./cmd/experiments -exp all -out experiments_output.txt > /dev/null
+	$(GO) run ./cmd/experiments -exp table1,table7 -scale paper -out experiments_output.txt > /dev/null

@@ -87,35 +87,30 @@ func newChunkQueues(chunks []chunk, workers, nwork int) *chunkQueues {
 }
 
 // next hands worker w its next chunk: the front of its own queue, else a
-// whole chunk stolen from the back of the fullest queue. Chunks entirely at
-// or beyond limit (the FailFast cancellation frontier) are discarded, not
-// returned. ok is false when no work is left anywhere.
-func (q *chunkQueues) next(w int, limit int) (c chunk, ok bool) {
+// whole chunk stolen from the back of the fullest queue. ok is false when no
+// work is left anywhere.
+func (q *chunkQueues) next(w int) (c chunk, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		var ci int
-		if own := q.queues[w]; len(own) > 0 {
-			ci, q.queues[w] = own[0], own[1:]
-			q.remain[w] -= q.chunks[ci].hi - q.chunks[ci].lo
-		} else {
-			victim := -1
-			for v := range q.queues {
-				if len(q.queues[v]) > 0 && (victim < 0 || q.remain[v] > q.remain[victim]) {
-					victim = v
-				}
+	var ci int
+	if own := q.queues[w]; len(own) > 0 {
+		ci, q.queues[w] = own[0], own[1:]
+		q.remain[w] -= q.chunks[ci].hi - q.chunks[ci].lo
+	} else {
+		victim := -1
+		for v := range q.queues {
+			if len(q.queues[v]) > 0 && (victim < 0 || q.remain[v] > q.remain[victim]) {
+				victim = v
 			}
-			if victim < 0 {
-				return chunk{}, false
-			}
-			vq := q.queues[victim]
-			ci, q.queues[victim] = vq[len(vq)-1], vq[:len(vq)-1]
-			q.remain[victim] -= q.chunks[ci].hi - q.chunks[ci].lo
 		}
-		if c = q.chunks[ci]; c.lo < limit {
-			return c, true
+		if victim < 0 {
+			return chunk{}, false
 		}
+		vq := q.queues[victim]
+		ci, q.queues[victim] = vq[len(vq)-1], vq[:len(vq)-1]
+		q.remain[victim] -= q.chunks[ci].hi - q.chunks[ci].lo
 	}
+	return q.chunks[ci], true
 }
 
 // workerRunner pins one pooled device to a campaign worker so that
@@ -157,7 +152,7 @@ func (r *workerRunner) give(d *gpusim.Device) {
 }
 
 // run executes one site on the pinned device; it is the runSite hook the
-// campaign engine calls (directly or under the durability guard).
+// campaign engine calls under the durability guard.
 func (r *workerRunner) run(s Site) (Outcome, runCost, error) {
 	d := r.take()
 	o, cost, err := r.t.injectOn(d, s, r.model)

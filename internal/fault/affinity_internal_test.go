@@ -48,8 +48,7 @@ func TestBuildChunksProperties(t *testing.T) {
 }
 
 // TestChunkQueuesCoverage: with stealing, every position is handed out
-// exactly once regardless of which workers ask, and a raised limit discards
-// whole chunks past the cancellation frontier.
+// exactly once regardless of which workers ask.
 func TestChunkQueuesCoverage(t *testing.T) {
 	const nwork, workers = 317, 4
 	chunks := buildChunks(nwork, nil, chunkTargetSize(nwork, workers))
@@ -58,7 +57,7 @@ func TestChunkQueuesCoverage(t *testing.T) {
 	// Worker 3 drains everything alone: own queue first, then steals.
 	seen := make([]bool, nwork)
 	for {
-		c, ok := q.next(3, nwork)
+		c, ok := q.next(3)
 		if !ok {
 			break
 		}
@@ -72,21 +71,6 @@ func TestChunkQueuesCoverage(t *testing.T) {
 	for p, s := range seen {
 		if !s {
 			t.Fatalf("position %d never handed out", p)
-		}
-	}
-
-	// Limit discarding: chunks wholly at or beyond the limit never surface.
-	q = newChunkQueues(chunks, workers, nwork)
-	const limit = 40
-	for w := 0; w < workers; w++ {
-		for {
-			c, ok := q.next(w, limit)
-			if !ok {
-				break
-			}
-			if c.lo >= limit {
-				t.Fatalf("worker %d got chunk %+v past limit %d", w, c, limit)
-			}
 		}
 	}
 }

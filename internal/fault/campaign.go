@@ -225,15 +225,9 @@ type CampaignOptions struct {
 	// (also on error, so cancelled campaigns stay visible).
 	Sink *StatsSink
 
-	// FailFast restores the pre-durability semantics: the first site error
-	// cancels the campaign (deterministically reporting the lowest
-	// scheduled failing site), with no panic recovery, deadline, retry or
-	// quarantine. The default (false) isolates failures per site: a
-	// failing site is retried with exponential backoff and, after
-	// MaxAttempts, quarantined into the EngineError outcome while the rest
-	// of the campaign proceeds.
-	FailFast bool
-	// MaxAttempts caps executions per site before quarantine; 0 means
+	// MaxAttempts caps executions per site before quarantine (a failing
+	// site is retried with exponential backoff, then bucketed as
+	// EngineError while the rest of the campaign proceeds); 0 means
 	// DefaultMaxAttempts.
 	MaxAttempts int
 	// SiteDeadline is the wall-clock ceiling per attempt, layered over the
@@ -316,14 +310,12 @@ func (p *devicePool) put(d *gpusim.Device) {
 // is validated up front, so an invalid site fails before any experiment
 // executes, reporting the lowest-index invalid site.
 //
-// Execution failures are isolated per site by default: a failing site is
-// retried with exponential backoff and, after MaxAttempts, quarantined into
-// the EngineError outcome (CampaignResult.Quarantined) while the campaign
-// continues; CampaignOptions.FailFast instead cancels the remaining
-// campaign promptly on the first error. With a Journal attached the
-// campaign is durable and resumable, with Shard it runs one deterministic
-// slice of the schedule, and Interrupt stops it cooperatively (see
-// CampaignOptions).
+// Execution failures are isolated per site: a failing site is retried with
+// exponential backoff and, after MaxAttempts, quarantined into the
+// EngineError outcome (CampaignResult.Quarantined) while the campaign
+// continues. With a Journal attached the campaign is durable and resumable,
+// with Shard it runs one deterministic slice of the schedule, and Interrupt
+// stops it cooperatively (see CampaignOptions).
 func Run(t *Target, sites []WeightedSite, opt CampaignOptions) (*CampaignResult, error) {
 	return t.runCampaign(sites, opt, ModelDestValue)
 }
@@ -443,14 +435,9 @@ type campaignEngine struct {
 // so which pooled device) runs a site — every run resets its device to the
 // same snapshot content, so outcomes are independent of the schedule.
 //
-// Failure handling depends on FailFast. In the default isolating mode a
-// failing site is retried and eventually quarantined as EngineError, and
-// only journal-append failures or an Interrupt stop the campaign. With
-// FailFast, the first site error cancels it: chunks entirely at or beyond
-// the failing work position are discarded, in-flight workers skip positions
-// at or beyond it, and — because the error position only ever decreases and
-// every position below it is still executed — the returned error is the one
-// of the lowest-scheduled failing site regardless of goroutine scheduling.
+// A failing site is retried and eventually quarantined as EngineError; only
+// a journal-append failure or an Interrupt stops the campaign, and both stop
+// it the same way: workers finish their current site and take no more.
 func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	eng campaignEngine) (*CampaignResult, CampaignStats, error) {
 
@@ -511,25 +498,20 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 
 	var runs, retries, nquar, ctasSkipped, earlyExits, intraSkips atomic.Int64
 
-	// Cancellation state: errLimit is len(work) while healthy, and drops to
-	// the lowest failing work position seen so far. firstErr tracks the
-	// error belonging to the current errLimit.
-	var errLimit atomic.Int64
-	errLimit.Store(int64(len(work)))
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(wpos, i int, err error) {
-		errMu.Lock()
-		if int64(wpos) < errLimit.Load() {
-			errLimit.Store(int64(wpos))
-			firstErr = fmt.Errorf("site %v: %w", sites[i].Site, err)
+	// A journal-append failure stops the campaign. The first one reported
+	// is returned: every later append to the same broken journal fails too,
+	// so which of them is named carries no information.
+	var failed atomic.Bool
+	var appendErr error // written by the one worker that flips failed, read after wg.Wait
+	fail := func(i int, err error) {
+		if failed.CompareAndSwap(false, true) {
+			appendErr = fmt.Errorf("site %v: %w", sites[i].Site, err)
 		}
-		errMu.Unlock()
 	}
 
 	var interrupted atomic.Bool
 	stop := func() bool {
-		if interrupted.Load() {
+		if failed.Load() || interrupted.Load() {
 			return true
 		}
 		if opt.Interrupt == nil {
@@ -570,43 +552,29 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 				if stop() {
 					return
 				}
-				c, ok := queues.next(w, int(errLimit.Load()))
+				c, ok := queues.next(w)
 				if !ok {
 					return
 				}
 				for wpos := c.lo; wpos < c.hi; wpos++ {
-					if int64(wpos) >= errLimit.Load() || stop() {
+					if stop() {
 						break
 					}
 					i := input(work[wpos])
-					var o Outcome
-					var cost runCost
-					attempts := 1
 					var quarErr string
-					if opt.FailFast {
-						var err error
-						o, cost, err = runSite(sites[i].Site)
-						runs.Add(1)
-						if err != nil {
-							fail(wpos, i, err)
-							break
-						}
-					} else {
-						var err error
-						o, cost, attempts, err = g.run(runSite, sites[i].Site)
-						runs.Add(int64(attempts))
-						if attempts > 1 {
-							retries.Add(int64(attempts - 1))
-						}
-						if err != nil {
-							nquar.Add(1)
-							quarErr = err.Error()
-							quarMu.Lock()
-							quarantined = append(quarantined, SiteFailure{
-								Index: i, Site: sites[i].Site, Attempts: attempts, Err: quarErr,
-							})
-							quarMu.Unlock()
-						}
+					o, cost, attempts, err := g.run(runSite, sites[i].Site)
+					runs.Add(int64(attempts))
+					if attempts > 1 {
+						retries.Add(int64(attempts - 1))
+					}
+					if err != nil {
+						nquar.Add(1)
+						quarErr = err.Error()
+						quarMu.Lock()
+						quarantined = append(quarantined, SiteFailure{
+							Index: i, Site: sites[i].Site, Attempts: attempts, Err: quarErr,
+						})
+						quarMu.Unlock()
 					}
 					ctasSkipped.Add(cost.ctasSkipped)
 					if cost.earlyExit {
@@ -619,7 +587,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 					done[i] = true
 					if j := opt.Journal; j != nil {
 						if jerr := j.Append(journalRecord(i, sites[i], o, cost, attempts, quarErr)); jerr != nil {
-							fail(wpos, i, jerr)
+							fail(i, jerr)
 							break
 						}
 					}
@@ -642,8 +610,8 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	st.CTAsSkipped = ctasSkipped.Load()
 	st.EarlyExits = earlyExits.Load()
 	st.IntraSkips = intraSkips.Load()
-	if errLimit.Load() < int64(len(work)) {
-		return nil, st, firstErr
+	if failed.Load() {
+		return nil, st, appendErr
 	}
 	completed := 0
 	for i := range sites {

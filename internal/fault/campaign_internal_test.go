@@ -3,10 +3,13 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // fakeSites builds n weighted sites whose Thread field encodes the index, so
@@ -31,106 +34,63 @@ func runWith(sites []WeightedSite, order []int, opt CampaignOptions,
 	})
 }
 
-// TestRunWithDeterministicLowestError: whichever worker hits an error first,
-// runWith must report the error of the lowest-index failing site. The old
-// engine reported whichever failing site a worker saw first, which varied
-// with scheduling.
-func TestRunWithDeterministicLowestError(t *testing.T) {
-	const n = 400
-	failAt := map[int]error{
-		41:  errors.New("fail-41"),
-		42:  errors.New("fail-42"),
-		350: errors.New("fail-350"),
+// openFakeJournal opens a fresh journal for an n-site stub campaign.
+func openFakeJournal(t *testing.T, n int) *journal.Journal {
+	t.Helper()
+	j, err := journal.Open(filepath.Join(t.TempDir(), "c.journal"), journalFP(n))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		for trial := 0; trial < 5; trial++ {
-			_, _, err := runWith(fakeSites(n), nil, CampaignOptions{Parallelism: par, FailFast: true},
-				func(s Site) (Outcome, runCost, error) {
-					if e, ok := failAt[s.Thread]; ok {
-						return 0, runCost{}, e
-					}
-					return Masked, runCost{}, nil
-				})
-			if err == nil {
-				t.Fatalf("par %d: error swallowed", par)
-			}
-			if !errors.Is(err, failAt[41]) {
-				t.Fatalf("par %d trial %d: got %v, want the site-41 error", par, trial, err)
-			}
-		}
-	}
+	t.Cleanup(func() { j.Close() })
+	return j
 }
 
-// TestRunWithErrorMessageNamesSite: the reported error wraps the failing
-// site's identity.
+// TestRunWithErrorMessageNamesSite: a journal-append failure ends the
+// campaign with an error that wraps the cause and the identity of the site
+// whose outcome could not be recorded.
 func TestRunWithErrorMessageNamesSite(t *testing.T) {
-	sentinel := errors.New("boom")
 	sites := fakeSites(50)
-	_, _, err := runWith(sites, nil, CampaignOptions{Parallelism: 2, FailFast: true},
+	j := openFakeJournal(t, len(sites))
+	_, _, err := runWith(sites, nil, CampaignOptions{Parallelism: 1, Journal: j},
 		func(s Site) (Outcome, runCost, error) {
 			if s.Thread == 17 {
-				return 0, runCost{}, sentinel
+				j.Close() // the append of this very site is the first to fail
 			}
 			return Masked, runCost{}, nil
 		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("sentinel lost: %v", err)
+	if !errors.Is(err, journal.ErrClosed) {
+		t.Fatalf("cause lost: %v", err)
 	}
 	if want := fmt.Sprintf("site %v", sites[17].Site); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name %q", err, want)
 	}
 }
 
-// TestRunWithCancelsPromptly: after the first error, remaining sites must be
-// skipped instead of drained. With the error near the front of a large
-// campaign, the executed count must stay far below the total; the old engine
-// let every already-queued site run to completion.
+// TestRunWithCancelsPromptly: after a journal-append failure, remaining
+// sites must be skipped instead of drained. With the failure near the front
+// of a large campaign, the executed count must stay far below the total.
 func TestRunWithCancelsPromptly(t *testing.T) {
 	const n = 3000
 	const failIdx = 5
+	j := openFakeJournal(t, n)
 	var executed atomic.Int64
-	_, st, err := runWith(fakeSites(n), nil, CampaignOptions{Parallelism: 4, FailFast: true},
+	_, st, err := runWith(fakeSites(n), nil, CampaignOptions{Parallelism: 4, Journal: j},
 		func(s Site) (Outcome, runCost, error) {
 			executed.Add(1)
 			if s.Thread == failIdx {
-				return 0, runCost{}, errors.New("early failure")
+				j.Close()
 			}
 			time.Sleep(20 * time.Microsecond)
 			return Masked, runCost{}, nil
 		})
-	if err == nil {
-		t.Fatal("error swallowed")
+	if !errors.Is(err, journal.ErrClosed) {
+		t.Fatalf("err = %v, want journal.ErrClosed", err)
 	}
 	if got := executed.Load(); got > n/2 {
 		t.Fatalf("executed %d of %d sites after an early error", got, n)
 	}
 	if st.Runs != executed.Load() {
 		t.Fatalf("stats counted %d runs, executed %d", st.Runs, executed.Load())
-	}
-}
-
-// TestRunWithExecutesEverySiteBelowError: the determinism guarantee rests on
-// every site below the final error index having been executed — verify the
-// engine upholds it.
-func TestRunWithExecutesEverySiteBelowError(t *testing.T) {
-	const n = 500
-	const failIdx = 321
-	seen := make([]atomic.Bool, n)
-	_, _, err := runWith(fakeSites(n), nil, CampaignOptions{Parallelism: 8, FailFast: true},
-		func(s Site) (Outcome, runCost, error) {
-			seen[s.Thread].Store(true)
-			if s.Thread == failIdx {
-				return 0, runCost{}, errors.New("late failure")
-			}
-			return Masked, runCost{}, nil
-		})
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	for i := 0; i < failIdx; i++ {
-		if !seen[i].Load() {
-			t.Fatalf("site %d below the failing index was never executed", i)
-		}
 	}
 }
 

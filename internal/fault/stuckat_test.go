@@ -1,7 +1,11 @@
 package fault_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -196,10 +200,7 @@ func TestStuckAtGaussianEquivalence(t *testing.T) {
 // TestStuckAtCampaignSmoke pins the fast-forward observability chain end to
 // end for every persistent model: every model rides the checkpointed engine
 // (DESIGN.md §3.11), so the campaign must demonstrably have skipped CTAs, and
-// the legacy full_run_fallbacks field must stay out of a fresh campaign's
-// report JSON and read zero through the journal/fsmerge path. (The non-zero
-// chain is covered by TestMixedEraJournalFallbacks, which replays journals
-// recorded under the old conservative engine.)
+// its journal must merge under the model's own name.
 func TestStuckAtCampaignSmoke(t *testing.T) {
 	run := func(model fault.Model, jpath string) *fault.CampaignResult {
 		tg := chainHangTarget(t)
@@ -231,16 +232,6 @@ func TestStuckAtCampaignSmoke(t *testing.T) {
 		if res.Stats.CTAsSkipped == 0 {
 			t.Fatalf("%s campaign never fast-forwarded", model)
 		}
-		doc, err := json.Marshal(report.NewCampaign(res.Stats))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(string(doc), "full_run_fallbacks") {
-			t.Fatalf("%s: fresh campaign serializes full_run_fallbacks: %s", model, doc)
-		}
-
-		// The journal's per-record fb flags must aggregate to the same
-		// (zero) count through the fsmerge path.
 		fp, recs, err := journal.ReadFile(jpath)
 		if err != nil {
 			t.Fatal(err)
@@ -248,9 +239,6 @@ func TestStuckAtCampaignSmoke(t *testing.T) {
 		merged, err := report.NewMerged(fp, recs)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if merged.Campaign.FullRunFallbacks != 0 {
-			t.Fatalf("%s merged report fallbacks = %d, want 0", model, merged.Campaign.FullRunFallbacks)
 		}
 		if merged.Model != model.String() {
 			t.Fatalf("merged report model = %q, want %q", merged.Model, model)
@@ -324,13 +312,11 @@ func TestParseModelRoundTrip(t *testing.T) {
 }
 
 // TestMixedEraJournalFallbacks: journals recorded under the old conservative
-// engine — whose scheduler-model records carry fb=1 because every such site
-// degraded to a per-site full run — must resume and fsmerge under the new
-// always-sound engine without skew: replayed outcomes are final, fresh sites
-// ride the fast-forward engine, Dist/PerSite are
-// bit-identical to an uninterrupted new-engine campaign, and the merged
-// report's full_run_fallbacks equals exactly the old-era record count (each
-// fb flag counted once, never double-counted through replay).
+// engine — whose scheduler-model records carry "fb":true because every such
+// site degraded to a per-site full run — must still open, resume and fsmerge:
+// the flag is ignored, replayed outcomes are final, fresh sites ride the
+// fast-forward engine, Dist/PerSite are bit-identical to an uninterrupted
+// campaign, and the merged report has no trace of the flag.
 func TestMixedEraJournalFallbacks(t *testing.T) {
 	const oldEra = 12
 	model := fault.ModelStuckActiveMask
@@ -351,26 +337,44 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 	}
 
 	// Forge the old engine's journal: the first oldEra sites recorded as
-	// full-run fallbacks (fb=1, no fast-forward savings). Outcomes match the
-	// reference — the old conservative engine computed the same per-site
+	// full-run fallbacks ("fb":true, no fast-forward savings). Outcomes match
+	// the reference — the old conservative engine computed the same per-site
 	// outcomes, just via pristine full runs (PR 8's equivalence proof).
+	// journal.Record no longer has the field, so the frames are written by
+	// hand in the package's documented on-disk format.
 	fp := tg.JournalFingerprint(model, len(sites), "small", 9, fault.Shard{})
 	jpath := filepath.Join(t.TempDir(), "oldera.journal")
-	j, err := journal.Open(jpath, fp)
+	j, err := journal.Open(jpath, fp) // writes the header frame
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var frames []byte
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for i := 0; i < oldEra; i++ {
-		rec := journal.Record{
+		payload, err := json.Marshal(journal.Record{
 			Index: i, Thread: sites[i].Site.Thread, DynInst: sites[i].Site.DynInst,
 			Bit: sites[i].Site.Bit, Outcome: uint8(ref.PerSite[i]),
-			Weight: sites[i].Weight, FullRunFallback: true, Attempts: 1,
-		}
-		if err := j.Append(rec); err != nil {
+			Weight: sites[i].Weight, Attempts: 1,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		payload = append(bytes.TrimSuffix(payload, []byte("}")), `,"fb":true}`...)
+		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(payload)))
+		frames = binary.LittleEndian.AppendUint32(frames, crc32.Checksum(payload, castagnoli))
+		frames = append(frames, payload...)
 	}
-	if err := j.Close(); err != nil {
+	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -401,7 +405,7 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 		t.Fatal("fresh sites never fast-forwarded")
 	}
 
-	// The fsmerge door: fb flags sum to the old-era record count only.
+	// The fsmerge door: every record merges, the flag leaves no trace.
 	mfp, recs, err := journal.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
@@ -413,11 +417,14 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Campaign.FullRunFallbacks != oldEra {
-		t.Fatalf("merged fallbacks = %d, want %d (old-era records only, not double-counted)",
-			merged.Campaign.FullRunFallbacks, oldEra)
-	}
 	if want := report.NewProfile(ref.Dist); merged.Profile != want {
 		t.Fatalf("merged profile %+v != reference %+v", merged.Profile, want)
+	}
+	doc, err := json.Marshal(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(doc), "fallback") {
+		t.Fatalf("merged report still reports fallbacks: %s", doc)
 	}
 }

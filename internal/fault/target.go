@@ -407,24 +407,9 @@ func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, 
 		return 0, cost, err
 	}
 	cost.ctasSkipped = int64(first)
-	// Skipped CTAs are bit-identical to golden; their iCnt comes from the
-	// profile so the Result stays equivalent to a full run's.
-	for th := 0; th < first*tpc; th++ {
-		c := t.profile.Threads[th].ICnt
-		res.ThreadICnt[th] = c
-		res.TotalDyn += c
-	}
-	if res.Trap != nil {
-		return t.classify(dev, res), cost, nil
-	}
-	if converged {
+	if res.Trap == nil && converged {
 		cost.earlyExit = true
 		cost.ctasSkipped += int64(ck.NumCTAs() - (cta + 1))
-		for th := (cta + 1) * tpc; th < len(res.ThreadICnt); th++ {
-			c := t.profile.Threads[th].ICnt
-			res.ThreadICnt[th] = c
-			res.TotalDyn += c
-		}
 		return Masked, cost, nil
 	}
 	return t.classify(dev, res), cost, nil

@@ -147,22 +147,16 @@ func NewKernelProfile(name string, prof *trace.Profile) KernelProfile {
 
 // Campaign is the JSON summary of a campaign's execution stats.
 type Campaign struct {
-	Runs           int64   `json:"runs"`
-	WallMS         float64 `json:"wall_ms"`
-	RunsPerSec     float64 `json:"runs_per_sec"`
-	PagesCopied    int64   `json:"pages_copied"`
-	DevicesCreated int     `json:"devices_created"`
-	CTAsSkipped    int64   `json:"ctas_skipped,omitempty"`
-	EarlyExits     int64   `json:"early_exits,omitempty"`
-	IntraSkips     int64   `json:"intra_skips,omitempty"`
-	// FullRunFallbacks counts journal records carrying fb=1: runs an older
-	// engine degraded to a full re-execution because it did not yet trust
-	// the fast-forward path for their fault model (DESIGN.md §3.11). The
-	// engine has no such path anymore; only NewMerged sets this, so old-era
-	// journals keep merging to the same report bytes.
-	FullRunFallbacks int64 `json:"full_run_fallbacks,omitempty"`
-	Checkpoints      int   `json:"checkpoints,omitempty"`
-	CheckpointBytes  int64 `json:"checkpoint_bytes,omitempty"`
+	Runs            int64   `json:"runs"`
+	WallMS          float64 `json:"wall_ms"`
+	RunsPerSec      float64 `json:"runs_per_sec"`
+	PagesCopied     int64   `json:"pages_copied"`
+	DevicesCreated  int     `json:"devices_created"`
+	CTAsSkipped     int64   `json:"ctas_skipped,omitempty"`
+	EarlyExits      int64   `json:"early_exits,omitempty"`
+	IntraSkips      int64   `json:"intra_skips,omitempty"`
+	Checkpoints     int     `json:"checkpoints,omitempty"`
+	CheckpointBytes int64   `json:"checkpoint_bytes,omitempty"`
 	// IntraCheckpointBytes is the memory retained by the intra-CTA
 	// (warp-granular) snapshot store.
 	IntraCheckpointBytes int64 `json:"intra_checkpoint_bytes,omitempty"`
@@ -229,7 +223,6 @@ type Merged struct {
 func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 	var dist fault.Dist
 	var stats fault.CampaignStats
-	var fallbacks int64
 	quarantined := 0
 	for _, r := range recs {
 		o := fault.Outcome(r.Outcome)
@@ -245,9 +238,6 @@ func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 		if r.IntraResumed {
 			stats.IntraSkips++
 		}
-		if r.FullRunFallback {
-			fallbacks++
-		}
 		if r.Attempts > 1 {
 			stats.Retries += int64(r.Attempts - 1)
 		}
@@ -256,8 +246,6 @@ func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 			quarantined++
 		}
 	}
-	campaign := NewCampaign(stats)
-	campaign.FullRunFallbacks = fallbacks
 	return Merged{
 		Kernel:      fp.Kernel,
 		Scale:       fp.Scale,
@@ -268,7 +256,7 @@ func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 		Completed:   len(recs),
 		Quarantined: quarantined,
 		Profile:     NewProfile(dist),
-		Campaign:    campaign,
+		Campaign:    NewCampaign(stats),
 	}, nil
 }
 

@@ -479,12 +479,6 @@ func TestStuckModelCampaign(t *testing.T) {
 	if doc.Model != "stuck-active-mask" {
 		t.Errorf("report model = %q", doc.Model)
 	}
-	if doc.Campaign.FullRunFallbacks != 0 {
-		t.Errorf("report fallbacks = %d, want 0", doc.Campaign.FullRunFallbacks)
-	}
-	if bytes.Contains(got, []byte("full_run_fallbacks")) {
-		t.Errorf("zero fallbacks still serialized in report JSON: %s", got)
-	}
 	if doc.Campaign.CTAsSkipped == 0 {
 		t.Errorf("stuck-model campaign never fast-forwarded: %s", got)
 	}
