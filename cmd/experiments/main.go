@@ -45,7 +45,6 @@ func main() {
 	par := flag.Int("par", 0, "campaign parallelism (0 = GOMAXPROCS)")
 	outPath := flag.String("out", "", "also append the reports to this file")
 	kernelFilter := flag.String("kernels", "", "comma-separated kernel subset (default: the paper's full set)")
-	intraStride := flag.Int("intra-stride", 0, "dynamic instructions between intra-CTA warp snapshots (0 = auto-tune, <0 = disable)")
 	showStats := flag.Bool("stats", false, "report per-experiment campaign stats (runs, rate, COW pages, devices, fast-forward skips)")
 	flag.Parse()
 
@@ -75,7 +74,6 @@ func main() {
 		Parallelism:  *par,
 		Seed:         *seed,
 		Out:          out,
-		IntraStride:  *intraStride,
 	}
 	if *kernelFilter != "" {
 		for _, k := range strings.Split(*kernelFilter, ",") {

@@ -100,7 +100,11 @@ func fromJournals(paths []string) *advisor.Input {
 func fromLiveCampaign(spec campaign.Spec, par int) *advisor.Input {
 	p, err := spec.Prepare(fault.DefaultPreparedCache())
 	fatal(err)
-	res, err := p.Run(fault.CampaignOptions{
+	// The site list is derived once and shared by the run and its
+	// attribution. A live campaign is never sharded, so the engine takes
+	// the whole list.
+	sites := p.Sites()
+	res, err := fault.RunModel(p.Target, sites, p.Model, fault.CampaignOptions{
 		Parallelism: par,
 		KeepPerSite: true,
 		Interrupt:   interrupts.Notify(),
@@ -111,7 +115,7 @@ func fromLiveCampaign(spec campaign.Spec, par int) *advisor.Input {
 		os.Exit(130)
 	}
 	fatal(err)
-	in, err := advisor.FromCampaign(p.Target, spec.Fingerprint(), p.Sites(), res)
+	in, err := advisor.FromCampaign(p.Target, spec.Fingerprint(), sites, res)
 	fatal(err)
 	return in
 }

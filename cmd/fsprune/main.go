@@ -58,8 +58,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	showStats := flag.Bool("stats", false, "report campaign execution stats (runs, rate, COW pages, devices, fast-forward skips)")
 	warp := flag.Int("warp", 0, "SIMT lockstep warp width for every run (0 = serial thread interleaving)")
-	ckptStride := flag.Int("ckpt-stride", 0, "CTA boundaries between golden checkpoints (0 = auto from grid size)")
-	intraStride := flag.Int("intra-stride", 0, "dynamic instructions between intra-CTA warp snapshots (0 = auto-tune, <0 = disable)")
 	journalPath := flag.String("journal", "", "write-ahead outcome journal for -action campaign (created, or resumed if it exists)")
 	shardSpec := flag.String("shard", "", `run only shard "i/n" of the campaign (with -action campaign)`)
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file (written on normal exit)")
@@ -77,14 +75,12 @@ func main() {
 	// Every action runs on the campaign the flags name; the Spec owns the
 	// usage rules, the target wiring, the site recipe and the fingerprint.
 	spec := campaign.Spec{
-		Kernel:      *kernel,
-		Scale:       *scale,
-		Seed:        *seed,
-		Sites:       *baseline,
-		Model:       *modelName,
-		Warp:        *warp,
-		CkptStride:  *ckptStride,
-		IntraStride: *intraStride,
+		Kernel: *kernel,
+		Scale:  *scale,
+		Seed:   *seed,
+		Sites:  *baseline,
+		Model:  *modelName,
+		Warp:   *warp,
 	}
 	if *shardSpec != "" {
 		i, n, ok := strings.Cut(*shardSpec, "/")

@@ -31,7 +31,6 @@ func main() {
 	inject := flag.String("inject", "", "inject one fault, format thread:dyninst:bit")
 	modelName := flag.String("model", "dest-value", "fault model for -inject: "+fault.ModelNames())
 	warp := flag.Int("warp", 0, "SIMT lockstep warp width (0 = thread-serial scheduling)")
-	intraStride := flag.Int("intra-stride", 0, "dynamic instructions between intra-CTA warp snapshots for -inject (0 = auto-tune, <0 = disable)")
 	showStats := flag.Bool("stats", false, "report prepared-target cache stats after the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file (written on normal exit)")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on normal exit")
@@ -54,10 +53,9 @@ func main() {
 	}
 
 	inst, err := campaign.Spec{
-		Kernel:      *kernel,
-		Scale:       *scale,
-		Model:       *modelName,
-		IntraStride: *intraStride,
+		Kernel: *kernel,
+		Scale:  *scale,
+		Model:  *modelName,
 	}.Prepare(fault.DefaultPreparedCache())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -159,31 +159,6 @@ func Adaptive(t *fault.Target, opt Options) (*Result, error) {
 	return out, nil
 }
 
-// Compare summarizes how a pruned estimate tracks a baseline profile,
-// flagging classes whose difference exceeds the baseline's own uncertainty.
-type Compare struct {
-	MaxDelta float64
-	// Exceeds lists the classes where |pruned - baseline| is larger than
-	// twice the baseline's Wilson half-width — disagreement beyond noise.
-	Exceeds []fault.Class
-}
-
-// CompareTo evaluates a pruned estimate against this baseline result.
-func (r *Result) CompareTo(pruned fault.Dist) Compare {
-	var c Compare
-	c.MaxDelta = pruned.MaxClassDelta(r.Dist)
-	for cls := fault.Class(0); cls < fault.NumClasses; cls++ {
-		delta := pruned.Pct(cls) - r.Dist.Pct(cls)
-		if delta < 0 {
-			delta = -delta
-		}
-		if delta/100 > 2*r.Margins[cls] {
-			c.Exceeds = append(c.Exceeds, cls)
-		}
-	}
-	return c
-}
-
 // String renders the result for reports.
 func (r *Result) String() string {
 	if r == nil {

@@ -110,26 +110,6 @@ func TestAdaptiveHonorsCap(t *testing.T) {
 	}
 }
 
-func TestCompareTo(t *testing.T) {
-	tg := target(t)
-	res, err := baseline.Fixed(tg, baseline.Options{Margin: 0.05, MaxRuns: 400, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Comparing the baseline to itself: zero delta, nothing exceeds.
-	c := res.CompareTo(res.Dist)
-	if c.MaxDelta != 0 || len(c.Exceeds) != 0 {
-		t.Fatalf("self comparison: %+v", c)
-	}
-	// A wildly different profile exceeds on some class.
-	var off fault.Dist
-	off.Add(fault.Masked, 1)
-	c = res.CompareTo(off)
-	if len(c.Exceeds) == 0 {
-		t.Fatalf("100%%-masked profile not flagged: %+v", c)
-	}
-}
-
 func TestBaselineOnRealKernel(t *testing.T) {
 	spec, _ := kernels.ByName("Gaussian K125")
 	inst, err := spec.Build(kernels.ScaleSmall)

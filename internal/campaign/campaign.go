@@ -1,7 +1,8 @@
 // Package campaign holds the one definition of "what campaign is this?".
 // A Spec is the tuple (kernel, scale, seed, size, fault model, scheduler
-// width, checkpoint strides, shard) that the paper's accuracy claim is a
-// function of; every entry point — fsprune's and fsadvise's flags, fsserve's
+// width, shard) that the paper's accuracy claim is a function of — what
+// decides the site list and each site's outcome, and nothing about how fast
+// the engine gets there; every entry point — fsprune's and fsadvise's flags, fsserve's
 // JSON submissions, a recovered journal header — is an adapter onto it, and
 // everything downstream is derived here exactly once: the usage rules
 // (Validate), the journal fingerprint and its inverse (Fingerprint,
@@ -17,7 +18,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/fault"
@@ -41,10 +41,6 @@ type Spec struct {
 	Model string `json:"model,omitempty"`
 	// Warp is the SIMT lockstep width (0 = serial interleaving).
 	Warp int `json:"warp,omitempty"`
-	// CkptStride is the CTA-boundary checkpoint stride (0 = auto).
-	CkptStride int `json:"ckpt_stride,omitempty"`
-	// IntraStride is the intra-CTA snapshot stride (0 = auto, <0 = off).
-	IntraStride int `json:"intra_stride,omitempty"`
 	// ShardIndex/ShardCount restrict the campaign to one deterministic
 	// shard; ShardCount 0 means unsharded (the journal header's 0/1).
 	ShardIndex int `json:"shard_index,omitempty"`
@@ -67,9 +63,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Warp < 0 {
 		return fmt.Errorf("warp width must be >= 0 (0 = serial interleaving), got %d", s.Warp)
-	}
-	if s.CkptStride < 0 {
-		return fmt.Errorf("checkpoint stride must be >= 0 (0 = auto), got %d", s.CkptStride)
 	}
 	if s.ShardCount == 0 && s.ShardIndex != 0 {
 		return fmt.Errorf("shard index %d requires a shard count", s.ShardIndex)
@@ -99,41 +92,33 @@ func (s Spec) OwnedSites() int { return s.shard().Owned(s.Sites) }
 func (s Spec) Fingerprint() journal.Fingerprint {
 	sh := s.shard()
 	return journal.Fingerprint{
-		Kernel:      s.Kernel,
-		Scale:       s.Scale,
-		Seed:        s.Seed,
-		Model:       s.Model,
-		Warp:        s.Warp,
-		Stride:      s.CkptStride,
-		IntraStride: s.IntraStride,
-		Sites:       s.Sites,
-		ShardIndex:  sh.Index,
-		ShardCount:  sh.Count,
+		Kernel:     s.Kernel,
+		Scale:      s.Scale,
+		Seed:       s.Seed,
+		Model:      s.Model,
+		Warp:       s.Warp,
+		Sites:      s.Sites,
+		ShardIndex: sh.Index,
+		ShardCount: sh.Count,
 	}
 }
 
 // FromFingerprint is Fingerprint's inverse: the spec a journal header was
 // written for. It fails on headers no entry point of this build writes — a
-// fault model it does not implement, a kernel it does not register, or the
-// retired full_run engine switch.
+// fault model it does not implement or a kernel it does not register.
 func FromFingerprint(fp journal.Fingerprint) (Spec, error) {
-	if fp.FullRun {
-		return Spec{}, errors.New("journal was recorded with full_run (checkpointing disabled), a switch this build no longer offers; fsmerge still reads it")
-	}
 	if _, err := fault.ParseModel(fp.Model); err != nil {
 		return Spec{}, fmt.Errorf("journal was recorded under a fault model this build cannot run: %w", err)
 	}
 	s := Spec{
-		Kernel:      fp.Kernel,
-		Scale:       fp.Scale,
-		Seed:        fp.Seed,
-		Sites:       fp.Sites,
-		Model:       fp.Model,
-		Warp:        fp.Warp,
-		CkptStride:  fp.Stride,
-		IntraStride: fp.IntraStride,
-		ShardIndex:  fp.ShardIndex,
-		ShardCount:  fp.ShardCount,
+		Kernel:     fp.Kernel,
+		Scale:      fp.Scale,
+		Seed:       fp.Seed,
+		Sites:      fp.Sites,
+		Model:      fp.Model,
+		Warp:       fp.Warp,
+		ShardIndex: fp.ShardIndex,
+		ShardCount: fp.ShardCount,
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -163,9 +148,9 @@ type Prepared struct {
 
 // Prepare builds the spec's kernel at its scale, copies the engine shape
 // onto the target and prepares it through cache (nil prepares uncached).
-// It reads only Kernel, Scale, Model, Warp and the strides, so tools that
-// need a prepared target but run no campaign (gpurun, the experiments
-// harness) may leave the rest unset.
+// It reads only Kernel, Scale, Model and Warp, so tools that need a
+// prepared target but run no campaign (gpurun, the experiments harness) may
+// leave the rest unset.
 func (s Spec) Prepare(cache *fault.PreparedCache) (*Prepared, error) {
 	ks, ok := kernels.ByName(s.Kernel)
 	if !ok {
@@ -184,8 +169,6 @@ func (s Spec) Prepare(cache *fault.PreparedCache) (*Prepared, error) {
 		return nil, err
 	}
 	inst.Target.WarpSize = s.Warp
-	inst.Target.CheckpointStride = s.CkptStride
-	inst.Target.IntraStride = s.IntraStride
 	inst.Target.Cache = cache
 	if err := inst.Target.Prepare(); err != nil {
 		return nil, err

@@ -33,10 +33,6 @@ type Config struct {
 	// Kernels restricts multi-kernel experiments (Tables I, VI, VII,
 	// Figs. 6, 9, 10) to the named subset; nil runs the paper's full set.
 	Kernels []string
-	// IntraStride sets Target.IntraStride on every prepared instance:
-	// dynamic instructions between intra-CTA warp snapshots (0 auto-tunes,
-	// negative disables the intra-CTA layer).
-	IntraStride int
 	// Stats, when non-nil, accumulates campaign execution stats across
 	// every injection campaign the experiment runs.
 	Stats *fault.StatsSink
@@ -170,10 +166,9 @@ func ByID(id string) (Experiment, bool) {
 // one golden run per distinct configuration instead of one per instance.
 func buildPrepared(name string, cfg Config) (*kernels.Instance, error) {
 	p, err := campaign.Spec{
-		Kernel:      name,
-		Scale:       cfg.Scale.String(),
-		Model:       fault.ModelDestValue.String(),
-		IntraStride: cfg.IntraStride,
+		Kernel: name,
+		Scale:  cfg.Scale.String(),
+		Model:  fault.ModelDestValue.String(),
 	}.Prepare(fault.DefaultPreparedCache())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)

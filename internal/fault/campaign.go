@@ -30,25 +30,6 @@ func Uniform(sites []Site) []WeightedSite {
 	return ws
 }
 
-// Dedup merges duplicate sites by summing their weights, preserving
-// first-occurrence order. Outcomes are deterministic per site, so running a
-// duplicate would only repeat work; random sampling with replacement (the
-// baseline campaigns) and concatenated plans both benefit. Total weight is
-// preserved exactly.
-func Dedup(sites []WeightedSite) []WeightedSite {
-	index := make(map[Site]int, len(sites))
-	out := make([]WeightedSite, 0, len(sites))
-	for _, ws := range sites {
-		if i, seen := index[ws.Site]; seen {
-			out[i].Weight += ws.Weight
-			continue
-		}
-		index[ws.Site] = len(out)
-		out = append(out, ws)
-	}
-	return out
-}
-
 // CampaignStats is the observability block of one campaign: how much work
 // ran, how fast, and what the pooled copy-on-write device layer cost.
 type CampaignStats struct {
@@ -225,21 +206,13 @@ type CampaignOptions struct {
 	// (also on error, so cancelled campaigns stay visible).
 	Sink *StatsSink
 
-	// MaxAttempts caps executions per site before quarantine (a failing
-	// site is retried with exponential backoff, then bucketed as
-	// EngineError while the rest of the campaign proceeds); 0 means
-	// DefaultMaxAttempts.
-	MaxAttempts int
-	// SiteDeadline is the wall-clock ceiling per attempt, layered over the
-	// simulator's step watchdog. 0 means DefaultSiteDeadline. Any negative
-	// value disables the wall-clock layer entirely: attempts run inline
-	// with no timer goroutine, only the step watchdog bounds a hang, and a
-	// slow-but-finite site is never quarantined for elapsed time (panics
-	// still quarantine after MaxAttempts).
-	SiteDeadline time.Duration
-	// RetryBackoff is the sleep before the first retry (doubling per
-	// attempt); 0 means DefaultRetryBackoff.
-	RetryBackoff time.Duration
+	// maxAttempts, siteDeadline and retryBackoff override the failure-
+	// isolation constants (DefaultMaxAttempts, DefaultSiteDeadline,
+	// DefaultRetryBackoff) when positive. Production runs at the defaults;
+	// the fields exist so in-package tests can shorten them.
+	maxAttempts  int
+	siteDeadline time.Duration
+	retryBackoff time.Duration
 
 	// Journal, when non-nil, makes the campaign durable: each completed
 	// site is appended to it, and sites already recorded (from an earlier,
@@ -311,7 +284,7 @@ func (p *devicePool) put(d *gpusim.Device) {
 // executes, reporting the lowest-index invalid site.
 //
 // Execution failures are isolated per site: a failing site is retried with
-// exponential backoff and, after MaxAttempts, quarantined into the
+// exponential backoff and, after DefaultMaxAttempts, quarantined into the
 // EngineError outcome (CampaignResult.Quarantined) while the campaign
 // continues. With a Journal attached the campaign is durable and resumable,
 // with Shard it runs one deterministic slice of the schedule, and Interrupt

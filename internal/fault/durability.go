@@ -15,7 +15,7 @@ import (
 // journal glue that makes campaigns resumable after a crash or kill -9, and
 // cooperative interruption. DESIGN.md §3.3 documents the semantics.
 
-// Failure-isolation defaults (CampaignOptions zero values).
+// Failure-isolation settings of every production campaign.
 const (
 	// DefaultMaxAttempts is how many times a failing site is executed
 	// before quarantine.
@@ -83,7 +83,7 @@ func (s Shard) Owned(n int) int {
 }
 
 // SiteFailure records one quarantined site: the engine could not produce an
-// outcome for it within CampaignOptions.MaxAttempts attempts, so its
+// outcome for it within DefaultMaxAttempts attempts, so its
 // outcome is EngineError and the cause is kept here (and in the journal).
 type SiteFailure struct {
 	// Index is the site's input-order index.
@@ -110,14 +110,14 @@ type guard struct {
 
 func newGuard(opt CampaignOptions) guard {
 	g := guard{
-		maxAttempts: opt.MaxAttempts,
-		deadline:    opt.SiteDeadline,
-		backoff:     opt.RetryBackoff,
+		maxAttempts: opt.maxAttempts,
+		deadline:    opt.siteDeadline,
+		backoff:     opt.retryBackoff,
 	}
 	if g.maxAttempts <= 0 {
 		g.maxAttempts = DefaultMaxAttempts
 	}
-	if g.deadline == 0 {
+	if g.deadline <= 0 {
 		g.deadline = DefaultSiteDeadline
 	}
 	if g.backoff <= 0 {
@@ -148,21 +148,12 @@ type siteResult struct {
 	err  error
 }
 
-// once executes a single guarded attempt. With a deadline, the attempt runs
-// in its own goroutine so a wedged simulator call can be abandoned: the
+// once executes a single guarded attempt. The attempt runs in its own
+// goroutine so a wedged simulator call can be abandoned at the deadline: the
 // stray goroutine finishes (or trips the step watchdog) on its own and its
 // result is discarded via the buffered channel. Its pooled device returns
 // to the pool late, never concurrently reused.
-//
-// A negative deadline disables the wall-clock layer entirely: the attempt
-// runs inline on the worker goroutine with no timer, it can never be
-// abandoned (the simulator's step watchdog remains the only hang bound),
-// and a slow-but-finite site always reports its real outcome instead of
-// being quarantined.
 func (g guard) once(runSite func(Site) (Outcome, runCost, error), s Site) (Outcome, runCost, error) {
-	if g.deadline < 0 {
-		return protect(runSite, s)
-	}
 	ch := make(chan siteResult, 1)
 	go func() {
 		o, c, err := protect(runSite, s)
@@ -196,26 +187,24 @@ func (g guard) run(runSite func(Site) (Outcome, runCost, error), s Site) (o Outc
 	}
 }
 
-// JournalFingerprint builds the engine fingerprint a campaign journal is
-// opened with. Scale and seed describe how the site list was derived and
-// come from the caller; everything else comes from the prepared target and
-// campaign shape. A journal recorded under any differing field is stale —
-// its outcomes were measured in a different experiment — and journal.Open
-// rejects it.
+// JournalFingerprint builds the campaign fingerprint a journal is opened
+// with. Scale and seed describe how the site list was derived and come from
+// the caller; everything else comes from the prepared target and campaign
+// shape. A journal recorded under any differing field is stale — its
+// outcomes were measured in a different experiment — and journal.Open
+// rejects it. The target's checkpoint strides and FullRun are not part of
+// it: they cannot change an outcome, so a journal resumes under any.
 func (t *Target) JournalFingerprint(model Model, sites int, scale string, seed int64, shard Shard) journal.Fingerprint {
 	sh := shard.normalize()
 	return journal.Fingerprint{
-		Kernel:      t.Name,
-		Scale:       scale,
-		Seed:        seed,
-		Model:       model.String(),
-		Warp:        t.WarpSize,
-		Stride:      t.CheckpointStride,
-		IntraStride: t.IntraStride,
-		FullRun:     t.FullRun,
-		Sites:       sites,
-		ShardIndex:  sh.Index,
-		ShardCount:  sh.Count,
+		Kernel:     t.Name,
+		Scale:      scale,
+		Seed:       seed,
+		Model:      model.String(),
+		Warp:       t.WarpSize,
+		Sites:      sites,
+		ShardIndex: sh.Index,
+		ShardCount: sh.Count,
 	}
 }
 

@@ -16,11 +16,11 @@ import (
 // fastGuard are failure-isolation options tuned so retry/quarantine tests
 // run in microseconds.
 func fastGuard(par int) CampaignOptions {
-	return CampaignOptions{Parallelism: par, MaxAttempts: 2, RetryBackoff: time.Microsecond, KeepPerSite: true}
+	return CampaignOptions{Parallelism: par, maxAttempts: 2, retryBackoff: time.Microsecond, KeepPerSite: true}
 }
 
 // TestRunWithQuarantine: in the default isolating mode, a permanently
-// erroring site and a panicking site are each retried MaxAttempts times and
+// erroring site and a panicking site are each retried maxAttempts times and
 // then quarantined as EngineError; the rest of the campaign completes.
 func TestRunWithQuarantine(t *testing.T) {
 	const n = 40
@@ -87,7 +87,7 @@ func TestRunWithRetryTransient(t *testing.T) {
 // abandoned and the site quarantined, even though the site function never
 // returns an error on its own.
 func TestRunWithSiteDeadline(t *testing.T) {
-	opt := CampaignOptions{Parallelism: 2, MaxAttempts: 1, SiteDeadline: 5 * time.Millisecond, KeepPerSite: true}
+	opt := CampaignOptions{Parallelism: 2, maxAttempts: 1, siteDeadline: 5 * time.Millisecond, KeepPerSite: true}
 	release := make(chan struct{})
 	defer close(release)
 	res, st, err := runWith(fakeSites(10), nil, opt,
@@ -105,46 +105,6 @@ func TestRunWithSiteDeadline(t *testing.T) {
 	}
 	if len(res.Quarantined) != 1 || !strings.Contains(res.Quarantined[0].Err, "deadline") {
 		t.Fatalf("quarantine record: %+v", res.Quarantined)
-	}
-}
-
-// TestNegativeDeadlineNeverQuarantines: any negative SiteDeadline disables
-// the wall-clock layer — a slow-but-finite site runs to completion inline
-// (no timer goroutine can abandon it) and reports its real outcome instead
-// of being quarantined, no matter how long it takes relative to any positive
-// deadline. Panic isolation stays active.
-func TestNegativeDeadlineNeverQuarantines(t *testing.T) {
-	// The guard must keep the negative value rather than substituting the
-	// default (only 0 means DefaultSiteDeadline).
-	if g := newGuard(CampaignOptions{SiteDeadline: -1}); g.deadline >= 0 {
-		t.Fatalf("negative deadline normalized away: %v", g.deadline)
-	}
-
-	const n = 12
-	opt := CampaignOptions{
-		Parallelism: 2, MaxAttempts: 1, SiteDeadline: -time.Nanosecond, KeepPerSite: true,
-	}
-	res, st, err := runWith(fakeSites(n), nil, opt,
-		func(s Site) (Outcome, runCost, error) {
-			if s.Thread == 4 {
-				// Slow but finite: far beyond |SiteDeadline|, and beyond the
-				// 5ms deadline TestRunWithSiteDeadline proves would quarantine.
-				time.Sleep(30 * time.Millisecond)
-				return SDC, runCost{}, nil
-			}
-			return Masked, runCost{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerSite[4] != SDC {
-		t.Fatalf("slow site outcome = %v, want its real SDC", res.PerSite[4])
-	}
-	if st.Quarantined != 0 || len(res.Quarantined) != 0 || st.Retries != 0 {
-		t.Fatalf("negative deadline quarantined or retried: %+v, %+v", st, res.Quarantined)
-	}
-	if st.Runs != n {
-		t.Fatalf("runs = %d, want %d", st.Runs, n)
 	}
 }
 

@@ -2,13 +2,18 @@ package fault_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/journal"
+	"repro/internal/kernels"
+	"repro/internal/report"
 	"repro/internal/stats"
 )
 
@@ -199,8 +204,184 @@ func TestCampaignShardMerge(t *testing.T) {
 	}
 }
 
-// TestCampaignJournalRejectsStale: a journal recorded under a different
-// engine configuration must be refused at open or at Run.
+// tuning is one engine configuration a campaign can run under: the two
+// Target strides that decide how fast a site's outcome arrives and never
+// which outcome it is.
+type tuning struct{ ckpt, intra int }
+
+var (
+	tuneAuto = tuning{0, 0}
+	// A snapshot at every CTA boundary and every 256 retired instructions:
+	// nearly every site resumes mid-CTA. (An explicit intra stride is never
+	// decimated; stride 2 would retain over 1 GiB on these kernels.)
+	tuneDense = tuning{1, 256}
+	// Every third boundary, no intra-CTA layer.
+	tuneSparse = tuning{3, -1}
+)
+
+// tunedCampaign prepares a registry kernel at small scale under one tuning
+// and derives the campaign's n-site list the way every entry point does.
+func tunedCampaign(t *testing.T, kernel string, model fault.Model, warp int, tune tuning, n int) (*fault.Target, []fault.WeightedSite) {
+	t.Helper()
+	ks, ok := kernels.ByName(kernel)
+	if !ok {
+		t.Fatalf("unknown kernel %q", kernel)
+	}
+	inst, err := ks.Build(kernels.ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := inst.Target
+	tg.WarpSize = warp
+	tg.CheckpointStride, tg.IntraStride = tune.ckpt, tune.intra
+	if err := tg.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(1).Split("baseline")
+	return tg, fault.Uniform(fault.NewSpace(tg.Profile()).RandomModel(rng, n, model))
+}
+
+// resultFields returns the index-sorted records of a complete set of shard
+// journals with the three cost fields cleared. cs, ee and ir describe how
+// the engine configuration that executed a site got there (CTAs skipped,
+// convergence exit, intra-CTA resume); they legitimately differ between
+// strides and are not part of a site's result. Everything else — i, t, d, b,
+// o, w, a, e — must not.
+func resultFields(t *testing.T, paths ...string) (journal.Fingerprint, []journal.Record) {
+	t.Helper()
+	fp, recs, err := journal.Merge(paths, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		recs[i].CTAsSkipped, recs[i].EarlyExit, recs[i].IntraResumed = 0, false, false
+	}
+	return fp, recs
+}
+
+// runJournaled runs (or resumes) one shard of a campaign into the journal
+// at path, interrupting it once stopAt sites are complete (0 = never).
+func runJournaled(t *testing.T, tg *fault.Target, sites []fault.WeightedSite, model fault.Model, path string, sh fault.Shard, stopAt int) *fault.CampaignResult {
+	t.Helper()
+	j, err := journal.Open(path, tg.JournalFingerprint(model, len(sites), "small", 1, sh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := fault.CampaignOptions{Parallelism: 2, KeepPerSite: true, Journal: j, Shard: sh}
+	if stopAt > 0 {
+		intr := make(chan struct{})
+		var once sync.Once
+		opt.Interrupt = intr
+		opt.Progress = func(completed, _ int) {
+			if completed >= stopAt {
+				once.Do(func() { close(intr) })
+			}
+		}
+	}
+	res, err := fault.RunModel(tg, sites, model, opt)
+	if stopAt > 0 {
+		if !errors.Is(err, fault.ErrInterrupted) {
+			t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
+		}
+		if n := j.Count(); n < stopAt || n >= sh.Owned(len(sites)) {
+			t.Fatalf("interrupt at %d left %d of %d records", stopAt, n, sh.Owned(len(sites)))
+		}
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestCampaignInterruptResumeAcrossStrides is the checkpointed = full-run
+// contract (DESIGN §3.2, §3.5, §3.11) and the resumed = uninterrupted
+// contract tested as one: a campaign interrupted under one pair of
+// checkpoint strides and resumed under another finishes with the outcomes,
+// weights, attempt counts and merged report of a run that was never
+// interrupted and never retuned — which is why strides are not part of
+// journal.Fingerprint. The two-shard variant runs each shard under its own
+// strides and merges them.
+func TestCampaignInterruptResumeAcrossStrides(t *testing.T) {
+	const n = 64
+	for _, kernel := range []string{"GEMM K1", "HotSpot K1"} {
+		for _, model := range []fault.Model{fault.ModelDestValue, fault.ModelStuckPred} {
+			for _, warp := range []int{0, 32} {
+				t.Run(fmt.Sprintf("%s/%s/warp%d", kernel, model, warp), func(t *testing.T) {
+					dir := t.TempDir()
+					targets := map[tuning]*fault.Target{}
+					var sites []fault.WeightedSite
+					for _, tune := range []tuning{tuneAuto, tuneDense, tuneSparse} {
+						tg, s := tunedCampaign(t, kernel, model, warp, tune, n)
+						if sites != nil && !reflect.DeepEqual(s, sites) {
+							t.Fatalf("tuning %+v changed the site list", tune)
+						}
+						targets[tune], sites = tg, s
+					}
+
+					refPath := filepath.Join(dir, "ref.journal")
+					ref := runJournaled(t, targets[tuneAuto], sites, model, refPath, fault.Shard{}, 0)
+					refFP, refRecs := resultFields(t, refPath)
+					refDoc, err := report.NewMerged(refFP, refRecs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same := func(name string, res *fault.CampaignResult, paths ...string) {
+						t.Helper()
+						fp, recs := resultFields(t, paths...)
+						if !reflect.DeepEqual(recs, refRecs) {
+							t.Fatalf("%s: records differ from the uninterrupted auto-stride run outside cs/ee/ir", name)
+						}
+						doc, err := report.NewMerged(fp, recs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						// The shard count is all a sharded campaign's report
+						// may differ in.
+						if doc.Shards = refDoc.Shards; doc != refDoc {
+							t.Fatalf("%s: merged report %+v, reference %+v", name, doc, refDoc)
+						}
+						if res != nil && (res.Dist != ref.Dist || !reflect.DeepEqual(res.PerSite, ref.PerSite)) {
+							t.Fatalf("%s: dist %v, reference %v (or per-site outcomes differ)", name, res.Dist, ref.Dist)
+						}
+					}
+
+					// Interrupt near half under dense strides, then resume
+					// two copies of that journal under two other tunings.
+					cut := filepath.Join(dir, "cut.journal")
+					runJournaled(t, targets[tuneDense], sites, model, cut, fault.Shard{}, n/2)
+					torn, err := os.ReadFile(cut)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, tune := range []tuning{tuneAuto, tuneSparse} {
+						path := filepath.Join(dir, fmt.Sprintf("resumed-%d-%d.journal", tune.ckpt, tune.intra))
+						if err := os.WriteFile(path, torn, 0o644); err != nil {
+							t.Fatal(err)
+						}
+						res := runJournaled(t, targets[tune], sites, model, path, fault.Shard{}, 0)
+						if res.Stats.Replayed < n/2 || res.Stats.Runs == 0 {
+							t.Fatalf("resume under %+v replayed %d and ran %d sites", tune, res.Stats.Replayed, res.Stats.Runs)
+						}
+						same(fmt.Sprintf("dense -> %+v", tune), res, path)
+					}
+
+					// One shard per tuning; journal.Merge accepts the pair.
+					s0 := filepath.Join(dir, "shard0.journal")
+					s1 := filepath.Join(dir, "shard1.journal")
+					runJournaled(t, targets[tuneDense], sites, model, s0, fault.Shard{Index: 0, Count: 2}, 0)
+					runJournaled(t, targets[tuneSparse], sites, model, s1, fault.Shard{Index: 1, Count: 2}, 0)
+					same("dense shard + sparse shard", nil, s0, s1)
+				})
+			}
+		}
+	}
+}
+
+// TestCampaignJournalRejectsStale: a journal recorded for a different
+// campaign must be refused at open or at Run — and one recorded under
+// different checkpoint strides, which is the same campaign, must not.
 func TestCampaignJournalRejectsStale(t *testing.T) {
 	tg, sites := durabilityCampaign(t)
 	path := filepath.Join(t.TempDir(), "campaign.journal")
@@ -230,18 +411,21 @@ func TestCampaignJournalRejectsStale(t *testing.T) {
 
 	// A journal recorded under a different intra-CTA stride measured its
 	// outcomes in the same experiment (the resume layer is bit-identical),
-	// but the engine still refuses it: mixed-stride resumption would make
-	// performance counters and provenance unattributable.
-	intraPath := filepath.Join(t.TempDir(), "intra.journal")
-	ifp := fingerprintFor(tg, len(sites), fault.Shard{})
-	ifp.IntraStride = 7
-	ji, err := journal.Open(intraPath, ifp)
+	// so the engine accepts it and finishes with a fresh run's result.
+	ref, err := fault.Run(tg, sites, fault.CampaignOptions{KeepPerSite: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ji.Close()
-	if _, err := fault.Run(tg, sites, fault.CampaignOptions{Journal: ji}); err == nil {
-		t.Fatal("journal with a different intra-stride accepted")
+	other := tinyTarget(t)
+	other.IntraStride = 7
+	if err := other.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	intraPath := filepath.Join(t.TempDir(), "intra.journal")
+	runJournaled(t, other, sites, fault.ModelDestValue, intraPath, fault.Shard{}, len(sites)/2)
+	res := runJournaled(t, tg, sites, fault.ModelDestValue, intraPath, fault.Shard{}, 0)
+	if res.Stats.Replayed == 0 || res.Dist != ref.Dist || !reflect.DeepEqual(res.PerSite, ref.PerSite) {
+		t.Fatalf("resume across intra-CTA strides: replayed %d, dist %v, fresh run %v", res.Stats.Replayed, res.Dist, ref.Dist)
 	}
 
 	// A shard journal cannot drive an unsharded campaign.

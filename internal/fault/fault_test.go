@@ -359,54 +359,6 @@ func TestCampaignWeights(t *testing.T) {
 	}
 }
 
-func TestDedup(t *testing.T) {
-	a := fault.Site{Thread: 0, DynInst: 1, Bit: 2}
-	b := fault.Site{Thread: 0, DynInst: 1, Bit: 3}
-	in := []fault.WeightedSite{
-		{Site: a, Weight: 1}, {Site: b, Weight: 2},
-		{Site: a, Weight: 4}, {Site: a, Weight: 1},
-	}
-	out := fault.Dedup(in)
-	if len(out) != 2 {
-		t.Fatalf("dedup kept %d sites", len(out))
-	}
-	if out[0].Site != a || out[0].Weight != 6 {
-		t.Fatalf("merged weight: %+v", out[0])
-	}
-	if out[1].Site != b || out[1].Weight != 2 {
-		t.Fatalf("order or weight lost: %+v", out[1])
-	}
-	// Total weight preserved.
-	var win, wout float64
-	for _, s := range in {
-		win += s.Weight
-	}
-	for _, s := range out {
-		wout += s.Weight
-	}
-	if win != wout {
-		t.Fatalf("weight changed: %v -> %v", win, wout)
-	}
-	// Deduped campaign equals the duplicated one.
-	tg := tinyTarget(t)
-	if err := tg.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := fault.Run(tg, in, fault.CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := fault.Run(tg, out, fault.CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := fault.Class(0); c < fault.NumClasses; c++ {
-		if r1.Dist.Pct(c) != r2.Dist.Pct(c) {
-			t.Fatalf("deduped profile diverged on %v", c)
-		}
-	}
-}
-
 func TestCampaignEmpty(t *testing.T) {
 	tg := tinyTarget(t)
 	if err := tg.Prepare(); err != nil {

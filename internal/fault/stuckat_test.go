@@ -313,11 +313,18 @@ func TestParseModelRoundTrip(t *testing.T) {
 
 // TestMixedEraJournalFallbacks: journals recorded under the old conservative
 // engine — whose scheduler-model records carry "fb":true because every such
-// site degraded to a per-site full run — must still open, resume and fsmerge:
-// the flag is ignored, replayed outcomes are final, fresh sites ride the
-// fast-forward engine, Dist/PerSite are bit-identical to an uninterrupted
-// campaign, and the merged report has no trace of the flag.
+// site degraded to a per-site full run, and whose header still names the
+// checkpoint stride or the full-run switch — must still open, resume and
+// fsmerge: the retired keys are ignored, replayed outcomes are final, fresh
+// sites ride the fast-forward engine, Dist/PerSite are bit-identical to an
+// uninterrupted campaign, and the merged report has no trace of the flag.
 func TestMixedEraJournalFallbacks(t *testing.T) {
+	for _, headerKeys := range []string{`"stride":1,`, `"full_run":true,`} {
+		t.Run(headerKeys, func(t *testing.T) { mixedEraJournal(t, headerKeys) })
+	}
+}
+
+func mixedEraJournal(t *testing.T, headerKeys string) {
 	const oldEra = 12
 	model := fault.ModelStuckActiveMask
 	tg := chainHangTarget(t)
@@ -340,19 +347,24 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 	// full-run fallbacks ("fb":true, no fast-forward savings). Outcomes match
 	// the reference — the old conservative engine computed the same per-site
 	// outcomes, just via pristine full runs (PR 8's equivalence proof).
-	// journal.Record no longer has the field, so the frames are written by
-	// hand in the package's documented on-disk format.
+	// Neither journal.Record nor journal.Fingerprint has the old fields any
+	// more, so the frames are written by hand in the package's documented
+	// on-disk format; the header's retired keys sit where the old struct
+	// put them, between warp and sites.
 	fp := tg.JournalFingerprint(model, len(sites), "small", 9, fault.Shard{})
 	jpath := filepath.Join(t.TempDir(), "oldera.journal")
-	j, err := journal.Open(jpath, fp) // writes the header frame
+	var frames []byte
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	addFrame := func(payload []byte) {
+		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(payload)))
+		frames = binary.LittleEndian.AppendUint32(frames, crc32.Checksum(payload, castagnoli))
+		frames = append(frames, payload...)
+	}
+	header, err := json.Marshal(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var frames []byte
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	addFrame(bytes.Replace(header, []byte(`"sites"`), []byte(headerKeys+`"sites"`), 1))
 	for i := 0; i < oldEra; i++ {
 		payload, err := json.Marshal(journal.Record{
 			Index: i, Thread: sites[i].Site.Thread, DynInst: sites[i].Site.DynInst,
@@ -362,19 +374,9 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload = append(bytes.TrimSuffix(payload, []byte("}")), `,"fb":true}`...)
-		frames = binary.LittleEndian.AppendUint32(frames, uint32(len(payload)))
-		frames = binary.LittleEndian.AppendUint32(frames, crc32.Checksum(payload, castagnoli))
-		frames = append(frames, payload...)
+		addFrame(append(bytes.TrimSuffix(payload, []byte("}")), `,"fb":true}`...))
 	}
-	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(frames); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(jpath, frames, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -141,7 +141,7 @@ func TestOperandString(t *testing.T) {
 		{func() Operand { o := R(1); o.Half = HalfLo; return o }(), "$r1.lo"},
 		{func() Operand { o := R(1); o.Half = HalfHi; return o }(), "$r1.hi"},
 		{P(0), "$p0"},
-		{Ofs(2), "$ofs2"},
+		{Operand{Kind: OpdReg, Reg: Reg{RegOfs, 2}}, "$ofs2"},
 		{Imm(0x10), "0x00000010"},
 		{MemDirect(SpaceShared, 0x10), "s[0x0010]"},
 		{MemIndirect(SpaceShared, Reg{RegOfs, 2}, 0x40), "s[$ofs2+0x0040]"},
@@ -249,8 +249,8 @@ func TestProgramValidate(t *testing.T) {
 
 func TestOpcodeSequential(t *testing.T) {
 	// Control transfers and scheduling points end a straight-line run;
-	// everything else — including ssy and nop, which IsControl lists but
-	// which fall through — is sequential.
+	// everything else — including ssy and nop, which fall through — is
+	// sequential.
 	for _, op := range []Opcode{OpBra, OpBar, OpRet, OpRetp, OpExit} {
 		if op.Sequential() {
 			t.Errorf("%v.Sequential() = true, want false", op)

@@ -88,20 +88,10 @@ func (o Opcode) HasDest() bool {
 	return true
 }
 
-// IsControl reports whether the opcode affects control flow.
-func (o Opcode) IsControl() bool {
-	switch o {
-	case OpBra, OpBar, OpRet, OpRetp, OpExit, OpSsy:
-		return true
-	}
-	return false
-}
-
 // Sequential reports whether the opcode always falls through to the next
 // static instruction: it can neither branch, nor park the thread at a
-// barrier, nor retire it. (It may still trap.) Note this is not the
-// complement of IsControl: ssy only records reconvergence metadata and
-// falls through, so it is sequential. The gpusim compiled dispatcher
+// barrier, nor retire it. (It may still trap.) ssy only records
+// reconvergence metadata and falls through, so it is sequential. The gpusim compiled dispatcher
 // batches maximal runs of sequential instructions (Program.StraightLen)
 // without re-entering its scheduler.
 func (o Opcode) Sequential() bool {

@@ -50,9 +50,6 @@ func R(n int) Operand { return Operand{Kind: OpdReg, Reg: Reg{RegGPR, uint8(n)}}
 // P builds a predicate register operand $pN.
 func P(n int) Operand { return Operand{Kind: OpdReg, Reg: Reg{RegPred, uint8(n)}} }
 
-// Ofs builds an offset register operand $ofsN.
-func Ofs(n int) Operand { return Operand{Kind: OpdReg, Reg: Reg{RegOfs, uint8(n)}} }
-
 // Special builds a special-register operand such as %tid.x.
 func Special(idx int) Operand {
 	return Operand{Kind: OpdReg, Reg: Reg{RegSpecial, uint8(idx)}}

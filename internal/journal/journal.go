@@ -22,11 +22,14 @@
 // later appends; AutoSync additionally bounds how many acked records an
 // unclean shutdown can lose.
 //
-// The journal opens against an engine fingerprint (kernel, scale, seed,
-// model, warp, checkpoint stride, site count, shard); a journal written
-// under a different fingerprint is rejected as stale rather than silently
-// replayed into the wrong campaign, and the error spells out the differing
-// fields (see Fingerprint.Diff).
+// The journal opens against a campaign fingerprint (kernel, scale, seed,
+// model, warp, site count, shard — what decides the site list and each
+// site's outcome); a journal written under a different fingerprint is
+// rejected as stale rather than silently replayed into the wrong campaign,
+// and the error spells out the differing fields (see Fingerprint.Diff). How
+// the engine reaches an outcome (checkpoint strides, the full-run reference)
+// is not identity: headers written when it was still carry stride and
+// full-run keys, which decode and are ignored.
 //
 // The caller contract is write-ahead in the outcome sense: a record is
 // appended only after its site's outcome is final, so every replayed record
@@ -51,8 +54,10 @@ import (
 
 // Fingerprint identifies the campaign a journal belongs to. Every field
 // participates in staleness detection: replaying outcomes recorded under a
-// different kernel, scale, seed, fault model, scheduler, checkpoint layout,
-// site count or shard assignment would silently corrupt the resumed profile.
+// different kernel, scale, seed, fault model, scheduler, site count or shard
+// assignment would silently corrupt the resumed profile. Engine tuning is
+// deliberately absent: checkpointed = full-run at every stride, so a journal
+// resumes and merges under any.
 type Fingerprint struct {
 	// Kernel is the target name ("GEMM K1").
 	Kernel string `json:"kernel"`
@@ -64,15 +69,6 @@ type Fingerprint struct {
 	Model string `json:"model"`
 	// Warp is the SIMT lockstep width (0 = serial interleaving).
 	Warp int `json:"warp,omitempty"`
-	// Stride is the checkpoint stride (0 = auto).
-	Stride int `json:"stride,omitempty"`
-	// IntraStride is the intra-CTA checkpoint stride (0 = auto, negative =
-	// disabled). Journals written before the field existed decode to 0,
-	// which matches the auto default — sound either way, since intra-CTA
-	// resume is bit-identical to the full run by construction.
-	IntraStride int `json:"intra_stride,omitempty"`
-	// FullRun records whether the fast-forward engine was disabled.
-	FullRun bool `json:"full_run,omitempty"`
 	// Sites is the total campaign size across all shards.
 	Sites int `json:"sites"`
 	// ShardIndex / ShardCount locate this journal's shard. An unsharded
@@ -83,9 +79,8 @@ type Fingerprint struct {
 
 // String renders the fingerprint for error messages.
 func (f Fingerprint) String() string {
-	return fmt.Sprintf("%s/%s seed=%d model=%s warp=%d stride=%d intra=%d fullrun=%v sites=%d shard=%d/%d",
-		f.Kernel, f.Scale, f.Seed, f.Model, f.Warp, f.Stride, f.IntraStride, f.FullRun,
-		f.Sites, f.ShardIndex, f.ShardCount)
+	return fmt.Sprintf("%s/%s seed=%d model=%s warp=%d sites=%d shard=%d/%d",
+		f.Kernel, f.Scale, f.Seed, f.Model, f.Warp, f.Sites, f.ShardIndex, f.ShardCount)
 }
 
 // SameCampaign reports whether two fingerprints describe shards of the same
@@ -111,9 +106,6 @@ func (f Fingerprint) Diff(o Fingerprint) string {
 	add("seed", f.Seed, o.Seed)
 	add("model", f.Model, o.Model)
 	add("warp", f.Warp, o.Warp)
-	add("stride", f.Stride, o.Stride)
-	add("intra_stride", f.IntraStride, o.IntraStride)
-	add("full_run", f.FullRun, o.FullRun)
 	add("sites", f.Sites, o.Sites)
 	add("shard_index", f.ShardIndex, o.ShardIndex)
 	add("shard_count", f.ShardCount, o.ShardCount)
@@ -330,6 +322,22 @@ func syncDir(path string) error {
 		return fmt.Errorf("journal: sync dir %s: %w", dir, err)
 	}
 	return nil
+}
+
+// Rename moves the journal file at from to the unused path to in the same
+// directory, durably: the directory entry is flushed before Rename returns,
+// so a crash cannot bring the old name back beside later appends under the
+// new one. It refuses to replace an existing file.
+func Rename(from, to string) error {
+	if _, err := os.Lstat(to); err == nil {
+		return fmt.Errorf("journal: rename %s: %s already exists", from, to)
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("journal: rename %s: %w", from, err)
+	}
+	if err := os.Rename(from, to); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
+	return syncDir(to)
 }
 
 // Replayed returns the records that were already complete on disk when the

@@ -13,7 +13,7 @@ import (
 func testFP() Fingerprint {
 	return Fingerprint{
 		Kernel: "GEMM K1", Scale: "small", Seed: 7, Model: "dest-value",
-		Warp: 0, Stride: 2, Sites: 8, ShardIndex: 0, ShardCount: 1,
+		Warp: 0, Sites: 8, ShardIndex: 0, ShardCount: 1,
 	}
 }
 
@@ -111,8 +111,6 @@ func TestFingerprintMismatch(t *testing.T) {
 		func(f *Fingerprint) { f.Seed = 8 },
 		func(f *Fingerprint) { f.Model = "mem-addr" },
 		func(f *Fingerprint) { f.Warp = 32 },
-		func(f *Fingerprint) { f.Stride = 1 },
-		func(f *Fingerprint) { f.FullRun = true },
 		func(f *Fingerprint) { f.Sites = 9 },
 		func(f *Fingerprint) { f.ShardIndex = 1; f.ShardCount = 2 },
 	}
@@ -121,6 +119,43 @@ func TestFingerprintMismatch(t *testing.T) {
 		mutate(&fp)
 		if _, err := Open(path, fp); !errors.Is(err, ErrFingerprintMismatch) {
 			t.Fatalf("mutant %d: err = %v, want ErrFingerprintMismatch", i, err)
+		}
+	}
+}
+
+// TestOpenIgnoresRetiredHeaderKeys: checkpoint strides and the full-run
+// switch were fingerprint fields once. A header that still carries them
+// opens under the fingerprint without them — they never decided an outcome —
+// replays its records and accepts appends.
+func TestOpenIgnoresRetiredHeaderKeys(t *testing.T) {
+	for _, keys := range []string{
+		`"stride":2,"intra_stride":7,`,
+		`"stride":3,"intra_stride":-1,`,
+		`"full_run":true,`,
+	} {
+		path := filepath.Join(t.TempDir(), "old.journal")
+		header := `{"kernel":"GEMM K1","scale":"small","seed":7,"model":"dest-value",` + keys +
+			`"sites":8,"shard_index":0,"shard_count":1}`
+		data := append(frame([]byte(header)), frame([]byte(`{"i":3,"t":9,"d":33,"b":3,"o":3,"w":1.5,"cs":3,"a":1}`))...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(path, testFP())
+		if err != nil {
+			t.Fatalf("header with %s: %v", keys, err)
+		}
+		if got := j.Replayed(); len(got) != 1 || got[0] != rec(3) {
+			t.Fatalf("header with %s: replayed %+v", keys, got)
+		}
+		if err := j.Append(rec(4)); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fp, recs, err := Merge([]string{path}, true)
+		if err != nil || fp != testFP() || len(recs) != 2 {
+			t.Fatalf("header with %s: merge fp %s, %d records, err %v", keys, fp, len(recs), err)
 		}
 	}
 }
@@ -422,12 +457,12 @@ func TestMismatchErrorsNameFields(t *testing.T) {
 	j.Close()
 
 	fp := testFP()
-	fp.Stride = 4
+	fp.Warp = 4
 	_, err = Open(path, fp)
 	if !errors.Is(err, ErrFingerprintMismatch) {
 		t.Fatalf("err = %v", err)
 	}
-	if want := "stride: want 4, got 2"; !strings.Contains(err.Error(), want) {
+	if want := "warp: want 4, got 0"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("open error %q missing %q", err, want)
 	}
 

@@ -127,15 +127,6 @@ func ByName(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// Names lists all kernel names in order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, s := range registry {
-		out[i] = s.Meta.Name()
-	}
-	return out
-}
-
 // TableIKernels returns the 16 kernels of the paper's Table I (everything
 // except NN, which the paper evaluates only in the loop study).
 func TableIKernels() []Spec {

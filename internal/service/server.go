@@ -182,7 +182,14 @@ func (s *Server) recover() ([]*campaign, error) {
 		}
 		c := s.newCampaign(sub)
 		if path != c.path {
-			return nil, fmt.Errorf("service: recover %s: journal belongs at %s (fingerprint %s)", path, c.path, fp)
+			// A journal named by an older build's address — one whose hash
+			// still covered checkpoint strides or full-run, which no longer
+			// identify a campaign — is adopted under the address this build
+			// gives its campaign. If that address is taken the two files
+			// claim one campaign and an operator has to choose.
+			if err := journal.Rename(path, c.path); err != nil {
+				return nil, fmt.Errorf("service: recover %s: journal belongs at %s (fingerprint %s): %w", path, c.path, fp, err)
+			}
 		}
 		c.completed.Store(int64(len(recs)))
 		if len(recs) >= sub.OwnedSites() {

@@ -2,11 +2,16 @@ package service_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -42,8 +47,6 @@ func standalone(t *testing.T, dir string, sub service.Submission) (fault.Dist, [
 		t.Fatal(err)
 	}
 	inst.Target.WarpSize = sub.Warp
-	inst.Target.CheckpointStride = sub.CkptStride
-	inst.Target.IntraStride = sub.IntraStride
 	if err := inst.Target.Prepare(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +407,6 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown model", service.Submission{Kernel: "GEMM K1", Model: "stuck-everything"}},
 		{"negative sites", service.Submission{Kernel: "GEMM K1", Sites: -1}},
 		{"negative warp", service.Submission{Kernel: "GEMM K1", Warp: -2}},
-		{"negative stride", service.Submission{Kernel: "GEMM K1", CkptStride: -1}},
 		{"shard index without count", service.Submission{Kernel: "GEMM K1", ShardIndex: 1}},
 		{"shard index out of range", service.Submission{Kernel: "GEMM K1", ShardIndex: 2, ShardCount: 2}},
 		{"negative shard index", service.Submission{Kernel: "GEMM K1", ShardIndex: -1, ShardCount: 2}},
@@ -576,10 +578,12 @@ func TestHTTPErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
 		want       int
+		names      string // what the error body must mention
 	}{
-		{"malformed body", `{"kernel": 42}`, http.StatusBadRequest},
-		{"retired full_run field", `{"kernel": "GEMM K1", "full_run": true}`, http.StatusBadRequest},
-		{"oversize body", `{"kernel": "` + strings.Repeat("x", service.MaxSubmissionBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"malformed body", `{"kernel": 42}`, http.StatusBadRequest, "kernel"},
+		{"retired full_run field", `{"kernel": "GEMM K1", "full_run": true}`, http.StatusBadRequest, "full_run"},
+		{"retired ckpt_stride field", `{"kernel":"GEMM K1","ckpt_stride":2}`, http.StatusBadRequest, "ckpt_stride"},
+		{"oversize body", `{"kernel": "` + strings.Repeat("x", service.MaxSubmissionBytes) + `"}`, http.StatusRequestEntityTooLarge, "too large"},
 	} {
 		resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -593,8 +597,8 @@ func TestHTTPErrors(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
-		if derr != nil || body.Error == "" {
-			t.Errorf("%s: no JSON error body (%v)", tc.name, derr)
+		if derr != nil || !strings.Contains(body.Error, tc.names) {
+			t.Errorf("%s: error body %q does not name %q (%v)", tc.name, body.Error, tc.names, derr)
 		}
 	}
 }
@@ -648,6 +652,111 @@ func TestRecoverSeedZeroJournal(t *testing.T) {
 	}
 	if got := getStatus(t, ts, id).Submission.Seed; got != service.DefaultSeed {
 		t.Errorf("omitted seed ran as %d, want %d", got, service.DefaultSeed)
+	}
+}
+
+// TestRecoverAdoptsRetiredAddress: a data directory written by a build whose
+// campaign id still hashed the checkpoint strides (or the full-run switch)
+// holds journals under names this build would never compute. New adopts such
+// a journal — half its records present — under the address of the campaign
+// it belongs to, resumes it and serves the standalone reference's report
+// bytes. The journal is framed by hand (u32 length, u32 CRC32C, JSON): no
+// type of this build can write its header. Its records are the reference
+// run's, cost fields included, so the whole report can be compared; that
+// outcomes survive a change of strides is for internal/fault's
+// TestCampaignInterruptResumeAcrossStrides to prove.
+func TestRecoverAdoptsRetiredAddress(t *testing.T) {
+	sub := service.Submission{Kernel: "GEMM K1", Scale: "small", Seed: 5, Model: "dest-value", Sites: 80, ShardCount: 1}
+	refDir := t.TempDir()
+	_, want := standalone(t, refDir, sub)
+	fp, recs, err := journal.ReadFile(filepath.Join(refDir, "reference.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	frame := func(buf, payload []byte) []byte {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+		return append(buf, payload...)
+	}
+	// oldJournal frames the first half of the reference records under a
+	// header carrying keys between warp and sites, where the old struct had
+	// them, and names the file as the old build did: by the header's hash.
+	oldJournal := func(dir, keys string) string {
+		header, err := json.Marshal(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header = bytes.Replace(header, []byte(`"sites"`), []byte(keys+`"sites"`), 1)
+		data := frame(nil, header)
+		for _, r := range recs[:len(recs)/2] {
+			payload, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = frame(data, payload)
+		}
+		sum := sha256.Sum256(header)
+		path := filepath.Join(dir, hex.EncodeToString(sum[:8])+".journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	for _, keys := range []string{`"stride":3,"intra_stride":-1,`, `"full_run":true,`} {
+		t.Run(keys, func(t *testing.T) {
+			dir := t.TempDir()
+			oldPath := oldJournal(dir, keys)
+			newPath := filepath.Join(dir, sub.ID()+".journal")
+			if oldPath == newPath {
+				t.Fatal("the retired keys did not change the journal's address")
+			}
+			srv, err := service.New(service.Config{DataDir: dir, Workers: 1, Cache: fault.NewPreparedCache(256 << 20)})
+			if err != nil {
+				t.Fatalf("journal under a retired address does not recover: %v", err)
+			}
+			if _, err := os.Stat(oldPath); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("the retired address still exists after adoption (%v)", err)
+			}
+			if _, err := os.Stat(newPath); err != nil {
+				t.Errorf("adopted journal is not at the campaign's address: %v", err)
+			}
+			srv.Start()
+			defer srv.Stop()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			if st := waitDone(t, ts, sub.ID()); st.Completed != sub.Sites {
+				t.Fatalf("adopted campaign completed %d sites, want %d", st.Completed, sub.Sites)
+			}
+			if got := reportBytes(t, ts, sub.ID()); !bytes.Equal(got, want) {
+				t.Errorf("adopted report differs from the standalone reference:\ngot:  %s\nwant: %s", got, want)
+			}
+			stats := getStats(t, ts)
+			if len(stats.Campaigns) != 1 || stats.Campaigns[0].ID != sub.ID() {
+				t.Fatalf("campaigns listed: %+v, want only %s", stats.Campaigns, sub.ID())
+			}
+			if got := stats.Campaigns[0].Campaign.Replayed; got != int64(len(recs)/2) {
+				t.Errorf("adopted campaign replayed %d journaled sites, want %d", got, len(recs)/2)
+			}
+		})
+	}
+
+	// Two files claiming one campaign: New refuses and names both.
+	dir := t.TempDir()
+	oldPath := oldJournal(dir, `"stride":3,`)
+	newPath := filepath.Join(dir, sub.ID()+".journal")
+	j, err := journal.Open(newPath, sub.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = service.New(service.Config{DataDir: dir, Cache: fault.NewPreparedCache(1)})
+	if err == nil || !strings.Contains(err.Error(), oldPath) || !strings.Contains(err.Error(), newPath) {
+		t.Fatalf("New over two journals of one campaign: %v, want an error naming %s and %s", err, oldPath, newPath)
 	}
 }
 
