@@ -69,8 +69,9 @@ advise-smoke:
 # Documentation gate: every internal package carries a package comment,
 # every `go run ./cmd/...` invocation quoted in README/DESIGN/ARCHITECTURE/
 # EXPERIMENTS code fences names a real command and real flags, every cmd/*
-# binary and every flag it defines is documented in README, and inline flag
-# references in EXPERIMENTS.md name flags some command defines.
+# binary and every flag it defines is documented in README, inline flag
+# references in EXPERIMENTS.md name flags some command defines, and every
+# Test…/Fuzz… name those files or benchmark/README.md cite is a real test.
 doccheck:
 	$(GO) run ./cmd/doccheck
 

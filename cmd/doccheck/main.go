@@ -1,4 +1,4 @@
-// Command doccheck keeps the documentation honest. It enforces four
+// Command doccheck keeps the documentation honest. It enforces five
 // invariants that otherwise rot silently:
 //
 //  1. Every package under internal/ carries a package comment (godoc's
@@ -17,6 +17,10 @@
 //     ("`fsprune -dead`") names a flag some command actually defines, so
 //     the experiment commentary cannot reference a flag that was renamed
 //     or removed.
+//  5. Every Test…/Fuzz… identifier named in README.md, DESIGN.md,
+//     ARCHITECTURE.md, EXPERIMENTS.md or benchmark/README.md is a function
+//     some _test.go file defines, so a soundness paragraph cannot outlive
+//     the oracle it cites.
 //
 // Run from the repository root (as `make doccheck` does); exits non-zero
 // with one line per violation.
@@ -40,13 +44,14 @@ func main() {
 	violations = append(violations, checkDocCommands("README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md")...)
 	violations = append(violations, checkCmdCoverage("README.md")...)
 	violations = append(violations, checkInlineFlags("EXPERIMENTS.md")...)
+	violations = append(violations, checkDocTests("README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "benchmark/README.md")...)
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "doccheck:", v)
 		}
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: package comments, CLI coverage and documented invocations are clean")
+	fmt.Println("doccheck: package comments, CLI coverage, documented invocations and cited tests are clean")
 }
 
 // checkPackageComments walks every Go package directory under root and
@@ -272,6 +277,52 @@ func checkInlineFlags(file string) []string {
 				if !defined[m[2]] {
 					violations = append(violations,
 						fmt.Sprintf("%s:%d: no command defines a flag -%s (in %s)", file, lineno+1, m[2], span))
+				}
+			}
+		}
+	}
+	return violations
+}
+
+var docTestRE = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
+var testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+
+// checkDocTests requires every Test…/Fuzz… identifier the given markdown
+// files name to be a test or fuzz function of some _test.go file in the
+// repository.
+func checkDocTests(files ...string) []string {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		for _, m := range testFuncRE.FindAllSubmatch(data, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var violations []string
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			violations = append(violations, err.Error())
+			continue
+		}
+		for lineno, line := range strings.Split(string(data), "\n") {
+			for _, name := range docTestRE.FindAllString(line, -1) {
+				if !defined[name] {
+					violations = append(violations,
+						fmt.Sprintf("%s:%d: no _test.go file defines %s", file, lineno+1, name))
 				}
 			}
 		}

@@ -10,6 +10,7 @@ package baseline
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 	"repro/internal/stats"
@@ -63,14 +64,21 @@ type Result struct {
 	Stats fault.CampaignStats
 }
 
+// classCounts is the number of samples in each class of a distribution built
+// from unit-weight samples, where every outcome weight is a whole count.
+func classCounts(d fault.Dist) (n [fault.NumClasses]int64) {
+	for o, w := range d.W {
+		n[fault.Outcome(o).Class()] += int64(math.Round(w))
+	}
+	return n
+}
+
 // classMargins computes the per-class Wilson half-widths of a distribution
 // built from unit-weight samples.
 func classMargins(d fault.Dist, confidence float64) [fault.NumClasses]float64 {
 	var m [fault.NumClasses]float64
-	n := d.N
-	for c := fault.Class(0); c < fault.NumClasses; c++ {
-		successes := int64(d.Pct(c) / 100 * float64(n))
-		m[c] = stats.MarginAt(successes, n, confidence)
+	for c, successes := range classCounts(d) {
+		m[c] = stats.MarginAt(successes, d.N, confidence)
 	}
 	return m
 }

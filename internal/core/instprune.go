@@ -76,7 +76,7 @@ func (r InstPruneResult) PctPruned() float64 {
 // nothing and muddies the weight accounting.
 const minCommonInsts = 4
 
-// DefaultMinPrunableICnt gates instruction-wise pruning per representative.
+// minPrunableICnt gates instruction-wise pruning per representative.
 // The paper explicitly skips this stage for kernels like Gaussian K1/K2 and
 // K-Means K1 where one representative runs "very few instructions (less
 // than 10)" while another runs hundreds: such threads play disparate roles
@@ -85,7 +85,7 @@ const minCommonInsts = 4
 // id makes a worker *skip* its output (SDC) while it leaves an idle thread
 // idle (masked). Representatives shorter than this threshold keep their own
 // fault sites instead of transferring them to the base.
-const DefaultMinPrunableICnt = 16
+const minPrunableICnt = 16
 
 // pruneCommonInstructions implements stage 2 (paper Section III-C): the
 // static-PC traces of all representative threads are aligned against the
@@ -93,11 +93,8 @@ const DefaultMinPrunableICnt = 16
 // trailing blocks — the SIMT lockstep portions — are injected only in the
 // base, which absorbs the pruned threads' population weights
 // site-by-aligned-site.
-func pruneCommonInstructions(prof *trace.Profile, sels []*selection, minPrunable int) InstPruneResult {
+func pruneCommonInstructions(prof *trace.Profile, sels []*selection) InstPruneResult {
 	var res InstPruneResult
-	if minPrunable <= 0 {
-		minPrunable = DefaultMinPrunableICnt
-	}
 	if len(sels) < 2 {
 		for _, s := range sels {
 			res.TotalInsts += int64(len(s.weight))
@@ -130,7 +127,7 @@ func pruneCommonInstructions(prof *trace.Profile, sels []*selection, minPrunable
 		if prefix+suffix > len(basePCs) {
 			suffix = len(basePCs) - prefix
 		}
-		if prefix+suffix < minCommonInsts || len(pcs) < minPrunable {
+		if prefix+suffix < minCommonInsts || len(pcs) < minPrunableICnt {
 			res.Blocks = append(res.Blocks, CommonBlock{
 				Thread: s.thread, Base: base.thread, ICnt: int64(len(pcs))})
 			continue

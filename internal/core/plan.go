@@ -15,9 +15,6 @@ type Options struct {
 	Grouping GroupingOptions
 	// DisableInstPrune skips stage 2.
 	DisableInstPrune bool
-	// MinPrunableICnt is the smallest representative iCnt eligible for
-	// instruction-wise pruning; 0 uses DefaultMinPrunableICnt.
-	MinPrunableICnt int
 	// LoopIters is the number of loop iterations to sample in stage 3;
 	// 0 uses DefaultLoopIters; negative disables loop pruning.
 	LoopIters int
@@ -103,7 +100,7 @@ func BuildPlan(t *fault.Target, opt Options) (*Plan, error) {
 
 	// Stage 2: instruction-wise.
 	if !opt.DisableInstPrune {
-		p.InstPrune = pruneCommonInstructions(prof, sels, opt.MinPrunableICnt)
+		p.InstPrune = pruneCommonInstructions(prof, sels)
 	} else {
 		for _, s := range sels {
 			p.InstPrune.TotalInsts += int64(len(s.weight))

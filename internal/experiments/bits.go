@@ -32,9 +32,7 @@ func RunFig7(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		res, err := fault.Run(plan.Target, plan.Sites, fault.CampaignOptions{
-			Parallelism: cfg.Parallelism, KeepPerSite: true,
-		})
+		res, err := fault.Run(plan.Target, plan.Sites, cfg.campaign())
 		if err != nil {
 			return err
 		}

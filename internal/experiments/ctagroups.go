@@ -76,9 +76,7 @@ func ctaMaskedBoxplots(cfg Config, inst *kernels.Instance, pc int, bitsPerSite i
 			spans = append(spans, threadSpan{lo: lo, hi: len(sites), thread: t})
 		}
 	}
-	res, err := fault.Run(inst.Target, fault.Uniform(sites), fault.CampaignOptions{
-		Parallelism: cfg.Parallelism, KeepPerSite: true,
-	})
+	res, err := fault.Run(inst.Target, fault.Uniform(sites), cfg.campaign())
 	if err != nil {
 		return nil, err
 	}
@@ -299,9 +297,7 @@ func RunFig4(cfg Config) error {
 				owner = append(owner, groupOf(t))
 			}
 		}
-		res, err := fault.Run(inst.Target, fault.Uniform(sites), fault.CampaignOptions{
-			Parallelism: cfg.Parallelism, KeepPerSite: true,
-		})
+		res, err := fault.Run(inst.Target, fault.Uniform(sites), cfg.campaign())
 		if err != nil {
 			return err
 		}

@@ -57,8 +57,11 @@ func (c Config) baselineRuns() int {
 	return c.BaselineRuns
 }
 
+// campaign is the options every experiment's campaigns run under. Per-site
+// outcomes are always kept: fig2, fig4 and fig7 read them, and the engine
+// holds the slice either way.
 func (c Config) campaign() fault.CampaignOptions {
-	return fault.CampaignOptions{Parallelism: c.Parallelism, Sink: c.Stats}
+	return fault.CampaignOptions{Parallelism: c.Parallelism, Sink: c.Stats, KeepPerSite: true}
 }
 
 // selectKernels filters a kernel list by the config's subset.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/kernels"
 )
 
@@ -79,11 +80,15 @@ func TestFig2AndFig3(t *testing.T) {
 	// 2DCONV only: HotSpot's instruction-targeted campaign is the expensive
 	// half and fig9 already covers HotSpot end to end.
 	cfg := lightCfg(&buf, "2DCONV K1")
+	cfg.Stats = new(fault.StatsSink)
 	if err := RunFig2(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "target pc=") {
 		t.Fatalf("fig2 output:\n%s", buf.String())
+	}
+	if cfg.Stats.Total().Runs == 0 {
+		t.Fatal("fig2's campaigns bypassed Config.Stats")
 	}
 	buf.Reset()
 	if err := RunFig3(cfg); err != nil {
@@ -113,11 +118,16 @@ func TestGroupTables(t *testing.T) {
 
 func TestFig4(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunFig4(lightCfg(&buf, "2DCONV K1")); err != nil {
+	cfg := lightCfg(&buf, "2DCONV K1")
+	cfg.Stats = new(fault.StatsSink)
+	if err := RunFig4(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Masked%") {
 		t.Fatalf("fig4 output:\n%s", buf.String())
+	}
+	if cfg.Stats.Total().Runs == 0 {
+		t.Fatal("fig4's campaigns bypassed Config.Stats")
 	}
 }
 
@@ -177,12 +187,17 @@ func TestFig6(t *testing.T) {
 
 func TestFig7AndFig8(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunFig7(lightCfg(&buf, "2DCONV K1")); err != nil {
+	cfg := lightCfg(&buf, "2DCONV K1")
+	cfg.Stats = new(fault.StatsSink)
+	if err := RunFig7(cfg); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, ".pred") || !strings.Contains(out, ".u32") {
 		t.Fatalf("fig7 output:\n%s", out)
+	}
+	if cfg.Stats.Total().Runs == 0 {
+		t.Fatal("fig7's campaign bypassed Config.Stats")
 	}
 	buf.Reset()
 	if err := RunFig8(lightCfg(&buf, "2DCONV K1")); err != nil {

@@ -2,31 +2,32 @@ package fault
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/gpusim"
 )
 
 // Snapshot-affine scheduling. The schedule order already sorts sites by CTA,
 // so sites resuming from the same checkpoint snapshot are contiguous; what a
-// shared batch cursor destroys is *which worker* runs them: a pooled device
-// that just reset from snapshot k pays a full owned-page restore the moment
-// its worker picks up a site of snapshot k+1 (see Device.ResetFrom). The
-// scheduler below instead cuts the work list into chunks that never span a
-// snapshot boundary, assigns contiguous chunk runs to workers, and lets an
-// idle worker steal whole chunks — so a device switches snapshot sources at
-// chunk boundaries only, and AffinityResets stays near the number of chunk
-// transitions rather than the number of sites. Scheduling can only change
-// which device runs a site, never the site's outcome: every run resets its
-// device to the same snapshot content regardless of provenance (DESIGN.md
-// §3.4).
+// per-site cursor would destroy is *which worker* runs them: a device that
+// just reset from snapshot k pays a full owned-page restore the moment its
+// worker picks up a site of snapshot k+1 (see Device.ResetFrom). So the work
+// list is cut into chunks that never span a snapshot boundary, and workers
+// take whole chunks off one shared cursor in schedule order. A worker's
+// device switches snapshot sources at chunk boundaries only, and since each
+// worker walks the schedule forwards it meets every snapshot at most once:
+// with no attempt abandoned, AffinityResets is at most workers × snapshots.
+// Scheduling can only change which device runs a site, never the site's
+// outcome: every run resets its device to the same snapshot content
+// regardless of provenance (DESIGN.md §3.4).
 
 // chunk is a half-open run [lo, hi) of work positions sharing one affinity
 // key (or an arbitrary run when the campaign has no affinity).
 type chunk struct{ lo, hi int }
 
 // chunkTargetSize picks the chunk granule: small enough that every worker
-// gets several chunks (so stealing can rebalance), never below the old
-// batch size of 16 (so the shared-state cadence stays coarse).
+// takes several chunks (so no worker idles through a long tail), never below
+// 16 sites (so the shared cursor is touched rarely).
 func chunkTargetSize(nwork, workers int) int {
 	t := nwork / (workers * 4)
 	if t < 16 {
@@ -54,77 +55,50 @@ func buildChunks(nwork int, key func(pos int) int, target int) []chunk {
 	return chunks
 }
 
-// chunkQueues deals chunks to workers: each worker owns a contiguous run of
-// chunks (assigned proportionally by site count, so snapshot groups stay
-// together even when their sizes are skewed) and, once its own queue
-// drains, steals whole chunks from the back of the queue of the worker with
-// the most remaining sites.
-type chunkQueues struct {
-	mu     sync.Mutex
+// chunkCursor hands a campaign's chunks to its workers, each chunk once, in
+// schedule order.
+type chunkCursor struct {
 	chunks []chunk
-	queues [][]int // per-worker chunk indices, in execution order
-	remain []int   // per-worker queued (not yet handed out) site count
+	taken  atomic.Int64
 }
 
-func newChunkQueues(chunks []chunk, workers, nwork int) *chunkQueues {
-	q := &chunkQueues{
-		chunks: chunks,
-		queues: make([][]int, workers),
-		remain: make([]int, workers),
+// next returns the first chunk no worker has taken yet; ok is false once
+// every chunk is handed out.
+func (q *chunkCursor) next() (c chunk, ok bool) {
+	i := int(q.taken.Add(1)) - 1
+	if i >= len(q.chunks) {
+		return chunk{}, false
 	}
-	w, assigned := 0, 0
-	for ci, c := range chunks {
-		// Move to the next worker once this one holds its proportional
-		// share of sites; chunk ci stays contiguous with its predecessors.
-		for w < workers-1 && assigned >= (w+1)*nwork/workers {
-			w++
-		}
-		q.queues[w] = append(q.queues[w], ci)
-		q.remain[w] += c.hi - c.lo
-		assigned += c.hi - c.lo
-	}
-	return q
+	return q.chunks[i], true
 }
 
-// next hands worker w its next chunk: the front of its own queue, else a
-// whole chunk stolen from the back of the fullest queue. ok is false when no
-// work is left anywhere.
-func (q *chunkQueues) next(w int) (c chunk, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var ci int
-	if own := q.queues[w]; len(own) > 0 {
-		ci, q.queues[w] = own[0], own[1:]
-		q.remain[w] -= q.chunks[ci].hi - q.chunks[ci].lo
-	} else {
-		victim := -1
-		for v := range q.queues {
-			if len(q.queues[v]) > 0 && (victim < 0 || q.remain[v] > q.remain[victim]) {
-				victim = v
-			}
-		}
-		if victim < 0 {
-			return chunk{}, false
-		}
-		vq := q.queues[victim]
-		ci, q.queues[victim] = vq[len(vq)-1], vq[:len(vq)-1]
-		q.remain[victim] -= q.chunks[ci].hi - q.chunks[ci].lo
-	}
-	return q.chunks[ci], true
+// deviceStats accumulates what a campaign's worker devices cost.
+type deviceStats struct {
+	created, pages, srcSw atomic.Int64
 }
 
-// workerRunner pins one pooled device to a campaign worker so that
+// harvest folds a device's page-copy and source-switch counters into the
+// campaign's.
+func (s *deviceStats) harvest(d *gpusim.Device) {
+	s.pages.Add(d.TakePagesCopied())
+	s.srcSw.Add(d.TakeSrcSwitches())
+}
+
+// workerRunner pins one copy-on-write device to a campaign worker so that
 // consecutive sites of a snapshot group reset on ResetFrom's same-source
-// fast path. take detaches the pinned device (falling back to the pool), so
-// a retry after an abandoned deadline attempt can never share a device with
+// fast path. Every run resets the device before use (from a checkpoint
+// snapshot or the pristine image) and the reset is driven by the dirty-page
+// list, so reuse is safe after trapped or failed runs. take detaches the
+// pinned device (cloning the pristine image when the slot is empty), so a
+// retry after an abandoned deadline attempt can never share a device with
 // the stray goroutine still running the old attempt: the stray holds the
 // detached device until its own give, which re-pins only if the slot is
-// empty and otherwise returns the device to the pool — after the stray has
-// stopped touching it.
+// empty and otherwise harvests the device's counters and drops it — after
+// the stray has stopped touching it.
 type workerRunner struct {
 	t     *Target
 	model Model
-	pool  *devicePool
+	stats *deviceStats
 	mu    sync.Mutex
 	dev   *gpusim.Device
 }
@@ -135,7 +109,8 @@ func (r *workerRunner) take() *gpusim.Device {
 	r.dev = nil
 	r.mu.Unlock()
 	if d == nil {
-		d = r.pool.get()
+		r.stats.created.Add(1)
+		d = r.t.Init.Clone()
 	}
 	return d
 }
@@ -148,7 +123,7 @@ func (r *workerRunner) give(d *gpusim.Device) {
 		return
 	}
 	r.mu.Unlock()
-	r.pool.put(d)
+	r.stats.harvest(d)
 }
 
 // run executes one site on the pinned device; it is the runSite hook the
@@ -160,14 +135,13 @@ func (r *workerRunner) run(s Site) (Outcome, runCost, error) {
 	return o, cost, err
 }
 
-// close returns the pinned device (if any) to the pool so its counters are
-// harvested into campaign stats.
+// close harvests the pinned device's counters (if any) into campaign stats.
 func (r *workerRunner) close() {
 	r.mu.Lock()
 	d := r.dev
 	r.dev = nil
 	r.mu.Unlock()
 	if d != nil {
-		r.pool.put(d)
+		r.stats.harvest(d)
 	}
 }

@@ -1,7 +1,11 @@
 package fault
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/gpusim"
 )
 
 // TestBuildChunksProperties: chunks cover [0, nwork) exactly, respect the
@@ -47,56 +51,72 @@ func TestBuildChunksProperties(t *testing.T) {
 	}
 }
 
-// TestChunkQueuesCoverage: with stealing, every position is handed out
-// exactly once regardless of which workers ask.
+// TestChunkQueuesCoverage: workers draining the chunk cursor concurrently
+// are handed every work position exactly once, however the takes interleave
+// (run under -race).
 func TestChunkQueuesCoverage(t *testing.T) {
-	const nwork, workers = 317, 4
-	chunks := buildChunks(nwork, nil, chunkTargetSize(nwork, workers))
-	q := newChunkQueues(chunks, workers, nwork)
-
-	// Worker 3 drains everything alone: own queue first, then steals.
-	seen := make([]bool, nwork)
-	for {
-		c, ok := q.next(3)
-		if !ok {
-			break
-		}
-		for p := c.lo; p < c.hi; p++ {
-			if seen[p] {
-				t.Fatalf("position %d handed out twice", p)
+	for _, nwork := range []int{0, 1, 17, 1000} {
+		for _, workers := range []int{1, 4} {
+			cursor := chunkCursor{chunks: buildChunks(nwork, nil, chunkTargetSize(nwork, workers))}
+			seen := make([]atomic.Int32, nwork)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						c, ok := cursor.next()
+						if !ok {
+							return
+						}
+						for p := c.lo; p < c.hi; p++ {
+							seen[p].Add(1)
+						}
+					}
+				}()
 			}
-			seen[p] = true
-		}
-	}
-	for p, s := range seen {
-		if !s {
-			t.Fatalf("position %d never handed out", p)
+			wg.Wait()
+			for p := range seen {
+				if n := seen[p].Load(); n != 1 {
+					t.Fatalf("%d positions, %d workers: position %d handed out %d times", nwork, workers, p, n)
+				}
+			}
 		}
 	}
 }
 
-// TestChunkQueuesProportional: contiguous assignment gives every worker a
-// near-proportional share of sites, so pinned devices stay busy before any
-// stealing happens.
-func TestChunkQueuesProportional(t *testing.T) {
-	const nwork, workers = 1000, 4
-	chunks := buildChunks(nwork, nil, chunkTargetSize(nwork, workers))
-	q := newChunkQueues(chunks, workers, nwork)
-	for w, r := range q.remain {
-		if r == 0 {
-			t.Fatalf("worker %d assigned no sites", w)
-		}
-		share := float64(r) / float64(nwork)
-		if share < 0.15 || share > 0.35 {
-			t.Fatalf("worker %d holds %.0f%% of sites, want near %d%%", w, 100*share, 100/workers)
-		}
+// TestWorkerRunnerDetachesStrayDevice: while an abandoned attempt still
+// holds the worker's device, the retry's take clones a fresh one instead of
+// sharing it; whichever attempt gives first re-pins, and the other device is
+// harvested and dropped.
+func TestWorkerRunnerDetachesStrayDevice(t *testing.T) {
+	var stats deviceStats
+	r := &workerRunner{t: &Target{Init: gpusim.NewDevice(2 * gpusim.PageSize)}, stats: &stats}
+
+	stray := r.take() // the attempt the guard abandons at its deadline
+	retry := r.take()
+	if retry == stray {
+		t.Fatal("retry shares the device an abandoned attempt still holds")
 	}
-	// Each worker's run of chunks is contiguous in position order.
-	for w, qs := range q.queues {
-		for i := 1; i < len(qs); i++ {
-			if chunks[qs[i]].lo != chunks[qs[i-1]].hi {
-				t.Fatalf("worker %d queue not contiguous at chunk %d", w, i)
-			}
-		}
+	if n := stats.created.Load(); n != 2 {
+		t.Fatalf("devices created = %d, want 2", n)
+	}
+	r.give(retry)
+	if again := r.take(); again != retry {
+		t.Fatal("the returned device was not re-pinned")
+	}
+	r.give(retry)
+
+	stray.WriteWords(0, []uint32{1}) // one copy-on-write privatization
+	r.give(stray)                    // the slot is occupied: harvested, not pinned
+	if r.dev != retry {
+		t.Fatal("a late stray device displaced the pinned one")
+	}
+	if n := stats.pages.Load(); n != 1 {
+		t.Fatalf("pages harvested from the stray device = %d, want 1", n)
+	}
+	r.close()
+	if r.dev != nil || stats.created.Load() != 2 {
+		t.Fatalf("after close: pinned %v, created %d", r.dev, stats.created.Load())
 	}
 }

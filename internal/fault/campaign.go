@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/gpusim"
 	"repro/internal/journal"
 )
 
@@ -31,7 +30,7 @@ func Uniform(sites []Site) []WeightedSite {
 }
 
 // CampaignStats is the observability block of one campaign: how much work
-// ran, how fast, and what the pooled copy-on-write device layer cost.
+// ran, how fast, and what the copy-on-write device layer cost.
 type CampaignStats struct {
 	// Runs is the number of injection experiments executed (including a
 	// failing one, excluding sites skipped after cancellation).
@@ -42,11 +41,11 @@ type CampaignStats struct {
 	RunsPerSec float64
 	// PagesCopied counts global-memory page copies performed by the
 	// copy-on-write device layer (first-store privatizations plus
-	// pristine-reset restores) across all pooled devices.
+	// pristine-reset restores) across all worker devices.
 	PagesCopied int64
 	// DevicesCreated is the number of device clones the campaign
-	// materialized: at least the number of concurrently active workers,
-	// more when the GC dropped pooled devices between runs.
+	// materialized: one per worker that ran a site, plus one for every
+	// attempt abandoned at its deadline (the stray keeps its device).
 	DevicesCreated int
 	// CTAsSkipped counts CTA executions the checkpointed fast-forward
 	// engine avoided, summed over all runs: golden prefixes resumed from a
@@ -88,10 +87,10 @@ type CampaignStats struct {
 	CacheHits      int64
 	CacheMisses    int64
 	PreparedShared int64
-	// AffinityResets counts pooled-device resets that switched checkpoint
+	// AffinityResets counts worker-device resets that switched checkpoint
 	// sources — the slow full-restore path of Device.ResetFrom that
-	// snapshot-affine scheduling exists to avoid. Near the chunk-transition
-	// count when affinity works; near Runs when it does not.
+	// snapshot-affine scheduling exists to avoid. At most workers ×
+	// Checkpoints when no attempt is abandoned; near Runs without affinity.
 	AffinityResets int64
 }
 
@@ -238,50 +237,17 @@ type CampaignOptions struct {
 	Progress func(completed, total int)
 }
 
-// devicePool hands out reusable copy-on-write devices to campaign workers.
-// Devices start as clones of the pristine image; the runner resets each one
-// before use (from a checkpoint snapshot or the pristine image), so put only
-// harvests the page-copy counter. Reuse is safe after trapped or failed
-// runs: reset is driven by the dirty-page list, so poisoned state cannot
-// leak into the next experiment.
-type devicePool struct {
-	pristine *gpusim.Device
-	pool     sync.Pool
-	created  atomic.Int64
-	pages    atomic.Int64
-	srcSw    atomic.Int64
-}
-
-func newDevicePool(pristine *gpusim.Device) *devicePool {
-	p := &devicePool{pristine: pristine}
-	// Freeze the pristine image now: Clone below may run concurrently from
-	// several workers, and freezing is only write-free once already frozen.
-	p.pool.New = func() any {
-		p.created.Add(1)
-		return p.pristine.Clone()
-	}
-	pristine.Clone() // freeze eagerly; the throwaway clone is trivially small
-	return p
-}
-
-func (p *devicePool) get() *gpusim.Device { return p.pool.Get().(*gpusim.Device) }
-
-func (p *devicePool) put(d *gpusim.Device) {
-	p.pages.Add(d.TakePagesCopied())
-	p.srcSw.Add(d.TakeSrcSwitches())
-	p.pool.Put(d)
-}
-
-// Run executes one fault-injection experiment per weighted site, in
-// parallel, and aggregates the weighted outcome distribution. The target
-// must be Prepared. Workers draw reusable copy-on-write devices from a pool
-// and reset them between experiments, so runs are independent and the
-// aggregation is deterministic regardless of scheduling; on multi-CTA
-// targets (unless Target.FullRun) each run fast-forwards from the golden
-// checkpoint nearest its injected CTA and may early-exit on golden-state
-// convergence, with outcomes bit-identical to full runs. The whole site list
-// is validated up front, so an invalid site fails before any experiment
-// executes, reporting the lowest-index invalid site.
+// Run executes one fault-injection experiment per weighted site under the
+// paper's fault model (ModelDestValue), in parallel, and aggregates the
+// weighted outcome distribution. The target must be Prepared. Each worker
+// keeps one copy-on-write device and resets it before every experiment, so
+// runs are independent and the aggregation is deterministic regardless of
+// scheduling; on multi-CTA targets (unless Target.FullRun) each run
+// fast-forwards from the golden checkpoint nearest its injected CTA and may
+// early-exit on golden-state convergence, with outcomes bit-identical to
+// full runs. The whole site list is validated up front, so an invalid site
+// fails before any experiment executes, reporting the lowest-index invalid
+// site.
 //
 // Execution failures are isolated per site: a failing site is retried with
 // exponential backoff and, after DefaultMaxAttempts, quarantined into the
@@ -290,12 +256,13 @@ func (p *devicePool) put(d *gpusim.Device) {
 // with Shard it runs one deterministic slice of the schedule, and Interrupt
 // stops it cooperatively (see CampaignOptions).
 func Run(t *Target, sites []WeightedSite, opt CampaignOptions) (*CampaignResult, error) {
-	return t.runCampaign(sites, opt, ModelDestValue)
+	return RunModel(t, sites, ModelDestValue, opt)
 }
 
-// runCampaign validates the site list, wires the unchecked fast-forward
-// runner to the parallel engine through a device pool, and finalizes stats.
-func (t *Target) runCampaign(sites []WeightedSite, opt CampaignOptions, model Model) (*CampaignResult, error) {
+// RunModel is Run under any fault model: it validates the site list, wires
+// the unchecked fast-forward runner to the parallel engine, one pinned device
+// per worker, and finalizes stats.
+func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions) (*CampaignResult, error) {
 	// Validate once, outside the hot loop: the engine below runs unchecked.
 	// Input order makes the reported error the lowest-index invalid site.
 	for i := range sites {
@@ -309,14 +276,18 @@ func (t *Target) runCampaign(sites []WeightedSite, opt CampaignOptions, model Mo
 		}
 	}
 
-	pool := newDevicePool(t.Init)
+	// Freeze the pristine image now: workers clone it concurrently (see
+	// workerRunner.take), and freezing is only write-free once already frozen.
+	t.Init.Clone() // freeze eagerly; the throwaway clone is trivially small
+	var devs deviceStats
 	eng := campaignEngine{
 		newRunner: func() (func(Site) (Outcome, runCost, error), func()) {
-			r := &workerRunner{t: t, model: model, pool: pool}
+			r := &workerRunner{t: t, model: model, stats: &devs}
 			return r.run, r.close
 		},
 	}
-	if ck, wck := t.ckpt, t.wck; ck != nil || wck != nil {
+	ck, wck := t.Checkpoints(), t.WarpCheckpoints()
+	if ck != nil || wck != nil {
 		tpc := t.Block.Count()
 		// The affinity key is the outer snapshot ordinal, refined by the
 		// intra-CTA snapshot ordinal so chunks never span an intra-CTA
@@ -336,15 +307,15 @@ func (t *Target) runCampaign(sites []WeightedSite, opt CampaignOptions, model Mo
 		}
 	}
 	res, st, err := runEngine(sites, t.scheduleOrder(sites), opt, eng)
-	st.PagesCopied = pool.pages.Load()
-	st.DevicesCreated = int(pool.created.Load())
-	st.AffinityResets = pool.srcSw.Load()
+	st.PagesCopied = devs.pages.Load()
+	st.DevicesCreated = int(devs.created.Load())
+	st.AffinityResets = devs.srcSw.Load()
 	st.CacheHits, st.CacheMisses, st.PreparedShared = t.takePrepStats()
-	if ck := t.ckpt; ck != nil {
+	if ck != nil {
 		st.Checkpoints = ck.Count()
 		st.CheckpointBytes = ck.Bytes()
 	}
-	if wck := t.wck; wck != nil {
+	if wck != nil {
 		st.IntraCheckpointBytes = wck.Bytes()
 	}
 	if opt.Sink != nil {
@@ -363,7 +334,7 @@ func (t *Target) runCampaign(sites []WeightedSite, opt CampaignOptions, model Mo
 // stays page-local. Aggregation and error reporting remain input-ordered.
 // Returns nil (identity) when reordering cannot help.
 func (t *Target) scheduleOrder(sites []WeightedSite) []int {
-	if (t.ckpt == nil && t.wck == nil) || len(sites) < 2 {
+	if (t.Checkpoints() == nil && t.WarpCheckpoints() == nil) || len(sites) < 2 {
 		return nil
 	}
 	order := make([]int, len(sites))
@@ -402,10 +373,10 @@ type campaignEngine struct {
 // error attribution stay in input order. The engine first replays the
 // attached journal (outcomes already on disk are final) and drops schedule
 // positions owned by other shards, leaving a work list that is cut into
-// contiguous chunks along affinity boundaries (see buildChunks) and dealt
-// to workers with whole-chunk stealing; each completed site is journaled
+// contiguous chunks along affinity boundaries (see buildChunks) which
+// workers take off a shared cursor; each completed site is journaled
 // before the campaign moves on. Scheduling affects only which worker (and
-// so which pooled device) runs a site — every run resets its device to the
+// so which device) runs a site — every run resets its device to the
 // same snapshot content, so outcomes are independent of the schedule.
 //
 // A failing site is retried and eventually quarantined as EngineError; only
@@ -499,25 +470,23 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 		}
 	}
 
-	// Cut the work list into affinity-respecting chunks and deal contiguous
-	// runs of them to workers. The work list is a subsequence of the
-	// schedule order, so positions with equal affinity keys are already
-	// contiguous within it.
+	// Cut the work list into affinity-respecting chunks. The work list is a
+	// subsequence of the schedule order, so positions with equal affinity
+	// keys are already contiguous within it.
 	var key func(pos int) int
 	if eng.affinityOf != nil {
 		key = func(pos int) int { return eng.affinityOf(input(work[pos])) }
 	}
-	var queues *chunkQueues
+	var cursor chunkCursor
 	if workers > 0 {
-		chunks := buildChunks(len(work), key, chunkTargetSize(len(work), workers))
-		queues = newChunkQueues(chunks, workers, len(work))
+		cursor.chunks = buildChunks(len(work), key, chunkTargetSize(len(work), workers))
 	}
 
 	g := newGuard(opt)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			runSite, cleanup := eng.newRunner()
 			defer cleanup()
@@ -525,7 +494,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 				if stop() {
 					return
 				}
-				c, ok := queues.next(w)
+				c, ok := cursor.next()
 				if !ok {
 					return
 				}
@@ -569,7 +538,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 					}
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 

@@ -159,24 +159,24 @@ func touchesMemory(in *isa.Instruction) bool {
 	return false
 }
 
-// validateSiteModel checks a site against the requirements of the model.
+// validateSiteModel checks a site against the golden profile and the
+// requirements of the model.
 func (t *Target) validateSiteModel(site Site, model Model) error {
-	if model == ModelDestValue {
-		return t.validateSite(site)
+	if t.prep == nil {
+		return errors.New("fault: injection before Prepare")
 	}
-	if t.profile == nil {
-		return errors.New("fault: RunSiteModel before Prepare")
-	}
-	if site.Thread < 0 || site.Thread >= len(t.profile.Threads) {
+	prof := t.prep.profile
+	if site.Thread < 0 || site.Thread >= len(prof.Threads) {
 		return fmt.Errorf("fault: thread %d out of range", site.Thread)
 	}
-	tp := &t.profile.Threads[site.Thread]
+	tp := &prof.Threads[site.Thread]
 	if site.DynInst < 0 || site.DynInst >= tp.ICnt {
-		return fmt.Errorf("fault: dyn inst %d out of range for thread %d", site.DynInst, site.Thread)
+		return fmt.Errorf("fault: dyn inst %d out of range for thread %d (iCnt %d)",
+			site.DynInst, site.Thread, tp.ICnt)
 	}
 	switch model {
-	case ModelDestDouble, ModelDestByte, ModelLaneCorrelated:
-		bits := t.profile.SiteBitsOf(site.Thread, site.DynInst)
+	case ModelDestValue, ModelDestDouble, ModelDestByte, ModelLaneCorrelated:
+		bits := prof.SiteBitsOf(site.Thread, site.DynInst)
 		if bits == 0 {
 			return ErrNotASite
 		}
@@ -205,18 +205,16 @@ func (t *Target) validateSiteModel(site Site, model Model) error {
 	return nil
 }
 
-// RunSiteModel executes one fault-injection experiment under the given
-// fault model on a fresh clone of the pristine device. ModelDestValue
-// behaves exactly like RunSite.
+// RunSiteModel executes one full-grid fault-injection experiment under the
+// given fault model on a fresh clone of the pristine device.
 func (t *Target) RunSiteModel(site Site, model Model) (Outcome, error) {
-	if err := t.validateSiteModel(site, model); err != nil {
-		return 0, err
-	}
-	return t.runSiteModelOn(t.Init.Clone(), site, model)
+	return t.RunSiteModelOn(t.Init.Clone(), site, model)
 }
 
-// RunSiteModelOn is RunSiteModel on a caller-provided pristine device (see
-// RunSiteOn for the contract).
+// RunSiteModelOn is RunSiteModel on a caller-provided device, which must
+// hold the pristine initial state (a Clone of Init, or a used device after
+// ResetFrom). The device is left in its post-run state; the caller owns
+// resetting it before reuse.
 func (t *Target) RunSiteModelOn(dev *gpusim.Device, site Site, model Model) (Outcome, error) {
 	if err := t.validateSiteModel(site, model); err != nil {
 		return 0, err
@@ -229,7 +227,7 @@ func (t *Target) runSiteModelOn(dev *gpusim.Device, site Site, model Model) (Out
 		Thread: site.Thread, DynInst: site.DynInst, Bit: site.Bit,
 		Kind: model.kind(),
 	}
-	res, err := gpusim.Execute(dev, t.launch(inj, nil, t.watchdog))
+	res, err := gpusim.Execute(dev, t.launch(inj, nil, t.prep.watchdog))
 	if err != nil {
 		return 0, err
 	}
@@ -338,10 +336,4 @@ func (s *Space) RandomModel(rng *stats.RNG, n int, model Model) []Site {
 		// space as the baseline.
 		return s.Random(rng, n)
 	}
-}
-
-// RunModel executes a campaign of weighted sites under one fault model,
-// sharing Run's pooled parallel fast-forward engine.
-func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions) (*CampaignResult, error) {
-	return t.runCampaign(sites, opt, model)
 }

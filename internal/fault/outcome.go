@@ -8,7 +8,7 @@
 // (Prepare performs the golden run, builds the per-thread profile and the
 // checkpoint store; a PreparedCache shares that work across targets with
 // equal keys); Site names one fault (thread, dynamic instruction, bit); Run
-// executes a weighted-site campaign on pooled copy-on-write devices with
+// executes a weighted-site campaign on per-worker copy-on-write devices with
 // checkpointed fast-forward, snapshot-affine scheduling, per-site failure
 // isolation (retry, deadline, quarantine into EngineError), and optional
 // durability through a write-ahead journal with deterministic sharding. A

@@ -176,12 +176,11 @@ func TestPooledMatchesFreshClone(t *testing.T) {
 						t.Fatalf("model %v par %d: stats runs %d != %d sites",
 							model, par, res.Stats.Runs, len(sites))
 					}
-					// The pool materializes at least one device; GC may
-					// drop pooled devices, so the only hard upper bound
-					// is one clone per run.
-					if res.Stats.DevicesCreated < 1 || int64(res.Stats.DevicesCreated) > res.Stats.Runs {
+					// No attempt is abandoned, so every worker that ran a
+					// site cloned exactly one device.
+					if res.Stats.DevicesCreated < 1 || res.Stats.DevicesCreated > par {
 						t.Fatalf("model %v par %d: devices created %d out of [1, %d]",
-							model, par, res.Stats.DevicesCreated, res.Stats.Runs)
+							model, par, res.Stats.DevicesCreated, par)
 					}
 				}
 			}

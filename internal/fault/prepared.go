@@ -105,26 +105,6 @@ func (s *preparedState) approxBytes() int64 {
 	return n
 }
 
-// install adopts shared prepared state into the target.
-func (t *Target) install(s *preparedState) {
-	t.golden = s.golden
-	t.watchdog = s.watchdog
-	t.profile = s.profile
-	t.ckpt = s.ckpt
-	t.wck = s.wck
-}
-
-// snapshotPrepared captures the target's prepared state for sharing.
-func (t *Target) snapshotPrepared() *preparedState {
-	return &preparedState{
-		golden:   t.golden,
-		watchdog: t.watchdog,
-		profile:  t.profile,
-		ckpt:     t.ckpt,
-		wck:      t.wck,
-	}
-}
-
 // takePrepStats harvests the target's Prepare provenance counters exactly
 // once — the first campaign run on the target reports them into
 // CampaignStats, so a pipeline's aggregated stats count each Prepare once
@@ -235,9 +215,8 @@ func (c *PreparedCache) prepare(t *Target) error {
 			t.prepHits++
 			c.seq++
 			e.lastUse = c.seq
-			s := e.state
+			t.prep = e.state
 			c.mu.Unlock()
-			t.install(s)
 			return nil
 		}
 		// Another caller's golden run is in flight: wait for it. The pin
@@ -249,9 +228,7 @@ func (c *PreparedCache) prepare(t *Target) error {
 		t.prepShared++
 		c.mu.Unlock()
 		<-e.ready
-		if e.err == nil {
-			t.install(e.state)
-		}
+		t.prep = e.state // nil when the shared golden run failed
 		c.mu.Lock()
 		e.pins--
 		// Dropping the pin may unblock an eviction the byte bound already
@@ -271,16 +248,15 @@ func (c *PreparedCache) prepare(t *Target) error {
 	t.prepMisses++
 	c.mu.Unlock()
 
-	err := t.prepareCold()
+	e.state, e.err = t.prepareCold()
+	t.prep = e.state
 
 	c.mu.Lock()
-	if err != nil {
+	if e.err != nil {
 		// Do not cache failures: a later caller may fix the target (or the
 		// failure may be transient) and should get a fresh attempt.
-		e.err = err
 		delete(c.entries, key)
 	} else {
-		e.state = t.snapshotPrepared()
 		e.bytes = e.state.approxBytes()
 		e.done = true
 		c.seq++
@@ -291,7 +267,7 @@ func (c *PreparedCache) prepare(t *Target) error {
 	e.pins--
 	close(e.ready)
 	c.mu.Unlock()
-	return err
+	return e.err
 }
 
 // evictLocked drops least-recently-used finished entries until retained

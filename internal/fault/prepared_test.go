@@ -200,8 +200,10 @@ func TestCachedCampaignBitIdentical(t *testing.T) {
 
 // TestAffinityScheduling: on a checkpointed target, snapshot-affine chunk
 // scheduling keeps pinned devices on ResetFrom's same-source fast path —
-// AffinityResets stays far below the run count — and parallel scheduling
-// never changes outcomes relative to a serial campaign.
+// AffinityResets stays far below the run count and within the cursor's
+// bound of one switch per worker per snapshot — each worker creates exactly
+// one device, and parallel scheduling never changes outcomes relative to a
+// serial campaign.
 func TestAffinityScheduling(t *testing.T) {
 	tg := buildGEMM(t, nil)
 	if err := tg.Prepare(); err != nil {
@@ -212,11 +214,12 @@ func TestAffinityScheduling(t *testing.T) {
 	}
 	sites := fault.Uniform(fault.NewSpace(tg.Profile()).Random(stats.NewRNG(11), 400))
 
+	const workers = 4
 	serial, err := fault.Run(tg, sites, fault.CampaignOptions{Parallelism: 1, KeepPerSite: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := fault.Run(tg, sites, fault.CampaignOptions{Parallelism: 4, KeepPerSite: true})
+	par, err := fault.Run(tg, sites, fault.CampaignOptions{Parallelism: workers, KeepPerSite: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +231,23 @@ func TestAffinityScheduling(t *testing.T) {
 			t.Fatalf("site %v: parallel %v, serial %v", sites[i].Site, par.PerSite[i], serial.PerSite[i])
 		}
 	}
-	for name, st := range map[string]fault.CampaignStats{"serial": serial.Stats, "parallel": par.Stats} {
+	for w, st := range map[int]fault.CampaignStats{1: serial.Stats, workers: par.Stats} {
 		if st.AffinityResets >= int64(st.Runs)/2 {
-			t.Fatalf("%s campaign: %d affinity resets for %d runs — pinning ineffective",
-				name, st.AffinityResets, st.Runs)
+			t.Fatalf("%d workers: %d affinity resets for %d runs — pinning ineffective",
+				w, st.AffinityResets, st.Runs)
+		}
+		// No attempt is abandoned here (st.Retries == 0), so each worker
+		// keeps its one device and walks the schedule forwards, meeting
+		// every snapshot at most once.
+		if st.Retries != 0 {
+			t.Fatalf("%d workers: %d retries on a healthy campaign", w, st.Retries)
+		}
+		if bound := int64(w * st.Checkpoints); st.AffinityResets > bound {
+			t.Fatalf("%d workers: %d affinity resets exceed workers × checkpoints = %d",
+				w, st.AffinityResets, bound)
+		}
+		if st.DevicesCreated != w {
+			t.Fatalf("%d workers: %d devices created", w, st.DevicesCreated)
 		}
 	}
 }

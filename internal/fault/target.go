@@ -70,11 +70,8 @@ type Target struct {
 	// itself.
 	Cache *PreparedCache
 
-	golden   []byte
-	watchdog int64
-	profile  *trace.Profile
-	ckpt     *gpusim.Checkpoints
-	wck      *gpusim.WarpCheckpoints
+	// prep is what Prepare produced (or adopted from Cache); nil before.
+	prep *preparedState
 
 	// Cache provenance of this target's Prepare, harvested once (by the
 	// first campaign run on it) into CampaignStats; see takePrepStats.
@@ -112,20 +109,23 @@ func (t *Target) Threads() int { return t.Grid.Count() * t.Block.Count() }
 // prepared-target key process-wide — otherwise this target performs it
 // itself.
 func (t *Target) Prepare() error {
-	if t.profile != nil {
+	if t.prep != nil {
 		return nil
 	}
 	if t.Cache != nil {
 		return t.Cache.prepare(t)
 	}
-	return t.prepareCold()
+	var err error
+	t.prep, err = t.prepareCold()
+	return err
 }
 
 // prepareCold runs the fault-free golden execution with tracing, capturing
-// the golden output, the per-thread profile, and the injection watchdog.
-func (t *Target) prepareCold() error {
+// the golden output, the per-thread profile, the injection watchdog and the
+// checkpoint stores.
+func (t *Target) prepareCold() (*preparedState, error) {
 	if len(t.Output) == 0 {
-		return fmt.Errorf("fault: target %s has no output ranges", t.Name)
+		return nil, fmt.Errorf("fault: target %s has no output ranges", t.Name)
 	}
 	tr := gpusim.NewProfileTrace(t.Threads())
 	dev := t.Init.Clone()
@@ -146,26 +146,26 @@ func (t *Target) prepareCold() error {
 	}
 	res, err := gpusim.Execute(dev, launch)
 	if err != nil {
-		return fmt.Errorf("fault: target %s golden run: %w", t.Name, err)
+		return nil, fmt.Errorf("fault: target %s golden run: %w", t.Name, err)
 	}
 	if res.Trap != nil {
-		return fmt.Errorf("fault: target %s golden run trapped: %v", t.Name, res.Trap)
+		return nil, fmt.Errorf("fault: target %s golden run trapped: %v", t.Name, res.Trap)
 	}
+	p := &preparedState{golden: t.extractOutput(dev)}
 	if rec != nil {
-		t.ckpt = rec.Finish()
+		p.ckpt = rec.Finish()
 	}
 	if wrec != nil {
 		if wck := wrec.Finish(); wck.Count() > 0 {
-			t.wck = wck
+			p.wck = wck
 		}
 	}
-	t.golden = t.extractOutput(dev)
 
 	prof, err := trace.Build(t.Prog, tr, t.Block.Count())
 	if err != nil {
-		return fmt.Errorf("fault: target %s: %w", t.Name, err)
+		return nil, fmt.Errorf("fault: target %s: %w", t.Name, err)
 	}
-	t.profile = prof
+	p.profile = prof
 
 	factor := t.WatchdogFactor
 	if factor == 0 {
@@ -177,24 +177,24 @@ func (t *Target) prepareCold() error {
 			maxICnt = prof.Threads[i].ICnt
 		}
 	}
-	t.watchdog = factor*maxICnt + 1024
-	return nil
+	p.watchdog = factor*maxICnt + 1024
+	return p, nil
 }
 
 // Profile returns the fault-free profile (Prepare must have succeeded).
 func (t *Target) Profile() *trace.Profile {
-	if t.profile == nil {
+	if t.prep == nil {
 		panic("fault: Profile before Prepare")
 	}
-	return t.profile
+	return t.prep.profile
 }
 
 // Golden returns the golden output bytes.
 func (t *Target) Golden() []byte {
-	if t.profile == nil {
+	if t.prep == nil {
 		panic("fault: Golden before Prepare")
 	}
-	return t.golden
+	return t.prep.golden
 }
 
 // extractOutput concatenates the output ranges of a device.
@@ -215,7 +215,7 @@ func (t *Target) extractOutput(dev *gpusim.Device) []byte {
 func (t *Target) matchesGolden(dev *gpusim.Device) bool {
 	off := 0
 	for _, r := range t.Output {
-		if !dev.EqualRange(r.Off, t.golden[off:off+r.Len]) {
+		if !dev.EqualRange(r.Off, t.prep.golden[off:off+r.Len]) {
 			return false
 		}
 		off += r.Len
@@ -239,30 +239,6 @@ func (s Site) String() string {
 // destination register.
 var ErrNotASite = errors.New("fault: dynamic instruction writes no destination register")
 
-// validateSite checks that a site denotes a destination-writing dynamic
-// instruction of the golden profile.
-func (t *Target) validateSite(site Site) error {
-	if t.profile == nil {
-		return errors.New("fault: RunSite before Prepare")
-	}
-	if site.Thread < 0 || site.Thread >= len(t.profile.Threads) {
-		return fmt.Errorf("fault: thread %d out of range", site.Thread)
-	}
-	tp := &t.profile.Threads[site.Thread]
-	if site.DynInst < 0 || site.DynInst >= tp.ICnt {
-		return fmt.Errorf("fault: dyn inst %d out of range for thread %d (iCnt %d)",
-			site.DynInst, site.Thread, tp.ICnt)
-	}
-	bits := t.profile.SiteBitsOf(site.Thread, site.DynInst)
-	if bits == 0 {
-		return ErrNotASite
-	}
-	if site.Bit < 0 || site.Bit >= bits {
-		return fmt.Errorf("fault: bit %d out of range (%d-bit destination)", site.Bit, bits)
-	}
-	return nil
-}
-
 // classify maps a completed run on dev to its outcome.
 func (t *Target) classify(dev *gpusim.Device, res *gpusim.Result) Outcome {
 	if res.Trap != nil {
@@ -277,43 +253,34 @@ func (t *Target) classify(dev *gpusim.Device, res *gpusim.Result) Outcome {
 	return SDC
 }
 
-// RunSite executes one fault-injection experiment on a fresh clone of the
-// pristine device, running the whole grid, and classifies its outcome. It
-// validates against the golden profile that the site denotes a
-// destination-writing dynamic instruction. This is the full-run reference
-// path; campaigns (Run) use the pooled checkpointed fast-forward engine,
-// which is bit-identical.
+// RunSite executes one fault-injection experiment under the paper's fault
+// model (ModelDestValue) on a fresh clone of the pristine device, running
+// the whole grid, and classifies its outcome. It validates against the
+// golden profile that the site denotes a destination-writing dynamic
+// instruction. This is the full-run reference path; campaigns (Run) use the
+// checkpointed fast-forward engine, which is bit-identical.
 func (t *Target) RunSite(site Site) (Outcome, error) {
-	if err := t.validateSite(site); err != nil {
-		return 0, err
-	}
-	return t.RunSiteOn(t.Init.Clone(), site)
-}
-
-// RunSiteOn executes one full-grid fault-injection experiment on the
-// provided device, which must hold the pristine initial state (a Clone of
-// Init, or a pooled device after ResetFrom). The device is left in its
-// post-run state; the caller owns resetting it before reuse.
-func (t *Target) RunSiteOn(dev *gpusim.Device, site Site) (Outcome, error) {
-	if err := t.validateSite(site); err != nil {
-		return 0, err
-	}
-	inj := &gpusim.Injection{Thread: site.Thread, DynInst: site.DynInst, Bit: site.Bit}
-	res, err := gpusim.Execute(dev, t.launch(inj, nil, t.watchdog))
-	if err != nil {
-		return 0, err
-	}
-	return t.classify(dev, res), nil
+	return t.RunSiteModel(site, ModelDestValue)
 }
 
 // Checkpoints exposes the golden checkpoint store built by Prepare — nil
 // when fast-forwarding is disabled (FullRun) or the grid has a single CTA.
-func (t *Target) Checkpoints() *gpusim.Checkpoints { return t.ckpt }
+func (t *Target) Checkpoints() *gpusim.Checkpoints {
+	if t.prep == nil {
+		return nil
+	}
+	return t.prep.ckpt
+}
 
 // WarpCheckpoints exposes the intra-CTA snapshot store built by Prepare —
 // nil when disabled (FullRun or a negative IntraStride) or when the golden
 // run retired too few instructions per CTA for any capture.
-func (t *Target) WarpCheckpoints() *gpusim.WarpCheckpoints { return t.wck }
+func (t *Target) WarpCheckpoints() *gpusim.WarpCheckpoints {
+	if t.prep == nil {
+		return nil
+	}
+	return t.prep.wck
+}
 
 // runCost carries per-run fast-forward metrics out of injectOn.
 type runCost struct {
@@ -323,7 +290,7 @@ type runCost struct {
 }
 
 // injectOn is the campaign hot path: one unchecked injection experiment on a
-// pooled device (the site must have been validated up front). It resets dev
+// worker's device (the site must have been validated up front). It resets dev
 // itself — from the checkpoint snapshot nearest the injected CTA when the
 // target has a checkpoint store, from the pristine image otherwise.
 //
@@ -344,21 +311,17 @@ type runCost struct {
 // non-convergence at c+1, so the early exit can never hide a crash or hang.
 func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, runCost, error) {
 	var cost runCost
+	ck, wck := t.prep.ckpt, t.prep.wck
+	if ck == nil && wck == nil {
+		dev.ResetFrom(t.Init)
+		o, err := t.runSiteModelOn(dev, site, model)
+		return o, cost, err
+	}
 	inj := &gpusim.Injection{
 		Thread: site.Thread, DynInst: site.DynInst, Bit: site.Bit,
 		Kind: model.kind(),
 	}
-	launch := t.launch(inj, nil, t.watchdog)
-	ck, wck := t.ckpt, t.wck
-	if ck == nil && wck == nil {
-		dev.ResetFrom(t.Init)
-		res, err := gpusim.Execute(dev, launch)
-		if err != nil {
-			return 0, cost, err
-		}
-		return t.classify(dev, res), cost, nil
-	}
-
+	launch := t.launch(inj, nil, t.prep.watchdog)
 	tpc := t.Block.Count()
 	cta := site.Thread / tpc
 	snap, first := t.Init, 0
@@ -418,12 +381,12 @@ func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, 
 // DestBitsAt reports the destination width in bits of thread t's dynamic
 // instruction i (0 when it is not a fault site).
 func (t *Target) DestBitsAt(thread int, dyn int64) int {
-	return t.profile.SiteBitsOf(thread, dyn)
+	return t.prep.profile.SiteBitsOf(thread, dyn)
 }
 
 // StaticPCAt reports the static PC of thread t's dynamic instruction i.
 func (t *Target) StaticPCAt(thread int, dyn int64) int {
-	return gpusim.PC(t.profile.Threads[thread].PCs[dyn])
+	return gpusim.PC(t.prep.profile.Threads[thread].PCs[dyn])
 }
 
 // Instr returns the static instruction at a PC.

@@ -35,7 +35,7 @@ type Config struct {
 	// outcomes a host crash can lose; a daemon crash loses none.
 	SyncEvery int
 	// Cache is the shared prepared-target cache; nil uses the process-wide
-	// default, so campaigns for the same (kernel, scale, strides) share
+	// default, so campaigns for the same (kernel, scale, warp size) share
 	// one golden run.
 	Cache *fault.PreparedCache
 }
