@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/journal"
@@ -52,15 +51,18 @@ func TestCampaignInterruptResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The interrupt lands from inside the campaign, a quarter of the way in:
+	// a goroutine polling j.Count() loses the race against 120 sites of a
+	// few microseconds each, and the run then ends uninterrupted.
 	intr := make(chan struct{})
-	go func() {
-		for j.Count() < len(sites)/4 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		close(intr)
-	}()
+	var once sync.Once
 	_, err = fault.Run(tg, sites, fault.CampaignOptions{
 		Parallelism: 2, Journal: j, Interrupt: intr,
+		Progress: func(completed, total int) {
+			if completed >= total/4 {
+				once.Do(func() { close(intr) })
+			}
+		},
 	})
 	if !errors.Is(err, fault.ErrInterrupted) {
 		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/gpusim"
+	"repro/internal/kernels"
 	"repro/internal/ptx"
 	"repro/internal/stats"
 )
@@ -242,6 +243,50 @@ func TestSpaceTotalsAndDecode(t *testing.T) {
 		if perThread[i] != prof.Threads[i].SiteBits {
 			t.Fatalf("thread %d decoded %d sites, want %d",
 				i, perThread[i], prof.Threads[i].SiteBits)
+		}
+	}
+}
+
+// TestSpaceSiteMatchesEnumeration is the oracle of the sampler's per-PC
+// tables: the flat index space Site decodes is exactly the concatenation of
+// ThreadSites over the threads, and a mem-addr draw is exactly an index into
+// the concatenated MemAddrSites — both enumerators decode every instruction
+// afresh (SiteBitsOf, touchesMemory), so a wrong table entry cannot agree
+// with them. The same RNG draws therefore keep mapping to the same sites.
+func TestSpaceSiteMatchesEnumeration(t *testing.T) {
+	for _, name := range []string{"Gaussian K125", "Gaussian K126", "PathFinder K1"} {
+		spec, ok := kernels.ByName(name)
+		if !ok {
+			t.Fatalf("unknown kernel %q", name)
+		}
+		inst, err := spec.Build(kernels.ScaleSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Target.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		space := fault.NewSpace(inst.Target.Profile())
+		var dest, mem []fault.Site
+		for th := range space.Profile().Threads {
+			dest = append(dest, space.ThreadSites(th, nil)...)
+			mem = append(mem, space.MemAddrSites(th, nil)...)
+		}
+		if int64(len(dest)) != space.Total() {
+			t.Fatalf("%s: %d enumerated sites, Total %d", name, len(dest), space.Total())
+		}
+		for idx, want := range dest {
+			if got := space.Site(int64(idx)); got != want {
+				t.Fatalf("%s: Site(%d) = %v, enumeration has %v", name, idx, got, want)
+			}
+		}
+		const draws = 2000
+		got := space.RandomModel(stats.NewRNG(31), draws, fault.ModelMemAddr)
+		rng := stats.NewRNG(31)
+		for i, s := range got {
+			if want := mem[rng.Int63n(int64(len(mem)))]; s != want {
+				t.Fatalf("%s: mem-addr draw %d = %v, enumeration has %v", name, i, s, want)
+			}
 		}
 	}
 }

@@ -301,8 +301,8 @@ func (s *Space) RandomModel(rng *stats.RNG, n int, model Model) []Site {
 		for t := range s.prof.Threads {
 			tp := &s.prof.Threads[t]
 			var mem int64
-			for i := int64(0); i < tp.ICnt; i++ {
-				if touchesMemory(&s.prof.Prog.Instrs[gpusim.PC(tp.PCs[i])]) {
+			for _, entry := range tp.PCs[:tp.ICnt] {
+				if s.pcMem[gpusim.PC(entry)] {
 					mem++
 				}
 			}
@@ -319,12 +319,12 @@ func (s *Space) RandomModel(rng *stats.RNG, n int, model Model) []Site {
 			rem := idx - cum[t]
 			k, bit := rem/32, int(rem%32)
 			tp := &s.prof.Threads[t]
-			for d := int64(0); d < tp.ICnt; d++ {
-				if !touchesMemory(&s.prof.Prog.Instrs[gpusim.PC(tp.PCs[d])]) {
+			for d, entry := range tp.PCs[:tp.ICnt] {
+				if !s.pcMem[gpusim.PC(entry)] {
 					continue
 				}
 				if k == 0 {
-					sites[i] = Site{Thread: t, DynInst: d, Bit: bit}
+					sites[i] = Site{Thread: t, DynInst: int64(d), Bit: bit}
 					break
 				}
 				k--

@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -185,6 +186,41 @@ func TestPooledMatchesFreshClone(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSiteLoopAllocBytes pins the allocation-free site loop: the launch
+// scratch rides the worker's pinned device (DESIGN.md §3.1), so a site costs
+// a few small headers — the injection, the launch, a trap — where it used to
+// rebuild a CTA's thread and shared-memory state per launched CTA (~95 KiB a
+// site on this kernel). TotalAlloc is process-wide, so this test must not
+// run beside others (no t.Parallel in this package).
+func TestSiteLoopAllocBytes(t *testing.T) {
+	const n, limit = 300, 4 << 10
+	for _, c := range []struct {
+		model fault.Model
+		warp  int
+	}{
+		{fault.ModelDestValue, 0},
+		{fault.ModelStuckPred, 32},
+	} {
+		tg, sites := tunedCampaign(t, "HotSpot K1", c.model, c.warp, tuning{}, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := fault.RunModel(tg, sites, c.model, fault.CampaignOptions{Parallelism: 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%v warp %d: %v", c.model, c.warp, err)
+		}
+		perSite := (after.TotalAlloc - before.TotalAlloc) / n
+		t.Logf("%v warp %d: %d B/site", c.model, c.warp, perSite)
+		if perSite >= limit {
+			t.Errorf("%v warp %d: %d B allocated per site, want < %d", c.model, c.warp, perSite, limit)
+		}
+		// One worker, one pinned device, one scratch: nothing was abandoned.
+		if res.Stats.DevicesCreated != 1 {
+			t.Errorf("%v warp %d: devices created %d, want 1", c.model, c.warp, res.Stats.DevicesCreated)
+		}
 	}
 }
 

@@ -19,6 +19,12 @@ type Space struct {
 	// cum[t] is the number of fault-site bits in threads [0, t); cum has
 	// len(threads)+1 entries so cum[len] == Total().
 	cum []int64
+	// pcBits[pc] is the destination width in bits of static instruction pc
+	// (0 without a destination) and pcMem[pc] whether it computes an
+	// effective address: decoded once, so a draw that walks a thread's
+	// trace costs a table lookup per dynamic instruction.
+	pcBits []uint8
+	pcMem  []bool
 }
 
 // NewSpace indexes the fault-site space of a profile.
@@ -27,7 +33,18 @@ func NewSpace(prof *trace.Profile) *Space {
 	for t := range prof.Threads {
 		cum[t+1] = cum[t] + prof.Threads[t].SiteBits
 	}
-	return &Space{prof: prof, cum: cum}
+	instrs := prof.Prog.Instrs
+	s := &Space{
+		prof: prof, cum: cum,
+		pcBits: make([]uint8, len(instrs)), pcMem: make([]bool, len(instrs)),
+	}
+	for pc := range instrs {
+		if _, bits, ok := instrs[pc].DestReg(); ok {
+			s.pcBits[pc] = uint8(bits)
+		}
+		s.pcMem[pc] = touchesMemory(&instrs[pc])
+	}
+	return s
 }
 
 // Total is the exhaustive fault-site count (Eq. 1, Table I rightmost column).
@@ -43,10 +60,13 @@ func (s *Space) Site(idx int64) Site {
 	t := sort.Search(len(s.cum)-1, func(i int) bool { return s.cum[i+1] > idx })
 	rem := idx - s.cum[t]
 	tp := &s.prof.Threads[t]
-	for i := int64(0); i < tp.ICnt; i++ {
-		bits := int64(s.prof.SiteBitsOf(t, i))
+	for i, entry := range tp.PCs[:tp.ICnt] {
+		if !gpusim.Wrote(entry) {
+			continue
+		}
+		bits := int64(s.pcBits[gpusim.PC(entry)])
 		if rem < bits {
-			return Site{Thread: t, DynInst: i, Bit: int(rem)}
+			return Site{Thread: t, DynInst: int64(i), Bit: int(rem)}
 		}
 		rem -= bits
 	}

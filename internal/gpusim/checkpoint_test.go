@@ -81,6 +81,8 @@ func TestExecuteFirstCTAResume(t *testing.T) {
 			if hres.CTAsExecuted != split {
 				t.Fatalf("split %d: head executed %d CTAs", split, hres.CTAsExecuted)
 			}
+			// The tail runs on the same device and overwrites hres in place.
+			headICnt := append([]int64(nil), hres.ThreadICnt...)
 			tail := chainLaunch(prog)
 			tail.WarpSize = warp
 			tail.FirstCTA = split
@@ -99,12 +101,12 @@ func TestExecuteFirstCTAResume(t *testing.T) {
 			}
 			// Head and tail iCnt tile the full run's without overlap.
 			for th := range res.ThreadICnt {
-				got := hres.ThreadICnt[th] + tres.ThreadICnt[th]
+				got := headICnt[th] + tres.ThreadICnt[th]
 				if got != res.ThreadICnt[th] {
 					t.Fatalf("split %d thread %d: iCnt %d+%d != %d",
-						split, th, hres.ThreadICnt[th], tres.ThreadICnt[th], res.ThreadICnt[th])
+						split, th, headICnt[th], tres.ThreadICnt[th], res.ThreadICnt[th])
 				}
-				if hres.ThreadICnt[th] != 0 && tres.ThreadICnt[th] != 0 {
+				if headICnt[th] != 0 && tres.ThreadICnt[th] != 0 {
 					t.Fatalf("split %d thread %d ran in both halves", split, th)
 				}
 			}

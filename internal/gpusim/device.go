@@ -262,7 +262,9 @@ func (t *Trap) Error() string {
 	return fmt.Sprintf("gpusim: %s at thread %d pc %d: %s", t.Kind, t.Thread, t.PC, t.Msg)
 }
 
-// Result summarizes a completed (or trapped) run.
+// Result summarizes a completed (or trapped) run. It lives in the executing
+// device's launch scratch: a *Result is valid until the next Execute on the
+// same Device, which overwrites it in place. Copy out what must outlive that.
 type Result struct {
 	// Trap is nil for a clean run.
 	Trap *Trap
@@ -323,6 +325,10 @@ type Device struct {
 	// report this as AffinityResets: snapshot-affine scheduling exists to
 	// keep it near the number of distinct snapshots per worker.
 	srcSwitches int64
+	// scratch is the launch scratch Execute runs in, built on the first
+	// launch and kept for the device's life. Clone leaves it nil: a device
+	// that is only ever a reset source never pays for one.
+	scratch *launchScratch
 
 	// Const is the read-only constant segment.
 	Const []byte

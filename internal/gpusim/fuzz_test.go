@@ -242,6 +242,20 @@ func fuzzCase(prog *isa.Program, warp int, inj *Injection) diffCase {
 		init: NewDevice(256), warp: warp, inj: inj}
 }
 
+// launch is the case's Launch, as both diffRun and Execute take it.
+func (c diffCase) launch() *Launch {
+	return &Launch{
+		Prog:        c.prog,
+		Grid:        Dim3{X: c.grid, Y: 1, Z: 1},
+		Block:       Dim3{X: c.block, Y: 1, Z: 1},
+		Params:      c.params,
+		SharedBytes: c.shared,
+		Watchdog:    2_000,
+		WarpSize:    c.warp,
+		Inject:      c.inj,
+	}
+}
+
 // diffRunState is the full observable architectural state of one run,
 // captured for bit-exact comparison between the compiled plan and the
 // reference interpreter.
@@ -258,15 +272,7 @@ type diffRunState struct {
 // first trap, like Execute.
 func diffRun(c diffCase, runCTA func(*exec, *ctaState) *Trap) diffRunState {
 	dev := c.init.Clone()
-	launch := &Launch{
-		Prog:     c.prog,
-		Grid:     Dim3{X: c.grid, Y: 1, Z: 1},
-		Block:    Dim3{X: c.block, Y: 1, Z: 1},
-		Params:   c.params,
-		Watchdog: 2_000,
-		WarpSize: c.warp,
-		Inject:   c.inj,
-	}
+	launch := c.launch()
 	e := &exec{
 		prog:        c.prog,
 		dev:         dev,
@@ -336,6 +342,18 @@ func diffEngines(c diffCase) (ref diffRunState, divergence string) {
 	return ref, ""
 }
 
+// diffReuse runs c through Execute on a fresh clone and on reused — a device
+// that earlier cases already launched on, reset to the pristine image — and
+// reports the first observable through which the reused launch scratch
+// shows (launchOutcome.diff); "" when there is none.
+func diffReuse(c diffCase, reused *Device) string {
+	run := func(dev *Device) launchOutcome {
+		dev.ResetFrom(c.init)
+		return observe(dev, c.launch())
+	}
+	return run(c.init.Clone()).diff(run(reused))
+}
+
 // FuzzPlanMatchesReference is the differential property behind the compiled
 // execution plan and its scheduler (DESIGN.md §3.8): for random programs
 // with barriers, under both scheduler widths, with and without an injected
@@ -343,13 +361,27 @@ func diffEngines(c diffCase) (ref diffRunState, divergence string) {
 // agree on every observable — final registers, predicates, offset
 // registers, PCs, dynamic instruction counts, barrier ledger, shared and
 // global memory, and the trap (kind, thread, PC and message).
+//
+// Each case then runs through Execute, as two CTAs, on one device that every
+// earlier case of the input already launched on: whatever the launch scratch
+// keeps between launches and between CTAs (DESIGN.md §3.1) must not show in
+// the Result or in memory.
 func FuzzPlanMatchesReference(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, seed uint64, size uint8, injSel uint32) {
 		prog := fuzzProgram(t, seed, int(size%40)+1)
+		var reused *Device
 		for _, warp := range []int{0, 4} {
 			for _, inj := range []*Injection{nil, fuzzInjection(injSel)} {
-				if _, d := diffEngines(fuzzCase(prog, warp, inj)); d != "" {
+				c := fuzzCase(prog, warp, inj)
+				if _, d := diffEngines(c); d != "" {
+					t.Fatalf("seed %d size %d warp %d inj %+v: %s", seed, size, warp, inj, d)
+				}
+				if reused == nil {
+					reused = c.init.Clone()
+				}
+				c.grid = 2
+				if d := diffReuse(c, reused); d != "" {
 					t.Fatalf("seed %d size %d warp %d inj %+v: %s", seed, size, warp, inj, d)
 				}
 			}

@@ -19,6 +19,10 @@ import (
 // Execute returns an error only for malformed launches; abnormal guest
 // terminations (memory faults, hangs, deadlocks) are reported in
 // Result.Trap because they are expected fault-injection outcomes.
+//
+// The returned Result is valid until the next Execute on the same Device: a
+// launch runs in the device's launch scratch and overwrites the previous
+// launch's Result in place (DESIGN.md §3.1).
 func Execute(dev *Device, launch *Launch) (*Result, error) {
 	return execute(dev, launch, (*exec).runCTA)
 }
@@ -44,19 +48,6 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 	watchdog := launch.Watchdog
 	if watchdog == 0 {
 		watchdog = DefaultWatchdog
-	}
-
-	e := &exec{
-		prog:        launch.Prog,
-		dev:         dev,
-		launch:      launch,
-		block:       launch.Block,
-		grid:        launch.Grid,
-		watchdog:    watchdog,
-		intra:       launch.IntraRec,
-		addrFlipBit: -1,
-		persist:     newPersistState(launch.Inject),
-		plan:        planFor(launch.Prog),
 	}
 
 	nCTA := launch.Grid.Count()
@@ -96,54 +87,72 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		}
 	}
 
-	nThreads := nCTA * launch.Block.Count()
-	res := &Result{ThreadICnt: make([]int64, nThreads)}
-
+	// Everything below runs in the device's launch scratch (DESIGN.md §3.1):
+	// the Result, the exec and one CTA's thread and shared-memory state are
+	// reset here and per CTA, never reallocated while the geometry holds.
 	threadsPerCTA := launch.Block.Count()
+	s := dev.launchScratch(nCTA*threadsPerCTA, threadsPerCTA, sharedBytes)
+	res, cta := &s.res, &s.cta
+	e := &s.exec
+	*e = exec{
+		prog:        launch.Prog,
+		dev:         dev,
+		launch:      launch,
+		block:       launch.Block,
+		grid:        launch.Grid,
+		watchdog:    watchdog,
+		intra:       launch.IntraRec,
+		addrFlipBit: -1,
+		persist:     newPersistState(launch.Inject),
+		plan:        planFor(launch.Prog),
+		warpActive:  e.warpActive[:0],
+	}
+
 	gx, gy := max(launch.Grid.X, 1), max(launch.Grid.Y, 1)
 	bx, by, bz := max(launch.Block.X, 1), max(launch.Block.Y, 1), max(launch.Block.Z, 1)
 
-	// injTh tracks the injected thread of a persistent fault once its CTA
-	// has been built, so AfterCTA can report whether the fault is still
-	// live. Before that CTA runs the fault is armed and conservatively
-	// live; after the thread exits (CTAs retire only when every thread is
-	// done or trapped) the fault is retired with it.
-	var injTh *threadState
+	// faultLive is what AfterCTA hears about a persistent fault: armed and
+	// conservatively live until the injected thread's CTA has run, then
+	// whether that thread failed to exit (CTAs retire only when every thread
+	// is done or trapped, so the fault is retired with it). Transient and
+	// absent injections are never live at a CTA boundary: a transient
+	// fault's effects are ordinary memory state, fully captured by the
+	// boundary snapshot's page images. It is recorded by value when the CTA
+	// retires, because the next CTA reuses the thread's slot. Convergence
+	// checks use it to refuse an early exit while a scheduler-corrupting
+	// fault could still diverge a later CTA (DESIGN.md §3.11).
+	faultLive := e.persist != nil
 
 	// CTAs run in ctaid.z-major, x-minor launch order; ctaIndex is the
 	// linear position in that order, decoded back into grid coordinates so
 	// a launch can resume at an arbitrary CTA (Launch.FirstCTA).
 	for ctaIndex := launch.FirstCTA; ctaIndex < nCTA; ctaIndex++ {
-		var cta *ctaState
-		if ctaIndex == launch.FirstCTA && launch.Resume != nil {
-			// Mid-CTA resume: rebuild thread and shared-memory state from
-			// the intra-CTA snapshot (params are part of the shared copy).
-			cta = launch.Resume.materialize()
+		if ws := launch.Resume; ws != nil && ctaIndex == launch.FirstCTA {
+			// Mid-CTA resume: thread and shared-memory state are copied out
+			// of the intra-CTA snapshot (params are part of the shared copy),
+			// so the snapshot stays immutable across repeated resumes.
+			copy(s.slots, ws.threads)
+			copy(cta.shared, ws.shared)
 		} else {
-			cx := ctaIndex % gx
-			cy := (ctaIndex / gx) % gy
-			cz := ctaIndex / (gx * gy)
-			cta = &ctaState{shared: make([]byte, sharedBytes)}
+			clear(cta.shared)
 			for i, p := range launch.Params {
 				putWord(cta.shared, ParamBase+4*i, p)
 			}
+			ctaid := Dim3{ctaIndex % gx, (ctaIndex / gx) % gy, ctaIndex / (gx * gy)}
 			base := ctaIndex * threadsPerCTA
 			tLinear := 0
 			for tz := 0; tz < bz; tz++ {
 				for ty := 0; ty < by; ty++ {
 					for tx := 0; tx < bx; tx++ {
-						cta.threads = append(cta.threads, &threadState{
+						s.slots[tLinear] = threadState{
 							flat:  base + tLinear,
 							tid:   Dim3{tx, ty, tz},
-							ctaid: Dim3{cx, cy, cz},
-						})
+							ctaid: ctaid,
+						}
 						tLinear++
 					}
 				}
 			}
-		}
-		if p := e.persist; p != nil && p.thread/threadsPerCTA == ctaIndex {
-			injTh = cta.threads[p.thread-ctaIndex*threadsPerCTA]
 		}
 		if e.intra != nil {
 			e.intra.beginCTA(ctaIndex, cta)
@@ -158,7 +167,10 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 			res.Trap = trap
 			return res, nil
 		}
-		if launch.AfterCTA != nil && launch.AfterCTA(ctaIndex, e.persistLive(injTh)) {
+		if p := e.persist; p != nil && p.thread/threadsPerCTA == ctaIndex {
+			faultLive = !s.slots[p.thread-ctaIndex*threadsPerCTA].done
+		}
+		if launch.AfterCTA != nil && launch.AfterCTA(ctaIndex, faultLive) {
 			return res, nil
 		}
 	}

@@ -95,22 +95,6 @@ func (e *exec) persistAfterStep(th *threadState) {
 	}
 }
 
-// persistLive reports whether the launch's persistent fault can still
-// influence execution: the fault is armed or active and its thread has not
-// exited. injTh is the injected thread's state once its CTA has been built
-// (nil before — the fault is then armed in a CTA yet to run, hence live).
-// Transient and absent injections are never live at a CTA boundary: a
-// transient fault's effects are ordinary memory state, fully captured by
-// the boundary snapshot's page images. Execute feeds this to the AfterCTA
-// hook so convergence-hash early exits can refuse to fire while a
-// scheduler-corrupting fault could still diverge a later CTA.
-func (e *exec) persistLive(injTh *threadState) bool {
-	if e.persist == nil {
-		return false
-	}
-	return injTh == nil || !injTh.done
-}
-
 // laneFrozen reports whether th is the faulty lane of an activated
 // stuck-at-0 active-mask fault: the lane is never scheduled again. The
 // scheduler's election consults this alongside done/waiting.

@@ -31,6 +31,48 @@ type ctaState struct {
 	shared  []byte
 }
 
+// launchScratch is the memory a launch needs besides the device image: the
+// Result, the exec, and one CTA's thread and shared-memory state, which every
+// CTA of the launch takes in turn. It belongs to one Device (Device.scratch)
+// and therefore to whoever owns that device, so a campaign worker's pinned
+// device steps site after site without allocating.
+type launchScratch struct {
+	res   Result
+	exec  exec
+	cta   ctaState      // cta.threads[i] == &slots[i], always
+	slots []threadState // the CTA's threads, assigned by value per CTA
+}
+
+// launchScratch returns the device's scratch with a zeroed Result, sized for
+// a launch of nThreads threads in CTAs of perCTA threads and sharedBytes of
+// shared memory. It allocates on first use and when one of the three sizes
+// changes; thread and shared-memory content is the caller's to reset per CTA.
+func (d *Device) launchScratch(nThreads, perCTA, sharedBytes int) *launchScratch {
+	s := d.scratch
+	if s == nil {
+		s = new(launchScratch)
+		d.scratch = s
+	}
+	iCnt := s.res.ThreadICnt
+	if len(iCnt) != nThreads {
+		iCnt = make([]int64, nThreads)
+	} else {
+		clear(iCnt)
+	}
+	s.res = Result{ThreadICnt: iCnt}
+	if len(s.slots) != perCTA {
+		s.slots = make([]threadState, perCTA)
+		s.cta.threads = make([]*threadState, perCTA)
+		for i := range s.slots {
+			s.cta.threads[i] = &s.slots[i]
+		}
+	}
+	if len(s.cta.shared) != sharedBytes {
+		s.cta.shared = make([]byte, sharedBytes)
+	}
+	return s
+}
+
 // exec bundles everything the engine needs for one launch.
 type exec struct {
 	prog     *isa.Program

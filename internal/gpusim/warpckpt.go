@@ -121,20 +121,6 @@ func (ws *WarpSnapshot) sizeBytes() int64 {
 	return n
 }
 
-// materialize builds a fresh ctaState from the snapshot. Thread states are
-// deep-copied so the snapshot stays immutable across repeated resumes.
-func (ws *WarpSnapshot) materialize() *ctaState {
-	cta := &ctaState{
-		threads: make([]*threadState, len(ws.threads)),
-		shared:  append([]byte(nil), ws.shared...),
-	}
-	for i := range ws.threads {
-		th := ws.threads[i]
-		cta.threads[i] = &th
-	}
-	return cta
-}
-
 // WarpCheckpoints is the immutable result of intra-CTA recording: per-CTA
 // lists of snapshots in capture order. Read-only after Finish and safe for
 // concurrent use by campaign workers.

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/gpusim"
 	"repro/internal/isa"
@@ -57,8 +56,10 @@ func Build(prog *isa.Program, pt *gpusim.ProfileTrace, threadsPerCTA int) (*Prof
 		tp := &p.Threads[t]
 		tp.PCs = pcs
 		tp.ICnt = int64(len(pcs))
-		h := fnv.New64a()
-		var buf [2]byte
+		// FNV-1a over the PC's two little-endian bytes, folded inline: one
+		// dynamic instruction is two multiplies, not a hash.Hash64 call.
+		const offset64, prime64 = 14695981039346656037, 1099511628211
+		h := uint64(offset64)
 		for _, entry := range pcs {
 			pc := gpusim.PC(entry)
 			if gpusim.Wrote(entry) {
@@ -68,10 +69,10 @@ func Build(prog *isa.Program, pt *gpusim.ProfileTrace, threadsPerCTA int) (*Prof
 				}
 				tp.SiteBits += int64(bits)
 			}
-			buf[0], buf[1] = byte(pc), byte(pc>>8)
-			h.Write(buf[:])
+			h = (h ^ uint64(byte(pc))) * prime64
+			h = (h ^ uint64(byte(pc>>8))) * prime64
 		}
-		tp.Sig = h.Sum64()
+		tp.Sig = h
 	}
 	return p, nil
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gpusim"
@@ -73,6 +75,36 @@ func TestSignaturesEqualForEqualPaths(t *testing.T) {
 	}, 2)
 	if p.Threads[0].Sig != p.Threads[1].Sig {
 		t.Fatal("identical paths must share a signature")
+	}
+}
+
+// TestSigIsFNV1a pins Sig's definition against the standard library: FNV-1a
+// (64-bit) over each entry's static PC as two little-endian bytes, the write
+// flag excluded. Build folds the hash inline, one dynamic instruction at a
+// time; hash/fnv is the oracle that the fold is still that function.
+func TestSigIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	traces := make([][]uint16, 64)
+	for i := range traces {
+		traces[i] = make([]uint16, rng.Intn(300)) // some stay empty
+		for j := range traces[i] {
+			if rng.Intn(4) == 0 {
+				traces[i][j] = w(rng.Intn(3)) // a real destination write
+			} else {
+				traces[i][j] = uint16(rng.Intn(gpusim.WroteBit)) // any 15-bit PC
+			}
+		}
+	}
+	p := buildToyProfile(t, traces, 1)
+	for i, pcs := range traces {
+		h := fnv.New64a()
+		for _, entry := range pcs {
+			pc := gpusim.PC(entry)
+			h.Write([]byte{byte(pc), byte(pc >> 8)})
+		}
+		if got, want := p.Threads[i].Sig, h.Sum64(); got != want {
+			t.Fatalf("trace %d (%d entries): Sig %#x, hash/fnv %#x", i, len(pcs), got, want)
+		}
 	}
 }
 
