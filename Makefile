@@ -75,22 +75,27 @@ advise-smoke:
 doccheck:
 	$(GO) run ./cmd/doccheck
 
-# One campaign recipe, and identity without tuning: the site-sampling stream
-# lives in internal/campaign and nowhere else outside tests, and no non-test
-# file under cmd/ or internal/ assigns a target's checkpoint strides or
-# FullRun — they are engine parameters tests and the benchmark set to check
-# the checkpointed = full-run contract, not part of what a campaign is.
-# Fails, printing the offending lines, on a second file with the stream or
-# on any file with an assignment.
+# One campaign recipe, one set of random draws, and identity without tuning.
+# Among non-test files under cmd/ and internal/: the site-sampling stream
+# (Split("baseline")) and the per-model draw (RandomModel) live only in
+# internal/campaign; the plain uniform dest-value draw (Random) only in
+# baseline.Fixed's file and the experiments' one helper — the draws
+# themselves are defined in internal/fault, so callers are counted outside
+# it; and no file assigns a target's checkpoint strides or FullRun — they are
+# engine parameters tests and the benchmark set to check the checkpointed =
+# full-run contract, not part of what a campaign is. Fails, printing the
+# offending lines, when a pattern appears in more files than allowed.
 recipe-check:
-	@allowed=1; \
-	for pat in 'Split("baseline")' '\.\(CheckpointStride\|IntraStride\|FullRun\) *=[^=]'; do \
-		hits=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$pat" cmd internal); \
-		if [ $$(echo "$$hits" | cut -d: -f1 | sort -u | grep -c .) -gt $$allowed ]; then \
-			echo "recipe-check: $$pat appears in more than $$allowed non-test file(s):"; echo "$$hits"; exit 1; \
+	@check() { \
+		hits=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$2" cmd internal | grep -v "$$3"); \
+		if [ $$(echo "$$hits" | cut -d: -f1 | sort -u | grep -c .) -gt $$1 ]; then \
+			echo "recipe-check: $$2 appears in more than $$1 non-test file(s):"; echo "$$hits"; exit 1; \
 		fi; \
-		allowed=0; \
-	done
+	}; \
+	check 1 'Split("baseline")' '^$$' && \
+	check 1 '\.RandomModel(' '^internal/fault/' && \
+	check 2 '\.Random(' '^internal/fault/' && \
+	check 0 '\.\(CheckpointStride\|IntraStride\|FullRun\) *=[^=]' '^$$'
 
 # Every example program runs to completion (vet and build only compile
 # them).

@@ -243,12 +243,9 @@ func main() {
 		}
 
 	case "baseline":
-		res, err := bl.Adaptive(inst.Target, bl.Options{
-			Margin:   *margin,
-			MaxRuns:  *baseline,
-			Seed:     *seed,
-			Campaign: options(),
-		})
+		// The shortest 250-site prefix of this seed's campaign (at most
+		// -baseline sites) whose every class reaches -margin.
+		res, err := bl.Adaptive(inst, *margin, options())
 		fatal(err)
 		fmt.Printf("adaptive random baseline: %s\n", res)
 		if *showStats {

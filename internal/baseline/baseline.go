@@ -1,51 +1,38 @@
 // Package baseline implements the statistical random-injection campaign the
 // paper evaluates its pruning against (Section II-D): uniform sampling over
-// the exhaustive fault-site space, sized by Eq. 2-4 up front or adaptively
-// grown until the measured class proportions reach a target confidence
-// interval. It is the in-repo stand-in for LLFI-GPU/SASSIFI-style sampled
-// injection, and the source of the "ground truth" profiles in the
-// experiments.
+// the exhaustive fault-site space, sized by Eq. 2 up front, or a prefix of a
+// campaign's own site list cut where the measured class proportions reach a
+// target confidence interval. It is the in-repo stand-in for
+// LLFI-GPU/SASSIFI-style sampled injection, and the source of the "ground
+// truth" profiles in the experiments.
 package baseline
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/stats"
 )
 
-// Options configures a baseline campaign.
+// Every baseline is at the paper's 95% confidence; Fixed plans for its ±3%
+// margin, and Adaptive looks at its margins every adaptiveStep sites.
+const (
+	confidence   = 0.95
+	fixedMargin  = 0.03
+	adaptiveStep = 250
+)
+
+// Options configures a fixed-size baseline campaign.
 type Options struct {
-	// Confidence is the two-sided confidence level (0 = 0.95).
-	Confidence float64
-	// Margin is the target half-width of every class's Wilson interval,
-	// in proportion units (0 = 0.03, the paper's 95%/±3% cheap campaign).
-	Margin float64
-	// MaxRuns caps the adaptive campaign (0 = the Eq. 4 worst case for the
-	// chosen confidence and margin).
+	// MaxRuns caps the campaign (0 = the Eq. 2 size).
 	MaxRuns int
-	// Batch is the number of runs added per adaptive step (0 = 250).
-	Batch int
 	// Seed drives sampling.
 	Seed int64
 	// Campaign tunes the injection workers.
 	Campaign fault.CampaignOptions
-}
-
-func (o Options) confidence() float64 {
-	if o.Confidence == 0 {
-		return 0.95
-	}
-	return o.Confidence
-}
-
-func (o Options) margin() float64 {
-	if o.Margin == 0 {
-		return 0.03
-	}
-	return o.Margin
 }
 
 // Result is the outcome of a baseline campaign.
@@ -56,10 +43,10 @@ type Result struct {
 	Runs int
 	// Margins is the achieved Wilson half-width per class.
 	Margins [fault.NumClasses]float64
-	// Planned is the Eq. 2 sample size for the requested targets, for
-	// comparison with the adaptively achieved Runs.
+	// Planned is the Eq. 2 sample size over the dest-value site space for
+	// the campaign's margin, for comparison with the achieved Runs.
 	Planned int64
-	// Stats aggregates the campaign execution stats (all batches for an
+	// Stats aggregates the campaign execution stats (all steps of an
 	// adaptive campaign).
 	Stats fault.CampaignStats
 }
@@ -73,9 +60,9 @@ func classCounts(d fault.Dist) (n [fault.NumClasses]int64) {
 	return n
 }
 
-// classMargins computes the per-class Wilson half-widths of a distribution
-// built from unit-weight samples.
-func classMargins(d fault.Dist, confidence float64) [fault.NumClasses]float64 {
+// classMargins computes the per-class 95% Wilson half-widths of a
+// distribution built from unit-weight samples.
+func classMargins(d fault.Dist) [fault.NumClasses]float64 {
 	var m [fault.NumClasses]float64
 	for c, successes := range classCounts(d) {
 		m[c] = stats.MarginAt(successes, d.N, confidence)
@@ -83,85 +70,61 @@ func classMargins(d fault.Dist, confidence float64) [fault.NumClasses]float64 {
 	return m
 }
 
-// Fixed runs the paper's fixed-size campaign: the Eq. 2 sample size for the
-// requested confidence/margin over the target's fault-site space (capped by
-// MaxRuns when set). The target is Prepared if needed (through its
-// fault.PreparedCache when one is attached, sharing the golden run with the
-// pruned pipeline it is compared against).
+// planned is the Eq. 2 size of a campaign over space at margin.
+func planned(space *fault.Space, margin float64) int64 {
+	return stats.SampleSize(space.Total(), margin, stats.TStat(confidence), 0.5)
+}
+
+// Fixed runs the paper's fixed-size campaign: the Eq. 2 sample size for 95%
+// confidence and a ±3% margin over the target's fault-site space (capped by
+// MaxRuns when set), drawn from the seed's "baseline-fixed" stream. The
+// target is Prepared if needed (through its fault.PreparedCache when one is
+// attached, sharing the golden run with the pruned pipeline it is compared
+// against).
 func Fixed(t *fault.Target, opt Options) (*Result, error) {
 	if err := t.Prepare(); err != nil {
 		return nil, err
 	}
 	space := fault.NewSpace(t.Profile())
-	planned := stats.SampleSize(space.Total(), opt.margin(), stats.TStat(opt.confidence()), 0.5)
-	runs := planned
-	if opt.MaxRuns > 0 && int64(opt.MaxRuns) < runs {
-		runs = int64(opt.MaxRuns)
+	out := &Result{Planned: planned(space, fixedMargin)}
+	out.Runs = int(out.Planned)
+	if opt.MaxRuns > 0 && opt.MaxRuns < out.Runs {
+		out.Runs = opt.MaxRuns
 	}
 	rng := stats.NewRNG(opt.Seed).Split("baseline-fixed")
-	sites := space.Random(rng, int(runs))
+	sites := space.Random(rng, out.Runs)
 	res, err := fault.Run(t, fault.Uniform(sites), opt.Campaign)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Dist:    res.Dist,
-		Runs:    int(runs),
-		Margins: classMargins(res.Dist, opt.confidence()),
-		Planned: planned,
-		Stats:   res.Stats,
-	}, nil
+	out.Dist, out.Stats = res.Dist, res.Stats
+	out.Margins = classMargins(out.Dist)
+	return out, nil
 }
 
-// Adaptive grows the campaign in batches until every class's Wilson
-// interval half-width is at most the target margin, or the run cap is hit.
+// Adaptive is a stopping rule over p's own campaign: it runs p.Sites() in
+// order, adaptiveStep sites at a time, and stops at the first step after
+// which every class's 95% Wilson half-width is at most margin, or when the
+// list (Spec.Sites long) is exhausted. The site list is prefix-stable, so
+// the result is exactly the campaign of the same spec with Sites = Runs.
 // Because the achieved margin depends on the true proportions (Eq. 3's
-// p(1-p) term), adaptive campaigns typically stop well below the Eq. 4
-// worst-case size — the practical advantage over fixed planning at p=0.5.
-func Adaptive(t *fault.Target, opt Options) (*Result, error) {
-	if err := t.Prepare(); err != nil {
-		return nil, err
-	}
-	space := fault.NewSpace(t.Profile())
-	planned := stats.SampleSize(space.Total(), opt.margin(), stats.TStat(opt.confidence()), 0.5)
-	maxRuns := opt.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = int(stats.SampleSizeWorstCase(opt.margin(), stats.TStat(opt.confidence())))
-	}
-	batch := opt.Batch
-	if batch <= 0 {
-		batch = 250
-	}
-	if batch > maxRuns {
-		batch = maxRuns
-	}
-
-	rng := stats.NewRNG(opt.Seed).Split("baseline-adaptive")
-	out := &Result{Planned: planned}
-	for out.Runs < maxRuns {
-		n := batch
-		if out.Runs+n > maxRuns {
-			n = maxRuns - out.Runs
-		}
-		sites := space.Random(rng, n)
-		res, err := fault.Run(t, fault.Uniform(sites), opt.Campaign)
+// p(1-p) term), it typically stops well below the Eq. 4 worst-case size —
+// the practical advantage over fixed planning at p=0.5.
+func Adaptive(p *campaign.Prepared, margin float64, opt fault.CampaignOptions) (*Result, error) {
+	sites := p.Sites()
+	out := &Result{Planned: planned(fault.NewSpace(p.Target.Profile()), margin)}
+	for out.Runs < len(sites) {
+		step := sites[out.Runs:min(out.Runs+adaptiveStep, len(sites))]
+		res, err := fault.RunModel(p.Target, step, p.Model, opt)
 		if err != nil {
 			return nil, err
 		}
 		out.Dist.Merge(res.Dist)
 		out.Stats.Merge(res.Stats)
-		out.Runs += n
-
-		out.Margins = classMargins(out.Dist, opt.confidence())
-		done := true
-		for _, m := range out.Margins {
-			if m > opt.margin() {
-				done = false
-				break
-			}
-		}
-		if done {
-			return out, nil
+		out.Runs += len(step)
+		out.Margins = classMargins(out.Dist)
+		if slices.Max(out.Margins[:]) <= margin {
+			break
 		}
 	}
 	return out, nil
@@ -169,15 +132,9 @@ func Adaptive(t *fault.Target, opt Options) (*Result, error) {
 
 // String renders the result for reports.
 func (r *Result) String() string {
-	if r == nil {
-		return "<nil baseline>"
-	}
 	return fmt.Sprintf("%s after %d runs (planned %d; margins %.2f/%.2f/%.2f pp)",
 		r.Dist, r.Runs, r.Planned,
 		100*r.Margins[fault.ClassMasked],
 		100*r.Margins[fault.ClassSDC],
 		100*r.Margins[fault.ClassOther])
 }
-
-// ErrNoSites reports an empty fault-site space.
-var ErrNoSites = errors.New("baseline: target has no fault sites")

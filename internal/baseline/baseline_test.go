@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/gpusim"
-	"repro/internal/kernels"
 	"repro/internal/ptx"
 )
 
@@ -40,9 +40,7 @@ func target(t *testing.T) *fault.Target {
 }
 
 func TestFixed(t *testing.T) {
-	res, err := baseline.Fixed(target(t), baseline.Options{
-		Confidence: 0.95, Margin: 0.05, MaxRuns: 300, Seed: 1,
-	})
+	res, err := baseline.Fixed(target(t), baseline.Options{MaxRuns: 300, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +50,8 @@ func TestFixed(t *testing.T) {
 	if res.Dist.N != 300 {
 		t.Fatalf("dist N = %d", res.Dist.N)
 	}
-	if res.Planned <= 0 {
-		t.Fatalf("planned = %d", res.Planned)
+	if res.Planned <= 300 {
+		t.Fatalf("planned = %d, want the uncapped Eq. 2 size above the cap", res.Planned)
 	}
 	for c, m := range res.Margins {
 		if m <= 0 || m > 0.2 {
@@ -66,30 +64,36 @@ func TestFixed(t *testing.T) {
 }
 
 func TestFixedUsesPlannedWhenUncapped(t *testing.T) {
-	// With a loose margin the Eq. 2 size is small; no cap needed.
-	res, err := baseline.Fixed(target(t), baseline.Options{
-		Confidence: 0.90, Margin: 0.15, Seed: 1,
-	})
+	// The toy target's space is small enough that the 95%/±3% Eq. 2 size
+	// runs in well under a second; no cap needed.
+	res, err := baseline.Fixed(target(t), baseline.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(res.Runs) != res.Planned {
-		t.Fatalf("runs %d != planned %d", res.Runs, res.Planned)
+	if int64(res.Runs) != res.Planned || res.Dist.N != res.Planned {
+		t.Fatalf("runs %d, dist N %d != planned %d", res.Runs, res.Dist.N, res.Planned)
 	}
 }
 
-func TestAdaptiveStopsEarly(t *testing.T) {
-	// A loose margin should be reached in the first few batches, well
-	// below the p=0.5 worst case.
-	res, err := baseline.Adaptive(target(t), baseline.Options{
-		Confidence: 0.90, Margin: 0.08, Batch: 100, Seed: 2,
-	})
+// prepare builds and prepares a small-scale dest-value campaign of n sites.
+func prepare(t *testing.T, kernel string, n int) *campaign.Prepared {
+	t.Helper()
+	p, err := campaign.Spec{Kernel: kernel, Scale: "small", Seed: 1, Sites: n, Model: "dest-value"}.Prepare(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst := 271 // ceil(1.645^2 / (4 * 0.08^2))
-	if res.Runs > worst {
-		t.Fatalf("adaptive used %d runs, worst case is %d", res.Runs, worst)
+	return p
+}
+
+func TestAdaptiveStopsEarly(t *testing.T) {
+	// A loose margin is reached within the first step, far short of the
+	// campaign's 3 000 sites.
+	res, err := baseline.Adaptive(prepare(t, "GEMM K1", 3000), 0.08, fault.CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Runs != 250 || res.Dist.N != 250 {
+		t.Fatalf("adaptive used %d runs (dist N %d), want one 250-site step", res.Runs, res.Dist.N)
 	}
 	for _, m := range res.Margins {
 		if m > 0.08 {
@@ -99,30 +103,49 @@ func TestAdaptiveStopsEarly(t *testing.T) {
 }
 
 func TestAdaptiveHonorsCap(t *testing.T) {
-	res, err := baseline.Adaptive(target(t), baseline.Options{
-		Confidence: 0.998, Margin: 0.001, MaxRuns: 220, Batch: 100, Seed: 3,
-	})
+	// An unreachable margin runs the whole site list, the last step short.
+	res, err := baseline.Adaptive(prepare(t, "GEMM K1", 620), 0.001, fault.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Runs != 220 {
-		t.Fatalf("cap not honored: %d runs", res.Runs)
+	if res.Runs != 620 || res.Stats.Runs != 620 {
+		t.Fatalf("cap not honored: %d runs, %d executed", res.Runs, res.Stats.Runs)
+	}
+}
+
+// TestAdaptiveIsCampaignPrefix: the adaptive baseline is a cut-off index
+// into the campaign's own site list, so its profile is exactly the profile
+// of the same campaign sized to the runs it took.
+func TestAdaptiveIsCampaignPrefix(t *testing.T) {
+	p := prepare(t, "GEMM K1", 3000)
+	res, err := baseline.Adaptive(p, 0.05, fault.CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Runs <= 250 || res.Runs >= 3000 {
+		t.Fatalf("adaptive stopped after %d runs; want a cut-off past the first step and short of the list", res.Runs)
+	}
+	spec := p.Spec
+	spec.Sites = res.Runs
+	q, err := spec.Prepare(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := q.Run(fault.CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Dist != res.Dist {
+		t.Fatalf("adaptive %v != campaign of %d sites %v", res.Dist, res.Runs, full.Dist)
 	}
 }
 
 func TestBaselineOnRealKernel(t *testing.T) {
-	spec, _ := kernels.ByName("Gaussian K125")
-	inst, err := spec.Build(kernels.ScaleSmall)
+	res, err := baseline.Adaptive(prepare(t, "Gaussian K125", 800), 0.06, fault.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := baseline.Adaptive(inst.Target, baseline.Options{
-		Margin: 0.06, Batch: 200, MaxRuns: 800, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs == 0 || res.Dist.N == 0 {
+	if res.Runs == 0 || res.Dist.N != int64(res.Runs) {
 		t.Fatalf("empty campaign: %+v", res)
 	}
 }

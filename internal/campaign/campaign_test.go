@@ -170,6 +170,27 @@ func TestSpecMatchesHandRecipe(t *testing.T) {
 	}
 }
 
+// TestSitesPrefixStable: under every model a campaign's site list is the
+// first Sites entries of any larger campaign of the same seed — the
+// property that makes baseline.Adaptive's cut-off a campaign of its own.
+func TestSitesPrefixStable(t *testing.T) {
+	cache := fault.NewPreparedCache(256 << 20)
+	for m := fault.Model(0); m < fault.NumModels; m++ {
+		p, err := campaign.Spec{Kernel: "GEMM K1", Scale: "small", Seed: 3, Sites: 700, Model: m.String()}.Prepare(cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		long := p.Sites()
+		for _, n := range []int{1, 249, 250, 251, 699} {
+			q := *p
+			q.Spec.Sites = n
+			if got := q.Sites(); !reflect.DeepEqual(got, long[:n]) {
+				t.Errorf("%s: the %d-site list is not a prefix of the %d-site list", m, n, len(long))
+			}
+		}
+	}
+}
+
 // TestOwnedSites: the completion target equals the schedule positions the
 // engine's shard partition hands out (p%count == index), and an actual
 // sharded run completes exactly that many sites.

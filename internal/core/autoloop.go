@@ -12,31 +12,22 @@ type AutoLoopResult struct {
 	Iters int
 	// Steps holds the estimated profile at each tried sample size.
 	Steps []fault.Dist
-	// Stats aggregates the campaign stats of every step's estimation run —
-	// the total injection cost of the search.
-	Stats fault.CampaignStats
 }
 
 // AutoLoopOptions tunes AutoLoopIters.
 type AutoLoopOptions struct {
 	// Base is the pipeline configuration; its LoopIters field is ignored.
 	Base Options
-	// MaxIters caps the search (0 = DefaultAutoLoopMax).
-	MaxIters int
-	// StablePP is the maximum class movement, in percentage points,
-	// between consecutive sample sizes that counts as "stable"
-	// (0 = DefaultAutoLoopStablePP).
-	StablePP float64
-	// StableRuns is how many consecutive stable steps end the search
-	// (0 = DefaultAutoLoopStableRuns).
-	StableRuns int
 	// Campaign tunes the injection runs.
 	Campaign fault.CampaignOptions
 }
 
-// Defaults for the adaptive search: the paper finds stability between 3 and
-// 15 sampled iterations and declares stability when adding an iteration no
-// longer moves the distribution.
+// The adaptive search's bounds: the paper finds stability between 3 and 15
+// sampled iterations and declares stability when adding an iteration no
+// longer moves the distribution. DefaultAutoLoopMax caps the search,
+// DefaultAutoLoopStablePP is the largest class movement, in percentage
+// points, between consecutive sample sizes that counts as stable, and
+// DefaultAutoLoopStableRuns consecutive stable steps end it.
 const (
 	DefaultAutoLoopMax        = 15
 	DefaultAutoLoopStablePP   = 2.0
@@ -46,9 +37,10 @@ const (
 // AutoLoopIters implements the paper's adaptive loop-sampling procedure
 // (Section III-D): "we randomly add iterations one by one, until the result
 // is stable". Starting from one sampled iteration, it rebuilds the plan and
-// re-estimates the profile at each sample size until StableRuns consecutive
-// increments each move every outcome class by less than StablePP percentage
-// points, and returns the first size of that stable window.
+// re-estimates the profile at each sample size until
+// DefaultAutoLoopStableRuns consecutive increments each move every outcome
+// class by at most DefaultAutoLoopStablePP percentage points, and returns the
+// first size of that stable window.
 //
 // The search runs real injection campaigns, so its cost is the sum of the
 // per-step plan sizes; on pruned plans this is still orders of magnitude
@@ -56,40 +48,25 @@ const (
 // the golden run and checkpoint store are built once — and with a
 // fault.PreparedCache attached, shared with the rest of the pipeline.
 func AutoLoopIters(t *fault.Target, opt AutoLoopOptions) (*AutoLoopResult, error) {
-	maxIters := opt.MaxIters
-	if maxIters <= 0 {
-		maxIters = DefaultAutoLoopMax
-	}
-	stablePP := opt.StablePP
-	if stablePP <= 0 {
-		stablePP = DefaultAutoLoopStablePP
-	}
-	stableRuns := opt.StableRuns
-	if stableRuns <= 0 {
-		stableRuns = DefaultAutoLoopStableRuns
-	}
-
 	res := &AutoLoopResult{}
 	stable := 0
 	var prev fault.Dist
-	for n := 1; n <= maxIters; n++ {
+	for n := 1; n <= DefaultAutoLoopMax; n++ {
 		o := opt.Base
 		o.LoopIters = n
 		plan, err := BuildPlan(t, o)
 		if err != nil {
 			return nil, fmt.Errorf("core: auto loop at %d iterations: %w", n, err)
 		}
-		cr, err := plan.EstimateResult(opt.Campaign)
+		d, err := plan.Estimate(opt.Campaign)
 		if err != nil {
 			return nil, fmt.Errorf("core: auto loop at %d iterations: %w", n, err)
 		}
-		d := cr.Dist
-		res.Stats.Merge(cr.Stats)
 		res.Steps = append(res.Steps, d)
-		if n > 1 && d.MaxClassDelta(prev) <= stablePP {
+		if n > 1 && d.MaxClassDelta(prev) <= DefaultAutoLoopStablePP {
 			stable++
-			if stable >= stableRuns {
-				res.Iters = n - stableRuns
+			if stable >= DefaultAutoLoopStableRuns {
+				res.Iters = n - DefaultAutoLoopStableRuns
 				return res, nil
 			}
 		} else {
@@ -99,6 +76,6 @@ func AutoLoopIters(t *fault.Target, opt AutoLoopOptions) (*AutoLoopResult, error
 	}
 	// Never stabilized within the cap: use the cap, like the paper's
 	// K-Means K1 case that needs all 15.
-	res.Iters = maxIters
+	res.Iters = DefaultAutoLoopMax
 	return res, nil
 }

@@ -360,14 +360,11 @@ func TestEstimateAccuracyRealKernel(t *testing.T) {
 
 func TestAutoLoopIters(t *testing.T) {
 	tg := prepared(t)
-	res, err := core.AutoLoopIters(tg, core.AutoLoopOptions{
-		Base:     core.Options{Seed: 2},
-		MaxIters: 8,
-	})
+	res, err := core.AutoLoopIters(tg, core.AutoLoopOptions{Base: core.Options{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iters < 1 || res.Iters > 8 {
+	if res.Iters < 1 || res.Iters > core.DefaultAutoLoopMax {
 		t.Fatalf("selected %d iterations", res.Iters)
 	}
 	if len(res.Steps) < res.Iters {
@@ -376,7 +373,7 @@ func TestAutoLoopIters(t *testing.T) {
 	// The toy kernel's loops have at most 6 iterations: once the sample
 	// covers them, consecutive steps are identical, so the search must
 	// stop before the cap.
-	if res.Iters == 8 && len(res.Steps) == 8 {
+	if res.Iters == core.DefaultAutoLoopMax && len(res.Steps) == core.DefaultAutoLoopMax {
 		last := res.Steps[len(res.Steps)-1]
 		prev := res.Steps[len(res.Steps)-2]
 		if last.MaxClassDelta(prev) == 0 {

@@ -17,7 +17,10 @@ var fig78Kernels = []string{"2DCONV K1", "MVT K1"}
 // outcomes; in .pred registers only the zero flag (bit 0) matters.
 func RunFig7(cfg Config) error {
 	w := cfg.out()
-	for _, name := range cfg.selectNames(fig78Kernels) {
+	for _, name := range fig78Kernels {
+		if !cfg.selected(name) {
+			continue
+		}
 		inst, err := buildPrepared(name, cfg)
 		if err != nil {
 			return err
@@ -80,7 +83,10 @@ func RunFig7(cfg Config) error {
 // 32. The paper finds 16 samples sufficient.
 func RunFig8(cfg Config) error {
 	w := cfg.out()
-	for _, name := range cfg.selectNames(fig78Kernels) {
+	for _, name := range fig78Kernels {
+		if !cfg.selected(name) {
+			continue
+		}
 		inst, err := buildPrepared(name, cfg)
 		if err != nil {
 			return err

@@ -141,7 +141,7 @@ func printBoxplotTable(cfg Config, title string, boxes []stats.Boxplot, groups [
 // outcomes when faults are injected at one target instruction.
 func RunFig2(cfg Config) error {
 	for _, fk := range fig2Kernels {
-		if len(cfg.selectNames([]string{fk.name})) == 0 {
+		if !cfg.selected(fk.name) {
 			continue
 		}
 		inst, err := buildPrepared(fk.name, cfg)
@@ -171,7 +171,7 @@ func RunFig2(cfg Config) error {
 func RunFig3(cfg Config) error {
 	w := cfg.out()
 	for _, fk := range fig2Kernels {
-		if len(cfg.selectNames([]string{fk.name})) == 0 {
+		if !cfg.selected(fk.name) {
 			continue
 		}
 		inst, err := buildPrepared(fk.name, cfg)
@@ -251,7 +251,10 @@ func RunTable4(cfg Config) error {
 func RunFig4(cfg Config) error {
 	w := cfg.out()
 	const sitesPerThread = 24
-	for _, name := range cfg.selectNames([]string{"2DCONV K1", "HotSpot K1"}) {
+	for _, name := range []string{"2DCONV K1", "HotSpot K1"} {
+		if !cfg.selected(name) {
+			continue
+		}
 		inst, err := buildPrepared(name, cfg)
 		if err != nil {
 			return err
@@ -271,6 +274,8 @@ func RunFig4(cfg Config) error {
 		}
 		lo, hi := prof.CTAThreads(ctaGroups[best].Rep)
 
+		// A stratified draw — sitesPerThread distinct sites from every
+		// thread of the CTA — not a uniform campaign, so not cfg.uniform.
 		rng := stats.NewRNG(cfg.Seed).Split("fig4" + name)
 		type agg struct {
 			masked, total int

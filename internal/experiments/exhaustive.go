@@ -18,7 +18,10 @@ func RunExhaustive(cfg Config) error {
 	w := cfg.out()
 	// Kernels whose small-scale site counts keep a full sweep under a
 	// minute on one core.
-	for _, name := range cfg.selectNames([]string{"Gaussian K125", "Gaussian K1"}) {
+	for _, name := range []string{"Gaussian K125", "Gaussian K1"} {
+		if !cfg.selected(name) {
+			continue
+		}
 		inst, err := buildPrepared(name, cfg)
 		if err != nil {
 			return err
@@ -51,8 +54,7 @@ func RunExhaustive(cfg Config) error {
 		}
 		n := stats.SampleSize(space.Total(), 0.03, stats.TStat(0.95), 0.5)
 		rng := stats.NewRNG(cfg.Seed).Split("exhaustive" + name)
-		sampleSites := space.Random(rng, int(n))
-		sample, err := fault.Run(inst.Target, fault.Uniform(sampleSites), cfg.campaign())
+		sample, err := cfg.uniform(inst.Target, rng, int(n), fault.ModelDestValue)
 		if err != nil {
 			return err
 		}
@@ -67,7 +69,7 @@ func RunExhaustive(cfg Config) error {
 			"pruned estimate", len(plan.Sites), distRow(pruned),
 			pruned.MaxClassDelta(truth.Dist))
 		fmt.Fprintf(w, "%-26s %8d | %s | %6.2f\n",
-			"random (95%/±3% per Eq.2)", len(sampleSites), distRow(sample.Dist),
+			"random (95%/±3% per Eq.2)", n, distRow(sample.Dist),
 			sample.Dist.MaxClassDelta(truth.Dist))
 	}
 	return nil

@@ -8,11 +8,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/kernels"
+	"repro/internal/stats"
 )
 
 // Config parameterizes an experiment run.
@@ -64,40 +66,20 @@ func (c Config) campaign() fault.CampaignOptions {
 	return fault.CampaignOptions{Parallelism: c.Parallelism, Sink: c.Stats, KeepPerSite: true}
 }
 
-// selectKernels filters a kernel list by the config's subset.
-func (c Config) selectKernels(specs []kernels.Spec) []kernels.Spec {
-	if len(c.Kernels) == 0 {
-		return specs
-	}
-	keep := make(map[string]bool, len(c.Kernels))
-	for _, name := range c.Kernels {
-		keep[name] = true
-	}
-	var out []kernels.Spec
-	for _, s := range specs {
-		if keep[s.Meta.Name()] {
-			out = append(out, s)
-		}
-	}
-	return out
+// selected reports whether a multi-kernel experiment runs the named kernel:
+// any kernel when Kernels is empty, otherwise only the kernels it lists.
+func (c Config) selected(name string) bool {
+	return len(c.Kernels) == 0 || slices.Contains(c.Kernels, name)
 }
 
-// selectNames filters a name list by the config's subset.
-func (c Config) selectNames(names []string) []string {
-	if len(c.Kernels) == 0 {
-		return names
-	}
-	keep := make(map[string]bool, len(c.Kernels))
-	for _, name := range c.Kernels {
-		keep[name] = true
-	}
-	var out []string
-	for _, n := range names {
-		if keep[n] {
-			out = append(out, n)
-		}
-	}
-	return out
+// uniform runs n sites drawn uniformly with rng from the destination-register
+// site space (model is dest-value or dest-double, which share it) — every
+// uniform random campaign an experiment runs. Callers pass the RNG, not a
+// stream name, because table2 splits two streams off one parent and models
+// draws both destination-register models from one.
+func (c Config) uniform(t *fault.Target, rng *stats.RNG, n int, model fault.Model) (*fault.CampaignResult, error) {
+	sites := fault.NewSpace(t.Profile()).Random(rng, n)
+	return fault.RunModel(t, fault.Uniform(sites), model, c.campaign())
 }
 
 // Experiment is one reproducible table or figure.

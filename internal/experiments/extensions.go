@@ -21,7 +21,10 @@ import (
 func RunModels(cfg Config) error {
 	w := cfg.out()
 	const runs = 600
-	for _, name := range cfg.selectNames([]string{"2DCONV K1", "MVT K1"}) {
+	for _, name := range []string{"2DCONV K1", "MVT K1"} {
+		if !cfg.selected(name) {
+			continue
+		}
 		inst, err := buildPrepared(name, cfg)
 		if err != nil {
 			return err
@@ -37,9 +40,12 @@ func RunModels(cfg Config) error {
 		for _, model := range []fault.Model{
 			fault.ModelDestValue, fault.ModelDestDouble, fault.ModelMemAddr,
 		} {
-			var sites []fault.Site
+			var res *fault.CampaignResult
 			if model == fault.ModelMemAddr {
-				// Sample uniformly over memory-instruction address bits.
+				// Sample uniformly over memory-instruction address bits. The
+				// pool draw (rng.Intn) is this table's published stream;
+				// RandomModel draws mem-addr sites with Int63n and would
+				// change the row.
 				var pool []fault.Site
 				for t := range prof.Threads {
 					pool = append(pool, space.MemAddrSites(t, nil)...)
@@ -47,13 +53,14 @@ func RunModels(cfg Config) error {
 				if len(pool) == 0 {
 					continue
 				}
-				for i := 0; i < runs; i++ {
-					sites = append(sites, pool[rng.Intn(len(pool))])
+				sites := make([]fault.Site, runs)
+				for i := range sites {
+					sites[i] = pool[rng.Intn(len(pool))]
 				}
+				res, err = fault.RunModel(inst.Target, fault.Uniform(sites), model, cfg.campaign())
 			} else {
-				sites = space.Random(rng, runs)
+				res, err = cfg.uniform(inst.Target, rng, runs, model)
 			}
-			res, err := fault.RunModel(inst.Target, fault.Uniform(sites), model, cfg.campaign())
 			if err != nil {
 				return err
 			}
@@ -70,7 +77,6 @@ func RunModels(cfg Config) error {
 // whose equal-iCnt threads run different code).
 func RunAblation(cfg Config) error {
 	w := cfg.out()
-	subjects := cfg.selectNames([]string{"HotSpot K1", "2DCONV K1", "Gaussian K2"})
 	configs := []struct {
 		name string
 		opt  core.GroupingOptions
@@ -80,15 +86,16 @@ func RunAblation(cfg Config) error {
 		{"one-step iCnt", core.GroupingOptions{SkipCTAGrouping: true}},
 		{"one-step +signature", core.GroupingOptions{SkipCTAGrouping: true, BySignature: true}},
 	}
-	for _, name := range subjects {
+	for _, name := range []string{"HotSpot K1", "2DCONV K1", "Gaussian K2"} {
+		if !cfg.selected(name) {
+			continue
+		}
 		inst, err := buildPrepared(name, cfg)
 		if err != nil {
 			return err
 		}
-		space := fault.NewSpace(inst.Target.Profile())
 		rng := stats.NewRNG(cfg.Seed).Split("ablation" + name)
-		baseSites := space.Random(rng, cfg.baselineRuns())
-		base, err := fault.Run(inst.Target, fault.Uniform(baseSites), cfg.campaign())
+		base, err := cfg.uniform(inst.Target, rng, cfg.baselineRuns(), fault.ModelDestValue)
 		if err != nil {
 			return err
 		}

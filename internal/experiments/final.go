@@ -24,7 +24,10 @@ func RunFig9(cfg Config) error {
 		"Kernel", "#inject", "pruned msk/sdc/other", "baseline msk/sdc/other", "maxΔpp")
 	var sumDelta [fault.NumClasses]float64
 	var n int
-	for _, spec := range cfg.selectKernels(kernels.TableIKernels()) {
+	for _, spec := range kernels.TableIKernels() {
+		if !cfg.selected(spec.Meta.Name()) {
+			continue
+		}
 		inst, err := buildPrepared(spec.Meta.Name(), cfg)
 		if err != nil {
 			return err
@@ -37,10 +40,8 @@ func RunFig9(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		space := fault.NewSpace(inst.Target.Profile())
 		rng := stats.NewRNG(cfg.Seed).Split("fig9" + spec.Meta.Name())
-		sites := space.Random(rng, cfg.baselineRuns())
-		res, err := fault.Run(inst.Target, fault.Uniform(sites), cfg.campaign())
+		res, err := cfg.uniform(inst.Target, rng, cfg.baselineRuns(), fault.ModelDestValue)
 		if err != nil {
 			return err
 		}
@@ -83,7 +84,10 @@ func RunFig10(cfg Config) error {
 	fmt.Fprintf(w, "%-16s %12s %10s %10s %10s %8s %9s %9s  %s\n",
 		"Kernel", "exhaustive", "thread", "inst", "loop", "bit",
 		"log10red", "baseline", "class")
-	for _, spec := range cfg.selectKernels(kernels.TableIKernels()) {
+	for _, spec := range kernels.TableIKernels() {
+		if !cfg.selected(spec.Meta.Name()) {
+			continue
+		}
 		inst, err := buildPrepared(spec.Meta.Name(), cfg)
 		if err != nil {
 			return err

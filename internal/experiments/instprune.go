@@ -114,7 +114,10 @@ func RunTable6(cfg Config) error {
 		"Kernel", "%PrunedInsn", "ErrMSK(pp)", "ErrSDC(pp)")
 	var sumPruned, sumMsk, sumSdc float64
 	var n int
-	for _, spec := range cfg.selectKernels(kernels.TableIKernels()) {
+	for _, spec := range kernels.TableIKernels() {
+		if !cfg.selected(spec.Meta.Name()) {
+			continue
+		}
 		inst, err := buildPrepared(spec.Meta.Name(), cfg)
 		if err != nil {
 			return err

@@ -21,7 +21,10 @@ func RunTable7(cfg Config) error {
 		pct     float64
 	}
 	var rows []row
-	for _, spec := range cfg.selectKernels(kernels.All()) {
+	for _, spec := range kernels.All() {
+		if !cfg.selected(spec.Meta.Name()) {
+			continue
+		}
 		inst, err := buildPrepared(spec.Meta.Name(), cfg)
 		if err != nil {
 			return err
@@ -75,7 +78,7 @@ func RunFig6(cfg Config) error {
 	w := cfg.out()
 	const maxIters = 15
 	for _, sub := range fig6Subjects {
-		if len(cfg.selectNames([]string{sub.name})) == 0 {
+		if !cfg.selected(sub.name) {
 			continue
 		}
 		inst, err := buildPrepared(sub.name, cfg)

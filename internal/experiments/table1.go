@@ -16,7 +16,10 @@ func RunTable1(cfg Config) error {
 	fmt.Fprintf(w, "Table I: threads and exhaustive fault sites (scale=%s)\n", cfg.Scale)
 	fmt.Fprintf(w, "%-10s %-10s %-20s %-5s %9s %15s %15s\n",
 		"Suite", "App", "Kernel", "ID", "#Threads", "#FaultSites", "Paper")
-	for _, spec := range cfg.selectKernels(kernels.TableIKernels()) {
+	for _, spec := range kernels.TableIKernels() {
+		if !cfg.selected(spec.Meta.Name()) {
+			continue
+		}
 		inst, err := buildPrepared(spec.Meta.Name(), cfg)
 		if err != nil {
 			return err

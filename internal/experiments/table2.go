@@ -20,8 +20,7 @@ func RunTable2(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	space := fault.NewSpace(inst.Target.Profile())
-	total := space.Total()
+	total := fault.NewSpace(inst.Target.Profile()).Total()
 
 	type row struct {
 		conf   float64
@@ -49,8 +48,7 @@ func RunTable2(cfg Config) error {
 		if runs > cfg.baselineRuns() {
 			runs = cfg.baselineRuns()
 		}
-		sites := space.Random(rng.Split(fmt.Sprintf("table2-%v", r.conf)), runs)
-		res, err := fault.Run(inst.Target, fault.Uniform(sites), cfg.campaign())
+		res, err := cfg.uniform(inst.Target, rng.Split(fmt.Sprintf("table2-%v", r.conf)), runs, fault.ModelDestValue)
 		if err != nil {
 			return err
 		}

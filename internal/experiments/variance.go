@@ -19,7 +19,10 @@ import (
 func RunVariance(cfg Config) error {
 	w := cfg.out()
 	const seeds = 5
-	for _, name := range cfg.selectNames([]string{"PathFinder K1", "SYRK K1", "K-Means K2"}) {
+	for _, name := range []string{"PathFinder K1", "SYRK K1", "K-Means K2"} {
+		if !cfg.selected(name) {
+			continue
+		}
 		inst, err := buildPrepared(name, cfg)
 		if err != nil {
 			return err

@@ -33,15 +33,14 @@ const DefaultPreparedCacheBytes int64 = 256 << 20
 // so that same-named targets with different inputs (custom kernels) never
 // collide.
 type prepareKey struct {
-	name           string
-	grid, block    gpusim.Dim3
-	sharedBytes    int
-	warpSize       int
-	fullRun        bool
-	stride         int
-	intraStride    int
-	watchdogFactor int64
-	cfgHash        uint64
+	name        string
+	grid, block gpusim.Dim3
+	sharedBytes int
+	warpSize    int
+	fullRun     bool
+	stride      int
+	intraStride int
+	cfgHash     uint64
 }
 
 // prepareKey derives the cache key of a target. It hashes the initial
@@ -62,16 +61,15 @@ func (t *Target) prepareKey() prepareKey {
 	}
 	mix(t.Init.Fingerprint())
 	return prepareKey{
-		name:           t.Name,
-		grid:           t.Grid,
-		block:          t.Block,
-		sharedBytes:    t.SharedBytes,
-		warpSize:       t.WarpSize,
-		fullRun:        t.FullRun,
-		stride:         t.CheckpointStride,
-		intraStride:    t.IntraStride,
-		watchdogFactor: t.WatchdogFactor,
-		cfgHash:        h,
+		name:        t.Name,
+		grid:        t.Grid,
+		block:       t.Block,
+		sharedBytes: t.SharedBytes,
+		warpSize:    t.WarpSize,
+		fullRun:     t.FullRun,
+		stride:      t.CheckpointStride,
+		intraStride: t.IntraStride,
+		cfgHash:     h,
 	}
 }
 

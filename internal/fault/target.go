@@ -34,10 +34,6 @@ type Target struct {
 	// Output lists the global-memory ranges that constitute the output.
 	Output []Range
 
-	// WatchdogFactor scales the fault-free per-thread iCnt into the
-	// injection-run watchdog (hang detector). 0 means DefaultWatchdogFactor.
-	WatchdogFactor int64
-
 	// WarpSize selects the simulator's intra-CTA scheduler for every run of
 	// this target, golden and injected alike: 0 interleaves threads serially
 	// at barrier boundaries (the default), a positive value executes SIMT
@@ -167,17 +163,13 @@ func (t *Target) prepareCold() (*preparedState, error) {
 	}
 	p.profile = prof
 
-	factor := t.WatchdogFactor
-	if factor == 0 {
-		factor = DefaultWatchdogFactor
-	}
 	var maxICnt int64
 	for i := range prof.Threads {
 		if prof.Threads[i].ICnt > maxICnt {
 			maxICnt = prof.Threads[i].ICnt
 		}
 	}
-	p.watchdog = factor*maxICnt + 1024
+	p.watchdog = DefaultWatchdogFactor*maxICnt + 1024
 	return p, nil
 }
 

@@ -148,6 +148,50 @@ func TestFloatALU(t *testing.T) {
 	}
 }
 
+// TestFloatNaNCanonical: every NaN an f32 arithmetic op produces — from two
+// NaNs of different payloads, from one NaN and a number, or from Inf×0-style
+// invalid operations — is the canonical 0x7FFFFFFF, in the compiled plan and
+// in the reference interpreter alike.
+func TestFloatNaNCanonical(t *testing.T) {
+	nanA, nanB := "0f7FC00001", "0fFFFFE540"
+	x, inf, ninf, zero := f32imm(1.5), f32imm(float32(math.Inf(1))), f32imm(float32(math.Inf(-1))), f32imm(0)
+	var exprs []string
+	for _, op := range []string{"add", "sub", "mul", "div", "min", "max"} {
+		for _, ab := range [][2]string{{nanA, nanB}, {nanB, nanA}, {nanA, x}, {x, nanB}} {
+			exprs = append(exprs, op+".f32 $r10, "+ab[0]+", "+ab[1])
+		}
+	}
+	for _, abc := range [][3]string{{nanA, nanB, nanA}, {nanB, x, x}, {x, x, nanA}, {inf, zero, x}} {
+		exprs = append(exprs, "mad.f32 $r10, "+abc[0]+", "+abc[1]+", "+abc[2])
+	}
+	exprs = append(exprs,
+		"mul.f32 $r10, "+inf+", "+zero,
+		"mul.f32 $r10, "+zero+", "+ninf,
+		"add.f32 $r10, "+inf+", "+ninf,
+		"sub.f32 $r10, "+inf+", "+inf,
+		"div.f32 $r10, "+zero+", "+zero,
+		"div.f32 $r10, "+inf+", "+ninf,
+	)
+	for _, expr := range exprs {
+		prog, err := ptx.Assemble("t", expr+"\nst.global.u32 [$r124], $r10\nexit")
+		if err != nil {
+			t.Fatalf("%q: %v", expr, err)
+		}
+		for name, execute := range map[string]func(*Device, *Launch) (*Result, error){
+			"plan": Execute, "reference": executeReference,
+		} {
+			dev := NewDevice(64)
+			res, err := execute(dev, &Launch{Prog: prog, Grid: Dim3{X: 1, Y: 1, Z: 1}, Block: Dim3{X: 1, Y: 1, Z: 1}})
+			if err != nil || res.Trap != nil {
+				t.Fatalf("%s %q: err %v trap %v", name, expr, err, res.Trap)
+			}
+			if got := dev.ReadWords(0, 1)[0]; got != canonicalNaN {
+				t.Errorf("%s %q = %#x, want the canonical NaN %#x", name, expr, got, canonicalNaN)
+			}
+		}
+	}
+}
+
 func TestSinCos(t *testing.T) {
 	got := math.Float32frombits(evalOp(t, "sin.f32 $r10, "+f32imm(0.5)))
 	if math.Abs(float64(got)-math.Sin(0.5)) > 1e-6 {

@@ -315,6 +315,23 @@ func (e *exec) store(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataT
 	return nil
 }
 
-// f32 converts raw bits to float32 and back.
-func f32(v uint32) float32     { return math.Float32frombits(v) }
-func f32bits(f float32) uint32 { return math.Float32bits(f) }
+// f32 converts raw bits to float32.
+func f32(v uint32) float32 { return math.Float32frombits(v) }
+
+// canonicalNaN is the one NaN an f32 arithmetic op writes: the quiet NaN
+// NVIDIA GPUs produce for every NaN result instead of propagating an
+// input's payload.
+const canonicalNaN uint32 = 0x7FFFFFFF
+
+// f32bits converts an f32 arithmetic result to raw bits, canonicalizing
+// NaN. The host FPU's choice between two NaN operands' payloads follows
+// which register holds which operand, so without this the same Go
+// expression yields different bits wherever the compiler allocates it
+// differently (the plan and the reference interpreter disagreed on
+// mul.f32 of two NaNs).
+func f32bits(f float32) uint32 {
+	if f != f {
+		return canonicalNaN
+	}
+	return math.Float32bits(f)
+}

@@ -56,25 +56,15 @@ func normQuantile(p float64) float64 {
 
 // SampleSize evaluates the paper's Eq. 2: the number of fault-injection
 // experiments needed to estimate a proportion p over a population of N fault
-// sites within error margin e at the confidence encoded by tstat.
+// sites within error margin e at the confidence encoded by tstat. As N grows
+// it tends to Eq. 3, and at p = 0.5 to Eq. 4's worst case (60K runs at 99.8%
+// confidence and e = 0.63%, 1062 runs at 95% and e = 3%).
 func SampleSize(n int64, e, tstat, p float64) int64 {
 	if n <= 0 {
 		return 0
 	}
 	den := 1 + e*e*(float64(n)-1)/(tstat*tstat*p*(1-p))
 	return int64(math.Ceil(float64(n) / den))
-}
-
-// SampleSizeInf evaluates Eq. 3, the N->infinity limit of Eq. 2.
-func SampleSizeInf(e, tstat, p float64) int64 {
-	return int64(math.Ceil(tstat * tstat / (e * e) * p * (1 - p)))
-}
-
-// SampleSizeWorstCase evaluates Eq. 4: the minimum experiments that suffice
-// for any p, obtained at p = 0.5 (the paper's planning formula; 60K runs at
-// 99.8% confidence and e = 0.63%, 1062 runs at 95% and e = 3%).
-func SampleSizeWorstCase(e, tstat float64) int64 {
-	return int64(math.Ceil(tstat * tstat / (4 * e * e)))
 }
 
 // Boxplot is the five-number summary plus mean used by the paper's CTA

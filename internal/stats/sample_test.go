@@ -36,16 +36,22 @@ func TestTStatPanics(t *testing.T) {
 	}
 }
 
-// TestSampleSizePaperNumbers checks the paper's Table II arithmetic: 60K runs
-// at 99.8% confidence / 0.63% margin and ~1062 runs at 95% / 3%.
+// TestSampleSizePaperNumbers checks the paper's Table II arithmetic: over a
+// practically infinite population Eq. 2 at p = 0.5 is Eq. 4's worst case,
+// 60K runs at 99.8% confidence / 0.63% margin and ~1062 runs at 95% / 3%.
 func TestSampleSizePaperNumbers(t *testing.T) {
-	n60 := SampleSizeWorstCase(0.0063, TStat(0.998))
+	const inf = 1 << 60
+	n60 := SampleSize(inf, 0.0063, TStat(0.998), 0.5)
 	if n60 < 58000 || n60 > 62000 {
 		t.Errorf("60K case = %d", n60)
 	}
-	n1k := SampleSizeWorstCase(0.03, TStat(0.95))
+	n1k := SampleSize(inf, 0.03, TStat(0.95), 0.5)
 	if n1k < 1050 || n1k > 1080 {
 		t.Errorf("1K case = %d", n1k)
+	}
+	// Any other p needs fewer samples.
+	if got := SampleSize(inf, 0.03, TStat(0.95), 0.2); got >= n1k {
+		t.Errorf("p=0.2 sample %d should be < %d", got, n1k)
 	}
 	// The finite-population correction reduces the sample for small N.
 	if got := SampleSize(10000, 0.03, TStat(0.95), 0.5); got >= n1k {
@@ -53,19 +59,6 @@ func TestSampleSizePaperNumbers(t *testing.T) {
 	}
 	if got := SampleSize(0, 0.03, 1.96, 0.5); got != 0 {
 		t.Errorf("empty population sample = %d", got)
-	}
-}
-
-func TestSampleSizeInfMatchesWorstCase(t *testing.T) {
-	// At p = 0.5 the infinite-population formula equals the worst case.
-	a := SampleSizeInf(0.01, 1.96, 0.5)
-	b := SampleSizeWorstCase(0.01, 1.96)
-	if a != b {
-		t.Errorf("inf %d != worst case %d", a, b)
-	}
-	// Any other p needs fewer samples.
-	if SampleSizeInf(0.01, 1.96, 0.2) >= b {
-		t.Error("p=0.2 should need fewer samples than p=0.5")
 	}
 }
 
