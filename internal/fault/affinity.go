@@ -84,64 +84,72 @@ func (s *deviceStats) harvest(d *gpusim.Device) {
 	s.srcSw.Add(d.TakeSrcSwitches())
 }
 
-// workerRunner pins one copy-on-write device to a campaign worker so that
+// workerDevice is what a campaign worker runs its sites on: a copy-on-write
+// device and the divergent-page buffer of injectOn's early exit. Both are
+// reused site after site and travel together between take and give.
+type workerDevice struct {
+	dev *gpusim.Device
+	div []int32
+}
+
+// workerRunner pins one workerDevice to a campaign worker so that
 // consecutive sites of a snapshot group reset on ResetFrom's same-source
 // fast path. Every run resets the device before use (from a checkpoint
 // snapshot or the pristine image) and the reset is driven by the dirty-page
 // list, so reuse is safe after trapped or failed runs. take detaches the
 // pinned device (cloning the pristine image when the slot is empty), so a
-// retry after an abandoned deadline attempt can never share a device with
-// the stray goroutine still running the old attempt: the stray holds the
-// detached device until its own give, which re-pins only if the slot is
-// empty and otherwise harvests the device's counters and drops it — after
-// the stray has stopped touching it.
+// retry after an abandoned deadline attempt can never share a device or
+// buffer with the stray goroutine still running the old attempt: the stray
+// holds the detached device until its own give, which re-pins only if the
+// slot is empty and otherwise harvests the device's counters and drops it —
+// after the stray has stopped touching it.
 type workerRunner struct {
 	t     *Target
 	model Model
 	stats *deviceStats
 	mu    sync.Mutex
-	dev   *gpusim.Device
+	dev   *workerDevice
 }
 
-func (r *workerRunner) take() *gpusim.Device {
+func (r *workerRunner) take() *workerDevice {
 	r.mu.Lock()
-	d := r.dev
+	w := r.dev
 	r.dev = nil
 	r.mu.Unlock()
-	if d == nil {
+	if w == nil {
 		r.stats.created.Add(1)
-		d = r.t.Init.Clone()
+		w = &workerDevice{dev: r.t.Init.Clone()}
 	}
-	return d
+	return w
 }
 
-func (r *workerRunner) give(d *gpusim.Device) {
+func (r *workerRunner) give(w *workerDevice) {
 	r.mu.Lock()
 	if r.dev == nil {
-		r.dev = d
+		r.dev = w
 		r.mu.Unlock()
 		return
 	}
 	r.mu.Unlock()
-	r.stats.harvest(d)
+	r.stats.harvest(w.dev)
 }
 
 // run executes one site on the pinned device; it is the runSite hook the
 // campaign engine calls under the durability guard.
 func (r *workerRunner) run(s Site) (Outcome, runCost, error) {
-	d := r.take()
-	o, cost, err := r.t.injectOn(d, s, r.model)
-	r.give(d)
+	w := r.take()
+	o, cost, err := r.t.injectOn(w, s, r.model)
+	r.give(w)
 	return o, cost, err
 }
 
 // close harvests the pinned device's counters (if any) into campaign stats.
 func (r *workerRunner) close() {
 	r.mu.Lock()
-	d := r.dev
+	w := r.dev
 	r.dev = nil
 	r.mu.Unlock()
-	if d != nil {
-		r.stats.harvest(d)
+	if w != nil {
+		r.stats.harvest(w.dev)
 	}
 }

@@ -107,8 +107,8 @@ func TestWorkerRunnerDetachesStrayDevice(t *testing.T) {
 	}
 	r.give(retry)
 
-	stray.WriteWords(0, []uint32{1}) // one copy-on-write privatization
-	r.give(stray)                    // the slot is occupied: harvested, not pinned
+	stray.dev.WriteWords(0, []uint32{1}) // one copy-on-write privatization
+	r.give(stray)                        // the slot is occupied: harvested, not pinned
 	if r.dev != retry {
 		t.Fatal("a late stray device displaced the pinned one")
 	}

@@ -49,11 +49,12 @@ type CampaignStats struct {
 	DevicesCreated int
 	// CTAsSkipped counts CTA executions the checkpointed fast-forward
 	// engine avoided, summed over all runs: golden prefixes resumed from a
-	// snapshot plus suffixes proven golden by convergence.
+	// snapshot plus suffixes skipped by an early exit.
 	CTAsSkipped int64
-	// EarlyExits counts runs classified Masked at the injected CTA's
-	// boundary because the run's global memory converged to golden state,
-	// without executing the remaining CTAs.
+	// EarlyExits counts runs classified at the injected CTA's boundary,
+	// without executing the remaining CTAs: Masked because the run's global
+	// memory converged to golden state, or Masked or SDC because no later
+	// CTA loads the pages where it differs (DESIGN.md §3.2).
 	EarlyExits int64
 	// IntraSkips counts runs resumed from an intra-CTA (warp-granular)
 	// snapshot, skipping the injected CTA's fault-free prefix in addition
@@ -244,10 +245,10 @@ type CampaignOptions struct {
 // runs are independent and the aggregation is deterministic regardless of
 // scheduling; on multi-CTA targets (unless Target.FullRun) each run
 // fast-forwards from the golden checkpoint nearest its injected CTA and may
-// early-exit on golden-state convergence, with outcomes bit-identical to
-// full runs. The whole site list is validated up front, so an invalid site
-// fails before any experiment executes, reporting the lowest-index invalid
-// site.
+// stop at the injected CTA's boundary once the rest of the run is provably
+// the golden run's, with outcomes bit-identical to full runs. The whole site
+// list is validated up front, so an invalid site fails before any
+// experiment executes, reporting the lowest-index invalid site.
 //
 // Execution failures are isolated per site: a failing site is retried with
 // exponential backoff and, after DefaultMaxAttempts, quarantined into the

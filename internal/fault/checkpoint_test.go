@@ -15,7 +15,8 @@ import (
 // (each CTA accumulates into acc[tid], which the next CTA reads) plus a
 // predicate-guarded barrier split, so exhaustive injection reaches all four
 // outcomes — including barrier deadlocks (hangs) and address faults
-// (crashes) in any CTA.
+// (crashes) in any CTA. acc lives on page 0 and out on page 1, which no CTA
+// loads, so a fault confined to out is divergence no later CTA observes.
 func chainHangTarget(t *testing.T) *fault.Target {
 	t.Helper()
 	prog, err := ptx.Assemble("chainhang", `
@@ -36,22 +37,25 @@ func chainHangTarget(t *testing.T) *fault.Target {
 		st.global.u32 [$r4], $r5           // acc[tid] += gid+1
 		shl.u32 $r6, $r3, 0x00000002
 		add.u32 $r6, $r6, s[0x0014]        // &out[gid]
-		st.global.u32 [$r6], $r5
+		set.lt.u32.u32 $p1/$o127, $r0, 8   // always true fault-free
+		mov.u32 $r7, 0x00000000
+		@$p1.ne mov.u32 $r7, $r5
+		st.global.u32 [$r6], $r7           // out[gid] = acc[tid], or 0 if $p1 fails
 		exit
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := gpusim.NewDevice(32 + 4*32)
+	dev := gpusim.NewDevice(gpusim.PageSize + 4*32)
 	dev.WriteWords(0, []uint32{7, 11, 13, 17, 19, 23, 29, 31})
 	return &fault.Target{
 		Name:   "chainhang",
 		Prog:   prog,
 		Grid:   gpusim.Dim3{X: 4, Y: 1, Z: 1},
 		Block:  gpusim.Dim3{X: 8, Y: 1, Z: 1},
-		Params: []uint32{0, 32},
+		Params: []uint32{0, gpusim.PageSize},
 		Init:   dev,
-		Output: []fault.Range{{Off: 0, Len: 32 + 4*32}},
+		Output: []fault.Range{{Off: 0, Len: 32}, {Off: gpusim.PageSize, Len: 4 * 32}},
 	}
 }
 
@@ -65,12 +69,31 @@ func exhaustiveSites(tg *fault.Target) []fault.WeightedSite {
 	return fault.Uniform(sites)
 }
 
+// deadExits runs tg's campaign over the sites whose full-run outcome (want)
+// is SDC and returns its early exits. A convergence exit is always Masked,
+// so each of these is a dead-divergence exit (DESIGN.md §3.2).
+func deadExits(t *testing.T, tg *fault.Target, sites []fault.WeightedSite, want []fault.Outcome, model fault.Model) int64 {
+	t.Helper()
+	var sdc []fault.WeightedSite
+	for i, o := range want {
+		if o == fault.SDC {
+			sdc = append(sdc, sites[i])
+		}
+	}
+	res, err := fault.RunModel(tg, sdc, model, fault.CampaignOptions{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats.EarlyExits
+}
+
 // TestCheckpointMatchesFullRunExhaustive is the central equivalence property
 // of the fast-forward engine: on a cross-CTA-dependent kernel with reachable
 // crash and hang sites, the checkpointed campaign must give outcome-for-
 // outcome identical results to full runs from the pristine image — for every
 // site, at unit and non-unit checkpoint strides, under both schedulers, at
-// several parallelism levels.
+// several parallelism levels — with both boundary exits, convergence and
+// dead divergence, actually firing.
 func TestCheckpointMatchesFullRunExhaustive(t *testing.T) {
 	type cfg struct {
 		name   string
@@ -140,6 +163,9 @@ func TestCheckpointMatchesFullRunExhaustive(t *testing.T) {
 				if res.Stats.Checkpoints != wantSnaps {
 					t.Fatalf("stats report %d checkpoints, want %d", res.Stats.Checkpoints, wantSnaps)
 				}
+			}
+			if deadExits(t, tg, sites, want, fault.ModelDestValue) == 0 {
+				t.Fatal("no SDC site exited at its CTA's boundary: the dead-divergence exit never fired")
 			}
 		})
 	}

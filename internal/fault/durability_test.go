@@ -246,7 +246,7 @@ func tunedCampaign(t *testing.T, kernel string, model fault.Model, warp int, tun
 // resultFields returns the index-sorted records of a complete set of shard
 // journals with the three cost fields cleared. cs, ee and ir describe how
 // the engine configuration that executed a site got there (CTAs skipped,
-// convergence exit, intra-CTA resume); they legitimately differ between
+// boundary exit, intra-CTA resume); they legitimately differ between
 // strides and are not part of a site's result. Everything else — i, t, d, b,
 // o, w, a, e — must not.
 func resultFields(t *testing.T, paths ...string) (journal.Fingerprint, []journal.Record) {

@@ -86,7 +86,7 @@ type preparedState struct {
 
 // approxBytes estimates the memory the entry pins beyond the pristine
 // device: golden output, per-thread dynamic PC streams, checkpoint snapshot
-// pages, and intra-CTA warp snapshots.
+// pages and access summaries, and intra-CTA warp snapshots.
 func (s *preparedState) approxBytes() int64 {
 	n := int64(len(s.golden))
 	if s.profile != nil {
@@ -95,7 +95,7 @@ func (s *preparedState) approxBytes() int64 {
 		}
 	}
 	if s.ckpt != nil {
-		n += s.ckpt.Bytes()
+		n += s.ckpt.Bytes() + s.ckpt.SummaryBytes()
 	}
 	if s.wck != nil {
 		n += s.wck.Bytes()

@@ -1,6 +1,10 @@
 package fault
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/gpusim"
+)
 
 // entryFor registers a finished entry of the given size directly, the
 // white-box seam for eviction-policy tests.
@@ -57,6 +61,37 @@ func TestEvictLockedSkipsPinned(t *testing.T) {
 	c.evictLocked(nil)
 	if _, ok := c.entries[pinned.key]; ok {
 		t.Fatal("unpinned entry survived eviction despite being the LRU victim")
+	}
+}
+
+// TestApproxBytesCountsSummaries: the byte bound counts the checkpoint
+// store's access summaries. On deadExitTarget they are the bulk of the
+// entry — a word table for each of the seven stored pages against a few
+// hundred bytes of PC trace — so an estimate that left them out would admit
+// entries far over the bound.
+func TestApproxBytesCountsSummaries(t *testing.T) {
+	tg := deadExitTarget(t)
+	s := tg.prep
+	parts := int64(len(s.golden)) + s.ckpt.Bytes() + s.ckpt.SummaryBytes()
+	if s.wck != nil {
+		parts += s.wck.Bytes()
+	}
+	if s.ckpt.SummaryBytes() < 7*gpusim.PageSize {
+		t.Fatalf("summaries of 7 stored pages report %d bytes", s.ckpt.SummaryBytes())
+	}
+	if got := s.approxBytes(); got < parts {
+		t.Fatalf("approxBytes = %d, below golden + snapshots + summaries = %d", got, parts)
+	}
+
+	// The cache charges exactly that estimate.
+	c := NewPreparedCache(0)
+	cached := deadExitTarget(t)
+	cached.prep, cached.Cache = nil, c
+	if err := cached.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Bytes != cached.prep.approxBytes() {
+		t.Fatalf("cache holds %d bytes, entry estimates %d", st.Bytes, cached.prep.approxBytes())
 	}
 }
 

@@ -62,11 +62,14 @@ func stuckReference(t *testing.T, ref *fault.Target, sites []fault.WeightedSite,
 // intra-CTA resume, full run} × {serial, warp} — with every model, including
 // the scheduler-corrupting mask and barrier stuck-ats, riding the
 // fast-forward engine (the scheduler-complete snapshot argument, DESIGN.md
-// §3.11), which the stats must surface. The engine axis lives next to the
-// oracle: internal/gpusim's TestPlanMatchesReferenceChainhangExhaustive pins
-// plan = reference interpreter on full runs of this kernel for every site
-// and kind, so plan + checkpoints = reference + full runs follows by
-// composition with the checkpointed = full-run equality pinned here.
+// §3.11), which the stats must surface — down to SDC runs stopping at the
+// injected CTA's boundary once the fault has retired (§3.2's
+// dead-divergence exit, which stuck-pred's corrupted out values reach). The
+// engine axis lives next to the oracle: internal/gpusim's
+// TestPlanMatchesReferenceChainhangExhaustive pins plan = reference
+// interpreter on full runs of this kernel for every site and kind, so plan +
+// checkpoints = reference + full runs follows by composition with the
+// checkpointed = full-run equality pinned here.
 func TestStuckAtMatchesFullRunExhaustive(t *testing.T) {
 	for _, warp := range []int{0, 4} {
 		warp := warp
@@ -81,6 +84,7 @@ func TestStuckAtMatchesFullRunExhaustive(t *testing.T) {
 			if err := ref.Prepare(); err != nil {
 				t.Fatal(err)
 			}
+			var dead int64 // stuck-pred's SDCs on out are the ones that exit
 			for _, model := range persistentModels {
 				model := model
 				t.Run(model.String(), func(t *testing.T) {
@@ -121,9 +125,13 @@ func TestStuckAtMatchesFullRunExhaustive(t *testing.T) {
 							if res.Stats.IntraSkips == 0 {
 								t.Fatalf("%s: intra-CTA resume never fired for %s", name, model)
 							}
+							dead += deadExits(t, tg, sites, want, model)
 						}
 					}
 				})
+			}
+			if dead == 0 {
+				t.Fatal("no persistent-fault SDC site exited at its CTA's boundary: the dead-divergence exit never fired")
 			}
 		})
 	}

@@ -130,7 +130,6 @@ func (t *Target) prepareCold() (*preparedState, error) {
 	var rec *gpusim.CheckpointRecorder
 	if !t.FullRun && numCTAs > 1 {
 		rec = gpusim.NewCheckpointRecorder(t.Init, dev, numCTAs, t.CheckpointStride)
-		launch.AfterCTA = rec.AfterCTA
 	}
 	var wrec *gpusim.WarpCheckpointRecorder
 	if !t.FullRun && t.IntraStride >= 0 {
@@ -207,7 +206,7 @@ func (t *Target) extractOutput(dev *gpusim.Device) []byte {
 func (t *Target) matchesGolden(dev *gpusim.Device) bool {
 	off := 0
 	for _, r := range t.Output {
-		if !dev.EqualRange(r.Off, t.prep.golden[off:off+r.Len]) {
+		if dev.FirstDiff(r.Off, t.prep.golden[off:off+r.Len]) >= 0 {
 			return false
 		}
 		off += r.Len
@@ -282,9 +281,9 @@ type runCost struct {
 }
 
 // injectOn is the campaign hot path: one unchecked injection experiment on a
-// worker's device (the site must have been validated up front). It resets dev
-// itself — from the checkpoint snapshot nearest the injected CTA when the
-// target has a checkpoint store, from the pristine image otherwise.
+// worker's device (the site must have been validated up front). It resets
+// w.dev itself — from the checkpoint snapshot nearest the injected CTA when
+// the target has a checkpoint store, from the pristine image otherwise.
 //
 // Fast-forward soundness (details in DESIGN.md §3.2 and, for persistent
 // scheduler faults, §3.11): CTAs execute strictly sequentially and share
@@ -296,13 +295,17 @@ type runCost struct {
 // snapshots capture the full per-thread ledger, and gpusim.Execute rejects a
 // resume past the fault's activation point — so the fault re-arms and
 // activates at the identical architectural event. After c completes without
-// a trap, if the run's global memory equals the golden run's at boundary c+1
-// (Checkpoints.Converged over the run's dirty pages) and no persistent fault
-// is still live, the remaining CTAs replay the golden run and the outcome is
-// Masked without executing them. A trap in a later CTA implies
-// non-convergence at c+1, so the early exit can never hide a crash or hang.
-func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, runCost, error) {
+// a trap and with no persistent fault still live, the run lists the pages
+// on which its global memory differs from the golden run's at boundary c+1
+// (Checkpoints.AppendDivergent, into the worker's buffer) and stops there
+// when deadOutcome can decide the outcome from them: no later CTA loads a
+// divergent page, so every later CTA replays the golden run — it cannot
+// trap, and it changes memory only by golden stores. A divergence some later
+// CTA loads runs the remaining CTAs, so an early exit can never hide a
+// crash, hang or SDC they would cause.
+func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, runCost, error) {
 	var cost runCost
+	dev := w.dev
 	ck, wck := t.prep.ckpt, t.prep.wck
 	if ck == nil && wck == nil {
 		dev.ResetFrom(t.Init)
@@ -327,7 +330,7 @@ func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, 
 	// capture point exactly (CTAs share only global memory), so both the
 	// inter-snapshot golden CTAs and the injected CTA's fault-free prefix
 	// are skipped. The delta is written through the tracked store path, so
-	// the convergence check below still hashes every divergent page.
+	// the divergence scan below still hashes every page that may differ.
 	if wck != nil {
 		if ws := wck.SnapshotBefore(cta, site.Thread-cta*tpc, site.DynInst); ws != nil {
 			ws.RestorePages(dev)
@@ -337,24 +340,25 @@ func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, 
 		}
 	}
 	launch.FirstCTA = first
-	converged := false
+	var exit struct {
+		o  Outcome
+		ok bool
+	}
 	if ck != nil && cta+1 < ck.NumCTAs() {
 		launch.AfterCTA = func(idx int, faultLive bool) bool {
 			if idx != cta || faultLive {
-				// Converged is meaningless while a persistent fault is
-				// live: memory can match golden at the boundary while a
-				// stuck lane or barrier ghost still diverges a later CTA.
+				// Memory says nothing about the future while a persistent
+				// fault is live: it can match golden at the boundary while
+				// a stuck lane or barrier ghost still diverges a later CTA.
 				// A fault bound to a thread of CTA `cta` has always retired
 				// here (the CTA only completes once its threads exit), so
 				// the gate is a mechanical enforcement of that invariant
 				// rather than a reachable branch today (DESIGN.md §3.11).
 				return false
 			}
-			if ck.Converged(dev, cta+1) {
-				converged = true
-				return true
-			}
-			return false
+			w.div = ck.AppendDivergent(w.dev, cta+1, w.div[:0])
+			exit.o, exit.ok = t.deadOutcome(w.dev, cta, w.div)
+			return exit.ok
 		}
 	}
 	res, err := gpusim.Execute(dev, launch)
@@ -362,12 +366,57 @@ func (t *Target) injectOn(dev *gpusim.Device, site Site, model Model) (Outcome, 
 		return 0, cost, err
 	}
 	cost.ctasSkipped = int64(first)
-	if res.Trap == nil && converged {
+	if res.Trap == nil && exit.ok {
 		cost.earlyExit = true
 		cost.ctasSkipped += int64(ck.NumCTAs() - (cta + 1))
-		return Masked, cost, nil
+		return exit.o, cost, nil
 	}
 	return t.classify(dev, res), cost, nil
+}
+
+// deadOutcome decides the outcome of a run stopped at boundary cta+1 whose
+// global memory differs from the golden run's there on exactly the pages div
+// (DESIGN.md §3.2, dead-divergence exit); ok is false when the run must
+// execute the remaining CTAs instead. With no divergent page the run has
+// converged: Masked. If a CTA after cta loads a divergent page the
+// divergence can propagate, so the run goes on. Otherwise every later CTA
+// replays the golden run, and the final image is golden-final except on the
+// divergent-page words no later CTA stores to: the run is SDC if an output
+// byte on such a word differs from the golden output, Masked if none does. A
+// differing word that a later CTA may overwrite only in part (a sub-word
+// store) cannot be decided without running, unless another word already
+// makes the run SDC.
+func (t *Target) deadOutcome(dev *gpusim.Device, cta int, div []int32) (o Outcome, ok bool) {
+	ck := t.prep.ckpt
+	for _, p := range div {
+		if ck.LoadedAfter(p, cta) {
+			return 0, false
+		}
+	}
+	undecided := false
+	for _, p := range div {
+		lo := int(p) * gpusim.PageSize
+		hi := lo + gpusim.PageSize
+		goff := 0 // offset of r's bytes in the golden output
+		for _, r := range t.Output {
+			a, end := max(lo, r.Off), min(hi, r.Off+r.Len)
+			for a < end {
+				i := dev.FirstDiff(a, t.prep.golden[goff+a-r.Off:goff+end-r.Off])
+				if i < 0 {
+					break
+				}
+				addr := a + i
+				stored, partial := ck.StoredAfter(addr, cta)
+				if !stored {
+					return SDC, true
+				}
+				undecided = undecided || partial
+				a = addr&^3 + 4 // this word is settled; scan on from the next
+			}
+			goff += r.Len
+		}
+	}
+	return Masked, !undecided
 }
 
 // DestBitsAt reports the destination width in bits of thread t's dynamic

@@ -7,9 +7,11 @@ package gpusim
 // from the nearest snapshot at or below c instead of re-executing the prefix.
 // Snapshots are copy-on-write Device clones — their cost is proportional to
 // the inter-snapshot write sets, not the device footprint — and every CTA
-// boundary additionally records per-page content hashes, letting a run that
-// matches golden state right after the injected CTA stop without executing
-// the suffix (see Checkpoints.Converged).
+// boundary additionally records per-page content hashes, so a run can list
+// the pages on which it differs from golden state right after the injected
+// CTA (Checkpoints.AppendDivergent). Two access summaries of the golden run —
+// the last CTA to load from each page, the last CTA to store to each word —
+// tell whether any later CTA can observe or overwrite that divergence.
 
 // DefaultCheckpointSnapshots bounds the number of snapshots an auto-strided
 // recorder takes, keeping retained snapshot memory proportional to at most
@@ -48,6 +50,17 @@ type Checkpoints struct {
 	// pristineHash[p] is the hash of page p in the pristine image.
 	pristineHash []uint64
 	bytes        int64
+	// lastLoad[p] is the last CTA of the golden run that loads from page p,
+	// -1 when none does.
+	lastLoad []int32
+	// lastStore[p], for each page the golden run stores to (nil for the
+	// others), holds per 4-byte word of the page the last CTA that stores to
+	// it, -1 when none does.
+	lastStore [][]int32
+	// partial holds the word indices (byte address / 4) the golden run
+	// stores to with a sub-word access at least once; nil when it never
+	// does.
+	partial map[int]bool
 }
 
 // Stride is the CTA-boundary distance between snapshots.
@@ -82,61 +95,94 @@ func (c *Checkpoints) SnapshotIndex(cta int) int {
 	return i
 }
 
-// Converged reports whether dev — reset from SnapshotFor(boundary-1) and
-// executed through CTA boundary-1 — holds exactly the golden run's global
-// memory at boundary. If it does, the remaining CTAs of an injection run are
-// bit-identical to golden (determinism; no cross-CTA state besides global
-// memory), so the run is Masked without executing them. Page equality is
+// SummaryBytes approximates the memory held by the golden run's access
+// summaries (see LoadedAfter and StoredAfter): two entries per page, plus
+// one per word of every page the golden run stores to.
+func (c *Checkpoints) SummaryBytes() int64 {
+	n := 4*int64(len(c.lastLoad)) + 24*int64(len(c.lastStore)) // int32, slice header
+	for _, words := range c.lastStore {
+		n += 4 * int64(len(words))
+	}
+	return n + 16*int64(len(c.partial))
+}
+
+// AppendDivergent appends to buf the pages on which dev — reset from
+// SnapshotFor(boundary-1) and executed through CTA boundary-1 — differs from
+// the golden run's global memory at boundary, and returns the extended
+// slice. A page diverges when the run dirtied it and it hashes differently
+// from golden's content at boundary, or when golden changed it since the
+// resume snapshot (mustWrite) and the run never dirtied it, so it still
+// holds snapshot content. Each dirty page is hashed once; page equality is
 // judged by 64-bit content hash (see Device.HashPage for the collision
 // argument). Must not be called once boundary == NumCTAs: the final state is
 // classified against the golden output instead.
 //
-// Callers must not consult Converged while a persistent fault is live (the
+// Callers must not act on the result while a persistent fault is live (the
 // AfterCTA hook's faultLive flag): memory can match golden at the boundary
-// while a stuck lane or barrier ghost still diverges a later CTA, so the
+// while a stuck lane or barrier ghost still diverges a later CTA, so an
 // early exit is only sound once the fault has retired with its thread
 // (DESIGN.md §3.11).
-func (c *Checkpoints) Converged(dev *Device, boundary int) bool {
-	dirty := dev.DirtyPages()
-	// Every page that golden changed between the resume checkpoint and this
-	// boundary must have been written by the run too — an untouched page
-	// still holds checkpoint content, which differs.
-	if need := c.mustWrite[boundary]; len(need) > 0 {
-		if len(dirty) < len(need) {
-			return false
-		}
-		set := make(map[int32]struct{}, len(dirty))
-		for _, p := range dirty {
-			set[p] = struct{}{}
-		}
-		for _, p := range need {
-			if _, ok := set[p]; !ok {
-				return false
-			}
-		}
-	}
-	// Every page the run wrote must hash to golden's content at boundary.
+func (c *Checkpoints) AppendDivergent(dev *Device, boundary int, buf []int32) []int32 {
 	golden := c.hashes[boundary]
-	for _, p := range dirty {
+	for _, p := range dev.dirtyIdx {
 		want, ok := golden[p]
 		if !ok {
 			want = c.pristineHash[p]
 		}
 		if dev.HashPage(int(p)) != want {
-			return false
+			buf = append(buf, p)
 		}
 	}
-	return true
+	for _, p := range c.mustWrite[boundary] {
+		if !dev.dirty[p] {
+			buf = append(buf, p)
+		}
+	}
+	return buf
 }
 
-// CheckpointRecorder observes a golden run via the Launch.AfterCTA hook and
-// builds a Checkpoints store. The recorded device must start as a fresh clone
-// of pristine and must never be reset (the recorder harvests its dirty-page
-// tracking; see Device.TakeDirtyPages).
+// Converged reports whether dev holds exactly the golden run's global memory
+// at boundary: the empty case of AppendDivergent, under the same
+// preconditions. If it does, the remaining CTAs of an injection run are
+// bit-identical to golden (determinism; no cross-CTA state besides global
+// memory), so the run is Masked without executing them.
+func (c *Checkpoints) Converged(dev *Device, boundary int) bool {
+	var buf [8]int32
+	return len(c.AppendDivergent(dev, boundary, buf[:0])) == 0
+}
+
+// LoadedAfter reports whether some CTA after cta loads from page p in the
+// golden run.
+func (c *Checkpoints) LoadedAfter(p int32, cta int) bool {
+	return int(c.lastLoad[p]) > cta
+}
+
+// StoredAfter reports whether some CTA after cta stores to the 4-byte word
+// holding byte addr in the golden run, and, if one does, whether any golden
+// store to that word is narrower than the word — then a later store may
+// overwrite only part of it.
+func (c *Checkpoints) StoredAfter(addr, cta int) (stored, partial bool) {
+	words := c.lastStore[addr>>pageShift]
+	if words == nil || int(words[addr&pageMask>>2]) <= cta {
+		return false, false
+	}
+	return true, c.partial[addr>>2]
+}
+
+// CheckpointRecorder observes the golden run on the device it is attached to
+// and builds a Checkpoints store: at every CTA boundary it folds the CTA's
+// write set into the page hashes and takes strided snapshots, and on every
+// global load and store it updates the access summaries. The recorded device
+// must start as a fresh clone of pristine and must never be reset (the
+// recorder harvests its dirty-page tracking; see Device.TakeDirtyPages).
+// Injection runs execute on other devices, where the recorder pointer is nil
+// and each global access pays one nil test.
 type CheckpointRecorder struct {
 	dev *Device
 	ck  *Checkpoints
 	buf []int32
+	// cta is the CTA the golden run is executing.
+	cta int32
 	// cur is the cumulative page->hash map at the last seen boundary.
 	cur map[int32]uint64
 	// intra, when non-nil, is the coupled intra-CTA recorder: it learns each
@@ -154,36 +200,69 @@ func (r *CheckpointRecorder) AttachIntra(w *WarpCheckpointRecorder) {
 }
 
 // NewCheckpointRecorder prepares recording for a numCTAs-CTA golden run of
-// dev, cloned from pristine. stride <= 0 selects AutoCheckpointStride. Wire
-// the returned recorder's AfterCTA into the golden Launch, then call Finish
-// after a successful Execute.
+// dev, cloned from pristine, and attaches it to dev: the next launch on dev
+// is the golden run, from CTA 0. stride <= 0 selects AutoCheckpointStride.
+// Call Finish after a successful Execute.
 func NewCheckpointRecorder(pristine, dev *Device, numCTAs, stride int) *CheckpointRecorder {
 	if stride <= 0 {
 		stride = AutoCheckpointStride(numCTAs)
 	}
 	ck := &Checkpoints{
-		stride:  stride,
-		numCTAs: numCTAs,
-		snaps:   []*Device{pristine},
-		hashes:  make([]map[int32]uint64, numCTAs+1),
+		stride:    stride,
+		numCTAs:   numCTAs,
+		snaps:     []*Device{pristine},
+		hashes:    make([]map[int32]uint64, numCTAs+1),
+		lastLoad:  make([]int32, dev.NumPages()),
+		lastStore: make([][]int32, dev.NumPages()),
+	}
+	for p := range ck.lastLoad {
+		ck.lastLoad[p] = -1
 	}
 	ck.hashes[0] = map[int32]uint64{}
 	dev.TakeDirtyPages(nil) // discard host-side init writes, if any
 	dev.TakePagesCopied()
-	return &CheckpointRecorder{dev: dev, ck: ck, cur: ck.hashes[0]}
+	r := &CheckpointRecorder{dev: dev, ck: ck, cur: ck.hashes[0]}
+	dev.rec = r
+	return r
 }
 
-// AfterCTA implements the Launch.AfterCTA hook: it folds the CTA's write set
-// into the cumulative hash map and clones a snapshot at strided boundaries.
-// It never stops the launch. faultLive is ignored: recording happens only on
-// the fault-free golden run, where no persistent fault can be live. A CTA
-// boundary needs no scheduler or barrier ledger beyond the device image —
-// CTAs run strictly sequentially, a CTA retires only when every thread has
-// exited, and threads of a fresh CTA start with an empty ledger (no parked
-// flags, no barrier arrivals, election order fixed by thread order) — so the
-// device clone IS the complete resume point (DESIGN.md §3.11).
-func (r *CheckpointRecorder) AfterCTA(cta int, faultLive bool) bool {
+// noteLoad records a global load at byte address addr by the current CTA.
+func (r *CheckpointRecorder) noteLoad(addr int) {
+	r.ck.lastLoad[addr>>pageShift] = r.cta
+}
+
+// noteStore records a w-byte global store at byte address addr by the
+// current CTA. Accesses are width-aligned, so a store lies in one word.
+func (r *CheckpointRecorder) noteStore(addr, w int) {
+	p := addr >> pageShift
+	words := r.ck.lastStore[p]
+	if words == nil {
+		words = make([]int32, PageSize/4)
+		for i := range words {
+			words[i] = -1
+		}
+		r.ck.lastStore[p] = words
+	}
+	words[addr&pageMask>>2] = r.cta
+	if w < 4 {
+		if r.ck.partial == nil {
+			r.ck.partial = make(map[int]bool)
+		}
+		r.ck.partial[addr>>2] = true
+	}
+}
+
+// endCTA runs when CTA cta of the golden run retires: it folds the CTA's
+// write set into the cumulative hash map and clones a snapshot at strided
+// boundaries. A CTA boundary needs no scheduler or barrier ledger beyond the
+// device image — CTAs run strictly sequentially, a CTA retires only when
+// every thread has exited, and threads of a fresh CTA start with an empty
+// ledger (no parked flags, no barrier arrivals, election order fixed by
+// thread order) — so the device clone IS the complete resume point
+// (DESIGN.md §3.11).
+func (r *CheckpointRecorder) endCTA(cta int) {
 	b := cta + 1
+	r.cta = int32(b)
 	r.buf = r.dev.TakeDirtyPages(r.buf)
 	if r.intra != nil {
 		r.intra.noteBoundaryWrites(r.buf)
@@ -210,13 +289,13 @@ func (r *CheckpointRecorder) AfterCTA(cta int, faultLive bool) bool {
 			r.intra.resetBase()
 		}
 	}
-	return false
 }
 
-// Finish precomputes the per-boundary convergence obligations and returns
-// the immutable store. Call exactly once, after the golden run completed
-// without a trap.
+// Finish detaches the recorder from its device, precomputes the per-boundary
+// convergence obligations and returns the immutable store. Call exactly
+// once, after the golden run completed without a trap.
 func (r *CheckpointRecorder) Finish() *Checkpoints {
+	r.dev.rec = nil
 	ck := r.ck
 	pristine := ck.snaps[0]
 	ck.pristineHash = make([]uint64, pristine.NumPages())

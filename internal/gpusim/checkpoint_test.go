@@ -2,6 +2,7 @@ package gpusim_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/gpusim"
@@ -169,16 +170,16 @@ func TestHashPageHighBitDiffusion(t *testing.T) {
 
 // TestCheckpointRecorder: snapshots must equal the corresponding full-run
 // prefix states, golden replays from any snapshot must converge at every
-// later boundary, and corrupted state must not converge.
+// later boundary, corrupted state and skipped writes must show up as
+// divergent pages, and the access summaries must name the last loading and
+// storing CTA.
 func TestCheckpointRecorder(t *testing.T) {
 	prog, init := chainSetup(t)
 	const numCTAs = 6
 	for _, stride := range []int{1, 2, 3} {
 		golden := init.Clone()
 		rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs, stride)
-		l := chainLaunch(prog)
-		l.AfterCTA = rec.AfterCTA
-		res, err := gpusim.Execute(golden, l)
+		res, err := gpusim.Execute(golden, chainLaunch(prog))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,6 +240,43 @@ func TestCheckpointRecorder(t *testing.T) {
 			if ck.Converged(w, cta+1) {
 				t.Fatalf("stride %d: corrupted state converges at boundary %d", stride, cta+1)
 			}
+			if d := ck.AppendDivergent(w, cta+1, nil); len(d) != 1 || d[0] != 0 {
+				t.Fatalf("stride %d: corrupted page 0 at boundary %d, divergent pages %v", stride, cta+1, d)
+			}
+			// A run that wrote nothing since the snapshot still holds
+			// snapshot content on both pages CTA cta changes.
+			w.ResetFrom(snap)
+			d := ck.AppendDivergent(w, cta+1, nil)
+			slices.Sort(d)
+			if !slices.Equal(d, []int32{0, 1}) {
+				t.Fatalf("stride %d: unwritten run at boundary %d, divergent pages %v, want [0 1]", stride, cta+1, d)
+			}
+		}
+
+		// Every CTA loads acc (page 0); nothing loads out (page 1). CTA c
+		// stores acc[0..3] and out[4c..4c+3], all whole words.
+		for cta := 0; cta < numCTAs; cta++ {
+			if got, want := ck.LoadedAfter(0, cta), cta < numCTAs-1; got != want {
+				t.Fatalf("stride %d: LoadedAfter(page 0, %d) = %v, want %v", stride, cta, got, want)
+			}
+			if ck.LoadedAfter(1, cta) {
+				t.Fatalf("stride %d: LoadedAfter(page 1, %d) on a page no CTA loads", stride, cta)
+			}
+			for addr := 0; addr < 32; addr++ {
+				stored, partial := ck.StoredAfter(addr, cta)
+				if want := addr < 16 && cta < numCTAs-1; stored != want || partial {
+					t.Fatalf("stride %d: StoredAfter(acc byte %d, %d) = %v, %v; want %v, false", stride, addr, cta, stored, partial, want)
+				}
+			}
+			for gid := 0; gid < 4*numCTAs+4; gid++ {
+				stored, _ := ck.StoredAfter(gpusim.PageSize+4*gid+3, cta)
+				if want := gid < 4*numCTAs && gid/4 > cta; stored != want {
+					t.Fatalf("stride %d: StoredAfter(out[%d], %d) = %v, want %v", stride, gid, cta, stored, want)
+				}
+			}
+		}
+		if ck.SummaryBytes() < gpusim.PageSize {
+			t.Fatalf("stride %d: summaries of two stored pages report %d bytes", stride, ck.SummaryBytes())
 		}
 	}
 }

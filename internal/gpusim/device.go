@@ -15,9 +15,12 @@
 // summarizes page content for golden-state comparison. Checkpoints layers
 // strided CTA-boundary snapshots of the fault-free ("golden") run on top,
 // so an injection into CTA k can resume from the nearest snapshot at or
-// before k instead of re-executing the fault-free prefix, and Converged
-// can end a run early once its memory image provably matches the golden
-// run's at the same boundary.
+// before k instead of re-executing the fault-free prefix; AppendDivergent
+// lists the pages on which a run's memory differs from the golden run's at
+// a boundary, and the golden run's access summaries (LoadedAfter,
+// StoredAfter) tell whether any later CTA can observe or overwrite them, so
+// a run can end early once its memory matches golden or its divergence is
+// provably dead.
 //
 // Execution entry points: Execute runs a Launch to completion (or trap),
 // optionally injecting one fault (Injection) and tracing every retired
@@ -108,10 +111,11 @@ type Launch struct {
 	// still live — armed or active with its injected thread not yet exited
 	// (always false for transient or absent injections). Returning true
 	// stops the launch early: remaining CTAs are not executed and the
-	// Result reflects progress so far. Checkpoint capture and golden-state
-	// convergence checks hook here; the faultLive flag lets convergence
-	// checks refuse to early-exit while a scheduler-corrupting fault could
-	// still diverge a later CTA (DESIGN.md §3.11).
+	// Result reflects progress so far. An injection run's early exits hook
+	// here — golden-state convergence, or divergence no later CTA can
+	// observe — and the faultLive flag lets them refuse to stop while a
+	// scheduler-corrupting fault could still diverge a later CTA (DESIGN.md
+	// §3.2, §3.11).
 	AfterCTA func(cta int, faultLive bool) bool
 	// IntraRec, when non-nil, records intra-CTA (warp-granular) checkpoints
 	// of this run; set it only on the golden traced run. See
@@ -296,7 +300,7 @@ const (
 
 // Device is the simulated GPU memory system shared by all CTAs of a launch.
 // Global memory is paged with copy-on-write semantics (see PageSize); use
-// WriteWords/ReadWords, WriteBytes, AppendRange, Bytes and EqualRange to
+// WriteWords/ReadWords, WriteBytes, AppendRange, Bytes and FirstDiff to
 // access it. The zero Device is not usable; construct with NewDevice.
 type Device struct {
 	// size is the byte length of global memory (the last page may extend
@@ -329,6 +333,10 @@ type Device struct {
 	// launch and kept for the device's life. Clone leaves it nil: a device
 	// that is only ever a reset source never pays for one.
 	scratch *launchScratch
+	// rec is the CheckpointRecorder observing launches on this device —
+	// set from NewCheckpointRecorder to Finish on the golden device, nil on
+	// every other device (Clone leaves it nil).
+	rec *CheckpointRecorder
 
 	// Const is the read-only constant segment.
 	Const []byte
@@ -640,24 +648,30 @@ func (d *Device) Bytes() []byte {
 	return d.AppendRange(make([]byte, 0, d.size), 0, d.size)
 }
 
-// EqualRange reports whether global memory starting at off matches want,
+// FirstDiff returns the index of the first byte at which global memory
+// starting at off differs from want, or -1 when the whole range matches,
 // without materializing a copy — the hot path of golden-output comparison.
-func (d *Device) EqualRange(off int, want []byte) bool {
+func (d *Device) FirstDiff(off int, want []byte) int {
 	d.checkRange(off, len(want))
-	for len(want) > 0 {
-		pg := d.pages[off>>pageShift]
-		po := off & pageMask
-		c := PageSize - po
-		if c > len(want) {
-			c = len(want)
+	for i := 0; i < len(want); {
+		pg := d.pages[(off+i)>>pageShift]
+		po := (off + i) & pageMask
+		got := pg[po:min(PageSize, po+len(want)-i)]
+		if w := want[i : i+len(got)]; !bytes.Equal(got, w) {
+			// Halve [lo, hi), which holds the first differing byte.
+			lo, hi := 0, len(got)
+			for hi-lo > 1 {
+				if mid := (lo + hi) / 2; bytes.Equal(got[lo:mid], w[lo:mid]) {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			return i + lo
 		}
-		if !bytes.Equal(pg[po:po+c], want[:c]) {
-			return false
-		}
-		want = want[c:]
-		off += c
+		i += len(got)
 	}
-	return true
+	return -1
 }
 
 func putWord(mem []byte, off int, w uint32) {

@@ -33,6 +33,31 @@ func TestDeviceCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestFirstDiff: the first differing byte is found wherever it lies in a
+// range that spans pages and starts mid-page, and a later difference never
+// masks an earlier one.
+func TestFirstDiff(t *testing.T) {
+	dev := NewDevice(3*PageSize + 100)
+	for i := 0; i < dev.Size(); i += 4 {
+		dev.WriteWords(i, []uint32{uint32(i) * 2654435761})
+	}
+	const off = 37
+	want := dev.AppendRange(nil, off, dev.Size()-off)
+	if i := dev.FirstDiff(off, want); i != -1 {
+		t.Fatalf("equal range: FirstDiff = %d", i)
+	}
+	for _, pos := range []int{0, 1, PageSize - off - 1, PageSize - off, 2*PageSize + 5, len(want) - 1} {
+		w := append([]byte(nil), want...)
+		w[pos] ^= 0x10
+		if pos+9 < len(w) {
+			w[pos+9] ^= 0x01
+		}
+		if i := dev.FirstDiff(off, w); i != pos {
+			t.Fatalf("difference at %d: FirstDiff = %d", pos, i)
+		}
+	}
+}
+
 // TestDeviceResetFromRestoresPristine: a pooled device must be bit-identical
 // to the pristine image after ResetFrom, across repeated dirty/reset cycles
 // touching different page sets.

@@ -414,18 +414,21 @@ func chainhangCase(t *testing.T, warp int) diffCase {
 		st.global.u32 [$r4], $r5           // acc[tid] += gid+1
 		shl.u32 $r6, $r3, 0x00000002
 		add.u32 $r6, $r6, s[0x0014]        // &out[gid]
-		st.global.u32 [$r6], $r5
+		set.lt.u32.u32 $p1/$o127, $r0, 8   // always true fault-free
+		mov.u32 $r7, 0x00000000
+		@$p1.ne mov.u32 $r7, $r5
+		st.global.u32 [$r6], $r7           // out[gid] = acc[tid], or 0 if $p1 fails
 		exit
 	`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := NewDevice(32 + 4*32)
+	dev := NewDevice(PageSize + 4*32) // acc on page 0, out on page 1
 	dev.WriteWords(0, []uint32{7, 11, 13, 17, 19, 23, 29, 31})
 	// A small shared window (the kernel only reads its two params) keeps
 	// the ~10^5 runs of the exhaustive sweep from being dominated by
 	// clearing 16 KiB of shared memory per CTA.
-	return diffCase{prog: prog, grid: 4, block: 8, shared: 256, params: []uint32{0, 32},
+	return diffCase{prog: prog, grid: 4, block: 8, shared: 256, params: []uint32{0, PageSize},
 		init: dev, warp: warp}
 }
 

@@ -101,6 +101,7 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		block:       launch.Block,
 		grid:        launch.Grid,
 		watchdog:    watchdog,
+		ckpt:        dev.rec,
 		intra:       launch.IntraRec,
 		addrFlipBit: -1,
 		persist:     newPersistState(launch.Inject),
@@ -118,9 +119,9 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 	// absent injections are never live at a CTA boundary: a transient
 	// fault's effects are ordinary memory state, fully captured by the
 	// boundary snapshot's page images. It is recorded by value when the CTA
-	// retires, because the next CTA reuses the thread's slot. Convergence
-	// checks use it to refuse an early exit while a scheduler-corrupting
-	// fault could still diverge a later CTA (DESIGN.md §3.11).
+	// retires, because the next CTA reuses the thread's slot. Boundary exits
+	// use it to refuse to stop while a scheduler-corrupting fault could still
+	// diverge a later CTA (DESIGN.md §3.11).
 	faultLive := e.persist != nil
 
 	// CTAs run in ctaid.z-major, x-minor launch order; ctaIndex is the
@@ -169,6 +170,9 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		}
 		if p := e.persist; p != nil && p.thread/threadsPerCTA == ctaIndex {
 			faultLive = !s.slots[p.thread-ctaIndex*threadsPerCTA].done
+		}
+		if e.ckpt != nil {
+			e.ckpt.endCTA(ctaIndex)
 		}
 		if launch.AfterCTA != nil && launch.AfterCTA(ctaIndex, faultLive) {
 			return res, nil

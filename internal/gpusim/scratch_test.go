@@ -154,7 +154,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		wrec := NewWarpCheckpointRecorder(dev, g.grid.Count(), 5)
 		rec.AttachIntra(wrec)
 		l := launchOf(g)
-		l.AfterCTA, l.IntraRec = rec.AfterCTA, wrec
+		l.IntraRec = wrec
 		if res, err := Execute(dev, l); err != nil || res.Trap != nil {
 			t.Fatalf("golden %+v: %v %v", g, err, res)
 		}

@@ -81,8 +81,10 @@ type exec struct {
 	block    Dim3
 	grid     Dim3
 	watchdog int64
-	// intra, when non-nil, records intra-CTA checkpoints of a golden run;
-	// nil on every injection run.
+	// ckpt and intra, when non-nil, record the CTA-boundary checkpoints
+	// (with the global access summaries) and the intra-CTA checkpoints of a
+	// golden run; both are nil on every injection run.
+	ckpt  *CheckpointRecorder
 	intra *WarpCheckpointRecorder
 	// addrFlipBit, when >= 0, corrupts the next effective-address
 	// computation (InjectMemAddr); consumed by address().
@@ -244,6 +246,9 @@ func (e *exec) load(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataTy
 				Msg: "misaligned load"}
 		}
 		v = e.dev.loadMem(addr, w)
+		if e.ckpt != nil {
+			e.ckpt.noteLoad(addr)
+		}
 	} else {
 		mem := e.memSlice(cta, o.Space)
 		if mem == nil || addr < 0 || addr+w > len(mem) {
@@ -292,6 +297,9 @@ func (e *exec) store(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataT
 				Msg: "misaligned store"}
 		}
 		e.dev.storeMem(addr, w, v)
+		if e.ckpt != nil {
+			e.ckpt.noteStore(addr, w)
+		}
 		return nil
 	}
 	mem := e.memSlice(cta, o.Space)

@@ -111,7 +111,7 @@ func TestWarpModeInjectionEquivalence(t *testing.T) {
 				got[mode] = false
 				continue
 			}
-			got[mode] = dev.EqualRange(dev.Size()-len(golden), golden)
+			got[mode] = dev.FirstDiff(dev.Size()-len(golden), golden) < 0
 		}
 		if got[0] != got[1] {
 			t.Fatalf("site %v: masked-ness differs across schedulers", site)

@@ -15,8 +15,8 @@ import "sort"
 // the next boundary. Snapshots therefore store explicit page-content copies
 // of the delta versus the floor CTA-boundary snapshot; resuming restores the
 // delta through Device.WriteBytes, which marks those pages dirty and keeps
-// the golden-state convergence check sound (restored pages are hash-checked
-// like any page the run wrote itself — see Checkpoints.Converged).
+// the boundary divergence scan sound (restored pages are hash-checked like
+// any page the run wrote itself — see Checkpoints.AppendDivergent).
 //
 // Capture points are chosen so that re-entering the scheduler from a
 // snapshot replays exactly the golden run's continuation: in serial mode
@@ -104,7 +104,7 @@ func (ws *WarpSnapshot) Done(t int) bool { return ws.threads[t].done }
 // RestorePages writes the snapshot's global-memory delta into dev, which
 // must already hold the floor CTA-boundary snapshot's content. Writing goes
 // through the copy-on-write store path, so the restored pages are tracked
-// dirty and participate in convergence hashing like run-written pages.
+// dirty and participate in divergence hashing like run-written pages.
 func (ws *WarpSnapshot) RestorePages(dev *Device) {
 	for i, p := range ws.pageIdx {
 		dev.WriteBytes(int(p)*PageSize, ws.pageDat[i])
@@ -378,7 +378,7 @@ func (r *WarpCheckpointRecorder) decimateCTA(cta int) {
 }
 
 // noteBoundaryWrites folds a completed CTA's write set into the delta base.
-// The CTA-boundary recorder calls this from AfterCTA with the pages it
+// The CTA-boundary recorder calls this at every boundary with the pages it
 // harvested.
 func (r *WarpCheckpointRecorder) noteBoundaryWrites(pages []int32) {
 	for _, p := range pages {

@@ -19,9 +19,7 @@ func TestSnapshotForBoundaries(t *testing.T) {
 	for _, stride := range []int{1, 2, 3, 4, 5, 6} {
 		golden := init.Clone()
 		rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs, stride)
-		l := chainLaunch(prog)
-		l.AfterCTA = rec.AfterCTA
-		if _, err := gpusim.Execute(golden, l); err != nil {
+		if _, err := gpusim.Execute(golden, chainLaunch(prog)); err != nil {
 			t.Fatal(err)
 		}
 		ck := rec.Finish()
@@ -92,7 +90,6 @@ func TestWarpCheckpointResume(t *testing.T) {
 			rec.AttachIntra(wrec)
 			l := chainLaunch(prog)
 			l.WarpSize = warp
-			l.AfterCTA = rec.AfterCTA
 			l.IntraRec = wrec
 			res, err := gpusim.Execute(golden, l)
 			if err != nil {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/stats"
 )
 
 // TestKernelCorrectnessSmall validates every kernel at the small scale: the
@@ -32,6 +35,78 @@ func TestKernelCorrectnessSmall(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFastForwardMatchesFullRunEveryKernel is the registry-wide differential
+// of the checkpointed engine — prefix skip, intra-CTA resume, and both early
+// exits at the injected CTA's boundary (convergence and dead divergence,
+// DESIGN.md §3.2): on every kernel at small scale, under both schedulers and
+// six fault models, a campaign's per-site outcomes must equal the FullRun
+// reference's. The exits must actually fire somewhere, and some of them must
+// be SDC — which only the dead-divergence exit can produce.
+func TestFastForwardMatchesFullRunEveryKernel(t *testing.T) {
+	models := []fault.Model{
+		fault.ModelDestValue, fault.ModelDestDouble, fault.ModelMemAddr,
+		fault.ModelLaneCorrelated, fault.ModelStuckPred, fault.ModelStuckActiveMask,
+	}
+	const nsites = 150
+	var exits, sdcExits int64
+	for _, spec := range All() {
+		for _, warp := range []int{0, 32} {
+			prepare := func(fullRun bool) *fault.Target {
+				inst, err := spec.Build(ScaleSmall)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tg := inst.Target
+				tg.WarpSize, tg.FullRun = warp, fullRun
+				if err := tg.Prepare(); err != nil {
+					t.Fatal(err)
+				}
+				return tg
+			}
+			ck, ref := prepare(false), prepare(true)
+			for _, model := range models {
+				sites := fault.Uniform(fault.NewSpace(ck.Profile()).RandomModel(stats.NewRNG(int64(model)+1), nsites, model))
+				run := func(tg *fault.Target) *fault.CampaignResult {
+					res, err := fault.RunModel(tg, sites, model, fault.CampaignOptions{KeepPerSite: true})
+					if err != nil {
+						t.Fatalf("%s warp %d %v: %v", spec.Meta.Name(), warp, model, err)
+					}
+					return res
+				}
+				got, want := run(ck), run(ref)
+				for i := range sites {
+					if got.PerSite[i] != want.PerSite[i] {
+						t.Fatalf("%s warp %d %v: site %v gave %v, full run %v",
+							spec.Meta.Name(), warp, model, sites[i].Site, got.PerSite[i], want.PerSite[i])
+					}
+				}
+				exits += got.Stats.EarlyExits
+				if sdcExits > 0 {
+					continue
+				}
+				// Convergence exits are Masked, so an exit in a campaign of
+				// the full run's SDC sites is a dead-divergence exit.
+				var sdc []fault.WeightedSite
+				for i, o := range want.PerSite {
+					if o == fault.SDC {
+						sdc = append(sdc, sites[i])
+					}
+				}
+				if len(sdc) > 0 {
+					res, err := fault.RunModel(ck, sdc, model, fault.CampaignOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sdcExits += res.Stats.EarlyExits
+				}
+			}
+		}
+	}
+	if exits == 0 || sdcExits == 0 {
+		t.Fatalf("early exits: %d, SDC ones: %d; the boundary exits never fired", exits, sdcExits)
 	}
 }
 
