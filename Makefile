@@ -6,8 +6,10 @@ GO ?= go
 # in ./benchmark run every workload, traced and untraced, at reduced size.
 ci: vet build race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke examples-smoke doccheck recipe-check
 
+# vet also fails on any file gofmt would rewrite, naming it.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -117,8 +119,8 @@ bench-record:
 	for w in deep-paper shallow-durable warp-persistent prune-suite service-mix; do \
 		out=$$($(GO) run ./benchmark -workload $$w) || exit 1; \
 		printf '"%s": %s\n' $$w "$$(printf '%s\n' "$$out" | tail -n 1)"; \
-	done > BENCH_pr31.json
-	sed -i -e '$$!s/$$/,/' -e '1s/^/{\n/' -e '$$s/$$/\n}/' BENCH_pr31.json
+	done > BENCH_pr32.json
+	sed -i -e '$$!s/$$/,/' -e '1s/^/{\n/' -e '$$s/$$/\n}/' BENCH_pr32.json
 
 # Regenerates experiments_output.txt (untracked), the transcript every
 # "measured" value in EXPERIMENTS.md comes from: seed 1, the whole suite at

@@ -115,10 +115,10 @@ func TestAnalyzeFixture(t *testing.T) {
 
 	// Frontier, greedy by SDC mass per cost: pc0 (2/80), then pc1, pc2.
 	wantFrontier := []struct {
-		protected   int
-		overhead    float64
-		sdc         float64
-		detected    float64
+		protected int
+		overhead  float64
+		sdc       float64
+		detected  float64
 	}{
 		{0, 0, 50, 0},
 		{1, 80, 0, 50},

@@ -85,11 +85,57 @@ func (s *deviceStats) harvest(d *gpusim.Device) {
 }
 
 // workerDevice is what a campaign worker runs its sites on: a copy-on-write
-// device and the divergent-page buffer of injectOn's early exit. Both are
-// reused site after site and travel together between take and give.
+// device, the site's launch and injection, and the state of injectOn's
+// early-exit hooks with the candidate-page buffer they fill. All of it is
+// reused site after site — the hooks are method values bound once, on the
+// first site — and travels together between take and give.
 type workerDevice struct {
-	dev *gpusim.Device
-	div []int32
+	dev    *gpusim.Device
+	launch gpusim.Launch
+	inj    gpusim.Injection
+
+	// The site being run: its target, thread and CTA.
+	t      *Target
+	thread int
+	cta    int
+	// div collects the pages an exit hook hands to deadOutcome; exit and
+	// exited are what the hook decided.
+	div    []int32
+	exit   Outcome
+	exited bool
+	// afterCTA and afterInjected are ctaExit and threadExit, bound.
+	afterCTA      func(cta int, faultLive bool) bool
+	afterInjected func() bool
+}
+
+// ctaExit is the AfterCTA hook of a site's run: at the injected CTA's
+// boundary, with no persistent fault live, it lists the pages where the
+// run's memory differs from the golden run's there and asks deadOutcome
+// whether the rest of the run is decided. A fault bound to a thread of the
+// injected CTA has always retired at its boundary (the CTA only completes
+// once its threads exit), so the faultLive gate is a mechanical enforcement
+// of that invariant rather than a reachable branch today (DESIGN.md §3.11):
+// memory can match golden at the boundary while a stuck lane or barrier
+// ghost still diverges a later CTA.
+func (w *workerDevice) ctaExit(idx int, faultLive bool) bool {
+	if idx != w.cta || faultLive {
+		return false
+	}
+	t := w.t
+	w.div = t.prep.ckpt.AppendDivergent(w.dev, w.cta+1, w.div[:0])
+	w.exit, w.exited = t.deadOutcome(w.dev, (w.cta+1)*t.Block.Count()-1, w.div)
+	return w.exited
+}
+
+// threadExit is the AfterInjected hook of a site's run: when the injected
+// thread has exited, it lists the pages that may differ from the golden run
+// at that point and asks deadOutcome whether the rest of the run is
+// decided (DESIGN.md §3.2, thread-boundary exit).
+func (w *workerDevice) threadExit() bool {
+	t := w.t
+	w.div = t.prep.ckpt.AppendTouched(w.dev, w.cta, w.div[:0])
+	w.exit, w.exited = t.deadOutcome(w.dev, w.thread, w.div)
+	return w.exited
 }
 
 // workerRunner pins one workerDevice to a campaign worker so that

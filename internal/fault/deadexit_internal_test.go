@@ -117,7 +117,8 @@ func TestDeadExitOracle(t *testing.T) {
 		t.Fatal("no dest-value site exited early")
 	}
 
-	// The cases, CTA by CTA. The last CTA has no later boundary to stop at.
+	// The cases, CTA by CTA. The last CTA has no later boundary to stop at,
+	// but its one thread's exit is a thread boundary (TestThreadExitOracle).
 	expect := func(cta, pc, bit int, want Outcome, exit bool, why string) {
 		t.Helper()
 		if dyn := int64(pc); gpusim.PC(tg.prep.profile.Threads[cta].PCs[dyn]) != pc {
@@ -137,7 +138,7 @@ func TestDeadExitOracle(t *testing.T) {
 		}
 		expect(cta, pcOwnPred, 0, SDC, true, "skipped store")
 	}
-	expect(3, pcOut0, 0, SDC, false, "last CTA")
+	expect(3, pcOut0, 0, SDC, true, "last CTA")
 	expect(0, pcPart, 9, SDC, false, "later sub-word rewrite of a differing byte")
 	expect(0, pcPart, 2, Masked, false, "later sub-word rewrite of the only differing byte")
 }

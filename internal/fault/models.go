@@ -106,6 +106,19 @@ func (m Model) Persistent() bool {
 	return false
 }
 
+// threadLocal reports whether the model is a transient fault that touches
+// only the injected thread: once that thread has exited, the fault's only
+// traces are in global memory. Lane-correlated faults also flip registers
+// of threads that have not run yet; persistent faults are left to the CTA
+// boundary, where the fault-liveness gate of DESIGN.md §3.11 applies.
+func (m Model) threadLocal() bool {
+	switch m {
+	case ModelDestValue, ModelDestDouble, ModelDestByte, ModelMemAddr:
+		return true
+	}
+	return false
+}
+
 // StuckBits is the size of a persistent model's Site.Bit encoding space (0
 // for transient models): stuck value × location. ModelStuckPred enumerates
 // both stuck values of every flag bit of every predicate register; the
@@ -227,7 +240,8 @@ func (t *Target) runSiteModelOn(dev *gpusim.Device, site Site, model Model) (Out
 		Thread: site.Thread, DynInst: site.DynInst, Bit: site.Bit,
 		Kind: model.kind(),
 	}
-	res, err := gpusim.Execute(dev, t.launch(inj, nil, t.prep.watchdog))
+	launch := t.launch(inj, nil, t.prep.watchdog)
+	res, err := gpusim.Execute(dev, &launch)
 	if err != nil {
 		return 0, err
 	}

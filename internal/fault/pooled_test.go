@@ -190,11 +190,12 @@ func TestPooledMatchesFreshClone(t *testing.T) {
 }
 
 // TestSiteLoopAllocBytes pins the allocation-free site loop: the launch
-// scratch rides the worker's pinned device (DESIGN.md §3.1), so a site costs
-// a few small headers — the injection, the launch, a trap — where it used to
-// rebuild a CTA's thread and shared-memory state per launched CTA (~95 KiB a
-// site on this kernel). TotalAlloc is process-wide, so this test must not
-// run beside others (no t.Parallel in this package).
+// scratch, the launch and the injection ride the worker's pinned device
+// (DESIGN.md §3.1), so a site costs a few small headers — the durability
+// guard's deadline timer, a trap — where it used to rebuild a CTA's thread
+// and shared-memory state per launched CTA (~95 KiB a site on this kernel).
+// TotalAlloc is process-wide, so this test must not run beside others (no
+// t.Parallel in this package).
 func TestSiteLoopAllocBytes(t *testing.T) {
 	const n, limit = 300, 4 << 10
 	for _, c := range []struct {

@@ -82,11 +82,15 @@ type preparedState struct {
 	profile  *trace.Profile
 	ckpt     *gpusim.Checkpoints
 	wck      *gpusim.WarpCheckpoints
+	// threadIndependent records that the program has no barrier and stores
+	// to no memory but global (see threadIndependent).
+	threadIndependent bool
 }
 
 // approxBytes estimates the memory the entry pins beyond the pristine
 // device: golden output, per-thread dynamic PC streams, checkpoint snapshot
-// pages and access summaries, and intra-CTA warp snapshots.
+// pages, access summaries and the final image's private pages, and
+// intra-CTA warp snapshots.
 func (s *preparedState) approxBytes() int64 {
 	n := int64(len(s.golden))
 	if s.profile != nil {

@@ -81,8 +81,8 @@ type Target struct {
 const DefaultWatchdogFactor = 8
 
 // launch builds a Launch for one run of the target.
-func (t *Target) launch(inj *gpusim.Injection, tracer gpusim.Tracer, watchdog int64) *gpusim.Launch {
-	return &gpusim.Launch{
+func (t *Target) launch(inj *gpusim.Injection, tracer gpusim.Tracer, watchdog int64) gpusim.Launch {
+	return gpusim.Launch{
 		Prog:        t.Prog,
 		Grid:        t.Grid,
 		Block:       t.Block,
@@ -139,14 +139,14 @@ func (t *Target) prepareCold() (*preparedState, error) {
 		}
 		launch.IntraRec = wrec
 	}
-	res, err := gpusim.Execute(dev, launch)
+	res, err := gpusim.Execute(dev, &launch)
 	if err != nil {
 		return nil, fmt.Errorf("fault: target %s golden run: %w", t.Name, err)
 	}
 	if res.Trap != nil {
 		return nil, fmt.Errorf("fault: target %s golden run trapped: %v", t.Name, res.Trap)
 	}
-	p := &preparedState{golden: t.extractOutput(dev)}
+	p := &preparedState{golden: t.extractOutput(dev), threadIndependent: threadIndependent(t.Prog)}
 	if rec != nil {
 		p.ckpt = rec.Finish()
 	}
@@ -283,7 +283,8 @@ type runCost struct {
 // injectOn is the campaign hot path: one unchecked injection experiment on a
 // worker's device (the site must have been validated up front). It resets
 // w.dev itself — from the checkpoint snapshot nearest the injected CTA when
-// the target has a checkpoint store, from the pristine image otherwise.
+// the target has a checkpoint store, from the pristine image otherwise — and
+// builds the run's launch in w, so a site allocates nothing of its own.
 //
 // Fast-forward soundness (details in DESIGN.md §3.2 and, for persistent
 // scheduler faults, §3.11): CTAs execute strictly sequentially and share
@@ -294,29 +295,38 @@ type runCost struct {
 // live ledger by construction (every thread of prior CTAs has exited), warp
 // snapshots capture the full per-thread ledger, and gpusim.Execute rejects a
 // resume past the fault's activation point — so the fault re-arms and
-// activates at the identical architectural event. After c completes without
-// a trap and with no persistent fault still live, the run lists the pages
-// on which its global memory differs from the golden run's at boundary c+1
-// (Checkpoints.AppendDivergent, into the worker's buffer) and stops there
-// when deadOutcome can decide the outcome from them: no later CTA loads a
-// divergent page, so every later CTA replays the golden run — it cannot
-// trap, and it changes memory only by golden stores. A divergence some later
-// CTA loads runs the remaining CTAs, so an early exit can never hide a
-// crash, hang or SDC they would cause.
+// activates at the identical architectural event.
+//
+// The run then stops at the first of two points where deadOutcome can decide
+// its outcome from the pages that may differ from the golden run. Under
+// serial scheduling of a thread-independent program, with a fault that
+// touches only the injected thread t, the first point is t's exit
+// (w.threadExit; candidates from Checkpoints.AppendTouched): every later
+// thread starts from fresh registers and parameter-only shared memory, so
+// it differs from golden only through global memory. The second is the
+// boundary after c with no persistent fault live (w.ctaExit; candidates from
+// Checkpoints.AppendDivergent). At either point the run stops only when no
+// later thread loads a word it would see differently, so every later thread
+// replays the golden run — it cannot trap, and it changes memory only by
+// golden stores — and an early exit can never hide a crash, hang or SDC the
+// rest of the run would cause.
 func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, runCost, error) {
 	var cost runCost
 	dev := w.dev
-	ck, wck := t.prep.ckpt, t.prep.wck
-	if ck == nil && wck == nil {
-		dev.ResetFrom(t.Init)
-		o, err := t.runSiteModelOn(dev, site, model)
-		return o, cost, err
-	}
-	inj := &gpusim.Injection{
+	w.inj = gpusim.Injection{
 		Thread: site.Thread, DynInst: site.DynInst, Bit: site.Bit,
 		Kind: model.kind(),
 	}
-	launch := t.launch(inj, nil, t.prep.watchdog)
+	w.launch = t.launch(&w.inj, nil, t.prep.watchdog)
+	ck, wck := t.prep.ckpt, t.prep.wck
+	if ck == nil && wck == nil {
+		dev.ResetFrom(t.Init)
+		res, err := gpusim.Execute(dev, &w.launch)
+		if err != nil {
+			return 0, cost, err
+		}
+		return t.classify(dev, res), cost, nil
+	}
 	tpc := t.Block.Count()
 	cta := site.Thread / tpc
 	snap, first := t.Init, 0
@@ -330,66 +340,76 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	// capture point exactly (CTAs share only global memory), so both the
 	// inter-snapshot golden CTAs and the injected CTA's fault-free prefix
 	// are skipped. The delta is written through the tracked store path, so
-	// the divergence scan below still hashes every page that may differ.
+	// both exits' candidate pages still include every page that may differ.
 	if wck != nil {
 		if ws := wck.SnapshotBefore(cta, site.Thread-cta*tpc, site.DynInst); ws != nil {
 			ws.RestorePages(dev)
-			launch.Resume = ws
+			w.launch.Resume = ws
 			first = cta
 			cost.intraResumed = true
 		}
 	}
-	launch.FirstCTA = first
-	var exit struct {
-		o  Outcome
-		ok bool
-	}
-	if ck != nil && cta+1 < ck.NumCTAs() {
-		launch.AfterCTA = func(idx int, faultLive bool) bool {
-			if idx != cta || faultLive {
-				// Memory says nothing about the future while a persistent
-				// fault is live: it can match golden at the boundary while
-				// a stuck lane or barrier ghost still diverges a later CTA.
-				// A fault bound to a thread of CTA `cta` has always retired
-				// here (the CTA only completes once its threads exit), so
-				// the gate is a mechanical enforcement of that invariant
-				// rather than a reachable branch today (DESIGN.md §3.11).
-				return false
-			}
-			w.div = ck.AppendDivergent(w.dev, cta+1, w.div[:0])
-			exit.o, exit.ok = t.deadOutcome(w.dev, cta, w.div)
-			return exit.ok
+	w.launch.FirstCTA = first
+	if ck != nil {
+		if w.afterCTA == nil {
+			w.afterCTA, w.afterInjected = w.ctaExit, w.threadExit
+		}
+		w.t, w.thread, w.cta, w.exited = t, site.Thread, cta, false
+		if cta+1 < ck.NumCTAs() {
+			w.launch.AfterCTA = w.afterCTA
+		}
+		if t.WarpSize == 0 && t.prep.threadIndependent && model.threadLocal() {
+			w.launch.AfterInjected = w.afterInjected
 		}
 	}
-	res, err := gpusim.Execute(dev, launch)
+	res, err := gpusim.Execute(dev, &w.launch)
 	if err != nil {
 		return 0, cost, err
 	}
 	cost.ctasSkipped = int64(first)
-	if res.Trap == nil && exit.ok {
+	if res.Trap == nil && ck != nil && w.exited {
 		cost.earlyExit = true
 		cost.ctasSkipped += int64(ck.NumCTAs() - (cta + 1))
-		return exit.o, cost, nil
+		return w.exit, cost, nil
 	}
 	return t.classify(dev, res), cost, nil
 }
 
-// deadOutcome decides the outcome of a run stopped at boundary cta+1 whose
-// global memory differs from the golden run's there on exactly the pages div
-// (DESIGN.md §3.2, dead-divergence exit); ok is false when the run must
-// execute the remaining CTAs instead. With no divergent page the run has
-// converged: Masked. If a CTA after cta loads a divergent page the
-// divergence can propagate, so the run goes on. Otherwise every later CTA
-// replays the golden run, and the final image is golden-final except on the
-// divergent-page words no later CTA stores to: the run is SDC if an output
-// byte on such a word differs from the golden output, Masked if none does. A
-// differing word that a later CTA may overwrite only in part (a sub-word
-// store) cannot be decided without running, unless another word already
-// makes the run SDC.
-func (t *Target) deadOutcome(dev *gpusim.Device, cta int, div []int32) (o Outcome, ok bool) {
+// threadIndependent reports whether, under serial scheduling, a thread of
+// prog can affect the later threads of its CTA only through global memory.
+// Every memory write is an instruction whose destination is a memory
+// operand, so it suffices that there is no barrier — each thread then runs
+// from its first instruction to its exit before the next one starts — and
+// that no destination is shared or local memory (const stores trap): every
+// thread then starts from fresh registers and parameter-only shared memory.
+func threadIndependent(prog *isa.Program) bool {
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		if in.Op == isa.OpBar || in.Dst.Kind == isa.OpdMem && in.Dst.Space != isa.SpaceGlobal {
+			return false
+		}
+	}
+	return true
+}
+
+// deadOutcome decides the outcome of a run paused right after thread after
+// retired (the last thread of a CTA at a CTA boundary, the injected thread
+// at its exit) whose global memory can differ from the golden run's at that
+// point only on the pages div (DESIGN.md §3.2, early exits); ok is false
+// when the run must go on instead. If a later thread may load a word of a
+// div page whose value it would see differently (Checkpoints.ObservedAfter)
+// the divergence can propagate, so the run goes on. Otherwise every later
+// thread replays the golden run, and the final image is golden-final except
+// on the div-page words no later thread stores to: the run is SDC if an
+// output byte on such a word differs from the golden output, Masked if none
+// does — with no div page at all, the run has converged. A differing word
+// that a later thread may overwrite only in part (a sub-word store) cannot
+// be decided without running, unless another word already makes the run
+// SDC.
+func (t *Target) deadOutcome(dev *gpusim.Device, after int, div []int32) (o Outcome, ok bool) {
 	ck := t.prep.ckpt
 	for _, p := range div {
-		if ck.LoadedAfter(p, cta) {
+		if ck.ObservedAfter(dev, p, after) {
 			return 0, false
 		}
 	}
@@ -399,19 +419,15 @@ func (t *Target) deadOutcome(dev *gpusim.Device, cta int, div []int32) (o Outcom
 		hi := lo + gpusim.PageSize
 		goff := 0 // offset of r's bytes in the golden output
 		for _, r := range t.Output {
-			a, end := max(lo, r.Off), min(hi, r.Off+r.Len)
-			for a < end {
-				i := dev.FirstDiff(a, t.prep.golden[goff+a-r.Off:goff+end-r.Off])
-				if i < 0 {
-					break
-				}
-				addr := a + i
-				stored, partial := ck.StoredAfter(addr, cta)
-				if !stored {
+			if a, end := max(lo, r.Off), min(hi, r.Off+r.Len); a < end {
+				sdc := dev.EachDiffWord(a, t.prep.golden[goff+a-r.Off:goff+end-r.Off], func(addr int) bool {
+					stored, partial := ck.StoredAfter(addr, after)
+					undecided = undecided || partial
+					return !stored
+				})
+				if sdc {
 					return SDC, true
 				}
-				undecided = undecided || partial
-				a = addr&^3 + 4 // this word is settled; scan on from the next
 			}
 			goff += r.Len
 		}

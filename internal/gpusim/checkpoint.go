@@ -1,5 +1,7 @@
 package gpusim
 
+import "slices"
+
 // Checkpointing captures the golden (fault-free) run's global-memory state at
 // CTA boundaries so that injection runs can fast-forward: for a fault site in
 // CTA c, the CTAs before c are bit-identical to the golden run (CTAs execute
@@ -9,9 +11,13 @@ package gpusim
 // the inter-snapshot write sets, not the device footprint — and every CTA
 // boundary additionally records per-page content hashes, so a run can list
 // the pages on which it differs from golden state right after the injected
-// CTA (Checkpoints.AppendDivergent). Two access summaries of the golden run —
-// the last CTA to load from each page, the last CTA to store to each word —
-// tell whether any later CTA can observe or overwrite that divergence.
+// CTA (Checkpoints.AppendDivergent). Access summaries of the golden run — the
+// last thread to load each word, the last thread to store each word, the
+// pages each CTA stores to — and its final image tell whether any later
+// thread can observe or overwrite that divergence (AppendTouched,
+// ObservedAfter, StoredAfter). "Last" is the largest flat thread index, so a
+// question about the threads after the last thread of CTA c is the question
+// about the CTAs after c.
 
 // DefaultCheckpointSnapshots bounds the number of snapshots an auto-strided
 // recorder takes, keeping retained snapshot memory proportional to at most
@@ -50,17 +56,30 @@ type Checkpoints struct {
 	// pristineHash[p] is the hash of page p in the pristine image.
 	pristineHash []uint64
 	bytes        int64
-	// lastLoad[p] is the last CTA of the golden run that loads from page p,
-	// -1 when none does.
-	lastLoad []int32
-	// lastStore[p], for each page the golden run stores to (nil for the
-	// others), holds per 4-byte word of the page the last CTA that stores to
-	// it, -1 when none does.
+	// loadWords[p], for each page the golden run loads from (nil for the
+	// others), holds per 4-byte word of the page the last (largest flat
+	// index) thread that loads it, -1 when none does. lastLoad[p] is the
+	// largest entry of loadWords[p]: the last thread that loads page p, -1
+	// when none does.
+	loadWords [][]int32
+	lastLoad  []int32
+	// lastStore[p] is loadWords' twin for stores: per word of each page the
+	// golden run stores to, the last thread that stores to it.
 	lastStore [][]int32
+	// both[p] is the largest min(last loader, last storer) over the words
+	// of page p: a word loaded and stored after thread t exists on p iff
+	// both[p] > t. -1 when no word of p is both loaded and stored.
+	both []int32
 	// partial holds the word indices (byte address / 4) the golden run
 	// stores to with a sub-word access at least once; nil when it never
 	// does.
 	partial map[int]bool
+	// storedIn[c] lists the pages CTA c stores to in the golden run.
+	storedIn [][]int32
+	// final is the golden run's final image, frozen; finalBytes counts the
+	// pages only it holds (privatized after the last snapshot).
+	final      *Device
+	finalBytes int64
 }
 
 // Stride is the CTA-boundary distance between snapshots.
@@ -96,14 +115,19 @@ func (c *Checkpoints) SnapshotIndex(cta int) int {
 }
 
 // SummaryBytes approximates the memory held by the golden run's access
-// summaries (see LoadedAfter and StoredAfter): two entries per page, plus
-// one per word of every page the golden run stores to.
+// summaries and its final image (see AppendTouched, ObservedAfter and
+// StoredAfter): per page two word-table headers, lastLoad and both; one entry
+// per word of every page the golden run loads or stores; the per-CTA
+// stored-page lists; and the final image's private pages.
 func (c *Checkpoints) SummaryBytes() int64 {
-	n := 4*int64(len(c.lastLoad)) + 24*int64(len(c.lastStore)) // int32, slice header
-	for _, words := range c.lastStore {
-		n += 4 * int64(len(words))
+	n := (24+24+4+4)*int64(len(c.lastLoad)) + 24*int64(len(c.storedIn)) // headers, int32s
+	for p := range c.lastLoad {
+		n += 4 * int64(len(c.loadWords[p])+len(c.lastStore[p]))
 	}
-	return n + 16*int64(len(c.partial))
+	for _, pages := range c.storedIn {
+		n += 4 * int64(len(pages))
+	}
+	return n + 16*int64(len(c.partial)) + c.finalBytes
 }
 
 // AppendDivergent appends to buf the pages on which dev — reset from
@@ -151,19 +175,61 @@ func (c *Checkpoints) Converged(dev *Device, boundary int) bool {
 	return len(c.AppendDivergent(dev, boundary, buf[:0])) == 0
 }
 
-// LoadedAfter reports whether some CTA after cta loads from page p in the
-// golden run.
-func (c *Checkpoints) LoadedAfter(p int32, cta int) bool {
-	return int(c.lastLoad[p]) > cta
+// AppendTouched appends to buf the pages a run paused mid-CTA cta may hold
+// differently from the golden run at the same point, and returns the
+// extended slice: every page dev dirtied since its reset — replayed golden
+// stores, a restored warp-snapshot delta, the fault's own stores — plus
+// every page CTA cta stores to in the golden run that dev has not dirtied
+// (a store the fault made the run skip leaves such a page at snapshot
+// content). Any other page still holds the reset snapshot's content, which
+// golden has not changed since: every golden store from the resume point on
+// is replayed, restored or made by CTA cta. It is the mid-CTA analogue of
+// AppendDivergent, without the hashing: no golden image exists mid-CTA.
+func (c *Checkpoints) AppendTouched(dev *Device, cta int, buf []int32) []int32 {
+	buf = append(buf, dev.dirtyIdx...)
+	for _, p := range c.storedIn[cta] {
+		if !dev.dirty[p] {
+			buf = append(buf, p)
+		}
+	}
+	return buf
 }
 
-// StoredAfter reports whether some CTA after cta stores to the 4-byte word
-// holding byte addr in the golden run, and, if one does, whether any golden
-// store to that word is narrower than the word — then a later store may
-// overwrite only part of it.
-func (c *Checkpoints) StoredAfter(addr, cta int) (stored, partial bool) {
+// ObservedAfter reports whether a thread after thread t may observe how
+// dev's page p differs from the golden run at the point where thread t
+// retired: the word-granular refusal rule of the thread and CTA-boundary
+// early exits (DESIGN.md §3.2). Its question is "does any later thread load a word whose value it
+// would see differently", answered from the golden run's summaries:
+//
+//   - a word loaded and stored after t (both[p] > t): golden's value of it
+//     at t is unknown — the final image shows the later store — so the page
+//     refuses whatever dev holds;
+//   - otherwise every word loaded after t is stored at or before t, so its
+//     golden value at t is its golden final value: the page refuses iff
+//     such a word differs between dev and the final image.
+//
+// The differing words are found by halving, so a page equal to the final
+// image costs one comparison.
+func (c *Checkpoints) ObservedAfter(dev *Device, p int32, t int) bool {
+	if int(c.both[p]) > t {
+		return true
+	}
+	if int(c.lastLoad[p]) <= t {
+		return false
+	}
+	loads := c.loadWords[p]
+	return eachDiffWord(dev.pages[p], c.final.pages[p], int(p)<<pageShift, func(addr int) bool {
+		return int(loads[addr&pageMask>>2]) > t
+	})
+}
+
+// StoredAfter reports whether some thread after thread t stores to the
+// 4-byte word holding byte addr in the golden run, and, if one does,
+// whether any golden store to that word is narrower than the word — then a
+// later store may overwrite only part of it.
+func (c *Checkpoints) StoredAfter(addr, t int) (stored, partial bool) {
 	words := c.lastStore[addr>>pageShift]
-	if words == nil || int(words[addr&pageMask>>2]) <= cta {
+	if words == nil || int(words[addr&pageMask>>2]) <= t {
 		return false, false
 	}
 	return true, c.partial[addr>>2]
@@ -181,8 +247,6 @@ type CheckpointRecorder struct {
 	dev *Device
 	ck  *Checkpoints
 	buf []int32
-	// cta is the CTA the golden run is executing.
-	cta int32
 	// cur is the cumulative page->hash map at the last seen boundary.
 	cur map[int32]uint64
 	// intra, when non-nil, is the coupled intra-CTA recorder: it learns each
@@ -212,11 +276,9 @@ func NewCheckpointRecorder(pristine, dev *Device, numCTAs, stride int) *Checkpoi
 		numCTAs:   numCTAs,
 		snaps:     []*Device{pristine},
 		hashes:    make([]map[int32]uint64, numCTAs+1),
-		lastLoad:  make([]int32, dev.NumPages()),
+		loadWords: make([][]int32, dev.NumPages()),
 		lastStore: make([][]int32, dev.NumPages()),
-	}
-	for p := range ck.lastLoad {
-		ck.lastLoad[p] = -1
+		storedIn:  make([][]int32, numCTAs),
 	}
 	ck.hashes[0] = map[int32]uint64{}
 	dev.TakeDirtyPages(nil) // discard host-side init writes, if any
@@ -226,24 +288,16 @@ func NewCheckpointRecorder(pristine, dev *Device, numCTAs, stride int) *Checkpoi
 	return r
 }
 
-// noteLoad records a global load at byte address addr by the current CTA.
-func (r *CheckpointRecorder) noteLoad(addr int) {
-	r.ck.lastLoad[addr>>pageShift] = r.cta
+// noteLoad records a global load at byte address addr by flat thread
+// thread. Accesses are width-aligned, so a load lies in one word.
+func (r *CheckpointRecorder) noteLoad(addr, thread int) {
+	noteWord(r.ck.loadWords, addr, thread)
 }
 
-// noteStore records a w-byte global store at byte address addr by the
-// current CTA. Accesses are width-aligned, so a store lies in one word.
-func (r *CheckpointRecorder) noteStore(addr, w int) {
-	p := addr >> pageShift
-	words := r.ck.lastStore[p]
-	if words == nil {
-		words = make([]int32, PageSize/4)
-		for i := range words {
-			words[i] = -1
-		}
-		r.ck.lastStore[p] = words
-	}
-	words[addr&pageMask>>2] = r.cta
+// noteStore records a w-byte global store at byte address addr by flat
+// thread thread.
+func (r *CheckpointRecorder) noteStore(addr, w, thread int) {
+	noteWord(r.ck.lastStore, addr, thread)
 	if w < 4 {
 		if r.ck.partial == nil {
 			r.ck.partial = make(map[int]bool)
@@ -252,18 +306,38 @@ func (r *CheckpointRecorder) noteStore(addr, w int) {
 	}
 }
 
-// endCTA runs when CTA cta of the golden run retires: it folds the CTA's
-// write set into the cumulative hash map and clones a snapshot at strided
-// boundaries. A CTA boundary needs no scheduler or barrier ledger beyond the
-// device image — CTAs run strictly sequentially, a CTA retires only when
-// every thread has exited, and threads of a fresh CTA start with an empty
-// ledger (no parked flags, no barrier arrivals, election order fixed by
-// thread order) — so the device clone IS the complete resume point
-// (DESIGN.md §3.11).
+// noteWord raises the word table entry of byte address addr to thread,
+// allocating the page's table on its first access. Taking the maximum
+// rather than the latest makes the entry independent of the scheduler's
+// interleaving: under barriers or lockstep warps a lower thread can access
+// a word after a higher one.
+func noteWord(tables [][]int32, addr, thread int) {
+	p := addr >> pageShift
+	words := tables[p]
+	if words == nil {
+		words = make([]int32, PageSize/4)
+		for i := range words {
+			words[i] = -1
+		}
+		tables[p] = words
+	}
+	if w := &words[addr&pageMask>>2]; int32(thread) > *w {
+		*w = int32(thread)
+	}
+}
+
+// endCTA runs when CTA cta of the golden run retires: it keeps the CTA's
+// write set as its stored-page list, folds it into the cumulative hash map
+// and clones a snapshot at strided boundaries. A CTA boundary needs no
+// scheduler or barrier ledger beyond the device image — CTAs run strictly
+// sequentially, a CTA retires only when every thread has exited, and
+// threads of a fresh CTA start with an empty ledger (no parked flags, no
+// barrier arrivals, election order fixed by thread order) — so the device
+// clone IS the complete resume point (DESIGN.md §3.11).
 func (r *CheckpointRecorder) endCTA(cta int) {
 	b := cta + 1
-	r.cta = int32(b)
 	r.buf = r.dev.TakeDirtyPages(r.buf)
+	r.ck.storedIn[cta] = slices.Clone(r.buf)
 	if r.intra != nil {
 		r.intra.noteBoundaryWrites(r.buf)
 	}
@@ -292,11 +366,28 @@ func (r *CheckpointRecorder) endCTA(cta int) {
 }
 
 // Finish detaches the recorder from its device, precomputes the per-boundary
-// convergence obligations and returns the immutable store. Call exactly
-// once, after the golden run completed without a trap.
+// convergence obligations and the per-page load summaries, freezes the
+// final image and returns the immutable store. Call exactly once, after the
+// golden run completed without a trap.
 func (r *CheckpointRecorder) Finish() *Checkpoints {
 	r.dev.rec = nil
 	ck := r.ck
+	// Pages privatized since the last snapshot are held by the final image
+	// alone.
+	ck.finalBytes = r.dev.TakePagesCopied() * PageSize
+	ck.final = r.dev.Clone()
+	ck.lastLoad = make([]int32, len(ck.loadWords))
+	ck.both = make([]int32, len(ck.loadWords))
+	for p, loads := range ck.loadWords {
+		ck.lastLoad[p], ck.both[p] = -1, -1
+		stores := ck.lastStore[p]
+		for w, l := range loads {
+			ck.lastLoad[p] = max(ck.lastLoad[p], l)
+			if stores != nil {
+				ck.both[p] = max(ck.both[p], min(l, stores[w]))
+			}
+		}
+	}
 	pristine := ck.snaps[0]
 	ck.pristineHash = make([]uint64, pristine.NumPages())
 	for p := range ck.pristineHash {

@@ -171,8 +171,9 @@ func TestHashPageHighBitDiffusion(t *testing.T) {
 // TestCheckpointRecorder: snapshots must equal the corresponding full-run
 // prefix states, golden replays from any snapshot must converge at every
 // later boundary, corrupted state and skipped writes must show up as
-// divergent pages, and the access summaries must name the last loading and
-// storing CTA.
+// divergent pages, the access summaries must name the last loading and
+// storing thread and each CTA's stored pages, and the word-granular refusal
+// rule must follow them.
 func TestCheckpointRecorder(t *testing.T) {
 	prog, init := chainSetup(t)
 	const numCTAs = 6
@@ -253,30 +254,48 @@ func TestCheckpointRecorder(t *testing.T) {
 			}
 		}
 
-		// Every CTA loads acc (page 0); nothing loads out (page 1). CTA c
-		// stores acc[0..3] and out[4c..4c+3], all whole words.
-		for cta := 0; cta < numCTAs; cta++ {
-			if got, want := ck.LoadedAfter(0, cta), cta < numCTAs-1; got != want {
-				t.Fatalf("stride %d: LoadedAfter(page 0, %d) = %v, want %v", stride, cta, got, want)
-			}
-			if ck.LoadedAfter(1, cta) {
-				t.Fatalf("stride %d: LoadedAfter(page 1, %d) on a page no CTA loads", stride, cta)
-			}
+		// The summaries are in thread time. Thread g (CTA g/4, tid g%4)
+		// loads and stores acc[g%4] on page 0 and stores out[g] on page 1,
+		// all whole words; nothing loads out.
+		const tpc, threads = 4, numCTAs * 4
+		for th := 0; th < threads; th++ {
 			for addr := 0; addr < 32; addr++ {
-				stored, partial := ck.StoredAfter(addr, cta)
-				if want := addr < 16 && cta < numCTAs-1; stored != want || partial {
-					t.Fatalf("stride %d: StoredAfter(acc byte %d, %d) = %v, %v; want %v, false", stride, addr, cta, stored, partial, want)
+				// The last writer of acc[w] is the last CTA's thread w.
+				stored, partial := ck.StoredAfter(addr, th)
+				if want := addr < 16 && (numCTAs-1)*tpc+addr/4 > th; stored != want || partial {
+					t.Fatalf("stride %d: StoredAfter(acc byte %d, %d) = %v, %v; want %v, false", stride, addr, th, stored, partial, want)
 				}
 			}
-			for gid := 0; gid < 4*numCTAs+4; gid++ {
-				stored, _ := ck.StoredAfter(gpusim.PageSize+4*gid+3, cta)
-				if want := gid < 4*numCTAs && gid/4 > cta; stored != want {
-					t.Fatalf("stride %d: StoredAfter(out[%d], %d) = %v, want %v", stride, gid, cta, stored, want)
+			for gid := 0; gid < threads+4; gid++ {
+				stored, _ := ck.StoredAfter(gpusim.PageSize+4*gid+3, th)
+				if want := gid < threads && gid > th; stored != want {
+					t.Fatalf("stride %d: StoredAfter(out[%d], %d) = %v, want %v", stride, gid, th, stored, want)
 				}
 			}
 		}
-		if ck.SummaryBytes() < gpusim.PageSize {
-			t.Fatalf("stride %d: summaries of two stored pages report %d bytes", stride, ck.SummaryBytes())
+		// Word-granular refusal: acc's words are loaded and stored until the
+		// last thread, so page 0 refuses whatever a device holds; out is
+		// never loaded, so page 1 never refuses. After CTA c's last thread
+		// the question is the CTA-level one.
+		dev := init.Clone()
+		for th := 0; th < threads; th++ {
+			if got, want := ck.ObservedAfter(dev, 0, th), th < threads-1; got != want {
+				t.Fatalf("stride %d: ObservedAfter(page 0, %d) = %v, want %v", stride, th, got, want)
+			}
+			if ck.ObservedAfter(dev, 1, th) {
+				t.Fatalf("stride %d: ObservedAfter(page 1, %d) on a page nothing loads", stride, th)
+			}
+		}
+		// Every CTA stores to both pages: a run that dirtied nothing is told
+		// to check both.
+		for cta := 0; cta < numCTAs; cta++ {
+			got := ck.AppendTouched(dev, cta, nil)
+			if slices.Sort(got); !slices.Equal(got, []int32{0, 1}) {
+				t.Fatalf("stride %d: AppendTouched(clean device, %d) = %v, want [0 1]", stride, cta, got)
+			}
+		}
+		if ck.SummaryBytes() < 2*gpusim.PageSize {
+			t.Fatalf("stride %d: summaries of two loaded or stored pages report %d bytes", stride, ck.SummaryBytes())
 		}
 	}
 }

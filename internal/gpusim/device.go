@@ -17,10 +17,11 @@
 // so an injection into CTA k can resume from the nearest snapshot at or
 // before k instead of re-executing the fault-free prefix; AppendDivergent
 // lists the pages on which a run's memory differs from the golden run's at
-// a boundary, and the golden run's access summaries (LoadedAfter,
-// StoredAfter) tell whether any later CTA can observe or overwrite them, so
-// a run can end early once its memory matches golden or its divergence is
-// provably dead.
+// a boundary, and the golden run's access summaries and final image
+// (ObservedAfter, StoredAfter) tell whether any later thread can observe or
+// overwrite them, so a run can end early — at a CTA boundary, or where the
+// injected thread exits — once its memory matches golden or its divergence
+// is provably dead.
 //
 // Execution entry points: Execute runs a Launch to completion (or trap),
 // optionally injecting one fault (Injection) and tracing every retired
@@ -117,6 +118,14 @@ type Launch struct {
 	// scheduler-corrupting fault could still diverge a later CTA (DESIGN.md
 	// §3.2, §3.11).
 	AfterCTA func(cta int, faultLive bool) bool
+	// AfterInjected, when non-nil, is invoked once under serial scheduling
+	// (WarpSize 0), when the injected thread has exited without a trap and
+	// the scheduler moves on from it. Returning true stops the launch there,
+	// mid-CTA: no later thread runs, and the Result reflects progress so
+	// far. It is the thread-boundary twin of AfterCTA's early exits; only
+	// the caller knows whether the kernel lets the rest of the run be
+	// decided at that point (DESIGN.md §3.2). Lockstep warps never call it.
+	AfterInjected func() bool
 	// IntraRec, when non-nil, records intra-CTA (warp-granular) checkpoints
 	// of this run; set it only on the golden traced run. See
 	// WarpCheckpointRecorder.
@@ -274,14 +283,15 @@ type Result struct {
 	Trap *Trap
 	// ThreadICnt is the per-flat-thread dynamic instruction count (the
 	// paper's iCnt). On a trapped run it reflects progress made so far;
-	// threads of CTAs skipped via Launch.FirstCTA or an AfterCTA early stop
-	// stay at zero.
+	// threads of CTAs skipped via Launch.FirstCTA, and threads an AfterCTA
+	// or AfterInjected early stop never ran, stay at zero.
 	ThreadICnt []int64
 	// TotalDyn is the sum of ThreadICnt.
 	TotalDyn int64
-	// CTAsExecuted is the number of CTAs the launch actually ran — smaller
-	// than the grid when FirstCTA skipped a prefix, AfterCTA stopped the
-	// launch early, or a trap aborted it.
+	// CTAsExecuted is the number of CTAs the launch actually ran, the one an
+	// AfterInjected stop cut short included — smaller than the grid when
+	// FirstCTA skipped a prefix, a hook stopped the launch early, or a trap
+	// aborted it.
 	CTAsExecuted int
 }
 
@@ -672,6 +682,53 @@ func (d *Device) FirstDiff(off int, want []byte) int {
 		i += len(got)
 	}
 	return -1
+}
+
+// EachDiffWord calls fn once for every 4-byte word of global memory in
+// [off, off+len(want)) that differs from want, in address order, passing the
+// address of the word's first differing byte; it stops and returns true as
+// soon as fn does. Like FirstDiff it compares without materializing a copy
+// and finds differences by halving, so a matching range costs one
+// comparison per page.
+func (d *Device) EachDiffWord(off int, want []byte, fn func(addr int) bool) bool {
+	d.checkRange(off, len(want))
+	for i := 0; i < len(want); {
+		pg := d.pages[(off+i)>>pageShift]
+		po := (off + i) & pageMask
+		got := pg[po:min(PageSize, po+len(want)-i)]
+		if eachDiffWord(got, want[i:i+len(got)], off+i, fn) {
+			return true
+		}
+		i += len(got)
+	}
+	return false
+}
+
+// diffLeaf is the range length below which eachDiffWord stops halving and
+// compares byte by byte.
+const diffLeaf = 64
+
+// eachDiffWord is EachDiffWord on two equal-length byte slices, got holding
+// the bytes at address addr. Halves split at word boundaries, so a word
+// never straddles two of them and each differing word is reported once.
+func eachDiffWord(got, want []byte, addr int, fn func(addr int) bool) bool {
+	if bytes.Equal(got, want) {
+		return false
+	}
+	if len(got) > diffLeaf {
+		mid := (addr+len(got)/2)&^3 - addr
+		return eachDiffWord(got[:mid], want[:mid], addr, fn) ||
+			eachDiffWord(got[mid:], want[mid:], addr+mid, fn)
+	}
+	for i := 0; i < len(got); i++ {
+		if got[i] != want[i] {
+			if fn(addr + i) {
+				return true
+			}
+			i = ((addr + i) | 3) - addr // skip the rest of this word
+		}
+	}
+	return false
 }
 
 func putWord(mem []byte, off int, w uint32) {

@@ -58,6 +58,57 @@ func TestFirstDiff(t *testing.T) {
 	}
 }
 
+// TestEachDiffWord: every differing 4-byte word is reported exactly once,
+// in address order, with the address of its first differing byte — over a
+// range that spans pages and starts mid-word — and a true return stops the
+// walk.
+func TestEachDiffWord(t *testing.T) {
+	dev := NewDevice(3*PageSize + 100)
+	for i := 0; i < dev.Size(); i += 4 {
+		dev.WriteWords(i, []uint32{uint32(i) * 2654435761})
+	}
+	const off = 37
+	want := dev.AppendRange(nil, off, dev.Size()-off)
+	w := append([]byte(nil), want...)
+	// Runs of differing bytes: dense (every byte of 100), inside one word,
+	// across a word boundary, across a page boundary, and the range's ends.
+	var flips []int
+	for i := 1000; i < 1100; i++ {
+		flips = append(flips, i)
+	}
+	flips = append(flips, 0, 2, 3, 7, 8, 500, 501, PageSize-off-2, PageSize-off+1, 2*PageSize+9, len(w)-1)
+	for _, i := range flips {
+		w[i] ^= 0x41
+	}
+	var expect []int
+	lastWord := -1
+	for i := range w {
+		if w[i] != want[i] && (off+i)/4 != lastWord {
+			lastWord = (off + i) / 4
+			expect = append(expect, off+i)
+		}
+	}
+	var got []int
+	if dev.EachDiffWord(off, w, func(addr int) bool { got = append(got, addr); return false }) {
+		t.Fatal("EachDiffWord returned true though fn never did")
+	}
+	if len(got) != len(expect) {
+		t.Fatalf("reported %d words, want %d", len(got), len(expect))
+	}
+	for i := range got {
+		if got[i] != expect[i] {
+			t.Fatalf("word %d reported at address %d, want %d", i, got[i], expect[i])
+		}
+	}
+	n := 0
+	if !dev.EachDiffWord(off, w, func(int) bool { n++; return n == 3 }) || n != 3 {
+		t.Fatalf("walk did not stop at the third word (%d calls)", n)
+	}
+	if dev.EachDiffWord(off, want, func(int) bool { t.Fatal("called on an equal range"); return true }) {
+		t.Fatal("equal range reported a difference")
+	}
+}
+
 // TestDeviceResetFromRestoresPristine: a pooled device must be bit-identical
 // to the pristine image after ResetFrom, across repeated dirty/reset cycles
 // touching different page sets.

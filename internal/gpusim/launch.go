@@ -58,8 +58,8 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		if ws.cta != launch.FirstCTA {
 			return nil, fmt.Errorf("gpusim: Resume snapshot for CTA %d but FirstCTA is %d", ws.cta, launch.FirstCTA)
 		}
-		if len(ws.threads) != launch.Block.Count() {
-			return nil, fmt.Errorf("gpusim: Resume snapshot holds %d threads, block has %d", len(ws.threads), launch.Block.Count())
+		if len(ws.dynAt) != launch.Block.Count() {
+			return nil, fmt.Errorf("gpusim: Resume snapshot holds %d threads, block has %d", len(ws.dynAt), launch.Block.Count())
 		}
 		if len(ws.shared) != sharedBytes {
 			return nil, fmt.Errorf("gpusim: Resume snapshot shared size %d, launch wants %d", len(ws.shared), sharedBytes)
@@ -109,9 +109,6 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		warpActive:  e.warpActive[:0],
 	}
 
-	gx, gy := max(launch.Grid.X, 1), max(launch.Grid.Y, 1)
-	bx, by, bz := max(launch.Block.X, 1), max(launch.Block.Y, 1), max(launch.Block.Z, 1)
-
 	// faultLive is what AfterCTA hears about a persistent fault: armed and
 	// conservatively live until the injected thread's CTA has run, then
 	// whether that thread failed to exit (CTAs retire only when every thread
@@ -128,33 +125,11 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 	// linear position in that order, decoded back into grid coordinates so
 	// a launch can resume at an arbitrary CTA (Launch.FirstCTA).
 	for ctaIndex := launch.FirstCTA; ctaIndex < nCTA; ctaIndex++ {
-		if ws := launch.Resume; ws != nil && ctaIndex == launch.FirstCTA {
-			// Mid-CTA resume: thread and shared-memory state are copied out
-			// of the intra-CTA snapshot (params are part of the shared copy),
-			// so the snapshot stays immutable across repeated resumes.
-			copy(s.slots, ws.threads)
-			copy(cta.shared, ws.shared)
-		} else {
-			clear(cta.shared)
-			for i, p := range launch.Params {
-				putWord(cta.shared, ParamBase+4*i, p)
-			}
-			ctaid := Dim3{ctaIndex % gx, (ctaIndex / gx) % gy, ctaIndex / (gx * gy)}
-			base := ctaIndex * threadsPerCTA
-			tLinear := 0
-			for tz := 0; tz < bz; tz++ {
-				for ty := 0; ty < by; ty++ {
-					for tx := 0; tx < bx; tx++ {
-						s.slots[tLinear] = threadState{
-							flat:  base + tLinear,
-							tid:   Dim3{tx, ty, tz},
-							ctaid: ctaid,
-						}
-						tLinear++
-					}
-				}
-			}
+		var resume *WarpSnapshot
+		if ctaIndex == launch.FirstCTA {
+			resume = launch.Resume
 		}
+		startCTA(cta, s.slots, launch, ctaIndex, resume)
 		if e.intra != nil {
 			e.intra.beginCTA(ctaIndex, cta)
 		}
@@ -168,6 +143,9 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 			res.Trap = trap
 			return res, nil
 		}
+		if e.halted {
+			return res, nil
+		}
 		if p := e.persist; p != nil && p.thread/threadsPerCTA == ctaIndex {
 			faultLive = !s.slots[p.thread-ctaIndex*threadsPerCTA].done
 		}
@@ -179,6 +157,52 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		}
 	}
 	return res, nil
+}
+
+// startCTA sets CTA ctaIndex of launch up in cta and slots (cta.threads[i]
+// == &slots[i]): every thread at its start and shared memory holding the
+// parameters — or, from ws, the CTA's state at the snapshot's capture
+// point. A snapshot's state is copied out (params are part of its shared
+// copy), so it stays immutable across repeated resumes, and each slot is
+// written once: a live thread from the snapshot, any other one fresh, with
+// its exit and retired count when it has already exited (WarpSnapshot's
+// compact layout).
+func startCTA(cta *ctaState, slots []threadState, launch *Launch, ctaIndex int, ws *WarpSnapshot) {
+	var live []threadState
+	if ws != nil {
+		live = ws.live
+		copy(cta.shared, ws.shared)
+	} else {
+		clear(cta.shared)
+		for i, p := range launch.Params {
+			putWord(cta.shared, ParamBase+4*i, p)
+		}
+	}
+	gx, gy := max(launch.Grid.X, 1), max(launch.Grid.Y, 1)
+	bx, by, bz := max(launch.Block.X, 1), max(launch.Block.Y, 1), max(launch.Block.Z, 1)
+	ctaid := Dim3{ctaIndex % gx, (ctaIndex / gx) % gy, ctaIndex / (gx * gy)}
+	base := ctaIndex * len(slots)
+	tLinear := 0
+	for tz := 0; tz < bz; tz++ {
+		for ty := 0; ty < by; ty++ {
+			for tx := 0; tx < bx; tx++ {
+				slot := &slots[tLinear]
+				if len(live) > 0 && live[0].flat == base+tLinear {
+					*slot, live = live[0], live[1:]
+				} else {
+					*slot = threadState{
+						flat:  base + tLinear,
+						tid:   Dim3{tx, ty, tz},
+						ctaid: ctaid,
+					}
+					if ws != nil && ws.exited(tLinear) {
+						slot.done, slot.dynCount = true, ws.dynAt[tLinear]
+					}
+				}
+				tLinear++
+			}
+		}
+	}
 }
 
 // barrierStatus summarizes a CTA's barrier state after a scheduling round.

@@ -246,6 +246,10 @@ func (e *exec) faultPending(th *threadState) bool {
 // fault — skips the per-instruction sweep for a fast path that retires the
 // identical dynamic instructions in the identical order: runThreadFast for
 // a one-lane warp, runWarpBatch across the lanes of a lockstep warp.
+//
+// Under serial scheduling the injected thread's exit is reported to
+// Launch.AfterInjected once; if the hook stops the launch, runCTA returns
+// nil with e.halted set and the CTA's later threads never run.
 func (e *exec) runCTA(cta *ctaState) *Trap {
 	lockstep := e.launch.WarpSize > 0
 	width := max(e.launch.WarpSize, 1)
@@ -313,6 +317,16 @@ func (e *exec) runCTA(cta *ctaState) *Trap {
 					// earlier in the round is parked or done, so a resumed CTA
 					// replays exactly this continuation.
 					e.intra.flush()
+				}
+			}
+			if injTh != nil && injTh.done && !lockstep && !e.injExited && e.launch.AfterInjected != nil {
+				// The injected thread just exited: the threads before it in
+				// serial order have run as far as the next barrier, the ones
+				// after it have not run since.
+				e.injExited = true
+				if e.launch.AfterInjected() {
+					e.halted = true
+					return nil
 				}
 			}
 		}

@@ -96,6 +96,9 @@ type exec struct {
 	plan *execPlan
 	// warpActive is runWarpBatch's reused active-lane scratch.
 	warpActive []*threadState
+	// injExited is set once runCTA has handed the injected thread's exit to
+	// Launch.AfterInjected; halted, once that hook stopped the launch.
+	injExited, halted bool
 }
 
 // readReg returns the raw 32-bit value of a register for thread th.
@@ -247,7 +250,7 @@ func (e *exec) load(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataTy
 		}
 		v = e.dev.loadMem(addr, w)
 		if e.ckpt != nil {
-			e.ckpt.noteLoad(addr)
+			e.ckpt.noteLoad(addr, th.flat)
 		}
 	} else {
 		mem := e.memSlice(cta, o.Space)
@@ -298,7 +301,7 @@ func (e *exec) store(th *threadState, cta *ctaState, o *isa.Operand, t isa.DataT
 		}
 		e.dev.storeMem(addr, w, v)
 		if e.ckpt != nil {
-			e.ckpt.noteStore(addr, w)
+			e.ckpt.noteStore(addr, w, th.flat)
 		}
 		return nil
 	}

@@ -1,6 +1,10 @@
 package gpusim
 
-import "sort"
+import (
+	"bytes"
+	"sort"
+	"unsafe"
+)
 
 // Intra-CTA (warp-granular) checkpointing captures the golden run's full
 // architectural state at strided points *inside* a CTA — per-thread register
@@ -34,8 +38,9 @@ const DefaultIntraSnapshots = 16
 // instructions; the recorder doubles it (decimating retained snapshots) once
 // a CTA exceeds DefaultIntraSnapshots, so the effective K is tuned to the
 // CTA's dynamic instruction count. The starting point is deliberately
-// coarse: each capture copies every thread's register file, so short CTAs —
-// whose whole prefix replays in about the time a snapshot restore takes —
+// coarse: each capture copies the live threads' register files and the
+// CTA's page delta, so short CTAs — whose whole prefix replays in about the
+// time a snapshot restore takes —
 // should get no intra snapshots at all rather than slow down every
 // Prepare's golden run. Mid-CTA resume is aimed at the paper's regime of
 // thousands-to-millions of dynamic instructions per CTA, where a <=4K
@@ -55,24 +60,34 @@ const defaultIntraBudgetBytes = 256 << 20
 //
 // "Complete" includes the scheduler and synchronization ledger, which is
 // what makes resuming sound under scheduler-corrupting persistent faults
-// (DESIGN.md §3.11): threads holds full threadState copies — parked flags
-// (waiting), barrier-arrival ids (barID), exit flags (done), and per-thread
-// retirement counts (dynCount) — in CTA-local thread order, which is also
-// the schedulers' fixed election order; shared is the CTA's shared memory;
-// dynAt pins each thread's position so SnapshotBefore can prove a snapshot
-// predates a fault's activation point (armed-but-not-yet-activated
-// persistState bookkeeping is derived, not stored: a resumed Execute
-// re-arms the fault from the Injection and activation compares dynCount
-// against DynInst, so a snapshot with dynAt[t] <= DynInst reproduces the
-// armed state exactly; Execute rejects resumes past the activation point).
+// (DESIGN.md §3.11). The layout is compact: a full threadState copy —
+// registers, PC, parked flag (waiting), barrier-arrival id (barID) — is
+// kept only for the live threads, those that have started and not exited;
+// every thread keeps its retirement count (dynAt) and an exit bit. Restore
+// (Execute) rebuilds the rest exactly: a thread that has not started is
+// the fresh state every CTA starts from, and of an exited thread nothing
+// but its exit and its count is ever read again — the schedulers skip it,
+// and Result.ThreadICnt reads the count. Live threads are kept in CTA-local
+// order, which is also the schedulers' fixed election order; shared is the
+// CTA's shared memory, one slice shared with the previous capture when
+// their bytes are equal. dynAt pins each thread's position so
+// SnapshotBefore can prove a snapshot predates a fault's activation point
+// (armed-but-not-yet-activated persistState bookkeeping is derived, not
+// stored: a resumed Execute re-arms the fault from the Injection and
+// activation compares dynCount against DynInst, so a snapshot with
+// dynAt[t] <= DynInst reproduces the armed state exactly; Execute rejects
+// resumes past the activation point).
 type WarpSnapshot struct {
 	cta     int
 	retired int64 // CTA-local retired-step count at capture
 	// dynAt[t] is local thread t's dynamic instruction count at capture; a
 	// site with DynInst >= dynAt[t] has not yet fired at this point.
-	dynAt   []int64
-	threads []threadState
-	shared  []byte
+	dynAt []int64
+	// done is a bit set over local thread indices: the thread had exited.
+	done []uint64
+	// live holds the started, not yet exited threads in local order.
+	live   []threadState
+	shared []byte
 	// pageIdx/pageDat hold the global-memory pages written since the floor
 	// CTA-boundary snapshot (by earlier CTAs past that boundary and by this
 	// CTA's prefix), with content clipped to the device size.
@@ -92,14 +107,37 @@ func (ws *WarpSnapshot) DynAt(t int) int64 { return ws.dynAt[t] }
 
 // Waiting reports whether CTA-local thread t was parked at a barrier at
 // capture time — part of the captured scheduler ledger.
-func (ws *WarpSnapshot) Waiting(t int) bool { return ws.threads[t].waiting }
+func (ws *WarpSnapshot) Waiting(t int) bool {
+	th := ws.liveThread(t)
+	return th != nil && th.waiting
+}
 
 // BarrierID returns the barrier id CTA-local thread t was parked at (valid
 // when Waiting(t)) — part of the captured scheduler ledger.
-func (ws *WarpSnapshot) BarrierID(t int) uint32 { return ws.threads[t].barID }
+func (ws *WarpSnapshot) BarrierID(t int) uint32 {
+	if th := ws.liveThread(t); th != nil {
+		return th.barID
+	}
+	return 0
+}
 
 // Done reports whether CTA-local thread t had exited at capture time.
-func (ws *WarpSnapshot) Done(t int) bool { return ws.threads[t].done }
+func (ws *WarpSnapshot) Done(t int) bool { return ws.exited(t) }
+
+// exited reads local thread t's exit bit.
+func (ws *WarpSnapshot) exited(t int) bool { return ws.done[t/64]&(1<<(t%64)) != 0 }
+
+// liveThread returns local thread t's captured state, nil when t had not
+// started or had exited.
+func (ws *WarpSnapshot) liveThread(t int) *threadState {
+	flat := ws.cta*len(ws.dynAt) + t
+	for i := range ws.live {
+		if ws.live[i].flat == flat {
+			return &ws.live[i]
+		}
+	}
+	return nil
+}
 
 // RestorePages writes the snapshot's global-memory delta into dev, which
 // must already hold the floor CTA-boundary snapshot's content. Writing goes
@@ -111,10 +149,11 @@ func (ws *WarpSnapshot) RestorePages(dev *Device) {
 	}
 }
 
-// sizeBytes approximates the memory the snapshot retains.
+// sizeBytes approximates the memory the snapshot retains besides its shared
+// memory, which may be one slice with its neighbours' and is counted once
+// per slice by the recorder (see retain).
 func (ws *WarpSnapshot) sizeBytes() int64 {
-	const perThread = 600 // threadState value + dynAt entry, roughly
-	n := int64(len(ws.threads))*perThread + int64(len(ws.shared))
+	n := 8*int64(len(ws.dynAt)+len(ws.done)) + int64(len(ws.live))*int64(unsafe.Sizeof(threadState{}))
 	for _, d := range ws.pageDat {
 		n += int64(len(d))
 	}
@@ -198,6 +237,12 @@ type WarpCheckpointRecorder struct {
 	// re-arms dirty tracking and routes it through the dirty path instead —
 	// so successive snapshots of one CTA share these slices.
 	baseCopy map[int32][]byte
+	// lastShared is the shared-memory slice of the latest capture, which the
+	// next capture reuses when the bytes are equal; sharedRefs counts the
+	// retained snapshots holding each such slice, so the store's byte count
+	// includes every retained slice exactly once.
+	lastShared []byte
+	sharedRefs map[*byte]int
 
 	cur         *ctaState
 	curCTA      int
@@ -215,11 +260,12 @@ type WarpCheckpointRecorder struct {
 // DefaultIntraSnapshots snapshots or the global budget is exceeded.
 func NewWarpCheckpointRecorder(dev *Device, numCTAs, stride int) *WarpCheckpointRecorder {
 	r := &WarpCheckpointRecorder{
-		dev:       dev,
-		ck:        &WarpCheckpoints{stride: stride, perCTA: make([][]*WarpSnapshot, numCTAs)},
-		sinceBase: make(map[int32]struct{}),
-		maxPer:    DefaultIntraSnapshots,
-		budget:    defaultIntraBudgetBytes,
+		dev:        dev,
+		ck:         &WarpCheckpoints{stride: stride, perCTA: make([][]*WarpSnapshot, numCTAs)},
+		sinceBase:  make(map[int32]struct{}),
+		sharedRefs: make(map[*byte]int),
+		maxPer:     DefaultIntraSnapshots,
+		budget:     defaultIntraBudgetBytes,
 	}
 	if stride <= 0 {
 		r.auto = true
@@ -277,17 +323,32 @@ func (r *WarpCheckpointRecorder) capture() {
 		// The CTA is about to finish; the boundary store covers this point.
 		return
 	}
+	n, nlive := len(st.threads), 0
+	for _, th := range st.threads {
+		if th.dynCount > 0 && !th.done {
+			nlive++
+		}
+	}
 	ws := &WarpSnapshot{
 		cta:     r.curCTA,
 		retired: r.retired,
-		dynAt:   make([]int64, len(st.threads)),
-		threads: make([]threadState, len(st.threads)),
-		shared:  append([]byte(nil), st.shared...),
+		dynAt:   make([]int64, n),
+		done:    make([]uint64, (n+63)/64),
+		live:    make([]threadState, 0, nlive),
 	}
 	for i, th := range st.threads {
-		ws.threads[i] = *th
 		ws.dynAt[i] = th.dynCount
+		switch {
+		case th.done:
+			ws.done[i/64] |= 1 << (i % 64)
+		case th.dynCount > 0:
+			ws.live = append(ws.live, *th)
+		}
 	}
+	if !bytes.Equal(r.lastShared, st.shared) {
+		r.lastShared = append([]byte(nil), st.shared...)
+	}
+	ws.shared = r.lastShared
 	// Delta pages: everything written since the floor boundary snapshot by
 	// completed CTAs (sinceBase) plus the current CTA's writes so far (the
 	// device's dirty index, which the boundary recorder has not harvested
@@ -331,8 +392,7 @@ func (r *WarpCheckpointRecorder) capture() {
 		}
 	}
 	r.ck.perCTA[r.curCTA] = append(r.ck.perCTA[r.curCTA], ws)
-	r.ck.count++
-	r.ck.bytes += ws.sizeBytes()
+	r.retain(ws, 1)
 	if !r.auto {
 		return
 	}
@@ -367,14 +427,32 @@ func (r *WarpCheckpointRecorder) decimateCTA(cta int) {
 		if i%2 == 1 {
 			kept = append(kept, s)
 		} else {
-			r.ck.count--
-			r.ck.bytes -= s.sizeBytes()
+			r.retain(s, -1)
 		}
 	}
 	for i := len(kept); i < len(snaps); i++ {
 		snaps[i] = nil
 	}
 	r.ck.perCTA[cta] = kept
+}
+
+// retain adds (delta 1) or drops (delta -1) a snapshot in the store's
+// totals, counting its shared-memory slice while at least one retained
+// snapshot holds it.
+func (r *WarpCheckpointRecorder) retain(ws *WarpSnapshot, delta int) {
+	r.ck.count += delta
+	r.ck.bytes += int64(delta) * ws.sizeBytes()
+	key := &ws.shared[0]
+	switch refs := r.sharedRefs[key] + delta; {
+	case refs == 0:
+		delete(r.sharedRefs, key)
+		r.ck.bytes -= int64(len(ws.shared))
+	case refs == 1 && delta > 0:
+		r.sharedRefs[key] = refs
+		r.ck.bytes += int64(len(ws.shared))
+	default:
+		r.sharedRefs[key] = refs
+	}
 }
 
 // noteBoundaryWrites folds a completed CTA's write set into the delta base.

@@ -39,19 +39,32 @@ func TestKernelCorrectnessSmall(t *testing.T) {
 }
 
 // TestFastForwardMatchesFullRunEveryKernel is the registry-wide differential
-// of the checkpointed engine — prefix skip, intra-CTA resume, and both early
-// exits at the injected CTA's boundary (convergence and dead divergence,
-// DESIGN.md §3.2): on every kernel at small scale, under both schedulers and
-// six fault models, a campaign's per-site outcomes must equal the FullRun
-// reference's. The exits must actually fire somewhere, and some of them must
-// be SDC — which only the dead-divergence exit can produce.
+// of the checkpointed engine — prefix skip, intra-CTA resume, and the early
+// exits at the injected thread's exit and at its CTA's boundary
+// (convergence and dead divergence, DESIGN.md §3.2): on every kernel at
+// small scale, under both schedulers and seven fault models, and on a
+// paper-scale K-Means K2 slice, a campaign's per-site outcomes must equal
+// the FullRun reference's. The exits must actually fire somewhere, some of
+// them must be SDC — which only a dead-divergence exit can produce — and
+// some must stop a site in the last CTA, which only the thread exit can.
 func TestFastForwardMatchesFullRunEveryKernel(t *testing.T) {
 	models := []fault.Model{
-		fault.ModelDestValue, fault.ModelDestDouble, fault.ModelMemAddr,
+		fault.ModelDestValue, fault.ModelDestDouble, fault.ModelDestByte, fault.ModelMemAddr,
 		fault.ModelLaneCorrelated, fault.ModelStuckPred, fault.ModelStuckActiveMask,
 	}
 	const nsites = 150
-	var exits, sdcExits int64
+	var exits, sdcExits, lastCTAExits int64
+	// exitsOf runs a campaign over sites and returns its early exits.
+	exitsOf := func(tg *fault.Target, sites []fault.WeightedSite, model fault.Model) int64 {
+		if len(sites) == 0 {
+			return 0
+		}
+		res, err := fault.RunModel(tg, sites, model, fault.CampaignOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.EarlyExits
+	}
 	for _, spec := range All() {
 		for _, warp := range []int{0, 32} {
 			prepare := func(fullRun bool) *fault.Target {
@@ -84,29 +97,71 @@ func TestFastForwardMatchesFullRunEveryKernel(t *testing.T) {
 					}
 				}
 				exits += got.Stats.EarlyExits
-				if sdcExits > 0 {
-					continue
-				}
 				// Convergence exits are Masked, so an exit in a campaign of
-				// the full run's SDC sites is a dead-divergence exit.
-				var sdc []fault.WeightedSite
+				// the full run's SDC sites is a dead-divergence exit; one of
+				// a site in the last CTA, which has no later boundary, is a
+				// thread exit.
+				var sdc, lastSDC []fault.WeightedSite
 				for i, o := range want.PerSite {
 					if o == fault.SDC {
 						sdc = append(sdc, sites[i])
+						if sites[i].Site.Thread/ck.Block.Count() == ck.Grid.Count()-1 {
+							lastSDC = append(lastSDC, sites[i])
+						}
 					}
 				}
-				if len(sdc) > 0 {
-					res, err := fault.RunModel(ck, sdc, model, fault.CampaignOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sdcExits += res.Stats.EarlyExits
+				if sdcExits == 0 {
+					sdcExits += exitsOf(ck, sdc, model)
+				}
+				if lastCTAExits == 0 && ck.Grid.Count() > 1 {
+					lastCTAExits += exitsOf(ck, lastSDC, model)
 				}
 			}
 		}
 	}
-	if exits == 0 || sdcExits == 0 {
-		t.Fatalf("early exits: %d, SDC ones: %d; the boundary exits never fired", exits, sdcExits)
+	if exits == 0 || sdcExits == 0 || lastCTAExits == 0 {
+		t.Fatalf("early exits: %d, SDC ones: %d, last-CTA SDC ones: %d; the exits never fired",
+			exits, sdcExits, lastCTAExits)
+	}
+
+	// Paper scale: K-Means K2's 256-thread CTAs, where nearly every early
+	// exit is a thread exit.
+	spec, ok := ByName("K-Means K2")
+	if !ok {
+		t.Fatal("K-Means K2 missing")
+	}
+	paper := func(fullRun bool) *fault.Target {
+		inst, err := spec.Build(ScalePaper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg := inst.Target
+		tg.FullRun = fullRun
+		if err := tg.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		return tg
+	}
+	ck, ref := paper(false), paper(true)
+	for _, model := range []fault.Model{fault.ModelDestValue, fault.ModelMemAddr} {
+		sites := fault.Uniform(fault.NewSpace(ck.Profile()).RandomModel(stats.NewRNG(int64(model)+7), 100, model))
+		var res [2]*fault.CampaignResult
+		for i, tg := range []*fault.Target{ck, ref} {
+			r, err := fault.RunModel(tg, sites, model, fault.CampaignOptions{KeepPerSite: true})
+			if err != nil {
+				t.Fatalf("K-Means K2 paper %v: %v", model, err)
+			}
+			res[i] = r
+		}
+		for i := range sites {
+			if res[0].PerSite[i] != res[1].PerSite[i] {
+				t.Fatalf("K-Means K2 paper %v: site %v gave %v, full run %v",
+					model, sites[i].Site, res[0].PerSite[i], res[1].PerSite[i])
+			}
+		}
+		if res[0].Stats.EarlyExits == 0 {
+			t.Fatalf("K-Means K2 paper %v: no early exit", model)
+		}
 	}
 }
 
