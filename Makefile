@@ -119,8 +119,8 @@ bench-record:
 	for w in deep-paper shallow-durable warp-persistent prune-suite service-mix; do \
 		out=$$($(GO) run ./benchmark -workload $$w) || exit 1; \
 		printf '"%s": %s\n' $$w "$$(printf '%s\n' "$$out" | tail -n 1)"; \
-	done > BENCH_pr32.json
-	sed -i -e '$$!s/$$/,/' -e '1s/^/{\n/' -e '$$s/$$/\n}/' BENCH_pr32.json
+	done > BENCH_pr33.json
+	sed -i -e '$$!s/$$/,/' -e '1s/^/{\n/' -e '$$s/$$/\n}/' BENCH_pr33.json
 
 # Regenerates experiments_output.txt (untracked), the transcript every
 # "measured" value in EXPERIMENTS.md comes from: seed 1, the whole suite at

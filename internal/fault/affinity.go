@@ -85,14 +85,19 @@ func (s *deviceStats) harvest(d *gpusim.Device) {
 }
 
 // workerDevice is what a campaign worker runs its sites on: a copy-on-write
-// device, the site's launch and injection, and the state of injectOn's
-// early-exit hooks with the candidate-page buffer they fill. All of it is
-// reused site after site — the hooks are method values bound once, on the
-// first site — and travels together between take and give.
+// device, the site's launch and injection, the thread-start snapshot a run
+// may resume from, and the state of injectOn's early-exit hooks with the
+// candidate-page buffer they fill. All of it is reused site after site —
+// the hooks are method values bound once, on the first site — and travels
+// together between take and give.
 type workerDevice struct {
 	dev    *gpusim.Device
 	launch gpusim.Launch
 	inj    gpusim.Injection
+	// start and dynAt (its per-thread counts) are the synthetic snapshot
+	// of a thread-start resume (gpusim.WarpSnapshot.SetThreadStart).
+	start gpusim.WarpSnapshot
+	dynAt []int64
 
 	// The site being run: its target, thread and CTA.
 	t      *Target

@@ -56,10 +56,17 @@ type CampaignStats struct {
 	// memory converged to golden state, or Masked or SDC because no later
 	// CTA loads the pages where it differs (DESIGN.md §3.2).
 	EarlyExits int64
-	// IntraSkips counts runs resumed from an intra-CTA (warp-granular)
-	// snapshot, skipping the injected CTA's fault-free prefix in addition
-	// to whole prefix CTAs.
+	// IntraSkips counts runs resumed inside the injected CTA — from an
+	// intra-CTA (warp-granular) snapshot, or at the injected thread's start
+	// (DESIGN.md §3.2) — skipping the CTA's fault-free prefix in addition to
+	// whole prefix CTAs.
 	IntraSkips int64
+	// ReplayInstrs and PostFaultInstrs count the dynamic instructions the
+	// runs executed before their fault fired — golden replay the snapshots
+	// did not skip — and from the fault on (gpusim.Result.BeforeFault,
+	// Retired). They are work, not time: the same on any host and at any
+	// parallelism.
+	ReplayInstrs, PostFaultInstrs int64
 	// IntraCheckpointBytes approximates the memory retained by the target's
 	// intra-CTA snapshot store (register files, shared memory, page deltas);
 	// like CheckpointBytes it is a per-target figure, not per run.
@@ -107,6 +114,8 @@ func (s *CampaignStats) Merge(o CampaignStats) {
 	s.CTAsSkipped += o.CTAsSkipped
 	s.EarlyExits += o.EarlyExits
 	s.IntraSkips += o.IntraSkips
+	s.ReplayInstrs += o.ReplayInstrs
+	s.PostFaultInstrs += o.PostFaultInstrs
 	s.Replayed += o.Replayed
 	s.Retries += o.Retries
 	s.Quarantined += o.Quarantined
@@ -137,6 +146,10 @@ func (s CampaignStats) String() string {
 	if s.IntraSkips > 0 || s.IntraCheckpointBytes > 0 {
 		out += fmt.Sprintf(", %d intra-CTA skips (%d KiB warp snapshots)",
 			s.IntraSkips, s.IntraCheckpointBytes/1024)
+	}
+	if s.Runs > 0 {
+		out += fmt.Sprintf(", %.0f replay + %.0f post-fault instrs/site",
+			float64(s.ReplayInstrs)/float64(s.Runs), float64(s.PostFaultInstrs)/float64(s.Runs))
 	}
 	if s.Replayed > 0 {
 		out += fmt.Sprintf(", %d replayed from journal", s.Replayed)
@@ -441,7 +454,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 		workers = len(work)
 	}
 
-	var runs, retries, nquar, ctasSkipped, earlyExits, intraSkips atomic.Int64
+	var runs, retries, nquar, ctasSkipped, earlyExits, intraSkips, replayInstrs, postFaultInstrs atomic.Int64
 
 	// A journal-append failure stops the campaign. The first one reported
 	// is returned: every later append to the same broken journal fails too,
@@ -519,13 +532,15 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 						})
 						quarMu.Unlock()
 					}
-					ctasSkipped.Add(cost.ctasSkipped)
+					ctasSkipped.Add(int64(cost.ctasSkipped))
 					if cost.earlyExit {
 						earlyExits.Add(1)
 					}
 					if cost.intraResumed {
 						intraSkips.Add(1)
 					}
+					replayInstrs.Add(cost.replay)
+					postFaultInstrs.Add(cost.postFault)
 					outcomes[i] = o
 					done[i] = true
 					if j := opt.Journal; j != nil {
@@ -553,6 +568,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	st.CTAsSkipped = ctasSkipped.Load()
 	st.EarlyExits = earlyExits.Load()
 	st.IntraSkips = intraSkips.Load()
+	st.ReplayInstrs, st.PostFaultInstrs = replayInstrs.Load(), postFaultInstrs.Load()
 	if failed.Load() {
 		return nil, st, appendErr
 	}

@@ -231,7 +231,7 @@ func journalRecord(i int, ws WeightedSite, o Outcome, cost runCost, attempts int
 		Bit:          ws.Site.Bit,
 		Outcome:      uint8(o),
 		Weight:       ws.Weight,
-		CTAsSkipped:  cost.ctasSkipped,
+		CTAsSkipped:  int64(cost.ctasSkipped),
 		EarlyExit:    cost.earlyExit,
 		IntraResumed: cost.intraResumed,
 		Attempts:     attempts,

@@ -225,6 +225,60 @@ func TestSiteLoopAllocBytes(t *testing.T) {
 	}
 }
 
+// TestWorkCountersRepeatAcrossParallelism: the instructions a campaign's
+// runs execute before and after their faults fire are work, not time — a
+// pure function of target, sites and model — so they repeat exactly at
+// -par 1 and -par 2, whichever worker and device ran a site. Against the
+// full-run engine, which replays every instruction before the fault, the
+// checkpointed engine's golden replay is what its snapshots and the
+// thread-start resume did not skip.
+func TestWorkCountersRepeatAcrossParallelism(t *testing.T) {
+	for _, c := range []struct {
+		kernel string
+		model  fault.Model
+		warp   int
+	}{
+		{"K-Means K2", fault.ModelDestValue, 0},
+		{"GEMM K1", fault.ModelMemAddr, 0},
+		{"HotSpot K1", fault.ModelStuckPred, 32},
+	} {
+		tg, sites := tunedCampaign(t, c.kernel, c.model, c.warp, tuneAuto, 300)
+		var st [2]fault.CampaignStats
+		for i, par := range []int{1, 2} {
+			res, err := fault.RunModel(tg, sites, c.model, fault.CampaignOptions{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st[i] = res.Stats
+		}
+		if st[0].ReplayInstrs != st[1].ReplayInstrs || st[0].PostFaultInstrs != st[1].PostFaultInstrs {
+			t.Fatalf("%s %v: par 1 counts %d replay + %d post-fault, par 2 %d + %d", c.kernel, c.model,
+				st[0].ReplayInstrs, st[0].PostFaultInstrs, st[1].ReplayInstrs, st[1].PostFaultInstrs)
+		}
+		if st[0].ReplayInstrs <= 0 || st[0].PostFaultInstrs <= 0 {
+			t.Fatalf("%s %v: counts %d replay + %d post-fault", c.kernel, c.model, st[0].ReplayInstrs, st[0].PostFaultInstrs)
+		}
+		ks, _ := kernels.ByName(c.kernel)
+		inst, err := ks.Build(kernels.ScaleSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := inst.Target
+		ref.WarpSize, ref.FullRun = c.warp, true
+		if err := ref.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		full, err := fault.RunModel(ref, sites, c.model, fault.CampaignOptions{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Stats.ReplayInstrs <= st[0].ReplayInstrs {
+			t.Fatalf("%s %v: full runs replay %d instructions, checkpointed runs %d", c.kernel, c.model,
+				full.Stats.ReplayInstrs, st[0].ReplayInstrs)
+		}
+	}
+}
+
 // TestPooledStatsPagesCopied: the pooled runner's page-copy count reflects
 // real work — positive on a campaign with stores, and far below the
 // fresh-clone equivalent (every run copying the whole device).

@@ -89,8 +89,8 @@ type preparedState struct {
 
 // approxBytes estimates the memory the entry pins beyond the pristine
 // device: golden output, per-thread dynamic PC streams, checkpoint snapshot
-// pages, access summaries and the final image's private pages, and
-// intra-CTA warp snapshots.
+// pages, access summaries (thread-start bits included) and the final
+// image's private pages, and intra-CTA warp snapshots.
 func (s *preparedState) approxBytes() int64 {
 	n := int64(len(s.golden))
 	if s.profile != nil {

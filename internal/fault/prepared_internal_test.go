@@ -67,10 +67,10 @@ func TestEvictLockedSkipsPinned(t *testing.T) {
 // TestApproxBytesCountsSummaries: the byte bound counts the checkpoint
 // store's access summaries and final image. On deadExitTarget they are the
 // bulk of the entry — against a few hundred bytes of PC trace, a word table
-// for each of the five loaded and seven stored pages, and the four pages
-// the last CTA privatizes after the last snapshot, which only the final
-// image holds — so an estimate that left them out would admit entries far
-// over the bound.
+// for each of the five loaded and seven stored pages, the four pages the
+// last CTA privatizes after the last snapshot, which only the final image
+// holds, and a thread-start bit per thread — so an estimate that left them
+// out would admit entries far over the bound.
 func TestApproxBytesCountsSummaries(t *testing.T) {
 	tg := deadExitTarget(t)
 	s := tg.prep
@@ -78,8 +78,9 @@ func TestApproxBytesCountsSummaries(t *testing.T) {
 	if s.wck != nil {
 		parts += s.wck.Bytes()
 	}
-	if s.ckpt.SummaryBytes() < (5+7+4)*gpusim.PageSize {
-		t.Fatalf("summaries of 5 loaded and 7 stored pages and a final image of 4 private pages report %d bytes", s.ckpt.SummaryBytes())
+	if s.ckpt.SummaryBytes() < (5+7+4)*gpusim.PageSize+8*int64((tg.Threads()+63)/64) {
+		t.Fatalf("summaries of 5 loaded and 7 stored pages, a final image of 4 private pages and %d thread-start bits report %d bytes",
+			tg.Threads(), s.ckpt.SummaryBytes())
 	}
 	if got := s.approxBytes(); got < parts {
 		t.Fatalf("approxBytes = %d, below golden + snapshots + summaries = %d", got, parts)

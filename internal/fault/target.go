@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/gpusim"
 	"repro/internal/isa"
@@ -46,7 +47,11 @@ type Target struct {
 	// benchmarking reference.
 	FullRun bool
 	// CheckpointStride is the CTA-boundary distance between golden
-	// snapshots; 0 picks gpusim.AutoCheckpointStride from the grid size.
+	// snapshots; 0 picks gpusim.AutoCheckpointStride, which is 1 — a
+	// snapshot at every boundary — for every kernel in the registry. A
+	// stride above 1 is for tests: it makes runs resume from a snapshot
+	// below the injected CTA and replay (or, at a thread start, patch in)
+	// the golden CTAs between.
 	CheckpointStride int
 	// IntraStride controls intra-CTA (warp-granular) checkpoints, which let
 	// an injection resume mid-CTA instead of replaying the injected CTA's
@@ -273,9 +278,15 @@ func (t *Target) WarpCheckpoints() *gpusim.WarpCheckpoints {
 	return t.prep.wck
 }
 
-// runCost carries per-run fast-forward metrics out of injectOn.
+// runCost carries per-run fast-forward metrics out of injectOn: the
+// instructions the run executed before and after the fault fired, CTAs
+// skipped, and whether it exited early or resumed inside the injected CTA.
+// It rides the guard's per-attempt channel, whose buffer holds 48 bytes
+// per siteResult: a wider runCost moves that allocation up a size class.
 type runCost struct {
-	ctasSkipped  int64
+	replay       int64
+	postFault    int64
+	ctasSkipped  int32
 	earlyExit    bool
 	intraResumed bool
 }
@@ -296,6 +307,14 @@ type runCost struct {
 // snapshots capture the full per-thread ledger, and gpusim.Execute rejects a
 // resume past the fault's activation point — so the fault re-arms and
 // activates at the identical architectural event.
+//
+// The run starts at the latest golden point before its fault that can be
+// rebuilt exactly: a warp snapshot captured inside the injected thread,
+// else — under the thread exit's premises below — the injected thread's
+// own start (Checkpoints.ThreadStart: threads run one at a time, so the
+// memory there is the snapshot plus the last golden stores of the threads
+// between, and every earlier thread of the CTA is done), else the latest
+// warp snapshot before it, else the CTA boundary.
 //
 // The run then stops at the first of two points where deadOutcome can decide
 // its outcome from the pages that may differ from the golden run. Under
@@ -325,10 +344,12 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 		if err != nil {
 			return 0, cost, err
 		}
+		cost.replay, cost.postFault = res.BeforeFault, res.Retired-res.BeforeFault
 		return t.classify(dev, res), cost, nil
 	}
 	tpc := t.Block.Count()
 	cta := site.Thread / tpc
+	local := site.Thread - cta*tpc
 	snap, first := t.Init, 0
 	if ck != nil {
 		snap, first = ck.SnapshotFor(cta)
@@ -339,15 +360,28 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	// top of the floor boundary snapshot reproduces the golden state at the
 	// capture point exactly (CTAs share only global memory), so both the
 	// inter-snapshot golden CTAs and the injected CTA's fault-free prefix
-	// are skipped. The delta is written through the tracked store path, so
-	// both exits' candidate pages still include every page that may differ.
+	// are skipped. The delta — or the thread start's patched words — is
+	// written through the tracked store path, so both exits' candidate pages
+	// still include every page that may differ.
+	var ws *gpusim.WarpSnapshot
 	if wck != nil {
-		if ws := wck.SnapshotBefore(cta, site.Thread-cta*tpc, site.DynInst); ws != nil {
-			ws.RestorePages(dev)
-			w.launch.Resume = ws
-			first = cta
-			cost.intraResumed = true
+		ws = wck.SnapshotBefore(cta, local, site.DynInst)
+	}
+	threadLocal := ck != nil && t.WarpSize == 0 && t.prep.threadIndependent && model.threadLocal()
+	if threadLocal && site.Thread > first*tpc && (ws == nil || ws.DynAt(local) == 0) && ck.ThreadStart(dev, site.Thread) {
+		w.dynAt = slices.Grow(w.dynAt[:0], tpc)[:tpc]
+		for i := range local {
+			w.dynAt[i] = t.prep.profile.Threads[site.Thread-local+i].ICnt
 		}
+		w.start.SetThreadStart(cta, local, w.dynAt)
+		ws = &w.start
+	} else if ws != nil {
+		ws.RestorePages(dev)
+	}
+	if ws != nil {
+		w.launch.Resume = ws
+		first = cta
+		cost.intraResumed = true
 	}
 	w.launch.FirstCTA = first
 	if ck != nil {
@@ -358,7 +392,7 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 		if cta+1 < ck.NumCTAs() {
 			w.launch.AfterCTA = w.afterCTA
 		}
-		if t.WarpSize == 0 && t.prep.threadIndependent && model.threadLocal() {
+		if threadLocal {
 			w.launch.AfterInjected = w.afterInjected
 		}
 	}
@@ -366,10 +400,11 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	if err != nil {
 		return 0, cost, err
 	}
-	cost.ctasSkipped = int64(first)
+	cost.replay, cost.postFault = res.BeforeFault, res.Retired-res.BeforeFault
+	cost.ctasSkipped = int32(first)
 	if res.Trap == nil && ck != nil && w.exited {
 		cost.earlyExit = true
-		cost.ctasSkipped += int64(ck.NumCTAs() - (cta + 1))
+		cost.ctasSkipped += int32(ck.NumCTAs() - (cta + 1))
 		return w.exit, cost, nil
 	}
 	return t.classify(dev, res), cost, nil

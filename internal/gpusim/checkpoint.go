@@ -17,21 +17,28 @@ import "slices"
 // thread can observe or overwrite that divergence (AppendTouched,
 // ObservedAfter, StoredAfter). "Last" is the largest flat thread index, so a
 // question about the threads after the last thread of CTA c is the question
-// about the CTAs after c.
+// about the CTAs after c. The same store summary rebuilds the golden memory
+// at the start of a thread of a thread-independent kernel (ThreadStart).
 
-// DefaultCheckpointSnapshots bounds the number of snapshots an auto-strided
-// recorder takes, keeping retained snapshot memory proportional to at most
-// this many inter-snapshot write sets.
-const DefaultCheckpointSnapshots = 16
+// checkpointTableBytes bounds the page tables of an auto-strided store's
+// snapshots. A snapshot is a copy-on-write Device clone: beyond the pages
+// the golden run privatizes between snapshots (Bytes), it holds one slice
+// header and two flags per page of global memory, snapshotPageBytes.
+const (
+	checkpointTableBytes = 16 << 20
+	snapshotPageBytes    = 24 + 2
+)
 
 // AutoCheckpointStride picks a CTA-boundary snapshot stride for a grid of
-// numCTAs CTAs: 1 for small grids, otherwise the smallest stride that keeps
-// the snapshot count at DefaultCheckpointSnapshots or fewer.
-func AutoCheckpointStride(numCTAs int) int {
-	if numCTAs <= DefaultCheckpointSnapshots {
-		return 1
+// numCTAs CTAs over numPages pages of global memory: 1 — a snapshot at every
+// boundary — unless the snapshots' page tables would exceed
+// checkpointTableBytes, and then the smallest stride whose snapshots fit.
+func AutoCheckpointStride(numCTAs, numPages int) int {
+	fit := checkpointTableBytes / max(snapshotPageBytes*numPages, 1)
+	if fit < 1 {
+		return max(numCTAs, 1)
 	}
-	return (numCTAs + DefaultCheckpointSnapshots - 1) / DefaultCheckpointSnapshots
+	return max((numCTAs+fit-1)/fit, 1)
 }
 
 // Checkpoints is the immutable result of recording a golden run: snapshots at
@@ -80,6 +87,13 @@ type Checkpoints struct {
 	// pages only it holds (privatized after the last snapshot).
 	final      *Device
 	finalBytes int64
+	// tpc is the golden launch's threads per CTA. startOK is a bit set over
+	// flat threads: bit t is set when no word is stored in the golden run
+	// both by a thread in [f·tpc, t) and by a thread at or after t, where f
+	// is the boundary of SnapshotFor(t's CTA) — then ThreadStart can rebuild
+	// the memory at t's start (see ThreadStart).
+	tpc     int
+	startOK []uint64
 }
 
 // Stride is the CTA-boundary distance between snapshots.
@@ -115,10 +129,11 @@ func (c *Checkpoints) SnapshotIndex(cta int) int {
 }
 
 // SummaryBytes approximates the memory held by the golden run's access
-// summaries and its final image (see AppendTouched, ObservedAfter and
-// StoredAfter): per page two word-table headers, lastLoad and both; one entry
-// per word of every page the golden run loads or stores; the per-CTA
-// stored-page lists; and the final image's private pages.
+// summaries and its final image (see AppendTouched, ObservedAfter,
+// StoredAfter and ThreadStart): per page two word-table headers, lastLoad
+// and both; one entry per word of every page the golden run loads or
+// stores; the per-CTA stored-page lists; the final image's private pages;
+// and one thread-start bit per thread.
 func (c *Checkpoints) SummaryBytes() int64 {
 	n := (24+24+4+4)*int64(len(c.lastLoad)) + 24*int64(len(c.storedIn)) // headers, int32s
 	for p := range c.lastLoad {
@@ -127,7 +142,7 @@ func (c *Checkpoints) SummaryBytes() int64 {
 	for _, pages := range c.storedIn {
 		n += 4 * int64(len(pages))
 	}
-	return n + 16*int64(len(c.partial)) + c.finalBytes
+	return n + 16*int64(len(c.partial)) + c.finalBytes + 8*int64(len(c.startOK))
 }
 
 // AppendDivergent appends to buf the pages on which dev — reset from
@@ -235,6 +250,44 @@ func (c *Checkpoints) StoredAfter(addr, t int) (stored, partial bool) {
 	return true, c.partial[addr>>2]
 }
 
+// ThreadStart writes into dev — reset from SnapshotFor(t's CTA), at
+// boundary f — the golden run's global memory at the start of flat thread
+// t of a thread-independent program under serial scheduling (no barrier,
+// stores to global memory only), and reports whether it could; when it
+// cannot it writes nothing. Threads of such a program run one at a time in
+// flat order, so that memory is the snapshot plus the stores of threads
+// [f·tpc, t). Word by word, on the pages CTAs f through t's CTA store to:
+//
+//   - a word whose last golden storer is in [f·tpc, t) takes its final
+//     value, since no later thread stores it;
+//   - a word no thread in [f·tpc, t) stores keeps the snapshot's value;
+//   - a word stored both in [f·tpc, t) and at or after t has a value the
+//     summaries cannot tell; then t's startOK bit is clear and ThreadStart
+//     refuses.
+//
+// The patched words go through the tracked store path, so their pages are
+// dirty like replayed golden stores and AppendTouched and AppendDivergent
+// stay complete.
+func (c *Checkpoints) ThreadStart(dev *Device, t int) bool {
+	if c.startOK[t/64]&(1<<(t%64)) == 0 {
+		return false
+	}
+	cta := t / c.tpc
+	_, f := c.SnapshotFor(cta)
+	lo := f * c.tpc
+	for x := f; x <= cta; x++ {
+		for _, p := range c.storedIn[x] {
+			final := c.final.pages[p]
+			for i, s := range c.lastStore[p] {
+				if int(s) >= lo && int(s) < t {
+					dev.storeMem(int(p)<<pageShift+4*i, 4, getWord(final, 4*i))
+				}
+			}
+		}
+	}
+	return true
+}
+
 // CheckpointRecorder observes the golden run on the device it is attached to
 // and builds a Checkpoints store: at every CTA boundary it folds the CTA's
 // write set into the page hashes and takes strided snapshots, and on every
@@ -253,6 +306,21 @@ type CheckpointRecorder struct {
 	// harvested CTA write set (its page deltas are relative to the last
 	// retained boundary snapshot) and is told when a new snapshot is taken.
 	intra *WarpCheckpointRecorder
+
+	// The thread-start refusals (Checkpoints.startOK), built per segment —
+	// the CTAs between two snapshots, whose first thread is segStart. A
+	// word stored by threads a < … < m of a segment refuses the threads in
+	// (a, m], and, once a later segment stores it too, the rest of the
+	// segment after m. segFirst holds, per page stored in the segment, per
+	// word the smallest thread storing it there (-1 for none); segPages
+	// lists those pages and spare recycles their tables. refused is a
+	// difference array over flat threads: a thread is refused when its
+	// prefix sum is positive.
+	segStart int
+	segFirst [][]int32
+	segPages []int32
+	spare    [][]int32
+	refused  []int32
 }
 
 // AttachIntra couples an intra-CTA recorder observing the same golden run:
@@ -269,7 +337,7 @@ func (r *CheckpointRecorder) AttachIntra(w *WarpCheckpointRecorder) {
 // Call Finish after a successful Execute.
 func NewCheckpointRecorder(pristine, dev *Device, numCTAs, stride int) *CheckpointRecorder {
 	if stride <= 0 {
-		stride = AutoCheckpointStride(numCTAs)
+		stride = AutoCheckpointStride(numCTAs, dev.NumPages())
 	}
 	ck := &Checkpoints{
 		stride:    stride,
@@ -294,10 +362,43 @@ func (r *CheckpointRecorder) noteLoad(addr, thread int) {
 	noteWord(r.ck.loadWords, addr, thread)
 }
 
+// begin learns the golden launch's CTA size; Execute calls it before the
+// first CTA runs.
+func (r *CheckpointRecorder) begin(tpc int) {
+	r.ck.tpc = tpc
+	r.refused = make([]int32, r.ck.numCTAs*tpc+1)
+	r.segFirst = make([][]int32, r.dev.NumPages())
+}
+
 // noteStore records a w-byte global store at byte address addr by flat
 // thread thread.
 func (r *CheckpointRecorder) noteStore(addr, w, thread int) {
+	p, i := addr>>pageShift, addr&pageMask>>2
+	if last := r.ck.lastStore[p]; last != nil {
+		if prev := int(last[i]); prev >= 0 && prev < r.segStart {
+			// The word's last store so far lies in an earlier segment, which
+			// refuses its threads after that store.
+			segEnd := min((prev/r.ck.tpc/r.ck.stride+1)*r.ck.stride, r.ck.numCTAs) * r.ck.tpc
+			r.refuse(prev+1, segEnd)
+		}
+	}
 	noteWord(r.ck.lastStore, addr, thread)
+	first := r.segFirst[p]
+	if first == nil {
+		if n := len(r.spare); n > 0 {
+			first, r.spare = r.spare[n-1], r.spare[:n-1]
+		} else {
+			first = make([]int32, PageSize/4)
+			for i := range first {
+				first[i] = -1
+			}
+		}
+		r.segFirst[p] = first
+		r.segPages = append(r.segPages, int32(p))
+	}
+	if f := &first[i]; *f < 0 || int32(thread) < *f {
+		*f = int32(thread)
+	}
 	if w < 4 {
 		if r.ck.partial == nil {
 			r.ck.partial = make(map[int]bool)
@@ -352,6 +453,10 @@ func (r *CheckpointRecorder) endCTA(cta int) {
 		r.cur = next
 	}
 	r.ck.hashes[b] = r.cur
+	if b == r.ck.numCTAs || b%r.ck.stride == 0 {
+		r.closeSegment()
+		r.segStart = b * r.ck.tpc
+	}
 	if b < r.ck.numCTAs && b%r.ck.stride == 0 {
 		// Pages privatized since the previous snapshot are the bytes this
 		// snapshot pins beyond it.
@@ -365,13 +470,50 @@ func (r *CheckpointRecorder) endCTA(cta int) {
 	}
 }
 
+// closeSegment ends the segment at a snapshot boundary (or the end of the
+// grid): every word stored in it by threads a < … < m refuses the threads
+// in (a, m], whose start lies between two of its stores.
+func (r *CheckpointRecorder) closeSegment() {
+	for _, p := range r.segPages {
+		first, last := r.segFirst[p], r.ck.lastStore[p]
+		for i, a := range first {
+			if a >= 0 {
+				r.refuse(int(a)+1, int(last[i])+1)
+				first[i] = -1
+			}
+		}
+		r.segFirst[p] = nil
+		r.spare = append(r.spare, first)
+	}
+	r.segPages = r.segPages[:0]
+}
+
+// refuse marks the threads [lo, hi) as unable to resume at their start.
+func (r *CheckpointRecorder) refuse(lo, hi int) {
+	if lo < hi {
+		r.refused[lo]++
+		r.refused[hi]--
+	}
+}
+
 // Finish detaches the recorder from its device, precomputes the per-boundary
-// convergence obligations and the per-page load summaries, freezes the
-// final image and returns the immutable store. Call exactly once, after the
-// golden run completed without a trap.
+// convergence obligations, the per-page load summaries and the thread-start
+// bits, freezes the final image and returns the immutable store. Call
+// exactly once, after the golden run completed without a trap.
 func (r *CheckpointRecorder) Finish() *Checkpoints {
 	r.dev.rec = nil
+	// The golden device runs no launch after the recording, but every
+	// snapshot clone keeps it reachable (Device.src): drop its scratch.
+	r.dev.scratch = nil
 	ck := r.ck
+	nThreads := len(r.refused) - 1
+	ck.startOK = make([]uint64, (nThreads+63)/64)
+	for t, depth := 0, int32(0); t < nThreads; t++ {
+		if depth += r.refused[t]; depth == 0 {
+			ck.startOK[t/64] |= 1 << (t % 64)
+		}
+	}
+	r.refused, r.segFirst, r.spare = nil, nil, nil
 	// Pages privatized since the last snapshot are held by the final image
 	// alone.
 	ck.finalBytes = r.dev.TakePagesCopied() * PageSize

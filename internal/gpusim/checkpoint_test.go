@@ -127,23 +127,6 @@ func TestExecuteFirstCTAValidation(t *testing.T) {
 	}
 }
 
-func TestAutoCheckpointStride(t *testing.T) {
-	cases := []struct{ ctas, want int }{
-		{1, 1}, {2, 1}, {16, 1}, {17, 2}, {32, 2}, {33, 3}, {160, 10}, {1000, 63},
-	}
-	for _, c := range cases {
-		if got := gpusim.AutoCheckpointStride(c.ctas); got != c.want {
-			t.Fatalf("AutoCheckpointStride(%d) = %d, want %d", c.ctas, got, c.want)
-		}
-		// The implied snapshot count stays bounded.
-		stride := gpusim.AutoCheckpointStride(c.ctas)
-		snaps := 1 + (c.ctas-1)/stride
-		if snaps > gpusim.DefaultCheckpointSnapshots+1 {
-			t.Fatalf("numCTAs %d stride %d: %d snapshots", c.ctas, stride, snaps)
-		}
-	}
-}
-
 // TestHashPageHighBitDiffusion: equal deltas confined to the top bits of two
 // different words must change the page hash. A plain XOR-multiply fold fails
 // this — the multiply never diffuses top-bit deltas downward, so the second

@@ -13,9 +13,11 @@
 // current image and shares every page, ResetFrom restores a pooled device
 // to a frozen image copying only the pages a run dirtied, and HashPage
 // summarizes page content for golden-state comparison. Checkpoints layers
-// strided CTA-boundary snapshots of the fault-free ("golden") run on top,
-// so an injection into CTA k can resume from the nearest snapshot at or
-// before k instead of re-executing the fault-free prefix; AppendDivergent
+// CTA-boundary snapshots of the fault-free ("golden") run on top — one at
+// every boundary unless their page tables outgrow a byte bound — so an
+// injection into CTA k can resume from the nearest snapshot at or before k
+// instead of re-executing the fault-free prefix, and in a thread-independent
+// kernel at the injected thread's own start (ThreadStart); AppendDivergent
 // lists the pages on which a run's memory differs from the golden run's at
 // a boundary, and the golden run's access summaries and final image
 // (ObservedAfter, StoredAfter) tell whether any later thread can observe or
@@ -135,7 +137,9 @@ type Launch struct {
 	// snapshot must have been captured in that CTA with the same block
 	// geometry and scheduling mode, and the device must hold the floor
 	// CTA-boundary state with the snapshot's page delta already restored
-	// (see WarpSnapshot.RestorePages).
+	// (see WarpSnapshot.RestorePages) — or, for a thread-start snapshot
+	// (WarpSnapshot.SetThreadStart), the memory Checkpoints.ThreadStart
+	// rebuilt.
 	Resume *WarpSnapshot
 }
 
@@ -293,6 +297,13 @@ type Result struct {
 	// FirstCTA skipped a prefix, a hook stopped the launch early, or a trap
 	// aborted it.
 	CTAsExecuted int
+	// Retired counts the dynamic instructions the launch executed itself:
+	// TotalDyn less the counts a Resume snapshot carried in. BeforeFault is
+	// the part of it retired before the injected instruction — the golden
+	// replay of an injection run — and all of it when no injection reached
+	// its instruction. Both are work counts: a pure function of the launch
+	// and the device content, whatever the host.
+	Retired, BeforeFault int64
 }
 
 // Global memory page geometry. Pages are the copy-on-write granule: a Clone

@@ -277,6 +277,7 @@ func diffRun(c diffCase, runCTA func(*exec, *ctaState) *Trap) diffRunState {
 		prog:        c.prog,
 		dev:         dev,
 		launch:      launch,
+		res:         new(Result),
 		block:       launch.Block,
 		grid:        launch.Grid,
 		watchdog:    launch.Watchdog,

@@ -61,7 +61,7 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		if len(ws.dynAt) != launch.Block.Count() {
 			return nil, fmt.Errorf("gpusim: Resume snapshot holds %d threads, block has %d", len(ws.dynAt), launch.Block.Count())
 		}
-		if len(ws.shared) != sharedBytes {
+		if ws.shared != nil && len(ws.shared) != sharedBytes {
 			return nil, fmt.Errorf("gpusim: Resume snapshot shared size %d, launch wants %d", len(ws.shared), sharedBytes)
 		}
 	}
@@ -98,6 +98,7 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		prog:        launch.Prog,
 		dev:         dev,
 		launch:      launch,
+		res:         res,
 		block:       launch.Block,
 		grid:        launch.Grid,
 		watchdog:    watchdog,
@@ -107,6 +108,15 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		persist:     newPersistState(launch.Inject),
 		plan:        planFor(launch.Prog),
 		warpActive:  e.warpActive[:0],
+		beforeFault: -1,
+	}
+	if ws := launch.Resume; ws != nil {
+		for _, n := range ws.dynAt {
+			e.resumed += n
+		}
+	}
+	if e.ckpt != nil {
+		e.ckpt.begin(threadsPerCTA)
 	}
 
 	// faultLive is what AfterCTA hears about a persistent fault: armed and
@@ -141,10 +151,10 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		res.CTAsExecuted++
 		if trap != nil {
 			res.Trap = trap
-			return res, nil
+			break
 		}
 		if e.halted {
-			return res, nil
+			break
 		}
 		if p := e.persist; p != nil && p.thread/threadsPerCTA == ctaIndex {
 			faultLive = !s.slots[p.thread-ctaIndex*threadsPerCTA].done
@@ -153,25 +163,46 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 			e.ckpt.endCTA(ctaIndex)
 		}
 		if launch.AfterCTA != nil && launch.AfterCTA(ctaIndex, faultLive) {
-			return res, nil
+			break
 		}
 	}
+	res.Retired = res.TotalDyn - e.resumed
+	res.BeforeFault = res.Retired
+	if e.beforeFault >= 0 {
+		res.BeforeFault = e.beforeFault
+	}
 	return res, nil
+}
+
+// noteFault records, once, when the injection reaches its dynamic
+// instruction in CTA cta: the instructions the launch retired before it
+// are the run's golden replay (Result.BeforeFault). The careful path calls
+// it from the step that retires the injected instruction.
+func (e *exec) noteFault(cta *ctaState) {
+	n := e.res.TotalDyn - e.resumed - 1
+	for _, th := range cta.threads {
+		n += th.dynCount
+	}
+	e.beforeFault = n
 }
 
 // startCTA sets CTA ctaIndex of launch up in cta and slots (cta.threads[i]
 // == &slots[i]): every thread at its start and shared memory holding the
 // parameters — or, from ws, the CTA's state at the snapshot's capture
 // point. A snapshot's state is copied out (params are part of its shared
-// copy), so it stays immutable across repeated resumes, and each slot is
+// copy; a thread-start snapshot has none and gets the parameters), so it
+// stays immutable across repeated resumes, and each slot is
 // written once: a live thread from the snapshot, any other one fresh, with
 // its exit and retired count when it has already exited (WarpSnapshot's
 // compact layout).
 func startCTA(cta *ctaState, slots []threadState, launch *Launch, ctaIndex int, ws *WarpSnapshot) {
 	var live []threadState
+	var shared []byte
 	if ws != nil {
-		live = ws.live
-		copy(cta.shared, ws.shared)
+		live, shared = ws.live, ws.shared
+	}
+	if shared != nil {
+		copy(cta.shared, shared)
 	} else {
 		clear(cta.shared)
 		for i, p := range launch.Params {

@@ -52,6 +52,9 @@ func (e *exec) stepCompiled(th *threadState, cta *ctaState) *Trap {
 
 	wrote := false
 	if e.launch.Tracer != nil || injHere {
+		if injHere {
+			e.noteFault(cta)
+		}
 		wrote = executed && op.hasDest
 		if e.launch.Tracer != nil {
 			e.launch.Tracer.Record(th.flat, th.pc, wrote)

@@ -78,6 +78,7 @@ type exec struct {
 	prog     *isa.Program
 	dev      *Device
 	launch   *Launch
+	res      *Result
 	block    Dim3
 	grid     Dim3
 	watchdog int64
@@ -99,6 +100,10 @@ type exec struct {
 	// injExited is set once runCTA has handed the injected thread's exit to
 	// Launch.AfterInjected; halted, once that hook stopped the launch.
 	injExited, halted bool
+	// resumed is the sum of Launch.Resume's per-thread counts, which the
+	// launch did not retire itself; beforeFault is what noteFault recorded,
+	// -1 until the injection reaches its instruction.
+	resumed, beforeFault int64
 }
 
 // readReg returns the raw 32-bit value of a register for thread th.

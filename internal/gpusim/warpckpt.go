@@ -30,8 +30,7 @@ import (
 // the drive loop recomputes the minimum PC from scratch anyway).
 
 // DefaultIntraSnapshots bounds the number of intra-CTA snapshots retained
-// per CTA in auto-stride mode, mirroring DefaultCheckpointSnapshots for the
-// CTA-boundary store.
+// per CTA in auto-stride mode.
 const DefaultIntraSnapshots = 16
 
 // defaultIntraStartStride is the initial auto-mode capture stride in retired
@@ -86,7 +85,9 @@ type WarpSnapshot struct {
 	// done is a bit set over local thread indices: the thread had exited.
 	done []uint64
 	// live holds the started, not yet exited threads in local order.
-	live   []threadState
+	live []threadState
+	// shared is the CTA's shared memory; nil in a thread-start snapshot,
+	// whose shared memory is the parameters every CTA starts from.
 	shared []byte
 	// pageIdx/pageDat hold the global-memory pages written since the floor
 	// CTA-boundary snapshot (by earlier CTAs past that boundary and by this
@@ -137,6 +138,32 @@ func (ws *WarpSnapshot) liveThread(t int) *threadState {
 		}
 	}
 	return nil
+}
+
+// SetThreadStart makes ws the state of CTA cta at the start of its local
+// thread local in a golden run of a thread-independent program under
+// serial scheduling (no barrier, stores to global memory only): the
+// threads before local have exited, with the retired counts dynAt[:local];
+// the others have not started, so no thread is live; and shared memory
+// holds the parameters, as when the CTA started — such a program never
+// stores to shared memory, so that is its shared state at any point (a
+// nil shared slice; startCTA writes the parameters). ws aliases dynAt,
+// whose entries from local on it zeroes, and carries no page delta: the
+// global memory at that point is the caller's to restore
+// (Checkpoints.ThreadStart). Reusing one ws per worker keeps a resume
+// allocation-free.
+func (ws *WarpSnapshot) SetThreadStart(cta, local int, dynAt []int64) {
+	clear(dynAt[local:])
+	done := ws.done[:0]
+	for i := 0; i < len(dynAt); i += 64 {
+		done = append(done, 0)
+	}
+	var retired int64
+	for i, n := range dynAt[:local] {
+		done[i/64] |= 1 << (i % 64)
+		retired += n
+	}
+	*ws = WarpSnapshot{cta: cta, retired: retired, dynAt: dynAt, done: done}
 }
 
 // RestorePages writes the snapshot's global-memory delta into dev, which

@@ -128,8 +128,9 @@ type Record struct {
 	// rebuild the weighted distribution without re-deriving the site list.
 	Weight float64 `json:"w"`
 	// CTAsSkipped, EarlyExit and IntraResumed are the run's fast-forward
-	// cost stats (IntraResumed marks a run resumed from an intra-CTA
-	// snapshot, skipping the injected CTA's fault-free prefix).
+	// cost stats (IntraResumed marks a run resumed inside the injected CTA
+	// — from an intra-CTA snapshot or at the injected thread's start —
+	// skipping the CTA's fault-free prefix).
 	CTAsSkipped  int64 `json:"cs,omitempty"`
 	EarlyExit    bool  `json:"ee,omitempty"`
 	IntraResumed bool  `json:"ir,omitempty"`
