@@ -303,17 +303,15 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 	ck, wck := t.Checkpoints(), t.WarpCheckpoints()
 	if ck != nil || wck != nil {
 		tpc := t.Block.Count()
-		// The affinity key is the outer snapshot ordinal, refined by the
+		// The affinity key is the CTA, whose boundary snapshot a site resumes
+		// from (the pristine image of a single-CTA grid), refined by the
 		// intra-CTA snapshot ordinal so chunks never span an intra-CTA
 		// snapshot boundary either: within a chunk every site resumes from
 		// the same (boundary, warp) snapshot pair.
 		eng.affinityOf = func(i int) int {
 			s := sites[i].Site
 			cta := s.Thread / tpc
-			key := 0
-			if ck != nil {
-				key = ck.SnapshotIndex(cta)
-			}
+			key := cta
 			if wck != nil {
 				key = key*1_000_003 + wck.OrdinalBefore(cta, s.Thread-cta*tpc, s.DynInst) + 1
 			}
@@ -375,7 +373,7 @@ type campaignEngine struct {
 	// (workerRunner); tests use a shared stub with a no-op cleanup.
 	newRunner func() (run func(Site) (Outcome, runCost, error), cleanup func())
 	// affinityOf, when non-nil, maps an input-order site index to its
-	// scheduling affinity key (the checkpoint snapshot ordinal): chunks
+	// scheduling affinity key (the snapshot pair it resumes from): chunks
 	// never span affinity boundaries, so a worker's pinned device switches
 	// reset sources only between chunks.
 	affinityOf func(inputIdx int) int

@@ -91,26 +91,22 @@ func deadExits(t *testing.T, tg *fault.Target, sites []fault.WeightedSite, want 
 // of the fast-forward engine: on a cross-CTA-dependent kernel with reachable
 // crash and hang sites, the checkpointed campaign must give outcome-for-
 // outcome identical results to full runs from the pristine image — for every
-// site, at unit and non-unit checkpoint strides, under both schedulers, at
-// several parallelism levels — with both boundary exits, convergence and
-// dead divergence, actually firing.
+// site, under both schedulers, at several parallelism levels — with both
+// boundary exits, convergence and dead divergence, actually firing.
 func TestCheckpointMatchesFullRunExhaustive(t *testing.T) {
 	type cfg struct {
-		name   string
-		stride int
-		warp   int
-		pars   []int
+		name string
+		warp int
+		pars []int
 	}
 	cfgs := []cfg{
-		{name: "stride1", stride: 1, pars: []int{1, 4}},
-		{name: "stride3", stride: 3, pars: []int{4}},
-		{name: "stride1-warp4", stride: 1, warp: 4, pars: []int{4}},
+		{name: "stride1", pars: []int{1, 4}},
+		{name: "stride1-warp4", warp: 4, pars: []int{4}},
 	}
 	for _, c := range cfgs {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			tg := chainHangTarget(t)
-			tg.CheckpointStride = c.stride
 			tg.WarpSize = c.warp
 			if err := tg.Prepare(); err != nil {
 				t.Fatal(err)
@@ -159,9 +155,8 @@ func TestCheckpointMatchesFullRunExhaustive(t *testing.T) {
 				if res.Stats.EarlyExits == 0 {
 					t.Fatal("no convergence early exits on a mostly-masked space")
 				}
-				wantSnaps := 1 + (4-1)/c.stride
-				if res.Stats.Checkpoints != wantSnaps {
-					t.Fatalf("stats report %d checkpoints, want %d", res.Stats.Checkpoints, wantSnaps)
+				if res.Stats.Checkpoints != 4 {
+					t.Fatalf("stats report %d checkpoints, want one per CTA, 4", res.Stats.Checkpoints)
 				}
 			}
 			if deadExits(t, tg, sites, want, fault.ModelDestValue) == 0 {
@@ -176,8 +171,8 @@ func TestCheckpointMatchesFullRunExhaustive(t *testing.T) {
 // kernel — cross-CTA global dependence, predicate-guarded barriers, all four
 // outcome classes reachable — a campaign resuming from mid-CTA snapshots must
 // give outcome-for-outcome identical results to full runs from the pristine
-// image, for the full cross product of intra strides 1/2/3 and CTA-boundary
-// strides 1/2, under both schedulers. Runs under -race via `make race`.
+// image, at intra strides 1/2/3 and with the layer off, under both
+// schedulers. Runs under -race via `make race`.
 func TestIntraCheckpointMatchesFullRunExhaustive(t *testing.T) {
 	for _, warp := range []int{0, 4} {
 		warp := warp
@@ -228,46 +223,42 @@ func TestIntraCheckpointMatchesFullRunExhaustive(t *testing.T) {
 				t.Fatalf("full-run campaign reports intra-CTA work: %+v", fres.Stats)
 			}
 
-			for _, ctaStride := range []int{1, 2} {
-				for _, intra := range []int{1, 2, 3} {
-					tg := chainHangTarget(t)
-					tg.WarpSize = warp
-					tg.CheckpointStride = ctaStride
-					tg.IntraStride = intra
-					if err := tg.Prepare(); err != nil {
-						t.Fatal(err)
+			for _, intra := range []int{1, 2, 3} {
+				tg := chainHangTarget(t)
+				tg.WarpSize = warp
+				tg.IntraStride = intra
+				if err := tg.Prepare(); err != nil {
+					t.Fatal(err)
+				}
+				wck := tg.WarpCheckpoints()
+				if wck == nil || wck.Count() == 0 {
+					t.Fatalf("intra %d: no intra-CTA snapshots", intra)
+				}
+				if wck.Stride() != intra {
+					t.Fatalf("store reports stride %d, want %d", wck.Stride(), intra)
+				}
+				res, err := fault.Run(tg, sites, fault.CampaignOptions{Parallelism: 4, KeepPerSite: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if res.PerSite[i] != want[i] {
+						t.Fatalf("intra %d: site %v gave %v, full run gave %v",
+							intra, sites[i].Site, res.PerSite[i], want[i])
 					}
-					wck := tg.WarpCheckpoints()
-					if wck == nil || wck.Count() == 0 {
-						t.Fatalf("cta %d intra %d: no intra-CTA snapshots", ctaStride, intra)
-					}
-					if wck.Stride() != intra {
-						t.Fatalf("store reports stride %d, want %d", wck.Stride(), intra)
-					}
-					res, err := fault.Run(tg, sites, fault.CampaignOptions{Parallelism: 4, KeepPerSite: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range want {
-						if res.PerSite[i] != want[i] {
-							t.Fatalf("cta %d intra %d: site %v gave %v, full run gave %v",
-								ctaStride, intra, sites[i].Site, res.PerSite[i], want[i])
-						}
-					}
-					if res.Stats.IntraSkips == 0 {
-						t.Fatalf("cta %d intra %d: no site resumed from an intra-CTA snapshot", ctaStride, intra)
-					}
-					if res.Stats.IntraCheckpointBytes != wck.Bytes() || wck.Bytes() <= 0 {
-						t.Fatalf("cta %d intra %d: stats report %d snapshot bytes, store holds %d",
-							ctaStride, intra, res.Stats.IntraCheckpointBytes, wck.Bytes())
-					}
+				}
+				if res.Stats.IntraSkips == 0 {
+					t.Fatalf("intra %d: no site resumed from an intra-CTA snapshot", intra)
+				}
+				if res.Stats.IntraCheckpointBytes != wck.Bytes() || wck.Bytes() <= 0 {
+					t.Fatalf("intra %d: stats report %d snapshot bytes, store holds %d",
+						intra, res.Stats.IntraCheckpointBytes, wck.Bytes())
 				}
 			}
 
 			// A negative IntraStride disables the layer; outcomes still match.
 			tg := chainHangTarget(t)
 			tg.WarpSize = warp
-			tg.CheckpointStride = 1
 			tg.IntraStride = -1
 			if err := tg.Prepare(); err != nil {
 				t.Fatal(err)
@@ -295,8 +286,7 @@ func TestIntraCheckpointMatchesFullRunExhaustive(t *testing.T) {
 // TestCheckpointGaussianEquivalence covers the paper's cross-CTA-dependency
 // kernels: Gaussian Fan1 (2 CTAs) and Fan2 (4 CTAs) at small geometry. For a
 // deterministic site sample, the checkpointed campaign, the FullRun-option
-// campaign, and the per-site full-run reference must all agree, at unit and
-// non-unit strides.
+// campaign, and the per-site full-run reference must all agree.
 func TestCheckpointGaussianEquivalence(t *testing.T) {
 	for _, kname := range []string{"Gaussian K1", "Gaussian K2"} {
 		kname := kname
@@ -305,71 +295,68 @@ func TestCheckpointGaussianEquivalence(t *testing.T) {
 			if !ok {
 				t.Fatalf("kernel %q missing", kname)
 			}
-			for _, stride := range []int{1, 2} {
-				inst, err := spec.Build(kernels.ScaleSmall)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tg := inst.Target
-				tg.CheckpointStride = stride
-				if err := tg.Prepare(); err != nil {
-					t.Fatal(err)
-				}
-				space := fault.NewSpace(tg.Profile())
-				sites := fault.Uniform(space.Random(stats.NewRNG(41), 400))
-				// Exhaust two whole threads in different CTAs so every
-				// dynamic instruction, including address computations that
-				// crash under high-bit flips, is covered somewhere.
-				sites = append(sites, fault.Uniform(space.ThreadSites(0, nil))...)
-				sites = append(sites, fault.Uniform(space.ThreadSites(tg.Threads()-1, nil))...)
+			inst, err := spec.Build(kernels.ScaleSmall)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tg := inst.Target
+			if err := tg.Prepare(); err != nil {
+				t.Fatal(err)
+			}
+			space := fault.NewSpace(tg.Profile())
+			sites := fault.Uniform(space.Random(stats.NewRNG(41), 400))
+			// Exhaust two whole threads in different CTAs so every
+			// dynamic instruction, including address computations that
+			// crash under high-bit flips, is covered somewhere.
+			sites = append(sites, fault.Uniform(space.ThreadSites(0, nil))...)
+			sites = append(sites, fault.Uniform(space.ThreadSites(tg.Threads()-1, nil))...)
 
-				want := make([]fault.Outcome, len(sites))
-				for i, ws := range sites {
-					o, err := tg.RunSite(ws.Site)
-					if err != nil {
-						t.Fatalf("reference %v: %v", ws.Site, err)
-					}
-					want[i] = o
+			want := make([]fault.Outcome, len(sites))
+			for i, ws := range sites {
+				o, err := tg.RunSite(ws.Site)
+				if err != nil {
+					t.Fatalf("reference %v: %v", ws.Site, err)
 				}
+				want[i] = o
+			}
 
-				res, err := fault.Run(tg, sites, fault.CampaignOptions{Parallelism: 4, KeepPerSite: true})
-				if err != nil {
-					t.Fatal(err)
+			res, err := fault.Run(tg, sites, fault.CampaignOptions{Parallelism: 4, KeepPerSite: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An independent instance with the fast-forward engine
+			// disabled: the reference path through the campaign engine.
+			finst, err := spec.Build(kernels.ScaleSmall)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ftg := finst.Target
+			ftg.FullRun = true
+			if err := ftg.Prepare(); err != nil {
+				t.Fatal(err)
+			}
+			fres, err := fault.Run(ftg, sites, fault.CampaignOptions{Parallelism: 4, KeepPerSite: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if res.PerSite[i] != want[i] {
+					t.Fatalf("site %v: checkpoint %v, reference %v",
+						sites[i].Site, res.PerSite[i], want[i])
 				}
-				// An independent instance with the fast-forward engine
-				// disabled: the reference path through the campaign engine.
-				finst, err := spec.Build(kernels.ScaleSmall)
-				if err != nil {
-					t.Fatal(err)
+				if fres.PerSite[i] != want[i] {
+					t.Fatalf("full-run campaign: site %v: %v, reference %v",
+						sites[i].Site, fres.PerSite[i], want[i])
 				}
-				ftg := finst.Target
-				ftg.FullRun = true
-				if err := ftg.Prepare(); err != nil {
-					t.Fatal(err)
-				}
-				fres, err := fault.Run(ftg, sites, fault.CampaignOptions{Parallelism: 4, KeepPerSite: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if res.PerSite[i] != want[i] {
-						t.Fatalf("stride %d: site %v: checkpoint %v, reference %v",
-							stride, sites[i].Site, res.PerSite[i], want[i])
-					}
-					if fres.PerSite[i] != want[i] {
-						t.Fatalf("full-run campaign: site %v: %v, reference %v",
-							sites[i].Site, fres.PerSite[i], want[i])
-					}
-				}
-				if res.Stats.CTAsSkipped == 0 || res.Stats.Checkpoints == 0 {
-					t.Fatalf("fast-forward inactive: %+v", res.Stats)
-				}
-				if fres.Stats.CTAsSkipped != 0 || fres.Stats.Checkpoints != 0 || fres.Stats.EarlyExits != 0 {
-					t.Fatalf("FullRun target still fast-forwarded: %+v", fres.Stats)
-				}
-				if ftg.Checkpoints() != nil {
-					t.Fatal("FullRun target built a checkpoint store")
-				}
+			}
+			if res.Stats.CTAsSkipped == 0 || res.Stats.Checkpoints == 0 {
+				t.Fatalf("fast-forward inactive: %+v", res.Stats)
+			}
+			if fres.Stats.CTAsSkipped != 0 || fres.Stats.Checkpoints != 0 || fres.Stats.EarlyExits != 0 {
+				t.Fatalf("FullRun target still fast-forwarded: %+v", fres.Stats)
+			}
+			if ftg.Checkpoints() != nil {
+				t.Fatal("FullRun target built a checkpoint store")
 			}
 		})
 	}

@@ -206,19 +206,19 @@ func TestCampaignShardMerge(t *testing.T) {
 	}
 }
 
-// tuning is one engine configuration a campaign can run under: the two
-// Target strides that decide how fast a site's outcome arrives and never
-// which outcome it is.
-type tuning struct{ ckpt, intra int }
+// tuning is one engine configuration a campaign can run under: the Target's
+// intra-CTA snapshot stride, which decides how fast a site's outcome
+// arrives and never which outcome it is.
+type tuning struct{ intra int }
 
 var (
-	tuneAuto = tuning{0, 0}
-	// A snapshot at every CTA boundary and every 256 retired instructions:
-	// nearly every site resumes mid-CTA. (An explicit intra stride is never
-	// decimated; stride 2 would retain over 1 GiB on these kernels.)
-	tuneDense = tuning{1, 256}
-	// Every third boundary, no intra-CTA layer.
-	tuneSparse = tuning{3, -1}
+	tuneAuto = tuning{0}
+	// A snapshot every 256 retired instructions: nearly every site resumes
+	// mid-CTA. (An explicit intra stride is never decimated; stride 2 would
+	// retain over 1 GiB on these kernels.)
+	tuneDense = tuning{256}
+	// No intra-CTA layer.
+	tuneSparse = tuning{-1}
 )
 
 // tunedCampaign prepares a registry kernel at small scale under one tuning
@@ -235,7 +235,7 @@ func tunedCampaign(t *testing.T, kernel string, model fault.Model, warp int, tun
 	}
 	tg := inst.Target
 	tg.WarpSize = warp
-	tg.CheckpointStride, tg.IntraStride = tune.ckpt, tune.intra
+	tg.IntraStride = tune.intra
 	if err := tg.Prepare(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,12 +299,12 @@ func runJournaled(t *testing.T, tg *fault.Target, sites []fault.WeightedSite, mo
 
 // TestCampaignInterruptResumeAcrossStrides is the checkpointed = full-run
 // contract (DESIGN §3.2, §3.5, §3.11) and the resumed = uninterrupted
-// contract tested as one: a campaign interrupted under one pair of
-// checkpoint strides and resumed under another finishes with the outcomes,
+// contract tested as one: a campaign interrupted under one intra-CTA
+// snapshot stride and resumed under another finishes with the outcomes,
 // weights, attempt counts and merged report of a run that was never
 // interrupted and never retuned — which is why strides are not part of
 // journal.Fingerprint. The two-shard variant runs each shard under its own
-// strides and merges them.
+// stride and merges them.
 func TestCampaignInterruptResumeAcrossStrides(t *testing.T) {
 	const n = 64
 	for _, kernel := range []string{"GEMM K1", "HotSpot K1"} {
@@ -349,7 +349,7 @@ func TestCampaignInterruptResumeAcrossStrides(t *testing.T) {
 						}
 					}
 
-					// Interrupt near half under dense strides, then resume
+					// Interrupt near half under the dense stride, then resume
 					// two copies of that journal under two other tunings.
 					cut := filepath.Join(dir, "cut.journal")
 					runJournaled(t, targets[tuneDense], sites, model, cut, fault.Shard{}, n/2)
@@ -358,7 +358,7 @@ func TestCampaignInterruptResumeAcrossStrides(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, tune := range []tuning{tuneAuto, tuneSparse} {
-						path := filepath.Join(dir, fmt.Sprintf("resumed-%d-%d.journal", tune.ckpt, tune.intra))
+						path := filepath.Join(dir, fmt.Sprintf("resumed-%d.journal", tune.intra))
 						if err := os.WriteFile(path, torn, 0o644); err != nil {
 							t.Fatal(err)
 						}
@@ -382,8 +382,8 @@ func TestCampaignInterruptResumeAcrossStrides(t *testing.T) {
 }
 
 // TestCampaignJournalRejectsStale: a journal recorded for a different
-// campaign must be refused at open or at Run — and one recorded under
-// different checkpoint strides, which is the same campaign, must not.
+// campaign must be refused at open or at Run — and one recorded under a
+// different intra-CTA stride, which is the same campaign, must not.
 func TestCampaignJournalRejectsStale(t *testing.T) {
 	tg, sites := durabilityCampaign(t)
 	path := filepath.Join(t.TempDir(), "campaign.journal")

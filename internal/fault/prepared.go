@@ -38,7 +38,6 @@ type prepareKey struct {
 	sharedBytes int
 	warpSize    int
 	fullRun     bool
-	stride      int
 	intraStride int
 	cfgHash     uint64
 }
@@ -67,7 +66,6 @@ func (t *Target) prepareKey() prepareKey {
 		sharedBytes: t.SharedBytes,
 		warpSize:    t.WarpSize,
 		fullRun:     t.FullRun,
-		stride:      t.CheckpointStride,
 		intraStride: t.IntraStride,
 		cfgHash:     h,
 	}
@@ -89,8 +87,8 @@ type preparedState struct {
 
 // approxBytes estimates the memory the entry pins beyond the pristine
 // device: golden output, per-thread dynamic PC streams, checkpoint snapshot
-// pages, access summaries (thread-start bits included) and the final
-// image's private pages, and intra-CTA warp snapshots.
+// pages and page tables, access summaries (thread-start bits included) and
+// the final image's private pages, and intra-CTA warp snapshots.
 func (s *preparedState) approxBytes() int64 {
 	n := int64(len(s.golden))
 	if s.profile != nil {

@@ -69,8 +69,11 @@ func TestEvictLockedSkipsPinned(t *testing.T) {
 // bulk of the entry — against a few hundred bytes of PC trace, a word table
 // for each of the five loaded and seven stored pages, the four pages the
 // last CTA privatizes after the last snapshot, which only the final image
-// holds, and a thread-start bit per thread — so an estimate that left them
-// out would admit entries far over the bound.
+// holds, a thread-start bit per thread, and the page tables of the final
+// image and the three snapshots after the pristine one, 26 bytes per page
+// each — so an estimate that left them out would admit entries over the
+// bound. The page tables are what grows with the grid: on NN K1 at paper
+// scale they outweigh the summaries.
 func TestApproxBytesCountsSummaries(t *testing.T) {
 	tg := deadExitTarget(t)
 	s := tg.prep
@@ -78,9 +81,13 @@ func TestApproxBytesCountsSummaries(t *testing.T) {
 	if s.wck != nil {
 		parts += s.wck.Bytes()
 	}
-	if s.ckpt.SummaryBytes() < (5+7+4)*gpusim.PageSize+8*int64((tg.Threads()+63)/64) {
-		t.Fatalf("summaries of 5 loaded and 7 stored pages, a final image of 4 private pages and %d thread-start bits report %d bytes",
-			tg.Threads(), s.ckpt.SummaryBytes())
+	if s.ckpt.Count() != 4 {
+		t.Fatalf("%d snapshots of a 4-CTA grid", s.ckpt.Count())
+	}
+	tables := int64((24 + 2) * s.ckpt.Count() * tg.Init.NumPages())
+	if s.ckpt.SummaryBytes() < (5+7+4)*gpusim.PageSize+8*int64((tg.Threads()+63)/64)+tables {
+		t.Fatalf("summaries of 5 loaded and 7 stored pages, a final image of 4 private pages, %d thread-start bits and %d bytes of page tables report %d bytes",
+			tg.Threads(), tables, s.ckpt.SummaryBytes())
 	}
 	if got := s.approxBytes(); got < parts {
 		t.Fatalf("approxBytes = %d, below golden + snapshots + summaries = %d", got, parts)

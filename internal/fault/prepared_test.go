@@ -92,9 +92,9 @@ func TestPreparedCacheEviction(t *testing.T) {
 		t.Fatalf("after A: %+v", st)
 	}
 
-	// A different checkpoint stride is a different key.
+	// A different intra-CTA snapshot stride is a different key.
 	tgB := buildGEMM(t, cache)
-	tgB.CheckpointStride = 2
+	tgB.IntraStride = -1
 	if err := tgB.Prepare(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestPreparedCacheEvictionUnderContention(t *testing.T) {
 					t.Error("key A: incomplete artifacts after Prepare")
 				}
 				b := buildGEMM(t, cache)
-				b.CheckpointStride = 2 // distinct key: installs contend with A's
+				b.IntraStride = -1 // distinct key: installs contend with A's
 				if err := b.Prepare(); err != nil {
 					t.Errorf("key B: %v", err)
 					return

@@ -100,7 +100,6 @@ func TestStuckAtMatchesFullRunExhaustive(t *testing.T) {
 						tg.WarpSize = warp
 						tg.FullRun = fullRun
 						if !fullRun {
-							tg.CheckpointStride = 1
 							tg.IntraStride = 2
 						}
 						if err := tg.Prepare(); err != nil {
@@ -212,7 +211,6 @@ func TestStuckAtGaussianEquivalence(t *testing.T) {
 func TestStuckAtCampaignSmoke(t *testing.T) {
 	run := func(model fault.Model, jpath string) *fault.CampaignResult {
 		tg := chainHangTarget(t)
-		tg.CheckpointStride = 1
 		if err := tg.Prepare(); err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +334,6 @@ func mixedEraJournal(t *testing.T, headerKeys string) {
 	const oldEra = 12
 	model := fault.ModelStuckActiveMask
 	tg := chainHangTarget(t)
-	tg.CheckpointStride = 1
 	if err := tg.Prepare(); err != nil {
 		t.Fatal(err)
 	}

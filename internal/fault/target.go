@@ -46,13 +46,6 @@ type Target struct {
 	// DESIGN.md §3.2); the option exists as the verification and
 	// benchmarking reference.
 	FullRun bool
-	// CheckpointStride is the CTA-boundary distance between golden
-	// snapshots; 0 picks gpusim.AutoCheckpointStride, which is 1 — a
-	// snapshot at every boundary — for every kernel in the registry. A
-	// stride above 1 is for tests: it makes runs resume from a snapshot
-	// below the injected CTA and replay (or, at a thread start, patch in)
-	// the golden CTAs between.
-	CheckpointStride int
 	// IntraStride controls intra-CTA (warp-granular) checkpoints, which let
 	// an injection resume mid-CTA instead of replaying the injected CTA's
 	// fault-free prefix: 0 auto-tunes the capture stride to each CTA's
@@ -134,14 +127,11 @@ func (t *Target) prepareCold() (*preparedState, error) {
 	numCTAs := t.Grid.Count()
 	var rec *gpusim.CheckpointRecorder
 	if !t.FullRun && numCTAs > 1 {
-		rec = gpusim.NewCheckpointRecorder(t.Init, dev, numCTAs, t.CheckpointStride)
+		rec = gpusim.NewCheckpointRecorder(t.Init, dev, numCTAs)
 	}
 	var wrec *gpusim.WarpCheckpointRecorder
 	if !t.FullRun && t.IntraStride >= 0 {
 		wrec = gpusim.NewWarpCheckpointRecorder(dev, numCTAs, t.IntraStride)
-		if rec != nil {
-			rec.AttachIntra(wrec)
-		}
 		launch.IntraRec = wrec
 	}
 	res, err := gpusim.Execute(dev, &launch)
@@ -293,28 +283,29 @@ type runCost struct {
 
 // injectOn is the campaign hot path: one unchecked injection experiment on a
 // worker's device (the site must have been validated up front). It resets
-// w.dev itself — from the checkpoint snapshot nearest the injected CTA when
-// the target has a checkpoint store, from the pristine image otherwise — and
-// builds the run's launch in w, so a site allocates nothing of its own.
+// w.dev itself — from the checkpoint snapshot at the injected CTA's boundary
+// when the target has a checkpoint store, from the pristine image otherwise
+// (a single-CTA grid) — and builds the run's launch in w, so a site
+// allocates nothing of its own.
 //
 // Fast-forward soundness (details in DESIGN.md §3.2 and, for persistent
 // scheduler faults, §3.11): CTAs execute strictly sequentially and share
-// only global memory, and the simulator is deterministic, so re-executing
-// golden CTAs k..c-1 from the boundary-k snapshot reproduces the full run's
-// state at the injected CTA c exactly. Persistent faults stay covered
-// because every snapshot is scheduler-complete — boundary snapshots carry no
-// live ledger by construction (every thread of prior CTAs has exited), warp
-// snapshots capture the full per-thread ledger, and gpusim.Execute rejects a
-// resume past the fault's activation point — so the fault re-arms and
-// activates at the identical architectural event.
+// only global memory, and the simulator is deterministic, so the snapshot
+// at boundary c is the full run's state at the start of the injected CTA c.
+// Persistent faults stay covered because every snapshot is
+// scheduler-complete — boundary snapshots carry no live ledger by
+// construction (every thread of prior CTAs has exited), warp snapshots
+// capture the full per-thread ledger, and gpusim.Execute rejects a resume
+// past the fault's activation point — so the fault re-arms and activates at
+// the identical architectural event.
 //
 // The run starts at the latest golden point before its fault that can be
 // rebuilt exactly: a warp snapshot captured inside the injected thread,
 // else — under the thread exit's premises below — the injected thread's
 // own start (Checkpoints.ThreadStart: threads run one at a time, so the
-// memory there is the snapshot plus the last golden stores of the threads
-// between, and every earlier thread of the CTA is done), else the latest
-// warp snapshot before it, else the CTA boundary.
+// memory there is the snapshot plus the last golden stores of the CTA's
+// threads before it, and every one of them is done), else the latest warp
+// snapshot before it, else the CTA boundary.
 //
 // The run then stops at the first of two points where deadOutcome can decide
 // its outcome from the pages that may differ from the golden run. Under
@@ -350,25 +341,24 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	tpc := t.Block.Count()
 	cta := site.Thread / tpc
 	local := site.Thread - cta*tpc
-	snap, first := t.Init, 0
+	snap := t.Init
 	if ck != nil {
-		snap, first = ck.SnapshotFor(cta)
+		snap, _ = ck.SnapshotFor(cta)
 	}
 	dev.ResetFrom(snap)
 	// Inner resume: the latest intra-CTA snapshot at which the injected
 	// thread had not yet reached the fault site. Restoring its page delta on
-	// top of the floor boundary snapshot reproduces the golden state at the
-	// capture point exactly (CTAs share only global memory), so both the
-	// inter-snapshot golden CTAs and the injected CTA's fault-free prefix
-	// are skipped. The delta — or the thread start's patched words — is
-	// written through the tracked store path, so both exits' candidate pages
-	// still include every page that may differ.
+	// top of the boundary snapshot reproduces the golden state at the
+	// capture point exactly (CTAs share only global memory), so the injected
+	// CTA's fault-free prefix is skipped. The delta — or the thread start's
+	// patched words — is written through the tracked store path, so both
+	// exits' candidate pages still include every page that may differ.
 	var ws *gpusim.WarpSnapshot
 	if wck != nil {
 		ws = wck.SnapshotBefore(cta, local, site.DynInst)
 	}
 	threadLocal := ck != nil && t.WarpSize == 0 && t.prep.threadIndependent && model.threadLocal()
-	if threadLocal && site.Thread > first*tpc && (ws == nil || ws.DynAt(local) == 0) && ck.ThreadStart(dev, site.Thread) {
+	if threadLocal && local > 0 && (ws == nil || ws.DynAt(local) == 0) && ck.ThreadStart(dev, site.Thread) {
 		w.dynAt = slices.Grow(w.dynAt[:0], tpc)[:tpc]
 		for i := range local {
 			w.dynAt[i] = t.prep.profile.Threads[site.Thread-local+i].ICnt
@@ -380,10 +370,9 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	}
 	if ws != nil {
 		w.launch.Resume = ws
-		first = cta
 		cost.intraResumed = true
 	}
-	w.launch.FirstCTA = first
+	w.launch.FirstCTA = cta
 	if ck != nil {
 		if w.afterCTA == nil {
 			w.afterCTA, w.afterInjected = w.ctaExit, w.threadExit
@@ -401,7 +390,7 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 		return 0, cost, err
 	}
 	cost.replay, cost.postFault = res.BeforeFault, res.Retired-res.BeforeFault
-	cost.ctasSkipped = int32(first)
+	cost.ctasSkipped = int32(cta)
 	if res.Trap == nil && ck != nil && w.exited {
 		cost.earlyExit = true
 		cost.ctasSkipped += int32(ck.NumCTAs() - (cta + 1))

@@ -13,9 +13,12 @@ import (
 // thread stores its own words (V, C, and by role Z, W, out), loads K, which
 // thread 0 alone stores on page 4, and adds in[gid] to its own C in place.
 // Per CTA, local thread 0 stores L and the low byte of B and loads Y, which
-// local 1 stores later; locals 1–3 load B, local 2 loads L. In CTA 2 only,
-// an accumulator A is stored by locals 0 and 2 and loaded by locals 1 and 2,
-// so threads 9 and 10 start between two of its stores.
+// local 1 stores later; locals 1–3 load B, local 2 loads L. A word X is
+// stored by thread 2, loaded by thread 3 into its output E, and stored again
+// by thread 4 in CTA 1, so thread 3 starts between two of its stores in
+// different CTAs. In CTA 2 only, an accumulator A is stored by locals 0 and
+// 2 and loaded by locals 1 and 2, so threads 9 and 10 start between two of
+// its stores.
 const threadStartSrc = `
 	cvt.u32.u16 $r0, %tid.x
 	cvt.u32.u16 $r1, %ctaid.x
@@ -56,7 +59,15 @@ const threadStartSrc = `
 	ld.global.u32 $r14, [$r4+0x00002000]       // L[cta]
 	add.u32 $r14, $r14, 0x00000001             // tsLink
 	st.global.u32 [$r3+0x00001000], $r14       // out[gid] = L+1
-	lacc: set.eq.u32.u32 $p3/$o127, $r1, 0x00000002
+	lacc: set.eq.u32.u32 $p2/$o127, $r2, 0x00000002
+	@$p2.ne st.global.u32 [0x00002140], $r2    // X = gid, by thread 2
+	set.eq.u32.u32 $p2/$o127, $r2, 0x00000003
+	@$p2.ne ld.global.u32 $r16, [0x00002140]
+	@$p2.ne add.u32 $r16, $r16, $r7            // tsCross
+	@$p2.ne st.global.u32 [$r3+0x00003400], $r16 // E[gid] = X+in, by thread 3
+	set.eq.u32.u32 $p2/$o127, $r2, 0x00000004
+	@$p2.ne st.global.u32 [0x00002140], $r7    // X = in, by thread 4
+	set.eq.u32.u32 $p3/$o127, $r1, 0x00000002
 	@$p3.eq bra lend
 	set.eq.u32.u32 $p2/$o127, $r0, 0x00000000
 	@$p2.ne st.global.u32 [0x00002100], $r2    // A = gid, by thread 8
@@ -73,15 +84,15 @@ const threadStartSrc = `
 
 // The static instructions the oracle injects into.
 const (
-	tsOwn  = 14 // C[gid] in place: a word only the injected thread stores
-	tsSub  = 27 // W = B+in, B's low byte stored by an earlier thread
-	tsLink = 37 // out = L+1, L stored by an earlier thread
+	tsOwn   = 14 // C[gid] in place: a word only the injected thread stores
+	tsSub   = 27 // W = B+in, B's low byte stored by an earlier thread
+	tsLink  = 37 // out = L+1, L stored by an earlier thread
+	tsCross = 43 // E = X+in, X stored by an earlier thread and in a later CTA
 )
 
 // threadStartTarget builds the oracle kernel — with a barrier before the
-// exit when barrier is set — at CTA-boundary snapshot stride ctaStride,
-// under scheduler width warp.
-func threadStartTarget(t *testing.T, ctaStride int, barrier bool, warp int) *Target {
+// exit when barrier is set — under scheduler width warp.
+func threadStartTarget(t *testing.T, barrier bool, warp int) *Target {
 	t.Helper()
 	src := threadStartSrc
 	if barrier {
@@ -91,7 +102,7 @@ func threadStartTarget(t *testing.T, ctaStride int, barrier bool, warp int) *Tar
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pc := range []int{tsOwn, tsSub, tsLink} {
+	for _, pc := range []int{tsOwn, tsSub, tsLink, tsCross} {
 		if !strings.HasPrefix(prog.Instrs[pc].Op.String(), "add") {
 			t.Fatalf("kernel changed: PC %d is %v, want an add", pc, prog.Instrs[pc].Op)
 		}
@@ -106,18 +117,18 @@ func threadStartTarget(t *testing.T, ctaStride int, barrier bool, warp int) *Tar
 	dev.WriteWords(0x2040, []uint32{0x100, 0x101, 0x102})
 	dev.WriteWords(0x2080, []uint32{0xAABBCC00, 0xAABBCC01, 0xAABBCC02})
 	dev.WriteWords(0x2100, []uint32{0x77})
+	dev.WriteWords(0x2140, []uint32{0x66})
 	for i := range in {
 		dev.WriteWords(0x3300+4*i, []uint32{uint32(1000 + i)})
 	}
 	tg := &Target{
-		Name:             "threadstart",
-		Prog:             prog,
-		Grid:             gpusim.Dim3{X: 3, Y: 1, Z: 1},
-		Block:            gpusim.Dim3{X: 4, Y: 1, Z: 1},
-		Init:             dev,
-		WarpSize:         warp,
-		CheckpointStride: ctaStride,
-		Output:           []Range{{Off: gpusim.PageSize, Len: 4 * gpusim.PageSize}},
+		Name:     "threadstart",
+		Prog:     prog,
+		Grid:     gpusim.Dim3{X: 3, Y: 1, Z: 1},
+		Block:    gpusim.Dim3{X: 4, Y: 1, Z: 1},
+		Init:     dev,
+		WarpSize: warp,
+		Output:   []Range{{Off: gpusim.PageSize, Len: 4 * gpusim.PageSize}},
 	}
 	if err := tg.Prepare(); err != nil {
 		t.Fatal(err)
@@ -140,102 +151,103 @@ func allSites(space *Space, th int, m Model) []Site {
 }
 
 // TestThreadStartResumeOracle pins the thread-start resume (DESIGN.md §3.2)
-// on a kernel built for it, at CTA-boundary strides 1 and 2: every site of
-// every model agrees with the full run, and every run it resumes at the
-// injected thread's start replays nothing but that thread's own prefix.
+// on a kernel built for it: every site of every model agrees with the full
+// run, and every run it resumes at the injected thread's start replays
+// nothing but that thread's own prefix.
 //
 //   - An earlier thread of the CTA stores a word the injected thread
 //     loads (L), or a byte of it (B): resumed, with the word patched.
-//   - At stride 2, CTA 1 resumes from the pristine image: K, on a page
-//     only CTA 0 stores, must be patched from the CTA between.
 //   - Threads 9 and 10 start between two stores of A: never resumed at
 //     their start. Thread 11 starts after both: resumed.
+//   - Thread 3 starts between thread 2's store of X and thread 4's, in the
+//     next CTA: never resumed at its start, since X's last storer lies
+//     after it and its value at thread 3's start is recorded nowhere.
 //   - Every thread rewrites its own C in place, so patching a word whose
 //     last storer is the injected thread itself would double its update;
 //     and local thread 0 loads Y before local 1 stores it, so an earlier
 //     thread that ran again would see the patched value.
+//   - A CTA's first thread starts at the CTA's boundary snapshot, which
+//     needs no patching.
 //   - A barrier, lockstep warps, a lane-correlated or a persistent fault:
 //     never resumed at a thread start.
 func TestThreadStartResumeOracle(t *testing.T) {
-	for _, stride := range []int{1, 2} {
-		tg := threadStartTarget(t, stride, false, 0)
-		w := &workerDevice{dev: tg.Init.Clone()}
-		// run injects one site through the campaign path, checks it against
-		// the full run and reports whether it resumed at the thread's start.
-		run := func(tg *Target, s Site, m Model) (Outcome, bool) {
-			t.Helper()
-			got, cost, err := tg.injectOn(w, s, m)
-			if err != nil {
-				t.Fatalf("stride %d %v %v: %v", stride, m, s, err)
-			}
-			want, err := tg.RunSiteModel(s, m)
-			if err != nil {
-				t.Fatalf("stride %d %v %v full run: %v", stride, m, s, err)
-			}
-			if got != want {
-				t.Fatalf("stride %d %v %v: %v (thread-start resume %v), full run %v", stride, m, s, got, cost.intraResumed, want)
-			}
-			if cost.intraResumed && cost.replay != s.DynInst {
-				t.Fatalf("stride %d %v %v: resumed at the thread start, yet replayed %d instructions before dynamic instruction %d",
-					stride, m, s, cost.replay, s.DynInst)
-			}
-			return got, cost.intraResumed
+	tg := threadStartTarget(t, false, 0)
+	w := &workerDevice{dev: tg.Init.Clone()}
+	// run injects one site through the campaign path, checks it against
+	// the full run and reports whether it resumed at the thread's start.
+	run := func(tg *Target, s Site, m Model) (Outcome, bool) {
+		t.Helper()
+		got, cost, err := tg.injectOn(w, s, m)
+		if err != nil {
+			t.Fatalf("%v %v: %v", m, s, err)
 		}
-
-		space := NewSpace(tg.Profile())
-		resumed := make([]bool, tg.Threads())
-		for th := 0; th < tg.Threads(); th++ {
-			for m := Model(0); m < NumModels; m++ {
-				for _, s := range allSites(space, th, m) {
-					if _, r := run(tg, s, m); r {
-						if !m.threadLocal() {
-							t.Fatalf("stride %d %v %v: resumed at the thread start", stride, m, s)
-						}
-						resumed[th] = true
-					}
-				}
-			}
+		want, err := tg.RunSiteModel(s, m)
+		if err != nil {
+			t.Fatalf("%v %v full run: %v", m, s, err)
 		}
-		for th, r := range resumed {
-			// Resumable: every thread after its floor snapshot's first but
-			// the two that start between A's stores.
-			_, f := tg.Checkpoints().SnapshotFor(th / 4)
-			if want := th > f*4 && th != 9 && th != 10; r != want {
-				t.Fatalf("stride %d: thread %d resumed at its start %v, want %v", stride, th, r, want)
-			}
+		if got != want {
+			t.Fatalf("%v %v: %v (thread-start resume %v), full run %v", m, s, got, cost.intraResumed, want)
 		}
-
-		expect := func(tg *Target, thread, pc, bit int, m Model, want Outcome, wantResume bool, why string) {
-			t.Helper()
-			dyn := int64(-1)
-			for i, e := range tg.prep.profile.Threads[thread].PCs {
-				if gpusim.PC(e) == pc {
-					dyn = int64(i)
-				}
-			}
-			if dyn < 0 {
-				t.Fatalf("%s: thread %d never executes PC %d", why, thread, pc)
-			}
-			s := Site{Thread: thread, DynInst: dyn, Bit: bit}
-			if got, r := run(tg, s, m); got != want || r != wantResume {
-				t.Fatalf("stride %d %s: %v site %v gave %v, resumed %v; want %v, resumed %v",
-					stride, why, m, s, got, r, want, wantResume)
-			}
+		if cost.intraResumed && cost.replay != s.DynInst {
+			t.Fatalf("%v %v: resumed at the thread start, yet replayed %d instructions before dynamic instruction %d",
+				m, s, cost.replay, s.DynInst)
 		}
-		expect(tg, 6, tsLink, 3, ModelDestValue, SDC, true, "an earlier thread stores the loaded word")
-		expect(tg, 5, tsSub, 30, ModelDestValue, SDC, true, "an earlier thread stores a byte of the loaded word")
-		expect(tg, 5, tsOwn, 7, ModelDestValue, SDC, true, "a word the injected thread rewrites in place")
-		expect(tg, 4, tsOwn, 7, ModelDestValue, SDC, stride == 2, "the first thread of CTA 1")
-		expect(tg, 9, tsSub, 0, ModelDestValue, SDC, false, "a thread between two stores of a word")
-		expect(tg, 10, tsLink, 0, ModelDestValue, SDC, false, "a thread between two stores of a word")
-		expect(tg, 11, tsSub, 0, ModelDestValue, SDC, true, "a thread after both stores of a word")
-
-		// Never at a thread start where the premises fail; the same sites
-		// resume above.
-		for _, tg := range []*Target{threadStartTarget(t, stride, true, 0), threadStartTarget(t, stride, false, 32)} {
-			expect(tg, 6, tsLink, 3, ModelDestValue, SDC, false, "barrier kernel or lockstep warps")
-		}
-		expect(tg, 6, tsLink, 3, ModelLaneCorrelated, SDC, false, "lane-correlated")
-		expect(tg, 6, tsLink, 3, ModelStuckPred, Masked, false, "stuck-pred")
+		return got, cost.intraResumed
 	}
+
+	space := NewSpace(tg.Profile())
+	resumed := make([]bool, tg.Threads())
+	for th := 0; th < tg.Threads(); th++ {
+		for m := Model(0); m < NumModels; m++ {
+			for _, s := range allSites(space, th, m) {
+				if _, r := run(tg, s, m); r {
+					if !m.threadLocal() {
+						t.Fatalf("%v %v: resumed at the thread start", m, s)
+					}
+					resumed[th] = true
+				}
+			}
+		}
+	}
+	for th, r := range resumed {
+		// Resumable: every thread but its CTA's first and the three that
+		// start between two stores of a word.
+		if want := th%4 != 0 && th != 3 && th != 9 && th != 10; r != want {
+			t.Fatalf("thread %d resumed at its start %v, want %v", th, r, want)
+		}
+	}
+
+	expect := func(tg *Target, thread, pc, bit int, m Model, want Outcome, wantResume bool, why string) {
+		t.Helper()
+		dyn := int64(-1)
+		for i, e := range tg.prep.profile.Threads[thread].PCs {
+			if gpusim.PC(e) == pc {
+				dyn = int64(i)
+			}
+		}
+		if dyn < 0 {
+			t.Fatalf("%s: thread %d never executes PC %d", why, thread, pc)
+		}
+		s := Site{Thread: thread, DynInst: dyn, Bit: bit}
+		if got, r := run(tg, s, m); got != want || r != wantResume {
+			t.Fatalf("%s: %v site %v gave %v, resumed %v; want %v, resumed %v",
+				why, m, s, got, r, want, wantResume)
+		}
+	}
+	expect(tg, 6, tsLink, 3, ModelDestValue, SDC, true, "an earlier thread stores the loaded word")
+	expect(tg, 5, tsSub, 30, ModelDestValue, SDC, true, "an earlier thread stores a byte of the loaded word")
+	expect(tg, 5, tsOwn, 7, ModelDestValue, SDC, true, "a word the injected thread rewrites in place")
+	expect(tg, 4, tsOwn, 7, ModelDestValue, SDC, false, "the first thread of CTA 1")
+	expect(tg, 9, tsSub, 0, ModelDestValue, SDC, false, "a thread between two stores of a word")
+	expect(tg, 10, tsLink, 0, ModelDestValue, SDC, false, "a thread between two stores of a word")
+	expect(tg, 11, tsSub, 0, ModelDestValue, SDC, true, "a thread after both stores of a word")
+	expect(tg, 3, tsCross, 0, ModelDestValue, SDC, false, "a thread between two stores of a word in two CTAs")
+
+	// Never at a thread start where the premises fail; the same sites
+	// resume above.
+	for _, tg := range []*Target{threadStartTarget(t, true, 0), threadStartTarget(t, false, 32)} {
+		expect(tg, 6, tsLink, 3, ModelDestValue, SDC, false, "barrier kernel or lockstep warps")
+	}
+	expect(tg, 6, tsLink, 3, ModelLaneCorrelated, SDC, false, "lane-correlated")
+	expect(tg, 6, tsLink, 3, ModelStuckPred, Masked, false, "stuck-pred")
 }

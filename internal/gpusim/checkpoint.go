@@ -1,17 +1,17 @@
 package gpusim
 
-import "slices"
+import "bytes"
 
 // Checkpointing captures the golden (fault-free) run's global-memory state at
-// CTA boundaries so that injection runs can fast-forward: for a fault site in
-// CTA c, the CTAs before c are bit-identical to the golden run (CTAs execute
-// strictly sequentially and share only global memory), so the run can resume
-// from the nearest snapshot at or below c instead of re-executing the prefix.
-// Snapshots are copy-on-write Device clones — their cost is proportional to
-// the inter-snapshot write sets, not the device footprint — and every CTA
-// boundary additionally records per-page content hashes, so a run can list
-// the pages on which it differs from golden state right after the injected
-// CTA (Checkpoints.AppendDivergent). Access summaries of the golden run — the
+// every CTA boundary so that injection runs can fast-forward: for a fault
+// site in CTA c, the CTAs before c are bit-identical to the golden run (CTAs
+// execute strictly sequentially and share only global memory), so the run
+// resumes from the snapshot at boundary c instead of re-executing the
+// prefix. Snapshots are copy-on-write Device clones — their cost is
+// proportional to the CTAs' write sets plus one page table each, not the
+// device footprint — and the snapshot at boundary c+1 is the golden image a
+// run is compared against right after the injected CTA
+// (Checkpoints.AppendDivergent). Access summaries of the golden run — the
 // last thread to load each word, the last thread to store each word, the
 // pages each CTA stores to — and its final image tell whether any later
 // thread can observe or overwrite that divergence (AppendTouched,
@@ -20,49 +20,16 @@ import "slices"
 // about the CTAs after c. The same store summary rebuilds the golden memory
 // at the start of a thread of a thread-independent kernel (ThreadStart).
 
-// checkpointTableBytes bounds the page tables of an auto-strided store's
-// snapshots. A snapshot is a copy-on-write Device clone: beyond the pages
-// the golden run privatizes between snapshots (Bytes), it holds one slice
-// header and two flags per page of global memory, snapshotPageBytes.
-const (
-	checkpointTableBytes = 16 << 20
-	snapshotPageBytes    = 24 + 2
-)
-
-// AutoCheckpointStride picks a CTA-boundary snapshot stride for a grid of
-// numCTAs CTAs over numPages pages of global memory: 1 — a snapshot at every
-// boundary — unless the snapshots' page tables would exceed
-// checkpointTableBytes, and then the smallest stride whose snapshots fit.
-func AutoCheckpointStride(numCTAs, numPages int) int {
-	fit := checkpointTableBytes / max(snapshotPageBytes*numPages, 1)
-	if fit < 1 {
-		return max(numCTAs, 1)
-	}
-	return max((numCTAs+fit-1)/fit, 1)
-}
-
-// Checkpoints is the immutable result of recording a golden run: snapshots at
-// strided CTA boundaries plus per-boundary page hashes. It is read-only after
-// Finish and safe for concurrent use by campaign workers. Boundary b denotes
-// the instant after CTAs [0, b) have executed; boundary 0 is the pristine
-// image.
+// Checkpoints is the immutable result of recording a golden run: a snapshot
+// at every CTA boundary plus the run's access summaries. It is read-only
+// after Finish and safe for concurrent use by campaign workers. Boundary b
+// denotes the instant after CTAs [0, b) have executed; boundary 0 is the
+// pristine image.
 type Checkpoints struct {
-	stride  int
 	numCTAs int
-	// snaps[i] is the frozen device state at boundary i*stride.
+	// snaps[b] is the frozen device state at boundary b, for b < numCTAs.
 	snaps []*Device
-	// hashes[b] maps page index -> content hash for every page written
-	// during CTAs [0, b); pages absent from the map still hold pristine
-	// content. Maps are shared across boundaries with identical write sets.
-	hashes []map[int32]uint64
-	// mustWrite[b] lists the pages whose content at boundary b differs from
-	// their content at the floor checkpoint boundary for CTA b-1 — the pages
-	// a run resumed from that checkpoint must have dirtied to have reached
-	// golden state at b.
-	mustWrite [][]int32
-	// pristineHash[p] is the hash of page p in the pristine image.
-	pristineHash []uint64
-	bytes        int64
+	bytes int64
 	// loadWords[p], for each page the golden run loads from (nil for the
 	// others), holds per 4-byte word of the page the last (largest flat
 	// index) thread that loads it, -1 when none does. lastLoad[p] is the
@@ -89,15 +56,12 @@ type Checkpoints struct {
 	finalBytes int64
 	// tpc is the golden launch's threads per CTA. startOK is a bit set over
 	// flat threads: bit t is set when no word is stored in the golden run
-	// both by a thread in [f·tpc, t) and by a thread at or after t, where f
-	// is the boundary of SnapshotFor(t's CTA) — then ThreadStart can rebuild
-	// the memory at t's start (see ThreadStart).
+	// both by a thread in [c·tpc, t) and by a thread at or after t, c being
+	// t's CTA — then ThreadStart can rebuild the memory at t's start (see
+	// ThreadStart).
 	tpc     int
 	startOK []uint64
 }
-
-// Stride is the CTA-boundary distance between snapshots.
-func (c *Checkpoints) Stride() int { return c.stride }
 
 // NumCTAs is the grid size the checkpoints were recorded over.
 func (c *Checkpoints) NumCTAs() int { return c.numCTAs }
@@ -110,30 +74,20 @@ func (c *Checkpoints) Count() int { return len(c.snaps) }
 // last snapshot, at page granularity).
 func (c *Checkpoints) Bytes() int64 { return c.bytes }
 
-// SnapshotFor returns the snapshot with the largest boundary at or below cta,
-// and that boundary — the resume point for an injection into cta.
+// SnapshotFor returns the snapshot at boundary cta and that boundary — the
+// resume point for an injection into cta.
 func (c *Checkpoints) SnapshotFor(cta int) (*Device, int) {
-	i := c.SnapshotIndex(cta)
-	return c.snaps[i], i * c.stride
-}
-
-// SnapshotIndex returns the ordinal of the snapshot SnapshotFor(cta) resumes
-// from. The campaign scheduler uses it as the affinity key: sites that share
-// a snapshot index reset a pooled device on the same-source fast path.
-func (c *Checkpoints) SnapshotIndex(cta int) int {
-	i := cta / c.stride
-	if i >= len(c.snaps) {
-		i = len(c.snaps) - 1
-	}
-	return i
+	return c.snaps[cta], cta
 }
 
 // SummaryBytes approximates the memory held by the golden run's access
-// summaries and its final image (see AppendTouched, ObservedAfter,
-// StoredAfter and ThreadStart): per page two word-table headers, lastLoad
-// and both; one entry per word of every page the golden run loads or
-// stores; the per-CTA stored-page lists; the final image's private pages;
-// and one thread-start bit per thread.
+// summaries, its final image and the snapshots' page tables (see
+// AppendTouched, ObservedAfter, StoredAfter and ThreadStart): per page two
+// word-table headers, lastLoad and both; one entry per word of every page
+// the golden run loads or stores; the per-CTA stored-page lists; the final
+// image's private pages; one thread-start bit per thread; and, for the
+// final image and every snapshot but the pristine one, a page table of one
+// slice header and two flags per page.
 func (c *Checkpoints) SummaryBytes() int64 {
 	n := (24+24+4+4)*int64(len(c.lastLoad)) + 24*int64(len(c.storedIn)) // headers, int32s
 	for p := range c.lastLoad {
@@ -142,19 +96,18 @@ func (c *Checkpoints) SummaryBytes() int64 {
 	for _, pages := range c.storedIn {
 		n += 4 * int64(len(pages))
 	}
-	return n + 16*int64(len(c.partial)) + c.finalBytes + 8*int64(len(c.startOK))
+	tables := (24 + 2) * int64(len(c.snaps)) * int64(c.final.NumPages())
+	return n + 16*int64(len(c.partial)) + c.finalBytes + 8*int64(len(c.startOK)) + tables
 }
 
 // AppendDivergent appends to buf the pages on which dev — reset from
 // SnapshotFor(boundary-1) and executed through CTA boundary-1 — differs from
 // the golden run's global memory at boundary, and returns the extended
-// slice. A page diverges when the run dirtied it and it hashes differently
-// from golden's content at boundary, or when golden changed it since the
-// resume snapshot (mustWrite) and the run never dirtied it, so it still
-// holds snapshot content. Each dirty page is hashed once; page equality is
-// judged by 64-bit content hash (see Device.HashPage for the collision
-// argument). Must not be called once boundary == NumCTAs: the final state is
-// classified against the golden output instead.
+// slice: the pages of AppendTouched(dev, boundary-1) whose bytes differ
+// from the snapshot at boundary. Any other page holds the resume
+// snapshot's content, which CTA boundary-1 did not change. Must not be
+// called once boundary == NumCTAs: the final state is classified against
+// the golden output instead.
 //
 // Callers must not act on the result while a persistent fault is live (the
 // AfterCTA hook's faultLive flag): memory can match golden at the boundary
@@ -162,22 +115,16 @@ func (c *Checkpoints) SummaryBytes() int64 {
 // early exit is only sound once the fault has retired with its thread
 // (DESIGN.md §3.11).
 func (c *Checkpoints) AppendDivergent(dev *Device, boundary int, buf []int32) []int32 {
-	golden := c.hashes[boundary]
-	for _, p := range dev.dirtyIdx {
-		want, ok := golden[p]
-		if !ok {
-			want = c.pristineHash[p]
-		}
-		if dev.HashPage(int(p)) != want {
-			buf = append(buf, p)
-		}
-	}
-	for _, p := range c.mustWrite[boundary] {
-		if !dev.dirty[p] {
-			buf = append(buf, p)
+	n := len(buf)
+	buf = c.AppendTouched(dev, boundary-1, buf)
+	golden := c.snaps[boundary]
+	div := buf[:n]
+	for _, p := range buf[n:] {
+		if !bytes.Equal(dev.pages[p], golden.pages[p]) {
+			div = append(div, p)
 		}
 	}
-	return buf
+	return div
 }
 
 // Converged reports whether dev holds exactly the golden run's global memory
@@ -199,7 +146,7 @@ func (c *Checkpoints) Converged(dev *Device, boundary int) bool {
 // content). Any other page still holds the reset snapshot's content, which
 // golden has not changed since: every golden store from the resume point on
 // is replayed, restored or made by CTA cta. It is the mid-CTA analogue of
-// AppendDivergent, without the hashing: no golden image exists mid-CTA.
+// AppendDivergent, without the comparison: no golden image exists mid-CTA.
 func (c *Checkpoints) AppendTouched(dev *Device, cta int, buf []int32) []int32 {
 	buf = append(buf, dev.dirtyIdx...)
 	for _, p := range c.storedIn[cta] {
@@ -250,18 +197,18 @@ func (c *Checkpoints) StoredAfter(addr, t int) (stored, partial bool) {
 	return true, c.partial[addr>>2]
 }
 
-// ThreadStart writes into dev — reset from SnapshotFor(t's CTA), at
-// boundary f — the golden run's global memory at the start of flat thread
-// t of a thread-independent program under serial scheduling (no barrier,
-// stores to global memory only), and reports whether it could; when it
-// cannot it writes nothing. Threads of such a program run one at a time in
-// flat order, so that memory is the snapshot plus the stores of threads
-// [f·tpc, t). Word by word, on the pages CTAs f through t's CTA store to:
+// ThreadStart writes into dev — reset from SnapshotFor(c), c being t's CTA
+// — the golden run's global memory at the start of flat thread t of a
+// thread-independent program under serial scheduling (no barrier, stores
+// to global memory only), and reports whether it could; when it cannot it
+// writes nothing. Threads of such a program run one at a time in flat
+// order, so that memory is the snapshot plus the stores of threads
+// [c·tpc, t). Word by word, on the pages CTA c stores to:
 //
-//   - a word whose last golden storer is in [f·tpc, t) takes its final
+//   - a word whose last golden storer is in [c·tpc, t) takes its final
 //     value, since no later thread stores it;
-//   - a word no thread in [f·tpc, t) stores keeps the snapshot's value;
-//   - a word stored both in [f·tpc, t) and at or after t has a value the
+//   - a word no thread in [c·tpc, t) stores keeps the snapshot's value;
+//   - a word stored both in [c·tpc, t) and at or after t has a value the
 //     summaries cannot tell; then t's startOK bit is clear and ThreadStart
 //     refuses.
 //
@@ -273,15 +220,12 @@ func (c *Checkpoints) ThreadStart(dev *Device, t int) bool {
 		return false
 	}
 	cta := t / c.tpc
-	_, f := c.SnapshotFor(cta)
-	lo := f * c.tpc
-	for x := f; x <= cta; x++ {
-		for _, p := range c.storedIn[x] {
-			final := c.final.pages[p]
-			for i, s := range c.lastStore[p] {
-				if int(s) >= lo && int(s) < t {
-					dev.storeMem(int(p)<<pageShift+4*i, 4, getWord(final, 4*i))
-				}
+	lo := cta * c.tpc
+	for _, p := range c.storedIn[cta] {
+		final := c.final.pages[p]
+		for i, s := range c.lastStore[p] {
+			if int(s) >= lo && int(s) < t {
+				dev.storeMem(int(p)<<pageShift+4*i, 4, getWord(final, 4*i))
 			}
 		}
 	}
@@ -289,69 +233,46 @@ func (c *Checkpoints) ThreadStart(dev *Device, t int) bool {
 }
 
 // CheckpointRecorder observes the golden run on the device it is attached to
-// and builds a Checkpoints store: at every CTA boundary it folds the CTA's
-// write set into the page hashes and takes strided snapshots, and on every
-// global load and store it updates the access summaries. The recorded device
-// must start as a fresh clone of pristine and must never be reset (the
-// recorder harvests its dirty-page tracking; see Device.TakeDirtyPages).
-// Injection runs execute on other devices, where the recorder pointer is nil
-// and each global access pays one nil test.
+// and builds a Checkpoints store: at every CTA boundary it keeps the CTA's
+// write set and takes a snapshot, and on every global load and store it
+// updates the access summaries. The recorded device must start as a fresh
+// clone of pristine and must never be reset (the recorder harvests its
+// dirty-page tracking; see Device.TakeDirtyPages). Injection runs execute on
+// other devices, where the recorder pointer is nil and each global access
+// pays one nil test.
 type CheckpointRecorder struct {
 	dev *Device
 	ck  *Checkpoints
-	buf []int32
-	// cur is the cumulative page->hash map at the last seen boundary.
-	cur map[int32]uint64
-	// intra, when non-nil, is the coupled intra-CTA recorder: it learns each
-	// harvested CTA write set (its page deltas are relative to the last
-	// retained boundary snapshot) and is told when a new snapshot is taken.
-	intra *WarpCheckpointRecorder
 
-	// The thread-start refusals (Checkpoints.startOK), built per segment —
-	// the CTAs between two snapshots, whose first thread is segStart. A
-	// word stored by threads a < … < m of a segment refuses the threads in
-	// (a, m], and, once a later segment stores it too, the rest of the
-	// segment after m. segFirst holds, per page stored in the segment, per
-	// word the smallest thread storing it there (-1 for none); segPages
-	// lists those pages and spare recycles their tables. refused is a
-	// difference array over flat threads: a thread is refused when its
+	// The thread-start refusals (Checkpoints.startOK), built per CTA, whose
+	// first thread is ctaStart. A word stored by threads a < … < m of a CTA
+	// refuses the threads in (a, m], and, once a later CTA stores it too,
+	// the rest of the CTA after m. ctaFirst holds, per page stored in the
+	// CTA, per word the smallest thread storing it there (-1 for none);
+	// ctaPages lists those pages and spare recycles their tables. refused is
+	// a difference array over flat threads: a thread is refused when its
 	// prefix sum is positive.
-	segStart int
-	segFirst [][]int32
-	segPages []int32
+	ctaStart int
+	ctaFirst [][]int32
+	ctaPages []int32
 	spare    [][]int32
 	refused  []int32
 }
 
-// AttachIntra couples an intra-CTA recorder observing the same golden run:
-// the boundary recorder forwards harvested write sets so warp snapshots can
-// record page deltas relative to the retained boundary snapshots. Call
-// before the golden Execute.
-func (r *CheckpointRecorder) AttachIntra(w *WarpCheckpointRecorder) {
-	r.intra = w
-}
-
 // NewCheckpointRecorder prepares recording for a numCTAs-CTA golden run of
 // dev, cloned from pristine, and attaches it to dev: the next launch on dev
-// is the golden run, from CTA 0. stride <= 0 selects AutoCheckpointStride.
-// Call Finish after a successful Execute.
-func NewCheckpointRecorder(pristine, dev *Device, numCTAs, stride int) *CheckpointRecorder {
-	if stride <= 0 {
-		stride = AutoCheckpointStride(numCTAs, dev.NumPages())
-	}
+// is the golden run, from CTA 0. Call Finish after a successful Execute.
+func NewCheckpointRecorder(pristine, dev *Device, numCTAs int) *CheckpointRecorder {
 	ck := &Checkpoints{
-		stride:    stride,
 		numCTAs:   numCTAs,
 		snaps:     []*Device{pristine},
-		hashes:    make([]map[int32]uint64, numCTAs+1),
 		loadWords: make([][]int32, dev.NumPages()),
 		lastStore: make([][]int32, dev.NumPages()),
 		storedIn:  make([][]int32, numCTAs),
 	}
-	ck.hashes[0] = map[int32]uint64{}
 	dev.TakeDirtyPages(nil) // discard host-side init writes, if any
 	dev.TakePagesCopied()
-	r := &CheckpointRecorder{dev: dev, ck: ck, cur: ck.hashes[0]}
+	r := &CheckpointRecorder{dev: dev, ck: ck}
 	dev.rec = r
 	return r
 }
@@ -367,7 +288,7 @@ func (r *CheckpointRecorder) noteLoad(addr, thread int) {
 func (r *CheckpointRecorder) begin(tpc int) {
 	r.ck.tpc = tpc
 	r.refused = make([]int32, r.ck.numCTAs*tpc+1)
-	r.segFirst = make([][]int32, r.dev.NumPages())
+	r.ctaFirst = make([][]int32, r.dev.NumPages())
 }
 
 // noteStore records a w-byte global store at byte address addr by flat
@@ -375,15 +296,14 @@ func (r *CheckpointRecorder) begin(tpc int) {
 func (r *CheckpointRecorder) noteStore(addr, w, thread int) {
 	p, i := addr>>pageShift, addr&pageMask>>2
 	if last := r.ck.lastStore[p]; last != nil {
-		if prev := int(last[i]); prev >= 0 && prev < r.segStart {
-			// The word's last store so far lies in an earlier segment, which
+		if prev := int(last[i]); prev >= 0 && prev < r.ctaStart {
+			// The word's last store so far lies in an earlier CTA, which
 			// refuses its threads after that store.
-			segEnd := min((prev/r.ck.tpc/r.ck.stride+1)*r.ck.stride, r.ck.numCTAs) * r.ck.tpc
-			r.refuse(prev+1, segEnd)
+			r.refuse(prev+1, (prev/r.ck.tpc+1)*r.ck.tpc)
 		}
 	}
 	noteWord(r.ck.lastStore, addr, thread)
-	first := r.segFirst[p]
+	first := r.ctaFirst[p]
 	if first == nil {
 		if n := len(r.spare); n > 0 {
 			first, r.spare = r.spare[n-1], r.spare[:n-1]
@@ -393,8 +313,8 @@ func (r *CheckpointRecorder) noteStore(addr, w, thread int) {
 				first[i] = -1
 			}
 		}
-		r.segFirst[p] = first
-		r.segPages = append(r.segPages, int32(p))
+		r.ctaFirst[p] = first
+		r.ctaPages = append(r.ctaPages, int32(p))
 	}
 	if f := &first[i]; *f < 0 || int32(thread) < *f {
 		*f = int32(thread)
@@ -428,8 +348,10 @@ func noteWord(tables [][]int32, addr, thread int) {
 }
 
 // endCTA runs when CTA cta of the golden run retires: it keeps the CTA's
-// write set as its stored-page list, folds it into the cumulative hash map
-// and clones a snapshot at strided boundaries. A CTA boundary needs no
+// write set as its stored-page list, closes the CTA's thread-start
+// refusals — every word stored in it by threads a < … < m refuses the
+// threads in (a, m], whose start lies between two of its stores — and,
+// below the last boundary, clones a snapshot. A CTA boundary needs no
 // scheduler or barrier ledger beyond the device image — CTAs run strictly
 // sequentially, a CTA retires only when every thread has exited, and
 // threads of a fresh CTA start with an empty ledger (no parked flags, no
@@ -437,55 +359,26 @@ func noteWord(tables [][]int32, addr, thread int) {
 // clone IS the complete resume point (DESIGN.md §3.11).
 func (r *CheckpointRecorder) endCTA(cta int) {
 	b := cta + 1
-	r.buf = r.dev.TakeDirtyPages(r.buf)
-	r.ck.storedIn[cta] = slices.Clone(r.buf)
-	if r.intra != nil {
-		r.intra.noteBoundaryWrites(r.buf)
-	}
-	if len(r.buf) > 0 {
-		next := make(map[int32]uint64, len(r.cur)+len(r.buf))
-		for p, h := range r.cur {
-			next[p] = h
-		}
-		for _, p := range r.buf {
-			next[p] = r.dev.HashPage(int(p))
-		}
-		r.cur = next
-	}
-	r.ck.hashes[b] = r.cur
-	if b == r.ck.numCTAs || b%r.ck.stride == 0 {
-		r.closeSegment()
-		r.segStart = b * r.ck.tpc
-	}
-	if b < r.ck.numCTAs && b%r.ck.stride == 0 {
-		// Pages privatized since the previous snapshot are the bytes this
-		// snapshot pins beyond it.
-		r.ck.bytes += r.dev.TakePagesCopied() * PageSize
-		r.ck.snaps = append(r.ck.snaps, r.dev.Clone())
-		if r.intra != nil {
-			// Deltas of snapshots captured after this point are relative to
-			// the boundary snapshot just retained.
-			r.intra.resetBase()
-		}
-	}
-}
-
-// closeSegment ends the segment at a snapshot boundary (or the end of the
-// grid): every word stored in it by threads a < … < m refuses the threads
-// in (a, m], whose start lies between two of its stores.
-func (r *CheckpointRecorder) closeSegment() {
-	for _, p := range r.segPages {
-		first, last := r.segFirst[p], r.ck.lastStore[p]
+	r.ck.storedIn[cta] = r.dev.TakeDirtyPages(nil)
+	for _, p := range r.ctaPages {
+		first, last := r.ctaFirst[p], r.ck.lastStore[p]
 		for i, a := range first {
 			if a >= 0 {
 				r.refuse(int(a)+1, int(last[i])+1)
 				first[i] = -1
 			}
 		}
-		r.segFirst[p] = nil
+		r.ctaFirst[p] = nil
 		r.spare = append(r.spare, first)
 	}
-	r.segPages = r.segPages[:0]
+	r.ctaPages = r.ctaPages[:0]
+	r.ctaStart = b * r.ck.tpc
+	if b < r.ck.numCTAs {
+		// Pages privatized since the previous snapshot are the bytes this
+		// snapshot pins beyond it.
+		r.ck.bytes += r.dev.TakePagesCopied() * PageSize
+		r.ck.snaps = append(r.ck.snaps, r.dev.Clone())
+	}
 }
 
 // refuse marks the threads [lo, hi) as unable to resume at their start.
@@ -496,10 +389,10 @@ func (r *CheckpointRecorder) refuse(lo, hi int) {
 	}
 }
 
-// Finish detaches the recorder from its device, precomputes the per-boundary
-// convergence obligations, the per-page load summaries and the thread-start
-// bits, freezes the final image and returns the immutable store. Call
-// exactly once, after the golden run completed without a trap.
+// Finish detaches the recorder from its device, precomputes the per-page
+// load summaries and the thread-start bits, freezes the final image and
+// returns the immutable store. Call exactly once, after the golden run
+// completed without a trap.
 func (r *CheckpointRecorder) Finish() *Checkpoints {
 	r.dev.rec = nil
 	// The golden device runs no launch after the recording, but every
@@ -513,7 +406,7 @@ func (r *CheckpointRecorder) Finish() *Checkpoints {
 			ck.startOK[t/64] |= 1 << (t % 64)
 		}
 	}
-	r.refused, r.segFirst, r.spare = nil, nil, nil
+	r.refused, r.ctaFirst, r.spare = nil, nil, nil
 	// Pages privatized since the last snapshot are held by the final image
 	// alone.
 	ck.finalBytes = r.dev.TakePagesCopied() * PageSize
@@ -529,27 +422,6 @@ func (r *CheckpointRecorder) Finish() *Checkpoints {
 				ck.both[p] = max(ck.both[p], min(l, stores[w]))
 			}
 		}
-	}
-	pristine := ck.snaps[0]
-	ck.pristineHash = make([]uint64, pristine.NumPages())
-	for p := range ck.pristineHash {
-		ck.pristineHash[p] = pristine.HashPage(p)
-	}
-	ck.mustWrite = make([][]int32, ck.numCTAs+1)
-	for b := 1; b <= ck.numCTAs; b++ {
-		floor := ((b - 1) / ck.stride) * ck.stride
-		atFloor, atB := ck.hashes[floor], ck.hashes[b]
-		var diff []int32
-		for p, h := range atB {
-			hf, ok := atFloor[p]
-			if !ok {
-				hf = ck.pristineHash[p]
-			}
-			if h != hf {
-				diff = append(diff, p)
-			}
-		}
-		ck.mustWrite[b] = diff
 	}
 	return ck
 }

@@ -151,134 +151,105 @@ func TestHashPageHighBitDiffusion(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecorder: snapshots must equal the corresponding full-run
-// prefix states, golden replays from any snapshot must converge at every
-// later boundary, corrupted state and skipped writes must show up as
+// TestCheckpointRecorder: golden replays from any snapshot must converge at
+// the next boundary, corrupted state and skipped writes must show up as
 // divergent pages, the access summaries must name the last loading and
 // storing thread and each CTA's stored pages, and the word-granular refusal
-// rule must follow them.
+// rule must follow them. (TestSnapshotForBoundaries checks the snapshots
+// themselves.)
 func TestCheckpointRecorder(t *testing.T) {
 	prog, init := chainSetup(t)
 	const numCTAs = 6
-	for _, stride := range []int{1, 2, 3} {
-		golden := init.Clone()
-		rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs, stride)
-		res, err := gpusim.Execute(golden, chainLaunch(prog))
-		if err != nil {
+	golden := init.Clone()
+	rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs)
+	res, err := gpusim.Execute(golden, chainLaunch(prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trap != nil {
+		t.Fatalf("golden trap: %v", res.Trap)
+	}
+	ck := rec.Finish()
+	if ck.NumCTAs() != numCTAs || ck.Bytes() < 0 {
+		t.Fatalf("store reports %d CTAs, %d bytes", ck.NumCTAs(), ck.Bytes())
+	}
+
+	// A golden replay resumed from any CTA's snapshot converges at the
+	// next boundary (and the boundary after the last CTA is the final
+	// state, never queried through Converged).
+	for cta := 0; cta+1 < numCTAs; cta++ {
+		snap, first := ck.SnapshotFor(cta)
+		w := init.Clone()
+		w.ResetFrom(snap)
+		rl := chainLaunch(prog)
+		rl.FirstCTA = first
+		rl.AfterCTA = func(c int, _ bool) bool { return c == cta }
+		if _, err := gpusim.Execute(w, rl); err != nil {
 			t.Fatal(err)
 		}
-		if res.Trap != nil {
-			t.Fatalf("golden trap: %v", res.Trap)
+		if !ck.Converged(w, cta+1) {
+			t.Fatalf("golden replay does not converge at boundary %d", cta+1)
 		}
-		ck := rec.Finish()
+		// Any corruption — in a page the replay wrote or not — must
+		// break convergence.
+		w.WriteBytes(gpusim.PageSize-1, []byte{0x5A})
+		if ck.Converged(w, cta+1) {
+			t.Fatalf("corrupted state converges at boundary %d", cta+1)
+		}
+		if d := ck.AppendDivergent(w, cta+1, nil); len(d) != 1 || d[0] != 0 {
+			t.Fatalf("corrupted page 0 at boundary %d, divergent pages %v", cta+1, d)
+		}
+		// A run that wrote nothing since the snapshot still holds
+		// snapshot content on both pages CTA cta changes.
+		w.ResetFrom(snap)
+		d := ck.AppendDivergent(w, cta+1, nil)
+		slices.Sort(d)
+		if !slices.Equal(d, []int32{0, 1}) {
+			t.Fatalf("unwritten run at boundary %d, divergent pages %v, want [0 1]", cta+1, d)
+		}
+	}
 
-		wantSnaps := 1 + (numCTAs-1)/stride
-		if ck.Count() != wantSnaps {
-			t.Fatalf("stride %d: %d snapshots, want %d", stride, ck.Count(), wantSnaps)
-		}
-		if ck.Stride() != stride || ck.NumCTAs() != numCTAs {
-			t.Fatalf("stride %d: store reports stride %d, %d CTAs", stride, ck.Stride(), ck.NumCTAs())
-		}
-		if ck.Bytes() < 0 {
-			t.Fatalf("negative checkpoint bytes")
-		}
-
-		// Each snapshot equals an independently executed prefix.
-		for cta := 0; cta < numCTAs; cta++ {
-			snap, first := ck.SnapshotFor(cta)
-			if first > cta || first%stride != 0 {
-				t.Fatalf("SnapshotFor(%d) boundary %d", cta, first)
-			}
-			ref := init.Clone()
-			if first > 0 {
-				pl := chainLaunch(prog)
-				pl.AfterCTA = func(c int, _ bool) bool { return c == first-1 }
-				if _, err := gpusim.Execute(ref, pl); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !bytes.Equal(snap.Bytes(), ref.Bytes()) {
-				t.Fatalf("stride %d: snapshot at boundary %d differs from prefix run", stride, first)
+	// The summaries are in thread time. Thread g (CTA g/4, tid g%4)
+	// loads and stores acc[g%4] on page 0 and stores out[g] on page 1,
+	// all whole words; nothing loads out.
+	const tpc, threads = 4, numCTAs * 4
+	for th := 0; th < threads; th++ {
+		for addr := 0; addr < 32; addr++ {
+			// The last writer of acc[w] is the last CTA's thread w.
+			stored, partial := ck.StoredAfter(addr, th)
+			if want := addr < 16 && (numCTAs-1)*tpc+addr/4 > th; stored != want || partial {
+				t.Fatalf("StoredAfter(acc byte %d, %d) = %v, %v; want %v, false", addr, th, stored, partial, want)
 			}
 		}
-
-		// A golden replay resumed from any CTA's snapshot converges at the
-		// next boundary (and the boundary after the last CTA is the final
-		// state, never queried through Converged).
-		for cta := 0; cta+1 < numCTAs; cta++ {
-			snap, first := ck.SnapshotFor(cta)
-			w := init.Clone()
-			w.ResetFrom(snap)
-			rl := chainLaunch(prog)
-			rl.FirstCTA = first
-			rl.AfterCTA = func(c int, _ bool) bool { return c == cta }
-			if _, err := gpusim.Execute(w, rl); err != nil {
-				t.Fatal(err)
-			}
-			if !ck.Converged(w, cta+1) {
-				t.Fatalf("stride %d: golden replay does not converge at boundary %d", stride, cta+1)
-			}
-			// Any corruption — in a page the replay wrote or not — must
-			// break convergence.
-			w.WriteBytes(gpusim.PageSize-1, []byte{0x5A})
-			if ck.Converged(w, cta+1) {
-				t.Fatalf("stride %d: corrupted state converges at boundary %d", stride, cta+1)
-			}
-			if d := ck.AppendDivergent(w, cta+1, nil); len(d) != 1 || d[0] != 0 {
-				t.Fatalf("stride %d: corrupted page 0 at boundary %d, divergent pages %v", stride, cta+1, d)
-			}
-			// A run that wrote nothing since the snapshot still holds
-			// snapshot content on both pages CTA cta changes.
-			w.ResetFrom(snap)
-			d := ck.AppendDivergent(w, cta+1, nil)
-			slices.Sort(d)
-			if !slices.Equal(d, []int32{0, 1}) {
-				t.Fatalf("stride %d: unwritten run at boundary %d, divergent pages %v, want [0 1]", stride, cta+1, d)
+		for gid := 0; gid < threads+4; gid++ {
+			stored, _ := ck.StoredAfter(gpusim.PageSize+4*gid+3, th)
+			if want := gid < threads && gid > th; stored != want {
+				t.Fatalf("StoredAfter(out[%d], %d) = %v, want %v", gid, th, stored, want)
 			}
 		}
-
-		// The summaries are in thread time. Thread g (CTA g/4, tid g%4)
-		// loads and stores acc[g%4] on page 0 and stores out[g] on page 1,
-		// all whole words; nothing loads out.
-		const tpc, threads = 4, numCTAs * 4
-		for th := 0; th < threads; th++ {
-			for addr := 0; addr < 32; addr++ {
-				// The last writer of acc[w] is the last CTA's thread w.
-				stored, partial := ck.StoredAfter(addr, th)
-				if want := addr < 16 && (numCTAs-1)*tpc+addr/4 > th; stored != want || partial {
-					t.Fatalf("stride %d: StoredAfter(acc byte %d, %d) = %v, %v; want %v, false", stride, addr, th, stored, partial, want)
-				}
-			}
-			for gid := 0; gid < threads+4; gid++ {
-				stored, _ := ck.StoredAfter(gpusim.PageSize+4*gid+3, th)
-				if want := gid < threads && gid > th; stored != want {
-					t.Fatalf("stride %d: StoredAfter(out[%d], %d) = %v, want %v", stride, gid, th, stored, want)
-				}
-			}
+	}
+	// Word-granular refusal: acc's words are loaded and stored until the
+	// last thread, so page 0 refuses whatever a device holds; out is
+	// never loaded, so page 1 never refuses. After CTA c's last thread
+	// the question is the CTA-level one.
+	dev := init.Clone()
+	for th := 0; th < threads; th++ {
+		if got, want := ck.ObservedAfter(dev, 0, th), th < threads-1; got != want {
+			t.Fatalf("ObservedAfter(page 0, %d) = %v, want %v", th, got, want)
 		}
-		// Word-granular refusal: acc's words are loaded and stored until the
-		// last thread, so page 0 refuses whatever a device holds; out is
-		// never loaded, so page 1 never refuses. After CTA c's last thread
-		// the question is the CTA-level one.
-		dev := init.Clone()
-		for th := 0; th < threads; th++ {
-			if got, want := ck.ObservedAfter(dev, 0, th), th < threads-1; got != want {
-				t.Fatalf("stride %d: ObservedAfter(page 0, %d) = %v, want %v", stride, th, got, want)
-			}
-			if ck.ObservedAfter(dev, 1, th) {
-				t.Fatalf("stride %d: ObservedAfter(page 1, %d) on a page nothing loads", stride, th)
-			}
+		if ck.ObservedAfter(dev, 1, th) {
+			t.Fatalf("ObservedAfter(page 1, %d) on a page nothing loads", th)
 		}
-		// Every CTA stores to both pages: a run that dirtied nothing is told
-		// to check both.
-		for cta := 0; cta < numCTAs; cta++ {
-			got := ck.AppendTouched(dev, cta, nil)
-			if slices.Sort(got); !slices.Equal(got, []int32{0, 1}) {
-				t.Fatalf("stride %d: AppendTouched(clean device, %d) = %v, want [0 1]", stride, cta, got)
-			}
+	}
+	// Every CTA stores to both pages: a run that dirtied nothing is told
+	// to check both.
+	for cta := 0; cta < numCTAs; cta++ {
+		got := ck.AppendTouched(dev, cta, nil)
+		if slices.Sort(got); !slices.Equal(got, []int32{0, 1}) {
+			t.Fatalf("AppendTouched(clean device, %d) = %v, want [0 1]", cta, got)
 		}
-		if ck.SummaryBytes() < 2*gpusim.PageSize {
-			t.Fatalf("stride %d: summaries of two loaded or stored pages report %d bytes", stride, ck.SummaryBytes())
-		}
+	}
+	if ck.SummaryBytes() < 2*gpusim.PageSize {
+		t.Fatalf("summaries of two loaded or stored pages report %d bytes", ck.SummaryBytes())
 	}
 }

@@ -12,18 +12,17 @@
 // global memory as copy-on-write pages (PageSize): Clone freezes the
 // current image and shares every page, ResetFrom restores a pooled device
 // to a frozen image copying only the pages a run dirtied, and HashPage
-// summarizes page content for golden-state comparison. Checkpoints layers
-// CTA-boundary snapshots of the fault-free ("golden") run on top — one at
-// every boundary unless their page tables outgrow a byte bound — so an
-// injection into CTA k can resume from the nearest snapshot at or before k
-// instead of re-executing the fault-free prefix, and in a thread-independent
-// kernel at the injected thread's own start (ThreadStart); AppendDivergent
-// lists the pages on which a run's memory differs from the golden run's at
-// a boundary, and the golden run's access summaries and final image
-// (ObservedAfter, StoredAfter) tell whether any later thread can observe or
-// overwrite them, so a run can end early — at a CTA boundary, or where the
-// injected thread exits — once its memory matches golden or its divergence
-// is provably dead.
+// summarizes page content for the prepared-target cache's key. Checkpoints
+// layers a snapshot of the fault-free ("golden") run at every CTA boundary
+// on top, so an injection into CTA k resumes from the snapshot at k instead
+// of re-executing the fault-free prefix, and in a thread-independent kernel
+// at the injected thread's own start (ThreadStart); AppendDivergent lists
+// the pages on which a run's memory differs, byte for byte, from the
+// snapshot at a boundary, and the golden run's access summaries and final
+// image (ObservedAfter, StoredAfter) tell whether any later thread can
+// observe or overwrite them, so a run can end early — at a CTA boundary, or
+// where the injected thread exits — once its memory matches golden or its
+// divergence is provably dead.
 //
 // Execution entry points: Execute runs a Launch to completion (or trap),
 // optionally injecting one fault (Injection) and tracing every retired
@@ -135,8 +134,8 @@ type Launch struct {
 	// Resume, when non-nil, starts the CTA at FirstCTA from this intra-CTA
 	// snapshot instead of from a fresh thread/shared-memory state. The
 	// snapshot must have been captured in that CTA with the same block
-	// geometry and scheduling mode, and the device must hold the floor
-	// CTA-boundary state with the snapshot's page delta already restored
+	// geometry and scheduling mode, and the device must hold the CTA's
+	// boundary state with the snapshot's page delta already restored
 	// (see WarpSnapshot.RestorePages) — or, for a thread-start snapshot
 	// (WarpSnapshot.SetThreadStart), the memory Checkpoints.ThreadStart
 	// rebuilt.
@@ -545,9 +544,9 @@ func (d *Device) TakeDirtyPages(buf []int32) []int32 {
 }
 
 // HashPage returns a 64-bit hash of page p's content, folding eight bytes per
-// step. It identifies pages whose content matches the golden run's; a
-// collision (probability ~2^-64 per comparison for independent contents)
-// would misclassify one injection outcome — see DESIGN.md §3.2.
+// step. Fingerprint folds it over every page for the prepared-target
+// cache's key; no outcome depends on it, since a run is compared against
+// golden state byte for byte (Checkpoints.AppendDivergent).
 //
 // Each word is passed through a full-avalanche finalizer (murmur3 fmix64)
 // before the FNV-style fold. Folding raw words would be unsound: the fold's

@@ -150,9 +150,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	}
 	record := func(g leakGeom) golden {
 		dev := init.Clone()
-		rec := NewCheckpointRecorder(init, dev, g.grid.Count(), 1)
+		rec := NewCheckpointRecorder(init, dev, g.grid.Count())
 		wrec := NewWarpCheckpointRecorder(dev, g.grid.Count(), 5)
-		rec.AttachIntra(wrec)
 		l := launchOf(g)
 		l.IntraRec = wrec
 		if res, err := Execute(dev, l); err != nil || res.Trap != nil {

@@ -2,25 +2,25 @@ package gpusim
 
 import (
 	"bytes"
-	"sort"
+	"slices"
 	"unsafe"
 )
 
 // Intra-CTA (warp-granular) checkpointing captures the golden run's full
 // architectural state at strided points *inside* a CTA — per-thread register
 // files, predicate and offset registers, PCs, barrier arrival state, shared
-// memory, and the global-memory pages written since the floor CTA-boundary
-// snapshot — so that an injection into a site late in a CTA's dynamic trace
-// can skip the fault-free prefix of that CTA instead of replaying it.
+// memory, and the global-memory pages the CTA has written so far — so that
+// an injection into a site late in a CTA's dynamic trace can skip the
+// fault-free prefix of that CTA instead of replaying it.
 //
 // Unlike CTA-boundary snapshots (copy-on-write Device clones), an intra-CTA
 // snapshot must not clone the golden device mid-CTA: Clone freezes the device
 // and clears the dirty-page tracking the CTA-boundary recorder harvests at
 // the next boundary. Snapshots therefore store explicit page-content copies
-// of the delta versus the floor CTA-boundary snapshot; resuming restores the
+// of the delta versus the CTA's boundary snapshot; resuming restores the
 // delta through Device.WriteBytes, which marks those pages dirty and keeps
-// the boundary divergence scan sound (restored pages are hash-checked like
-// any page the run wrote itself — see Checkpoints.AppendDivergent).
+// the boundary divergence scan sound (restored pages are compared like any
+// page the run wrote itself — see Checkpoints.AppendDivergent).
 //
 // Capture points are chosen so that re-entering the scheduler from a
 // snapshot replays exactly the golden run's continuation: in serial mode
@@ -55,7 +55,7 @@ const defaultIntraBudgetBytes = 256 << 20
 
 // WarpSnapshot is one intra-CTA capture point: the complete architectural
 // state needed to resume the CTA mid-flight, plus the global-memory delta
-// versus the floor CTA-boundary snapshot. Immutable after capture.
+// versus the CTA's boundary snapshot. Immutable after capture.
 //
 // "Complete" includes the scheduler and synchronization ledger, which is
 // what makes resuming sound under scheduler-corrupting persistent faults
@@ -89,9 +89,8 @@ type WarpSnapshot struct {
 	// shared is the CTA's shared memory; nil in a thread-start snapshot,
 	// whose shared memory is the parameters every CTA starts from.
 	shared []byte
-	// pageIdx/pageDat hold the global-memory pages written since the floor
-	// CTA-boundary snapshot (by earlier CTAs past that boundary and by this
-	// CTA's prefix), with content clipped to the device size.
+	// pageIdx/pageDat hold the global-memory pages this CTA's prefix has
+	// written, in page order, with content clipped to the device size.
 	pageIdx []int32
 	pageDat [][]byte
 }
@@ -167,9 +166,9 @@ func (ws *WarpSnapshot) SetThreadStart(cta, local int, dynAt []int64) {
 }
 
 // RestorePages writes the snapshot's global-memory delta into dev, which
-// must already hold the floor CTA-boundary snapshot's content. Writing goes
+// must already hold the CTA's boundary snapshot content. Writing goes
 // through the copy-on-write store path, so the restored pages are tracked
-// dirty and participate in divergence hashing like run-written pages.
+// dirty and take part in the divergence scan like run-written pages.
 func (ws *WarpSnapshot) RestorePages(dev *Device) {
 	for i, p := range ws.pageIdx {
 		dev.WriteBytes(int(p)*PageSize, ws.pageDat[i])
@@ -244,9 +243,10 @@ func (w *WarpCheckpoints) OrdinalBefore(cta, local int, dyn int64) int {
 
 // WarpCheckpointRecorder observes a golden run from inside the CTA schedulers
 // and builds a WarpCheckpoints store. Wire it into the golden Launch via
-// Launch.IntraRec; when a CTA-boundary CheckpointRecorder is also active,
-// couple the two with CheckpointRecorder.AttachIntra so page deltas stay
-// relative to the retained boundary snapshots.
+// Launch.IntraRec. A capture's page delta is the device's dirty pages: with
+// a CheckpointRecorder on the same device, which harvests them at every
+// boundary, the current CTA's writes relative to its boundary snapshot;
+// without one, every write since the device was cloned.
 type WarpCheckpointRecorder struct {
 	dev        *Device
 	ck         *WarpCheckpoints
@@ -255,15 +255,6 @@ type WarpCheckpointRecorder struct {
 	maxPer     int
 	budget     int64
 
-	// sinceBase is the set of global-memory pages written since the floor
-	// CTA-boundary snapshot, excluding the current CTA's unharvested writes
-	// (those are still in the device's dirty index).
-	sinceBase map[int32]struct{}
-	// baseCopy caches content copies of sinceBase pages for the current CTA.
-	// Their content is frozen while the CTA runs — a store to such a page
-	// re-arms dirty tracking and routes it through the dirty path instead —
-	// so successive snapshots of one CTA share these slices.
-	baseCopy map[int32][]byte
 	// lastShared is the shared-memory slice of the latest capture, which the
 	// next capture reuses when the bytes are equal; sharedRefs counts the
 	// retained snapshots holding each such slice, so the store's byte count
@@ -289,7 +280,6 @@ func NewWarpCheckpointRecorder(dev *Device, numCTAs, stride int) *WarpCheckpoint
 	r := &WarpCheckpointRecorder{
 		dev:        dev,
 		ck:         &WarpCheckpoints{stride: stride, perCTA: make([][]*WarpSnapshot, numCTAs)},
-		sinceBase:  make(map[int32]struct{}),
 		sharedRefs: make(map[*byte]int),
 		maxPer:     DefaultIntraSnapshots,
 		budget:     defaultIntraBudgetBytes,
@@ -312,7 +302,6 @@ func (r *WarpCheckpointRecorder) beginCTA(cta int, st *ctaState) {
 	r.retired = 0
 	r.nextCapture = r.curStride
 	r.pending = false
-	r.baseCopy = nil
 }
 
 // step accounts one retired instruction and marks a capture as due at stride
@@ -336,7 +325,7 @@ func (r *WarpCheckpointRecorder) flush() {
 }
 
 // capture snapshots the current CTA state plus the global-memory delta
-// versus the floor CTA-boundary snapshot.
+// versus the CTA's boundary snapshot.
 func (r *WarpCheckpointRecorder) capture() {
 	st := r.cur
 	allDone := true
@@ -376,47 +365,14 @@ func (r *WarpCheckpointRecorder) capture() {
 		r.lastShared = append([]byte(nil), st.shared...)
 	}
 	ws.shared = r.lastShared
-	// Delta pages: everything written since the floor boundary snapshot by
-	// completed CTAs (sinceBase) plus the current CTA's writes so far (the
-	// device's dirty index, which the boundary recorder has not harvested
-	// yet). dirtyIdx holds no duplicates between harvests. A page in both
-	// sets takes the dirty path — the current CTA overwrote it — while pure
-	// sinceBase pages are frozen for the rest of the CTA, so their copies
-	// are made once and shared by every later snapshot of this CTA.
-	dirty := r.dev.DirtyPages()
-	dirtySet := make(map[int32]struct{}, len(dirty))
-	for _, p := range dirty {
-		dirtySet[p] = struct{}{}
-	}
-	idx := make([]int32, 0, len(r.sinceBase)+len(dirty))
-	for p := range r.sinceBase {
-		if _, ok := dirtySet[p]; !ok {
-			idx = append(idx, p)
-		}
-	}
-	idx = append(idx, dirty...)
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	ws.pageIdx = idx
-	ws.pageDat = make([][]byte, len(idx))
-	for i, p := range idx {
-		if _, hot := dirtySet[p]; !hot {
-			if c, ok := r.baseCopy[p]; ok {
-				ws.pageDat[i] = c
-				continue
-			}
-		}
-		n := PageSize
-		if rem := r.dev.size - int(p)*PageSize; rem < n {
-			n = rem
-		}
-		c := append([]byte(nil), r.dev.pages[p][:n]...)
-		ws.pageDat[i] = c
-		if _, hot := dirtySet[p]; !hot {
-			if r.baseCopy == nil {
-				r.baseCopy = make(map[int32][]byte)
-			}
-			r.baseCopy[p] = c
-		}
+	// Delta pages: the current CTA's writes so far, the device's dirty index,
+	// which holds no duplicates between the boundary recorder's harvests.
+	ws.pageIdx = slices.Clone(r.dev.DirtyPages())
+	slices.Sort(ws.pageIdx)
+	ws.pageDat = make([][]byte, len(ws.pageIdx))
+	for i, p := range ws.pageIdx {
+		n := min(PageSize, r.dev.size-int(p)*PageSize)
+		ws.pageDat[i] = append([]byte(nil), r.dev.pages[p][:n]...)
 	}
 	r.ck.perCTA[r.curCTA] = append(r.ck.perCTA[r.curCTA], ws)
 	r.retain(ws, 1)
@@ -480,21 +436,6 @@ func (r *WarpCheckpointRecorder) retain(ws *WarpSnapshot, delta int) {
 	default:
 		r.sharedRefs[key] = refs
 	}
-}
-
-// noteBoundaryWrites folds a completed CTA's write set into the delta base.
-// The CTA-boundary recorder calls this at every boundary with the pages it
-// harvested.
-func (r *WarpCheckpointRecorder) noteBoundaryWrites(pages []int32) {
-	for _, p := range pages {
-		r.sinceBase[p] = struct{}{}
-	}
-}
-
-// resetBase marks that a CTA-boundary snapshot was just retained: deltas of
-// later captures are relative to it, so the accumulated set empties.
-func (r *WarpCheckpointRecorder) resetBase() {
-	clear(r.sinceBase)
 }
 
 // Finish returns the immutable store. Call once, after the golden run

@@ -8,169 +8,137 @@ import (
 	"repro/internal/ptx"
 )
 
-// TestSnapshotForBoundaries pins the boundary-store lookup semantics at the
-// edges of the grid: CTA 0 always resumes from the pristine image, the last
-// CTA always resumes from the last retained snapshot, and for every CTA the
-// returned boundary is the largest retained multiple of the stride at or
-// below it.
+// TestSnapshotForBoundaries pins the boundary-store lookup semantics: the
+// store holds one snapshot per CTA, CTA 0 resumes from the pristine image,
+// and every CTA resumes from its own boundary, whose snapshot equals an
+// independent prefix execution.
 func TestSnapshotForBoundaries(t *testing.T) {
 	prog, init := chainSetup(t)
 	const numCTAs = 6
-	for _, stride := range []int{1, 2, 3, 4, 5, 6} {
-		golden := init.Clone()
-		rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs, stride)
-		if _, err := gpusim.Execute(golden, chainLaunch(prog)); err != nil {
-			t.Fatal(err)
+	golden := init.Clone()
+	rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs)
+	if _, err := gpusim.Execute(golden, chainLaunch(prog)); err != nil {
+		t.Fatal(err)
+	}
+	ck := rec.Finish()
+	if ck.Count() != numCTAs {
+		t.Fatalf("%d snapshots, want %d", ck.Count(), numCTAs)
+	}
+	if snap, _ := ck.SnapshotFor(0); snap != init {
+		t.Fatal("CTA 0 does not resume from the pristine image")
+	}
+	for cta := 0; cta < numCTAs; cta++ {
+		snap, b := ck.SnapshotFor(cta)
+		if b != cta {
+			t.Fatalf("SnapshotFor(%d) boundary %d", cta, b)
 		}
-		ck := rec.Finish()
-
-		// CTA 0: the pristine image, boundary 0, snapshot ordinal 0.
-		if idx := ck.SnapshotIndex(0); idx != 0 {
-			t.Fatalf("stride %d: SnapshotIndex(0) = %d", stride, idx)
-		}
-		snap, first := ck.SnapshotFor(0)
-		if first != 0 {
-			t.Fatalf("stride %d: SnapshotFor(0) boundary %d", stride, first)
-		}
-		if !bytes.Equal(snap.Bytes(), init.Bytes()) {
-			t.Fatalf("stride %d: CTA 0 snapshot differs from the pristine image", stride)
-		}
-
-		// Last CTA: the highest retained boundary, which is always the last
-		// snapshot in the store.
-		last := numCTAs - 1
-		if idx := ck.SnapshotIndex(last); idx != last/stride || idx != ck.Count()-1 {
-			t.Fatalf("stride %d: SnapshotIndex(%d) = %d, want %d (= Count()-1 = %d)",
-				stride, last, idx, last/stride, ck.Count()-1)
-		}
-		snap, first = ck.SnapshotFor(last)
-		if want := (last / stride) * stride; first != want {
-			t.Fatalf("stride %d: SnapshotFor(%d) boundary %d, want %d", stride, last, first, want)
-		}
-		// The last CTA's snapshot equals an independent prefix execution.
 		ref := init.Clone()
-		if first > 0 {
+		if cta > 0 {
 			pl := chainLaunch(prog)
-			pl.AfterCTA = func(c int, _ bool) bool { return c == first-1 }
+			pl.AfterCTA = func(c int, _ bool) bool { return c == cta-1 }
 			if _, err := gpusim.Execute(ref, pl); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if !bytes.Equal(snap.Bytes(), ref.Bytes()) {
-			t.Fatalf("stride %d: last-CTA snapshot differs from prefix run to boundary %d", stride, first)
-		}
-
-		// Every CTA: boundary <= cta, within one stride, index consistent.
-		for cta := 0; cta < numCTAs; cta++ {
-			s, b := ck.SnapshotFor(cta)
-			if b > cta || cta-b >= stride || b != ck.SnapshotIndex(cta)*stride {
-				t.Fatalf("stride %d: SnapshotFor(%d) boundary %d (index %d)",
-					stride, cta, b, ck.SnapshotIndex(cta))
-			}
-			if s == nil {
-				t.Fatalf("stride %d: nil snapshot for CTA %d", stride, cta)
-			}
+			t.Fatalf("snapshot at boundary %d differs from the prefix run", cta)
 		}
 	}
 }
 
 // TestWarpCheckpointResume is the unit-level soundness property of intra-CTA
-// snapshots: restoring any retained snapshot (floor boundary state + page
-// delta + materialized CTA state) and resuming the launch from it reproduces
-// the uninterrupted golden run bit-for-bit, under both schedulers and at
-// unit and non-unit boundary strides.
+// snapshots: restoring any retained snapshot (boundary state + page delta +
+// materialized CTA state) and resuming the launch from it reproduces the
+// uninterrupted golden run bit-for-bit, under both schedulers.
 func TestWarpCheckpointResume(t *testing.T) {
 	prog, init := chainSetup(t)
 	const numCTAs, tpc = 6, 4
 	for _, warp := range []int{0, 4} {
-		for _, ctaStride := range []int{1, 2} {
-			golden := init.Clone()
-			rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs, ctaStride)
-			wrec := gpusim.NewWarpCheckpointRecorder(golden, numCTAs, 2)
-			rec.AttachIntra(wrec)
-			l := chainLaunch(prog)
-			l.WarpSize = warp
-			l.IntraRec = wrec
-			res, err := gpusim.Execute(golden, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Trap != nil {
-				t.Fatalf("golden trap: %v", res.Trap)
-			}
-			ck := rec.Finish()
-			wck := wrec.Finish()
-			want := golden.Bytes()
+		golden := init.Clone()
+		rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs)
+		wrec := gpusim.NewWarpCheckpointRecorder(golden, numCTAs, 2)
+		l := chainLaunch(prog)
+		l.WarpSize = warp
+		l.IntraRec = wrec
+		res, err := gpusim.Execute(golden, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trap != nil {
+			t.Fatalf("golden trap: %v", res.Trap)
+		}
+		ck := rec.Finish()
+		wck := wrec.Finish()
+		want := golden.Bytes()
 
-			if wck.Count() == 0 {
-				t.Fatalf("warp %d ctaStride %d: no intra-CTA snapshots captured", warp, ctaStride)
-			}
-			if wck.Stride() != 2 || wck.Bytes() <= 0 {
-				t.Fatalf("store reports stride %d, %d bytes", wck.Stride(), wck.Bytes())
-			}
+		if wck.Count() == 0 {
+			t.Fatalf("warp %d: no intra-CTA snapshots captured", warp)
+		}
+		if wck.Stride() != 2 || wck.Bytes() <= 0 {
+			t.Fatalf("store reports stride %d, %d bytes", wck.Stride(), wck.Bytes())
+		}
 
-			for cta := 0; cta < numCTAs; cta++ {
-				for ord := 0; ord < wck.PerCTA(cta); ord++ {
-					ws := wck.Snapshot(cta, ord)
-					if ws.CTA() != cta || ws.Retired() <= 0 {
-						t.Fatalf("snapshot %d/%d reports CTA %d, retired %d",
-							cta, ord, ws.CTA(), ws.Retired())
+		for cta := 0; cta < numCTAs; cta++ {
+			for ord := 0; ord < wck.PerCTA(cta); ord++ {
+				ws := wck.Snapshot(cta, ord)
+				if ws.CTA() != cta || ws.Retired() <= 0 {
+					t.Fatalf("snapshot %d/%d reports CTA %d, retired %d",
+						cta, ord, ws.CTA(), ws.Retired())
+				}
+				snap, _ := ck.SnapshotFor(cta)
+				dev := init.Clone()
+				dev.ResetFrom(snap)
+				ws.RestorePages(dev)
+				rl := chainLaunch(prog)
+				rl.WarpSize = warp
+				rl.FirstCTA = cta
+				rl.Resume = ws
+				tres, err := gpusim.Execute(dev, rl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tres.Trap != nil {
+					t.Fatalf("resume %d/%d trap: %v", cta, ord, tres.Trap)
+				}
+				if tres.CTAsExecuted != numCTAs-cta {
+					t.Fatalf("resume %d/%d executed %d CTAs, want %d",
+						cta, ord, tres.CTAsExecuted, numCTAs-cta)
+				}
+				if !bytes.Equal(dev.Bytes(), want) {
+					t.Fatalf("warp %d: resume from snapshot %d/%d diverges from golden",
+						warp, cta, ord)
+				}
+				// dynCount continuity: resumed threads report their full
+				// golden iCnt (the snapshot carries the prefix count, so
+				// injection timing and the watchdog see full-run indices),
+				// and the snapshot's count never exceeds it.
+				for local := 0; local < tpc; local++ {
+					th := cta*tpc + local
+					if tres.ThreadICnt[th] != res.ThreadICnt[th] {
+						t.Fatalf("resume %d/%d thread %d: iCnt %d, golden %d",
+							cta, ord, th, tres.ThreadICnt[th], res.ThreadICnt[th])
 					}
-					snap, _ := ck.SnapshotFor(cta)
-					dev := init.Clone()
-					dev.ResetFrom(snap)
-					ws.RestorePages(dev)
-					rl := chainLaunch(prog)
-					rl.WarpSize = warp
-					rl.FirstCTA = cta
-					rl.Resume = ws
-					tres, err := gpusim.Execute(dev, rl)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if tres.Trap != nil {
-						t.Fatalf("resume %d/%d trap: %v", cta, ord, tres.Trap)
-					}
-					if tres.CTAsExecuted != numCTAs-cta {
-						t.Fatalf("resume %d/%d executed %d CTAs, want %d",
-							cta, ord, tres.CTAsExecuted, numCTAs-cta)
-					}
-					if !bytes.Equal(dev.Bytes(), want) {
-						t.Fatalf("warp %d ctaStride %d: resume from snapshot %d/%d diverges from golden",
-							warp, ctaStride, cta, ord)
-					}
-					// dynCount continuity: resumed threads report their full
-					// golden iCnt (the snapshot carries the prefix count, so
-					// injection timing and the watchdog see full-run indices),
-					// and the snapshot's count never exceeds it.
-					for local := 0; local < tpc; local++ {
-						th := cta*tpc + local
-						if tres.ThreadICnt[th] != res.ThreadICnt[th] {
-							t.Fatalf("resume %d/%d thread %d: iCnt %d, golden %d",
-								cta, ord, th, tres.ThreadICnt[th], res.ThreadICnt[th])
-						}
-						if ws.DynAt(local) > res.ThreadICnt[th] {
-							t.Fatalf("snapshot %d/%d thread %d: dynAt %d beyond golden iCnt %d",
-								cta, ord, th, ws.DynAt(local), res.ThreadICnt[th])
-						}
+					if ws.DynAt(local) > res.ThreadICnt[th] {
+						t.Fatalf("snapshot %d/%d thread %d: dynAt %d beyond golden iCnt %d",
+							cta, ord, th, ws.DynAt(local), res.ThreadICnt[th])
 					}
 				}
+			}
 
-				// Lookup semantics: a site before the first capture has no
-				// snapshot; a site exactly at a capture's dynamic count
-				// resumes at that count.
-				if wck.PerCTA(cta) > 0 {
-					if got := wck.OrdinalBefore(cta, 0, 0); got != -1 {
-						t.Fatalf("OrdinalBefore(%d, 0, 0) = %d, want -1", cta, got)
-					}
-					for ord := 0; ord < wck.PerCTA(cta); ord++ {
-						ws := wck.Snapshot(cta, ord)
-						for local := 0; local < tpc; local++ {
-							got := wck.SnapshotBefore(cta, local, ws.DynAt(local))
-							if got == nil || got.DynAt(local) != ws.DynAt(local) {
-								t.Fatalf("SnapshotBefore(%d, %d, %d) does not land on a capture at that count",
-									cta, local, ws.DynAt(local))
-							}
+			// Lookup semantics: a site before the first capture has no
+			// snapshot; a site exactly at a capture's dynamic count
+			// resumes at that count.
+			if wck.PerCTA(cta) > 0 {
+				if got := wck.OrdinalBefore(cta, 0, 0); got != -1 {
+					t.Fatalf("OrdinalBefore(%d, 0, 0) = %d, want -1", cta, got)
+				}
+				for ord := 0; ord < wck.PerCTA(cta); ord++ {
+					ws := wck.Snapshot(cta, ord)
+					for local := 0; local < tpc; local++ {
+						got := wck.SnapshotBefore(cta, local, ws.DynAt(local))
+						if got == nil || got.DynAt(local) != ws.DynAt(local) {
+							t.Fatalf("SnapshotBefore(%d, %d, %d) does not land on a capture at that count",
+								cta, local, ws.DynAt(local))
 						}
 					}
 				}

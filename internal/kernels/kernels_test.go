@@ -44,20 +44,16 @@ func TestKernelCorrectnessSmall(t *testing.T) {
 // CTA's boundary (convergence and dead divergence, DESIGN.md §3.2): on every
 // kernel at small scale, under both schedulers and seven fault models, and
 // on a paper-scale K-Means K2 slice, a campaign's per-site outcomes must
-// equal the FullRun reference's. Every registry grid snapshots every CTA
-// boundary, so a third leg sets CheckpointStride 3 under the serial
-// scheduler: runs then resume from a snapshot below the injected CTA, and
-// the CTAs between are replayed or, at a thread start, patched in. The
-// exits must actually fire somewhere, some of them must be SDC — which only
-// a dead-divergence exit can produce — and some must stop a site in the
-// last CTA, which only the thread exit can.
+// equal the FullRun reference's. The exits must actually fire somewhere,
+// some of them must be SDC — which only a dead-divergence exit can produce —
+// and some must stop a site in the last CTA, which only the thread exit can.
 func TestFastForwardMatchesFullRunEveryKernel(t *testing.T) {
 	models := []fault.Model{
 		fault.ModelDestValue, fault.ModelDestDouble, fault.ModelDestByte, fault.ModelMemAddr,
 		fault.ModelLaneCorrelated, fault.ModelStuckPred, fault.ModelStuckActiveMask,
 	}
 	const nsites = 150
-	var exits, sdcExits, lastCTAExits, stridedResumes int64
+	var exits, sdcExits, lastCTAExits int64
 	// exitsOf runs a campaign over sites and returns its early exits.
 	exitsOf := func(tg *fault.Target, sites []fault.WeightedSite, model fault.Model) int64 {
 		if len(sites) == 0 {
@@ -70,15 +66,14 @@ func TestFastForwardMatchesFullRunEveryKernel(t *testing.T) {
 		return res.Stats.EarlyExits
 	}
 	for _, spec := range All() {
-		for _, leg := range []struct{ warp, stride int }{{0, 0}, {32, 0}, {0, 3}} {
-			warp := leg.warp
+		for _, warp := range []int{0, 32} {
 			prepare := func(fullRun bool) *fault.Target {
 				inst, err := spec.Build(ScaleSmall)
 				if err != nil {
 					t.Fatal(err)
 				}
 				tg := inst.Target
-				tg.WarpSize, tg.FullRun, tg.CheckpointStride = warp, fullRun, leg.stride
+				tg.WarpSize, tg.FullRun = warp, fullRun
 				if err := tg.Prepare(); err != nil {
 					t.Fatal(err)
 				}
@@ -90,21 +85,18 @@ func TestFastForwardMatchesFullRunEveryKernel(t *testing.T) {
 				run := func(tg *fault.Target) *fault.CampaignResult {
 					res, err := fault.RunModel(tg, sites, model, fault.CampaignOptions{KeepPerSite: true})
 					if err != nil {
-						t.Fatalf("%s warp %d stride %d %v: %v", spec.Meta.Name(), warp, leg.stride, model, err)
+						t.Fatalf("%s warp %d %v: %v", spec.Meta.Name(), warp, model, err)
 					}
 					return res
 				}
 				got, want := run(ck), run(ref)
 				for i := range sites {
 					if got.PerSite[i] != want.PerSite[i] {
-						t.Fatalf("%s warp %d stride %d %v: site %v gave %v, full run %v",
-							spec.Meta.Name(), warp, leg.stride, model, sites[i].Site, got.PerSite[i], want.PerSite[i])
+						t.Fatalf("%s warp %d %v: site %v gave %v, full run %v",
+							spec.Meta.Name(), warp, model, sites[i].Site, got.PerSite[i], want.PerSite[i])
 					}
 				}
 				exits += got.Stats.EarlyExits
-				if leg.stride > 1 {
-					stridedResumes += got.Stats.IntraSkips
-				}
 				// Convergence exits are Masked, so an exit in a campaign of
 				// the full run's SDC sites is a dead-divergence exit; one of
 				// a site in the last CTA, which has no later boundary, is a
@@ -130,9 +122,6 @@ func TestFastForwardMatchesFullRunEveryKernel(t *testing.T) {
 	if exits == 0 || sdcExits == 0 || lastCTAExits == 0 {
 		t.Fatalf("early exits: %d, SDC ones: %d, last-CTA SDC ones: %d; the exits never fired",
 			exits, sdcExits, lastCTAExits)
-	}
-	if stridedResumes == 0 {
-		t.Fatal("no run resumed inside its CTA at checkpoint stride 3")
 	}
 
 	// Paper scale: K-Means K2's 256-thread CTAs, where nearly every early
