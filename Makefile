@@ -83,10 +83,10 @@ doccheck:
 # internal/campaign; the plain uniform dest-value draw (Random) only in
 # baseline.Fixed's file and the experiments' one helper — the draws
 # themselves are defined in internal/fault, so callers are counted outside
-# it; and no file assigns a target's intra-CTA snapshot stride or FullRun —
-# they are engine parameters tests and the benchmark set to check the
-# checkpointed = full-run contract, not part of what a campaign is. Fails, printing the
-# offending lines, when a pattern appears in more files than allowed.
+# it; and no file assigns a target's FullRun — an engine parameter tests and
+# the benchmark set to check the checkpointed = full-run contract, not part
+# of what a campaign is. Fails, printing the offending lines, when a pattern
+# appears in more files than allowed.
 recipe-check:
 	@check() { \
 		hits=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$2" cmd internal | grep -v "$$3"); \
@@ -97,7 +97,7 @@ recipe-check:
 	check 1 'Split("baseline")' '^$$' && \
 	check 1 '\.RandomModel(' '^internal/fault/' && \
 	check 2 '\.Random(' '^internal/fault/' && \
-	check 0 '\.\(IntraStride\|FullRun\) *=[^=]' '^$$'
+	check 0 '\.FullRun *=[^=]' '^$$'
 
 # Every example program runs to completion (vet and build only compile
 # them).
@@ -119,8 +119,8 @@ bench-record:
 	for w in deep-paper shallow-durable warp-persistent prune-suite service-mix; do \
 		out=$$($(GO) run ./benchmark -workload $$w) || exit 1; \
 		printf '"%s": %s\n' $$w "$$(printf '%s\n' "$$out" | tail -n 1)"; \
-	done > BENCH_pr34.json
-	sed -i -e '$$!s/$$/,/' -e '1s/^/{\n/' -e '$$s/$$/\n}/' BENCH_pr34.json
+	done > BENCH_pr35.json
+	sed -i -e '$$!s/$$/,/' -e '1s/^/{\n/' -e '$$s/$$/\n}/' BENCH_pr35.json
 
 # Regenerates experiments_output.txt (untracked), the transcript every
 # "measured" value in EXPERIMENTS.md comes from: seed 1, the whole suite at

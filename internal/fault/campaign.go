@@ -256,10 +256,10 @@ type CampaignOptions struct {
 // weighted outcome distribution. The target must be Prepared. Each worker
 // keeps one copy-on-write device and resets it before every experiment, so
 // runs are independent and the aggregation is deterministic regardless of
-// scheduling; on multi-CTA targets (unless Target.FullRun) each run
-// fast-forwards from the golden checkpoint nearest its injected CTA and may
-// stop at the injected CTA's boundary once the rest of the run is provably
-// the golden run's, with outcomes bit-identical to full runs. The whole site
+// scheduling; unless Target.FullRun is set, each run fast-forwards from the
+// golden checkpoint nearest its injected CTA and may stop at the injected
+// CTA's boundary once the rest of the run is provably the golden run's,
+// with outcomes bit-identical to full runs. The whole site
 // list is validated up front, so an invalid site fails before any
 // experiment executes, reporting the lowest-index invalid site.
 //
@@ -301,13 +301,12 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 		},
 	}
 	ck, wck := t.Checkpoints(), t.WarpCheckpoints()
-	if ck != nil || wck != nil {
+	if ck != nil {
 		tpc := t.Block.Count()
 		// The affinity key is the CTA, whose boundary snapshot a site resumes
-		// from (the pristine image of a single-CTA grid), refined by the
-		// intra-CTA snapshot ordinal so chunks never span an intra-CTA
-		// snapshot boundary either: within a chunk every site resumes from
-		// the same (boundary, warp) snapshot pair.
+		// from, refined by the intra-CTA snapshot ordinal so chunks never
+		// span an intra-CTA snapshot boundary either: within a chunk every
+		// site resumes from the same (boundary, warp) snapshot pair.
 		eng.affinityOf = func(i int) int {
 			s := sites[i].Site
 			cta := s.Thread / tpc
@@ -318,7 +317,7 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 			return key
 		}
 	}
-	res, st, err := runEngine(sites, t.scheduleOrder(sites), opt, eng)
+	res, st, err := runEngine(sites, scheduleOrder(sites), opt, eng)
 	st.PagesCopied = devs.pages.Load()
 	st.DevicesCreated = int(devs.created.Load())
 	st.AffinityResets = devs.srcSw.Load()
@@ -340,13 +339,15 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 	return res, nil
 }
 
-// scheduleOrder returns the execution order of a checkpointed campaign: a
-// permutation sorted by (CTA, thread, dyn inst, bit) — thread order implies
-// CTA order — so consecutive batch work shares a checkpoint snapshot and
-// stays page-local. Aggregation and error reporting remain input-ordered.
-// Returns nil (identity) when reordering cannot help.
-func (t *Target) scheduleOrder(sites []WeightedSite) []int {
-	if (t.Checkpoints() == nil && t.WarpCheckpoints() == nil) || len(sites) < 2 {
+// scheduleOrder returns a campaign's execution order: a permutation sorted
+// by (CTA, thread, dyn inst, bit) — thread order implies CTA order — so
+// consecutive batch work shares a checkpoint snapshot and stays page-local.
+// It is a function of the site list alone, so a shard owns the same sites
+// whether its target fast-forwards or runs FullRun. Aggregation and error
+// reporting remain input-ordered. Returns nil (identity) for fewer than two
+// sites.
+func scheduleOrder(sites []WeightedSite) []int {
+	if len(sites) < 2 {
 		return nil
 	}
 	order := make([]int, len(sites))

@@ -45,7 +45,7 @@ var (
 // of n owns every n-th schedule position starting at i — the partition is
 // applied after scheduleOrder, so each shard's subsequence stays CTA-sorted
 // and keeps the fast-forward engine's snapshot locality. The zero Shard
-// (Count 0) means "the whole campaign".
+// means "the whole campaign"; Count 0 with any other Index is invalid.
 type Shard struct {
 	Index, Count int
 }
@@ -59,6 +59,9 @@ func (s Shard) normalize() Shard {
 }
 
 func (s Shard) validate() error {
+	if s.Count == 0 && s.Index != 0 {
+		return fmt.Errorf("fault: shard index %d requires a shard count", s.Index)
+	}
 	n := s.normalize()
 	if n.Count < 1 || n.Index < 0 || n.Index >= n.Count {
 		return fmt.Errorf("fault: invalid shard %d/%d", s.Index, s.Count)

@@ -38,7 +38,7 @@ type prepareKey struct {
 	sharedBytes int
 	warpSize    int
 	fullRun     bool
-	intraStride int
+	intraStart  int
 	cfgHash     uint64
 }
 
@@ -66,7 +66,7 @@ func (t *Target) prepareKey() prepareKey {
 		sharedBytes: t.SharedBytes,
 		warpSize:    t.WarpSize,
 		fullRun:     t.FullRun,
-		intraStride: t.IntraStride,
+		intraStart:  t.intraStart,
 		cfgHash:     h,
 	}
 }
@@ -79,7 +79,6 @@ type preparedState struct {
 	watchdog int64
 	profile  *trace.Profile
 	ckpt     *gpusim.Checkpoints
-	wck      *gpusim.WarpCheckpoints
 	// threadIndependent records that the program has no barrier and stores
 	// to no memory but global (see threadIndependent).
 	threadIndependent bool
@@ -98,9 +97,9 @@ func (s *preparedState) approxBytes() int64 {
 	}
 	if s.ckpt != nil {
 		n += s.ckpt.Bytes() + s.ckpt.SummaryBytes()
-	}
-	if s.wck != nil {
-		n += s.wck.Bytes()
+		if w := s.ckpt.Warp(); w != nil {
+			n += w.Bytes()
+		}
 	}
 	return n
 }

@@ -78,8 +78,8 @@ func TestApproxBytesCountsSummaries(t *testing.T) {
 	tg := deadExitTarget(t)
 	s := tg.prep
 	parts := int64(len(s.golden)) + s.ckpt.Bytes() + s.ckpt.SummaryBytes()
-	if s.wck != nil {
-		parts += s.wck.Bytes()
+	if w := s.ckpt.Warp(); w != nil {
+		parts += w.Bytes()
 	}
 	if s.ckpt.Count() != 4 {
 		t.Fatalf("%d snapshots of a 4-CTA grid", s.ckpt.Count())

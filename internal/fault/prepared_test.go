@@ -92,9 +92,9 @@ func TestPreparedCacheEviction(t *testing.T) {
 		t.Fatalf("after A: %+v", st)
 	}
 
-	// A different intra-CTA snapshot stride is a different key.
+	// A different first intra-CTA capture stride is a different key.
 	tgB := buildGEMM(t, cache)
-	tgB.IntraStride = -1
+	fault.SetIntraStart(tgB, 7)
 	if err := tgB.Prepare(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestPreparedCacheEvictionUnderContention(t *testing.T) {
 					t.Error("key A: incomplete artifacts after Prepare")
 				}
 				b := buildGEMM(t, cache)
-				b.IntraStride = -1 // distinct key: installs contend with A's
+				fault.SetIntraStart(b, 7) // distinct key: installs contend with A's
 				if err := b.Prepare(); err != nil {
 					t.Errorf("key B: %v", err)
 					return

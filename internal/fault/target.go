@@ -46,14 +46,10 @@ type Target struct {
 	// DESIGN.md §3.2); the option exists as the verification and
 	// benchmarking reference.
 	FullRun bool
-	// IntraStride controls intra-CTA (warp-granular) checkpoints, which let
-	// an injection resume mid-CTA instead of replaying the injected CTA's
-	// fault-free prefix: 0 auto-tunes the capture stride to each CTA's
-	// dynamic instruction count (see gpusim.DefaultIntraSnapshots), a
-	// positive value captures at exactly that many retired instructions,
-	// and a negative value disables intra-CTA checkpointing. Ignored when
-	// FullRun is set.
-	IntraStride int
+	// intraStart is the first intra-CTA capture stride of the golden run's
+	// recorder (gpusim.NewCheckpointRecorder; 0 selects its default). Only
+	// tests set it, through SetIntraStart, to make short CTAs capture.
+	intraStart int
 
 	// Cache, when non-nil, routes Prepare through a shared prepared-target
 	// cache: the first target with a given key (see prepareKey) performs the
@@ -115,8 +111,8 @@ func (t *Target) Prepare() error {
 }
 
 // prepareCold runs the fault-free golden execution with tracing, capturing
-// the golden output, the per-thread profile, the injection watchdog and the
-// checkpoint stores.
+// the golden output, the per-thread profile, the injection watchdog and,
+// unless FullRun, the checkpoint store.
 func (t *Target) prepareCold() (*preparedState, error) {
 	if len(t.Output) == 0 {
 		return nil, fmt.Errorf("fault: target %s has no output ranges", t.Name)
@@ -124,15 +120,9 @@ func (t *Target) prepareCold() (*preparedState, error) {
 	tr := gpusim.NewProfileTrace(t.Threads())
 	dev := t.Init.Clone()
 	launch := t.launch(nil, tr, 0)
-	numCTAs := t.Grid.Count()
 	var rec *gpusim.CheckpointRecorder
-	if !t.FullRun && numCTAs > 1 {
-		rec = gpusim.NewCheckpointRecorder(t.Init, dev, numCTAs)
-	}
-	var wrec *gpusim.WarpCheckpointRecorder
-	if !t.FullRun && t.IntraStride >= 0 {
-		wrec = gpusim.NewWarpCheckpointRecorder(dev, numCTAs, t.IntraStride)
-		launch.IntraRec = wrec
+	if !t.FullRun {
+		rec = gpusim.NewCheckpointRecorder(t.Init, dev, t.Grid.Count(), t.intraStart)
 	}
 	res, err := gpusim.Execute(dev, &launch)
 	if err != nil {
@@ -144,11 +134,6 @@ func (t *Target) prepareCold() (*preparedState, error) {
 	p := &preparedState{golden: t.extractOutput(dev), threadIndependent: threadIndependent(t.Prog)}
 	if rec != nil {
 		p.ckpt = rec.Finish()
-	}
-	if wrec != nil {
-		if wck := wrec.Finish(); wck.Count() > 0 {
-			p.wck = wck
-		}
 	}
 
 	prof, err := trace.Build(t.Prog, tr, t.Block.Count())
@@ -250,7 +235,7 @@ func (t *Target) RunSite(site Site) (Outcome, error) {
 }
 
 // Checkpoints exposes the golden checkpoint store built by Prepare — nil
-// when fast-forwarding is disabled (FullRun) or the grid has a single CTA.
+// when fast-forwarding is disabled (FullRun).
 func (t *Target) Checkpoints() *gpusim.Checkpoints {
 	if t.prep == nil {
 		return nil
@@ -258,14 +243,14 @@ func (t *Target) Checkpoints() *gpusim.Checkpoints {
 	return t.prep.ckpt
 }
 
-// WarpCheckpoints exposes the intra-CTA snapshot store built by Prepare —
-// nil when disabled (FullRun or a negative IntraStride) or when the golden
-// run retired too few instructions per CTA for any capture.
+// WarpCheckpoints exposes the intra-CTA half of the checkpoint store
+// (gpusim.Checkpoints.Warp) — nil under FullRun or when the golden run
+// retired too few instructions per CTA for any capture.
 func (t *Target) WarpCheckpoints() *gpusim.WarpCheckpoints {
-	if t.prep == nil {
-		return nil
+	if ck := t.Checkpoints(); ck != nil {
+		return ck.Warp()
 	}
-	return t.prep.wck
+	return nil
 }
 
 // runCost carries per-run fast-forward metrics out of injectOn: the
@@ -283,10 +268,9 @@ type runCost struct {
 
 // injectOn is the campaign hot path: one unchecked injection experiment on a
 // worker's device (the site must have been validated up front). It resets
-// w.dev itself — from the checkpoint snapshot at the injected CTA's boundary
-// when the target has a checkpoint store, from the pristine image otherwise
-// (a single-CTA grid) — and builds the run's launch in w, so a site
-// allocates nothing of its own.
+// w.dev itself — from the checkpoint snapshot at the injected CTA's
+// boundary, or from the pristine image under FullRun — and builds the run's
+// launch in w, so a site allocates nothing of its own.
 //
 // Fast-forward soundness (details in DESIGN.md §3.2 and, for persistent
 // scheduler faults, §3.11): CTAs execute strictly sequentially and share
@@ -328,8 +312,8 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 		Kind: model.kind(),
 	}
 	w.launch = t.launch(&w.inj, nil, t.prep.watchdog)
-	ck, wck := t.prep.ckpt, t.prep.wck
-	if ck == nil && wck == nil {
+	ck := t.prep.ckpt
+	if ck == nil { // FullRun
 		dev.ResetFrom(t.Init)
 		res, err := gpusim.Execute(dev, &w.launch)
 		if err != nil {
@@ -341,10 +325,7 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	tpc := t.Block.Count()
 	cta := site.Thread / tpc
 	local := site.Thread - cta*tpc
-	snap := t.Init
-	if ck != nil {
-		snap, _ = ck.SnapshotFor(cta)
-	}
+	snap, _ := ck.SnapshotFor(cta)
 	dev.ResetFrom(snap)
 	// Inner resume: the latest intra-CTA snapshot at which the injected
 	// thread had not yet reached the fault site. Restoring its page delta on
@@ -354,10 +335,10 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	// patched words — is written through the tracked store path, so both
 	// exits' candidate pages still include every page that may differ.
 	var ws *gpusim.WarpSnapshot
-	if wck != nil {
+	if wck := ck.Warp(); wck != nil {
 		ws = wck.SnapshotBefore(cta, local, site.DynInst)
 	}
-	threadLocal := ck != nil && t.WarpSize == 0 && t.prep.threadIndependent && model.threadLocal()
+	threadLocal := t.WarpSize == 0 && t.prep.threadIndependent && model.threadLocal()
 	if threadLocal && local > 0 && (ws == nil || ws.DynAt(local) == 0) && ck.ThreadStart(dev, site.Thread) {
 		w.dynAt = slices.Grow(w.dynAt[:0], tpc)[:tpc]
 		for i := range local {
@@ -373,17 +354,15 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 		cost.intraResumed = true
 	}
 	w.launch.FirstCTA = cta
-	if ck != nil {
-		if w.afterCTA == nil {
-			w.afterCTA, w.afterInjected = w.ctaExit, w.threadExit
-		}
-		w.t, w.thread, w.cta, w.exited = t, site.Thread, cta, false
-		if cta+1 < ck.NumCTAs() {
-			w.launch.AfterCTA = w.afterCTA
-		}
-		if threadLocal {
-			w.launch.AfterInjected = w.afterInjected
-		}
+	if w.afterCTA == nil {
+		w.afterCTA, w.afterInjected = w.ctaExit, w.threadExit
+	}
+	w.t, w.thread, w.cta, w.exited = t, site.Thread, cta, false
+	if cta+1 < ck.NumCTAs() {
+		w.launch.AfterCTA = w.afterCTA
+	}
+	if threadLocal {
+		w.launch.AfterInjected = w.afterInjected
 	}
 	res, err := gpusim.Execute(dev, &w.launch)
 	if err != nil {
@@ -391,7 +370,7 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	}
 	cost.replay, cost.postFault = res.BeforeFault, res.Retired-res.BeforeFault
 	cost.ctasSkipped = int32(cta)
-	if res.Trap == nil && ck != nil && w.exited {
+	if res.Trap == nil && w.exited {
 		cost.earlyExit = true
 		cost.ctasSkipped += int32(ck.NumCTAs() - (cta + 1))
 		return w.exit, cost, nil

@@ -11,23 +11,27 @@ import "bytes"
 // proportional to the CTAs' write sets plus one page table each, not the
 // device footprint — and the snapshot at boundary c+1 is the golden image a
 // run is compared against right after the injected CTA
-// (Checkpoints.AppendDivergent). Access summaries of the golden run — the
-// last thread to load each word, the last thread to store each word, the
-// pages each CTA stores to — and its final image tell whether any later
-// thread can observe or overwrite that divergence (AppendTouched,
-// ObservedAfter, StoredAfter). "Last" is the largest flat thread index, so a
-// question about the threads after the last thread of CTA c is the question
-// about the CTAs after c. The same store summary rebuilds the golden memory
-// at the start of a thread of a thread-independent kernel (ThreadStart).
+// (Checkpoints.AppendDivergent); the last one is the golden run's final
+// image. Access summaries of the golden run — the last thread to load each
+// word, the last thread to store each word, the pages each CTA stores to —
+// and its final image tell whether any later thread can observe or
+// overwrite that divergence (AppendTouched, ObservedAfter, StoredAfter).
+// "Last" is the largest flat thread index, so a question about the threads
+// after the last thread of CTA c is the question about the CTAs after c.
+// The same store summary rebuilds the golden memory at the start of a
+// thread of a thread-independent kernel (ThreadStart). One recorder builds
+// all of it for every grid size, a single CTA included, together with the
+// intra-CTA snapshots of warpckpt.go.
 
 // Checkpoints is the immutable result of recording a golden run: a snapshot
-// at every CTA boundary plus the run's access summaries. It is read-only
-// after Finish and safe for concurrent use by campaign workers. Boundary b
-// denotes the instant after CTAs [0, b) have executed; boundary 0 is the
-// pristine image.
+// at every CTA boundary, the run's access summaries and its intra-CTA
+// snapshots (Warp). It is read-only after Finish and safe for concurrent
+// use by campaign workers. Boundary b denotes the instant after CTAs [0, b)
+// have executed; boundary 0 is the pristine image.
 type Checkpoints struct {
 	numCTAs int
-	// snaps[b] is the frozen device state at boundary b, for b < numCTAs.
+	// snaps[b] is the frozen device state at boundary b, for b <= numCTAs:
+	// snaps[numCTAs] is the golden run's final image.
 	snaps []*Device
 	bytes int64
 	// loadWords[p], for each page the golden run loads from (nil for the
@@ -50,10 +54,11 @@ type Checkpoints struct {
 	partial map[int]bool
 	// storedIn[c] lists the pages CTA c stores to in the golden run.
 	storedIn [][]int32
-	// final is the golden run's final image, frozen; finalBytes counts the
-	// pages only it holds (privatized after the last snapshot).
-	final      *Device
+	// finalBytes counts the pages only the final image holds (privatized
+	// after the last boundary before it).
 	finalBytes int64
+	// warp is the intra-CTA snapshot store, nil when nothing was captured.
+	warp *WarpCheckpoints
 	// tpc is the golden launch's threads per CTA. startOK is a bit set over
 	// flat threads: bit t is set when no word is stored in the golden run
 	// both by a thread in [c·tpc, t) and by a thread at or after t, c being
@@ -66,13 +71,19 @@ type Checkpoints struct {
 // NumCTAs is the grid size the checkpoints were recorded over.
 func (c *Checkpoints) NumCTAs() int { return c.numCTAs }
 
-// Count is the number of snapshots retained (including the pristine image).
-func (c *Checkpoints) Count() int { return len(c.snaps) }
+// Count is the number of snapshots a run can resume from, one per CTA
+// (including the pristine image).
+func (c *Checkpoints) Count() int { return c.numCTAs }
 
 // Bytes approximates the global-memory bytes retained by the snapshots
 // beyond the pristine image (pages privatized by the golden run up to the
-// last snapshot, at page granularity).
+// last CTA boundary before the final image, at page granularity).
 func (c *Checkpoints) Bytes() int64 { return c.bytes }
+
+// Warp returns the intra-CTA snapshot store recorded with the boundary
+// snapshots, nil when the golden run retired too few instructions per CTA
+// for any capture.
+func (c *Checkpoints) Warp() *WarpCheckpoints { return c.warp }
 
 // SnapshotFor returns the snapshot at boundary cta and that boundary — the
 // resume point for an injection into cta.
@@ -96,7 +107,7 @@ func (c *Checkpoints) SummaryBytes() int64 {
 	for _, pages := range c.storedIn {
 		n += 4 * int64(len(pages))
 	}
-	tables := (24 + 2) * int64(len(c.snaps)) * int64(c.final.NumPages())
+	tables := (24 + 2) * int64(len(c.snaps)-1) * int64(c.snaps[0].NumPages())
 	return n + 16*int64(len(c.partial)) + c.finalBytes + 8*int64(len(c.startOK)) + tables
 }
 
@@ -105,9 +116,8 @@ func (c *Checkpoints) SummaryBytes() int64 {
 // the golden run's global memory at boundary, and returns the extended
 // slice: the pages of AppendTouched(dev, boundary-1) whose bytes differ
 // from the snapshot at boundary. Any other page holds the resume
-// snapshot's content, which CTA boundary-1 did not change. Must not be
-// called once boundary == NumCTAs: the final state is classified against
-// the golden output instead.
+// snapshot's content, which CTA boundary-1 did not change. boundary runs
+// from 1 to NumCTAs; the golden memory at NumCTAs is the final image.
 //
 // Callers must not act on the result while a persistent fault is live (the
 // AfterCTA hook's faultLive flag): memory can match golden at the boundary
@@ -180,7 +190,7 @@ func (c *Checkpoints) ObservedAfter(dev *Device, p int32, t int) bool {
 		return false
 	}
 	loads := c.loadWords[p]
-	return eachDiffWord(dev.pages[p], c.final.pages[p], int(p)<<pageShift, func(addr int) bool {
+	return eachDiffWord(dev.pages[p], c.snaps[c.numCTAs].pages[p], int(p)<<pageShift, func(addr int) bool {
 		return int(loads[addr&pageMask>>2]) > t
 	})
 }
@@ -222,7 +232,7 @@ func (c *Checkpoints) ThreadStart(dev *Device, t int) bool {
 	cta := t / c.tpc
 	lo := cta * c.tpc
 	for _, p := range c.storedIn[cta] {
-		final := c.final.pages[p]
+		final := c.snaps[c.numCTAs].pages[p]
 		for i, s := range c.lastStore[p] {
 			if int(s) >= lo && int(s) < t {
 				dev.storeMem(int(p)<<pageShift+4*i, 4, getWord(final, 4*i))
@@ -234,15 +244,17 @@ func (c *Checkpoints) ThreadStart(dev *Device, t int) bool {
 
 // CheckpointRecorder observes the golden run on the device it is attached to
 // and builds a Checkpoints store: at every CTA boundary it keeps the CTA's
-// write set and takes a snapshot, and on every global load and store it
-// updates the access summaries. The recorded device must start as a fresh
-// clone of pristine and must never be reset (the recorder harvests its
-// dirty-page tracking; see Device.TakeDirtyPages). Injection runs execute on
-// other devices, where the recorder pointer is nil and each global access
-// pays one nil test.
+// write set and takes a snapshot, on every global load and store it updates
+// the access summaries, and its warp half captures snapshots inside each
+// CTA. The recorded device must start as a fresh clone of pristine and must
+// never be reset (the recorder harvests its dirty-page tracking; see
+// Device.TakeDirtyPages). Injection runs execute on other devices, where the
+// recorder pointer is nil and each global access pays one nil test.
 type CheckpointRecorder struct {
 	dev *Device
 	ck  *Checkpoints
+	// warp is the intra-CTA half, which Execute drives from the schedulers.
+	warp *warpRecorder
 
 	// The thread-start refusals (Checkpoints.startOK), built per CTA, whose
 	// first thread is ctaStart. A word stored by threads a < … < m of a CTA
@@ -261,8 +273,11 @@ type CheckpointRecorder struct {
 
 // NewCheckpointRecorder prepares recording for a numCTAs-CTA golden run of
 // dev, cloned from pristine, and attaches it to dev: the next launch on dev
-// is the golden run, from CTA 0. Call Finish after a successful Execute.
-func NewCheckpointRecorder(pristine, dev *Device, numCTAs int) *CheckpointRecorder {
+// is the golden run, from CTA 0. The warp half captures a snapshot every
+// intraStart retired instructions of a CTA to begin with (0 selects the
+// default, 4096) and doubles the CTA's stride whenever it would retain more
+// than DefaultIntraSnapshots. Call Finish after a successful Execute.
+func NewCheckpointRecorder(pristine, dev *Device, numCTAs, intraStart int) *CheckpointRecorder {
 	ck := &Checkpoints{
 		numCTAs:   numCTAs,
 		snaps:     []*Device{pristine},
@@ -272,7 +287,7 @@ func NewCheckpointRecorder(pristine, dev *Device, numCTAs int) *CheckpointRecord
 	}
 	dev.TakeDirtyPages(nil) // discard host-side init writes, if any
 	dev.TakePagesCopied()
-	r := &CheckpointRecorder{dev: dev, ck: ck}
+	r := &CheckpointRecorder{dev: dev, ck: ck, warp: newWarpRecorder(dev, numCTAs, intraStart)}
 	dev.rec = r
 	return r
 }
@@ -390,9 +405,9 @@ func (r *CheckpointRecorder) refuse(lo, hi int) {
 }
 
 // Finish detaches the recorder from its device, precomputes the per-page
-// load summaries and the thread-start bits, freezes the final image and
-// returns the immutable store. Call exactly once, after the golden run
-// completed without a trap.
+// load summaries and the thread-start bits, freezes the final image as the
+// last snapshot and returns the immutable store, warp snapshots included.
+// Call exactly once, after the golden run completed without a trap.
 func (r *CheckpointRecorder) Finish() *Checkpoints {
 	r.dev.rec = nil
 	// The golden device runs no launch after the recording, but every
@@ -407,10 +422,13 @@ func (r *CheckpointRecorder) Finish() *Checkpoints {
 		}
 	}
 	r.refused, r.ctaFirst, r.spare = nil, nil, nil
-	// Pages privatized since the last snapshot are held by the final image
-	// alone.
+	// Pages privatized since the last boundary snapshot are held by the
+	// final image alone.
 	ck.finalBytes = r.dev.TakePagesCopied() * PageSize
-	ck.final = r.dev.Clone()
+	ck.snaps = append(ck.snaps, r.dev.Clone())
+	if w := r.warp.ck; w.count > 0 {
+		ck.warp = w
+	}
 	ck.lastLoad = make([]int32, len(ck.loadWords))
 	ck.both = make([]int32, len(ck.loadWords))
 	for p, loads := range ck.loadWords {

@@ -161,7 +161,7 @@ func TestCheckpointRecorder(t *testing.T) {
 	prog, init := chainSetup(t)
 	const numCTAs = 6
 	golden := init.Clone()
-	rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs)
+	rec := gpusim.NewCheckpointRecorder(init, golden, numCTAs, 0)
 	res, err := gpusim.Execute(golden, chainLaunch(prog))
 	if err != nil {
 		t.Fatal(err)
@@ -175,9 +175,8 @@ func TestCheckpointRecorder(t *testing.T) {
 	}
 
 	// A golden replay resumed from any CTA's snapshot converges at the
-	// next boundary (and the boundary after the last CTA is the final
-	// state, never queried through Converged).
-	for cta := 0; cta+1 < numCTAs; cta++ {
+	// next boundary, the last one against the final image.
+	for cta := 0; cta < numCTAs; cta++ {
 		snap, first := ck.SnapshotFor(cta)
 		w := init.Clone()
 		w.ResetFrom(snap)
@@ -251,5 +250,42 @@ func TestCheckpointRecorder(t *testing.T) {
 	}
 	if ck.SummaryBytes() < 2*gpusim.PageSize {
 		t.Fatalf("summaries of two loaded or stored pages report %d bytes", ck.SummaryBytes())
+	}
+}
+
+// TestCheckpointSingleCTAFinal: a 1-CTA grid's store holds one snapshot to
+// resume from, the pristine image, and its final image is the golden state
+// at boundary NumCTAs, so Converged is defined there: true after a golden
+// replay, false once an output page differs.
+func TestCheckpointSingleCTAFinal(t *testing.T) {
+	prog, init := chainSetup(t)
+	launch := func() *gpusim.Launch {
+		l := chainLaunch(prog)
+		l.Grid.X = 1
+		return l
+	}
+	golden := init.Clone()
+	rec := gpusim.NewCheckpointRecorder(init, golden, 1, 0)
+	if res, err := gpusim.Execute(golden, launch()); err != nil || res.Trap != nil {
+		t.Fatalf("golden run: %v %v", err, res)
+	}
+	ck := rec.Finish()
+	if ck.Count() != 1 || ck.NumCTAs() != 1 {
+		t.Fatalf("1-CTA store holds %d snapshots over %d CTAs", ck.Count(), ck.NumCTAs())
+	}
+	snap, first := ck.SnapshotFor(0)
+	dev := init.Clone()
+	dev.ResetFrom(snap)
+	l := launch()
+	l.FirstCTA = first
+	if _, err := gpusim.Execute(dev, l); err != nil {
+		t.Fatal(err)
+	}
+	if !ck.Converged(dev, ck.NumCTAs()) {
+		t.Fatal("golden replay does not converge at the final boundary")
+	}
+	dev.WriteWords(gpusim.PageSize, []uint32{0xDEAD}) // out[0]
+	if ck.Converged(dev, ck.NumCTAs()) {
+		t.Fatal("a changed output page converges at the final boundary")
 	}
 }

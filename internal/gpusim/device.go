@@ -127,10 +127,6 @@ type Launch struct {
 	// the caller knows whether the kernel lets the rest of the run be
 	// decided at that point (DESIGN.md §3.2). Lockstep warps never call it.
 	AfterInjected func() bool
-	// IntraRec, when non-nil, records intra-CTA (warp-granular) checkpoints
-	// of this run; set it only on the golden traced run. See
-	// WarpCheckpointRecorder.
-	IntraRec *WarpCheckpointRecorder
 	// Resume, when non-nil, starts the CTA at FirstCTA from this intra-CTA
 	// snapshot instead of from a fresh thread/shared-memory state. The
 	// snapshot must have been captured in that CTA with the same block

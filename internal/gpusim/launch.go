@@ -103,7 +103,6 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		grid:        launch.Grid,
 		watchdog:    watchdog,
 		ckpt:        dev.rec,
-		intra:       launch.IntraRec,
 		addrFlipBit: -1,
 		persist:     newPersistState(launch.Inject),
 		plan:        planFor(launch.Prog),
@@ -116,6 +115,7 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		}
 	}
 	if e.ckpt != nil {
+		e.intra = e.ckpt.warp
 		e.ckpt.begin(threadsPerCTA)
 	}
 

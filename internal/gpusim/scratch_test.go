@@ -144,22 +144,15 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	serialWide := leakGeom{wide.grid, wide.block, wide.shared, 0}
 
 	// Golden recordings supply the boundary and warp snapshots to resume from.
-	type golden struct {
-		ck  *Checkpoints
-		wck *WarpCheckpoints
-	}
-	record := func(g leakGeom) golden {
+	record := func(g leakGeom) *Checkpoints {
 		dev := init.Clone()
-		rec := NewCheckpointRecorder(init, dev, g.grid.Count())
-		wrec := NewWarpCheckpointRecorder(dev, g.grid.Count(), 5)
-		l := launchOf(g)
-		l.IntraRec = wrec
-		if res, err := Execute(dev, l); err != nil || res.Trap != nil {
+		rec := NewCheckpointRecorder(init, dev, g.grid.Count(), 5)
+		if res, err := Execute(dev, launchOf(g)); err != nil || res.Trap != nil {
 			t.Fatalf("golden %+v: %v %v", g, err, res)
 		}
-		return golden{rec.Finish(), wrec.Finish()}
+		return rec.Finish()
 	}
-	goldens := map[leakGeom]golden{narrow: record(narrow), wide: record(wide)}
+	goldens := map[leakGeom]*Checkpoints{narrow: record(narrow), wide: record(wide)}
 
 	type step struct {
 		name   string
@@ -211,12 +204,12 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		l.Inject, l.FirstCTA = s.inj, s.first
 		src := init
 		if s.first > 0 {
-			src, _ = goldens[s.g].ck.SnapshotFor(s.first)
+			src, _ = goldens[s.g].SnapshotFor(s.first)
 		}
 		dev.ResetFrom(src)
 		if s.resume {
 			tpc := s.g.block.Count()
-			ws := goldens[s.g].wck.SnapshotBefore(s.first, s.inj.Thread-s.first*tpc, s.inj.DynInst)
+			ws := goldens[s.g].Warp().SnapshotBefore(s.first, s.inj.Thread-s.first*tpc, s.inj.DynInst)
 			if ws == nil {
 				t.Fatalf("%s: no warp snapshot precedes the site", s.name)
 			}

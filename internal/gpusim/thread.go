@@ -82,11 +82,12 @@ type exec struct {
 	block    Dim3
 	grid     Dim3
 	watchdog int64
-	// ckpt and intra, when non-nil, record the CTA-boundary checkpoints
-	// (with the global access summaries) and the intra-CTA checkpoints of a
-	// golden run; both are nil on every injection run.
+	// ckpt, when non-nil, records the golden run's checkpoints: the
+	// CTA-boundary snapshots with the global access summaries, and through
+	// intra, its warp half, the intra-CTA snapshots. Both are nil on every
+	// injection run.
 	ckpt  *CheckpointRecorder
-	intra *WarpCheckpointRecorder
+	intra *warpRecorder
 	// addrFlipBit, when >= 0, corrupts the next effective-address
 	// computation (InjectMemAddr); consumed by address().
 	addrFlipBit int
