@@ -95,6 +95,11 @@ type CampaignStats struct {
 	CacheHits      int64
 	CacheMisses    int64
 	PreparedShared int64
+	// PrepareWall is the wall-clock of the golden run this campaign's
+	// target performed in Prepare — the cold path, golden execution,
+	// checkpoint recording and profile build — reported once per target
+	// like CacheMisses; zero when the target adopted a cached one.
+	PrepareWall time.Duration
 	// AffinityResets counts worker-device resets that switched checkpoint
 	// sources — the slow full-restore path of Device.ResetFrom that
 	// snapshot-affine scheduling exists to avoid. At most workers ×
@@ -109,6 +114,7 @@ type CampaignStats struct {
 func (s *CampaignStats) Merge(o CampaignStats) {
 	s.Runs += o.Runs
 	s.Wall += o.Wall
+	s.PrepareWall += o.PrepareWall
 	s.PagesCopied += o.PagesCopied
 	s.DevicesCreated += o.DevicesCreated
 	s.CTAsSkipped += o.CTAsSkipped
@@ -160,6 +166,9 @@ func (s CampaignStats) String() string {
 	if s.CacheHits > 0 || s.CacheMisses > 0 || s.PreparedShared > 0 {
 		out += fmt.Sprintf(", prepare cache %d hit/%d miss/%d shared",
 			s.CacheHits, s.CacheMisses, s.PreparedShared)
+	}
+	if s.PrepareWall > 0 {
+		out += fmt.Sprintf(", golden prepare %v", s.PrepareWall.Round(time.Millisecond))
 	}
 	if s.AffinityResets > 0 {
 		out += fmt.Sprintf(", %d affinity resets", s.AffinityResets)
@@ -321,7 +330,7 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 	st.PagesCopied = devs.pages.Load()
 	st.DevicesCreated = int(devs.created.Load())
 	st.AffinityResets = devs.srcSw.Load()
-	st.CacheHits, st.CacheMisses, st.PreparedShared = t.takePrepStats()
+	st.CacheHits, st.CacheMisses, st.PreparedShared, st.PrepareWall = t.takePrepStats()
 	if ck != nil {
 		st.Checkpoints = ck.Count()
 		st.CheckpointBytes = ck.Bytes()

@@ -119,11 +119,12 @@ func TestRunWithStats(t *testing.T) {
 func TestStatsSinkMerge(t *testing.T) {
 	var sink StatsSink
 	sink.Add(CampaignStats{Runs: 10, Wall: time.Second, PagesCopied: 4, DevicesCreated: 2,
-		CTAsSkipped: 7, EarlyExits: 3, Checkpoints: 4, CheckpointBytes: 8192})
+		CTAsSkipped: 7, EarlyExits: 3, Checkpoints: 4, CheckpointBytes: 8192, PrepareWall: time.Millisecond})
 	sink.Add(CampaignStats{Runs: 30, Wall: time.Second, PagesCopied: 1, DevicesCreated: 5,
-		CTAsSkipped: 1, EarlyExits: 1, Checkpoints: 2, CheckpointBytes: 4096})
+		CTAsSkipped: 1, EarlyExits: 1, Checkpoints: 2, CheckpointBytes: 4096, PrepareWall: 2 * time.Millisecond})
 	got := sink.Total()
-	if got.Runs != 40 || got.Wall != 2*time.Second || got.PagesCopied != 5 || got.DevicesCreated != 7 {
+	if got.Runs != 40 || got.Wall != 2*time.Second || got.PagesCopied != 5 || got.DevicesCreated != 7 ||
+		got.PrepareWall != 3*time.Millisecond {
 		t.Fatalf("merged: %+v", got)
 	}
 	if got.CTAsSkipped != 8 || got.EarlyExits != 4 || got.Checkpoints != 4 || got.CheckpointBytes != 8192 {

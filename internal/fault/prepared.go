@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/gpusim"
 	"repro/internal/trace"
@@ -85,14 +86,21 @@ type preparedState struct {
 }
 
 // approxBytes estimates the memory the entry pins beyond the pristine
-// device: golden output, per-thread dynamic PC streams, checkpoint snapshot
-// pages and page tables, access summaries (thread-start bits included) and
-// the final image's private pages, and intra-CTA warp snapshots.
+// device: golden output, per-thread profiles and each distinct dynamic PC
+// stream once (threads with equal traces share one exact-length copy; see
+// trace.Build), checkpoint snapshot pages and page tables, access
+// summaries (thread-start bits included) and the final image's private
+// pages, and intra-CTA warp snapshots.
 func (s *preparedState) approxBytes() int64 {
 	n := int64(len(s.golden))
 	if s.profile != nil {
+		seen := make(map[*uint16]bool)
 		for i := range s.profile.Threads {
-			n += int64(len(s.profile.Threads[i].PCs))*2 + 48
+			n += 48
+			if pcs := s.profile.Threads[i].PCs; len(pcs) > 0 && !seen[&pcs[0]] {
+				seen[&pcs[0]] = true
+				n += int64(cap(pcs)) * 2
+			}
 		}
 	}
 	if s.ckpt != nil {
@@ -104,13 +112,13 @@ func (s *preparedState) approxBytes() int64 {
 	return n
 }
 
-// takePrepStats harvests the target's Prepare provenance counters exactly
-// once — the first campaign run on the target reports them into
-// CampaignStats, so a pipeline's aggregated stats count each Prepare once
-// no matter how many campaigns the target serves.
-func (t *Target) takePrepStats() (hits, misses, shared int64) {
-	hits, misses, shared = t.prepHits, t.prepMisses, t.prepShared
-	t.prepHits, t.prepMisses, t.prepShared = 0, 0, 0
+// takePrepStats harvests the target's Prepare provenance counters and
+// cold golden-run wall-clock exactly once — the first campaign run on the
+// target reports them into CampaignStats, so a pipeline's aggregated stats
+// count each Prepare once no matter how many campaigns the target serves.
+func (t *Target) takePrepStats() (hits, misses, shared int64, wall time.Duration) {
+	hits, misses, shared, wall = t.prepHits, t.prepMisses, t.prepShared, t.prepWall
+	t.prepHits, t.prepMisses, t.prepShared, t.prepWall = 0, 0, 0, 0
 	return
 }
 

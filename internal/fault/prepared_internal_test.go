@@ -89,8 +89,21 @@ func TestApproxBytesCountsSummaries(t *testing.T) {
 		t.Fatalf("summaries of 5 loaded and 7 stored pages, a final image of 4 private pages, %d thread-start bits and %d bytes of page tables report %d bytes",
 			tg.Threads(), tables, s.ckpt.SummaryBytes())
 	}
-	if got := s.approxBytes(); got < parts {
-		t.Fatalf("approxBytes = %d, below golden + snapshots + summaries = %d", got, parts)
+	// Every thread's profile costs 48 bytes, every distinct trace its
+	// entries once: threads with equal traces hold one copy.
+	distinct := map[*uint16]int64{}
+	for _, tp := range s.profile.Threads {
+		distinct[&tp.PCs[0]] = 2 * int64(len(tp.PCs))
+	}
+	if len(distinct) >= tg.Threads() {
+		t.Fatalf("%d distinct traces among %d threads: none shared", len(distinct), tg.Threads())
+	}
+	want := parts + 48*int64(tg.Threads())
+	for _, n := range distinct {
+		want += n
+	}
+	if got := s.approxBytes(); got != want {
+		t.Fatalf("approxBytes = %d, want golden + snapshots + summaries + profiles + distinct traces = %d", got, want)
 	}
 
 	// The cache charges exactly that estimate.

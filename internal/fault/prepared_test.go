@@ -253,9 +253,9 @@ func TestAffinityScheduling(t *testing.T) {
 }
 
 // TestCampaignReportsCachePrep: the first campaign on a cache-routed target
-// reports its Prepare provenance in CampaignStats exactly once; a second
-// campaign on the same target reports zeros, so pipeline-aggregated sinks
-// count each golden run once.
+// reports its Prepare provenance and golden-run wall-clock in CampaignStats
+// exactly once; a second campaign on the same target reports zeros, so
+// pipeline-aggregated sinks count each golden run once.
 func TestCampaignReportsCachePrep(t *testing.T) {
 	cache := fault.NewPreparedCache(0)
 	tg := buildGEMM(t, cache)
@@ -268,14 +268,14 @@ func TestCampaignReportsCachePrep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Stats.CacheMisses != 1 || first.Stats.CacheHits != 0 {
+	if first.Stats.CacheMisses != 1 || first.Stats.CacheHits != 0 || first.Stats.PrepareWall <= 0 {
 		t.Fatalf("first campaign prep stats: %+v", first.Stats)
 	}
 	second, err := fault.Run(tg, sites, fault.CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Stats.CacheMisses != 0 || second.Stats.CacheHits != 0 || second.Stats.PreparedShared != 0 {
+	if second.Stats.CacheMisses != 0 || second.Stats.CacheHits != 0 || second.Stats.PreparedShared != 0 || second.Stats.PrepareWall != 0 {
 		t.Fatalf("second campaign double-counts prep: %+v", second.Stats)
 	}
 
@@ -287,7 +287,7 @@ func TestCampaignReportsCachePrep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.CacheHits != 1 || res.Stats.CacheMisses != 0 {
+	if res.Stats.CacheHits != 1 || res.Stats.CacheMisses != 0 || res.Stats.PrepareWall != 0 {
 		t.Fatalf("adopted target prep stats: %+v", res.Stats)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/gpusim"
 	"repro/internal/isa"
@@ -63,9 +64,11 @@ type Target struct {
 	// prep is what Prepare produced (or adopted from Cache); nil before.
 	prep *preparedState
 
-	// Cache provenance of this target's Prepare, harvested once (by the
-	// first campaign run on it) into CampaignStats; see takePrepStats.
+	// Cache provenance and cold golden-run wall-clock of this target's
+	// Prepare, harvested once (by the first campaign run on it) into
+	// CampaignStats; see takePrepStats.
 	prepHits, prepMisses, prepShared int64
+	prepWall                         time.Duration
 }
 
 // DefaultWatchdogFactor multiplies the fault-free maximum thread iCnt to
@@ -112,8 +115,11 @@ func (t *Target) Prepare() error {
 
 // prepareCold runs the fault-free golden execution with tracing, capturing
 // the golden output, the per-thread profile, the injection watchdog and,
-// unless FullRun, the checkpoint store.
+// unless FullRun, the checkpoint store. It adds its wall-clock to the
+// target's prepWall.
 func (t *Target) prepareCold() (*preparedState, error) {
+	start := time.Now()
+	defer func() { t.prepWall += time.Since(start) }()
 	if len(t.Output) == 0 {
 		return nil, fmt.Errorf("fault: target %s has no output ranges", t.Name)
 	}

@@ -5,21 +5,28 @@ package gpusim
 //   - stepCompiled is the careful path: one dynamic instruction with every
 //     observable intact (tracer callback, injection arm/disarm and
 //     writeback, watchdog, guard annulment, persistent-fault enforcement).
-//     It is used whenever something watches the thread — a Tracer, an
-//     intra-CTA recorder, or a pending injection.
-//   - runThreadFast/runWarpBatch are the fast paths for unobserved
-//     execution: they dispatch straight-line runs of pre-decoded closures
+//     It runs a warp while an injection is pending on it, and a lockstep
+//     warp's control instructions.
+//   - runThreadFast/runWarpBatch are the batched loops: they run a thread
+//     until it parks or exits, or a lockstep warp's straight-line run,
 //     without re-entering the scheduler, keeping only the per-instruction
 //     dynCount/watchdog/guard work the architectural semantics require.
+//     The golden run, which a Tracer or the checkpoint recorder observes,
+//     takes their observing twins runThreadObserved/runWarpBatchObserved:
+//     the same transitions, plus a Tracer.Record for every retired
+//     instruction and the warp recorder's step/flush at exactly the
+//     careful path's points.
 //
-// The fast paths are taken exactly when Tracer == nil, intra == nil, and no
-// injection is pending on the warp (faultPending), so e.addrFlipBit is
-// always -1 there and all injection arm/disarm points live in stepCompiled.
-// A *persistent* injection (InjectKind.Persistent) never stops being
-// pending: its warp stays on the careful path until the faulty thread exits
-// and the fault dies with it. Both tiers run under the one scheduler,
-// runCTA, and are pinned against the test-side reference interpreter
-// (reference_test.go) — see DESIGN.md §3.8.
+// The batched loops are taken whenever no injection is pending on the warp
+// (faultPending), so e.addrFlipBit is always -1 there and all injection
+// arm/disarm points live in stepCompiled. A *persistent* injection
+// (InjectKind.Persistent) never stops being pending: its warp stays on the
+// careful path until the faulty thread exits and the fault dies with it.
+// The observing twins are separate functions rather than hooks in the
+// unobserved loops, which would pay a test per instruction on every
+// injection run. All tiers run under the one scheduler, runCTA, and are
+// pinned against the test-side reference interpreter (reference_test.go) —
+// see DESIGN.md §3.8.
 
 // stepCompiled executes one dynamic instruction via the plan, returning a
 // trap on abnormal termination. A thread that parked at a barrier is left
@@ -181,10 +188,42 @@ func (e *exec) runThreadFast(th *threadState, cta *ctaState) *Trap {
 // Within that window the reference min-PC sweep would re-select exactly
 // the active lanes every instruction, so executing instruction-major in
 // warp order here retires the same dynamic instructions in the same order.
-func (e *exec) runWarpBatch(warp []*threadState, minPC int, cta *ctaState) (bool, *Trap) {
+func (e *exec) runWarpBatch(warp []*threadState, minPC int, cta *ctaState) *Trap {
 	ops := e.plan.ops
+	active, limit := e.warpWindow(warp, minPC)
+	for pc := minPC; pc < limit; pc++ {
+		op := &ops[pc]
+		for _, th := range active {
+			th.dynCount++
+			if th.dynCount > e.watchdog {
+				return e.watchdogTrap(th)
+			}
+			if op.guard != nil {
+				ok, tr := op.guard(th)
+				if tr != nil {
+					return tr
+				}
+				if !ok {
+					th.pc = pc + 1
+					continue
+				}
+			}
+			if tr := op.seq(e, th, cta); tr != nil {
+				return tr
+			}
+			th.pc = pc + 1
+		}
+	}
+	return nil
+}
+
+// warpWindow returns runWarpBatch's window at minPC, the start of a
+// straight-line run: the active lanes — every eligible lane at minPC, in
+// warp order — and the PC the window ends at, the earlier of the run's end
+// and the lowest PC of any other eligible lane.
+func (e *exec) warpWindow(warp []*threadState, minPC int) ([]*threadState, int) {
 	active := e.warpActive[:0]
-	limit := minPC + int(ops[minPC].straight)
+	limit := minPC + int(e.plan.ops[minPC].straight)
 	for _, th := range warp {
 		if th.done || th.waiting {
 			continue
@@ -196,30 +235,110 @@ func (e *exec) runWarpBatch(warp []*threadState, minPC int, cta *ctaState) (bool
 		}
 	}
 	e.warpActive = active
+	return active, limit
+}
+
+// runThreadObserved is runThreadFast for an observed golden run: one
+// instruction per iteration, each retired instruction recorded with the
+// Tracer (wrote=false when annulled) before it executes, as stepCompiled
+// records it, and the warp recorder stepped and flushed after it —
+// including the step that falls off the end — because in serial mode every
+// post-step point is resume-safe.
+func (e *exec) runThreadObserved(th *threadState, cta *ctaState) *Trap {
+	ops := e.plan.ops
+	n := len(ops)
+	tracer, rec := e.launch.Tracer, e.intra
+	for {
+		pc := th.pc
+		if pc < 0 || pc >= n {
+			th.done = true
+			if rec != nil {
+				rec.step()
+				rec.flush()
+			}
+			return nil
+		}
+		op := &ops[pc]
+		th.dynCount++
+		if th.dynCount > e.watchdog {
+			return e.watchdogTrap(th)
+		}
+		executed := true
+		if op.guard != nil {
+			ok, tr := op.guard(th)
+			if tr != nil {
+				return tr
+			}
+			executed = ok
+		}
+		if tracer != nil {
+			tracer.Record(th.flat, pc, executed && op.hasDest)
+		}
+		nextPC, blocked := pc+1, false
+		if executed {
+			var tr *Trap
+			if op.seq != nil {
+				tr = op.seq(e, th, cta)
+			} else {
+				nextPC, blocked, tr = op.ctrl(e, th, cta)
+			}
+			if tr != nil {
+				return tr
+			}
+		}
+		th.pc = nextPC
+		if rec != nil {
+			rec.step()
+			rec.flush()
+		}
+		if th.done || blocked {
+			return nil
+		}
+	}
+}
+
+// runWarpBatchObserved is runWarpBatch for an observed golden run: each
+// instruction of the window is the reference's min-PC sweep over the
+// active lanes, so every lane's retirement is recorded and stepped as
+// stepCompiled and the careful sweep would, and the warp recorder flushes
+// once per instruction, at the sweep boundary.
+func (e *exec) runWarpBatchObserved(warp []*threadState, minPC int, cta *ctaState) *Trap {
+	ops := e.plan.ops
+	tracer, rec := e.launch.Tracer, e.intra
+	active, limit := e.warpWindow(warp, minPC)
 	for pc := minPC; pc < limit; pc++ {
 		op := &ops[pc]
 		for _, th := range active {
 			th.dynCount++
 			if th.dynCount > e.watchdog {
-				return true, e.watchdogTrap(th)
+				return e.watchdogTrap(th)
 			}
+			executed := true
 			if op.guard != nil {
 				ok, tr := op.guard(th)
 				if tr != nil {
-					return true, tr
+					return tr
 				}
-				if !ok {
-					th.pc = pc + 1
-					continue
-				}
+				executed = ok
 			}
-			if tr := op.seq(e, th, cta); tr != nil {
-				return true, tr
+			if tracer != nil {
+				tracer.Record(th.flat, pc, executed && op.hasDest)
+			}
+			if executed {
+				if tr := op.seq(e, th, cta); tr != nil {
+					return tr
+				}
 			}
 			th.pc = pc + 1
+			if rec != nil {
+				rec.step()
+			}
+		}
+		if rec != nil {
+			rec.flush()
 		}
 	}
-	return len(active) > 0, nil
+	return nil
 }
 
 // faultPending reports whether the launch's injection can still act on its
@@ -245,10 +364,13 @@ func (e *exec) faultPending(th *threadState) bool {
 // simply runs until it parks at a barrier or exits before the next one
 // starts, and every sweep boundary is a step boundary.
 //
-// A warp nothing observes — no Tracer, no intra-CTA recorder, no pending
-// fault — skips the per-instruction sweep for a fast path that retires the
-// identical dynamic instructions in the identical order: runThreadFast for
-// a one-lane warp, runWarpBatch across the lanes of a lockstep warp.
+// A warp with no pending fault skips the per-instruction sweep for a
+// batched loop that retires the identical dynamic instructions in the
+// identical order: runThreadFast for a one-lane warp, runWarpBatch across
+// the lanes of a lockstep warp's straight-line run. A launch a Tracer or
+// the checkpoint recorder observes — the golden run — takes their
+// observing twins instead, chosen once per call; a lockstep warp's control
+// instructions and a warp with a pending fault take the careful sweep.
 //
 // Under serial scheduling the injected thread's exit is reported to
 // Launch.AfterInjected once; if the hook stops the launch, runCTA returns
@@ -288,15 +410,27 @@ func (e *exec) runCTA(cta *ctaState) *Trap {
 				}
 				// An elected PC always retires at least one instruction.
 				progress = true
-				if !observed && (injTh == nil || !e.faultPending(injTh)) {
+				if injTh == nil || !e.faultPending(injTh) {
 					if !lockstep {
-						if trap := e.runThreadFast(warp[0], cta); trap != nil {
+						var trap *Trap
+						if observed {
+							trap = e.runThreadObserved(warp[0], cta)
+						} else {
+							trap = e.runThreadFast(warp[0], cta)
+						}
+						if trap != nil {
 							return trap
 						}
 						continue
 					}
 					if minPC < len(ops) && ops[minPC].straight > 0 {
-						if _, trap := e.runWarpBatch(warp, minPC, cta); trap != nil {
+						var trap *Trap
+						if observed {
+							trap = e.runWarpBatchObserved(warp, minPC, cta)
+						} else {
+							trap = e.runWarpBatch(warp, minPC, cta)
+						}
+						if trap != nil {
 							return trap
 						}
 						continue

@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gpusim"
 	"repro/internal/isa"
@@ -38,7 +39,10 @@ type Profile struct {
 	ThreadsPerCTA int
 }
 
-// Build runs the dynamic trace through the program and derives all features.
+// Build runs the dynamic trace through the program and derives all
+// features. Threads whose traces are equal share one exact-length copy —
+// code-identical threads, the paper's thread groups, are the common case —
+// so the profile retains each distinct trace once; pt is left untouched.
 func Build(prog *isa.Program, pt *gpusim.ProfileTrace, threadsPerCTA int) (*Profile, error) {
 	if threadsPerCTA <= 0 {
 		return nil, fmt.Errorf("trace: bad threadsPerCTA %d", threadsPerCTA)
@@ -52,9 +56,21 @@ func Build(prog *isa.Program, pt *gpusim.ProfileTrace, threadsPerCTA int) (*Prof
 		Threads:       make([]ThreadProfile, len(pt.PCs)),
 		ThreadsPerCTA: threadsPerCTA,
 	}
+	// width[pc] is the destination width of static instruction pc, -1
+	// when it has no destination register.
+	width := make([]int64, len(prog.Instrs))
+	for pc := range prog.Instrs {
+		width[pc] = -1
+		if _, bits, ok := prog.Instrs[pc].DestReg(); ok {
+			width[pc] = int64(bits)
+		}
+	}
+	// distinct maps a Sig to the threads holding the first copy of each
+	// distinct trace with that Sig.
+	distinct := make(map[uint64][]int)
+threads:
 	for t, pcs := range pt.PCs {
 		tp := &p.Threads[t]
-		tp.PCs = pcs
 		tp.ICnt = int64(len(pcs))
 		// FNV-1a over the PC's two little-endian bytes, folded inline: one
 		// dynamic instruction is two multiplies, not a hash.Hash64 call.
@@ -62,17 +78,28 @@ func Build(prog *isa.Program, pt *gpusim.ProfileTrace, threadsPerCTA int) (*Prof
 		h := uint64(offset64)
 		for _, entry := range pcs {
 			pc := gpusim.PC(entry)
-			if gpusim.Wrote(entry) {
-				_, bits, ok := prog.Instrs[pc].DestReg()
-				if !ok {
-					return nil, fmt.Errorf("trace: pc %d flagged as write but has no destination", pc)
-				}
-				tp.SiteBits += int64(bits)
-			}
 			h = (h ^ uint64(byte(pc))) * prime64
 			h = (h ^ uint64(byte(pc>>8))) * prime64
 		}
 		tp.Sig = h
+		for _, o := range distinct[h] {
+			if slices.Equal(p.Threads[o].PCs, pcs) {
+				tp.PCs, tp.SiteBits = p.Threads[o].PCs, p.Threads[o].SiteBits
+				continue threads
+			}
+		}
+		for _, entry := range pcs {
+			if gpusim.Wrote(entry) {
+				pc := gpusim.PC(entry)
+				if width[pc] < 0 {
+					return nil, fmt.Errorf("trace: pc %d flagged as write but has no destination", pc)
+				}
+				tp.SiteBits += width[pc]
+			}
+		}
+		tp.PCs = make([]uint16, len(pcs))
+		copy(tp.PCs, pcs)
+		distinct[h] = append(distinct[h], t)
 	}
 	return p, nil
 }

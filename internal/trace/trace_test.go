@@ -3,6 +3,7 @@ package trace
 import (
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gpusim"
@@ -75,6 +76,38 @@ func TestSignaturesEqualForEqualPaths(t *testing.T) {
 	}, 2)
 	if p.Threads[0].Sig != p.Threads[1].Sig {
 		t.Fatal("identical paths must share a signature")
+	}
+}
+
+// TestBuildSharesEqualTraces: threads with equal traces share one
+// exact-length copy of it, threads whose traces differ — equal Sigs
+// included, since the write flag is not hashed — hold their own, and the
+// input trace, append-grown capacity and all, is left untouched.
+func TestBuildSharesEqualTraces(t *testing.T) {
+	grown := append(make([]uint16, 0, 64), w(0), w(1))
+	in := [][]uint16{grown, {w(0), w(1)}, {w(0), 1}, {w(0), w(1)}, {w(0), 1}}
+	orig := make([][]uint16, len(in))
+	for i := range in {
+		orig[i] = slices.Clone(in[i])
+	}
+	p := buildToyProfile(t, in, 5)
+	for i := range in {
+		if !slices.Equal(in[i], orig[i]) || cap(in[0]) != 64 {
+			t.Fatalf("Build changed input trace %d: %v, was %v", i, in[i], orig[i])
+		}
+		if pcs := p.Threads[i].PCs; !slices.Equal(pcs, orig[i]) || cap(pcs) != len(pcs) || &pcs[0] == &in[i][0] {
+			t.Fatalf("thread %d holds %v (cap %d), want an exact-length copy of %v", i, pcs, cap(pcs), orig[i])
+		}
+	}
+	same := func(a, b int) bool { return &p.Threads[a].PCs[0] == &p.Threads[b].PCs[0] }
+	if !same(0, 1) || !same(0, 3) || !same(2, 4) {
+		t.Fatal("threads with equal traces hold separate copies")
+	}
+	if p.Threads[0].Sig != p.Threads[2].Sig || same(0, 2) {
+		t.Fatal("traces equal only in Sig must not share")
+	}
+	if p.Threads[1].SiteBits != 64 || p.Threads[4].SiteBits != 32 {
+		t.Fatalf("SiteBits %d and %d, want 64 and 32", p.Threads[1].SiteBits, p.Threads[4].SiteBits)
 	}
 }
 
