@@ -53,17 +53,21 @@ stuckat-smoke:
 service-smoke:
 	$(GO) test -race -run 'TestServeSmoke' ./cmd/fsserve
 
-# Hardening-advisor smoke against the real CLIs: record a small campaign
-# journal with fsprune, advise from it with fsadvise, and check the JSON
-# document carries the frontier and its overhead axis; the live-campaign
-# door must produce the byte-identical document.
+# Hardening-advisor smoke against the real CLIs: in the destination,
+# address and stuck-at site spaces, record a small campaign journal with
+# fsprune, advise from it with fsadvise, and check the JSON document
+# carries the frontier and its overhead axis; the live-campaign door must
+# produce the byte-identical document.
 advise-smoke:
 	t=$$(mktemp -d) && \
-	$(GO) run ./cmd/fsprune -kernel "GEMM K1" -action campaign -baseline 120 -journal $$t/a.journal > /dev/null && \
-	$(GO) run ./cmd/fsadvise -journal $$t/a.journal -json > $$t/replay.json && \
-	grep -q '"frontier"' $$t/replay.json && grep -q '"overhead_pct"' $$t/replay.json && \
-	$(GO) run ./cmd/fsadvise -kernel "GEMM K1" -sites 120 -json > $$t/live.json && \
-	cmp $$t/replay.json $$t/live.json && \
+	$(GO) build -o $$t ./cmd/fsprune ./cmd/fsadvise && \
+	for m in dest-value mem-addr stuck-pred; do \
+		$$t/fsprune -kernel "GEMM K1" -action campaign -model $$m -baseline 120 -journal $$t/$$m.journal > /dev/null && \
+		$$t/fsadvise -journal $$t/$$m.journal -json > $$t/$$m.replay.json && \
+		grep -q '"frontier"' $$t/$$m.replay.json && grep -q '"overhead_pct"' $$t/$$m.replay.json && \
+		$$t/fsadvise -kernel "GEMM K1" -model $$m -sites 120 -json > $$t/$$m.live.json && \
+		cmp $$t/$$m.replay.json $$t/$$m.live.json || exit 1; \
+	done && \
 	{ $(GO) run ./cmd/fsadvise -kernel "GEMM K1" -sites -1 > /dev/null 2> $$t/neg.err; [ $$? -eq 1 ]; } && \
 	grep -q "exit status 2" $$t/neg.err && ! grep -q "panic:" $$t/neg.err && \
 	rm -rf $$t
@@ -116,11 +120,12 @@ bench:
 # The trajectory file: each workload's result line (the last line a workload
 # process prints) as one JSON object keyed by workload.
 bench-record:
+	@[ -n "$(PR)" ] || { echo "bench-record: set PR to the change's number (make bench-record PR=<n>)"; exit 1; }
 	for w in deep-paper shallow-durable warp-persistent prune-suite service-mix; do \
 		out=$$($(GO) run ./benchmark -workload $$w) || exit 1; \
 		printf '"%s": %s\n' $$w "$$(printf '%s\n' "$$out" | tail -n 1)"; \
-	done > BENCH_pr35.json
-	sed -i -e '$$!s/$$/,/' -e '1s/^/{\n/' -e '$$s/$$/\n}/' BENCH_pr35.json
+	done > BENCH_pr$(PR).json
+	sed -i -e '$$!s/$$/,/' -e '1s/^/{\n/' -e '$$s/$$/\n}/' BENCH_pr$(PR).json
 
 # Regenerates experiments_output.txt (untracked), the transcript every
 # "measured" value in EXPERIMENTS.md comes from: seed 1, the whole suite at

@@ -52,12 +52,9 @@ func main() {
 	} {
 		var sites []fault.Site
 		if model == fault.ModelMemAddr {
-			var pool []fault.Site
-			for t := range prof.Threads {
-				pool = append(pool, space.MemAddrSites(t, nil)...)
-			}
+			mem := space.ForModel(model)
 			for i := 0; i < runs; i++ {
-				sites = append(sites, pool[rng.Intn(len(pool))])
+				sites = append(sites, mem.Site(int64(rng.Intn(int(mem.Total())))))
 			}
 		} else {
 			sites = space.Random(rng, runs)

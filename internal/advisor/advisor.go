@@ -7,15 +7,17 @@
 // the follow-up paper's "partial protection" idea (Yang et al., arXiv
 // 2103.02825) rebuilt on this repo's campaign data.
 //
-// Input construction is deliberately split from analysis: FromCampaign
-// attributes a live fault.CampaignResult, FromJournal attributes a
-// replayed journal, and both produce the same record stream for equal
-// campaigns, so Analyze — and therefore the emitted report.Advice JSON —
-// is byte-identical across the two paths. DESIGN.md §3.10 documents the
-// statistical model and the protection-simulation composition argument.
+// Input construction is deliberately split from analysis: FromJournal
+// attributes a replayed journal, and FromCampaign turns a live
+// fault.CampaignResult into the records its journal would hold and goes
+// through FromJournal, so Analyze — and therefore the emitted
+// report.Advice JSON — is byte-identical across the two doors. DESIGN.md
+// §3.10 documents the statistical model and the protection-simulation
+// composition argument.
 package advisor
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -56,35 +58,25 @@ type Input struct {
 
 // FromCampaign attributes a live campaign result: res must come from
 // running the campaign fp names over exactly these sites on t with
-// CampaignOptions.KeepPerSite, unsharded and complete.
+// CampaignOptions.KeepPerSite, unsharded and complete. It builds the
+// records a journaled run of the campaign would hold and attributes them
+// through FromJournal, so live and replayed advice share one path.
 func FromCampaign(t *fault.Target, fp journal.Fingerprint, sites []fault.WeightedSite, res *fault.CampaignResult) (*Input, error) {
-	model, err := fault.ParseModel(fp.Model)
-	if err != nil {
-		return nil, err
+	if res.PerSite == nil {
+		return nil, errors.New("advisor: live advice needs a campaign run with CampaignOptions.KeepPerSite")
 	}
-	attributed, err := res.Attributed(t, model, sites)
-	if err != nil {
-		return nil, err
+	if len(res.PerSite) != len(sites) || res.Completed != len(sites) {
+		return nil, fmt.Errorf("advisor: campaign incomplete (%d of %d sites); advice needs every outcome",
+			res.Completed, len(sites))
 	}
-	recs := make([]SiteRecord, len(attributed))
-	for i, a := range attributed {
-		recs[i] = SiteRecord{
-			Thread:  a.Site.Thread,
-			DynInst: a.Site.DynInst,
-			PC:      a.PC,
-			Outcome: a.Outcome,
-			Weight:  a.Weight,
+	recs := make([]journal.Record, len(sites))
+	for i, ws := range sites {
+		recs[i] = journal.Record{
+			Index: i, Thread: ws.Site.Thread, DynInst: ws.Site.DynInst, Bit: ws.Site.Bit,
+			Outcome: uint8(res.PerSite[i]), Weight: ws.Weight,
 		}
 	}
-	return &Input{
-		Kernel:  fp.Kernel,
-		Scale:   fp.Scale,
-		Seed:    fp.Seed,
-		Model:   model,
-		Sites:   len(sites),
-		Records: recs,
-		Prof:    t.Profile(),
-	}, nil
+	return FromJournal(t, fp, recs)
 }
 
 // FromJournal attributes a replayed journal (one file via ReadFile, or a

@@ -3,6 +3,7 @@ package advisor_test
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/advisor"
@@ -53,14 +54,47 @@ func identityTarget(t *testing.T) *fault.Target {
 
 // TestLiveJournalByteIdentity is the tentpole's acceptance property at the
 // package level: advising from a live in-process campaign and from that
-// campaign's replayed journal must produce byte-identical JSON documents.
+// campaign's replayed journal must produce byte-identical JSON documents,
+// in the destination, address and stuck-at site spaces alike.
 func TestLiveJournalByteIdentity(t *testing.T) {
 	tgt := identityTarget(t)
 	if err := tgt.Prepare(); err != nil {
 		t.Fatal(err)
 	}
+	for _, model := range []fault.Model{fault.ModelDestValue, fault.ModelMemAddr, fault.ModelStuckPred} {
+		liveIn, journalIn := liveAndJournal(t, tgt, model)
+		for _, opt := range []advisor.Options{
+			{},
+			{RankBy: advisor.RankSeverity, Confidence: 0.99, Budgets: []float64{2, 10, 50}},
+		} {
+			var live, replay bytes.Buffer
+			adv, err := advisor.Analyze(liveIn, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := report.Write(&live, adv); err != nil {
+				t.Fatal(err)
+			}
+			adv, err = advisor.Analyze(journalIn, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := report.Write(&replay, adv); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(live.Bytes(), replay.Bytes()) {
+				t.Fatalf("%s: live and journal advice differ under %+v:\nlive:   %s\nreplay: %s",
+					model, opt, live.String(), replay.String())
+			}
+		}
+	}
+}
+
+// liveAndJournal runs one journaled campaign of model on tgt and returns
+// the advisor inputs of both doors: the live result and its journal.
+func liveAndJournal(t *testing.T, tgt *fault.Target, model fault.Model) (live, replayed *advisor.Input) {
+	t.Helper()
 	const seed, nSites = 9, 120
-	model := fault.ModelDestValue
 	space := fault.NewSpace(tgt.Profile())
 	rng := stats.NewRNG(seed).Split("baseline")
 	sites := fault.Uniform(space.RandomModel(rng, nSites, model))
@@ -83,8 +117,7 @@ func TestLiveJournalByteIdentity(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	liveIn, err := advisor.FromCampaign(tgt, fp, sites, res)
+	live, err = advisor.FromCampaign(tgt, fp, sites, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,34 +125,44 @@ func TestLiveJournalByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journalIn, err := advisor.FromJournal(tgt, readFP, recs)
+	replayed, err = advisor.FromJournal(tgt, readFP, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return live, replayed
+}
 
-	for _, opt := range []advisor.Options{
-		{},
-		{RankBy: advisor.RankSeverity, Confidence: 0.99, Budgets: []float64{2, 10, 50}},
-	} {
-		var live, replay bytes.Buffer
-		adv, err := advisor.Analyze(liveIn, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := report.Write(&live, adv); err != nil {
-			t.Fatal(err)
-		}
-		adv, err = advisor.Analyze(journalIn, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := report.Write(&replay, adv); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(live.Bytes(), replay.Bytes()) {
-			t.Fatalf("live and journal advice differ under %+v:\nlive:   %s\nreplay: %s",
-				opt, live.String(), replay.String())
-		}
+// TestFromCampaignRejects checks the live door's input contract: a result
+// without per-site outcomes, or from a campaign that did not run every
+// site, is refused rather than ranked.
+func TestFromCampaignRejects(t *testing.T) {
+	tgt := identityTarget(t)
+	if err := tgt.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	model := fault.ModelDestValue
+	sites := fault.Uniform(fault.NewSpace(tgt.Profile()).RandomModel(stats.NewRNG(3), 40, model))
+	fp := tgt.JournalFingerprint(model, len(sites), "small", 3, fault.Shard{Index: 0, Count: 1})
+
+	res, err := fault.RunModel(tgt, sites, model, fault.CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := advisor.FromCampaign(tgt, fp, sites, res); err == nil ||
+		!strings.Contains(err.Error(), "KeepPerSite") {
+		t.Fatalf("want KeepPerSite error, got %v", err)
+	}
+
+	res, err = fault.RunModel(tgt, sites, model, fault.CampaignOptions{
+		KeepPerSite: true,
+		Shard:       fault.Shard{Index: 0, Count: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := advisor.FromCampaign(tgt, fp, sites, res); err == nil ||
+		!strings.Contains(err.Error(), "incomplete") {
+		t.Fatalf("want incomplete-campaign error for a sharded result, got %v", err)
 	}
 }
 

@@ -43,19 +43,16 @@ func RunModels(cfg Config) error {
 			var res *fault.CampaignResult
 			if model == fault.ModelMemAddr {
 				// Sample uniformly over memory-instruction address bits. The
-				// pool draw (rng.Intn) is this table's published stream;
+				// rng.Intn draw is this table's published stream;
 				// RandomModel draws mem-addr sites with Int63n and would
 				// change the row.
-				var pool []fault.Site
-				for t := range prof.Threads {
-					pool = append(pool, space.MemAddrSites(t, nil)...)
-				}
-				if len(pool) == 0 {
+				mem := space.ForModel(model)
+				if mem.Total() == 0 {
 					continue
 				}
 				sites := make([]fault.Site, runs)
 				for i := range sites {
-					sites[i] = pool[rng.Intn(len(pool))]
+					sites[i] = mem.Site(int64(rng.Intn(int(mem.Total()))))
 				}
 				res, err = fault.RunModel(inst.Target, fault.Uniform(sites), model, cfg.campaign())
 			} else {

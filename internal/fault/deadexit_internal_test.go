@@ -109,7 +109,7 @@ func TestDeadExitOracle(t *testing.T) {
 				exits++
 			}
 		}
-		for _, s := range space.MemAddrSites(th, nil) {
+		for _, s := range space.ForModel(ModelMemAddr).ThreadSites(th, nil) {
 			run(s, ModelMemAddr)
 		}
 	}

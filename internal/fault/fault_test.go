@@ -1,14 +1,17 @@
 package fault_test
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/fault"
 	"repro/internal/gpusim"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/ptx"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // tinyTarget builds a 2-CTA, 8-threads-per-CTA integer kernel with a
@@ -247,13 +250,77 @@ func TestSpaceTotalsAndDecode(t *testing.T) {
 	}
 }
 
-// TestSpaceSiteMatchesEnumeration is the oracle of the sampler's per-PC
-// tables: the flat index space Site decodes is exactly the concatenation of
-// ThreadSites over the threads, and a mem-addr draw is exactly an index into
-// the concatenated MemAddrSites — both enumerators decode every instruction
-// afresh (SiteBitsOf, touchesMemory), so a wrong table entry cannot agree
-// with them. The same RNG draws therefore keep mapping to the same sites.
+// oracleWidth is the test's own statement of each model's site rule,
+// written from the Model docs rather than shared with the sampler: the
+// number of sites (bits) thread th's dynamic instruction i carries.
+// Destination-register models flip a bit of a destination the instance
+// wrote; mem-addr one of the 32 bits of the address of any memory operand;
+// stuck-pred packs (stuck value, predicate register, flag bit); the mask
+// and barrier models encode only their stuck value; persistent models
+// activate at every retired instruction.
+func oracleWidth(prof *trace.Profile, m fault.Model, th int, i int64) int {
+	entry := prof.Threads[th].PCs[i]
+	in := &prof.Prog.Instrs[gpusim.PC(entry)]
+	switch m {
+	case fault.ModelMemAddr:
+		for _, o := range append([]isa.Operand{in.Dst}, in.Srcs...) {
+			if o.Kind == isa.OpdMem {
+				return 32
+			}
+		}
+		return 0
+	case fault.ModelStuckPred:
+		return 2 * isa.NumPreds * isa.PredBits
+	case fault.ModelStuckActiveMask, fault.ModelStuckBarrier:
+		return 2
+	}
+	if !gpusim.Wrote(entry) {
+		return 0
+	}
+	_, bits, ok := in.DestReg()
+	if !ok {
+		panic("wrote flag on an instruction without a destination")
+	}
+	return bits
+}
+
+// annulledTarget builds a one-CTA kernel whose guarded destination writes
+// and load are annulled in half its threads: instances that carry a
+// destination yet wrote none, which no registered kernel retires.
+func annulledTarget(t *testing.T) *fault.Target {
+	t.Helper()
+	prog, err := ptx.Assemble("annulled", `
+		cvt.u32.u16 $r0, %tid.x
+		mov.u32 $r1, $r124
+		set.ge.u32.u32 $p0/$o127, $r0, 4
+		@$p0.ne add.u32 $r1, $r0, 0x00000001
+		@$p0.ne ld.global.u32 $r1, [0x00000000]
+		shl.u32 $r2, $r0, 0x00000002
+		st.global.u32 [$r2], $r1
+		exit
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fault.Target{
+		Name:   "annulled",
+		Prog:   prog,
+		Grid:   gpusim.Dim3{X: 1, Y: 1, Z: 1},
+		Block:  gpusim.Dim3{X: 8, Y: 1, Z: 1},
+		Init:   gpusim.NewDevice(4 * 8),
+		Output: []fault.Range{{Off: 0, Len: 4 * 8}},
+	}
+}
+
+// TestSpaceSiteMatchesEnumeration is the oracle of every model's site
+// space: for each model, ForModel's flat index space is exactly the
+// concatenation, thread by thread, of the sites oracleWidth admits — Total,
+// every Site(i), every ThreadSites — a draw is an index into that
+// concatenation, and RunSiteModel's validation accepts every enumerated
+// site and rejects the first bit past each dynamic instruction's width,
+// with the model's sentinel where the instruction is no site at all.
 func TestSpaceSiteMatchesEnumeration(t *testing.T) {
+	targets := []*fault.Target{annulledTarget(t)}
 	for _, name := range []string{"Gaussian K125", "Gaussian K126", "PathFinder K1"} {
 		spec, ok := kernels.ByName(name)
 		if !ok {
@@ -263,29 +330,55 @@ func TestSpaceSiteMatchesEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := inst.Target.Prepare(); err != nil {
+		targets = append(targets, inst.Target)
+	}
+	for _, tg := range targets {
+		name := tg.Name
+		if err := tg.Prepare(); err != nil {
 			t.Fatal(err)
 		}
-		space := fault.NewSpace(inst.Target.Profile())
-		var dest, mem []fault.Site
-		for th := range space.Profile().Threads {
-			dest = append(dest, space.ThreadSites(th, nil)...)
-			mem = append(mem, space.MemAddrSites(th, nil)...)
-		}
-		if int64(len(dest)) != space.Total() {
-			t.Fatalf("%s: %d enumerated sites, Total %d", name, len(dest), space.Total())
-		}
-		for idx, want := range dest {
-			if got := space.Site(int64(idx)); got != want {
-				t.Fatalf("%s: Site(%d) = %v, enumeration has %v", name, idx, got, want)
+		prof := tg.Profile()
+		for m := fault.Model(0); m < fault.NumModels; m++ {
+			space := fault.NewSpace(prof).ForModel(m)
+			var all []fault.Site
+			for th := range prof.Threads {
+				var want []fault.Site
+				for i := int64(0); i < prof.Threads[th].ICnt; i++ {
+					w := oracleWidth(prof, m, th, i)
+					for b := 0; b < w; b++ {
+						want = append(want, fault.Site{Thread: th, DynInst: i, Bit: b})
+					}
+					err := fault.ValidateSite(tg, fault.Site{Thread: th, DynInst: i, Bit: w}, m)
+					switch {
+					case w == 0 && m == fault.ModelMemAddr && err != fault.ErrNotAMemSite,
+						w == 0 && m != fault.ModelMemAddr && err != fault.ErrNotASite,
+						w > 0 && (err == nil || err == fault.ErrNotASite || err == fault.ErrNotAMemSite):
+						t.Fatalf("%s %s: bit %d at %d:%d: validation says %v", name, m, w, th, i, err)
+					}
+				}
+				if got := space.ThreadSites(th, nil); !slices.Equal(got, want) {
+					t.Fatalf("%s %s: thread %d enumerates %d sites, oracle %d", name, m, th, len(got), len(want))
+				}
+				all = append(all, want...)
 			}
-		}
-		const draws = 2000
-		got := space.RandomModel(stats.NewRNG(31), draws, fault.ModelMemAddr)
-		rng := stats.NewRNG(31)
-		for i, s := range got {
-			if want := mem[rng.Int63n(int64(len(mem)))]; s != want {
-				t.Fatalf("%s: mem-addr draw %d = %v, enumeration has %v", name, i, s, want)
+			if int64(len(all)) != space.Total() {
+				t.Fatalf("%s %s: oracle has %d sites, Total %d", name, m, len(all), space.Total())
+			}
+			for idx, want := range all {
+				if got := space.Site(int64(idx)); got != want {
+					t.Fatalf("%s %s: Site(%d) = %v, oracle has %v", name, m, idx, got, want)
+				}
+				if err := fault.ValidateSite(tg, want, m); err != nil {
+					t.Fatalf("%s %s: enumerated site %v rejected: %v", name, m, want, err)
+				}
+			}
+			const draws = 500
+			got := fault.NewSpace(prof).RandomModel(stats.NewRNG(31), draws, m)
+			rng := stats.NewRNG(31)
+			for i, s := range got {
+				if want := all[rng.Int63n(int64(len(all)))]; s != want {
+					t.Fatalf("%s %s: draw %d = %v, oracle has %v", name, m, i, s, want)
+				}
 			}
 		}
 	}

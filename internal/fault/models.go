@@ -3,12 +3,10 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/gpusim"
 	"repro/internal/isa"
-	"repro/internal/stats"
 )
 
 // Model selects the fault model for an injection experiment. The paper's
@@ -158,25 +156,46 @@ func (m Model) kind() gpusim.InjectKind {
 // that computes no memory address.
 var ErrNotAMemSite = errors.New("fault: dynamic instruction has no memory operand")
 
-// touchesMemory reports whether an instruction computes an effective
-// address (any memory operand, source or destination).
-func touchesMemory(in *isa.Instruction) bool {
-	if in.Dst.Kind == isa.OpdMem {
-		return true
-	}
-	for _, s := range in.Srcs {
-		if s.Kind == isa.OpdMem {
-			return true
+// destination reports whether the model injects into the destination
+// register, drawing from the paper's site space (Eq. 1).
+func (m Model) destination() bool { return m != ModelMemAddr && !m.Persistent() }
+
+// sitesAt is the site rule: the number of sites (bits) one dynamic
+// instance of in carries under m, given whether it wrote its destination.
+// Destination-register models flip a bit of a written destination;
+// mem-addr one of the 32 bits of any effective address (a memory operand,
+// source or destination); persistent models activate at every retired
+// instruction, with StuckBits encodings each. Every site space, draw and
+// validation in this package goes through it.
+func (m Model) sitesAt(in *isa.Instruction, wrote bool) int {
+	switch {
+	case m == ModelMemAddr:
+		if in.Dst.Kind == isa.OpdMem {
+			return 32
 		}
+		for _, s := range in.Srcs {
+			if s.Kind == isa.OpdMem {
+				return 32
+			}
+		}
+		return 0
+	case m.Persistent():
+		return m.StuckBits()
+	case wrote:
+		_, bits, _ := in.DestReg()
+		return bits
 	}
-	return false
+	return 0
 }
 
 // validateSiteModel checks a site against the golden profile and the
-// requirements of the model.
+// model's site rule.
 func (t *Target) validateSiteModel(site Site, model Model) error {
 	if t.prep == nil {
 		return errors.New("fault: injection before Prepare")
+	}
+	if model >= NumModels {
+		return fmt.Errorf("fault: unknown model %d", model)
 	}
 	prof := t.prep.profile
 	if site.Thread < 0 || site.Thread >= len(prof.Threads) {
@@ -187,33 +206,15 @@ func (t *Target) validateSiteModel(site Site, model Model) error {
 		return fmt.Errorf("fault: dyn inst %d out of range for thread %d (iCnt %d)",
 			site.DynInst, site.Thread, tp.ICnt)
 	}
-	switch model {
-	case ModelDestValue, ModelDestDouble, ModelDestByte, ModelLaneCorrelated:
-		bits := prof.SiteBitsOf(site.Thread, site.DynInst)
-		if bits == 0 {
-			return ErrNotASite
-		}
-		if site.Bit < 0 || site.Bit >= bits {
-			return fmt.Errorf("fault: bit %d out of range (%d-bit destination)", site.Bit, bits)
-		}
-	case ModelMemAddr:
-		pc := t.StaticPCAt(site.Thread, site.DynInst)
-		if !touchesMemory(&t.Prog.Instrs[pc]) {
-			return ErrNotAMemSite
-		}
-		if site.Bit < 0 || site.Bit >= 32 {
-			return fmt.Errorf("fault: address bit %d out of range", site.Bit)
-		}
-	case ModelStuckPred, ModelStuckActiveMask, ModelStuckBarrier:
-		// Persistent sites need no destination: any retired dynamic
-		// instruction is a valid activation point. Bit encodes the stuck
-		// location/value per StuckBits.
-		if site.Bit < 0 || site.Bit >= model.StuckBits() {
-			return fmt.Errorf("fault: stuck-at encoding %d out of range (%d encodings for %s)",
-				site.Bit, model.StuckBits(), model)
-		}
-	default:
-		return fmt.Errorf("fault: unknown model %d", model)
+	entry := tp.PCs[site.DynInst]
+	w := model.sitesAt(&t.Prog.Instrs[gpusim.PC(entry)], gpusim.Wrote(entry))
+	switch {
+	case w == 0 && model == ModelMemAddr:
+		return ErrNotAMemSite
+	case w == 0:
+		return ErrNotASite
+	case site.Bit < 0 || site.Bit >= w:
+		return fmt.Errorf("fault: bit %d out of range (%d %s sites at this instruction)", site.Bit, w, model)
 	}
 	return nil
 }
@@ -246,108 +247,4 @@ func (t *Target) runSiteModelOn(dev *gpusim.Device, site Site, model Model) (Out
 		return 0, err
 	}
 	return t.classify(dev, res), nil
-}
-
-// MemAddrSites enumerates ModelMemAddr fault sites for one thread: one site
-// per address bit per dynamic memory instruction, optionally filtered.
-func (s *Space) MemAddrSites(t int, keep func(dyn int64) bool) []Site {
-	tp := &s.prof.Threads[t]
-	var sites []Site
-	for i := int64(0); i < tp.ICnt; i++ {
-		pc := gpusim.PC(tp.PCs[i])
-		if !touchesMemory(&s.prof.Prog.Instrs[pc]) {
-			continue
-		}
-		if keep != nil && !keep(i) {
-			continue
-		}
-		for b := 0; b < 32; b++ {
-			sites = append(sites, Site{Thread: t, DynInst: i, Bit: b})
-		}
-	}
-	return sites
-}
-
-// StuckSites enumerates the persistent fault sites of one thread: every
-// stuck-at encoding at every retired dynamic instruction (the activation
-// point), optionally filtered by keep.
-func (s *Space) StuckSites(t int, model Model, keep func(dyn int64) bool) []Site {
-	w := model.StuckBits()
-	if w == 0 {
-		panic(fmt.Sprintf("fault: StuckSites on transient model %s", model))
-	}
-	tp := &s.prof.Threads[t]
-	sites := make([]Site, 0, tp.ICnt*int64(w))
-	for i := int64(0); i < tp.ICnt; i++ {
-		if keep != nil && !keep(i) {
-			continue
-		}
-		for b := 0; b < w; b++ {
-			sites = append(sites, Site{Thread: t, DynInst: i, Bit: b})
-		}
-	}
-	return sites
-}
-
-// RandomModel draws n sites uniformly at random from the model's own site
-// space. Destination-register models share the dest-value space; mem-addr
-// draws over (memory instruction × address bit); persistent models over
-// (retired dynamic instruction × stuck-at encoding).
-func (s *Space) RandomModel(rng *stats.RNG, n int, model Model) []Site {
-	switch {
-	case model.Persistent():
-		w := int64(model.StuckBits())
-		cum := make([]int64, len(s.prof.Threads)+1)
-		for t := range s.prof.Threads {
-			cum[t+1] = cum[t] + s.prof.Threads[t].ICnt*w
-		}
-		total := cum[len(cum)-1]
-		sites := make([]Site, n)
-		for i := range sites {
-			idx := rng.Int63n(total)
-			t := sort.Search(len(cum)-1, func(j int) bool { return cum[j+1] > idx })
-			rem := idx - cum[t]
-			sites[i] = Site{Thread: t, DynInst: rem / w, Bit: int(rem % w)}
-		}
-		return sites
-	case model == ModelMemAddr:
-		cum := make([]int64, len(s.prof.Threads)+1)
-		for t := range s.prof.Threads {
-			tp := &s.prof.Threads[t]
-			var mem int64
-			for _, entry := range tp.PCs[:tp.ICnt] {
-				if s.pcMem[gpusim.PC(entry)] {
-					mem++
-				}
-			}
-			cum[t+1] = cum[t] + mem*32
-		}
-		total := cum[len(cum)-1]
-		if total == 0 {
-			panic("fault: RandomModel(mem-addr) on a kernel with no memory instructions")
-		}
-		sites := make([]Site, n)
-		for i := range sites {
-			idx := rng.Int63n(total)
-			t := sort.Search(len(cum)-1, func(j int) bool { return cum[j+1] > idx })
-			rem := idx - cum[t]
-			k, bit := rem/32, int(rem%32)
-			tp := &s.prof.Threads[t]
-			for d, entry := range tp.PCs[:tp.ICnt] {
-				if !s.pcMem[gpusim.PC(entry)] {
-					continue
-				}
-				if k == 0 {
-					sites[i] = Site{Thread: t, DynInst: int64(d), Bit: bit}
-					break
-				}
-				k--
-			}
-		}
-		return sites
-	default:
-		// Destination-register models index the same per-destination-bit
-		// space as the baseline.
-		return s.Random(rng, n)
-	}
 }

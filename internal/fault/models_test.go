@@ -70,11 +70,11 @@ func TestMemAddrSites(t *testing.T) {
 	if err := tg.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	space := fault.NewSpace(tg.Profile())
+	space := fault.NewSpace(tg.Profile()).ForModel(fault.ModelMemAddr)
 	// Active thread 0 runs: the s[0x10]/s[0x14] param reads (dyn 7 and 17),
 	// the 4 loop loads (dyn 10, 16, 22, 28) and the final store — each
 	// contributes 32 address-bit sites.
-	sites := space.MemAddrSites(0, nil)
+	sites := space.ThreadSites(0, nil)
 	if len(sites) == 0 || len(sites)%32 != 0 {
 		t.Fatalf("mem sites = %d", len(sites))
 	}
@@ -88,12 +88,12 @@ func TestMemAddrSites(t *testing.T) {
 		break // one run suffices; the loop guards enumeration validity
 	}
 	// Idle thread 15 touches no memory.
-	if got := space.MemAddrSites(15, nil); len(got) != 0 {
+	if got := space.ThreadSites(15, nil); len(got) != 0 {
 		t.Fatalf("idle thread mem sites = %d", len(got))
 	}
 	// Filter keeps only one dynamic instruction.
 	first := sites[0]
-	only := space.MemAddrSites(0, func(dyn int64) bool { return dyn == first.DynInst })
+	only := space.ThreadSites(0, func(dyn int64) bool { return dyn == first.DynInst })
 	if len(only) != 32 {
 		t.Fatalf("filtered mem sites = %d, want 32", len(only))
 	}
@@ -105,7 +105,7 @@ func TestRunModelCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	space := fault.NewSpace(tg.Profile())
-	sites := fault.Uniform(space.MemAddrSites(0, nil)[:64])
+	sites := fault.Uniform(space.ForModel(fault.ModelMemAddr).ThreadSites(0, nil)[:64])
 	res, err := fault.RunModel(tg, sites, fault.ModelMemAddr, fault.CampaignOptions{KeepPerSite: true})
 	if err != nil {
 		t.Fatal(err)

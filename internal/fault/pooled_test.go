@@ -138,7 +138,7 @@ func TestPooledMatchesFreshClone(t *testing.T) {
 					// Random destination sites are not valid mem-addr
 					// sites; build a matching population instead.
 					var mem []fault.WeightedSite
-					for _, s := range space.MemAddrSites(0, nil) {
+					for _, s := range space.ForModel(fault.ModelMemAddr).ThreadSites(0, nil) {
 						mem = append(mem, fault.WeightedSite{Site: s, Weight: 1})
 					}
 					if len(mem) > 64 {

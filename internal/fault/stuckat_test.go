@@ -27,11 +27,11 @@ var persistentModels = []fault.Model{
 // cover barrier arrivals, memory traffic and retirement) plus a random
 // sample across the rest of the grid.
 func stuckSample(tg *fault.Target, model fault.Model, n int) []fault.WeightedSite {
-	space := fault.NewSpace(tg.Profile())
+	space := fault.NewSpace(tg.Profile()).ForModel(model)
 	var sites []fault.Site
-	sites = append(sites, space.StuckSites(0, model, nil)...)
-	sites = append(sites, space.StuckSites(tg.Threads()-1, model, nil)...)
-	sites = append(sites, space.RandomModel(stats.NewRNG(131), n, model)...)
+	sites = append(sites, space.ThreadSites(0, nil)...)
+	sites = append(sites, space.ThreadSites(tg.Threads()-1, nil)...)
+	sites = append(sites, space.Random(stats.NewRNG(131), n)...)
 	return fault.Uniform(sites)
 }
 
@@ -258,7 +258,7 @@ func TestStuckAtCampaignSmoke(t *testing.T) {
 	}
 }
 
-// TestStuckSitesAndRandomModel pins the persistent site enumerators: every
+// TestStuckSitesAndRandomModel pins the persistent site spaces: every
 // enumerated or sampled site validates under its model, and the encodings
 // cover both stuck values.
 func TestStuckSitesAndRandomModel(t *testing.T) {
@@ -266,11 +266,11 @@ func TestStuckSitesAndRandomModel(t *testing.T) {
 	if err := tg.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	space := fault.NewSpace(tg.Profile())
 	for _, model := range persistentModels {
+		space := fault.NewSpace(tg.Profile()).ForModel(model)
 		w := model.StuckBits()
 		icnt := tg.Profile().Threads[0].ICnt
-		sites := space.StuckSites(0, model, nil)
+		sites := space.ThreadSites(0, nil)
 		if int64(len(sites)) != icnt*int64(w) {
 			t.Fatalf("%s: %d sites for thread 0, want %d×%d", model, len(sites), icnt, w)
 		}
@@ -287,7 +287,7 @@ func TestStuckSitesAndRandomModel(t *testing.T) {
 		if len(bits) != w {
 			t.Fatalf("%s: enumeration covered %d of %d encodings", model, len(bits), w)
 		}
-		for _, s := range space.RandomModel(stats.NewRNG(5), 64, model) {
+		for _, s := range space.Random(stats.NewRNG(5), 64) {
 			if s.Bit < 0 || s.Bit >= w {
 				t.Fatalf("%s: sampled bit %d out of [0,%d)", model, s.Bit, w)
 			}

@@ -172,7 +172,7 @@ func TestThreadExitOracle(t *testing.T) {
 				threadExits++
 			}
 		}
-		for _, s := range space.MemAddrSites(th, nil) {
+		for _, s := range space.ForModel(ModelMemAddr).ThreadSites(th, nil) {
 			check(tg, s, ModelMemAddr)
 		}
 	}

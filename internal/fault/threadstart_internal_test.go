@@ -139,17 +139,6 @@ func threadStartTarget(t *testing.T, barrier bool, warp int) *Target {
 	return tg
 }
 
-// allSites enumerates every site of model in thread th.
-func allSites(space *Space, th int, m Model) []Site {
-	switch {
-	case m.Persistent():
-		return space.StuckSites(th, m, nil)
-	case m == ModelMemAddr:
-		return space.MemAddrSites(th, nil)
-	}
-	return space.ThreadSites(th, nil)
-}
-
 // TestThreadStartResumeOracle pins the thread-start resume (DESIGN.md §3.2)
 // on a kernel built for it: every site of every model agrees with the full
 // run, and every run it resumes at the injected thread's start replays
@@ -199,7 +188,7 @@ func TestThreadStartResumeOracle(t *testing.T) {
 	resumed := make([]bool, tg.Threads())
 	for th := 0; th < tg.Threads(); th++ {
 		for m := Model(0); m < NumModels; m++ {
-			for _, s := range allSites(space, th, m) {
+			for _, s := range space.ForModel(m).ThreadSites(th, nil) {
 				if _, r := run(tg, s, m); r {
 					if !m.threadLocal() {
 						t.Fatalf("%v %v: resumed at the thread start", m, s)
