@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke examples-smoke doccheck recipe-check bench bench-record experiments
+.PHONY: ci vet build test race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke gpurun-smoke examples-smoke doccheck recipe-check bench bench-record experiments
 
 # The perf smoke is part of race: TestSmokeEveryWorkload and TestSmokeTraced
 # in ./benchmark run every workload, traced and untraced, at reduced size.
-ci: vet build race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke examples-smoke doccheck recipe-check
+ci: vet build race fuzz-smoke campaign-smoke stuckat-smoke service-smoke advise-smoke gpurun-smoke examples-smoke doccheck recipe-check
 
 # vet also fails on any file gofmt would rewrite, naming it.
 vet:
@@ -72,6 +72,16 @@ advise-smoke:
 	grep -q "exit status 2" $$t/neg.err && ! grep -q "panic:" $$t/neg.err && \
 	rm -rf $$t
 
+# gpurun's thread trace: a valid -trace prints its first -n entries; a
+# thread id past the grid is a usage error (exit 2), not a panic.
+gpurun-smoke:
+	t=$$(mktemp -d) && \
+	$(GO) build -o $$t ./cmd/gpurun && \
+	$$t/gpurun -kernel "GEMM K1" -trace 0 -n 3 | grep -q "first 3 of" && \
+	{ $$t/gpurun -kernel "GEMM K1" -trace 99999 > /dev/null 2> $$t/neg.err; [ $$? -eq 2 ]; } && \
+	! grep -q "panic:" $$t/neg.err && \
+	rm -rf $$t
+
 # Documentation gate: every internal package carries a package comment,
 # every `go run ./cmd/...` invocation quoted in README/DESIGN/ARCHITECTURE/
 # EXPERIMENTS code fences names a real command and real flags, every cmd/*
@@ -89,8 +99,9 @@ doccheck:
 # themselves are defined in internal/fault, so callers are counted outside
 # it; and no file assigns a target's FullRun — an engine parameter tests and
 # the benchmark set to check the checkpointed = full-run contract, not part
-# of what a campaign is. Fails, printing the offending lines, when a pattern
-# appears in more files than allowed.
+# of what a campaign is; and the fault-model names are spelled in one table
+# (gpusim's), which fault.ParseModel and every CLI read. Fails, printing the
+# offending lines, when a pattern appears in more files than allowed.
 recipe-check:
 	@check() { \
 		hits=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$2" cmd internal | grep -v "$$3"); \
@@ -101,7 +112,8 @@ recipe-check:
 	check 1 'Split("baseline")' '^$$' && \
 	check 1 '\.RandomModel(' '^internal/fault/' && \
 	check 2 '\.Random(' '^internal/fault/' && \
-	check 0 '\.FullRun *=[^=]' '^$$'
+	check 0 '\.FullRun *=[^=]' '^$$' && \
+	check 1 '"lane-correlated"' '^$$'
 
 # Every example program runs to completion (vet and build only compile
 # them).

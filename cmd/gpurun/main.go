@@ -35,6 +35,9 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file (written on normal exit)")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on normal exit")
 	flag.Parse()
+	if *traceLen < 0 {
+		usageError("-n must be non-negative, got %d", *traceLen)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -58,8 +61,7 @@ func main() {
 		Model:  *modelName,
 	}.Prepare(fault.DefaultPreparedCache())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usageError("%v", err)
 	}
 
 	if *disasm {
@@ -69,6 +71,9 @@ func main() {
 	}
 
 	prof := inst.Target.Profile()
+	if *traceThread >= len(prof.Threads) {
+		usageError("-trace %d out of range: %s has %d threads", *traceThread, inst.Meta.Name(), len(prof.Threads))
+	}
 	fmt.Printf("%s: grid %v block %v = %d threads, %d dynamic instructions\n",
 		inst.Meta.Name(), inst.Target.Grid, inst.Target.Block,
 		inst.Target.Threads(), prof.TotalDyn())
@@ -140,4 +145,9 @@ func fatal(err error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }

@@ -184,7 +184,7 @@ func TestBuildPlanInvariants(t *testing.T) {
 		if ws.Weight <= 0 {
 			t.Fatalf("non-positive weight %v", ws)
 		}
-		if bits := tg.DestBitsAt(ws.Site.Thread, ws.Site.DynInst); bits == 0 || ws.Site.Bit >= bits {
+		if bits := tg.Profile().SiteBitsOf(ws.Site.Thread, ws.Site.DynInst); bits == 0 || ws.Site.Bit >= bits {
 			t.Fatalf("invalid planned site %v", ws.Site)
 		}
 	}
@@ -408,9 +408,9 @@ func TestDeadWriteSoundness(t *testing.T) {
 				t.Fatal(err)
 			}
 			if o != fault.Masked {
-				pc := tg.StaticPCAt(s.Thread, s.DynInst)
+				pc := gpusim.PC(prof.Threads[s.Thread].PCs[s.DynInst])
 				t.Fatalf("dead site %v (pc %d: %s) produced %v",
-					s, pc, tg.Instr(pc), o)
+					s, pc, &prof.Prog.Instrs[pc], o)
 			}
 			checked++
 		}

@@ -45,8 +45,9 @@ func RunFig7(cfg Config) error {
 			section int
 		}
 		agg := map[key]*fault.Dist{}
+		prof := inst.Target.Profile()
 		for i, ws := range plan.Sites {
-			bits := inst.Target.DestBitsAt(ws.Site.Thread, ws.Site.DynInst)
+			bits := prof.SiteBitsOf(ws.Site.Thread, ws.Site.DynInst)
 			k := key{pred: bits == isa.PredBits}
 			if k.pred {
 				k.section = ws.Site.Bit

@@ -238,7 +238,7 @@ func TestSpaceTotalsAndDecode(t *testing.T) {
 	for idx := int64(0); idx < space.Total(); idx++ {
 		s := space.Site(idx)
 		perThread[s.Thread]++
-		if bits := tg.DestBitsAt(s.Thread, s.DynInst); s.Bit >= bits {
+		if bits := tg.Profile().SiteBitsOf(s.Thread, s.DynInst); s.Bit >= bits {
 			t.Fatalf("decoded bit %d out of %d at %v", s.Bit, bits, s)
 		}
 	}
@@ -444,7 +444,7 @@ func TestRandomSampling(t *testing.T) {
 		t.Fatalf("sampled %d", len(sites))
 	}
 	for _, s := range sites {
-		if bits := tg.DestBitsAt(s.Thread, s.DynInst); bits == 0 || s.Bit >= bits {
+		if bits := tg.Profile().SiteBitsOf(s.Thread, s.DynInst); bits == 0 || s.Bit >= bits {
 			t.Fatalf("invalid sampled site %v", s)
 		}
 	}

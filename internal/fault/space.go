@@ -12,17 +12,18 @@ import (
 )
 
 // Space is the exhaustive fault-site space of a profiled kernel under one
-// fault model: every (dynamic instruction, bit) pair the model's sitesAt
-// admits, over every thread. NewSpace indexes the paper's space (Eq. 1),
-// every destination-register bit of every dynamic instruction, which all
-// destination-register models share; ForModel indexes any other model's.
+// fault model: every (dynamic instruction, bit) pair the model's site rule
+// (gpusim.InjectKind.Sites) admits, over every thread. NewSpace indexes the
+// paper's space (Eq. 1), every destination-register bit of every dynamic
+// instruction, which all destination-register models share; ForModel
+// indexes any other model's.
 // Sites are indexable by a flat id in [0, Total()) — thread by thread, then
 // dynamic instruction, then bit — which makes uniform random sampling over
 // billions of sites cheap without materializing them.
 type Space struct {
 	prof  *trace.Profile
 	model Model
-	// width is model.sitesAt per static instruction, decoded once, so
+	// width is model.Sites per static instruction, decoded once, so
 	// walking a thread's trace costs a table lookup per dynamic instruction.
 	width widths
 	// constW, when non-zero, is the site count of every dynamic instruction
@@ -41,7 +42,7 @@ func NewSpace(prof *trace.Profile) *Space { return newSpace(prof, ModelDestValue
 // s itself when both are destination-register spaces, which every such
 // model shares, else a fresh index.
 func (s *Space) ForModel(m Model) *Space {
-	if m.destination() && s.model.destination() {
+	if destination(m) && destination(s.model) {
 		return s
 	}
 	return newSpace(s.prof, m)
@@ -51,8 +52,8 @@ func newSpace(prof *trace.Profile, m Model) *Space {
 	instrs := prof.Prog.Instrs
 	w := make(widths, 2*len(instrs))
 	for pc := range instrs {
-		w[2*pc] = uint8(m.sitesAt(&instrs[pc], false))
-		w[2*pc+1] = uint8(m.sitesAt(&instrs[pc], true))
+		w[2*pc] = uint8(m.Sites(&instrs[pc], false))
+		w[2*pc+1] = uint8(m.Sites(&instrs[pc], true))
 	}
 	s := &Space{prof: prof, model: m, width: w}
 	if slices.Min(w) == slices.Max(w) {
@@ -63,7 +64,7 @@ func newSpace(prof *trace.Profile, m Model) *Space {
 		tp := &prof.Threads[t]
 		n := tp.ICnt * s.constW
 		switch {
-		case m.destination():
+		case destination(m):
 			n = tp.SiteBits
 		case s.constW == 0:
 			for _, entry := range tp.PCs[:tp.ICnt] {

@@ -315,7 +315,7 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	dev := w.dev
 	w.inj = gpusim.Injection{
 		Thread: site.Thread, DynInst: site.DynInst, Bit: site.Bit,
-		Kind: model.kind(),
+		Kind: model,
 	}
 	w.launch = t.launch(&w.inj, nil, t.prep.watchdog)
 	ck := t.prep.ckpt
@@ -344,7 +344,7 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	if wck := ck.Warp(); wck != nil {
 		ws = wck.SnapshotBefore(cta, local, site.DynInst)
 	}
-	threadLocal := t.WarpSize == 0 && t.prep.threadIndependent && model.threadLocal()
+	threadLocal := t.WarpSize == 0 && t.prep.threadIndependent && threadLocal(model)
 	if threadLocal && local > 0 && (ws == nil || ws.DynAt(local) == 0) && ck.ThreadStart(dev, site.Thread) {
 		w.dynAt = slices.Grow(w.dynAt[:0], tpc)[:tpc]
 		for i := range local {
@@ -443,17 +443,3 @@ func (t *Target) deadOutcome(dev *gpusim.Device, after int, div []int32) (o Outc
 	}
 	return Masked, !undecided
 }
-
-// DestBitsAt reports the destination width in bits of thread t's dynamic
-// instruction i (0 when it is not a fault site).
-func (t *Target) DestBitsAt(thread int, dyn int64) int {
-	return t.prep.profile.SiteBitsOf(thread, dyn)
-}
-
-// StaticPCAt reports the static PC of thread t's dynamic instruction i.
-func (t *Target) StaticPCAt(thread int, dyn int64) int {
-	return gpusim.PC(t.prep.profile.Threads[thread].PCs[dyn])
-}
-
-// Instr returns the static instruction at a PC.
-func (t *Target) Instr(pc int) *isa.Instruction { return &t.Prog.Instrs[pc] }

@@ -190,7 +190,7 @@ func TestThreadStartResumeOracle(t *testing.T) {
 		for m := Model(0); m < NumModels; m++ {
 			for _, s := range space.ForModel(m).ThreadSites(th, nil) {
 				if _, r := run(tg, s, m); r {
-					if !m.threadLocal() {
+					if !threadLocal(m) {
 						t.Fatalf("%v %v: resumed at the thread start", m, s)
 					}
 					resumed[th] = true

@@ -156,13 +156,17 @@ type InjectKind uint8
 const (
 	// InjectDestValue flips one destination-register bit after writeback.
 	InjectDestValue InjectKind = iota
-	// InjectDestDouble flips two adjacent destination-register bits.
+	// InjectDestDouble flips two adjacent destination-register bits — the
+	// double-bit error a SEC-DED code detects but cannot correct.
 	InjectDestDouble
 	// InjectMemAddr flips one bit of the effective address of the
-	// instruction's memory operand before the access executes.
+	// instruction's memory operand before the access executes (an LSU
+	// address-path fault).
 	InjectMemAddr
 	// InjectDestByte flips every bit of the destination-register byte
-	// containing Bit (the whole flag nibble for a predicate destination).
+	// containing Bit (the whole flag nibble for a predicate destination) —
+	// the spatially contiguous multi-bit pattern of the SDC-anatomy
+	// literature.
 	InjectDestByte
 	// InjectLaneCorrelated flips bit Bit of the instruction's destination
 	// register in every thread of the injected thread's lane group — the
@@ -182,25 +186,21 @@ const (
 	// arrived (barriers release without it), stuck at 0 makes its arrival
 	// never register (a barrier including it deadlocks).
 	InjectStuckBarrier
+	// NumInjectKinds counts the kinds above.
+	NumInjectKinds
 )
+
+// injectKindNames are the kinds' names, in kind order: the CLI -model
+// vocabulary and the journal fingerprint's model field.
+var injectKindNames = [NumInjectKinds]string{
+	"dest-value", "dest-double", "mem-addr", "dest-byte",
+	"lane-correlated", "stuck-pred", "stuck-active-mask", "stuck-barrier",
+}
 
 // String names the kind.
 func (k InjectKind) String() string {
-	switch k {
-	case InjectDestDouble:
-		return "dest-double"
-	case InjectMemAddr:
-		return "mem-addr"
-	case InjectDestByte:
-		return "dest-byte"
-	case InjectLaneCorrelated:
-		return "lane-correlated"
-	case InjectStuckPred:
-		return "stuck-pred"
-	case InjectStuckActiveMask:
-		return "stuck-active-mask"
-	case InjectStuckBarrier:
-		return "stuck-barrier"
+	if k < NumInjectKinds {
+		return injectKindNames[k]
 	}
 	return "dest-value"
 }
@@ -210,6 +210,49 @@ func (k InjectKind) String() string {
 // single-event upset at one retirement).
 func (k InjectKind) Persistent() bool {
 	return k == InjectStuckPred || k == InjectStuckActiveMask || k == InjectStuckBarrier
+}
+
+// StuckBits is the size of a persistent kind's Bit encoding space (0 for
+// transient kinds): stuck value × location. InjectStuckPred enumerates both
+// stuck values of every flag bit of every predicate register; the mask and
+// barrier kinds only their two stuck values. newPersistState decodes it.
+func (k InjectKind) StuckBits() int {
+	switch k {
+	case InjectStuckPred:
+		return 2 * isa.NumPreds * isa.PredBits
+	case InjectStuckActiveMask, InjectStuckBarrier:
+		return 2
+	}
+	return 0
+}
+
+// Sites is the site rule: the number of sites (Bit values) one dynamic
+// instance of in carries under k, given whether it wrote its destination.
+// Destination-register kinds flip a bit of a written destination (Eq. 1 of
+// the paper); InjectMemAddr one of the 32 bits of any effective address (a
+// memory operand, source or destination); persistent kinds activate at
+// every retired instruction, with StuckBits encodings each. Every site
+// space, profile count, draw and validation above the simulator goes
+// through it.
+func (k InjectKind) Sites(in *isa.Instruction, wrote bool) int {
+	switch {
+	case k == InjectMemAddr:
+		if in.Dst.Kind == isa.OpdMem {
+			return 32
+		}
+		for _, s := range in.Srcs {
+			if s.Kind == isa.OpdMem {
+				return 32
+			}
+		}
+		return 0
+	case k.Persistent():
+		return k.StuckBits()
+	case wrote:
+		_, bits, _ := in.DestReg()
+		return bits
+	}
+	return 0
 }
 
 // Injection is a single fault to apply during execution at dynamic

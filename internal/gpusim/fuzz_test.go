@@ -467,11 +467,8 @@ func TestPlanMatchesReferenceChainhangExhaustive(t *testing.T) {
 				for dyn := int64(0); dyn < th.dynCount; dyn++ {
 					for _, kind := range injectKinds {
 						bits := 32
-						switch kind {
-						case InjectStuckPred:
-							bits = 2 * stuckPredSpan
-						case InjectStuckActiveMask, InjectStuckBarrier:
-							bits = 2
+						if kind.Persistent() {
+							bits = kind.StuckBits()
 						}
 						for bit := 0; bit < bits; bit++ {
 							c.inj = &Injection{Thread: th.flat, DynInst: dyn, Bit: bit, Kind: kind}

@@ -28,17 +28,13 @@ type persistState struct {
 	predMask uint8
 }
 
-// stuckPredSpan is the per-value encoding width of InjectStuckPred's Bit
-// field: one code point per (predicate register, flag bit) pair.
-const stuckPredSpan = isa.NumPreds * isa.PredBits
-
 // newPersistState decodes the injection's persistent-fault parameters; nil
 // for transient (or absent) injections. The Bit field packs the fault
-// location and stuck value:
+// location and stuck value in [0, Kind.StuckBits()):
 //
-//   - InjectStuckPred: Bit in [0, 2*NumPreds*PredBits) selects stuck value
-//     (high half = stuck at 1), predicate register, and flag bit. Values are
-//     reduced modulo the space so arbitrary fuzzed bits stay well-defined.
+//   - InjectStuckPred: the high half is stuck at 1; within a half, Bit
+//     selects predicate register and flag bit. Values are reduced modulo
+//     the space so arbitrary fuzzed bits stay well-defined.
 //   - InjectStuckActiveMask, InjectStuckBarrier: Bit&1 is the stuck value.
 func newPersistState(inj *Injection) *persistState {
 	if inj == nil || !inj.Kind.Persistent() {
@@ -47,12 +43,14 @@ func newPersistState(inj *Injection) *persistState {
 	p := &persistState{kind: inj.Kind, thread: inj.Thread, dynInst: inj.DynInst}
 	switch inj.Kind {
 	case InjectStuckPred:
-		b := inj.Bit % (2 * stuckPredSpan)
+		n := inj.Kind.StuckBits()
+		b := inj.Bit % n
 		if b < 0 {
-			b += 2 * stuckPredSpan
+			b += n
 		}
-		p.stuck1 = b >= stuckPredSpan
-		rem := b % stuckPredSpan
+		span := n / 2
+		p.stuck1 = b >= span
+		rem := b % span
 		p.predReg = rem / isa.PredBits
 		p.predMask = 1 << uint(rem%isa.PredBits)
 	default:

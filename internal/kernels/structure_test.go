@@ -174,7 +174,7 @@ func TestPlansOnAllKernels(t *testing.T) {
 				if ws.Weight <= 0 {
 					t.Fatalf("non-positive weight at %v", ws.Site)
 				}
-				bits := inst.Target.DestBitsAt(ws.Site.Thread, ws.Site.DynInst)
+				bits := inst.Target.Profile().SiteBitsOf(ws.Site.Thread, ws.Site.DynInst)
 				if bits == 0 || ws.Site.Bit >= bits {
 					t.Fatalf("invalid planned site %v (%d-bit dest)", ws.Site, bits)
 				}

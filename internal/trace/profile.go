@@ -56,14 +56,12 @@ func Build(prog *isa.Program, pt *gpusim.ProfileTrace, threadsPerCTA int) (*Prof
 		Threads:       make([]ThreadProfile, len(pt.PCs)),
 		ThreadsPerCTA: threadsPerCTA,
 	}
-	// width[pc] is the destination width of static instruction pc, -1
-	// when it has no destination register.
+	// width[pc] is the site count of a written instance of static
+	// instruction pc under the paper's model, 0 when it has no
+	// destination register.
 	width := make([]int64, len(prog.Instrs))
 	for pc := range prog.Instrs {
-		width[pc] = -1
-		if _, bits, ok := prog.Instrs[pc].DestReg(); ok {
-			width[pc] = int64(bits)
-		}
+		width[pc] = int64(gpusim.InjectDestValue.Sites(&prog.Instrs[pc], true))
 	}
 	// distinct maps a Sig to the threads holding the first copy of each
 	// distinct trace with that Sig.
@@ -91,7 +89,7 @@ threads:
 		for _, entry := range pcs {
 			if gpusim.Wrote(entry) {
 				pc := gpusim.PC(entry)
-				if width[pc] < 0 {
+				if width[pc] == 0 {
 					return nil, fmt.Errorf("trace: pc %d flagged as write but has no destination", pc)
 				}
 				tp.SiteBits += width[pc]
@@ -160,9 +158,5 @@ func (p *Profile) TotalDyn() int64 {
 // instruction i, or 0 when that instruction wrote no destination register.
 func (p *Profile) SiteBitsOf(t int, i int64) int {
 	entry := p.Threads[t].PCs[i]
-	if !gpusim.Wrote(entry) {
-		return 0
-	}
-	_, bits, _ := p.Prog.Instrs[gpusim.PC(entry)].DestReg()
-	return bits
+	return gpusim.InjectDestValue.Sites(&p.Prog.Instrs[gpusim.PC(entry)], gpusim.Wrote(entry))
 }
