@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -99,6 +100,11 @@ func (d *daemon) get(t *testing.T, path string, out any) int {
 	return resp.StatusCode
 }
 
+// smokeSites sizes TestServeSmoke's campaign: long enough that it is still
+// running one status poll after its third outcome, so the SIGTERM lands
+// mid-campaign (a GEMM K1 site takes tens of microseconds).
+const smokeSites = 2000
+
 // TestServeSmoke is the CI end-to-end exercise of the daemon binary:
 // build, serve on a random port, submit, interrupt mid-campaign with
 // SIGTERM (clean exit 0), restart over the same data dir, resume to
@@ -113,7 +119,7 @@ func TestServeSmoke(t *testing.T) {
 	data := t.TempDir()
 
 	d := startDaemon(t, bin, data)
-	body := `{"kernel": "GEMM K1", "sites": 120, "seed": 5}`
+	body := fmt.Sprintf(`{"kernel": "GEMM K1", "sites": %d, "seed": 5}`, smokeSites)
 	resp, err := http.Post(d.base+"/campaigns", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +158,7 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("journal unreadable after SIGTERM: %v", err)
 	}
-	if len(recs) < 3 || len(recs) >= 120 {
+	if len(recs) < 3 || len(recs) >= smokeSites {
 		t.Fatalf("journal holds %d records after mid-campaign SIGTERM, want partial >= 3", len(recs))
 	}
 
@@ -215,7 +221,7 @@ func referenceReport(t *testing.T, dir string) []byte {
 	}
 	space := fault.NewSpace(inst.Target.Profile())
 	rng := stats.NewRNG(5).Split("baseline")
-	sites := fault.Uniform(space.Random(rng, 120))
+	sites := fault.Uniform(space.Random(rng, smokeSites))
 	shard := fault.Shard{Index: 0, Count: 1}
 	fp := inst.Target.JournalFingerprint(fault.ModelDestValue, len(sites), kernels.ScaleSmall.String(), 5, shard)
 	j, err := journal.Open(filepath.Join(dir, "ref.journal"), fp)

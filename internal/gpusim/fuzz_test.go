@@ -363,10 +363,11 @@ func diffReuse(c diffCase, reused *Device) string {
 // registers, PCs, dynamic instruction counts, barrier ledger, shared and
 // global memory, and the trap (kind, thread, PC and message).
 //
-// Each case then runs through Execute, as two CTAs, on one device that every
-// earlier case of the input already launched on: whatever the launch scratch
-// keeps between launches and between CTAs (DESIGN.md §3.1) must not show in
-// the Result or in memory.
+// Each case then runs through Execute, as two CTAs, on one device that a
+// program writing every register and every earlier case of the input
+// already launched on: whatever the launch scratch keeps between launches
+// and between CTAs (DESIGN.md §3.1) must not show in the Result or in
+// memory.
 func FuzzPlanMatchesReference(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, seed uint64, size uint8, injSel uint32) {
@@ -378,10 +379,13 @@ func FuzzPlanMatchesReference(f *testing.F) {
 				if _, d := diffEngines(c); d != "" {
 					t.Fatalf("seed %d size %d warp %d inj %+v: %s", seed, size, warp, inj, d)
 				}
+				c.grid = 2
 				if reused == nil {
 					reused = c.init.Clone()
+					poison := c
+					poison.prog, poison.inj = poisonProg, nil
+					observe(reused, poison.launch())
 				}
-				c.grid = 2
 				if d := diffReuse(c, reused); d != "" {
 					t.Fatalf("seed %d size %d warp %d inj %+v: %s", seed, size, warp, inj, d)
 				}

@@ -50,6 +50,7 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		watchdog = DefaultWatchdog
 	}
 
+	plan := planFor(launch.Prog)
 	nCTA := launch.Grid.Count()
 	if launch.FirstCTA < 0 || launch.FirstCTA >= nCTA {
 		return nil, fmt.Errorf("gpusim: FirstCTA %d outside grid of %d CTAs", launch.FirstCTA, nCTA)
@@ -63,6 +64,10 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		}
 		if ws.shared != nil && len(ws.shared) != sharedBytes {
 			return nil, fmt.Errorf("gpusim: Resume snapshot shared size %d, launch wants %d", len(ws.shared), sharedBytes)
+		}
+		if len(ws.regs) != len(ws.live)*plan.nregs {
+			return nil, fmt.Errorf("gpusim: Resume snapshot holds %d registers for %d live threads, program names %d per thread",
+				len(ws.regs), len(ws.live), plan.nregs)
 		}
 	}
 	// A fast-forwarded launch is only sound if the skipped prefix is
@@ -105,7 +110,7 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		ckpt:        dev.rec,
 		addrFlipBit: -1,
 		persist:     newPersistState(launch.Inject),
-		plan:        planFor(launch.Prog),
+		plan:        plan,
 		warpActive:  e.warpActive[:0],
 		beforeFault: -1,
 	}
@@ -139,9 +144,9 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		if ctaIndex == launch.FirstCTA {
 			resume = launch.Resume
 		}
-		startCTA(cta, s.slots, launch, ctaIndex, resume)
+		startCTA(cta, s.slots, launch, ctaIndex, plan.nregs, resume)
 		if e.intra != nil {
-			e.intra.beginCTA(ctaIndex, cta)
+			e.intra.beginCTA(ctaIndex, cta, plan.nregs)
 		}
 		trap := runCTA(e, cta)
 		for _, th := range cta.threads {
@@ -191,15 +196,18 @@ func (e *exec) noteFault(cta *ctaState) {
 // parameters — or, from ws, the CTA's state at the snapshot's capture
 // point. A snapshot's state is copied out (params are part of its shared
 // copy; a thread-start snapshot has none and gets the parameters), so it
-// stays immutable across repeated resumes, and each slot is
-// written once: a live thread from the snapshot, any other one fresh, with
-// its exit and retired count when it has already exited (WarpSnapshot's
-// compact layout).
-func startCTA(cta *ctaState, slots []threadState, launch *Launch, ctaIndex int, ws *WarpSnapshot) {
-	var live []threadState
+// stays immutable across repeated resumes. Each slot gets its identity from
+// its index and its retired count and exit from ws; a live thread
+// (WarpSnapshot.isLive) takes the next captured execution state and nregs
+// registers, any other one a zero execution state and zeroed registers.
+// Registers from nregs on keep whatever an earlier launch left there: the
+// program never names them (regFootprint).
+func startCTA(cta *ctaState, slots []threadState, launch *Launch, ctaIndex, nregs int, ws *WarpSnapshot) {
+	var live []threadExec
+	var regs []uint32
 	var shared []byte
 	if ws != nil {
-		live, shared = ws.live, ws.shared
+		live, regs, shared = ws.live, ws.regs, ws.shared
 	}
 	if shared != nil {
 		copy(cta.shared, shared)
@@ -218,17 +226,18 @@ func startCTA(cta *ctaState, slots []threadState, launch *Launch, ctaIndex int, 
 		for ty := 0; ty < by; ty++ {
 			for tx := 0; tx < bx; tx++ {
 				slot := &slots[tLinear]
-				if len(live) > 0 && live[0].flat == base+tLinear {
-					*slot, live = live[0], live[1:]
+				slot.flat, slot.tid, slot.ctaid = base+tLinear, Dim3{tx, ty, tz}, ctaid
+				slot.dynCount, slot.done = 0, false
+				if ws != nil {
+					slot.dynCount, slot.done = ws.dynAt[tLinear], ws.exited(tLinear)
+				}
+				if slot.dynCount > 0 && !slot.done { // the capture rule, WarpSnapshot.isLive
+					slot.threadExec, live = live[0], live[1:]
+					copy(slot.regs[:nregs], regs)
+					regs = regs[nregs:]
 				} else {
-					*slot = threadState{
-						flat:  base + tLinear,
-						tid:   Dim3{tx, ty, tz},
-						ctaid: ctaid,
-					}
-					if ws != nil && ws.exited(tLinear) {
-						slot.done, slot.dynCount = true, ws.dynAt[tLinear]
-					}
+					slot.threadExec = threadExec{}
+					clear(slot.regs[:nregs])
 				}
 				tLinear++
 			}

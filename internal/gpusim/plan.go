@@ -72,6 +72,9 @@ type compiledOp struct {
 type execPlan struct {
 	prog *isa.Program
 	ops  []compiledOp
+	// nregs is the program's register footprint (regFootprint): no closure,
+	// flip or injection touches a GPR at or above it.
+	nregs int
 }
 
 // planCache shares compiled plans across launches of the same program.
@@ -111,12 +114,42 @@ func planFor(p *isa.Program) *execPlan {
 
 // compileProgram decodes every instruction of p into its closure form.
 func compileProgram(p *isa.Program) *execPlan {
-	pl := &execPlan{prog: p, ops: make([]compiledOp, len(p.Instrs))}
+	pl := &execPlan{prog: p, ops: make([]compiledOp, len(p.Instrs)), nregs: regFootprint(p)}
 	for pc := range p.Instrs {
 		compileInstr(p, pc, &pl.ops[pc])
 		pl.ops[pc].straight = int32(p.StraightLen(pc))
 	}
 	return pl
+}
+
+// regFootprint returns p's register count, as ptxas would report it: one
+// past the highest GPR any operand names — destination, source or memory
+// base, read or written — leaving out $r124 and $o127, which no closure
+// reads or writes. Every register index a closure, a flip or an injection
+// uses comes from an operand, so none touches a GPR at or above it; a
+// register the program reads before writing must still read 0, which is
+// why read-only operands count.
+func regFootprint(p *isa.Program) int {
+	n := 0
+	gpr := func(r isa.Reg) {
+		if r.Class == isa.RegGPR && r.Index != isa.ZeroReg && r.Index != isa.SinkReg {
+			n = max(n, int(r.Index)+1)
+		}
+	}
+	operand := func(o isa.Operand) {
+		if o.Kind == isa.OpdReg || o.Kind == isa.OpdMem && o.BaseValid {
+			gpr(o.Reg)
+		}
+	}
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		operand(in.Dst)
+		gpr(in.DstPred)
+		for _, o := range in.Srcs {
+			operand(o)
+		}
+	}
+	return min(n, isa.NumGPRs)
 }
 
 // condTest returns the flag test of a condition code, mirroring evalCond

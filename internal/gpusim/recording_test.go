@@ -90,7 +90,7 @@ func diffRecordings(ref, got goldenRecording) string {
 		for ord, x := range wa.perCTA[cta] {
 			y := wb.perCTA[cta][ord]
 			if x.cta != y.cta || x.retired != y.retired || !slices.Equal(x.dynAt, y.dynAt) || !slices.Equal(x.done, y.done) ||
-				!slices.Equal(x.live, y.live) || !bytes.Equal(x.shared, y.shared) ||
+				!slices.Equal(x.live, y.live) || !slices.Equal(x.regs, y.regs) || !bytes.Equal(x.shared, y.shared) ||
 				!slices.Equal(x.pageIdx, y.pageIdx) || !slices.EqualFunc(x.pageDat, y.pageDat, bytes.Equal) {
 				return fmt.Sprintf("CTA %d intra-CTA snapshot %d differs: reference at retired %d, plan at %d", cta, ord, x.retired, y.retired)
 			}

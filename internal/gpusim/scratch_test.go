@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/ptx"
 )
 
@@ -13,8 +15,11 @@ import (
 // whose output depends on everything a reused launch scratch could leak: it
 // loads a shared-memory slot before any thread stored to it, reads a GPR and
 // a predicate it has not written yet, and only then poisons all three for
-// whoever takes the slot next. acc[tid] carries a cross-CTA dependence, and
-// the multiply-add chain through acc[128] makes the order in which threads
+// whoever takes the slot next. Two more GPRs it never writes at all are its
+// highest: $r21, read as an ALU source, and $r22, read only as a memory
+// base, so its register footprint must count sources and bases, not just
+// destinations. acc[tid] carries a cross-CTA dependence, and the
+// multiply-add chain through acc[128] makes the order in which threads
 // first run visible (a thread wrongly left parked would run late).
 const leakSrc = `
 	cvt.u32.u16 $r0, %tid.x
@@ -32,6 +37,8 @@ const leakSrc = `
 	shl.u32 $r4, $r0, 0x00000002
 	ld.shared.u32 $r5, s[$r4+0x0100]       // own slot, not stored yet: 0
 	add.u32 $r5, $r5, $r20                 // $r20 not written yet: 0
+	add.u32 $r5, $r5, $r21                 // $r21 never written: 0
+	add.u32 $r5, $r5, s[$r22+0x0014]       // $r22 never written: + the out param
 	@$p0.eq add.u32 $r5, $r5, 0x00000040   // $p0 not set yet: annulled
 	add.u32 $r5, $r5, $r3
 	add.u32 $r5, $r5, $r11
@@ -54,11 +61,23 @@ const leakSrc = `
 
 // Dynamic (= static) instruction indices of leakSrc the injections aim at.
 const (
-	leakSharedStore = 19 // st.shared, before the barrier
-	leakLoadGlobal  = 24 // ld.global: a destination and an address
-	leakAccStore    = 26 // st.global to acc[tid], past the barrier
-	leakOutStore    = 31 // st.global to out[gid], the last store
+	leakSharedStore = 21 // st.shared, before the barrier
+	leakLoadGlobal  = 26 // ld.global: a destination and an address
+	leakAccStore    = 28 // st.global to acc[tid], past the barrier
+	leakOutStore    = 33 // st.global to out[gid], the last store
 )
+
+// poisonProg writes a nonzero value to every GPR a program can name,
+// $r0–$r123, and exits: whoever reuses its thread slots must read none of
+// them, whatever registers it names itself.
+var poisonProg = func() *isa.Program {
+	var b strings.Builder
+	for r := 0; r < isa.ZeroReg; r++ {
+		fmt.Fprintf(&b, "mov.u32 $r%d, 0x%08x\n", r, 0x5A5A0000|r)
+	}
+	b.WriteString("exit\n")
+	return ptx.MustAssemble("poison", b.String())
+}()
 
 // launchOutcome is everything a caller of Execute can observe of one launch:
 // the error, the Result (copied out of the launch scratch), every AfterCTA
@@ -116,11 +135,12 @@ type leakGeom struct {
 }
 
 // TestScratchReuseMatchesFresh: a launch on a device that has already run
-// other launches — other block sizes, shared sizes, grids and schedulers,
-// CTA-boundary and mid-CTA resumes, every injection kind, a run that trapped
-// mid-CTA with its threads parked at a barrier — must be indistinguishable
-// from the same launch on a fresh clone: every Result field, every AfterCTA
-// call and the whole memory image. The launch scratch rides the device
+// other launches — a program that wrote every register, other block sizes,
+// shared sizes, grids and schedulers, CTA-boundary and mid-CTA resumes,
+// every injection kind, a run that trapped mid-CTA with its threads parked
+// at a barrier — must be indistinguishable from the same launch on a fresh
+// clone: every Result field, every AfterCTA call and the whole memory
+// image. The launch scratch rides the device
 // (DESIGN.md §3.1), so this is the test that nothing rides along with it.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	prog := ptx.MustAssemble("leak", leakSrc)
@@ -156,12 +176,14 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 
 	type step struct {
 		name   string
+		prog   *isa.Program // leakSrc when nil
 		g      leakGeom
 		inj    *Injection
 		first  int  // resume at this CTA boundary
 		resume bool // and from the warp snapshot preceding inj
 	}
 	steps := []step{
+		{name: "narrow poison", prog: poisonProg, g: narrow},
 		{name: "narrow clean", g: narrow},
 		{name: "wide clean", g: wide},
 		{name: "planar clean", g: planar},
@@ -202,6 +224,9 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	run := func(dev *Device, s step) launchOutcome {
 		l := launchOf(s.g)
 		l.Inject, l.FirstCTA = s.inj, s.first
+		if s.prog != nil {
+			l.Prog = s.prog
+		}
 		src := init
 		if s.first > 0 {
 			src, _ = goldens[s.g].SnapshotFor(s.first)

@@ -6,19 +6,27 @@ import (
 	"repro/internal/isa"
 )
 
-// threadState is the per-thread architectural state.
+// threadState is the per-thread architectural state: identity and progress,
+// the execution state, and the register file. A launch only ever touches
+// regs[:execPlan.nregs], the registers its program names.
 type threadState struct {
 	flat  int // flat global thread id
 	tid   Dim3
 	ctaid Dim3
 
-	regs  [isa.NumGPRs]uint32
-	preds [isa.NumPreds]uint8
-	ofs   [isa.NumOfs]uint32
-
-	pc       int
 	dynCount int64
 	done     bool
+
+	threadExec
+	regs [isa.NumGPRs]uint32
+}
+
+// threadExec is a started thread's execution state besides its registers:
+// what a warp snapshot saves of a live thread next to regs[:nregs].
+type threadExec struct {
+	pc    int
+	preds [isa.NumPreds]uint8
+	ofs   [isa.NumOfs]uint32
 
 	// Barrier state: waiting is true when blocked on barrier barID.
 	waiting bool

@@ -56,17 +56,20 @@ const defaultIntraStartStride = 4096
 //
 // "Complete" includes the scheduler and synchronization ledger, which is
 // what makes resuming sound under scheduler-corrupting persistent faults
-// (DESIGN.md §3.11). The layout is compact: a full threadState copy —
-// registers, PC, parked flag (waiting), barrier-arrival id (barID) — is
-// kept only for the live threads, those that have started and not exited;
-// every thread keeps its retirement count (dynAt) and an exit bit. Restore
-// (Execute) rebuilds the rest exactly: a thread that has not started is
-// the fresh state every CTA starts from, and of an exited thread nothing
-// but its exit and its count is ever read again — the schedulers skip it,
-// and Result.ThreadICnt reads the count. Live threads are kept in CTA-local
-// order, which is also the schedulers' fixed election order; shared is the
-// CTA's shared memory, one slice shared with the previous capture when
-// their bytes are equal. dynAt pins each thread's position so
+// (DESIGN.md §3.11). The layout is compact and sized by the program, not
+// the ISA: of the live threads only — those that have started and not
+// exited — it keeps the execution state (threadExec: PC, predicate and
+// offset registers, parked flag (waiting), barrier-arrival id (barID)) and
+// the nregs registers the program names (execPlan.nregs); every thread
+// keeps its retirement count (dynAt) and an exit bit. Restore (Execute)
+// rebuilds the rest exactly: a thread that has not started is the fresh
+// state every CTA starts from, and of an exited thread nothing but its exit
+// and its count is ever read again — the schedulers skip it, and
+// Result.ThreadICnt reads the count. Live threads are kept in CTA-local
+// order, which is also the schedulers' fixed election order, so a thread's
+// identity is its rank among the threads the capture rule (isLive) names;
+// shared is the CTA's shared memory, one slice shared with the previous
+// capture when their bytes are equal. dynAt pins each thread's position so
 // SnapshotBefore can prove a snapshot predates a fault's activation point
 // (armed-but-not-yet-activated persistState bookkeeping is derived, not
 // stored: a resumed Execute re-arms the fault from the Injection and
@@ -81,8 +84,11 @@ type WarpSnapshot struct {
 	dynAt []int64
 	// done is a bit set over local thread indices: the thread had exited.
 	done []uint64
-	// live holds the started, not yet exited threads in local order.
-	live []threadState
+	// live holds the execution state of the started, not yet exited
+	// threads in local order; regs holds their registers, nregs per thread
+	// in the same order (len(regs) == len(live)·nregs).
+	live []threadExec
+	regs []uint32
 	// shared is the CTA's shared memory; nil in a thread-start snapshot,
 	// whose shared memory is the parameters every CTA starts from.
 	shared []byte
@@ -124,16 +130,23 @@ func (ws *WarpSnapshot) Done(t int) bool { return ws.exited(t) }
 // exited reads local thread t's exit bit.
 func (ws *WarpSnapshot) exited(t int) bool { return ws.done[t/64]&(1<<(t%64)) != 0 }
 
-// liveThread returns local thread t's captured state, nil when t had not
-// started or had exited.
-func (ws *WarpSnapshot) liveThread(t int) *threadState {
-	flat := ws.cta*len(ws.dynAt) + t
-	for i := range ws.live {
-		if ws.live[i].flat == flat {
-			return &ws.live[i]
+// isLive is the capture rule: local thread t had started and not exited,
+// so the snapshot holds its execution state and registers.
+func (ws *WarpSnapshot) isLive(t int) bool { return ws.dynAt[t] > 0 && !ws.exited(t) }
+
+// liveThread returns local thread t's captured execution state, nil when t
+// had not started or had exited.
+func (ws *WarpSnapshot) liveThread(t int) *threadExec {
+	if !ws.isLive(t) {
+		return nil
+	}
+	rank := 0
+	for i := range t {
+		if ws.isLive(i) {
+			rank++
 		}
 	}
-	return nil
+	return &ws.live[rank]
 }
 
 // SetThreadStart makes ws the state of CTA cta at the start of its local
@@ -176,7 +189,7 @@ func (ws *WarpSnapshot) RestorePages(dev *Device) {
 // memory, which may be one slice with its neighbours' and is counted once
 // per slice by the recorder (see retain).
 func (ws *WarpSnapshot) sizeBytes() int64 {
-	n := 8*int64(len(ws.dynAt)+len(ws.done)) + int64(len(ws.live))*int64(unsafe.Sizeof(threadState{}))
+	n := 8*int64(len(ws.dynAt)+len(ws.done)) + int64(len(ws.live))*int64(unsafe.Sizeof(threadExec{})) + 4*int64(len(ws.regs))
 	for _, d := range ws.pageDat {
 		n += int64(len(d))
 	}
@@ -257,6 +270,7 @@ type warpRecorder struct {
 
 	cur         *ctaState
 	curCTA      int
+	nregs       int // the program's register footprint (execPlan.nregs)
 	curStride   int64
 	retired     int64
 	nextCapture int64
@@ -281,11 +295,13 @@ func newWarpRecorder(dev *Device, numCTAs, start int) *warpRecorder {
 	}
 }
 
-// beginCTA rebinds the recorder to the CTA the launch is about to run.
-// Called by Execute once per CTA.
-func (r *warpRecorder) beginCTA(cta int, st *ctaState) {
+// beginCTA rebinds the recorder to the CTA the launch is about to run, of
+// a program whose register footprint is nregs. Called by Execute once per
+// CTA.
+func (r *warpRecorder) beginCTA(cta int, st *ctaState, nregs int) {
 	r.curCTA = cta
 	r.cur = st
+	r.nregs = nregs
 	r.curStride = r.startStride
 	r.retired = 0
 	r.nextCapture = r.curStride
@@ -338,7 +354,8 @@ func (r *warpRecorder) capture() {
 		retired: r.retired,
 		dynAt:   make([]int64, n),
 		done:    make([]uint64, (n+63)/64),
-		live:    make([]threadState, 0, nlive),
+		live:    make([]threadExec, 0, nlive),
+		regs:    make([]uint32, 0, nlive*r.nregs),
 	}
 	for i, th := range st.threads {
 		ws.dynAt[i] = th.dynCount
@@ -346,7 +363,8 @@ func (r *warpRecorder) capture() {
 		case th.done:
 			ws.done[i/64] |= 1 << (i % 64)
 		case th.dynCount > 0:
-			ws.live = append(ws.live, *th)
+			ws.live = append(ws.live, th.threadExec)
+			ws.regs = append(ws.regs, th.regs[:r.nregs]...)
 		}
 	}
 	if !bytes.Equal(r.lastShared, st.shared) {

@@ -149,9 +149,9 @@ func TestWarpCheckpointResume(t *testing.T) {
 }
 
 // TestExecuteResumeValidation: a Resume snapshot that does not match the
-// launch (wrong CTA, wrong geometry) — or a fast-forwarded launch whose
-// skipped prefix would swallow the injection — is a launch error, not
-// silent corruption.
+// launch (wrong CTA, wrong geometry, a program of another register
+// footprint) — or a fast-forwarded launch whose skipped prefix would
+// swallow the injection — is a launch error, not silent corruption.
 func TestExecuteResumeValidation(t *testing.T) {
 	prog, init := chainSetup(t)
 	golden := init.Clone()
@@ -176,6 +176,18 @@ func TestExecuteResumeValidation(t *testing.T) {
 	bad.Resume = ws
 	if _, err := gpusim.Execute(init.Clone(), bad); err == nil {
 		t.Fatal("Resume with mismatched block geometry accepted")
+	}
+
+	// The launch's program names ten registers, the recorded one seven: the
+	// snapshot's saved registers do not fit its live threads.
+	bad = chainLaunch(ptx.MustAssemble("wide", `
+		cvt.u32.u16 $r9, %tid.x
+		exit
+	`))
+	bad.FirstCTA = 2
+	bad.Resume = ws
+	if _, err := gpusim.Execute(init.Clone(), bad); err == nil {
+		t.Fatal("Resume under a program of another register footprint accepted")
 	}
 
 	// The injection lies in a CTA the fast-forwarded launch skips: the

@@ -224,3 +224,40 @@ func TestParseScale(t *testing.T) {
 		}
 	}
 }
+
+// TestHotSpotPaperWarpStoreSize pins the memory of the intra-CTA snapshot
+// store on HotSpot K1 at paper scale, whose barrier keeps nearly every
+// thread live at every capture: a live thread is saved as its execution
+// state plus the 22 registers the kernel names, so the store stays under
+// 10 MiB under both schedulers. Saving each live thread's whole 128-register
+// state would take about 28 MiB.
+func TestHotSpotPaperWarpStoreSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale golden runs in short mode")
+	}
+	spec, ok := ByName("HotSpot K1")
+	if !ok {
+		t.Fatal("HotSpot K1 missing")
+	}
+	const limit = 10 << 20
+	for _, warp := range []int{0, 32} {
+		inst, err := spec.Build(ScalePaper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg := inst.Target
+		tg.WarpSize = warp
+		if err := tg.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		wck := tg.WarpCheckpoints()
+		if wck == nil || wck.Count() == 0 {
+			t.Fatalf("warp %d: no intra-CTA snapshots", warp)
+		}
+		b := wck.Bytes()
+		if b >= limit {
+			t.Fatalf("warp %d: %d snapshots hold %d bytes, want under %d", warp, wck.Count(), b, limit)
+		}
+		t.Logf("warp %d: %d snapshots hold %d bytes", warp, wck.Count(), b)
+	}
+}
