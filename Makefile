@@ -23,11 +23,13 @@ race:
 # Ten seconds of native fuzzing per target (go test runs one -fuzz target at
 # a time): the compiled plan and its scheduler against the test-side
 # reference interpreter, on random programs with barriers, under both
-# scheduler widths and every injection kind. A plain `go test` only replays
-# the seeds and the checked-in corpus (internal/gpusim/testdata/fuzz).
+# scheduler widths and every injection kind; and the journal readers on
+# arbitrary bytes. A plain `go test` only replays the seeds and the
+# checked-in corpus (internal/gpusim/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s ./internal/gpusim
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteNeverPanics$$' -fuzztime 10s ./internal/gpusim
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFile$$' -fuzztime 10s ./internal/journal
 
 # The durability differentials under the race detector: interrupt-and-resume
 # bit-identity and shard-merge equality.
@@ -100,8 +102,10 @@ doccheck:
 # it; and no file assigns a target's FullRun — an engine parameter tests and
 # the benchmark set to check the checkpointed = full-run contract, not part
 # of what a campaign is; and the fault-model names are spelled in one table
-# (gpusim's), which fault.ParseModel and every CLI read. Fails, printing the
-# offending lines, when a pattern appears in more files than allowed.
+# (gpusim's), which fault.ParseModel and every CLI read; and a journal
+# record's range rule (index >= Sites) is checked only by the journal's
+# decoder, the one gate every reader passes. Fails, printing the offending
+# lines, when a pattern appears in more files than allowed.
 recipe-check:
 	@check() { \
 		hits=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$2" cmd internal | grep -v "$$3"); \
@@ -113,7 +117,8 @@ recipe-check:
 	check 1 '\.RandomModel(' '^internal/fault/' && \
 	check 2 '\.Random(' '^internal/fault/' && \
 	check 0 '\.FullRun *=[^=]' '^$$' && \
-	check 1 '"lane-correlated"' '^$$'
+	check 1 '"lane-correlated"' '^$$' && \
+	check 0 '>= *[A-Za-z_.]*\.Sites\b' '^internal/journal/'
 
 # Every example program runs to completion (vet and build only compile
 # them).

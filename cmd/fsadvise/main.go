@@ -34,8 +34,8 @@ func main() {
 	journalSpec := flag.String("journal", "", "comma-separated campaign journal(s) to analyze (shards of one campaign merge)")
 	kernel := flag.String("kernel", "", `kernel for a live campaign, e.g. "GEMM K1" (mutually exclusive with -journal)`)
 	scale := flag.String("scale", "small", "kernel scale for a live campaign: small or paper")
-	seed := flag.Int64("seed", 1, "site-sampling seed for a live campaign")
-	sites := flag.Int("sites", 3000, "campaign size for a live campaign")
+	seed := flag.Int64("seed", campaign.DefaultSeed, "site-sampling seed for a live campaign")
+	sites := flag.Int("sites", campaign.DefaultSites, "campaign size for a live campaign")
 	modelName := flag.String("model", "dest-value", "fault model for a live campaign: "+fault.ModelNames())
 	par := flag.Int("par", 0, "live-campaign parallelism (0 = GOMAXPROCS)")
 	rankBy := flag.String("rank-by", "sdc", "ranking criterion: sdc | due | severity")

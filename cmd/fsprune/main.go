@@ -45,9 +45,9 @@ func main() {
 	kernel := flag.String("kernel", "", `kernel name, e.g. "GEMM K1"`)
 	action := flag.String("action", "estimate", "profile | sites | plan | estimate | baseline | campaign")
 	scale := flag.String("scale", "small", "kernel scale: small or paper")
-	baseline := flag.Int("baseline", 3000, "baseline campaign size")
+	baseline := flag.Int("baseline", campaign.DefaultSites, "baseline campaign size")
 	modelName := flag.String("model", "dest-value", "fault model for -action campaign: "+fault.ModelNames())
-	seed := flag.Int64("seed", 1, "random seed")
+	seed := flag.Int64("seed", campaign.DefaultSeed, "random seed")
 	par := flag.Int("par", 0, "campaign parallelism (0 = GOMAXPROCS)")
 	loopIters := flag.Int("loop-iters", 0, "sampled loop iterations (0 = default, <0 = disable)")
 	autoLoop := flag.Bool("auto-loop", false, "pick the loop sample size adaptively (paper Section III-D)")

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -238,7 +237,6 @@ func referenceReport(t *testing.T, dir string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Slice(recs, func(i, k int) bool { return recs[i].Index < recs[k].Index })
 	doc, err := report.NewMerged(fp, recs)
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,8 @@ func FromCampaign(t *fault.Target, fp journal.Fingerprint, sites []fault.Weighte
 
 // FromJournal attributes a replayed journal (one file via ReadFile, or a
 // sharded campaign recombined via Merge) against the target it was
-// recorded on. The journal must be complete — a ranking from a partial
+// recorded on. The records must be the complete campaign in site-index
+// order, as ReadFile and Merge return them — a ranking from a partial
 // campaign would be biased toward whichever sites finished first — and
 // every record is validated against t's profile, so a journal replayed
 // onto the wrong build fails loudly instead of mis-attributing.
@@ -90,13 +91,15 @@ func FromJournal(t *fault.Target, fp journal.Fingerprint, recs []journal.Record)
 	if err != nil {
 		return nil, err
 	}
-	sorted, err := journal.Attributed(fp, recs, true)
-	if err != nil {
-		return nil, err
+	if fp.Sites <= 0 || len(recs) != fp.Sites {
+		return nil, fmt.Errorf("advisor: %d of %d sites recorded (campaign incomplete)", len(recs), fp.Sites)
 	}
 	prof := t.Profile()
-	out := make([]SiteRecord, len(sorted))
-	for i, r := range sorted {
+	out := make([]SiteRecord, len(recs))
+	for i, r := range recs {
+		if r.Index != i {
+			return nil, fmt.Errorf("advisor: record %d holds site %d (records must be in site-index order)", i, r.Index)
+		}
 		if r.Thread >= len(prof.Threads) {
 			return nil, fmt.Errorf("advisor: site %d names thread %d but the target has %d threads (journal from a different kernel or scale?)",
 				r.Index, r.Thread, len(prof.Threads))

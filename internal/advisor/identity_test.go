@@ -186,3 +186,28 @@ func TestFromJournalRejectsWrongTarget(t *testing.T) {
 		t.Fatal("want error for out-of-range dynamic instruction, got nil")
 	}
 }
+
+// TestFromJournalRejectsIncompleteOrUnordered: FromJournal takes the
+// complete campaign in site-index order, as journal.ReadFile and
+// journal.Merge return it; a missing site or a completion-order stream is
+// refused rather than ranked.
+func TestFromJournalRejectsIncompleteOrUnordered(t *testing.T) {
+	tgt := identityTarget(t)
+	if err := tgt.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	fp := journal.Fingerprint{Kernel: "idk", Seed: 1, Model: "dest-value", Sites: 3, ShardCount: 1}
+	recs := []journal.Record{{Index: 0, Weight: 1}, {Index: 1, Weight: 1}, {Index: 2, Weight: 1}}
+	if _, err := advisor.FromJournal(tgt, fp, recs); err != nil {
+		t.Fatalf("complete, ordered records: %v", err)
+	}
+	if _, err := advisor.FromJournal(tgt, fp, recs[:2]); err == nil ||
+		!strings.Contains(err.Error(), "incomplete") {
+		t.Fatalf("want incomplete-campaign error, got %v", err)
+	}
+	unordered := []journal.Record{recs[1], recs[0], recs[2]}
+	if _, err := advisor.FromJournal(tgt, fp, unordered); err == nil ||
+		!strings.Contains(err.Error(), "site-index order") {
+		t.Fatalf("want ordering error, got %v", err)
+	}
+}

@@ -9,9 +9,11 @@
 // FromFingerprint), the content-addressed identity (ID), a shard's
 // completion target (OwnedSites), the prepared injection target (Prepare)
 // and, on that, the site list (Prepared.Sites) and the engine run
-// (Prepared.Run). Defaults are not decided here: "omitted" is only
-// observable at an adapter (a flag default, a missing JSON field), so
-// adapters fill them in before Validate, which rejects and never rewrites.
+// (Prepared.Run). The values an omitted seed or size stands for decide the
+// fingerprint and the id, so they are spelled here once (DefaultSeed,
+// DefaultSites). Filling them in is the adapters' job: "omitted" is only
+// observable at an adapter (a flag default, a missing JSON field), and
+// Validate rejects and never rewrites.
 package campaign
 
 import (
@@ -24,6 +26,13 @@ import (
 	"repro/internal/journal"
 	"repro/internal/kernels"
 	"repro/internal/stats"
+)
+
+// The seed and campaign size an entry point uses when its caller names none:
+// fsprune's and fsadvise's flag defaults and fsserve's omitted JSON fields.
+const (
+	DefaultSeed  = 1
+	DefaultSites = 3000
 )
 
 // Spec describes one uniform random injection campaign. The JSON tags are

@@ -74,7 +74,3 @@ func RunExhaustive(cfg Config) error {
 	}
 	return nil
 }
-
-func init() {
-	register(Experiment{ID: "exhaustive", Title: "Extension: pruned and sampled campaigns vs true exhaustive ground truth", Run: RunExhaustive})
-}

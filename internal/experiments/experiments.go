@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"repro/internal/campaign"
 	"repro/internal/fault"
@@ -92,56 +91,41 @@ type Experiment struct {
 	Run func(cfg Config) error
 }
 
-var registry = map[string]Experiment{}
-
-func register(e Experiment) { registry[e.ID] = e }
-
-func init() {
-	register(Experiment{ID: "table1", Title: "Threads and exhaustive fault sites per kernel (Table I)", Run: RunTable1})
-	register(Experiment{ID: "table2", Title: "GEMM statistical sampling vs exhaustive (Table II)", Run: RunTable2})
-	register(Experiment{ID: "fig2", Title: "CTA grouping from fault-injection outcomes (Fig. 2)", Run: RunFig2})
-	register(Experiment{ID: "fig3", Title: "CTA grouping from thread iCnt distributions (Fig. 3)", Run: RunFig3})
-	register(Experiment{ID: "table3", Title: "2DCONV CTA and thread groups (Table III)", Run: RunTable3})
-	register(Experiment{ID: "table4", Title: "HotSpot CTA and thread groups (Table IV)", Run: RunTable4})
-	register(Experiment{ID: "fig4", Title: "Thread grouping inside one CTA (Fig. 4)", Run: RunFig4})
-	register(Experiment{ID: "fig5", Title: "PathFinder representative-thread code alignment (Fig. 5)", Run: RunFig5})
-	register(Experiment{ID: "table5", Title: "Instruction-wise pruning on two PathFinder threads (Table V)", Run: RunTable5})
-	register(Experiment{ID: "table6", Title: "Instruction-wise pruning summary (Table VI)", Run: RunTable6})
-	register(Experiment{ID: "table7", Title: "Loop statistics per kernel (Table VII)", Run: RunTable7})
-	register(Experiment{ID: "fig6", Title: "Outcome stability vs sampled loop iterations (Fig. 6)", Run: RunFig6})
-	register(Experiment{ID: "fig7", Title: "Outcomes by register type and bit section (Fig. 7)", Run: RunFig7})
-	register(Experiment{ID: "fig8", Title: "Outcomes vs number of sampled bit positions (Fig. 8)", Run: RunFig8})
-	register(Experiment{ID: "fig9", Title: "Pruned vs baseline resilience profiles, all kernels (Fig. 9)", Run: RunFig9})
-	register(Experiment{ID: "fig10", Title: "Fault-site reduction per pruning stage (Fig. 10)", Run: RunFig10})
+// registry is every experiment in presentation order: the paper's tables
+// and figures as the paper presents them, then the extensions.
+var registry = []Experiment{
+	{ID: "table1", Title: "Threads and exhaustive fault sites per kernel (Table I)", Run: RunTable1},
+	{ID: "table2", Title: "GEMM statistical sampling vs exhaustive (Table II)", Run: RunTable2},
+	{ID: "fig2", Title: "CTA grouping from fault-injection outcomes (Fig. 2)", Run: RunFig2},
+	{ID: "fig3", Title: "CTA grouping from thread iCnt distributions (Fig. 3)", Run: RunFig3},
+	{ID: "table3", Title: "2DCONV CTA and thread groups (Table III)", Run: RunTable3},
+	{ID: "table4", Title: "HotSpot CTA and thread groups (Table IV)", Run: RunTable4},
+	{ID: "fig4", Title: "Thread grouping inside one CTA (Fig. 4)", Run: RunFig4},
+	{ID: "fig5", Title: "PathFinder representative-thread code alignment (Fig. 5)", Run: RunFig5},
+	{ID: "table5", Title: "Instruction-wise pruning on two PathFinder threads (Table V)", Run: RunTable5},
+	{ID: "table6", Title: "Instruction-wise pruning summary (Table VI)", Run: RunTable6},
+	{ID: "fig6", Title: "Outcome stability vs sampled loop iterations (Fig. 6)", Run: RunFig6},
+	{ID: "fig7", Title: "Outcomes by register type and bit section (Fig. 7)", Run: RunFig7},
+	{ID: "fig8", Title: "Outcomes vs number of sampled bit positions (Fig. 8)", Run: RunFig8},
+	{ID: "table7", Title: "Loop statistics per kernel (Table VII)", Run: RunTable7},
+	{ID: "fig9", Title: "Pruned vs baseline resilience profiles, all kernels (Fig. 9)", Run: RunFig9},
+	{ID: "fig10", Title: "Fault-site reduction per pruning stage (Fig. 10)", Run: RunFig10},
+	{ID: "models", Title: "Extension: fault-model comparison (dest-value / dest-double / mem-addr)", Run: RunModels},
+	{ID: "ablation", Title: "Extension: stage-1 grouping classifier ablation", Run: RunAblation},
+	{ID: "exhaustive", Title: "Extension: pruned and sampled campaigns vs true exhaustive ground truth", Run: RunExhaustive},
+	{ID: "variance", Title: "Extension: pruned-estimate variance across sampling seeds", Run: RunVariance},
 }
 
-// All returns the experiments sorted by ID (tables first, then figures).
-func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return order(out[i].ID) < order(out[j].ID) })
-	return out
-}
-
-// order gives the paper's presentation order.
-func order(id string) int {
-	seq := []string{"table1", "table2", "fig2", "fig3", "table3", "table4",
-		"fig4", "fig5", "table5", "table6", "fig6", "fig7", "fig8",
-		"table7", "fig9", "fig10", "models", "ablation", "exhaustive", "variance"}
-	for i, s := range seq {
-		if s == id {
-			return i
-		}
-	}
-	return len(seq)
-}
+// All returns every experiment in presentation order.
+func All() []Experiment { return slices.Clone(registry) }
 
 // ByID finds an experiment.
 func ByID(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+	i := slices.IndexFunc(registry, func(e Experiment) bool { return e.ID == id })
+	if i < 0 {
+		return Experiment{}, false
+	}
+	return registry[i], true
 }
 
 // buildPrepared builds and prepares a kernel instance. Every experiment

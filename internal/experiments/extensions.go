@@ -118,8 +118,3 @@ func RunAblation(cfg Config) error {
 	}
 	return nil
 }
-
-func init() {
-	register(Experiment{ID: "models", Title: "Extension: fault-model comparison (dest-value / dest-double / mem-addr)", Run: RunModels})
-	register(Experiment{ID: "ablation", Title: "Extension: stage-1 grouping classifier ablation", Run: RunAblation})
-}

@@ -75,7 +75,3 @@ func moments(xs []float64) (mean, sd, spread float64) {
 	}
 	return mean, sd, hi - lo
 }
-
-func init() {
-	register(Experiment{ID: "variance", Title: "Extension: pruned-estimate variance across sampling seeds", Run: RunVariance})
-}

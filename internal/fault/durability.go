@@ -243,15 +243,13 @@ func journalRecord(i int, ws WeightedSite, o Outcome, cost runCost, attempts int
 }
 
 // replayJournal applies the records already on disk: their outcomes are
-// final, so the engine marks them done and skips them. Each record's site
-// key must match the campaign's site list — a mismatch means the journal
-// was produced for a different site derivation than the fingerprint
-// admitted, and resuming would be unsound.
+// final, so the engine marks them done and skips them. The decoder admitted
+// each index once, below the Sites validateJournal pinned to len(sites);
+// each record's site key must match the campaign's site list — a mismatch
+// means the journal was produced for a different site derivation than the
+// fingerprint admitted, and resuming would be unsound.
 func replayJournal(j *journal.Journal, sites []WeightedSite, outcomes []Outcome, done []bool) (replayed int64, quarantined []SiteFailure, err error) {
 	for _, r := range j.Replayed() {
-		if r.Index < 0 || r.Index >= len(sites) {
-			return 0, nil, fmt.Errorf("fault: journal %s: site index %d out of range [0,%d)", j.Path(), r.Index, len(sites))
-		}
 		ws := sites[r.Index]
 		if key := (Site{Thread: r.Thread, DynInst: r.DynInst, Bit: r.Bit}); key != ws.Site {
 			return 0, nil, fmt.Errorf("fault: journal %s: record %d holds site %v, campaign site %d is %v",
@@ -259,9 +257,6 @@ func replayJournal(j *journal.Journal, sites []WeightedSite, outcomes []Outcome,
 		}
 		if o := Outcome(r.Outcome); !o.Valid() {
 			return 0, nil, fmt.Errorf("fault: journal %s: record %d holds unknown outcome %d", j.Path(), r.Index, r.Outcome)
-		}
-		if done[r.Index] {
-			return 0, nil, fmt.Errorf("fault: journal %s: duplicate record for site index %d", j.Path(), r.Index)
 		}
 		outcomes[r.Index] = Outcome(r.Outcome)
 		done[r.Index] = true

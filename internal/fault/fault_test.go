@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +142,32 @@ func TestTargetPrepareAndGolden(t *testing.T) {
 	// Prepare is idempotent.
 	if err := tg.Prepare(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPrepareProgramLengthLimit: the golden run's trace addresses 32768
+// static instructions; a longer program fails Prepare with the limit named
+// instead of recording wrapped PCs.
+func TestPrepareProgramLengthLimit(t *testing.T) {
+	target := func(movs int) *fault.Target {
+		return &fault.Target{
+			Name:   "long",
+			Prog:   ptx.MustAssemble("long", strings.Repeat("mov.u32 $r1, 1\n", movs)+"exit\n"),
+			Grid:   gpusim.Dim3{X: 1, Y: 1, Z: 1},
+			Block:  gpusim.Dim3{X: 1, Y: 1, Z: 1},
+			Init:   gpusim.NewDevice(16),
+			Output: []fault.Range{{Off: 0, Len: 4}},
+		}
+	}
+	tg := target(0x8000 - 1)
+	if err := tg.Prepare(); err != nil {
+		t.Fatalf("32768-instruction program: %v", err)
+	}
+	if got := tg.Profile().Threads[0].ICnt; got != 0x8000 {
+		t.Fatalf("32768-instruction program retired %d instructions", got)
+	}
+	if err := target(0x8000).Prepare(); err == nil || !strings.Contains(err.Error(), "32768") {
+		t.Fatalf("32769-instruction program: err = %v, want the limit named", err)
 	}
 }
 

@@ -35,6 +35,9 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 	if launch.Prog == nil || len(launch.Prog.Instrs) == 0 {
 		return nil, errors.New("gpusim: empty program")
 	}
+	if n := len(launch.Prog.Instrs); n > maxInstrs {
+		return nil, fmt.Errorf("gpusim: program has %d instructions, more than the %d a trace entry can address", n, maxInstrs)
+	}
 	if launch.Grid.Count() <= 0 || launch.Block.Count() <= 0 {
 		return nil, fmt.Errorf("gpusim: bad geometry grid=%v block=%v", launch.Grid, launch.Block)
 	}
@@ -257,8 +260,8 @@ const (
 // ProfileTrace is the Tracer used for fault-free profiling runs: it records
 // the static PC sequence of every thread, with the high bit of each entry
 // marking instructions that wrote a live destination register (fault sites).
-// Programs are limited to 32767 static instructions, far beyond any kernel
-// in this repository.
+// The PC keeps the low 15 bits, so Execute rejects programs of more than
+// maxInstrs static instructions, far beyond any kernel in this repository.
 type ProfileTrace struct {
 	// PCs[t] is thread t's dynamic instruction sequence.
 	PCs [][]uint16
@@ -266,6 +269,10 @@ type ProfileTrace struct {
 
 // WroteBit flags a trace entry whose instruction wrote a destination register.
 const WroteBit = 0x8000
+
+// maxInstrs is the longest program a trace entry can address: PCs 0 through
+// WroteBit-1.
+const maxInstrs = WroteBit
 
 // NewProfileTrace allocates a trace for nThreads threads.
 func NewProfileTrace(nThreads int) *ProfileTrace {

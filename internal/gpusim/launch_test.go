@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ptx"
@@ -363,5 +364,32 @@ func TestAfterCTAFaultLive(t *testing.T) {
 				t.Fatalf("%s: faultLive at boundary %d = %v, want %v (%v)", tc.name, i, got[i], tc.want[i], got)
 			}
 		}
+	}
+}
+
+// TestProgramLengthLimit: a trace entry holds the PC in 15 bits beside
+// WroteBit, so a 32768-instruction program traces every PC exactly, and
+// Execute refuses one instruction more rather than let PC 32768 alias PC 0
+// with the write flag set.
+func TestProgramLengthLimit(t *testing.T) {
+	prog := ptx.MustAssemble("long", strings.Repeat("mov.u32 $r1, 1\n", maxInstrs-1)+"exit\n")
+	tr := NewProfileTrace(1)
+	res, err := Execute(NewDevice(16), &Launch{Prog: prog, Tracer: tr})
+	if err != nil {
+		t.Fatalf("%d-instruction program: %v", maxInstrs, err)
+	}
+	if res.Trap != nil || len(tr.PCs[0]) != maxInstrs {
+		t.Fatalf("%d-instruction program: trap %v, traced %d entries", maxInstrs, res.Trap, len(tr.PCs[0]))
+	}
+	for k, e := range tr.PCs[0] {
+		if PC(e) != k || Wrote(e) != (k < maxInstrs-1) {
+			t.Fatalf("trace entry %d = %#x: pc %d, wrote %v", k, e, PC(e), Wrote(e))
+		}
+	}
+
+	long := ptx.MustAssemble("too-long", strings.Repeat("mov.u32 $r1, 1\n", maxInstrs)+"exit\n")
+	_, err = Execute(NewDevice(16), &Launch{Prog: long, Tracer: NewProfileTrace(1)})
+	if err == nil || !strings.Contains(err.Error(), "32768") {
+		t.Fatalf("%d-instruction program: err = %v, want the limit named", maxInstrs+1, err)
 	}
 }

@@ -146,7 +146,8 @@ var (
 	// engine fingerprint (stale journal, or the wrong file).
 	ErrFingerprintMismatch = errors.New("journal: fingerprint mismatch")
 	// ErrCorrupt reports a journal whose prefix (not merely its tail) cannot
-	// be decoded.
+	// be decoded, or that holds a record no campaign writes: a site index
+	// out of range or repeated, or a negative site key.
 	ErrCorrupt = errors.New("journal: corrupt")
 	// ErrClosed reports an append to a closed journal.
 	ErrClosed = errors.New("journal: closed")
@@ -209,7 +210,10 @@ func scan(data []byte) (payloads [][]byte, goodEnd int) {
 }
 
 // decode parses a scanned journal image: fingerprint header frame followed
-// by record frames.
+// by record frames. It is the one gate every reader passes through: each
+// record's site index lies in [0, Sites) and appears once, and its site key
+// is non-negative. Repeats are found in memory proportional to the records
+// present, never to the header's claimed Sites.
 func decode(payloads [][]byte) (Fingerprint, []Record, error) {
 	var fp Fingerprint
 	if len(payloads) == 0 {
@@ -219,10 +223,22 @@ func decode(payloads [][]byte) (Fingerprint, []Record, error) {
 		return fp, nil, fmt.Errorf("%w: fingerprint header: %v", ErrCorrupt, err)
 	}
 	recs := make([]Record, 0, len(payloads)-1)
+	seen := make(map[int]struct{}, len(payloads)-1)
 	for _, p := range payloads[1:] {
 		var r Record
 		if err := json.Unmarshal(p, &r); err != nil {
 			return fp, nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, len(recs), err)
+		}
+		if r.Index < 0 || r.Index >= fp.Sites {
+			return fp, nil, fmt.Errorf("%w: record %d: site index %d out of range [0,%d)", ErrCorrupt, len(recs), r.Index, fp.Sites)
+		}
+		if _, dup := seen[r.Index]; dup {
+			return fp, nil, fmt.Errorf("%w: record %d: site %d recorded twice", ErrCorrupt, len(recs), r.Index)
+		}
+		seen[r.Index] = struct{}{}
+		if r.Thread < 0 || r.DynInst < 0 || r.Bit < 0 {
+			return fp, nil, fmt.Errorf("%w: record %d: site %d carries a negative key (%d,%d,%d)",
+				ErrCorrupt, len(recs), r.Index, r.Thread, r.DynInst, r.Bit)
 		}
 		recs = append(recs, r)
 	}
@@ -452,7 +468,8 @@ func (j *Journal) Close() error {
 }
 
 // ReadFile reads a journal without opening it for append, tolerating a torn
-// tail. Used by the merge tooling.
+// tail, and returns its records in site-index order: on-disk order is
+// completion order, which must not leak into any aggregation of them.
 func ReadFile(path string) (Fingerprint, []Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -463,6 +480,7 @@ func ReadFile(path string) (Fingerprint, []Record, error) {
 	if err != nil {
 		return fp, nil, fmt.Errorf("%s: %w", path, err)
 	}
+	sort.Slice(recs, func(a, b int) bool { return recs[a].Index < recs[b].Index })
 	return fp, recs, nil
 }
 
@@ -511,10 +529,6 @@ func Merge(paths []string, allowPartial bool) (Fingerprint, []Record, error) {
 		}
 		shardSeen[fp.ShardIndex] = path
 		for _, r := range recs {
-			if r.Index < 0 || r.Index >= fp.Sites {
-				return base, nil, fmt.Errorf("journal: %s: site index %d out of range [0,%d)",
-					path, r.Index, fp.Sites)
-			}
 			if prev, dup := owner[r.Index]; dup {
 				return base, nil, fmt.Errorf("journal: site %d recorded by both %s and %s",
 					r.Index, prev, path)
@@ -533,50 +547,8 @@ func Merge(paths []string, allowPartial bool) (Fingerprint, []Record, error) {
 				len(all), base.Sites)
 		}
 	}
-	// Input-order aggregation downstream depends on index order, so the
-	// merged stream is sorted — completion order within a shard is
-	// scheduling-dependent and must not leak into the profile.
+	// Input-order aggregation downstream depends on index order: each
+	// journal arrives sorted, but the shards' indices interleave.
 	sort.Slice(all, func(a, b int) bool { return all[a].Index < all[b].Index })
 	return base, all, nil
-}
-
-// Attributed prepares a journal's records for per-thread / per-instruction
-// analysis: it validates each record's site index and key fields against
-// the fingerprint, rejects duplicate indices, and returns the records
-// sorted by campaign index — a single journal's on-disk order is completion
-// order, which is scheduling-dependent and must not leak into downstream
-// aggregation. With requireComplete, every one of the fingerprint's sites
-// must be present (the advisor cannot rank from a partial campaign without
-// biasing toward whichever sites happened to finish first).
-//
-// The records' redundant Thread/DynInst/Bit fields are the attribution
-// payload: they let a reader reconstruct which thread and dynamic
-// instruction each outcome belongs to without re-deriving the site list
-// from the sampling seed.
-func Attributed(fp Fingerprint, recs []Record, requireComplete bool) ([]Record, error) {
-	if fp.Sites <= 0 {
-		return nil, fmt.Errorf("journal: fingerprint declares %d sites", fp.Sites)
-	}
-	out := make([]Record, len(recs))
-	copy(out, recs)
-	seen := make(map[int]struct{}, len(out))
-	for _, r := range out {
-		if r.Index < 0 || r.Index >= fp.Sites {
-			return nil, fmt.Errorf("journal: site index %d out of range [0,%d)", r.Index, fp.Sites)
-		}
-		if _, dup := seen[r.Index]; dup {
-			return nil, fmt.Errorf("journal: site %d recorded twice", r.Index)
-		}
-		seen[r.Index] = struct{}{}
-		if r.Thread < 0 || r.DynInst < 0 || r.Bit < 0 {
-			return nil, fmt.Errorf("journal: site %d carries a negative key (%d,%d,%d)",
-				r.Index, r.Thread, r.DynInst, r.Bit)
-		}
-	}
-	if requireComplete && len(out) != fp.Sites {
-		return nil, fmt.Errorf("journal: %d of %d sites recorded (campaign incomplete)",
-			len(out), fp.Sites)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
-	return out, nil
 }

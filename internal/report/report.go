@@ -214,7 +214,8 @@ type Merged struct {
 }
 
 // NewMerged aggregates journal records into the Merged document. The
-// records must be sorted by site index (journal.Merge's output order):
+// records must be sorted by site index (the order journal.ReadFile and
+// journal.Merge return):
 // aggregating in that order reproduces the engine's input-order float
 // summation, so the document is bit-identical to the live campaign's — and
 // deterministic, which is what lets fsmerge output and the campaign

@@ -174,7 +174,7 @@ func (s *Server) recover() ([]*campaign, error) {
 	for _, path := range paths {
 		fp, recs, err := journal.ReadFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("service: recover %s: %w", path, err)
+			return nil, fmt.Errorf("service: recover: %w", err)
 		}
 		sub, err := cspec.FromFingerprint(fp)
 		if err != nil {
@@ -193,7 +193,6 @@ func (s *Server) recover() ([]*campaign, error) {
 		}
 		c.completed.Store(int64(len(recs)))
 		if len(recs) >= sub.OwnedSites() {
-			sort.Slice(recs, func(i, k int) bool { return recs[i].Index < recs[k].Index })
 			c.state = StateDone
 			c.recs = recs
 		} else {

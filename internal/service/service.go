@@ -28,28 +28,22 @@ import (
 
 // Submission is one campaign request: a campaign.Spec in its JSON wire
 // form. A submission that names only a kernel is valid — Submit fills the
-// omitted fields with fsprune's flag defaults.
+// omitted fields with the campaign defaults fsprune's flags use too.
 type Submission = cspec.Spec
-
-// Submission defaults, mirroring fsprune's flag defaults.
-const (
-	DefaultSeed  = 1
-	DefaultSites = 3000
-)
 
 // withDefaults fills the fields a submission omitted. Over JSON, omitted
 // and zero are the same thing, so an explicit seed 0 cannot be submitted
-// (it means DefaultSeed); recovery does not pass through here, so a journal
-// fsprune wrote under -seed 0 still recovers as seed 0.
+// (it means campaign.DefaultSeed); recovery does not pass through here, so
+// a journal fsprune wrote under -seed 0 still recovers as seed 0.
 func withDefaults(sub Submission) Submission {
 	if sub.Scale == "" {
 		sub.Scale = kernels.ScaleSmall.String()
 	}
 	if sub.Seed == 0 {
-		sub.Seed = DefaultSeed
+		sub.Seed = cspec.DefaultSeed
 	}
 	if sub.Sites == 0 {
-		sub.Sites = DefaultSites
+		sub.Sites = cspec.DefaultSites
 	}
 	if sub.Model == "" {
 		sub.Model = fault.ModelDestValue.String()

@@ -13,13 +13,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/advisor"
+	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/journal"
 	"repro/internal/kernels"
@@ -52,7 +52,7 @@ func standalone(t *testing.T, dir string, sub service.Submission) (fault.Dist, [
 	}
 	seed := sub.Seed
 	if seed == 0 {
-		seed = service.DefaultSeed
+		seed = campaign.DefaultSeed
 	}
 	model := fault.ModelDestValue
 	if sub.Model != "" {
@@ -90,7 +90,6 @@ func standalone(t *testing.T, dir string, sub service.Submission) (fault.Dist, [
 	if gotFP != fp {
 		t.Fatalf("journal fingerprint mismatch: %s", fp.Diff(gotFP))
 	}
-	sort.Slice(recs, func(i, k int) bool { return recs[i].Index < recs[k].Index })
 	doc, err := report.NewMerged(fp, recs)
 	if err != nil {
 		t.Fatal(err)
@@ -425,10 +424,10 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Submission.Scale != "small" || st.Submission.Seed != service.DefaultSeed || st.Submission.Sites != service.DefaultSites {
+	if st.Submission.Scale != "small" || st.Submission.Seed != campaign.DefaultSeed || st.Submission.Sites != campaign.DefaultSites {
 		t.Errorf("submission not normalized: %+v", st.Submission)
 	}
-	if want := (service.DefaultSites - 1 + 2 - 1) / 2; st.OwnedSites != want {
+	if want := (campaign.DefaultSites - 1 + 2 - 1) / 2; st.OwnedSites != want {
 		t.Errorf("owned sites %d, want %d", st.OwnedSites, want)
 	}
 }
@@ -650,8 +649,75 @@ func TestRecoverSeedZeroJournal(t *testing.T) {
 	if deduped || id == sub.ID() {
 		t.Errorf("omitted seed deduplicated against the seed-0 campaign (id %s)", id)
 	}
-	if got := getStatus(t, ts, id).Submission.Seed; got != service.DefaultSeed {
-		t.Errorf("omitted seed ran as %d, want %d", got, service.DefaultSeed)
+	if got := getStatus(t, ts, id).Submission.Seed; got != campaign.DefaultSeed {
+		t.Errorf("omitted seed ran as %d, want %d", got, campaign.DefaultSeed)
+	}
+}
+
+// frame appends one journal frame (u32 length, u32 CRC32C, payload) to buf.
+func frame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(buf, payload...)
+}
+
+// TestRecoverRejectsRepeatedIndex: a complete 40-site journal whose record
+// of site 5 is a second copy of site 4's holds 40 records but not 40
+// sites. Recovery must refuse it as corrupt — not serve a report that
+// counts site 4 twice and misses site 5 — and the error names the file
+// once. fsprune's -journal resume (journal.Open) and fsmerge
+// (journal.Merge) refuse the same file the same way.
+func TestRecoverRejectsRepeatedIndex(t *testing.T) {
+	sub := service.Submission{Kernel: "GEMM K1", Scale: "small", Seed: 1, Model: "dest-value", Sites: 40, ShardCount: 1}
+	p, err := sub.Prepare(fault.NewPreparedCache(256 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, sub.ID()+".journal")
+	j, err := journal.Open(path, sub.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(fault.CampaignOptions{Journal: j}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fp, recs, err := journal.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs[5] = recs[4]
+	header, err := json.Marshal(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := frame(nil, header)
+	for _, r := range recs {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = frame(data, payload)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = service.New(service.Config{DataDir: dir, Cache: fault.NewPreparedCache(1)})
+	if !errors.Is(err, journal.ErrCorrupt) || !strings.Contains(err.Error(), "record 5: site 4 recorded twice") {
+		t.Fatalf("recovering a journal that repeats site 4: err = %v, want ErrCorrupt naming record 5", err)
+	}
+	if n := strings.Count(err.Error(), path); n != 1 {
+		t.Errorf("recovery error names the journal %d times, want once: %v", n, err)
+	}
+	if _, err := journal.Open(path, sub.Fingerprint()); !errors.Is(err, journal.ErrCorrupt) {
+		t.Errorf("resume (journal.Open): err = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := journal.Merge([]string{path}, false); !errors.Is(err, journal.ErrCorrupt) {
+		t.Errorf("fsmerge (journal.Merge): err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -672,12 +738,6 @@ func TestRecoverAdoptsRetiredAddress(t *testing.T) {
 	fp, recs, err := journal.ReadFile(filepath.Join(refDir, "reference.journal"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
-	frame := func(buf, payload []byte) []byte {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-		return append(buf, payload...)
 	}
 	// oldJournal frames the first half of the reference records under a
 	// header carrying keys between warp and sites, where the old struct had
