@@ -27,27 +27,27 @@ func writeJournal(t testing.TB, path string, fp Fingerprint, recs ...Record) {
 	}
 }
 
-// TestDecodeRejectsInvalidRecords: the decoder is the one gate for record
-// validity. Each invalid record fails both readers — Open's replay and
-// ReadFile (and through it Merge) — with ErrCorrupt naming the record.
-func TestDecodeRejectsInvalidRecords(t *testing.T) {
-	bad := func(mut func(*Record)) Record {
-		r := rec(2)
-		mut(&r)
-		return r
-	}
-	for _, tc := range []struct {
-		name string
-		bad  Record
-		want string
-	}{
-		{"index below zero", bad(func(r *Record) { r.Index = -1 }), "record 2: site index -1 out of range [0,8)"},
-		{"index at Sites", bad(func(r *Record) { r.Index = 8 }), "record 2: site index 8 out of range [0,8)"},
-		{"repeated index", rec(1), "record 2: site 1 recorded twice"},
-		{"negative thread", bad(func(r *Record) { r.Thread = -1 }), "record 2: site 2 carries a negative key"},
-		{"negative dyn", bad(func(r *Record) { r.DynInst = -1 }), "record 2: site 2 carries a negative key"},
-		{"negative bit", bad(func(r *Record) { r.Bit = -1 }), "record 2: site 2 carries a negative key"},
-	} {
+// decodeCase is one invalid record and the error text the decoder must
+// give for it.
+type decodeCase struct {
+	name string
+	bad  Record
+	want string
+}
+
+// badRec is rec(2) changed by mut.
+func badRec(mut func(*Record)) Record {
+	r := rec(2)
+	mut(&r)
+	return r
+}
+
+// checkDecodeRejects writes each case's invalid record as the third of four
+// and checks that both readers — Open's replay and ReadFile (and through it
+// Merge) — fail with ErrCorrupt naming the record. The decoder is the one
+// gate for record validity.
+func checkDecodeRejects(t *testing.T, cases []decodeCase) {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "c.journal")
 			writeJournal(t, path, testFP(), rec(0), rec(1), tc.bad, rec(3))
@@ -64,6 +64,26 @@ func TestDecodeRejectsInvalidRecords(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDecodeRejectsOutOfRange: a site index outside [0, Sites) or a
+// negative site key is corrupt.
+func TestDecodeRejectsOutOfRange(t *testing.T) {
+	checkDecodeRejects(t, []decodeCase{
+		{"index below zero", badRec(func(r *Record) { r.Index = -1 }), "record 2: site index -1 out of range [0,8)"},
+		{"index at Sites", badRec(func(r *Record) { r.Index = 8 }), "record 2: site index 8 out of range [0,8)"},
+		{"negative thread", badRec(func(r *Record) { r.Thread = -1 }), "record 2: site 2 carries a negative key"},
+		{"negative dyn", badRec(func(r *Record) { r.DynInst = -1 }), "record 2: site 2 carries a negative key"},
+		{"negative bit", badRec(func(r *Record) { r.Bit = -1 }), "record 2: site 2 carries a negative key"},
+	})
+}
+
+// TestDecodeRejectsDuplicates: a record repeating an earlier record's site
+// index is corrupt.
+func TestDecodeRejectsDuplicates(t *testing.T) {
+	checkDecodeRejects(t, []decodeCase{
+		{"repeated index", rec(1), "record 2: site 1 recorded twice"},
+	})
 }
 
 // TestReadFileIndexOrder: ReadFile returns records in site-index order,
