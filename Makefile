@@ -37,7 +37,7 @@ campaign-smoke:
 	$(GO) test -race -run 'TestCampaignInterruptResume|TestCampaignShardMerge' ./internal/fault
 
 # Persistent-fault smoke against the real fsprune CLI: snapshots carry the
-# full scheduler/synchronization ledger (DESIGN.md §3.11), so every
+# full scheduler/synchronization ledger (DESIGN.md §3.1), so every
 # persistent model — scheduler-corrupting ones included — must ride the
 # fast-forward engine. For each model the -stats line must show CTA
 # skipping.
@@ -88,8 +88,12 @@ gpurun-smoke:
 # every `go run ./cmd/...` invocation quoted in README/DESIGN/ARCHITECTURE/
 # EXPERIMENTS code fences names a real command and real flags, every cmd/*
 # binary and every flag it defines is documented in README, inline flag
-# references in EXPERIMENTS.md name flags some command defines, and every
-# Test…/Fuzz… name those files or benchmark/README.md cite is a real test.
+# references in EXPERIMENTS.md name flags some command defines, every
+# Test…/Fuzz… name those files or benchmark/README.md cite is a real test,
+# every entry of DESIGN.md's contract ledger names an existing oracle test
+# and make target, every §N.M reference in Go comments and those files
+# names a DESIGN.md heading, every pkg.Name they cite is declared by that
+# internal package, and every quoted `make <target>` is a target here.
 doccheck:
 	$(GO) run ./cmd/doccheck
 

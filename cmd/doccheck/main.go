@@ -1,4 +1,4 @@
-// Command doccheck keeps the documentation honest. It enforces five
+// Command doccheck keeps the documentation honest. It enforces nine
 // invariants that otherwise rot silently:
 //
 //  1. Every package under internal/ carries a package comment (godoc's
@@ -17,10 +17,21 @@
 //     ("`fsprune -dead`") names a flag some command actually defines, so
 //     the experiment commentary cannot reference a flag that was renamed
 //     or removed.
-//  5. Every Test…/Fuzz… identifier named in README.md, DESIGN.md,
-//     ARCHITECTURE.md, EXPERIMENTS.md or benchmark/README.md is a function
-//     some _test.go file defines, so a soundness paragraph cannot outlive
-//     the oracle it cites.
+//  5. Every Test…/Fuzz… identifier named in the documents (README.md,
+//     DESIGN.md, ARCHITECTURE.md, EXPERIMENTS.md, benchmark/README.md) is
+//     a function some _test.go file defines, so a soundness paragraph
+//     cannot outlive the oracle it cites.
+//  6. Every entry of DESIGN.md's contract ledger (a "### 3.N" heading
+//     under "## 3.") names at least one existing oracle test in its
+//     "**Oracles:**" paragraph and at least one existing Makefile target
+//     in its "**Make:**" paragraph, so no contract stands unpinned.
+//  7. Every section reference (§N or §N.M) in a Go comment under cmd/,
+//     internal/ or examples/, or in one of the documents, names an
+//     existing DESIGN.md heading.
+//  8. Every pkg.Name reference to an internal/ package in the documents
+//     names a top-level declaration of that package.
+//  9. Every `make <target>` in an inline code span or a fenced code block
+//     of the documents names a Makefile target.
 //
 // Run from the repository root (as `make doccheck` does); exits non-zero
 // with one line per violation.
@@ -38,20 +49,27 @@ import (
 	"strings"
 )
 
+// docs are the markdown files rules 5 and 7–9 read.
+var docs = []string{"README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "benchmark/README.md"}
+
 func main() {
 	var violations []string
 	violations = append(violations, checkPackageComments("internal")...)
 	violations = append(violations, checkDocCommands("README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md")...)
 	violations = append(violations, checkCmdCoverage("README.md")...)
 	violations = append(violations, checkInlineFlags("EXPERIMENTS.md")...)
-	violations = append(violations, checkDocTests("README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "benchmark/README.md")...)
+	violations = append(violations, checkDocTests(docs...)...)
+	violations = append(violations, checkLedger("DESIGN.md")...)
+	violations = append(violations, checkSectionRefs("DESIGN.md", []string{"cmd", "internal", "examples"}, docs...)...)
+	violations = append(violations, checkIdentifiers(docs...)...)
+	violations = append(violations, checkMakeTargets(docs...)...)
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "doccheck:", v)
 		}
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: package comments, CLI coverage, documented invocations and cited tests are clean")
+	fmt.Println("doccheck: package comments, CLI coverage, documented invocations, cited tests, the contract ledger, section references, identifiers and make targets are clean")
 }
 
 // checkPackageComments walks every Go package directory under root and
@@ -105,13 +123,13 @@ func checkDocCommands(files ...string) []string {
 	var violations []string
 	flagSets := map[string]map[string]bool{} // cmd name -> defined flags
 	for _, file := range files {
-		data, err := os.ReadFile(file)
+		lines, err := readLines(file)
 		if err != nil {
 			violations = append(violations, err.Error())
 			continue
 		}
 		inFence := false
-		for lineno, line := range strings.Split(string(data), "\n") {
+		for lineno, line := range lines {
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				inFence = !inFence
 				continue
@@ -240,7 +258,7 @@ var inlineFlagRE = regexp.MustCompile(`(^|\s)-([a-z][a-z0-9-]*)`)
 // fenced blocks) of a markdown file and requires every flag-shaped token to
 // name a flag that at least one cmd/* binary defines.
 func checkInlineFlags(file string) []string {
-	data, err := os.ReadFile(file)
+	lines, err := readLines(file)
 	if err != nil {
 		return []string{err.Error()}
 	}
@@ -264,7 +282,7 @@ func checkInlineFlags(file string) []string {
 		}
 	}
 	inFence := false
-	for lineno, line := range strings.Split(string(data), "\n") {
+	for lineno, line := range lines {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
 			inFence = !inFence
 			continue
@@ -291,6 +309,32 @@ var testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
 // files name to be a test or fuzz function of some _test.go file in the
 // repository.
 func checkDocTests(files ...string) []string {
+	defined, err := testNames()
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var violations []string
+	for _, file := range files {
+		lines, err := readLines(file)
+		if err != nil {
+			violations = append(violations, err.Error())
+			continue
+		}
+		for lineno, line := range lines {
+			for _, name := range docTestRE.FindAllString(line, -1) {
+				if !defined[name] {
+					violations = append(violations,
+						fmt.Sprintf("%s:%d: no _test.go file defines %s", file, lineno+1, name))
+				}
+			}
+		}
+	}
+	return violations
+}
+
+// testNames collects the Test…/Fuzz… functions every _test.go file under
+// the working directory defines, skipping hidden directories.
+func testNames() (map[string]bool, error) {
 	defined := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -308,26 +352,287 @@ func checkDocTests(files ...string) []string {
 		}
 		return err
 	})
+	return defined, err
+}
+
+var ledgerEntryRE = regexp.MustCompile(`^### (3\.\d+) `)
+var makeRefRE = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
+
+// checkLedger requires every entry of design's contract ledger — each
+// "### 3.N" heading under the "## 3." section — to name at least one
+// existing oracle test in its "**Oracles:**" paragraph and at least one
+// existing Makefile target, as "`make <target>`", in its "**Make:**"
+// paragraph.
+func checkLedger(design string) []string {
+	lines, err := readLines(design)
 	if err != nil {
 		return []string{err.Error()}
 	}
+	tests, err := testNames()
+	if err != nil {
+		return []string{err.Error()}
+	}
+	targets, err := makeTargets()
+	if err != nil {
+		return []string{err.Error()}
+	}
+	type entry struct {
+		section        string
+		line           int
+		oracles, makes int
+	}
+	var entries []*entry
+	var cur *entry
+	inLedger, field := false, ""
+	for lineno, line := range lines {
+		switch {
+		case strings.HasPrefix(line, "## "):
+			inLedger, cur = strings.HasPrefix(line, "## 3. "), nil
+			continue
+		case !inLedger:
+			continue
+		case strings.HasPrefix(line, "### "):
+			cur, field = nil, ""
+			if m := ledgerEntryRE.FindStringSubmatch(line); m != nil {
+				cur = &entry{section: m[1], line: lineno + 1}
+				entries = append(entries, cur)
+			}
+			continue
+		case cur == nil:
+			continue
+		case strings.TrimSpace(line) == "":
+			field = ""
+		case strings.HasPrefix(line, "**Oracles:**"):
+			field = "oracles"
+		case strings.HasPrefix(line, "**Make:**"):
+			field = "make"
+		}
+		switch field {
+		case "oracles":
+			for _, name := range docTestRE.FindAllString(line, -1) {
+				if tests[name] {
+					cur.oracles++
+				}
+			}
+		case "make":
+			for _, span := range inlineSpanRE.FindAllString(line, -1) {
+				for _, m := range makeRefRE.FindAllStringSubmatch(span, -1) {
+					if targets[m[1]] {
+						cur.makes++
+					}
+				}
+			}
+		}
+	}
+	if len(entries) == 0 {
+		return []string{fmt.Sprintf("%s: no contract ledger (no \"### 3.N\" entry under \"## 3.\")", design)}
+	}
 	var violations []string
+	for _, e := range entries {
+		if e.oracles == 0 {
+			violations = append(violations,
+				fmt.Sprintf("%s:%d: ledger entry §%s names no existing oracle test in an **Oracles:** paragraph", design, e.line, e.section))
+		}
+		if e.makes == 0 {
+			violations = append(violations,
+				fmt.Sprintf("%s:%d: ledger entry §%s names no existing make target in a **Make:** paragraph", design, e.line, e.section))
+		}
+	}
+	return violations
+}
+
+var sectionRefRE = regexp.MustCompile(`§(\d+(?:\.\d+)?)`)
+var headingRE = regexp.MustCompile(`^#{2,3} (\d+(?:\.\d+)?)\.? `)
+
+// checkSectionRefs requires every §N or §N.M in the Go comments under
+// goRoots and in the given markdown files to name a numbered "## N." or
+// "### N.M" heading of design.
+func checkSectionRefs(design string, goRoots []string, files ...string) []string {
+	lines, err := readLines(design)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	headings := map[string]bool{}
+	for _, line := range lines {
+		if m := headingRE.FindStringSubmatch(line); m != nil {
+			headings[m[1]] = true
+		}
+	}
+	var violations []string
+	check := func(where, text string) {
+		for _, m := range sectionRefRE.FindAllStringSubmatch(text, -1) {
+			if !headings[m[1]] {
+				violations = append(violations, fmt.Sprintf("%s: §%s names no %s heading", where, m[1], design))
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	for _, root := range goRoots {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+			if err != nil {
+				return err
+			}
+			for _, group := range f.Comments {
+				for _, c := range group.List {
+					check(fmt.Sprintf("%s:%d", path, fset.Position(c.Pos()).Line), c.Text)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			violations = append(violations, err.Error())
+		}
+	}
 	for _, file := range files {
-		data, err := os.ReadFile(file)
+		lines, err := readLines(file)
 		if err != nil {
 			violations = append(violations, err.Error())
 			continue
 		}
-		for lineno, line := range strings.Split(string(data), "\n") {
-			for _, name := range docTestRE.FindAllString(line, -1) {
-				if !defined[name] {
+		for lineno, line := range lines {
+			check(fmt.Sprintf("%s:%d", file, lineno+1), line)
+		}
+	}
+	return violations
+}
+
+// checkIdentifiers requires every exported pkg.Name reference in the given
+// markdown files, where pkg is the name of a package under internal/, to
+// name a top-level declaration of that package's non-test files. Only the
+// first name after the package is checked: in "journal.Journal.Append" it
+// is Journal. Test…/Fuzz… names ("fault.TestX") are rule 5's.
+func checkIdentifiers(files ...string) []string {
+	decls := map[string]map[string]bool{} // package name -> top-level names
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		return []string{err.Error()}
+	}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		pkgs, err := parser.ParseDir(fset, filepath.Join("internal", e.Name()),
+			func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+		if err != nil {
+			return []string{err.Error()}
+		}
+		for name, pkg := range pkgs {
+			names := map[string]bool{}
+			for _, f := range pkg.Files {
+				for _, d := range f.Decls {
+					switch d := d.(type) {
+					case *ast.FuncDecl:
+						if d.Recv == nil {
+							names[d.Name.Name] = true
+						}
+					case *ast.GenDecl:
+						for _, spec := range d.Specs {
+							switch spec := spec.(type) {
+							case *ast.TypeSpec:
+								names[spec.Name.Name] = true
+							case *ast.ValueSpec:
+								for _, id := range spec.Names {
+									names[id.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+			decls[name] = names
+		}
+	}
+	pkgNames := make([]string, 0, len(decls))
+	for name := range decls {
+		pkgNames = append(pkgNames, name)
+	}
+	sort.Strings(pkgNames)
+	refRE := regexp.MustCompile(`(?:^|[^\w/.])(` + strings.Join(pkgNames, "|") + `)\.([A-Z]\w*)`)
+	var violations []string
+	for _, file := range files {
+		lines, err := readLines(file)
+		if err != nil {
+			violations = append(violations, err.Error())
+			continue
+		}
+		for lineno, line := range lines {
+			for _, m := range refRE.FindAllStringSubmatch(line, -1) {
+				if !decls[m[1]][m[2]] && !docTestRE.MatchString(m[2]) {
 					violations = append(violations,
-						fmt.Sprintf("%s:%d: no _test.go file defines %s", file, lineno+1, name))
+						fmt.Sprintf("%s:%d: package %s declares no %s", file, lineno+1, m[1], m[2]))
 				}
 			}
 		}
 	}
 	return violations
+}
+
+// checkMakeTargets requires every `make <target>` quoted in an inline code
+// span or a fenced code block of the given markdown files to name a
+// Makefile target. Prose ("make sure") is not code and is not read.
+func checkMakeTargets(files ...string) []string {
+	targets, err := makeTargets()
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var violations []string
+	for _, file := range files {
+		lines, err := readLines(file)
+		if err != nil {
+			violations = append(violations, err.Error())
+			continue
+		}
+		inFence := false
+		for lineno, line := range lines {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				inFence = !inFence
+				continue
+			}
+			code := []string{line}
+			if !inFence {
+				code = inlineSpanRE.FindAllString(line, -1)
+			}
+			for _, c := range code {
+				for _, m := range makeRefRE.FindAllStringSubmatch(c, -1) {
+					if !targets[m[1]] {
+						violations = append(violations,
+							fmt.Sprintf("%s:%d: the Makefile has no target %s", file, lineno+1, m[1]))
+					}
+				}
+			}
+		}
+	}
+	return violations
+}
+
+var makeRuleRE = regexp.MustCompile(`(?m)^([A-Za-z][\w.-]*)\s*:([^=]|$)`)
+
+// makeTargets lists the rule targets of the Makefile in the working
+// directory.
+func makeTargets() (map[string]bool, error) {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		return nil, err
+	}
+	targets := map[string]bool{}
+	for _, m := range makeRuleRE.FindAllSubmatch(data, -1) {
+		targets[string(m[1])] = true
+	}
+	return targets, nil
+}
+
+// readLines returns a file's lines.
+func readLines(file string) ([]string, error) {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	return strings.Split(string(data), "\n"), nil
 }
 
 // cmdFlags parses cmd/<name>'s sources and collects the names of the flags

@@ -119,7 +119,7 @@ type workerDevice struct {
 // whether the rest of the run is decided. A fault bound to a thread of the
 // injected CTA has always retired at its boundary (the CTA only completes
 // once its threads exit), so the faultLive gate is a mechanical enforcement
-// of that invariant rather than a reachable branch today (DESIGN.md §3.11):
+// of that invariant rather than a reachable branch today (DESIGN.md §3.1):
 // memory can match golden at the boundary while a stuck lane or barrier
 // ghost still diverges a later CTA.
 func (w *workerDevice) ctaExit(idx int, faultLive bool) bool {
@@ -135,7 +135,7 @@ func (w *workerDevice) ctaExit(idx int, faultLive bool) bool {
 // threadExit is the AfterInjected hook of a site's run: when the injected
 // thread has exited, it lists the pages that may differ from the golden run
 // at that point and asks deadOutcome whether the rest of the run is
-// decided (DESIGN.md §3.2, thread-boundary exit).
+// decided (DESIGN.md §3.1, thread-boundary exit).
 func (w *workerDevice) threadExit() bool {
 	t := w.t
 	w.div = t.prep.ckpt.AppendTouched(w.dev, w.cta, w.div[:0])

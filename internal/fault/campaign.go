@@ -54,11 +54,11 @@ type CampaignStats struct {
 	// EarlyExits counts runs classified at the injected CTA's boundary,
 	// without executing the remaining CTAs: Masked because the run's global
 	// memory converged to golden state, or Masked or SDC because no later
-	// CTA loads the pages where it differs (DESIGN.md §3.2).
+	// CTA loads the pages where it differs (DESIGN.md §3.1).
 	EarlyExits int64
 	// IntraSkips counts runs resumed inside the injected CTA — from an
 	// intra-CTA (warp-granular) snapshot, or at the injected thread's start
-	// (DESIGN.md §3.2) — skipping the CTA's fault-free prefix in addition to
+	// (DESIGN.md §3.1) — skipping the CTA's fault-free prefix in addition to
 	// whole prefix CTAs.
 	IntraSkips int64
 	// ReplayInstrs and PostFaultInstrs count the dynamic instructions the

@@ -98,7 +98,7 @@ func exhaustiveSites(tg *fault.Target) []fault.WeightedSite {
 
 // deadExits runs tg's campaign over the sites whose full-run outcome (want)
 // is SDC and returns its early exits. A convergence exit is always Masked,
-// so each of these is a dead-divergence exit (DESIGN.md §3.2).
+// so each of these is a dead-divergence exit (DESIGN.md §3.1).
 func deadExits(t *testing.T, tg *fault.Target, sites []fault.WeightedSite, want []fault.Outcome, model fault.Model) int64 {
 	t.Helper()
 	var sdc []fault.WeightedSite

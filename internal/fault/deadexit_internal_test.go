@@ -65,7 +65,7 @@ func deadExitTarget(t *testing.T) *Target {
 	return tg
 }
 
-// TestDeadExitOracle pins the dead-divergence exit (DESIGN.md §3.2) on a
+// TestDeadExitOracle pins the dead-divergence exit (DESIGN.md §3.1) on a
 // kernel built for it: every dest-value and mem-addr site agrees with the
 // full run, and each case of the exit rule stops or runs on exactly when
 // the rule says.

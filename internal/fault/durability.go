@@ -13,7 +13,7 @@ import (
 // (panic recovery, wall-clock deadline, retry with exponential backoff,
 // quarantine into EngineError), deterministic shard partitioning, the
 // journal glue that makes campaigns resumable after a crash or kill -9, and
-// cooperative interruption. DESIGN.md §3.3 documents the semantics.
+// cooperative interruption. DESIGN.md §3.5 documents the semantics.
 
 // Failure-isolation settings of every production campaign.
 const (

@@ -313,8 +313,8 @@ func runJournaled(t *testing.T, tg *fault.Target, sites []fault.WeightedSite, mo
 }
 
 // TestCampaignInterruptResumeAcrossStrides is the checkpointed = full-run
-// contract (DESIGN §3.2, §3.5, §3.11) and the resumed = uninterrupted
-// contract tested as one: a campaign interrupted under one engine tuning and
+// contract (DESIGN.md §3.1) and the resumed = uninterrupted
+// contract (§3.5) tested as one: a campaign interrupted under one engine tuning and
 // resumed under another — the default or a dense first intra-CTA capture
 // stride, or FullRun — finishes with the outcomes, weights, attempt counts
 // and merged report of a run that was never interrupted and never retuned,

@@ -55,7 +55,7 @@ func ParseModel(s string) (Model, error) {
 // only the injected thread: once that thread has exited, the fault's only
 // traces are in global memory. Lane-correlated faults also flip registers
 // of threads that have not run yet; persistent faults are left to the CTA
-// boundary, where the fault-liveness gate of DESIGN.md §3.11 applies.
+// boundary, where the fault-liveness gate of DESIGN.md §3.1 applies.
 func threadLocal(m Model) bool {
 	switch m {
 	case ModelDestValue, ModelDestDouble, ModelDestByte, ModelMemAddr:

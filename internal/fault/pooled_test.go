@@ -191,7 +191,7 @@ func TestPooledMatchesFreshClone(t *testing.T) {
 
 // TestSiteLoopAllocBytes pins the allocation-free site loop: the launch
 // scratch, the launch and the injection ride the worker's pinned device
-// (DESIGN.md §3.1), so a site costs a few small headers — the durability
+// (DESIGN.md §3.3), so a site costs a few small headers — the durability
 // guard's deadline timer, a trap — where it used to rebuild a CTA's thread
 // and shared-memory state per launched CTA (~95 KiB a site on this kernel).
 // TotalAlloc is process-wide, so this test must not run beside others (no

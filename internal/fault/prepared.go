@@ -122,17 +122,20 @@ func (t *Target) takePrepStats() (hits, misses, shared int64, wall time.Duration
 	return
 }
 
-// CacheStats is a point-in-time summary of a PreparedCache.
+// CacheStats is a point-in-time summary of a PreparedCache. The JSON tags
+// are the keys of the "cache" object of fsserve's /stats document.
 type CacheStats struct {
 	// Hits counts Prepares served from a finished entry; Misses counts
 	// Prepares that performed the golden run; Shared counts Prepares that
 	// blocked on another caller's in-flight golden run.
-	Hits, Misses, Shared int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	Shared int64 `json:"shared"`
 	// Evictions counts entries dropped to respect the byte bound.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// Entries and Bytes describe current residency.
-	Entries int
-	Bytes   int64
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 }
 
 // String renders the stats in the -stats one-line style.

@@ -62,8 +62,8 @@ func stuckReference(t *testing.T, ref *fault.Target, sites []fault.WeightedSite,
 // intra-CTA resume, full run} × {serial, warp} — with every model, including
 // the scheduler-corrupting mask and barrier stuck-ats, riding the
 // fast-forward engine (the scheduler-complete snapshot argument, DESIGN.md
-// §3.11), which the stats must surface — down to SDC runs stopping at the
-// injected CTA's boundary once the fault has retired (§3.2's
+// §3.1), which the stats must surface — down to SDC runs stopping at the
+// injected CTA's boundary once the fault has retired (§3.1's
 // dead-divergence exit, which stuck-pred's corrupted out values reach). The
 // engine axis lives next to the oracle: internal/gpusim's
 // TestPlanMatchesReferenceChainhangExhaustive pins plan = reference
@@ -212,7 +212,7 @@ func TestStuckAtGaussianEquivalence(t *testing.T) {
 
 // TestStuckAtCampaignSmoke pins the fast-forward observability chain end to
 // end for every persistent model: every model rides the checkpointed engine
-// (DESIGN.md §3.11), so the campaign must demonstrably have skipped CTAs, and
+// (DESIGN.md §3.1), so the campaign must demonstrably have skipped CTAs, and
 // its journal must merge under the model's own name.
 func TestStuckAtCampaignSmoke(t *testing.T) {
 	run := func(model fault.Model, jpath string) *fault.CampaignResult {

@@ -44,7 +44,7 @@ type Target struct {
 	// FullRun disables the checkpointed fast-forward engine: every campaign
 	// experiment re-executes the whole grid from the pristine device. The
 	// fast-forward engine is bit-identical to this path by construction (see
-	// DESIGN.md §3.2); the option exists as the verification and
+	// DESIGN.md §3.1); the option exists as the verification and
 	// benchmarking reference.
 	FullRun bool
 	// intraStart is the first intra-CTA capture stride of the golden run's
@@ -278,8 +278,8 @@ type runCost struct {
 // boundary, or from the pristine image under FullRun — and builds the run's
 // launch in w, so a site allocates nothing of its own.
 //
-// Fast-forward soundness (details in DESIGN.md §3.2 and, for persistent
-// scheduler faults, §3.11): CTAs execute strictly sequentially and share
+// Fast-forward soundness (details in DESIGN.md §3.1, persistent
+// scheduler faults included): CTAs execute strictly sequentially and share
 // only global memory, and the simulator is deterministic, so the snapshot
 // at boundary c is the full run's state at the start of the injected CTA c.
 // Persistent faults stay covered because every snapshot is
@@ -404,7 +404,7 @@ func threadIndependent(prog *isa.Program) bool {
 // deadOutcome decides the outcome of a run paused right after thread after
 // retired (the last thread of a CTA at a CTA boundary, the injected thread
 // at its exit) whose global memory can differ from the golden run's at that
-// point only on the pages div (DESIGN.md §3.2, early exits); ok is false
+// point only on the pages div (DESIGN.md §3.1, early exits); ok is false
 // when the run must go on instead. If a later thread may load a word of a
 // div page whose value it would see differently (Checkpoints.ObservedAfter)
 // the divergence can propagate, so the run goes on. Otherwise every later

@@ -113,7 +113,7 @@ func threadExitTarget(t *testing.T, barrier bool, warp int) *Target {
 }
 
 // TestThreadExitOracle pins the thread-boundary exit and the word-granular
-// refusal rule (DESIGN.md §3.2) on a kernel built for them: every
+// refusal rule (DESIGN.md §3.1) on a kernel built for them: every
 // dest-value and mem-addr site agrees with the full run, and each case
 // stops at the injected thread's exit, at its CTA's boundary, or not at
 // all, exactly when the rules say. The cases of thread 5 lie in the last

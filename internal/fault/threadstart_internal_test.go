@@ -139,7 +139,7 @@ func threadStartTarget(t *testing.T, barrier bool, warp int) *Target {
 	return tg
 }
 
-// TestThreadStartResumeOracle pins the thread-start resume (DESIGN.md §3.2)
+// TestThreadStartResumeOracle pins the thread-start resume (DESIGN.md §3.1)
 // on a kernel built for it: every site of every model agrees with the full
 // run, and every run it resumes at the injected thread's start replays
 // nothing but that thread's own prefix.

@@ -123,7 +123,7 @@ func (c *Checkpoints) SummaryBytes() int64 {
 // AfterCTA hook's faultLive flag): memory can match golden at the boundary
 // while a stuck lane or barrier ghost still diverges a later CTA, so an
 // early exit is only sound once the fault has retired with its thread
-// (DESIGN.md §3.11).
+// (DESIGN.md §3.1).
 func (c *Checkpoints) AppendDivergent(dev *Device, boundary int, buf []int32) []int32 {
 	n := len(buf)
 	buf = c.AppendTouched(dev, boundary-1, buf)
@@ -170,7 +170,7 @@ func (c *Checkpoints) AppendTouched(dev *Device, cta int, buf []int32) []int32 {
 // ObservedAfter reports whether a thread after thread t may observe how
 // dev's page p differs from the golden run at the point where thread t
 // retired: the word-granular refusal rule of the thread and CTA-boundary
-// early exits (DESIGN.md §3.2). Its question is "does any later thread load a word whose value it
+// early exits (DESIGN.md §3.1). Its question is "does any later thread load a word whose value it
 // would see differently", answered from the golden run's summaries:
 //
 //   - a word loaded and stored after t (both[p] > t): golden's value of it
@@ -371,7 +371,7 @@ func noteWord(tables [][]int32, addr, thread int) {
 // sequentially, a CTA retires only when every thread has exited, and
 // threads of a fresh CTA start with an empty ledger (no parked flags, no
 // barrier arrivals, election order fixed by thread order) — so the device
-// clone IS the complete resume point (DESIGN.md §3.11).
+// clone IS the complete resume point (DESIGN.md §3.1).
 func (r *CheckpointRecorder) endCTA(cta int) {
 	b := cta + 1
 	r.ck.storedIn[cta] = r.dev.TakeDirtyPages(nil)

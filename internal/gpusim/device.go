@@ -117,7 +117,7 @@ type Launch struct {
 	// here — golden-state convergence, or divergence no later CTA can
 	// observe — and the faultLive flag lets them refuse to stop while a
 	// scheduler-corrupting fault could still diverge a later CTA (DESIGN.md
-	// §3.2, §3.11).
+	// §3.1).
 	AfterCTA func(cta int, faultLive bool) bool
 	// AfterInjected, when non-nil, is invoked once under serial scheduling
 	// (WarpSize 0), when the injected thread has exited without a trap and
@@ -125,7 +125,7 @@ type Launch struct {
 	// mid-CTA: no later thread runs, and the Result reflects progress so
 	// far. It is the thread-boundary twin of AfterCTA's early exits; only
 	// the caller knows whether the kernel lets the rest of the run be
-	// decided at that point (DESIGN.md §3.2). Lockstep warps never call it.
+	// decided at that point (DESIGN.md §3.1). Lockstep warps never call it.
 	AfterInjected func() bool
 	// Resume, when non-nil, starts the CTA at FirstCTA from this intra-CTA
 	// snapshot instead of from a fresh thread/shared-memory state. The

@@ -356,7 +356,7 @@ func diffReuse(c diffCase, reused *Device) string {
 }
 
 // FuzzPlanMatchesReference is the differential property behind the compiled
-// execution plan and its scheduler (DESIGN.md §3.8): for random programs
+// execution plan and its scheduler (DESIGN.md §3.2): for random programs
 // with barriers, under both scheduler widths, with and without an injected
 // fault of any kind, the compiled plan and the reference interpreter must
 // agree on every observable — final registers, predicates, offset
@@ -366,7 +366,7 @@ func diffReuse(c diffCase, reused *Device) string {
 // Each case then runs through Execute, as two CTAs, on one device that a
 // program writing every register and every earlier case of the input
 // already launched on: whatever the launch scratch keeps between launches
-// and between CTAs (DESIGN.md §3.1) must not show in the Result or in
+// and between CTAs (DESIGN.md §3.3) must not show in the Result or in
 // memory.
 func FuzzPlanMatchesReference(f *testing.F) {
 	addFuzzSeeds(f)

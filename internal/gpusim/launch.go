@@ -22,7 +22,7 @@ import (
 //
 // The returned Result is valid until the next Execute on the same Device: a
 // launch runs in the device's launch scratch and overwrites the previous
-// launch's Result in place (DESIGN.md §3.1).
+// launch's Result in place (DESIGN.md §3.3).
 func Execute(dev *Device, launch *Launch) (*Result, error) {
 	return execute(dev, launch, (*exec).runCTA)
 }
@@ -78,7 +78,7 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 	// armed. Injections in a skipped CTA — or past a mid-CTA snapshot's
 	// already-retired instructions — would silently never fire (or fire
 	// late), so they are rejected here rather than producing a plausible but
-	// wrong outcome (DESIGN.md §3.11).
+	// wrong outcome (DESIGN.md §3.1).
 	if inj := launch.Inject; inj != nil && launch.FirstCTA > 0 {
 		injCTA := inj.Thread / launch.Block.Count()
 		if injCTA < launch.FirstCTA {
@@ -95,7 +95,7 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 		}
 	}
 
-	// Everything below runs in the device's launch scratch (DESIGN.md §3.1):
+	// Everything below runs in the device's launch scratch (DESIGN.md §3.3):
 	// the Result, the exec and one CTA's thread and shared-memory state are
 	// reset here and per CTA, never reallocated while the geometry holds.
 	threadsPerCTA := launch.Block.Count()
@@ -136,7 +136,7 @@ func execute(dev *Device, launch *Launch, runCTA func(*exec, *ctaState) *Trap) (
 	// boundary snapshot's page images. It is recorded by value when the CTA
 	// retires, because the next CTA reuses the thread's slot. Boundary exits
 	// use it to refuse to stop while a scheduler-corrupting fault could still
-	// diverge a later CTA (DESIGN.md §3.11).
+	// diverge a later CTA (DESIGN.md §3.1).
 	faultLive := e.persist != nil
 
 	// CTAs run in ctaid.z-major, x-minor launch order; ctaIndex is the

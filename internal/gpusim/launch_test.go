@@ -315,7 +315,7 @@ func TestFallOffEndRetires(t *testing.T) {
 }
 
 // TestAfterCTAFaultLive pins the fault-liveness contract of the AfterCTA
-// hook (DESIGN.md §3.11): a persistent injection is reported live at every
+// hook (DESIGN.md §3.1): a persistent injection is reported live at every
 // boundary before its thread's CTA completes and retired from that boundary
 // on; transient and absent injections are never live (their effects at a
 // boundary are plain memory state, fully covered by the snapshot image).

@@ -12,7 +12,7 @@ import "repro/internal/isa"
 // reference interpreter shares every function in this file with the
 // engine, so the plan-vs-reference differentials cannot see a bug here; the
 // persistent-fault semantics themselves are pinned by TestInjectionKinds and
-// the fault-level stuck-at differentials (DESIGN.md §3.9).
+// the fault-level stuck-at differentials (DESIGN.md §3.1).
 
 // persistState is the live state of an armed persistent fault, decoded once
 // from the Injection at launch.

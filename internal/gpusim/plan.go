@@ -16,7 +16,7 @@ package gpusim
 // stepCompiled preserves every observable of the reference step — dynCount
 // accounting, watchdog traps, injection arm/disarm points, tracer
 // callbacks, predicate flags, and barrier park/release behavior.
-// Equivalence argument: DESIGN.md §3.8; enforcement: the
+// Equivalence argument: DESIGN.md §3.2; enforcement: the
 // FuzzPlanMatchesReference / FuzzExecuteNeverPanics targets and
 // TestPlanMatchesReferenceChainhangExhaustive (fuzz_test.go).
 

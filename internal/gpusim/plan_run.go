@@ -26,7 +26,7 @@ package gpusim
 // unobserved loops, which would pay a test per instruction on every
 // injection run. All tiers run under the one scheduler, runCTA, and are
 // pinned against the test-side reference interpreter (reference_test.go) —
-// see DESIGN.md §3.8.
+// see DESIGN.md §3.2.
 
 // stepCompiled executes one dynamic instruction via the plan, returning a
 // trap on abnormal termination. A thread that parked at a barrier is left

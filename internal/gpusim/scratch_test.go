@@ -141,7 +141,7 @@ type leakGeom struct {
 // at a barrier — must be indistinguishable from the same launch on a fresh
 // clone: every Result field, every AfterCTA call and the whole memory
 // image. The launch scratch rides the device
-// (DESIGN.md §3.1), so this is the test that nothing rides along with it.
+// (DESIGN.md §3.3), so this is the test that nothing rides along with it.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	prog := ptx.MustAssemble("leak", leakSrc)
 	init := NewDevice(2 * PageSize)

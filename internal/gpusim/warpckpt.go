@@ -56,7 +56,7 @@ const defaultIntraStartStride = 4096
 //
 // "Complete" includes the scheduler and synchronization ledger, which is
 // what makes resuming sound under scheduler-corrupting persistent faults
-// (DESIGN.md §3.11). The layout is compact and sized by the program, not
+// (DESIGN.md §3.1). The layout is compact and sized by the program, not
 // the ISA: of the live threads only — those that have started and not
 // exited — it keeps the execution state (threadExec: PC, predicate and
 // offset registers, parked flag (waiting), barrier-arrival id (barID)) and

@@ -41,7 +41,7 @@ func TestKernelCorrectnessSmall(t *testing.T) {
 // TestFastForwardMatchesFullRunEveryKernel is the registry-wide differential
 // of the checkpointed engine — prefix skip, intra-CTA and thread-start
 // resumes, and the early exits at the injected thread's exit and at its
-// CTA's boundary (convergence and dead divergence, DESIGN.md §3.2): on every
+// CTA's boundary (convergence and dead divergence, DESIGN.md §3.1): on every
 // kernel at small scale, under both schedulers and seven fault models, and
 // on a paper-scale K-Means K2 slice, a campaign's per-site outcomes must
 // equal the FullRun reference's. The exits must actually fire somewhere,

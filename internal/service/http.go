@@ -121,16 +121,6 @@ func (s *Server) Advice(id string, opt advisor.Options) (*report.Advice, error) 
 	return adv, nil
 }
 
-// CacheStats is fault.CacheStats with JSON tags for the /stats document.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Shared    int64 `json:"shared"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-}
-
 // CampaignStats is the per-campaign entry of the /stats document.
 type CampaignStats struct {
 	ID         string          `json:"id"`
@@ -152,10 +142,10 @@ type Stats struct {
 	// EngineRuns counts campaigns actually handed to the engine. Duplicate
 	// concurrent submissions show up as DedupHits without EngineRuns
 	// moving — the observable form of the dedup guarantee.
-	DedupHits  int64           `json:"dedup_hits"`
-	EngineRuns int64           `json:"engine_runs"`
-	Cache      CacheStats      `json:"cache"`
-	Campaigns  []CampaignStats `json:"campaigns"`
+	DedupHits  int64            `json:"dedup_hits"`
+	EngineRuns int64            `json:"engine_runs"`
+	Cache      fault.CacheStats `json:"cache"`
+	Campaigns  []CampaignStats  `json:"campaigns"`
 }
 
 // Stats snapshots the worker pool, the prepared-target cache, and every
@@ -170,7 +160,7 @@ func (s *Server) Stats() Stats {
 		Submitted:  s.submitted,
 		DedupHits:  s.dedupHits,
 		EngineRuns: s.engineRuns,
-		Cache:      CacheStats(s.cfg.Cache.Stats()),
+		Cache:      s.cfg.Cache.Stats(),
 	}
 	campaigns := make([]*campaign, 0, len(s.campaigns))
 	for _, c := range s.campaigns {
@@ -354,8 +344,3 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
-
-// Interface assertion: the cache stats mirror must stay field-compatible
-// with the engine's type, so the conversion above fails to compile on
-// drift rather than silently dropping counters.
-var _ = CacheStats(fault.CacheStats{})

@@ -192,6 +192,48 @@ func getStats(t *testing.T, ts *httptest.Server) service.Stats {
 	return st
 }
 
+// TestStatsKeys pins the wire names of the /stats document, the "cache"
+// object's included. Decoding into service.Stats would follow a renamed
+// tag silently, so the body is decoded into maps and the key sets compared.
+func TestStatsKeys(t *testing.T) {
+	srv, err := service.New(service.Config{DataDir: t.TempDir(), Cache: fault.NewPreparedCache(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var cache map[string]json.RawMessage
+	if err := json.Unmarshal(doc["cache"], &cache); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		doc  map[string]json.RawMessage
+		want []string
+	}{
+		{"/stats", doc, []string{"workers", "queue_depth", "queued", "running", "submitted", "dedup_hits", "engine_runs", "cache", "campaigns"}},
+		{"/stats cache", cache, []string{"hits", "misses", "shared", "evictions", "entries", "bytes"}},
+	} {
+		if len(c.doc) != len(c.want) {
+			t.Errorf("%s has %d keys, want %d: %v", c.name, len(c.doc), len(c.want), c.want)
+		}
+		for _, k := range c.want {
+			if _, ok := c.doc[k]; !ok {
+				t.Errorf("%s lacks key %q", c.name, k)
+			}
+		}
+	}
+}
+
 // TestConcurrentCampaignsMatchStandalone drives the service's headline
 // guarantee end to end over HTTP: two distinct campaigns plus a duplicate
 // of the first, submitted concurrently, produce final reports
@@ -436,7 +478,7 @@ func TestSubmitValidation(t *testing.T) {
 // service: the model is part of the campaign identity (no dedup against the
 // dest-value twin), the final report is byte-identical to the standalone
 // engine reference with zero full-run fallbacks (scheduler-corrupting
-// models ride the fast-forward engine since DESIGN.md §3.11, so the
+// models ride the fast-forward engine since DESIGN.md §3.1, so the
 // omitempty field stays out of the JSON), and a restarted daemon recovers
 // the journal back into a submission under the same model.
 func TestStuckModelCampaign(t *testing.T) {
