@@ -23,13 +23,16 @@ race:
 # Ten seconds of native fuzzing per target (go test runs one -fuzz target at
 # a time): the compiled plan and its scheduler against the test-side
 # reference interpreter, on random programs with barriers, under both
-# scheduler widths and every injection kind; and the journal readers on
-# arbitrary bytes. A plain `go test` only replays the seeds and the
-# checked-in corpus (internal/gpusim/testdata/fuzz).
+# scheduler widths and every injection kind; the journal readers on
+# arbitrary bytes; and the assembler on arbitrary source (never a panic,
+# and what it accepts round-trips through its disassembly). A plain
+# `go test` only replays the seeds and the checked-in corpus
+# (internal/gpusim/testdata/fuzz).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s ./internal/gpusim
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteNeverPanics$$' -fuzztime 10s ./internal/gpusim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFile$$' -fuzztime 10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/ptx
 
 # The durability differentials under the race detector: interrupt-and-resume
 # bit-identity and shard-merge equality.
@@ -75,13 +78,18 @@ advise-smoke:
 	rm -rf $$t
 
 # gpurun's thread trace: a valid -trace prints its first -n entries; a
-# thread id past the grid is a usage error (exit 2), not a panic.
+# thread id past the grid is a usage error (exit 2), not a panic. -inject
+# runs on the target -warp prepares: one stuck-active-mask site of HotSpot
+# K1 is an SDC under thread-serial scheduling and masked under 32-wide
+# lockstep, as fsprune -warp 32 classifies it.
 gpurun-smoke:
 	t=$$(mktemp -d) && \
 	$(GO) build -o $$t ./cmd/gpurun && \
 	$$t/gpurun -kernel "GEMM K1" -trace 0 -n 3 | grep -q "first 3 of" && \
 	{ $$t/gpurun -kernel "GEMM K1" -trace 99999 > /dev/null 2> $$t/neg.err; [ $$? -eq 2 ]; } && \
 	! grep -q "panic:" $$t/neg.err && \
+	$$t/gpurun -kernel "HotSpot K1" -inject 76:54:1 -model stuck-active-mask | grep -q -- "-> sdc$$" && \
+	$$t/gpurun -kernel "HotSpot K1" -warp 32 -inject 76:54:1 -model stuck-active-mask | grep -q -- "-> masked$$" && \
 	rm -rf $$t
 
 # Documentation gate: every internal package carries a package comment,

@@ -8,6 +8,7 @@
 //	gpurun -kernel "2DCONV K1" -trace 12 -n 30
 //	gpurun -kernel "MVT K1" -inject "0:100:5"
 //	gpurun -kernel "MVT K1" -inject "0:100:1" -model stuck-pred
+//	gpurun -kernel "HotSpot K1" -warp 32 -inject "76:54:1" -model stuck-active-mask
 package main
 
 import (
@@ -30,13 +31,16 @@ func main() {
 	traceLen := flag.Int("n", 50, "trace length cap")
 	inject := flag.String("inject", "", "inject one fault, format thread:dyninst:bit")
 	modelName := flag.String("model", "dest-value", "fault model for -inject: "+fault.ModelNames())
-	warp := flag.Int("warp", 0, "SIMT lockstep warp width (0 = thread-serial scheduling)")
+	warp := flag.Int("warp", 0, "SIMT lockstep warp width of the target -inject runs on (0 = thread-serial scheduling)")
 	showStats := flag.Bool("stats", false, "report prepared-target cache stats after the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file (written on normal exit)")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on normal exit")
 	flag.Parse()
 	if *traceLen < 0 {
 		usageError("-n must be non-negative, got %d", *traceLen)
+	}
+	if *warp < 0 {
+		usageError("-warp must be non-negative (0 = thread-serial scheduling), got %d", *warp)
 	}
 
 	if *cpuProfile != "" {
@@ -55,11 +59,13 @@ func main() {
 		}()
 	}
 
-	inst, err := campaign.Spec{
+	spec := campaign.Spec{
 		Kernel: *kernel,
 		Scale:  *scale,
 		Model:  *modelName,
-	}.Prepare(fault.DefaultPreparedCache())
+		Warp:   *warp,
+	}
+	inst, err := spec.Prepare(fault.DefaultPreparedCache())
 	if err != nil {
 		usageError("%v", err)
 	}
@@ -79,21 +85,13 @@ func main() {
 		inst.Target.Threads(), prof.TotalDyn())
 
 	if *warp > 0 {
-		// Re-execute under SIMT lockstep scheduling and verify equivalence.
-		dev := inst.Target.Init.Clone()
-		res, err := gpusim.Execute(dev, &gpusim.Launch{
-			Prog:     inst.Target.Prog,
-			Grid:     inst.Target.Grid,
-			Block:    inst.Target.Block,
-			Params:   inst.Target.Params,
-			WarpSize: *warp,
-		})
+		// The target runs under SIMT lockstep scheduling; check it retires
+		// the thread-serial run's instruction count.
+		spec.Warp = 0
+		serial, err := spec.Prepare(fault.DefaultPreparedCache())
 		fatal(err)
-		if res.Trap != nil {
-			fatal(res.Trap)
-		}
 		fmt.Printf("warp=%d lockstep run: %d dynamic instructions (scheduling-equivalent: %v)\n",
-			*warp, res.TotalDyn, res.TotalDyn == prof.TotalDyn())
+			*warp, prof.TotalDyn(), prof.TotalDyn() == serial.Target.Profile().TotalDyn())
 	}
 
 	var minI, maxI int64

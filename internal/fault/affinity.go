@@ -72,18 +72,6 @@ func (q *chunkCursor) next() (c chunk, ok bool) {
 	return q.chunks[i], true
 }
 
-// deviceStats accumulates what a campaign's worker devices cost.
-type deviceStats struct {
-	created, pages, srcSw atomic.Int64
-}
-
-// harvest folds a device's page-copy and source-switch counters into the
-// campaign's.
-func (s *deviceStats) harvest(d *gpusim.Device) {
-	s.pages.Add(d.TakePagesCopied())
-	s.srcSw.Add(d.TakeSrcSwitches())
-}
-
 // workerDevice is what a campaign worker runs its sites on: a copy-on-write
 // device, the site's launch and injection, the thread-start snapshot a run
 // may resume from, and the state of injectOn's early-exit hooks with the
@@ -157,18 +145,22 @@ func (w *workerDevice) threadExit() bool {
 type workerRunner struct {
 	t     *Target
 	model Model
-	stats *deviceStats
 	mu    sync.Mutex
 	dev   *workerDevice
+	// devs counts what this runner's devices cost: DevicesCreated,
+	// PagesCopied and AffinityResets.
+	devs CampaignStats
 }
 
 func (r *workerRunner) take() *workerDevice {
 	r.mu.Lock()
 	w := r.dev
 	r.dev = nil
+	if w == nil {
+		r.devs.DevicesCreated++
+	}
 	r.mu.Unlock()
 	if w == nil {
-		r.stats.created.Add(1)
 		w = &workerDevice{dev: r.t.Init.Clone()}
 	}
 	return w
@@ -176,13 +168,19 @@ func (r *workerRunner) take() *workerDevice {
 
 func (r *workerRunner) give(w *workerDevice) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.dev == nil {
 		r.dev = w
-		r.mu.Unlock()
 		return
 	}
-	r.mu.Unlock()
-	r.stats.harvest(w.dev)
+	r.harvest(w.dev)
+}
+
+// harvest folds a dropped device's page-copy and source-switch counters
+// into the runner's; r.mu must be held.
+func (r *workerRunner) harvest(d *gpusim.Device) {
+	r.devs.PagesCopied += d.TakePagesCopied()
+	r.devs.AffinityResets += d.TakeSrcSwitches()
 }
 
 // run executes one site on the pinned device; it is the runSite hook the
@@ -194,13 +192,14 @@ func (r *workerRunner) run(s Site) (Outcome, runCost, error) {
 	return o, cost, err
 }
 
-// close harvests the pinned device's counters (if any) into campaign stats.
-func (r *workerRunner) close() {
+// close harvests the pinned device (if any) and returns what the runner's
+// devices cost.
+func (r *workerRunner) close() CampaignStats {
 	r.mu.Lock()
-	w := r.dev
-	r.dev = nil
-	r.mu.Unlock()
-	if w != nil {
-		r.stats.harvest(w.dev)
+	defer r.mu.Unlock()
+	if r.dev != nil {
+		r.harvest(r.dev.dev)
+		r.dev = nil
 	}
+	return r.devs
 }

@@ -90,15 +90,14 @@ func TestChunkQueuesCoverage(t *testing.T) {
 // sharing it; whichever attempt gives first re-pins, and the other device is
 // harvested and dropped.
 func TestWorkerRunnerDetachesStrayDevice(t *testing.T) {
-	var stats deviceStats
-	r := &workerRunner{t: &Target{Init: gpusim.NewDevice(2 * gpusim.PageSize)}, stats: &stats}
+	r := &workerRunner{t: &Target{Init: gpusim.NewDevice(2 * gpusim.PageSize)}}
 
 	stray := r.take() // the attempt the guard abandons at its deadline
 	retry := r.take()
 	if retry == stray {
 		t.Fatal("retry shares the device an abandoned attempt still holds")
 	}
-	if n := stats.created.Load(); n != 2 {
+	if n := r.devs.DevicesCreated; n != 2 {
 		t.Fatalf("devices created = %d, want 2", n)
 	}
 	r.give(retry)
@@ -112,11 +111,10 @@ func TestWorkerRunnerDetachesStrayDevice(t *testing.T) {
 	if r.dev != retry {
 		t.Fatal("a late stray device displaced the pinned one")
 	}
-	if n := stats.pages.Load(); n != 1 {
+	if n := r.devs.PagesCopied; n != 1 {
 		t.Fatalf("pages harvested from the stray device = %d, want 1", n)
 	}
-	r.close()
-	if r.dev != nil || stats.created.Load() != 2 {
-		t.Fatalf("after close: pinned %v, created %d", r.dev, stats.created.Load())
+	if got := r.close(); r.dev != nil || got.DevicesCreated != 2 || got.PagesCopied != 1 {
+		t.Fatalf("after close: pinned %v, counts %+v", r.dev, got)
 	}
 }

@@ -37,8 +37,6 @@ type CampaignStats struct {
 	Runs int64
 	// Wall is the elapsed wall-clock time of the campaign.
 	Wall time.Duration
-	// RunsPerSec is Runs divided by Wall (outcomes per second).
-	RunsPerSec float64
 	// PagesCopied counts global-memory page copies performed by the
 	// copy-on-write device layer (first-store privatizations plus
 	// pristine-reset restores) across all worker devices.
@@ -107,10 +105,40 @@ type CampaignStats struct {
 	AffinityResets int64
 }
 
+// RunsPerSec is Runs divided by Wall (outcomes per second); 0 without a
+// wall time.
+func (s CampaignStats) RunsPerSec() float64 {
+	if s.Wall <= 0 {
+		return 0
+	}
+	return float64(s.Runs) / s.Wall.Seconds()
+}
+
+// AddRecord counts one completed site from its journal record: attempts as
+// runs, the attempts beyond the first as retries, an engine error as a
+// quarantine, and its fast-forward savings. The live engine and
+// report.NewMerged both count sites through it, so their stats agree.
+func (s *CampaignStats) AddRecord(r journal.Record) {
+	s.Runs += int64(r.Attempts)
+	if r.Attempts > 1 {
+		s.Retries += int64(r.Attempts - 1)
+	}
+	if r.Err != "" {
+		s.Quarantined++
+	}
+	s.CTAsSkipped += r.CTAsSkipped
+	if r.EarlyExit {
+		s.EarlyExits++
+	}
+	if r.IntraResumed {
+		s.IntraSkips++
+	}
+}
+
 // Merge accumulates another campaign's stats: counters add, wall times add
-// (campaigns in one pipeline run back to back), the per-target checkpoint
-// figures take the max (repeated campaigns on one target share one store),
-// and the rate is recomputed.
+// (campaigns in one pipeline run back to back), and the per-target
+// checkpoint figures take the max (repeated campaigns on one target share
+// one store).
 func (s *CampaignStats) Merge(o CampaignStats) {
 	s.Runs += o.Runs
 	s.Wall += o.Wall
@@ -138,16 +166,12 @@ func (s *CampaignStats) Merge(o CampaignStats) {
 	if o.IntraCheckpointBytes > s.IntraCheckpointBytes {
 		s.IntraCheckpointBytes = o.IntraCheckpointBytes
 	}
-	s.RunsPerSec = 0
-	if s.Wall > 0 {
-		s.RunsPerSec = float64(s.Runs) / s.Wall.Seconds()
-	}
 }
 
 // String renders the stats for CLI -stats output.
 func (s CampaignStats) String() string {
 	out := fmt.Sprintf("%d runs in %v (%.0f/s), %d pages copied, %d devices, %d CTAs skipped, %d early exits, %d checkpoints (%d KiB)",
-		s.Runs, s.Wall.Round(time.Millisecond), s.RunsPerSec, s.PagesCopied,
+		s.Runs, s.Wall.Round(time.Millisecond), s.RunsPerSec(), s.PagesCopied,
 		s.DevicesCreated, s.CTAsSkipped, s.EarlyExits, s.Checkpoints, s.CheckpointBytes/1024)
 	if s.IntraSkips > 0 || s.IntraCheckpointBytes > 0 {
 		out += fmt.Sprintf(", %d intra-CTA skips (%d KiB warp snapshots)",
@@ -302,20 +326,21 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 	// Freeze the pristine image now: workers clone it concurrently (see
 	// workerRunner.take), and freezing is only write-free once already frozen.
 	t.Init.Clone() // freeze eagerly; the throwaway clone is trivially small
-	var devs deviceStats
 	eng := campaignEngine{
-		newRunner: func() (func(Site) (Outcome, runCost, error), func()) {
-			r := &workerRunner{t: t, model: model, stats: &devs}
+		newRunner: func() (func(Site) (Outcome, runCost, error), func() CampaignStats) {
+			r := &workerRunner{t: t, model: model}
 			return r.run, r.close
 		},
 	}
 	ck, wck := t.Checkpoints(), t.WarpCheckpoints()
 	if ck != nil {
 		tpc := t.Block.Count()
-		// The affinity key is the CTA, whose boundary snapshot a site resumes
-		// from, refined by the intra-CTA snapshot ordinal so chunks never
-		// span an intra-CTA snapshot boundary either: within a chunk every
-		// site resumes from the same (boundary, warp) snapshot pair.
+		// The affinity key is the CTA, whose boundary snapshot a site resets
+		// from, refined by the intra-CTA snapshot ordinal. Affinity needs
+		// only the CTA; the refinement keeps chunks short where CTAs hold
+		// many sites, so no worker idles behind a long last chunk (keyed by
+		// CTA alone, K-Means K2 paper's 9-CTA campaign ran ~10% slower on
+		// 2 workers).
 		eng.affinityOf = func(i int) int {
 			s := sites[i].Site
 			cta := s.Thread / tpc
@@ -327,9 +352,6 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 		}
 	}
 	res, st, err := runEngine(sites, scheduleOrder(sites), opt, eng)
-	st.PagesCopied = devs.pages.Load()
-	st.DevicesCreated = int(devs.created.Load())
-	st.AffinityResets = devs.srcSw.Load()
 	st.CacheHits, st.CacheMisses, st.PreparedShared, st.PrepareWall = t.takePrepStats()
 	if ck != nil {
 		st.Checkpoints = ck.Count()
@@ -378,10 +400,11 @@ func scheduleOrder(sites []WeightedSite) []int {
 
 // campaignEngine supplies the per-worker execution hooks of runEngine.
 type campaignEngine struct {
-	// newRunner builds one worker's site executor plus its cleanup (called
-	// when the worker exits). Campaigns hand out device-pinning runners
-	// (workerRunner); tests use a shared stub with a no-op cleanup.
-	newRunner func() (run func(Site) (Outcome, runCost, error), cleanup func())
+	// newRunner builds one worker's site executor plus its cleanup, called
+	// when the worker exits, which returns what the worker's devices cost.
+	// Campaigns hand out device-pinning runners (workerRunner); tests use a
+	// shared stub.
+	newRunner func() (run func(Site) (Outcome, runCost, error), cleanup func() CampaignStats)
 	// affinityOf, when non-nil, maps an input-order site index to its
 	// scheduling affinity key (the snapshot pair it resumes from): chunks
 	// never span affinity boundaries, so a worker's pinned device switches
@@ -404,6 +427,10 @@ type campaignEngine struct {
 // A failing site is retried and eventually quarantined as EngineError; only
 // a journal-append failure or an Interrupt stops the campaign, and both stop
 // it the same way: workers finish their current site and take no more.
+//
+// Each worker counts the sites it runs in its own CampaignStats, through
+// the record it journals (AddRecord), and keeps its own quarantine list;
+// it folds both into the campaign's when it exits.
 func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	eng campaignEngine) (*CampaignResult, CampaignStats, error) {
 
@@ -424,16 +451,12 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	outcomes := make([]Outcome, len(sites))
 	done := make([]bool, len(sites))
 	var st CampaignStats
-
-	var quarMu sync.Mutex
 	var quarantined []SiteFailure
 	if j := opt.Journal; j != nil {
-		replayed, quar, err := replayJournal(j, sites, outcomes, done)
-		if err != nil {
+		var err error
+		if st.Replayed, quarantined, err = replayJournal(j, sites, outcomes, done); err != nil {
 			return nil, st, err
 		}
-		st.Replayed = replayed
-		quarantined = quar
 	}
 
 	// Progress reporting: replayed sites count as already completed, and
@@ -461,8 +484,6 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	if workers > len(work) {
 		workers = len(work)
 	}
-
-	var runs, retries, nquar, ctasSkipped, earlyExits, intraSkips, replayInstrs, postFaultInstrs atomic.Int64
 
 	// A journal-append failure stops the campaign. The first one reported
 	// is returned: every later append to the same broken journal fails too,
@@ -505,13 +526,22 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	}
 
 	g := newGuard(opt)
+	var mu sync.Mutex // guards st and quarantined while exiting workers fold in
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			runSite, cleanup := eng.newRunner()
-			defer cleanup()
+			var tally CampaignStats
+			var quar []SiteFailure
+			defer func() {
+				tally.Merge(cleanup())
+				mu.Lock()
+				st.Merge(tally)
+				quarantined = append(quarantined, quar...)
+				mu.Unlock()
+			}()
 			for {
 				if stop() {
 					return
@@ -525,34 +555,22 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 						break
 					}
 					i := input(work[wpos])
-					var quarErr string
 					o, cost, attempts, err := g.run(runSite, sites[i].Site)
-					runs.Add(int64(attempts))
-					if attempts > 1 {
-						retries.Add(int64(attempts - 1))
-					}
+					var quarErr string
 					if err != nil {
-						nquar.Add(1)
 						quarErr = err.Error()
-						quarMu.Lock()
-						quarantined = append(quarantined, SiteFailure{
-							Index: i, Site: sites[i].Site, Attempts: attempts, Err: quarErr,
-						})
-						quarMu.Unlock()
 					}
-					ctasSkipped.Add(int64(cost.ctasSkipped))
-					if cost.earlyExit {
-						earlyExits.Add(1)
+					rec := journalRecord(i, sites[i], o, cost, attempts, quarErr)
+					tally.AddRecord(rec)
+					tally.ReplayInstrs += cost.replay
+					tally.PostFaultInstrs += cost.postFault
+					if f, ok := failureOf(rec); ok {
+						quar = append(quar, f)
 					}
-					if cost.intraResumed {
-						intraSkips.Add(1)
-					}
-					replayInstrs.Add(cost.replay)
-					postFaultInstrs.Add(cost.postFault)
 					outcomes[i] = o
 					done[i] = true
 					if j := opt.Journal; j != nil {
-						if jerr := j.Append(journalRecord(i, sites[i], o, cost, attempts, quarErr)); jerr != nil {
+						if jerr := j.Append(rec); jerr != nil {
 							fail(i, jerr)
 							break
 						}
@@ -566,39 +584,24 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	}
 	wg.Wait()
 
-	st.Runs = runs.Load()
 	st.Wall = time.Since(start)
-	if st.Wall > 0 {
-		st.RunsPerSec = float64(st.Runs) / st.Wall.Seconds()
-	}
-	st.Retries = retries.Load()
-	st.Quarantined = nquar.Load()
-	st.CTAsSkipped = ctasSkipped.Load()
-	st.EarlyExits = earlyExits.Load()
-	st.IntraSkips = intraSkips.Load()
-	st.ReplayInstrs, st.PostFaultInstrs = replayInstrs.Load(), postFaultInstrs.Load()
 	if failed.Load() {
 		return nil, st, appendErr
-	}
-	completed := 0
-	for i := range sites {
-		if done[i] {
-			completed++
-		}
-	}
-	if interrupted.Load() {
-		return nil, st, fmt.Errorf("%w: %d/%d sites completed", ErrInterrupted, completed, len(sites))
 	}
 
 	// Aggregation is always in input order — independent of scheduling,
 	// sharding, and how the work was split between replay and execution —
 	// so resumed and merged campaigns are bit-identical to uninterrupted
 	// ones.
-	res := &CampaignResult{Completed: completed}
+	res := &CampaignResult{}
 	for i, ws := range sites {
 		if done[i] {
 			res.Dist.Add(outcomes[i], ws.Weight)
+			res.Completed++
 		}
+	}
+	if interrupted.Load() {
+		return nil, st, fmt.Errorf("%w: %d/%d sites completed", ErrInterrupted, res.Completed, len(sites))
 	}
 	sort.Slice(quarantined, func(a, b int) bool { return quarantined[a].Index < quarantined[b].Index })
 	res.Quarantined = quarantined

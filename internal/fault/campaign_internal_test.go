@@ -28,8 +28,8 @@ func fakeSites(n int) []WeightedSite {
 func runWith(sites []WeightedSite, order []int, opt CampaignOptions,
 	runSite func(Site) (Outcome, runCost, error)) (*CampaignResult, CampaignStats, error) {
 	return runEngine(sites, order, opt, campaignEngine{
-		newRunner: func() (func(Site) (Outcome, runCost, error), func()) {
-			return runSite, func() {}
+		newRunner: func() (func(Site) (Outcome, runCost, error), func() CampaignStats) {
+			return runSite, func() CampaignStats { return CampaignStats{} }
 		},
 	})
 }
@@ -106,7 +106,7 @@ func TestRunWithStats(t *testing.T) {
 	if st.Runs != n {
 		t.Fatalf("runs = %d, want %d", st.Runs, n)
 	}
-	if st.Wall <= 0 || st.RunsPerSec <= 0 {
+	if st.Wall <= 0 || st.RunsPerSec() <= 0 {
 		t.Fatalf("degenerate stats: %+v", st)
 	}
 	if res.Dist.Total() != n {
@@ -130,8 +130,8 @@ func TestStatsSinkMerge(t *testing.T) {
 	if got.CTAsSkipped != 8 || got.EarlyExits != 4 || got.Checkpoints != 4 || got.CheckpointBytes != 8192 {
 		t.Fatalf("merged fast-forward stats: %+v", got)
 	}
-	if got.RunsPerSec != 20 {
-		t.Fatalf("rate = %v, want 20", got.RunsPerSec)
+	if got.RunsPerSec() != 20 {
+		t.Fatalf("rate = %v, want 20", got.RunsPerSec())
 	}
 	if got.String() == "" {
 		t.Fatal("empty stats string")

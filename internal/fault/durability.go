@@ -242,6 +242,13 @@ func journalRecord(i int, ws WeightedSite, o Outcome, cost runCost, attempts int
 	}
 }
 
+// failureOf is the quarantine entry of a completed site's record, live or
+// replayed; ok is false when the record holds a real outcome.
+func failureOf(r journal.Record) (f SiteFailure, ok bool) {
+	site := Site{Thread: r.Thread, DynInst: r.DynInst, Bit: r.Bit}
+	return SiteFailure{Index: r.Index, Site: site, Attempts: r.Attempts, Err: r.Err}, r.Err != ""
+}
+
 // replayJournal applies the records already on disk: their outcomes are
 // final, so the engine marks them done and skips them. The decoder admitted
 // each index once, below the Sites validateJournal pinned to len(sites);
@@ -261,10 +268,8 @@ func replayJournal(j *journal.Journal, sites []WeightedSite, outcomes []Outcome,
 		outcomes[r.Index] = Outcome(r.Outcome)
 		done[r.Index] = true
 		replayed++
-		if r.Err != "" {
-			quarantined = append(quarantined, SiteFailure{
-				Index: r.Index, Site: ws.Site, Attempts: r.Attempts, Err: r.Err,
-			})
+		if f, ok := failureOf(r); ok {
+			quarantined = append(quarantined, f)
 		}
 	}
 	return replayed, quarantined, nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -374,6 +375,65 @@ func TestRunWithJournalQuarantineReplay(t *testing.T) {
 	if len(res2.Quarantined) != 1 || res2.Quarantined[0].Index != 5 ||
 		!strings.Contains(res2.Quarantined[0].Err, "permanent") {
 		t.Fatalf("quarantine lost in replay: %+v", res2.Quarantined)
+	}
+}
+
+// TestLiveStatsMatchJournal: the live engine's counters equal
+// CampaignStats.AddRecord summed over its journal's records, and its
+// quarantine list is the records' — under parallel workers, retries,
+// quarantines and fast-forward costs. TestLiveStatsMatchMerged checks the
+// same on real kernels through report.NewMerged, which this package cannot
+// import.
+func TestLiveStatsMatchJournal(t *testing.T) {
+	const n = 90
+	sites := fakeSites(n)
+	path := filepath.Join(t.TempDir(), "c.journal")
+	j, err := journal.Open(path, journalFP(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tries [n]atomic.Int32
+	opt := fastGuard(3)
+	opt.Journal = j
+	res, st, err := runWith(sites, nil, opt,
+		func(s Site) (Outcome, runCost, error) {
+			i := s.Thread
+			switch {
+			case i%17 == 5:
+				return 0, runCost{}, errors.New("permanent")
+			case i%7 == 3 && tries[i].Add(1) == 1:
+				return 0, runCost{}, errors.New("transient")
+			}
+			return Outcome(i % 3), runCost{ctasSkipped: int32(i % 4), earlyExit: i%2 == 0, intraResumed: i%5 == 0}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := journal.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want CampaignStats
+	var quar []SiteFailure
+	for _, r := range recs {
+		want.AddRecord(r)
+		if f, ok := failureOf(r); ok {
+			quar = append(quar, f)
+		}
+	}
+	got := CampaignStats{Runs: st.Runs, Retries: st.Retries, Quarantined: st.Quarantined,
+		CTAsSkipped: st.CTAsSkipped, EarlyExits: st.EarlyExits, IntraSkips: st.IntraSkips}
+	if got != want {
+		t.Fatalf("live counters %+v, from the journal %+v", got, want)
+	}
+	if want.Retries == 0 || want.Quarantined == 0 || want.CTAsSkipped == 0 || want.EarlyExits == 0 || want.IntraSkips == 0 {
+		t.Fatalf("the stub exercised too little: %+v", want)
+	}
+	if !reflect.DeepEqual(res.Quarantined, quar) {
+		t.Fatalf("live quarantine %+v, from the journal %+v", res.Quarantined, quar)
 	}
 }
 

@@ -312,6 +312,48 @@ func runJournaled(t *testing.T, tg *fault.Target, sites []fault.WeightedSite, mo
 	return res
 }
 
+// TestLiveStatsMatchMerged: the counters a journaled campaign reports live
+// are the ones report.NewMerged rebuilds from its journal — runs, retries,
+// quarantines and the fast-forward savings — because both tally each site
+// through CampaignStats.AddRecord. GEMM K1 skips CTAs and exits early;
+// HotSpot K1 with dense warp snapshots resumes inside the injected CTA.
+func TestLiveStatsMatchMerged(t *testing.T) {
+	const n = 120
+	var seen struct{ ctasSkipped, earlyExits, intraSkips int64 }
+	for _, c := range []struct {
+		kernel string
+		tune   tuning
+	}{{"GEMM K1", tuneAuto}, {"HotSpot K1", tuneDense}} {
+		t.Run(c.kernel, func(t *testing.T) {
+			tg, sites := tunedCampaign(t, c.kernel, fault.ModelDestValue, 0, c.tune, n)
+			path := filepath.Join(t.TempDir(), "c.journal")
+			res := runJournaled(t, tg, sites, fault.ModelDestValue, path, fault.Shard{}, 0)
+			fp, recs, err := journal.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, err := report.NewMerged(fp, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, merged := report.NewCampaign(res.Stats), doc.Campaign
+			type counters struct{ runs, retries, quarantined, ctasSkipped, earlyExits, intraSkips int64 }
+			got := counters{live.Runs, live.Retries, live.Quarantined, live.CTAsSkipped, live.EarlyExits, live.IntraSkips}
+			want := counters{merged.Runs, merged.Retries, merged.Quarantined, merged.CTAsSkipped, merged.EarlyExits, merged.IntraSkips}
+			if got != want || doc.Quarantined != len(res.Quarantined) {
+				t.Fatalf("live counters %+v (%d quarantined), merged from the journal %+v (%d)",
+					got, len(res.Quarantined), want, doc.Quarantined)
+			}
+			seen.ctasSkipped += got.ctasSkipped
+			seen.earlyExits += got.earlyExits
+			seen.intraSkips += got.intraSkips
+		})
+	}
+	if !t.Failed() && (seen.ctasSkipped == 0 || seen.earlyExits == 0 || seen.intraSkips == 0) {
+		t.Fatalf("the campaigns exercised too little of the engine: %+v", seen)
+	}
+}
+
 // TestCampaignInterruptResumeAcrossStrides is the checkpointed = full-run
 // contract (DESIGN.md §3.1) and the resumed = uninterrupted
 // contract (§3.5) tested as one: a campaign interrupted under one engine tuning and

@@ -117,18 +117,23 @@ func (t *Target) RunSiteModelOn(dev *gpusim.Device, site Site, model Model) (Out
 	if err := t.validateSiteModel(site, model); err != nil {
 		return 0, err
 	}
-	return t.runSiteModelOn(dev, site, model)
-}
-
-func (t *Target) runSiteModelOn(dev *gpusim.Device, site Site, model Model) (Outcome, error) {
 	inj := &gpusim.Injection{
 		Thread: site.Thread, DynInst: site.DynInst, Bit: site.Bit,
 		Kind: model,
 	}
 	launch := t.launch(inj, nil, t.prep.watchdog)
-	res, err := gpusim.Execute(dev, &launch)
+	o, _, err := t.fullRun(dev, &launch)
+	return o, err
+}
+
+// fullRun executes launch from the start of the grid on dev, which must hold
+// the pristine image, and classifies the run: the full-run reference path of
+// RunSiteModelOn and of a FullRun target's campaign.
+func (t *Target) fullRun(dev *gpusim.Device, launch *gpusim.Launch) (Outcome, runCost, error) {
+	res, err := gpusim.Execute(dev, launch)
 	if err != nil {
-		return 0, err
+		return 0, runCost{}, err
 	}
-	return t.classify(dev, res), nil
+	cost := runCost{replay: res.BeforeFault, postFault: res.Retired - res.BeforeFault}
+	return t.classify(dev, res), cost, nil
 }

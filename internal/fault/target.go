@@ -321,12 +321,7 @@ func (t *Target) injectOn(w *workerDevice, site Site, model Model) (Outcome, run
 	ck := t.prep.ckpt
 	if ck == nil { // FullRun
 		dev.ResetFrom(t.Init)
-		res, err := gpusim.Execute(dev, &w.launch)
-		if err != nil {
-			return 0, cost, err
-		}
-		cost.replay, cost.postFault = res.BeforeFault, res.Retired-res.BeforeFault
-		return t.classify(dev, res), cost, nil
+		return t.fullRun(dev, &w.launch)
 	}
 	tpc := t.Block.Count()
 	cta := site.Thread / tpc

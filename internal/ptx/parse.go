@@ -434,6 +434,9 @@ func parseMemRef(tok string, declaredSpace isa.MemSpace) (isa.Operand, error) {
 		return o, fmt.Errorf("unknown address space prefix %q", prefix)
 	}
 	// inner := imm | reg | reg+imm | reg-imm
+	if inner == "" {
+		return o, fmt.Errorf("empty memory reference %q", tok)
+	}
 	base := inner
 	var immPart string
 	var negImm bool

@@ -212,6 +212,7 @@ func TestParseErrors(t *testing.T) {
 		"add.u32 $r1, %tid.w",                // unknown special
 		"ld.global.u32 $r1, x[$r2]",          // unknown space
 		"mul.wide.u16 $r1, -$r2.lo, g[-$r3]", // negated mem base
+		"ld.global.b32 $r0, c[]",             // empty memory ref
 	}
 	for _, src := range bad {
 		if _, err := Assemble("t", src); err == nil {

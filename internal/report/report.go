@@ -174,7 +174,7 @@ func NewCampaign(s fault.CampaignStats) Campaign {
 	return Campaign{
 		Runs:                 s.Runs,
 		WallMS:               float64(s.Wall.Microseconds()) / 1000,
-		RunsPerSec:           s.RunsPerSec,
+		RunsPerSec:           s.RunsPerSec(),
 		PagesCopied:          s.PagesCopied,
 		DevicesCreated:       s.DevicesCreated,
 		CTAsSkipped:          s.CTAsSkipped,
@@ -208,8 +208,9 @@ type Merged struct {
 	Quarantined int     `json:"quarantined,omitempty"`
 	Profile     Profile `json:"profile"`
 	// Campaign aggregates the execution counters recorded in the journals
-	// (attempt counts and fast-forward savings; wall time is not recorded
-	// per shard and stays zero).
+	// (attempt counts and fast-forward savings, tallied by
+	// fault.CampaignStats.AddRecord as the live campaign tallies them; wall
+	// time is not recorded per shard and stays zero).
 	Campaign Campaign `json:"campaign"`
 }
 
@@ -224,28 +225,13 @@ type Merged struct {
 func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 	var dist fault.Dist
 	var stats fault.CampaignStats
-	quarantined := 0
 	for _, r := range recs {
 		o := fault.Outcome(r.Outcome)
 		if !o.Valid() {
 			return Merged{}, fmt.Errorf("report: record for site %d holds unknown outcome %d", r.Index, r.Outcome)
 		}
 		dist.Add(o, r.Weight)
-		stats.Runs += int64(r.Attempts)
-		stats.CTAsSkipped += r.CTAsSkipped
-		if r.EarlyExit {
-			stats.EarlyExits++
-		}
-		if r.IntraResumed {
-			stats.IntraSkips++
-		}
-		if r.Attempts > 1 {
-			stats.Retries += int64(r.Attempts - 1)
-		}
-		if r.Err != "" {
-			stats.Quarantined++
-			quarantined++
-		}
+		stats.AddRecord(r)
 	}
 	return Merged{
 		Kernel:      fp.Kernel,
@@ -255,7 +241,7 @@ func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 		Shards:      fp.ShardCount,
 		Sites:       fp.Sites,
 		Completed:   len(recs),
-		Quarantined: quarantined,
+		Quarantined: int(stats.Quarantined),
 		Profile:     NewProfile(dist),
 		Campaign:    NewCampaign(stats),
 	}, nil
