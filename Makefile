@@ -24,8 +24,10 @@ race:
 # a time): the compiled plan and its scheduler against the test-side
 # reference interpreter, on random programs with barriers, under both
 # scheduler widths and every injection kind; the journal readers on
-# arbitrary bytes; and the assembler on arbitrary source (never a panic,
-# and what it accepts round-trips through its disassembly). A plain
+# arbitrary bytes; the assembler on arbitrary source (never a panic,
+# and what it accepts round-trips through its disassembly); and the
+# campaign usage rules on arbitrary submission JSON (what Validate accepts
+# is bounded and round-trips through its journal header). A plain
 # `go test` only replays the seeds and the checked-in corpus
 # (internal/gpusim/testdata/fuzz).
 fuzz-smoke:
@@ -33,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteNeverPanics$$' -fuzztime 10s ./internal/gpusim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFile$$' -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/ptx
+	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime 10s ./internal/campaign
 
 # The durability differentials under the race detector: interrupt-and-resume
 # bit-identity and shard-merge equality.
@@ -62,7 +65,8 @@ service-smoke:
 # address and stuck-at site spaces, record a small campaign journal with
 # fsprune, advise from it with fsadvise, and check the JSON document
 # carries the frontier and its overhead axis; the live-campaign door must
-# produce the byte-identical document.
+# produce the byte-identical document. fsadvise's negative -sites, and a
+# campaign over campaign.MaxSites on either CLI, are usage errors (exit 2).
 advise-smoke:
 	t=$$(mktemp -d) && \
 	$(GO) build -o $$t ./cmd/fsprune ./cmd/fsadvise && \
@@ -75,6 +79,9 @@ advise-smoke:
 	done && \
 	{ $(GO) run ./cmd/fsadvise -kernel "GEMM K1" -sites -1 > /dev/null 2> $$t/neg.err; [ $$? -eq 1 ]; } && \
 	grep -q "exit status 2" $$t/neg.err && ! grep -q "panic:" $$t/neg.err && \
+	{ $$t/fsadvise -kernel "GEMM K1" -sites 1048577 > /dev/null 2> $$t/big.err; [ $$? -eq 2 ]; } && \
+	{ $$t/fsprune -kernel "GEMM K1" -action campaign -baseline 1048577 > /dev/null 2>> $$t/big.err; [ $$? -eq 2 ]; } && \
+	! grep -q "panic:" $$t/big.err && \
 	rm -rf $$t
 
 # gpurun's thread trace: a valid -trace prints its first -n entries; a

@@ -30,9 +30,12 @@ import (
 
 // The seed and campaign size an entry point uses when its caller names none:
 // fsprune's and fsadvise's flag defaults and fsserve's omitted JSON fields.
+// MaxSites, 17× the paper's 60K-run baseline, is the largest size Validate
+// admits: the site list costs memory per site before the first site runs.
 const (
 	DefaultSeed  = 1
 	DefaultSites = 3000
+	MaxSites     = 1 << 20
 )
 
 // Spec describes one uniform random injection campaign. The JSON tags are
@@ -67,8 +70,8 @@ func (s Spec) Validate() error {
 	if _, err := fault.ParseModel(s.Model); err != nil {
 		return err
 	}
-	if s.Sites <= 0 {
-		return fmt.Errorf("campaign size (sites) must be > 0, got %d", s.Sites)
+	if s.Sites <= 0 || s.Sites > MaxSites {
+		return fmt.Errorf("campaign size (sites) must be in [1, %d], got %d", MaxSites, s.Sites)
 	}
 	if s.Warp < 0 {
 		return fmt.Errorf("warp width must be >= 0 (0 = serial interleaving), got %d", s.Warp)

@@ -1,7 +1,11 @@
 package campaign_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -35,6 +39,8 @@ func TestValidate(t *testing.T) {
 		{"negative sites", with(func(s *campaign.Spec) { s.Sites = -1 })},
 		{"fsprune -baseline -5", with(func(s *campaign.Spec) { s.Sites = -5 })},
 		{"zero sites", with(func(s *campaign.Spec) { s.Sites = 0 })},
+		{"sites over MaxSites", with(func(s *campaign.Spec) { s.Sites = campaign.MaxSites + 1 })},
+		{"fsserve sites 200000000", with(func(s *campaign.Spec) { s.Sites = 200_000_000 })},
 		{"negative warp", with(func(s *campaign.Spec) { s.Warp = -2 })},
 		{"shard index without count", with(func(s *campaign.Spec) { s.ShardIndex = 1 })},
 		{"shard index out of range", with(func(s *campaign.Spec) { s.ShardIndex, s.ShardCount = 2, 2 })},
@@ -52,11 +58,16 @@ func TestValidate(t *testing.T) {
 		with(func(s *campaign.Spec) { s.Warp = 32 }),
 		with(func(s *campaign.Spec) { s.ShardIndex, s.ShardCount = 1, 2 }),
 		with(func(s *campaign.Spec) { s.ShardCount = 1 }),
+		with(func(s *campaign.Spec) { s.Sites = campaign.MaxSites }),
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
 			t.Errorf("rejected %+v: %v", s, err)
 		}
+	}
+	over := with(func(s *campaign.Spec) { s.Sites = campaign.MaxSites + 1 })
+	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), strconv.Itoa(campaign.MaxSites)) {
+		t.Errorf("oversized campaign: error %v does not name the bound %d", err, campaign.MaxSites)
 	}
 }
 
@@ -266,4 +277,46 @@ func TestIDStable(t *testing.T) {
 	if a.ID() != b.ID() {
 		t.Errorf("unsharded spelled 0/0 and 0/1 got different ids: %s vs %s", a.ID(), b.ID())
 	}
+}
+
+// FuzzSpec feeds arbitrary JSON to the submission decoder fsserve uses
+// (unknown fields rejected) and holds the usage rules to their contract:
+// nothing panics; a spec Validate accepts stays within MaxSites and
+// survives the journal header round trip with its fingerprint and id; and
+// a spec Validate rejects cannot come back in through a header either.
+func FuzzSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"kernel":"GEMM K1","scale":"small","seed":1,"sites":3000,"model":"dest-value"}`,
+		`{"kernel":"HotSpot K1","scale":"paper","seed":7,"sites":1500,"model":"stuck-pred","warp":32,"shard_index":1,"shard_count":2}`,
+		`{"kernel":"GEMM K1","scale":"small","seed":1,"sites":200000000,"model":"dest-value"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s campaign.Spec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&s) != nil {
+			return
+		}
+		back, err := campaign.FromFingerprint(s.Fingerprint())
+		if verr := s.Validate(); verr != nil {
+			if err == nil {
+				t.Fatalf("Validate rejects %+v (%v), but FromFingerprint accepts its header", s, verr)
+			}
+			return
+		}
+		if s.Sites > campaign.MaxSites {
+			t.Fatalf("Validate accepted %d sites, over MaxSites %d", s.Sites, campaign.MaxSites)
+		}
+		if err != nil {
+			t.Fatalf("valid %+v: FromFingerprint: %v", s, err)
+		}
+		if got, want := back.Fingerprint(), s.Fingerprint(); got != want {
+			t.Fatalf("valid %+v: header round trip: %s", s, want.Diff(got))
+		}
+		if back.ID() != s.ID() {
+			t.Fatalf("valid %+v: id %s after the round trip, want %s", s, back.ID(), s.ID())
+		}
+	})
 }

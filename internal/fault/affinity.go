@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/gpusim"
@@ -76,8 +75,8 @@ func (q *chunkCursor) next() (c chunk, ok bool) {
 // device, the site's launch and injection, the thread-start snapshot a run
 // may resume from, and the state of injectOn's early-exit hooks with the
 // candidate-page buffer they fill. All of it is reused site after site —
-// the hooks are method values bound once, on the first site — and travels
-// together between take and give.
+// the hooks are method values bound once, on the first site — and belongs
+// to one workerRunner.
 type workerDevice struct {
 	dev    *gpusim.Device
 	launch gpusim.Launch
@@ -131,75 +130,39 @@ func (w *workerDevice) threadExit() bool {
 	return w.exited
 }
 
-// workerRunner pins one workerDevice to a campaign worker so that
-// consecutive sites of a snapshot group reset on ResetFrom's same-source
-// fast path. Every run resets the device before use (from a checkpoint
-// snapshot or the pristine image) and the reset is driven by the dirty-page
-// list, so reuse is safe after trapped or failed runs. take detaches the
-// pinned device (cloning the pristine image when the slot is empty), so a
-// retry after an abandoned deadline attempt can never share a device or
-// buffer with the stray goroutine still running the old attempt: the stray
-// holds the detached device until its own give, which re-pins only if the
-// slot is empty and otherwise harvests the device's counters and drops it —
-// after the stray has stopped touching it.
+// workerRunner owns one workerDevice for life, so consecutive sites of a
+// snapshot group reset on ResetFrom's same-source fast path. Every run
+// resets the device before use (from a checkpoint snapshot or the pristine
+// image) and the reset is driven by the dirty-page list, so reuse is safe
+// after trapped or failed runs. The device is never handed over: a runner
+// whose attempt is abandoned at its deadline stays with the stray (see
+// attempter).
 type workerRunner struct {
 	t     *Target
 	model Model
-	mu    sync.Mutex
-	dev   *workerDevice
-	// devs counts what this runner's devices cost: DevicesCreated,
+	w     *workerDevice
+	// devs counts what this runner's device costs: DevicesCreated,
 	// PagesCopied and AffinityResets.
 	devs CampaignStats
 }
 
-func (r *workerRunner) take() *workerDevice {
-	r.mu.Lock()
-	w := r.dev
-	r.dev = nil
-	if w == nil {
+// run executes one site on the runner's device, cloning the pristine image
+// on first use; it is the runSite hook the campaign engine calls under its
+// attempter.
+func (r *workerRunner) run(s Site) (Outcome, runCost, error) {
+	if r.w == nil {
+		r.w = &workerDevice{dev: r.t.Init.Clone()}
 		r.devs.DevicesCreated++
 	}
-	r.mu.Unlock()
-	if w == nil {
-		w = &workerDevice{dev: r.t.Init.Clone()}
-	}
-	return w
+	return r.t.injectOn(r.w, s, r.model)
 }
 
-func (r *workerRunner) give(w *workerDevice) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dev == nil {
-		r.dev = w
-		return
-	}
-	r.harvest(w.dev)
-}
-
-// harvest folds a dropped device's page-copy and source-switch counters
-// into the runner's; r.mu must be held.
-func (r *workerRunner) harvest(d *gpusim.Device) {
-	r.devs.PagesCopied += d.TakePagesCopied()
-	r.devs.AffinityResets += d.TakeSrcSwitches()
-}
-
-// run executes one site on the pinned device; it is the runSite hook the
-// campaign engine calls under the durability guard.
-func (r *workerRunner) run(s Site) (Outcome, runCost, error) {
-	w := r.take()
-	o, cost, err := r.t.injectOn(w, s, r.model)
-	r.give(w)
-	return o, cost, err
-}
-
-// close harvests the pinned device (if any) and returns what the runner's
-// devices cost.
+// close collects the device's page-copy and source-switch counters and
+// returns what the runner's device cost.
 func (r *workerRunner) close() CampaignStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dev != nil {
-		r.harvest(r.dev.dev)
-		r.dev = nil
+	if r.w != nil {
+		r.devs.PagesCopied += r.w.dev.TakePagesCopied()
+		r.devs.AffinityResets += r.w.dev.TakeSrcSwitches()
 	}
 	return r.devs
 }

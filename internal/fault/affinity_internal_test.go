@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/gpusim"
 )
 
 // TestBuildChunksProperties: chunks cover [0, nwork) exactly, respect the
@@ -82,39 +80,5 @@ func TestChunkQueuesCoverage(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestWorkerRunnerDetachesStrayDevice: while an abandoned attempt still
-// holds the worker's device, the retry's take clones a fresh one instead of
-// sharing it; whichever attempt gives first re-pins, and the other device is
-// harvested and dropped.
-func TestWorkerRunnerDetachesStrayDevice(t *testing.T) {
-	r := &workerRunner{t: &Target{Init: gpusim.NewDevice(2 * gpusim.PageSize)}}
-
-	stray := r.take() // the attempt the guard abandons at its deadline
-	retry := r.take()
-	if retry == stray {
-		t.Fatal("retry shares the device an abandoned attempt still holds")
-	}
-	if n := r.devs.DevicesCreated; n != 2 {
-		t.Fatalf("devices created = %d, want 2", n)
-	}
-	r.give(retry)
-	if again := r.take(); again != retry {
-		t.Fatal("the returned device was not re-pinned")
-	}
-	r.give(retry)
-
-	stray.dev.WriteWords(0, []uint32{1}) // one copy-on-write privatization
-	r.give(stray)                        // the slot is occupied: harvested, not pinned
-	if r.dev != retry {
-		t.Fatal("a late stray device displaced the pinned one")
-	}
-	if n := r.devs.PagesCopied; n != 1 {
-		t.Fatalf("pages harvested from the stray device = %d, want 1", n)
-	}
-	if got := r.close(); r.dev != nil || got.DevicesCreated != 2 || got.PagesCopied != 1 {
-		t.Fatalf("after close: pinned %v, counts %+v", r.dev, got)
 	}
 }

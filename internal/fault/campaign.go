@@ -39,11 +39,13 @@ type CampaignStats struct {
 	Wall time.Duration
 	// PagesCopied counts global-memory page copies performed by the
 	// copy-on-write device layer (first-store privatizations plus
-	// pristine-reset restores) across all worker devices.
+	// pristine-reset restores) across the worker devices, except those
+	// abandoned attempts kept (their counters are never harvested).
 	PagesCopied int64
 	// DevicesCreated is the number of device clones the campaign
 	// materialized: one per worker that ran a site, plus one for every
-	// attempt abandoned at its deadline (the stray keeps its device).
+	// attempt abandoned at its deadline — a runner's device is never handed
+	// over, so the stray keeps it and the retry runs on a fresh clone.
 	DevicesCreated int
 	// CTAsSkipped counts CTA executions the checkpointed fast-forward
 	// engine avoided, summed over all runs: golden prefixes resumed from a
@@ -307,8 +309,8 @@ func Run(t *Target, sites []WeightedSite, opt CampaignOptions) (*CampaignResult,
 }
 
 // RunModel is Run under any fault model: it validates the site list, wires
-// the unchecked fast-forward runner to the parallel engine, one pinned device
-// per worker, and finalizes stats.
+// the unchecked fast-forward runner to the parallel engine, one device-owning
+// runner per worker, and finalizes stats.
 func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions) (*CampaignResult, error) {
 	// Validate once, outside the hot loop: the engine below runs unchecked.
 	// Input order makes the reported error the lowest-index invalid site.
@@ -323,8 +325,8 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 		}
 	}
 
-	// Freeze the pristine image now: workers clone it concurrently (see
-	// workerRunner.take), and freezing is only write-free once already frozen.
+	// Freeze the pristine image now: runners clone it concurrently (see
+	// workerRunner.run), and freezing is only write-free once already frozen.
 	t.Init.Clone() // freeze eagerly; the throwaway clone is trivially small
 	eng := campaignEngine{
 		newRunner: func() (func(Site) (Outcome, runCost, error), func() CampaignStats) {
@@ -400,10 +402,10 @@ func scheduleOrder(sites []WeightedSite) []int {
 
 // campaignEngine supplies the per-worker execution hooks of runEngine.
 type campaignEngine struct {
-	// newRunner builds one worker's site executor plus its cleanup, called
-	// when the worker exits, which returns what the worker's devices cost.
-	// Campaigns hand out device-pinning runners (workerRunner); tests use a
-	// shared stub.
+	// newRunner builds a site executor and its cleanup, which returns what
+	// the executor's device cost. A worker takes one at start and one after
+	// each attempt abandoned at its deadline (the stray keeps the old one),
+	// and cleans up its last one on exit. Campaigns hand out workerRunners.
 	newRunner func() (run func(Site) (Outcome, runCost, error), cleanup func() CampaignStats)
 	// affinityOf, when non-nil, maps an input-order site index to its
 	// scheduling affinity key (the snapshot pair it resumes from): chunks
@@ -525,18 +527,17 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 		cursor.chunks = buildChunks(len(work), key, chunkTargetSize(len(work), workers))
 	}
 
-	g := newGuard(opt)
 	var mu sync.Mutex // guards st and quarantined while exiting workers fold in
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runSite, cleanup := eng.newRunner()
+			a := newAttempter(opt, eng)
 			var tally CampaignStats
 			var quar []SiteFailure
 			defer func() {
-				tally.Merge(cleanup())
+				tally.Merge(a.close())
 				mu.Lock()
 				st.Merge(tally)
 				quarantined = append(quarantined, quar...)
@@ -555,7 +556,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 						break
 					}
 					i := input(work[wpos])
-					o, cost, attempts, err := g.run(runSite, sites[i].Site)
+					o, cost, attempts, err := a.run(sites[i].Site)
 					var quarErr string
 					if err != nil {
 						quarErr = err.Error()

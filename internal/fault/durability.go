@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -104,29 +105,45 @@ func (f SiteFailure) String() string {
 		f.Site, f.Index, f.Attempts, f.Err)
 }
 
-// guard bundles the resolved failure-isolation settings of one campaign.
-type guard struct {
+// attempter runs one campaign worker's sites, each attempt on its own
+// goroutine so a wedged simulator call can be abandoned at the deadline;
+// panics are recovered (protect), failures retried with doubling backoff
+// and, after maxAttempts, quarantined. It holds the worker's current
+// runner, one result channel and one deadline timer, all reused attempt
+// after attempt. An abandoned attempt finishes (or trips the step
+// watchdog) on its own, keeping its runner — a runner owns its device for
+// life — and its channel, where its result lands unread; the retry takes
+// a fresh runner and channel, so it never shares a device with the stray.
+type attempter struct {
 	maxAttempts int
 	deadline    time.Duration
 	backoff     time.Duration
+
+	newRunner func() (func(Site) (Outcome, runCost, error), func() CampaignStats)
+	runSite   func(Site) (Outcome, runCost, error)
+	cleanup   func() CampaignStats
+	res       chan siteResult
+	timer     *time.Timer
+	// strays counts the devices abandoned attempts kept.
+	strays int
 }
 
-func newGuard(opt CampaignOptions) guard {
-	g := guard{
-		maxAttempts: opt.maxAttempts,
-		deadline:    opt.siteDeadline,
-		backoff:     opt.retryBackoff,
+// newAttempter resolves the failure-isolation settings (opt's positive
+// overrides, else the defaults) and takes the worker's first runner.
+func newAttempter(opt CampaignOptions, eng campaignEngine) *attempter {
+	a := &attempter{
+		maxAttempts: cmp.Or(max(opt.maxAttempts, 0), DefaultMaxAttempts),
+		deadline:    cmp.Or(max(opt.siteDeadline, 0), DefaultSiteDeadline),
+		backoff:     cmp.Or(max(opt.retryBackoff, 0), DefaultRetryBackoff),
+		newRunner:   eng.newRunner,
+		res:         make(chan siteResult, 1),
 	}
-	if g.maxAttempts <= 0 {
-		g.maxAttempts = DefaultMaxAttempts
+	a.runSite, a.cleanup = a.newRunner()
+	a.timer = time.NewTimer(a.deadline)
+	if !a.timer.Stop() {
+		<-a.timer.C
 	}
-	if g.deadline <= 0 {
-		g.deadline = DefaultSiteDeadline
-	}
-	if g.backoff <= 0 {
-		g.backoff = DefaultRetryBackoff
-	}
-	return g
+	return a
 }
 
 // protect invokes runSite with panic recovery, converting a panic into an
@@ -151,43 +168,58 @@ type siteResult struct {
 	err  error
 }
 
-// once executes a single guarded attempt. The attempt runs in its own
-// goroutine so a wedged simulator call can be abandoned at the deadline: the
-// stray goroutine finishes (or trips the step watchdog) on its own and its
-// result is discarded via the buffered channel. Its pooled device returns
-// to the pool late, never concurrently reused.
-func (g guard) once(runSite func(Site) (Outcome, runCost, error), s Site) (Outcome, runCost, error) {
-	ch := make(chan siteResult, 1)
-	go func() {
-		o, c, err := protect(runSite, s)
-		ch <- siteResult{o, c, err}
-	}()
-	timer := time.NewTimer(g.deadline)
-	defer timer.Stop()
+// attempt is the body of one attempt's goroutine.
+func attempt(res chan<- siteResult, runSite func(Site) (Outcome, runCost, error), s Site) {
+	o, c, err := protect(runSite, s)
+	res <- siteResult{o, c, err}
+}
+
+// once executes a single attempt against the deadline. The timer follows
+// the pre-Go 1.23 channel rules go.mod selects: a Stop that returns false
+// leaves a tick in C, drained before the next Reset.
+func (a *attempter) once(s Site) (Outcome, runCost, error) {
+	go attempt(a.res, a.runSite, s)
+	a.timer.Reset(a.deadline)
 	select {
-	case r := <-ch:
+	case r := <-a.res:
+		if !a.timer.Stop() {
+			<-a.timer.C
+		}
 		return r.o, r.cost, r.err
-	case <-timer.C:
-		return 0, runCost{}, fmt.Errorf("%w (%v)", errSiteDeadline, g.deadline)
+	case <-a.timer.C:
+		// The stray keeps its runner, device and channel.
+		a.strays++
+		a.runSite, a.cleanup = a.newRunner()
+		a.res = make(chan siteResult, 1)
+		return 0, runCost{}, fmt.Errorf("%w (%v)", errSiteDeadline, a.deadline)
 	}
 }
 
 // run executes one site with retries. A nil error means a real outcome;
 // a non-nil error means the site is quarantined and the returned outcome is
 // EngineError. attempts reports how many executions ran.
-func (g guard) run(runSite func(Site) (Outcome, runCost, error), s Site) (o Outcome, cost runCost, attempts int, err error) {
-	backoff := g.backoff
+func (a *attempter) run(s Site) (o Outcome, cost runCost, attempts int, err error) {
+	backoff := a.backoff
 	for attempts = 1; ; attempts++ {
-		o, cost, err = g.once(runSite, s)
+		o, cost, err = a.once(s)
 		if err == nil {
 			return o, cost, attempts, nil
 		}
-		if attempts >= g.maxAttempts {
+		if attempts >= a.maxAttempts {
 			return EngineError, runCost{}, attempts, err
 		}
 		time.Sleep(backoff)
 		backoff *= 2
 	}
+}
+
+// close returns what the worker's devices cost: its current runner's
+// counters, plus one device per abandoned attempt. A stray's page copies
+// and source switches are not counted — its device is never handed back.
+func (a *attempter) close() CampaignStats {
+	st := a.cleanup()
+	st.DevicesCreated += a.strays
+	return st
 }
 
 // JournalFingerprint builds the campaign fingerprint a journal is opened

@@ -109,6 +109,68 @@ func TestRunWithSiteDeadline(t *testing.T) {
 	}
 }
 
+// TestAbandonedAttemptKeepsItsRunner: a runner owns its device for life.
+// The stray of an attempt abandoned at its deadline keeps its runner, so
+// the retry runs on a fresh one from newRunner, the wedged runner is never
+// called again nor cleaned up, and DevicesCreated counts the device the
+// stray kept.
+func TestAbandonedAttemptKeepsItsRunner(t *testing.T) {
+	type stub struct {
+		mu      sync.Mutex // the wedged attempt appends while the test reads
+		threads []int      // the sites this runner was handed
+		cleaned bool
+	}
+	var runners []*stub
+	release := make(chan struct{})
+	defer close(release)
+	eng := campaignEngine{
+		newRunner: func() (func(Site) (Outcome, runCost, error), func() CampaignStats) {
+			r := &stub{}
+			first := len(runners) == 0
+			runners = append(runners, r)
+			run := func(s Site) (Outcome, runCost, error) {
+				r.mu.Lock()
+				r.threads = append(r.threads, s.Thread)
+				r.mu.Unlock()
+				if first && s.Thread == 4 {
+					<-release // wedged until the test ends
+				}
+				return Masked, runCost{}, nil
+			}
+			cleanup := func() CampaignStats {
+				r.cleaned = true
+				return CampaignStats{DevicesCreated: 1}
+			}
+			return run, cleanup
+		},
+	}
+	opt := CampaignOptions{Parallelism: 1, maxAttempts: 2, siteDeadline: 100 * time.Millisecond,
+		retryBackoff: time.Microsecond, KeepPerSite: true}
+	res, st, err := runEngine(fakeSites(10), nil, opt, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runners) != 2 {
+		t.Fatalf("newRunner called %d times, want 2 (the worker's first, the retry's)", len(runners))
+	}
+	wedged, fresh := runners[0], runners[1]
+	wedged.mu.Lock()
+	defer wedged.mu.Unlock()
+	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(wedged.threads, want) || wedged.cleaned {
+		t.Errorf("wedged runner: ran %v (cleaned %v), want %v and never cleaned", wedged.threads, wedged.cleaned, want)
+	}
+	if want := []int{4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(fresh.threads, want) || !fresh.cleaned {
+		t.Errorf("fresh runner: ran %v (cleaned %v), want %v and cleaned", fresh.threads, fresh.cleaned, want)
+	}
+	if res.PerSite[4] != Masked || st.Retries != 1 || st.Quarantined != 0 {
+		t.Errorf("retried site: outcome %v, retries %d, quarantined %d; want masked, 1, 0",
+			res.PerSite[4], st.Retries, st.Quarantined)
+	}
+	if st.DevicesCreated != 2 {
+		t.Errorf("devices created = %d, want 2 (the fresh runner's and the stray's)", st.DevicesCreated)
+	}
+}
+
 // TestRunWithInterrupt: closing the interrupt channel stops the campaign
 // after the in-flight sites and surfaces ErrInterrupted.
 func TestRunWithInterrupt(t *testing.T) {

@@ -191,13 +191,14 @@ func TestPooledMatchesFreshClone(t *testing.T) {
 
 // TestSiteLoopAllocBytes pins the allocation-free site loop: the launch
 // scratch, the launch and the injection ride the worker's pinned device
-// (DESIGN.md §3.3), so a site costs a few small headers — the durability
-// guard's deadline timer, a trap — where it used to rebuild a CTA's thread
+// (DESIGN.md §3.3), and the worker's attempter reuses its result channel
+// and deadline timer, so a site costs a few small headers — the attempt
+// goroutine's arguments, a trap — where it used to rebuild a CTA's thread
 // and shared-memory state per launched CTA (~95 KiB a site on this kernel).
 // TotalAlloc is process-wide, so this test must not run beside others (no
 // t.Parallel in this package).
 func TestSiteLoopAllocBytes(t *testing.T) {
-	const n, limit = 300, 4 << 10
+	const n, limit = 300, 512
 	for _, c := range []struct {
 		model fault.Model
 		warp  int
@@ -218,7 +219,7 @@ func TestSiteLoopAllocBytes(t *testing.T) {
 		if perSite >= limit {
 			t.Errorf("%v warp %d: %d B allocated per site, want < %d", c.model, c.warp, perSite, limit)
 		}
-		// One worker, one pinned device, one scratch: nothing was abandoned.
+		// One worker, one runner's device, one scratch: nothing was abandoned.
 		if res.Stats.DevicesCreated != 1 {
 			t.Errorf("%v warp %d: devices created %d, want 1", c.model, c.warp, res.Stats.DevicesCreated)
 		}

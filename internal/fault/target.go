@@ -262,8 +262,6 @@ func (t *Target) WarpCheckpoints() *gpusim.WarpCheckpoints {
 // runCost carries per-run fast-forward metrics out of injectOn: the
 // instructions the run executed before and after the fault fired, CTAs
 // skipped, and whether it exited early or resumed inside the injected CTA.
-// It rides the guard's per-attempt channel, whose buffer holds 48 bytes
-// per siteResult: a wider runCost moves that allocation up a size class.
 type runCost struct {
 	replay       int64
 	postFault    int64

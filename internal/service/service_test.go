@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -585,7 +586,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestHTTPErrors covers the error surface: unknown id 404, report before
-// completion 409, malformed body 400.
+// completion 409, malformed body or oversized campaign 400.
 func TestHTTPErrors(t *testing.T) {
 	srv, err := service.New(service.Config{DataDir: t.TempDir(), Cache: fault.NewPreparedCache(1)})
 	if err != nil {
@@ -624,6 +625,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"malformed body", `{"kernel": 42}`, http.StatusBadRequest, "kernel"},
 		{"retired full_run field", `{"kernel": "GEMM K1", "full_run": true}`, http.StatusBadRequest, "full_run"},
 		{"retired ckpt_stride field", `{"kernel":"GEMM K1","ckpt_stride":2}`, http.StatusBadRequest, "ckpt_stride"},
+		{"sites over MaxSites", `{"kernel":"GEMM K1","sites":200000000}`, http.StatusBadRequest, strconv.Itoa(campaign.MaxSites)},
 		{"oversize body", `{"kernel": "` + strings.Repeat("x", service.MaxSubmissionBytes) + `"}`, http.StatusRequestEntityTooLarge, "too large"},
 	} {
 		resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(tc.body))
@@ -693,6 +695,29 @@ func TestRecoverSeedZeroJournal(t *testing.T) {
 	}
 	if got := getStatus(t, ts, id).Submission.Seed; got != campaign.DefaultSeed {
 		t.Errorf("omitted seed ran as %d, want %d", got, campaign.DefaultSeed)
+	}
+}
+
+// TestRecoverRejectsOversizedCampaign: a data directory holding the header
+// of a campaign over campaign.MaxSites — written by a build that admitted
+// it — makes New fail, naming the file and the bound, instead of
+// re-queueing a campaign whose site list would exhaust memory on every
+// restart.
+func TestRecoverRejectsOversizedCampaign(t *testing.T) {
+	sub := service.Submission{Kernel: "GEMM K1", Scale: "small", Seed: 1, Model: "dest-value", Sites: 200_000_000, ShardCount: 1}
+	dir := t.TempDir()
+	path := filepath.Join(dir, sub.ID()+".journal")
+	j, err := journal.Open(path, sub.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = service.New(service.Config{DataDir: dir, Cache: fault.NewPreparedCache(1)})
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), strconv.Itoa(campaign.MaxSites)) {
+		t.Fatalf("recovering a %d-site campaign: err = %v, want one naming %s and the bound %d",
+			sub.Sites, err, path, campaign.MaxSites)
 	}
 }
 
