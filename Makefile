@@ -24,8 +24,11 @@ race:
 # a time): the compiled plan and its scheduler against the test-side
 # reference interpreter, on random programs with barriers, under both
 # scheduler widths and every injection kind; the journal readers on
-# arbitrary bytes; the assembler on arbitrary source (never a panic,
-# and what it accepts round-trips through its disassembly); and the
+# arbitrary bytes; the journal's hand record codec against encoding/json
+# (same bytes out, same record in); Merge on one to three fuzzed shard
+# journals against a plain concatenate-and-sort reference; the assembler
+# on arbitrary source (never a panic, and what it accepts round-trips
+# through its disassembly); and the
 # campaign usage rules on arbitrary submission JSON (what Validate accepts
 # is bounded and round-trips through its journal header). A plain
 # `go test` only replays the seeds and the checked-in corpus
@@ -34,6 +37,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime 10s ./internal/gpusim
 	$(GO) test -run '^$$' -fuzz '^FuzzExecuteNeverPanics$$' -fuzztime 10s ./internal/gpusim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFile$$' -fuzztime 10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordCodec$$' -fuzztime 10s ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/ptx
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime 10s ./internal/campaign
 
@@ -123,8 +128,11 @@ doccheck:
 # of what a campaign is; and the fault-model names are spelled in one table
 # (gpusim's), which fault.ParseModel and every CLI read; and a journal
 # record's range rule (index >= Sites) is checked only by the journal's
-# decoder, the one gate every reader passes. Fails, printing the offending
-# lines, when a pattern appears in more files than allowed.
+# decoder, the one gate every reader passes; and journal records are sorted
+# by site index only inside internal/journal (journal.SortByIndex) — a sort
+# by .Index elsewhere names its non-record element type on the line, as
+# fault's SiteFailure sort does. Fails, printing the offending lines, when a
+# pattern appears in more files than allowed.
 recipe-check:
 	@check() { \
 		hits=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$2" cmd internal | grep -v "$$3"); \
@@ -137,7 +145,8 @@ recipe-check:
 	check 2 '\.Random(' '^internal/fault/' && \
 	check 0 '\.FullRun *=[^=]' '^$$' && \
 	check 1 '"lane-correlated"' '^$$' && \
-	check 0 '>= *[A-Za-z_.]*\.Sites\b' '^internal/journal/'
+	check 0 '>= *[A-Za-z_.]*\.Sites\b' '^internal/journal/' && \
+	check 0 '\]\.Index *< *[A-Za-z_]*\[[A-Za-z_]*\]\.Index\|Compare([A-Za-z_]*\.Index, *[A-Za-z_]*\.Index)' '^internal/journal/\|SiteFailure)'
 
 # Every example program runs to completion (vet and build only compile
 # them).

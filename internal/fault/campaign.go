@@ -1,8 +1,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -604,7 +606,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	if interrupted.Load() {
 		return nil, st, fmt.Errorf("%w: %d/%d sites completed", ErrInterrupted, res.Completed, len(sites))
 	}
-	sort.Slice(quarantined, func(a, b int) bool { return quarantined[a].Index < quarantined[b].Index })
+	slices.SortFunc(quarantined, func(a, b SiteFailure) int { return cmp.Compare(a.Index, b.Index) })
 	res.Quarantined = quarantined
 	if opt.KeepPerSite {
 		res.PerSite = outcomes

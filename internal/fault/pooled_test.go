@@ -2,11 +2,13 @@ package fault_test
 
 import (
 	"errors"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/gpusim"
+	"repro/internal/journal"
 	"repro/internal/kernels"
 	"repro/internal/ptx"
 	"repro/internal/stats"
@@ -195,33 +197,49 @@ func TestPooledMatchesFreshClone(t *testing.T) {
 // and deadline timer, so a site costs a few small headers — the attempt
 // goroutine's arguments, a trap — where it used to rebuild a CTA's thread
 // and shared-memory state per launched CTA (~95 KiB a site on this kernel).
-// TotalAlloc is process-wide, so this test must not run beside others (no
-// t.Parallel in this package).
+// The journaled cases hold a durable campaign to the same limit: Append
+// encodes each record into the journal's reused frame buffer, where
+// json.Marshal and a fresh frame cost ~250 B a site. TotalAlloc is
+// process-wide, so this test must not run beside others (no t.Parallel in
+// this package).
 func TestSiteLoopAllocBytes(t *testing.T) {
 	const n, limit = 300, 512
 	for _, c := range []struct {
-		model fault.Model
-		warp  int
+		model   fault.Model
+		warp    int
+		journal bool
 	}{
-		{fault.ModelDestValue, 0},
-		{fault.ModelStuckPred, 32},
+		{fault.ModelDestValue, 0, false},
+		{fault.ModelStuckPred, 32, false},
+		{fault.ModelDestValue, 0, true},
+		{fault.ModelStuckPred, 32, true},
 	} {
 		tg, sites := tunedCampaign(t, "HotSpot K1", c.model, c.warp, tuning{}, n)
+		opt := fault.CampaignOptions{Parallelism: 1}
+		if c.journal {
+			fp := tg.JournalFingerprint(c.model, len(sites), "small", 1, fault.Shard{})
+			j, err := journal.Open(filepath.Join(t.TempDir(), "c.journal"), fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			opt.Journal = j
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := fault.RunModel(tg, sites, c.model, fault.CampaignOptions{Parallelism: 1})
+		res, err := fault.RunModel(tg, sites, c.model, opt)
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			t.Fatalf("%v warp %d: %v", c.model, c.warp, err)
+			t.Fatalf("%v warp %d journal %v: %v", c.model, c.warp, c.journal, err)
 		}
 		perSite := (after.TotalAlloc - before.TotalAlloc) / n
-		t.Logf("%v warp %d: %d B/site", c.model, c.warp, perSite)
+		t.Logf("%v warp %d journal %v: %d B/site", c.model, c.warp, c.journal, perSite)
 		if perSite >= limit {
-			t.Errorf("%v warp %d: %d B allocated per site, want < %d", c.model, c.warp, perSite, limit)
+			t.Errorf("%v warp %d journal %v: %d B allocated per site, want < %d", c.model, c.warp, c.journal, perSite, limit)
 		}
 		// One worker, one runner's device, one scratch: nothing was abandoned.
 		if res.Stats.DevicesCreated != 1 {
-			t.Errorf("%v warp %d: devices created %d, want 1", c.model, c.warp, res.Stats.DevicesCreated)
+			t.Errorf("%v warp %d journal %v: devices created %d, want 1", c.model, c.warp, c.journal, res.Stats.DevicesCreated)
 		}
 	}
 }

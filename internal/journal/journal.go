@@ -11,7 +11,17 @@
 //
 // with both header words little-endian and the CRC using the Castagnoli
 // polynomial. Frame 0's payload is the campaign Fingerprint (the header);
-// every following frame's payload is one Record. Appends write each frame
+// every following frame's payload is one Record, as json.Marshal writes it.
+// The header is written by encoding/json. A record is written by the
+// package's own encoder (codec.go), which produces json.Marshal's bytes
+// without reflection — keys i,t,d,b,o,w,cs,ee,ir,a in struct order, zero
+// omitempty fields left out, the weight formatted as encoding/json formats
+// a float64 — and defers to json.Marshal only for a record carrying an
+// engine error. On the read side the payload's bytes pick the decoder: that
+// canonical shape is parsed by hand; anything else — an engine error, a
+// legacy key such as "fb" from older builds, whitespace, an escape,
+// arbitrary bytes — goes to encoding/json, the reference both halves are
+// fuzzed against (FuzzRecordCodec). Appends write each frame
 // with a single Write call, so a crash or kill -9 can only tear the final
 // frame; on the next Open the scan stops at the first short, oversized or
 // checksum-failing frame and truncates the file there (the torn-tail rule)
@@ -39,6 +49,7 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -47,7 +58,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -175,14 +186,20 @@ type Journal struct {
 	kept      []Record
 	syncEvery int
 	sinceSync int
+	// buf is the frame Append encodes each record into, reused under mu.
+	buf []byte
 }
 
 // frame wraps payload with its length + CRC32C header.
 func frame(payload []byte) []byte {
-	buf := make([]byte, 8+len(payload))
+	return seal(append(make([]byte, 8, 8+len(payload)), payload...))
+}
+
+// seal fills the 8-byte header that buf reserves for the payload after it.
+func seal(buf []byte) []byte {
+	payload := buf[8:]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
-	copy(buf[8:], payload)
 	return buf
 }
 
@@ -212,37 +229,114 @@ func scan(data []byte) (payloads [][]byte, goodEnd int) {
 // decode parses a scanned journal image: fingerprint header frame followed
 // by record frames. It is the one gate every reader passes through: each
 // record's site index lies in [0, Sites) and appears once, and its site key
-// is non-negative. Repeats are found in memory proportional to the records
-// present, never to the header's claimed Sites.
-func decode(payloads [][]byte) (Fingerprint, []Record, error) {
+// is non-negative. The records come back in on-disk order, with their keys
+// in index order (indexOrder); repeats are found as equal neighbours there,
+// in memory proportional to the records present, never to the header's
+// claimed Sites. The error names the first offending record, as a reader
+// checking record by record would.
+func decode(payloads [][]byte) (Fingerprint, []Record, []siteKey, error) {
 	var fp Fingerprint
 	if len(payloads) == 0 {
-		return fp, nil, fmt.Errorf("%w: no fingerprint header survived", ErrCorrupt)
+		return fp, nil, nil, fmt.Errorf("%w: no fingerprint header survived", ErrCorrupt)
 	}
 	if err := json.Unmarshal(payloads[0], &fp); err != nil {
-		return fp, nil, fmt.Errorf("%w: fingerprint header: %v", ErrCorrupt, err)
+		return fp, nil, nil, fmt.Errorf("%w: fingerprint header: %v", ErrCorrupt, err)
 	}
 	recs := make([]Record, 0, len(payloads)-1)
-	seen := make(map[int]struct{}, len(payloads)-1)
+	var bad error
 	for _, p := range payloads[1:] {
-		var r Record
-		if err := json.Unmarshal(p, &r); err != nil {
-			return fp, nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, len(recs), err)
+		r, err := decodeRecord(p)
+		if err != nil {
+			bad = fmt.Errorf("%w: record %d: %v", ErrCorrupt, len(recs), err)
+			break
 		}
 		if r.Index < 0 || r.Index >= fp.Sites {
-			return fp, nil, fmt.Errorf("%w: record %d: site index %d out of range [0,%d)", ErrCorrupt, len(recs), r.Index, fp.Sites)
+			bad = fmt.Errorf("%w: record %d: site index %d out of range [0,%d)", ErrCorrupt, len(recs), r.Index, fp.Sites)
+			break
 		}
-		if _, dup := seen[r.Index]; dup {
-			return fp, nil, fmt.Errorf("%w: record %d: site %d recorded twice", ErrCorrupt, len(recs), r.Index)
-		}
-		seen[r.Index] = struct{}{}
 		if r.Thread < 0 || r.DynInst < 0 || r.Bit < 0 {
-			return fp, nil, fmt.Errorf("%w: record %d: site %d carries a negative key (%d,%d,%d)",
+			// A repeated index outranks a negative key on the same
+			// record, so the record joins the repeat check below.
+			bad = fmt.Errorf("%w: record %d: site %d carries a negative key (%d,%d,%d)",
 				ErrCorrupt, len(recs), r.Index, r.Thread, r.DynInst, r.Bit)
+			recs = append(recs, r)
+			break
 		}
 		recs = append(recs, r)
 	}
-	return fp, recs, nil
+	keys := indexOrder(recs)
+	if at := firstRepeat(keys); at >= 0 {
+		return fp, nil, nil, fmt.Errorf("%w: record %d: site %d recorded twice", ErrCorrupt, at, recs[at].Index)
+	}
+	if bad != nil {
+		return fp, nil, nil, bad
+	}
+	return fp, recs, keys, nil
+}
+
+// siteKey is a record's site index and its position in on-disk order.
+type siteKey struct{ index, pos int }
+
+// indexOrder returns the keys of recs sorted by site index, equal indices
+// in on-disk order. It is the one sort of records by index: decode finds
+// repeats in it, and ReadFile and SortByIndex lay records out by it.
+// Sorting 16-byte keys rather than whole records keeps the swaps small,
+// and a journal written in nearly index order sorts in nearly linear time.
+func indexOrder(recs []Record) []siteKey {
+	keys := make([]siteKey, len(recs))
+	for k, r := range recs {
+		keys[k] = siteKey{r.Index, k}
+	}
+	slices.SortFunc(keys, func(a, b siteKey) int {
+		if c := cmp.Compare(a.index, b.index); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	return keys
+}
+
+// firstRepeat returns the earliest on-disk position holding a site index
+// that an earlier position already holds, or -1 when every index is
+// distinct. In a group of equal keys, the second is the first repeat.
+func firstRepeat(keys []siteKey) int {
+	at := -1
+	for k := 1; k < len(keys); k++ {
+		if keys[k].index == keys[k-1].index && (at < 0 || keys[k].pos < at) {
+			at = keys[k].pos
+		}
+	}
+	return at
+}
+
+// arrange permutes recs in place into the order keys lists (keys must be
+// indexOrder(recs)), following each cycle of the permutation once. keys is
+// spent: each entry is marked as placed.
+func arrange(recs []Record, keys []siteKey) {
+	for start := range keys {
+		if keys[start].pos == start {
+			continue
+		}
+		held := recs[start]
+		k := start
+		for {
+			from := keys[k].pos
+			keys[k].pos = k
+			if from == start {
+				recs[k] = held
+				break
+			}
+			recs[k] = recs[from]
+			k = from
+		}
+	}
+}
+
+// SortByIndex puts recs in site-index order, the order every aggregation
+// of records reads them in; records with equal indices keep their relative
+// order.
+func SortByIndex(recs []Record) {
+	arrange(recs, indexOrder(recs))
 }
 
 // Open opens (or creates) the journal at path for the campaign described by
@@ -289,7 +383,7 @@ func Open(path string, fp Fingerprint) (*Journal, error) {
 	}
 
 	payloads, goodEnd := scan(data)
-	have, recs, err := decode(payloads)
+	have, recs, _, err := decode(payloads)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -414,16 +508,18 @@ func (j *Journal) Count() int {
 // single Write call, so a crash can only tear the final record — which the
 // next Open truncates.
 func (j *Journal) Append(r Record) error {
-	payload, err := json.Marshal(r)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	// The frame's 8 header bytes come first; seal fills them in.
+	buf, err := appendRecord(append(j.buf[:0], make([]byte, 8)...), r)
+	j.buf = buf
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	if _, err := j.f.Write(frame(payload)); err != nil {
+	if _, err := j.f.Write(seal(buf)); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	j.appended++
@@ -476,11 +572,11 @@ func ReadFile(path string) (Fingerprint, []Record, error) {
 		return Fingerprint{}, nil, fmt.Errorf("journal: %w", err)
 	}
 	payloads, _ := scan(data)
-	fp, recs, err := decode(payloads)
+	fp, recs, keys, err := decode(payloads)
 	if err != nil {
 		return fp, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].Index < recs[b].Index })
+	arrange(recs, keys)
 	return fp, recs, nil
 }
 
@@ -490,18 +586,21 @@ func ReadFile(path string) (Fingerprint, []Record, error) {
 // fingerprint, that shard indices are within range and not duplicated, that
 // no site index is recorded twice, and — unless allowPartial — that every
 // shard is present and every one of the fingerprint's sites has a record.
+// Errors come in the order of a check path by path: a journal's records are
+// checked against earlier journals' before later journals are read.
 func Merge(paths []string, allowPartial bool) (Fingerprint, []Record, error) {
 	if len(paths) == 0 {
 		return Fingerprint{}, nil, errors.New("journal: no journals to merge")
 	}
 	var base Fingerprint
-	var all []Record
-	owner := map[int]string{}     // site index -> journal path
+	var shards [][]Record
+	var bad error                 // the first journal that fails on its own
 	shardSeen := map[int]string{} // shard index -> journal path
 	for n, path := range paths {
 		fp, recs, err := ReadFile(path)
 		if err != nil {
-			return base, nil, err
+			bad = err
+			break
 		}
 		if n == 0 {
 			base = fp
@@ -511,31 +610,38 @@ func Merge(paths []string, allowPartial bool) (Fingerprint, []Record, error) {
 			// the likeliest operator slip, and "model: want X, got Y" buried
 			// in a field diff under-sells that the outcomes are incomparable.
 			if fp.Model != base.Model {
-				return base, nil, fmt.Errorf("%w: %s was recorded under fault model %q but %s under %q; shards of one campaign must share a model",
+				bad = fmt.Errorf("%w: %s was recorded under fault model %q but %s under %q; shards of one campaign must share a model",
 					ErrFingerprintMismatch, paths[0], base.Model, path, fp.Model)
+				break
 			}
 			want, got := base, fp
 			want.ShardIndex, got.ShardIndex = 0, 0
-			return base, nil, fmt.Errorf("%w: %s and %s are not shards of one campaign (%s)",
+			bad = fmt.Errorf("%w: %s and %s are not shards of one campaign (%s)",
 				ErrFingerprintMismatch, paths[0], path, want.Diff(got))
+			break
 		}
 		if fp.ShardCount < 1 || fp.ShardIndex < 0 || fp.ShardIndex >= fp.ShardCount {
-			return base, nil, fmt.Errorf("journal: %s: shard %d/%d out of range",
+			bad = fmt.Errorf("journal: %s: shard %d/%d out of range",
 				path, fp.ShardIndex, fp.ShardCount)
+			break
 		}
 		if prev, dup := shardSeen[fp.ShardIndex]; dup {
-			return base, nil, fmt.Errorf("journal: shard %d appears in both %s and %s",
+			bad = fmt.Errorf("journal: shard %d appears in both %s and %s",
 				fp.ShardIndex, prev, path)
+			break
 		}
 		shardSeen[fp.ShardIndex] = path
-		for _, r := range recs {
-			if prev, dup := owner[r.Index]; dup {
-				return base, nil, fmt.Errorf("journal: site %d recorded by both %s and %s",
-					r.Index, prev, path)
-			}
-			owner[r.Index] = path
-			all = append(all, r)
-		}
+		shards = append(shards, recs)
+	}
+	// Input-order aggregation downstream depends on index order: each
+	// journal arrives sorted, but the shards' indices interleave.
+	all, rep := mergeSorted(shards)
+	if rep.later > 0 {
+		return base, nil, fmt.Errorf("journal: site %d recorded by both %s and %s",
+			rep.index, paths[rep.earlier], paths[rep.later])
+	}
+	if bad != nil {
+		return base, nil, bad
 	}
 	if !allowPartial {
 		if len(shardSeen) != base.ShardCount {
@@ -547,8 +653,77 @@ func Merge(paths []string, allowPartial bool) (Fingerprint, []Record, error) {
 				len(all), base.Sites)
 		}
 	}
-	// Input-order aggregation downstream depends on index order: each
-	// journal arrives sorted, but the shards' indices interleave.
-	sort.Slice(all, func(a, b int) bool { return all[a].Index < all[b].Index })
 	return base, all, nil
+}
+
+// repeat is a site index held by two shard journals, numbered by their
+// position among Merge's paths. later is 0 when there is none.
+type repeat struct{ index, earlier, later int }
+
+// mergeSorted k-way merges shard record lists, each in strictly increasing
+// index order, into one index-ordered list. A site two shards both hold
+// meets itself as equal neighbours; the repeat reported is the one a
+// path-by-path check meets first: the earliest shard that repeats an
+// earlier shard's site, at its lowest such index.
+func mergeSorted(shards [][]Record) ([]Record, repeat) {
+	if len(shards) == 1 {
+		return shards[0], repeat{}
+	}
+	total := 0
+	for _, recs := range shards {
+		total += len(recs)
+	}
+	all := make([]Record, 0, total)
+	// heap holds the shards with records left, as a binary min-heap on
+	// (next record's index, shard number); next[s] is shard s's next record.
+	next := make([]int, len(shards))
+	less := func(a, b int) bool {
+		ia, ib := shards[a][next[a]].Index, shards[b][next[b]].Index
+		return ia < ib || ia == ib && a < b
+	}
+	var heap []int
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heap) {
+				return
+			}
+			if c+1 < len(heap) && less(heap[c+1], heap[c]) {
+				c++
+			}
+			if !less(heap[c], heap[i]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	for s, recs := range shards {
+		if len(recs) > 0 {
+			heap = append(heap, s)
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	var rep repeat
+	owner := -1 // the shard that supplied all's last record
+	for len(heap) > 0 {
+		s := heap[0]
+		r := shards[s][next[s]]
+		if next[s]++; next[s] == len(shards[s]) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+		if n := len(all); n > 0 && all[n-1].Index == r.Index {
+			if rep.later == 0 || s < rep.later {
+				rep = repeat{r.Index, owner, s}
+			}
+			continue
+		}
+		all = append(all, r)
+		owner = s
+	}
+	return all, rep
 }

@@ -1,10 +1,14 @@
 package journal
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -421,6 +425,129 @@ func TestMergeModelMismatch(t *testing.T) {
 			t.Fatalf("merge error %q missing %q", err, want)
 		}
 	}
+}
+
+// journalLines is a journal image whose frames hold the given payloads,
+// one per line: the header first, then one record per line.
+func journalLines(lines []byte) []byte {
+	var data []byte
+	for _, p := range bytes.Split(lines, []byte("\n")) {
+		data = append(data, frame(p)...)
+	}
+	return data
+}
+
+// shardLines is the line form of a journal of shard idx of count in a
+// sites-sized campaign of kernel, holding records for indices.
+func shardLines(t testing.TB, kernel string, sites, idx, count int, indices ...int) []byte {
+	fp := testFP()
+	fp.Kernel, fp.Sites, fp.ShardIndex, fp.ShardCount = kernel, sites, idx, count
+	lines, err := json.Marshal(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range indices {
+		if lines, err = appendRecord(append(lines, '\n'), rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return lines
+}
+
+// FuzzMerge: Merge never panics on 1–3 journals built from fuzzed payload
+// lines (each line one CRC-valid frame, so mutations reach the decoder and
+// Merge's checks rather than the torn-tail rule). It accepts exactly when
+// a plain reference does: every file reads, all share one campaign, shard
+// indices are in range and distinct, no site index repeats across files,
+// and — unless partial — every shard and site is present. Accepted records
+// equal the files' ReadFile records concatenated and stably sorted by
+// index, and are disjoint and within [0, Sites). A rejection is ErrCorrupt,
+// ErrFingerprintMismatch or one of Merge's shard and coverage errors.
+func FuzzMerge(f *testing.F) {
+	gemm := "GEMM K1"
+	pair := [][]byte{shardLines(f, gemm, 6, 0, 2, 4, 0, 2), shardLines(f, gemm, 6, 1, 2, 1, 3, 5)}
+	overlap := [][]byte{pair[0], shardLines(f, gemm, 6, 1, 2, 1, 2, 3)}
+	foreign := [][]byte{pair[0], shardLines(f, "MVT K1", 6, 1, 2, 1, 3, 5)}
+	for _, seed := range []struct {
+		files [][]byte
+		mode  uint8 // files-1 in the low two bits; 4 allows a partial merge
+	}{
+		{pair, 1}, {pair, 1 | 4}, {pair[:1], 4}, {append(pair, pair[1]), 2},
+		{overlap, 1}, {overlap, 1 | 4}, {foreign, 1 | 4},
+	} {
+		files := append(seed.files, nil, nil)
+		f.Add(files[0], files[1], files[2], seed.mode)
+	}
+	f.Fuzz(func(t *testing.T, a, b, c []byte, mode uint8) {
+		dir := t.TempDir()
+		var paths []string
+		for k, lines := range [][]byte{a, b, c}[:int(mode&3)%3+1] {
+			path := filepath.Join(dir, fmt.Sprintf("s%d.journal", k))
+			if err := os.WriteFile(path, journalLines(lines), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, path)
+		}
+		partial := mode&4 != 0
+
+		accept := true
+		var fps []Fingerprint
+		var ref []Record
+		for _, path := range paths {
+			fp, recs, err := ReadFile(path)
+			if err != nil {
+				accept = false
+				break
+			}
+			fps = append(fps, fp)
+			ref = append(ref, recs...)
+		}
+		slices.SortStableFunc(ref, func(x, y Record) int { return cmp.Compare(x.Index, y.Index) })
+		shards := map[int]bool{}
+		for _, fp := range fps {
+			if !fp.SameCampaign(fps[0]) || fp.ShardCount < 1 || fp.ShardIndex < 0 || fp.ShardIndex >= fp.ShardCount || shards[fp.ShardIndex] {
+				accept = false
+			}
+			shards[fp.ShardIndex] = true
+		}
+		for k := 1; k < len(ref); k++ {
+			if ref[k].Index == ref[k-1].Index {
+				accept = false
+			}
+		}
+		if accept && !partial && (len(shards) != fps[0].ShardCount || len(ref) != fps[0].Sites) {
+			accept = false
+		}
+
+		fp, recs, err := Merge(paths, partial)
+		if err != nil {
+			known := errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFingerprintMismatch)
+			for _, text := range []string{"out of range", "appears in both", "recorded by both", "shards present", "sites recorded"} {
+				known = known || strings.Contains(err.Error(), text)
+			}
+			if !known {
+				t.Fatalf("Merge failed with an undocumented error: %v", err)
+			}
+			if accept {
+				t.Fatalf("Merge rejected what the reference accepts: %v", err)
+			}
+			return
+		}
+		if !accept {
+			t.Fatalf("Merge accepted %d records the reference rejects", len(recs))
+		}
+		if want := fps[0]; fp.ShardIndex != 0 || !fp.SameCampaign(want) {
+			t.Fatalf("merged fingerprint %+v, want %+v with shard 0", fp, want)
+		}
+		if len(recs) != len(ref) {
+			t.Fatalf("Merge returned %d records, the files hold %d", len(recs), len(ref))
+		}
+		for k, r := range recs {
+			if r != ref[k] || r.Index < 0 || r.Index >= fp.Sites {
+				t.Fatalf("merged record %d = %+v, want %+v within [0,%d)", k, r, ref[k], fp.Sites)
+			}
+		}
+	})
 }
 
 // TestFingerprintDiff: Diff names exactly the differing fields with

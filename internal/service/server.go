@@ -358,7 +358,7 @@ func (s *Server) execute(c *campaign) ([]journal.Record, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	sort.Slice(recs, func(i, k int) bool { return recs[i].Index < recs[k].Index })
+	journal.SortByIndex(recs)
 	return recs, nil
 }
 
