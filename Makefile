@@ -113,7 +113,8 @@ gpurun-smoke:
 # every entry of DESIGN.md's contract ledger names an existing oracle test
 # and make target, every §N.M reference in Go comments and those files
 # names a DESIGN.md heading, every pkg.Name they cite is declared by that
-# internal package, and every quoted `make <target>` is a target here.
+# internal package (and every pkg.Type.Member names a method or field of
+# that type), and every quoted `make <target>` is a target here.
 doccheck:
 	$(GO) run ./cmd/doccheck
 
@@ -129,9 +130,10 @@ doccheck:
 # (gpusim's), which fault.ParseModel and every CLI read; and a journal
 # record's range rule (index >= Sites) is checked only by the journal's
 # decoder, the one gate every reader passes; and journal records are sorted
-# by site index only inside internal/journal (journal.SortByIndex) — a sort
-# by .Index elsewhere names its non-record element type on the line, as
-# fault's SiteFailure sort does. Fails, printing the offending lines, when a
+# by site index only inside internal/journal (journal.ReadFile and
+# journal.Merge return them in index order) — a sort by .Index elsewhere
+# names its non-record element type on the line, as fault's SiteFailure
+# sort does. Fails, printing the offending lines, when a
 # pattern appears in more files than allowed.
 recipe-check:
 	@check() { \

@@ -29,7 +29,8 @@
 //     internal/ or examples/, or in one of the documents, names an
 //     existing DESIGN.md heading.
 //  8. Every pkg.Name reference to an internal/ package in the documents
-//     names a top-level declaration of that package.
+//     names a top-level declaration of that package, and every
+//     pkg.Type.Member reference names a method or field of that type.
 //  9. Every `make <target>` in an inline code span or a fenced code block
 //     of the documents names a Makefile target.
 //
@@ -502,11 +503,23 @@ func checkSectionRefs(design string, goRoots []string, files ...string) []string
 
 // checkIdentifiers requires every exported pkg.Name reference in the given
 // markdown files, where pkg is the name of a package under internal/, to
-// name a top-level declaration of that package's non-test files. Only the
-// first name after the package is checked: in "journal.Journal.Append" it
-// is Journal. Test…/Fuzz… names ("fault.TestX") are rule 5's.
+// name a top-level declaration of that package's non-test files, and every
+// pkg.Type.Member reference to name a method or field declared on that
+// type. A type that embeds a field or aliases another type takes members
+// from elsewhere, so its member references are not checked. Test…/Fuzz…
+// names ("fault.TestX") are rule 5's.
 func checkIdentifiers(files ...string) []string {
-	decls := map[string]map[string]bool{} // package name -> top-level names
+	decls := map[string]map[string]bool{}   // package name -> top-level names
+	members := map[string]map[string]bool{} // "pkg.Type" -> its methods and fields
+	borrows := map[string]bool{}            // "pkg.Type" that embeds or aliases
+	member := func(typ, name string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		if name != "" {
+			members[typ][name] = true
+		}
+	}
 	entries, err := os.ReadDir("internal")
 	if err != nil {
 		return []string{err.Error()}
@@ -529,12 +542,36 @@ func checkIdentifiers(files ...string) []string {
 					case *ast.FuncDecl:
 						if d.Recv == nil {
 							names[d.Name.Name] = true
+						} else {
+							recv := d.Recv.List[0].Type
+							if star, ok := recv.(*ast.StarExpr); ok {
+								recv = star.X
+							}
+							if id, ok := recv.(*ast.Ident); ok {
+								member(name+"."+id.Name, d.Name.Name)
+							}
 						}
 					case *ast.GenDecl:
 						for _, spec := range d.Specs {
 							switch spec := spec.(type) {
 							case *ast.TypeSpec:
 								names[spec.Name.Name] = true
+								typ := name + "." + spec.Name.Name
+								member(typ, "")
+								borrows[typ] = spec.Assign.IsValid()
+								var fields []*ast.Field
+								switch t := spec.Type.(type) {
+								case *ast.StructType:
+									fields = t.Fields.List
+								case *ast.InterfaceType:
+									fields = t.Methods.List
+								}
+								for _, f := range fields {
+									borrows[typ] = borrows[typ] || len(f.Names) == 0
+									for _, id := range f.Names {
+										member(typ, id.Name)
+									}
+								}
 							case *ast.ValueSpec:
 								for _, id := range spec.Names {
 									names[id.Name] = true
@@ -552,7 +589,7 @@ func checkIdentifiers(files ...string) []string {
 		pkgNames = append(pkgNames, name)
 	}
 	sort.Strings(pkgNames)
-	refRE := regexp.MustCompile(`(?:^|[^\w/.])(` + strings.Join(pkgNames, "|") + `)\.([A-Z]\w*)`)
+	refRE := regexp.MustCompile(`(?:^|[^\w/.])(` + strings.Join(pkgNames, "|") + `)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
 	var violations []string
 	for _, file := range files {
 		lines, err := readLines(file)
@@ -562,9 +599,15 @@ func checkIdentifiers(files ...string) []string {
 		}
 		for lineno, line := range lines {
 			for _, m := range refRE.FindAllStringSubmatch(line, -1) {
-				if !decls[m[1]][m[2]] && !docTestRE.MatchString(m[2]) {
+				typ := m[1] + "." + m[2]
+				switch {
+				case docTestRE.MatchString(m[2]):
+				case !decls[m[1]][m[2]]:
 					violations = append(violations,
 						fmt.Sprintf("%s:%d: package %s declares no %s", file, lineno+1, m[1], m[2]))
+				case m[3] != "" && members[typ] != nil && !borrows[typ] && !members[typ][m[3]]:
+					violations = append(violations,
+						fmt.Sprintf("%s:%d: %s has no method or field %s", file, lineno+1, typ, m[3]))
 				}
 			}
 		}

@@ -13,10 +13,10 @@ import (
 func fixture() map[string]string {
 	return map[string]string{
 		"Makefile":                "test:\n\tgo test ./...\n",
-		"internal/good/good.go":   "// Package good is a fixture.\npackage good\n\n// Exported is cited by the documents.\nfunc Exported() {}\n",
+		"internal/good/good.go":   "// Package good is a fixture.\npackage good\n\n// Exported is cited by the documents.\nfunc Exported() {}\n\n// Box is cited with its members.\ntype Box struct{ Field int }\n\n// Method is cited.\nfunc (b *Box) Method() {}\n",
 		"internal/good/a_test.go": "package good\n\nimport \"testing\"\n\nfunc TestReal(t *testing.T) {}\n",
 		"cmd/tool/main.go":        "package main\n\nimport \"flag\"\n\n// See DESIGN.md §3.1.\nvar fast = flag.Bool(\"fast\", false, \"go fast\")\n\nfunc main() {}\n",
-		"README.md":               "# cmd/tool\n\n```sh\ngo run ./cmd/tool -fast\n```\n\nUse `good.Exported`; run `make test` (DESIGN.md §3.1).\n",
+		"README.md":               "# cmd/tool\n\n```sh\ngo run ./cmd/tool -fast\n```\n\nUse `good.Exported`, `good.Box.Method` and `good.Box.Field`; run `make test` (DESIGN.md §3.1).\n",
 		"EXPERIMENTS.md":          "Run `tool -fast`, see §1.\n",
 		"ARCHITECTURE.md":         "Tour.\n",
 		"benchmark/README.md":     "Benchmark.\n",
@@ -145,6 +145,9 @@ func TestCheckIdentifiers(t *testing.T) {
 			f["README.md"] += "Also `good.Missing`, good.TestReal and good.unexported, internal/good.go.\n"
 		},
 		"package good declares no Missing")
+	checkRule(t, func() []string { return checkIdentifiers("README.md") },
+		func(f map[string]string) { f["README.md"] += "Call `good.Box.Gone`.\n" },
+		"README.md:8: good.Box has no method or field Gone")
 	f := fixture()
 	f["README.md"] += "Cites good.TestReal, good.unexported and internal/good.go.\n"
 	inTree(t, f)

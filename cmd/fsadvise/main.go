@@ -11,8 +11,10 @@
 //	fsadvise -journal s0.journal,s1.journal -budget 5,10,25 -json
 //	fsadvise -kernel "GEMM K1" -sites 2000 -rank-by severity
 //
-// Both paths produce byte-identical JSON for the same campaign — the
-// journal replay attributes exactly the outcomes the live run records.
+// Both paths produce byte-identical JSON for the same campaign: the live
+// door collects the records the engine hands its Progress hook — the
+// records a journaled run appends — and both doors attribute them through
+// advisor.FromJournal.
 package main
 
 import (
@@ -95,19 +97,20 @@ func fromJournals(paths []string) *advisor.Input {
 	return in
 }
 
-// fromLiveCampaign runs the campaign fsprune would run for the same flags
-// with per-site outcomes retained, then attributes the result.
+// fromLiveCampaign runs the campaign fsprune would run for the same flags,
+// collects each site's record by site index, and attributes the records as
+// a journal's.
 func fromLiveCampaign(spec campaign.Spec, par int) *advisor.Input {
 	p, err := spec.Prepare(fault.DefaultPreparedCache())
 	fatal(err)
-	// The site list is derived once and shared by the run and its
-	// attribution. A live campaign is never sharded, so the engine takes
-	// the whole list.
+	// A live campaign is never sharded, so the engine takes the whole
+	// site list and hands back one record per site.
 	sites := p.Sites()
-	res, err := fault.RunModel(p.Target, sites, p.Model, fault.CampaignOptions{
+	recs := make([]journal.Record, len(sites))
+	_, err = fault.RunModel(p.Target, sites, p.Model, fault.CampaignOptions{
 		Parallelism: par,
-		KeepPerSite: true,
 		Interrupt:   interrupts.Notify(),
+		Progress:    func(r journal.Record) { recs[r.Index] = r },
 	})
 	if errors.Is(err, fault.ErrInterrupted) {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -115,7 +118,7 @@ func fromLiveCampaign(spec campaign.Spec, par int) *advisor.Input {
 		os.Exit(130)
 	}
 	fatal(err)
-	in, err := advisor.FromCampaign(p.Target, spec.Fingerprint(), sites, res)
+	in, err := advisor.FromJournal(p.Target, spec.Fingerprint(), recs)
 	fatal(err)
 	return in
 }

@@ -7,17 +7,16 @@
 // the follow-up paper's "partial protection" idea (Yang et al., arXiv
 // 2103.02825) rebuilt on this repo's campaign data.
 //
-// Input construction is deliberately split from analysis: FromJournal
-// attributes a replayed journal, and FromCampaign turns a live
-// fault.CampaignResult into the records its journal would hold and goes
-// through FromJournal, so Analyze — and therefore the emitted
-// report.Advice JSON — is byte-identical across the two doors. DESIGN.md
-// §3.10 documents the statistical model and the protection-simulation
-// composition argument.
+// Input construction is deliberately split from analysis, and there is one
+// input door: FromJournal attributes journal records, whether replayed from
+// a file or collected live from the engine's record stream
+// (fault.CampaignOptions.Progress), so Analyze — and therefore the emitted
+// report.Advice JSON — is byte-identical across live and replayed advice.
+// DESIGN.md §3.10 documents the statistical model and the
+// protection-simulation composition argument.
 package advisor
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -56,31 +55,9 @@ type Input struct {
 	Prof *trace.Profile
 }
 
-// FromCampaign attributes a live campaign result: res must come from
-// running the campaign fp names over exactly these sites on t with
-// CampaignOptions.KeepPerSite, unsharded and complete. It builds the
-// records a journaled run of the campaign would hold and attributes them
-// through FromJournal, so live and replayed advice share one path.
-func FromCampaign(t *fault.Target, fp journal.Fingerprint, sites []fault.WeightedSite, res *fault.CampaignResult) (*Input, error) {
-	if res.PerSite == nil {
-		return nil, errors.New("advisor: live advice needs a campaign run with CampaignOptions.KeepPerSite")
-	}
-	if len(res.PerSite) != len(sites) || res.Completed != len(sites) {
-		return nil, fmt.Errorf("advisor: campaign incomplete (%d of %d sites); advice needs every outcome",
-			res.Completed, len(sites))
-	}
-	recs := make([]journal.Record, len(sites))
-	for i, ws := range sites {
-		recs[i] = journal.Record{
-			Index: i, Thread: ws.Site.Thread, DynInst: ws.Site.DynInst, Bit: ws.Site.Bit,
-			Outcome: uint8(res.PerSite[i]), Weight: ws.Weight,
-		}
-	}
-	return FromJournal(t, fp, recs)
-}
-
-// FromJournal attributes a replayed journal (one file via ReadFile, or a
-// sharded campaign recombined via Merge) against the target it was
+// FromJournal attributes journal records — one file via journal.ReadFile,
+// a sharded campaign recombined via journal.Merge, or a live campaign's
+// Progress records collected by site index — against the target they were
 // recorded on. The records must be the complete campaign in site-index
 // order, as ReadFile and Merge return them — a ranking from a partial
 // campaign would be biased toward whichever sites finished first — and
@@ -222,10 +199,4 @@ func ParseBudgets(s string) ([]float64, error) {
 // identically. For unsound models the frontier is still emitted — as an
 // upper bound on what DMR could achieve — with dmr_sound=false in the
 // report.
-func DMRSound(m fault.Model) bool {
-	switch m {
-	case fault.ModelDestValue, fault.ModelDestDouble, fault.ModelDestByte, fault.ModelLaneCorrelated:
-		return true
-	}
-	return false
-}
+func DMRSound(m fault.Model) bool { return m.Destination() }

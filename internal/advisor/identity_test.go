@@ -91,7 +91,9 @@ func TestLiveJournalByteIdentity(t *testing.T) {
 }
 
 // liveAndJournal runs one journaled campaign of model on tgt and returns
-// the advisor inputs of both doors: the live result and its journal.
+// the advisor inputs of both doors: the records its Progress hook handed
+// over, collected by site index as fsadvise's live door collects them, and
+// its journal.
 func liveAndJournal(t *testing.T, tgt *fault.Target, model fault.Model) (live, replayed *advisor.Input) {
 	t.Helper()
 	const seed, nSites = 9, 120
@@ -106,10 +108,11 @@ func liveAndJournal(t *testing.T, tgt *fault.Target, model fault.Model) (live, r
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fault.RunModel(tgt, sites, model, fault.CampaignOptions{
-		KeepPerSite: true,
-		Journal:     j,
-		Shard:       shard,
+	liveRecs := make([]journal.Record, len(sites))
+	_, err = fault.RunModel(tgt, sites, model, fault.CampaignOptions{
+		Journal:  j,
+		Shard:    shard,
+		Progress: func(r journal.Record) { liveRecs[r.Index] = r },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +120,7 @@ func liveAndJournal(t *testing.T, tgt *fault.Target, model fault.Model) (live, r
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	live, err = advisor.FromCampaign(tgt, fp, sites, res)
+	live, err = advisor.FromJournal(tgt, fp, liveRecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,40 +133,6 @@ func liveAndJournal(t *testing.T, tgt *fault.Target, model fault.Model) (live, r
 		t.Fatal(err)
 	}
 	return live, replayed
-}
-
-// TestFromCampaignRejects checks the live door's input contract: a result
-// without per-site outcomes, or from a campaign that did not run every
-// site, is refused rather than ranked.
-func TestFromCampaignRejects(t *testing.T) {
-	tgt := identityTarget(t)
-	if err := tgt.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	model := fault.ModelDestValue
-	sites := fault.Uniform(fault.NewSpace(tgt.Profile()).RandomModel(stats.NewRNG(3), 40, model))
-	fp := tgt.JournalFingerprint(model, len(sites), "small", 3, fault.Shard{Index: 0, Count: 1})
-
-	res, err := fault.RunModel(tgt, sites, model, fault.CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := advisor.FromCampaign(tgt, fp, sites, res); err == nil ||
-		!strings.Contains(err.Error(), "KeepPerSite") {
-		t.Fatalf("want KeepPerSite error, got %v", err)
-	}
-
-	res, err = fault.RunModel(tgt, sites, model, fault.CampaignOptions{
-		KeepPerSite: true,
-		Shard:       fault.Shard{Index: 0, Count: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := advisor.FromCampaign(tgt, fp, sites, res); err == nil ||
-		!strings.Contains(err.Error(), "incomplete") {
-		t.Fatalf("want incomplete-campaign error for a sharded result, got %v", err)
-	}
 }
 
 // TestFromJournalRejectsWrongTarget replays a journal against a target

@@ -42,13 +42,14 @@ const DefaultLoopIters = 8
 const DefaultBitSamples = 16
 
 // StageSites records the fault-site population surviving each progressive
-// stage (the bars of the paper's Fig. 10).
+// stage (the bars of the paper's Fig. 10). Its JSON form is the "stages"
+// object of report.Plan.
 type StageSites struct {
-	Exhaustive int64 // Eq. 1 over the whole kernel
-	Thread     int64 // after CTA- and thread-wise pruning
-	Inst       int64 // after instruction-wise pruning
-	Loop       int64 // after loop-wise pruning
-	Bit        int64 // final: the number of injection experiments
+	Exhaustive int64 `json:"exhaustive"` // Eq. 1 over the whole kernel
+	Thread     int64 `json:"thread"`     // after CTA- and thread-wise pruning
+	Inst       int64 `json:"inst"`       // after instruction-wise pruning
+	Loop       int64 `json:"loop"`       // after loop-wise pruning
+	Bit        int64 `json:"bit"`        // final: the number of injection experiments
 }
 
 // Plan is the output of the pruning pipeline: the weighted fault sites to

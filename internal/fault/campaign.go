@@ -278,14 +278,13 @@ type CampaignOptions struct {
 	// channel is closed: workers finish their current site, the journal
 	// keeps every completed outcome, and Run returns ErrInterrupted.
 	Interrupt <-chan struct{}
-	// Progress, when non-nil, is the campaign's progress-snapshot hook: it
-	// is invoked once after journal replay and then after every completed
-	// site (journaled, when a journal is attached) with the number of
-	// completed sites so far and the campaign's total site count. On a
-	// sharded campaign the count covers only this shard's sites while total
-	// remains the whole campaign. Called concurrently from campaign
-	// workers; it must be fast and safe for concurrent use.
-	Progress func(completed, total int)
+	// Progress, when non-nil, receives the record of every site this run
+	// completes, quarantined sites included, once the record is appended
+	// to the attached journal: the stream live readers (fsserve's status,
+	// fsadvise's live door) consume. Replayed sites are never passed; they
+	// are the journal's Replayed records. Called concurrently from
+	// campaign workers; it must be fast and safe for concurrent use.
+	Progress func(journal.Record)
 }
 
 // Run executes one fault-injection experiment per weighted site under the
@@ -463,15 +462,6 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 		}
 	}
 
-	// Progress reporting: replayed sites count as already completed, and
-	// each executed site ticks the counter once its outcome is final (and
-	// journaled).
-	var progressed atomic.Int64
-	progressed.Store(st.Replayed)
-	if opt.Progress != nil {
-		opt.Progress(int(st.Replayed), len(sites))
-	}
-
 	// The work list: schedule positions owned by this shard whose site is
 	// not already journaled.
 	work := make([]int, 0, len(sites))
@@ -579,7 +569,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 						}
 					}
 					if opt.Progress != nil {
-						opt.Progress(int(progressed.Add(1)), len(sites))
+						opt.Progress(rec)
 					}
 				}
 			}

@@ -138,43 +138,66 @@ func TestStatsSinkMerge(t *testing.T) {
 	}
 }
 
-// TestProgressHook: the Progress hook sees one call per completed site plus
-// the initial replay snapshot, counts monotonically to the campaign total,
-// and always reports the full campaign size as total.
+// TestProgressHook: the Progress hook receives the record of every site
+// the run executes, exactly once and only after the record is journaled —
+// a quarantined site's included — and nothing for the sites replayed from
+// the journal.
 func TestProgressHook(t *testing.T) {
-	const n = 40
-	var calls, last, bad atomic.Int64
-	last.Store(-1)
-	progress := func(completed, total int) {
-		calls.Add(1)
-		if total != n {
-			bad.Store(1)
-		}
-		// Monotone non-decreasing: concurrent workers may race the counter
-		// read back, but the value handed to each call is the post-increment
-		// count, so tracking the max is enough.
-		for {
-			prev := last.Load()
-			if int64(completed) <= prev || last.CompareAndSwap(prev, int64(completed)) {
-				break
-			}
+	const n, replayed, failing = 40, 10, 30
+	sites := fakeSites(n)
+	j := openFakeJournal(t, n)
+	for i := 0; i < replayed; i++ {
+		if err := j.Append(journalRecord(i, sites[i], Masked, runCost{}, 1, "")); err != nil {
+			t.Fatal(err)
 		}
 	}
-	res, _, err := runWith(fakeSites(n), nil, CampaignOptions{Parallelism: 4, Progress: progress},
-		func(s Site) (Outcome, runCost, error) { return Masked, runCost{}, nil })
+	j.Close()
+	j, err := journal.Open(j.Path(), journalFP(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != n {
-		t.Fatalf("completed %d, want %d", res.Completed, n)
+	defer j.Close()
+
+	var calls [n]atomic.Int64
+	var seen atomic.Int64
+	var badQuarantine, unjournaled atomic.Bool
+	opt := fastGuard(4)
+	opt.Journal = j
+	opt.Progress = func(r journal.Record) {
+		calls[r.Index].Add(1)
+		// Each record handed over so far was appended before its call.
+		if k := seen.Add(1); j.Count() < replayed+int(k) {
+			unjournaled.Store(true)
+		}
+		if r.Index == failing && (Outcome(r.Outcome) != EngineError || r.Err == "") {
+			badQuarantine.Store(true)
+		}
 	}
-	if got := calls.Load(); got != n+1 { // n sites + the initial replay snapshot
-		t.Fatalf("progress called %d times, want %d", got, n+1)
+	res, _, err := runWith(sites, nil, opt, func(s Site) (Outcome, runCost, error) {
+		if s.Thread == failing {
+			return 0, runCost{}, errors.New("boom")
+		}
+		return SDC, runCost{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if last.Load() != n {
-		t.Fatalf("final reported completion %d, want %d", last.Load(), n)
+	if res.Completed != n || len(res.Quarantined) != 1 {
+		t.Fatalf("completed %d, quarantined %d; want %d and 1", res.Completed, len(res.Quarantined), n)
 	}
-	if bad.Load() != 0 {
-		t.Fatal("progress reported a total different from the campaign size")
+	for i := range calls {
+		want := int64(1)
+		if i < replayed {
+			want = 0
+		}
+		if got := calls[i].Load(); got != want {
+			t.Errorf("site %d: progress called %d times, want %d", i, got, want)
+		}
+	}
+	if unjournaled.Load() {
+		t.Error("progress saw a record before it was journaled")
+	}
+	if badQuarantine.Load() {
+		t.Errorf("site %d's record is not its quarantine record", failing)
 	}
 }

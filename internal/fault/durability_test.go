@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fault"
@@ -56,10 +57,11 @@ func TestCampaignInterruptResume(t *testing.T) {
 	// few microseconds each, and the run then ends uninterrupted.
 	intr := make(chan struct{})
 	var once sync.Once
+	var completed atomic.Int64
 	_, err = fault.Run(tg, sites, fault.CampaignOptions{
 		Parallelism: 2, Journal: j, Interrupt: intr,
-		Progress: func(completed, total int) {
-			if completed >= total/4 {
+		Progress: func(journal.Record) {
+			if completed.Add(1) >= int64(len(sites)/4) {
 				once.Do(func() { close(intr) })
 			}
 		},
@@ -288,9 +290,11 @@ func runJournaled(t *testing.T, tg *fault.Target, sites []fault.WeightedSite, mo
 	if stopAt > 0 {
 		intr := make(chan struct{})
 		var once sync.Once
+		var completed atomic.Int64
+		completed.Store(int64(len(j.Replayed())))
 		opt.Interrupt = intr
-		opt.Progress = func(completed, _ int) {
-			if completed >= stopAt {
+		opt.Progress = func(journal.Record) {
+			if completed.Add(1) >= int64(stopAt) {
 				once.Do(func() { close(intr) })
 			}
 		}

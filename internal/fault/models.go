@@ -68,10 +68,6 @@ func threadLocal(m Model) bool {
 // that computes no memory address.
 var ErrNotAMemSite = errors.New("fault: dynamic instruction has no memory operand")
 
-// destination reports whether the model injects into the destination
-// register, drawing from the paper's site space (Eq. 1).
-func destination(m Model) bool { return m != ModelMemAddr && !m.Persistent() }
-
 // validateSiteModel checks a site against the golden profile and the
 // model's site rule.
 func (t *Target) validateSiteModel(site Site, model Model) error {

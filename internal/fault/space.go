@@ -42,7 +42,7 @@ func NewSpace(prof *trace.Profile) *Space { return newSpace(prof, ModelDestValue
 // s itself when both are destination-register spaces, which every such
 // model shares, else a fresh index.
 func (s *Space) ForModel(m Model) *Space {
-	if destination(m) && destination(s.model) {
+	if m.Destination() && s.model.Destination() {
 		return s
 	}
 	return newSpace(s.prof, m)
@@ -64,7 +64,7 @@ func newSpace(prof *trace.Profile, m Model) *Space {
 		tp := &prof.Threads[t]
 		n := tp.ICnt * s.constW
 		switch {
-		case destination(m):
+		case m.Destination():
 			n = tp.SiteBits
 		case s.constW == 0:
 			for _, entry := range tp.PCs[:tp.ICnt] {

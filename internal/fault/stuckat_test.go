@@ -306,13 +306,17 @@ func TestStuckSitesAndRandomModel(t *testing.T) {
 }
 
 // TestParseModelRoundTrip: every model name round-trips through ParseModel,
-// and garbage is rejected with the name list in the error.
+// and garbage — an out-of-range model's printed name included — is
+// rejected with the name list in the error.
 func TestParseModelRoundTrip(t *testing.T) {
 	for m := fault.Model(0); m < fault.NumModels; m++ {
 		got, err := fault.ParseModel(m.String())
 		if err != nil || got != m {
 			t.Fatalf("ParseModel(%q) = %v, %v", m.String(), got, err)
 		}
+	}
+	if m, err := fault.ParseModel(fault.Model(99).String()); err == nil {
+		t.Fatalf("out-of-range model's name %q parses as %s", fault.Model(99).String(), m)
 	}
 	if _, err := fault.ParseModel("stuck-everything"); err == nil ||
 		!strings.Contains(err.Error(), "stuck-pred") {

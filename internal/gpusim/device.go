@@ -197,12 +197,24 @@ var injectKindNames = [NumInjectKinds]string{
 	"lane-correlated", "stuck-pred", "stuck-active-mask", "stuck-barrier",
 }
 
-// String names the kind.
+// String names the kind. An out-of-range kind prints as InjectKind(N),
+// which no model-name parser accepts, so it can never pass for a real one.
 func (k InjectKind) String() string {
 	if k < NumInjectKinds {
 		return injectKindNames[k]
 	}
-	return "dest-value"
+	return fmt.Sprintf("InjectKind(%d)", k)
+}
+
+// Destination reports whether the kind corrupts a destination register,
+// drawing from the paper's site space (Eq. 1): dest-value, dest-double,
+// dest-byte and lane-correlated — the transient kinds but mem-addr.
+func (k InjectKind) Destination() bool {
+	switch k {
+	case InjectDestValue, InjectDestDouble, InjectDestByte, InjectLaneCorrelated:
+		return true
+	}
+	return false
 }
 
 // Persistent reports whether the kind is a stuck-at fault that persists from

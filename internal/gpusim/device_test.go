@@ -201,3 +201,34 @@ func TestDeviceResetFromSizeMismatch(t *testing.T) {
 	}()
 	a.ResetFrom(b)
 }
+
+// TestInjectKindClasses pins each kind's name and class: destination-
+// register kinds (the paper's site space), the address kind and the
+// persistent kinds partition the kinds, and a kind past the table prints
+// as InjectKind(N), never as a real kind's name.
+func TestInjectKindClasses(t *testing.T) {
+	want := [NumInjectKinds]struct {
+		name                    string
+		destination, persistent bool
+	}{
+		InjectDestValue:       {"dest-value", true, false},
+		InjectDestDouble:      {"dest-double", true, false},
+		InjectMemAddr:         {"mem-addr", false, false},
+		InjectDestByte:        {"dest-byte", true, false},
+		InjectLaneCorrelated:  {"lane-correlated", true, false},
+		InjectStuckPred:       {"stuck-pred", false, true},
+		InjectStuckActiveMask: {"stuck-active-mask", false, true},
+		InjectStuckBarrier:    {"stuck-barrier", false, true},
+	}
+	for k := InjectKind(0); k < NumInjectKinds; k++ {
+		w := want[k]
+		if k.String() != w.name || k.Destination() != w.destination || k.Persistent() != w.persistent {
+			t.Errorf("kind %d = (%q, destination %v, persistent %v), want (%q, %v, %v)",
+				k, k.String(), k.Destination(), k.Persistent(), w.name, w.destination, w.persistent)
+		}
+	}
+	if k := NumInjectKinds + 91; k.String() != "InjectKind(99)" || k.Destination() || k.Persistent() {
+		t.Errorf("out-of-range kind = (%q, destination %v, persistent %v), want (\"InjectKind(99)\", false, false)",
+			k.String(), k.Destination(), k.Persistent())
+	}
+}

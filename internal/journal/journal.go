@@ -182,8 +182,6 @@ type Journal struct {
 	replayed  []Record
 	appended  int
 	closed    bool
-	keep      bool
-	kept      []Record
 	syncEvery int
 	sinceSync int
 	// buf is the frame Append encodes each record into, reused under mu.
@@ -279,7 +277,7 @@ type siteKey struct{ index, pos int }
 
 // indexOrder returns the keys of recs sorted by site index, equal indices
 // in on-disk order. It is the one sort of records by index: decode finds
-// repeats in it, and ReadFile and SortByIndex lay records out by it.
+// repeats in it, and ReadFile lays records out by it.
 // Sorting 16-byte keys rather than whole records keeps the swaps small,
 // and a journal written in nearly index order sorts in nearly linear time.
 func indexOrder(recs []Record) []siteKey {
@@ -330,13 +328,6 @@ func arrange(recs []Record, keys []siteKey) {
 			k = from
 		}
 	}
-}
-
-// SortByIndex puts recs in site-index order, the order every aggregation
-// of records reads them in; records with equal indices keep their relative
-// order.
-func SortByIndex(recs []Record) {
-	arrange(recs, indexOrder(recs))
 }
 
 // Open opens (or creates) the journal at path for the campaign described by
@@ -455,28 +446,6 @@ func Rename(from, to string) error {
 // journal was opened, in on-disk order.
 func (j *Journal) Replayed() []Record { return j.replayed }
 
-// KeepRecords makes the journal retain every record appended from now on,
-// so Snapshot can serve live readers (a status endpoint polling an open
-// journal) without re-reading the file under the writers. Replayed records
-// are always retained. Call it before handing the journal to a campaign.
-func (j *Journal) KeepRecords() {
-	j.mu.Lock()
-	j.keep = true
-	j.mu.Unlock()
-}
-
-// Snapshot returns a copy of every record the journal knows: the records
-// replayed at Open plus — after KeepRecords — the records appended since,
-// in on-disk order. Safe for concurrent use with Append.
-func (j *Journal) Snapshot() []Record {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Record, 0, len(j.replayed)+len(j.kept))
-	out = append(out, j.replayed...)
-	out = append(out, j.kept...)
-	return out
-}
-
 // AutoSync makes every n-th Append flush the file to stable storage, a
 // middle ground between syncing nothing until Close (a crash loses every
 // acked record since open) and paying an fsync per record. n <= 0 disables
@@ -523,9 +492,6 @@ func (j *Journal) Append(r Record) error {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	j.appended++
-	if j.keep {
-		j.kept = append(j.kept, r)
-	}
 	if j.syncEvery > 0 {
 		j.sinceSync++
 		if j.sinceSync >= j.syncEvery {

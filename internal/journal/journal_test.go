@@ -700,74 +700,3 @@ func TestAutoSyncDurable(t *testing.T) {
 		}
 	}
 }
-
-// TestSnapshotLiveRead: KeepRecords + Snapshot serve a live reader a
-// consistent prefix while writers append concurrently, and the final
-// snapshot equals replayed followed by appended records.
-func TestSnapshotLiveRead(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.journal")
-	j, err := Open(path, testFP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(rec(0)); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	j, err = Open(path, testFP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.KeepRecords()
-
-	const writers, perWriter = 4, 8
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	go func() { // concurrent reader: snapshots only ever grow
-		defer close(stop)
-		last := 0
-		for i := 0; i < 200; i++ {
-			s := j.Snapshot()
-			if len(s) < last {
-				t.Errorf("snapshot shrank: %d -> %d", last, len(s))
-				return
-			}
-			if len(s) > 0 && s[0] != rec(0) {
-				t.Errorf("snapshot lost the replayed record: %+v", s[0])
-				return
-			}
-			last = len(s)
-		}
-	}()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if err := j.Append(rec(1 + w*perWriter + i)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	<-stop
-
-	s := j.Snapshot()
-	if len(s) != 1+writers*perWriter {
-		t.Fatalf("final snapshot has %d records, want %d", len(s), 1+writers*perWriter)
-	}
-	if s[0] != rec(0) {
-		t.Fatalf("snapshot[0] = %+v, want the replayed record", s[0])
-	}
-	seen := map[int]bool{}
-	for _, r := range s[1:] {
-		if seen[r.Index] {
-			t.Fatalf("snapshot holds record %d twice", r.Index)
-		}
-		seen[r.Index] = true
-	}
-}

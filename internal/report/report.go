@@ -47,15 +47,6 @@ func NewProfile(d fault.Dist) Profile {
 	}
 }
 
-// Stage mirrors core.StageSites.
-type Stage struct {
-	Exhaustive int64 `json:"exhaustive"`
-	Thread     int64 `json:"thread"`
-	Inst       int64 `json:"inst"`
-	Loop       int64 `json:"loop"`
-	Bit        int64 `json:"bit"`
-}
-
 // ThreadGroup is the JSON summary of one stage-1 thread group.
 type ThreadGroup struct {
 	CTAGroup   int   `json:"cta_group"`
@@ -66,14 +57,14 @@ type ThreadGroup struct {
 
 // Plan is the JSON summary of a pruning plan.
 type Plan struct {
-	Kernel       string        `json:"kernel"`
-	Threads      int           `json:"threads"`
-	CTAGroups    int           `json:"cta_groups"`
-	ThreadGroups []ThreadGroup `json:"thread_groups"`
-	Stages       Stage         `json:"stages"`
-	Sites        int           `json:"sites"`
-	KnownMasked  float64       `json:"known_masked_weight"`
-	Reduction    float64       `json:"reduction"`
+	Kernel       string          `json:"kernel"`
+	Threads      int             `json:"threads"`
+	CTAGroups    int             `json:"cta_groups"`
+	ThreadGroups []ThreadGroup   `json:"thread_groups"`
+	Stages       core.StageSites `json:"stages"`
+	Sites        int             `json:"sites"`
+	KnownMasked  float64         `json:"known_masked_weight"`
+	Reduction    float64         `json:"reduction"`
 	// InstPrunedPct is Table VI's "% pruned common instructions".
 	InstPrunedPct float64 `json:"inst_pruned_pct"`
 }
@@ -84,7 +75,7 @@ func NewPlan(p *core.Plan) Plan {
 		Kernel:        p.Target.Name,
 		Threads:       p.Target.Threads(),
 		CTAGroups:     len(p.CTAGroups),
-		Stages:        Stage(p.Stages),
+		Stages:        p.Stages,
 		Sites:         len(p.Sites),
 		KnownMasked:   p.KnownMasked,
 		Reduction:     p.Reduction(),

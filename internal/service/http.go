@@ -26,15 +26,15 @@ type Status struct {
 	OwnedSites int    `json:"owned_sites"`
 	Completed  int    `json:"completed"`
 	Error      string `json:"error,omitempty"`
-	// Profile is the incremental outcome profile read from the journal —
-	// partial while the campaign runs, final once done. Omitted while the
-	// campaign is queued.
+	// Profile is the outcome profile of the journaled sites — partial
+	// while the campaign runs, final once done. Omitted until the
+	// campaign's journal opens.
 	Profile *report.Profile `json:"profile,omitempty"`
 }
 
 // Status reports a campaign's live state. While the campaign runs, the
-// profile comes from the open journal's in-memory record snapshot; once
-// done, from the final index-sorted record list.
+// profile is the running tally of its record stream; once done, it is
+// aggregated from the final index-sorted record list, as the report is.
 func (s *Server) Status(id string) (Status, error) {
 	c, err := s.lookup(id)
 	if err != nil {
@@ -47,19 +47,19 @@ func (s *Server) Status(id string) (Status, error) {
 		State:      c.state,
 		Submission: c.sub,
 		OwnedSites: c.sub.OwnedSites(),
-		Completed:  int(c.completed.Load()),
+		Completed:  c.completed,
 		Error:      c.errMsg,
 	}
-	var recs = c.recs
-	if c.j != nil {
-		recs = c.j.Snapshot()
-	}
-	if recs != nil {
-		dist, err := report.MergedDist(recs)
+	dist := c.dist
+	if c.recs != nil {
+		d, err := report.MergedDist(c.recs)
 		if err != nil {
 			return Status{}, err
 		}
-		p := report.NewProfile(dist)
+		dist = &d
+	}
+	if dist != nil {
+		p := report.NewProfile(*dist)
 		st.Profile = &p
 	}
 	return st, nil
@@ -175,7 +175,7 @@ func (s *Server) Stats() Stats {
 			Kernel:     c.sub.Kernel,
 			State:      c.state,
 			OwnedSites: c.sub.OwnedSites(),
-			Completed:  int(c.completed.Load()),
+			Completed:  c.completed,
 			Campaign:   report.NewCampaign(c.sink.Total()),
 		})
 		c.mu.Unlock()

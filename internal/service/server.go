@@ -8,11 +8,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	cspec "repro/internal/campaign" // the server-side record type is named campaign
 	"repro/internal/fault"
 	"repro/internal/journal"
+	"repro/internal/report"
 )
 
 // Config shapes a Server. The zero value of every field selects a usable
@@ -80,16 +80,15 @@ type campaign struct {
 	path string
 	sink *fault.StatsSink
 
-	// completed counts journaled sites (replayed + executed), updated
-	// live from the engine's Progress hook.
-	completed atomic.Int64
-
 	mu     sync.Mutex
 	state  State
 	errMsg string
-	// j is the open journal while the campaign runs; Snapshot serves the
-	// live status profile.
-	j *journal.Journal
+	// completed counts journaled sites (replayed + executed). dist is
+	// their outcome profile, nil until the journal opens: seeded from
+	// the journal's replayed records, then advanced by each record the
+	// engine's Progress hook hands over.
+	completed int
+	dist      *fault.Dist
 	// recs is the final index-sorted record list once the campaign is
 	// done (run to completion now, or recovered complete from disk).
 	recs []journal.Record
@@ -191,7 +190,7 @@ func (s *Server) recover() ([]*campaign, error) {
 				return nil, fmt.Errorf("service: recover %s: journal belongs at %s (fingerprint %s): %w", path, c.path, fp, err)
 			}
 		}
-		c.completed.Store(int64(len(recs)))
+		c.completed = len(recs)
 		if len(recs) >= sub.OwnedSites() {
 			c.state = StateDone
 			c.recs = recs
@@ -306,7 +305,6 @@ func (s *Server) runCampaign(c *campaign) {
 	s.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.j = nil
 	switch {
 	case err == nil:
 		c.state = StateDone
@@ -322,7 +320,8 @@ func (s *Server) runCampaign(c *campaign) {
 }
 
 // execute is the engine-facing half of runCampaign; it returns the final
-// index-sorted record list on full completion.
+// index-sorted record list on full completion, read back from the journal
+// as fsmerge reads it.
 func (s *Server) execute(c *campaign) ([]journal.Record, error) {
 	p, err := c.sub.Prepare(s.cfg.Cache)
 	if err != nil {
@@ -332,12 +331,16 @@ func (s *Server) execute(c *campaign) ([]journal.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.KeepRecords()
 	if s.cfg.SyncEvery > 0 {
 		j.AutoSync(s.cfg.SyncEvery)
 	}
+	dist, err := report.MergedDist(j.Replayed())
+	if err != nil {
+		j.Close()
+		return nil, err
+	}
 	c.mu.Lock()
-	c.j = j
+	c.completed, c.dist = len(j.Replayed()), &dist
 	c.mu.Unlock()
 
 	_, runErr := p.Run(fault.CampaignOptions{
@@ -345,21 +348,21 @@ func (s *Server) execute(c *campaign) ([]journal.Record, error) {
 		Sink:        c.sink,
 		Journal:     j,
 		Interrupt:   s.stopc,
-		Progress:    func(completed, _ int) { c.completed.Store(int64(completed)) },
+		Progress: func(r journal.Record) {
+			c.mu.Lock()
+			c.completed++
+			c.dist.Add(fault.Outcome(r.Outcome), r.Weight)
+			c.mu.Unlock()
+		},
 	})
-
-	c.mu.Lock()
-	c.j = nil
-	c.mu.Unlock()
-	recs := j.Snapshot()
 	if cerr := j.Close(); runErr == nil {
 		runErr = cerr
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
-	journal.SortByIndex(recs)
-	return recs, nil
+	_, recs, err := journal.ReadFile(c.path)
+	return recs, err
 }
 
 // lookup resolves a campaign id, tolerating a ".journal" suffix pasted

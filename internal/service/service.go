@@ -14,10 +14,11 @@
 //
 // The HTTP surface (Server.Handler): POST /campaigns submits, GET
 // /campaigns/{id} reports live status with an incremental outcome profile
-// read from the open journal, GET /campaigns/{id}/report serves the final
-// deterministic report document (byte-identical to fsmerge's for the same
-// journal), GET /healthz probes liveness, and GET /stats exposes the worker
-// pool, the shared prepared-target cache, and per-campaign engine stats.
+// tallied from the engine's record stream, GET /campaigns/{id}/report
+// serves the final deterministic report document (byte-identical to
+// fsmerge's for the same journal), GET /healthz probes liveness, and GET
+// /stats exposes the worker pool, the shared prepared-target cache, and
+// per-campaign engine stats.
 package service
 
 import (

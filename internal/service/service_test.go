@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -430,6 +431,83 @@ func TestRestartMidCampaignResumes(t *testing.T) {
 	}
 	if got := reportBytes(t, ts3, id); !bytes.Equal(got, want) {
 		t.Errorf("recovered report differs from reference")
+	}
+}
+
+// TestResumedLiveStatus: a resumed campaign's live tally starts from its
+// journal's replayed records, so every running Status has Completed equal
+// to its profile's experiment count, and both at least the replayed count
+// (more than half the campaign, so a tally of the executed sites alone
+// never reaches it); a finished campaign's Status.Profile is its report's.
+func TestResumedLiveStatus(t *testing.T) {
+	const sites, replayed = 600, 400
+	dir := t.TempDir()
+	cache := fault.NewPreparedCache(256 << 20)
+	sub := service.Submission{Kernel: "GEMM K1", Scale: "small", Seed: 3, Sites: sites, Model: "dest-value", ShardCount: 1}
+	p, err := sub.Prepare(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first life: an interrupted run journals the first replayed sites.
+	j, err := journal.Open(filepath.Join(dir, sub.ID()+".journal"), sub.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	intr := make(chan struct{})
+	var once sync.Once
+	var ran atomic.Int64
+	_, err = p.Run(fault.CampaignOptions{
+		Parallelism: 1, Journal: j, Interrupt: intr,
+		Progress: func(journal.Record) {
+			if ran.Add(1) >= replayed {
+				once.Do(func() { close(intr) })
+			}
+		},
+	})
+	if !errors.Is(err, fault.ErrInterrupted) {
+		t.Fatalf("first run returned %v, want ErrInterrupted", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := service.New(service.Config{DataDir: dir, Workers: 1, Parallelism: 1, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Stop()
+	deadline := time.Now().Add(2 * time.Minute)
+	running := 0
+	var st service.Status
+	for st.State != service.StateDone {
+		if st, err = srv.Status(sub.ID()); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case st.State == service.StateFailed || st.State == service.StateInterrupted:
+			t.Fatalf("resumed campaign ended %s: %s", st.State, st.Error)
+		case time.Now().After(deadline):
+			t.Fatalf("resumed campaign still %s after deadline", st.State)
+		case st.State != service.StateRunning || st.Profile == nil:
+			continue
+		}
+		running++
+		if int64(st.Completed) != st.Profile.Experiments || st.Completed < replayed {
+			t.Fatalf("running status: completed %d, profile experiments %d, want equal and >= %d replayed",
+				st.Completed, st.Profile.Experiments, replayed)
+		}
+	}
+	if running == 0 {
+		t.Fatal("no status observed the resumed campaign running")
+	}
+	doc, err := srv.Report(sub.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Completed != sites || st.Profile == nil || *st.Profile != doc.Profile {
+		t.Fatalf("finished status: completed %d, profile %+v; want %d and the report's %+v",
+			st.Completed, st.Profile, sites, doc.Profile)
 	}
 }
 
