@@ -199,7 +199,8 @@ func main() {
 			})
 			fatal(err)
 			iters = auto.Iters
-			fmt.Printf("adaptive loop sampling selected %d iterations (%d steps tried)\n",
+			// Stderr keeps a -json document the only thing on stdout.
+			fmt.Fprintf(os.Stderr, "adaptive loop sampling selected %d iterations (%d steps tried)\n",
 				auto.Iters, len(auto.Steps))
 		}
 		plan, err := core.BuildPlan(inst.Target, core.Options{
@@ -226,11 +227,12 @@ func main() {
 		res, err := inst.Run(options())
 		fatal(err)
 		if *asJSON {
-			var cs *fault.CampaignStats
+			doc := report.NewEstimate(plan, est, &res.Dist)
 			if *showStats {
-				cs = &estRes.Stats
+				c := report.NewCampaign(estRes.Stats).WithPrepare(inst.Target.PrepareStats())
+				doc.Campaign = &c
 			}
-			fatal(report.Write(os.Stdout, report.NewEstimate(plan, est, &res.Dist, cs)))
+			fatal(report.Write(os.Stdout, doc))
 			return
 		}
 		fmt.Printf("pruned estimate:  %s\n", est)
@@ -239,7 +241,7 @@ func main() {
 		if *showStats {
 			fmt.Printf("pruned campaign:  %s\n", estRes.Stats)
 			fmt.Printf("all campaigns:    %s\n", sink.Total())
-			fmt.Printf("%s\n", fault.DefaultPreparedCache().Stats())
+			fmt.Printf("%s\n%s\n", inst.Target.PrepareStats(), fault.DefaultPreparedCache().Stats())
 		}
 
 	case "baseline":
@@ -250,7 +252,7 @@ func main() {
 		fmt.Printf("adaptive random baseline: %s\n", res)
 		if *showStats {
 			fmt.Printf("campaign stats: %s\n", res.Stats)
-			fmt.Printf("%s\n", fault.DefaultPreparedCache().Stats())
+			fmt.Printf("%s\n%s\n", inst.Target.PrepareStats(), fault.DefaultPreparedCache().Stats())
 		}
 
 	case "campaign":
@@ -306,7 +308,7 @@ func main() {
 				Sites:     spec.Sites,
 				Completed: res.Completed,
 				Profile:   report.NewProfile(res.Dist),
-				Campaign:  report.NewCampaign(sink.Total()),
+				Campaign:  report.NewCampaign(sink.Total()).WithPrepare(inst.Target.PrepareStats()),
 			}
 			fatal(report.Write(os.Stdout, doc))
 			return
@@ -326,7 +328,7 @@ func main() {
 		}
 		if *showStats {
 			fmt.Printf("campaign stats: %s\n", sink.Total())
-			fmt.Printf("%s\n", fault.DefaultPreparedCache().Stats())
+			fmt.Printf("%s\n%s\n", inst.Target.PrepareStats(), fault.DefaultPreparedCache().Stats())
 		}
 
 	default:

@@ -32,7 +32,8 @@ func Uniform(sites []Site) []WeightedSite {
 }
 
 // CampaignStats is the observability block of one campaign: how much work
-// ran, how fast, and what the copy-on-write device layer cost.
+// ran, how fast, and what the copy-on-write device layer cost: counters that
+// add across campaigns (Merge). What Prepare did is the target's PrepareStats.
 type CampaignStats struct {
 	// Runs is the number of injection experiments executed (including a
 	// failing one, excluding sites skipped after cancellation).
@@ -69,16 +70,6 @@ type CampaignStats struct {
 	// Retired). They are work, not time: the same on any host and at any
 	// parallelism.
 	ReplayInstrs, PostFaultInstrs int64
-	// IntraCheckpointBytes approximates the memory retained by the target's
-	// intra-CTA snapshot store (register files, shared memory, page deltas);
-	// like CheckpointBytes it is a per-target figure, not per run.
-	IntraCheckpointBytes int64
-	// Checkpoints and CheckpointBytes describe the target's golden snapshot
-	// store (built once per target by Prepare, not per run): snapshot count
-	// including the pristine image, and the approximate memory the
-	// snapshots retain beyond it.
-	Checkpoints     int
-	CheckpointBytes int64
 	// Replayed counts sites whose outcome was restored from the campaign
 	// journal instead of executed (resume path); they are excluded from
 	// Runs.
@@ -88,24 +79,10 @@ type CampaignStats struct {
 	// Quarantined counts sites that exhausted their attempts and were
 	// bucketed as EngineError.
 	Quarantined int64
-	// CacheHits, CacheMisses and PreparedShared describe how this campaign's
-	// target was Prepared when routed through a PreparedCache: served from a
-	// finished entry, performed the golden run itself, or waited on another
-	// caller's in-flight golden run. The first campaign on a target reports
-	// its Prepare exactly once (later campaigns on the same target report
-	// zeros), so pipeline-aggregated stats count each golden run once.
-	CacheHits      int64
-	CacheMisses    int64
-	PreparedShared int64
-	// PrepareWall is the wall-clock of the golden run this campaign's
-	// target performed in Prepare — the cold path, golden execution,
-	// checkpoint recording and profile build — reported once per target
-	// like CacheMisses; zero when the target adopted a cached one.
-	PrepareWall time.Duration
 	// AffinityResets counts worker-device resets that switched checkpoint
 	// sources — the slow full-restore path of Device.ResetFrom that
 	// snapshot-affine scheduling exists to avoid. At most workers ×
-	// Checkpoints when no attempt is abandoned; near Runs without affinity.
+	// PrepareStats.Checkpoints with no abandoned attempt; near Runs unpinned.
 	AffinityResets int64
 }
 
@@ -139,14 +116,11 @@ func (s *CampaignStats) AddRecord(r journal.Record) {
 	}
 }
 
-// Merge accumulates another campaign's stats: counters add, wall times add
-// (campaigns in one pipeline run back to back), and the per-target
-// checkpoint figures take the max (repeated campaigns on one target share
-// one store).
+// Merge accumulates another campaign's stats. Every counter adds, wall
+// times too: campaigns in one pipeline run back to back.
 func (s *CampaignStats) Merge(o CampaignStats) {
 	s.Runs += o.Runs
 	s.Wall += o.Wall
-	s.PrepareWall += o.PrepareWall
 	s.PagesCopied += o.PagesCopied
 	s.DevicesCreated += o.DevicesCreated
 	s.CTAsSkipped += o.CTAsSkipped
@@ -157,29 +131,16 @@ func (s *CampaignStats) Merge(o CampaignStats) {
 	s.Replayed += o.Replayed
 	s.Retries += o.Retries
 	s.Quarantined += o.Quarantined
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.PreparedShared += o.PreparedShared
 	s.AffinityResets += o.AffinityResets
-	if o.Checkpoints > s.Checkpoints {
-		s.Checkpoints = o.Checkpoints
-	}
-	if o.CheckpointBytes > s.CheckpointBytes {
-		s.CheckpointBytes = o.CheckpointBytes
-	}
-	if o.IntraCheckpointBytes > s.IntraCheckpointBytes {
-		s.IntraCheckpointBytes = o.IntraCheckpointBytes
-	}
 }
 
 // String renders the stats for CLI -stats output.
 func (s CampaignStats) String() string {
-	out := fmt.Sprintf("%d runs in %v (%.0f/s), %d pages copied, %d devices, %d CTAs skipped, %d early exits, %d checkpoints (%d KiB)",
+	out := fmt.Sprintf("%d runs in %v (%.0f/s), %d pages copied, %d devices, %d CTAs skipped, %d early exits",
 		s.Runs, s.Wall.Round(time.Millisecond), s.RunsPerSec(), s.PagesCopied,
-		s.DevicesCreated, s.CTAsSkipped, s.EarlyExits, s.Checkpoints, s.CheckpointBytes/1024)
-	if s.IntraSkips > 0 || s.IntraCheckpointBytes > 0 {
-		out += fmt.Sprintf(", %d intra-CTA skips (%d KiB warp snapshots)",
-			s.IntraSkips, s.IntraCheckpointBytes/1024)
+		s.DevicesCreated, s.CTAsSkipped, s.EarlyExits)
+	if s.IntraSkips > 0 {
+		out += fmt.Sprintf(", %d intra-CTA skips", s.IntraSkips)
 	}
 	if s.Runs > 0 {
 		out += fmt.Sprintf(", %.0f replay + %.0f post-fault instrs/site",
@@ -191,13 +152,6 @@ func (s CampaignStats) String() string {
 	if s.Retries > 0 || s.Quarantined > 0 {
 		out += fmt.Sprintf(", %d retries, %d quarantined", s.Retries, s.Quarantined)
 	}
-	if s.CacheHits > 0 || s.CacheMisses > 0 || s.PreparedShared > 0 {
-		out += fmt.Sprintf(", prepare cache %d hit/%d miss/%d shared",
-			s.CacheHits, s.CacheMisses, s.PreparedShared)
-	}
-	if s.PrepareWall > 0 {
-		out += fmt.Sprintf(", golden prepare %v", s.PrepareWall.Round(time.Millisecond))
-	}
 	if s.AffinityResets > 0 {
 		out += fmt.Sprintf(", %d affinity resets", s.AffinityResets)
 	}
@@ -205,8 +159,8 @@ func (s CampaignStats) String() string {
 }
 
 // StatsSink accumulates campaign stats across several fault.Run calls —
-// e.g. every campaign of a pruning pipeline or experiment sweep. Safe for
-// concurrent use. Attach via CampaignOptions.Sink.
+// e.g. every campaign of a pruning pipeline or experiment sweep — by adding
+// their counters. Safe for concurrent use. Attach via CampaignOptions.Sink.
 type StatsSink struct {
 	mu    sync.Mutex
 	total CampaignStats
@@ -311,7 +265,7 @@ func Run(t *Target, sites []WeightedSite, opt CampaignOptions) (*CampaignResult,
 
 // RunModel is Run under any fault model: it validates the site list, wires
 // the unchecked fast-forward runner to the parallel engine, one device-owning
-// runner per worker, and finalizes stats.
+// runner per worker, and hands the stats to the sink.
 func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions) (*CampaignResult, error) {
 	// Validate once, outside the hot loop: the engine below runs unchecked.
 	// Input order makes the reported error the lowest-index invalid site.
@@ -355,14 +309,6 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 		}
 	}
 	res, st, err := runEngine(sites, scheduleOrder(sites), opt, eng)
-	st.CacheHits, st.CacheMisses, st.PreparedShared, st.PrepareWall = t.takePrepStats()
-	if ck != nil {
-		st.Checkpoints = ck.Count()
-		st.CheckpointBytes = ck.Bytes()
-	}
-	if wck != nil {
-		st.IntraCheckpointBytes = wck.Bytes()
-	}
 	if opt.Sink != nil {
 		opt.Sink.Add(st)
 	}

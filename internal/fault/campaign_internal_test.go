@@ -114,20 +114,18 @@ func TestRunWithStats(t *testing.T) {
 	}
 }
 
-// TestStatsSinkMerge: sinks accumulate counters across campaigns and keep
-// the per-target checkpoint figures as a max.
+// TestStatsSinkMerge: sinks accumulate counters across campaigns.
 func TestStatsSinkMerge(t *testing.T) {
 	var sink StatsSink
 	sink.Add(CampaignStats{Runs: 10, Wall: time.Second, PagesCopied: 4, DevicesCreated: 2,
-		CTAsSkipped: 7, EarlyExits: 3, Checkpoints: 4, CheckpointBytes: 8192, PrepareWall: time.Millisecond})
+		CTAsSkipped: 7, EarlyExits: 3})
 	sink.Add(CampaignStats{Runs: 30, Wall: time.Second, PagesCopied: 1, DevicesCreated: 5,
-		CTAsSkipped: 1, EarlyExits: 1, Checkpoints: 2, CheckpointBytes: 4096, PrepareWall: 2 * time.Millisecond})
+		CTAsSkipped: 1, EarlyExits: 1})
 	got := sink.Total()
-	if got.Runs != 40 || got.Wall != 2*time.Second || got.PagesCopied != 5 || got.DevicesCreated != 7 ||
-		got.PrepareWall != 3*time.Millisecond {
+	if got.Runs != 40 || got.Wall != 2*time.Second || got.PagesCopied != 5 || got.DevicesCreated != 7 {
 		t.Fatalf("merged: %+v", got)
 	}
-	if got.CTAsSkipped != 8 || got.EarlyExits != 4 || got.Checkpoints != 4 || got.CheckpointBytes != 8192 {
+	if got.CTAsSkipped != 8 || got.EarlyExits != 4 {
 		t.Fatalf("merged fast-forward stats: %+v", got)
 	}
 	if got.RunsPerSec() != 20 {

@@ -182,8 +182,8 @@ func TestCheckpointMatchesFullRunExhaustive(t *testing.T) {
 				if res.Stats.EarlyExits == 0 {
 					t.Fatal("no convergence early exits on a mostly-masked space")
 				}
-				if res.Stats.Checkpoints != 4 {
-					t.Fatalf("stats report %d checkpoints, want one per CTA, 4", res.Stats.Checkpoints)
+				if n := tg.PrepareStats().Checkpoints; n != 4 {
+					t.Fatalf("stats report %d checkpoints, want one per CTA, 4", n)
 				}
 			}
 			if deadExits(t, tg, sites, want, fault.ModelDestValue) == 0 {
@@ -247,8 +247,8 @@ func TestIntraCheckpointMatchesFullRunExhaustive(t *testing.T) {
 						sites[i].Site, fres.PerSite[i], want[i])
 				}
 			}
-			if fres.Stats.IntraSkips != 0 || fres.Stats.IntraCheckpointBytes != 0 {
-				t.Fatalf("full-run campaign reports intra-CTA work: %+v", fres.Stats)
+			if fres.Stats.IntraSkips != 0 || ref.PrepareStats().IntraCheckpointBytes != 0 {
+				t.Fatalf("full-run campaign reports intra-CTA work: %+v, %+v", fres.Stats, ref.PrepareStats())
 			}
 
 			for _, intra := range []int{1, 2, 3} {
@@ -276,9 +276,9 @@ func TestIntraCheckpointMatchesFullRunExhaustive(t *testing.T) {
 				if res.Stats.IntraSkips == 0 {
 					t.Fatalf("intra %d: no site resumed from an intra-CTA snapshot", intra)
 				}
-				if res.Stats.IntraCheckpointBytes != wck.Bytes() || wck.Bytes() <= 0 {
+				if b := tg.PrepareStats().IntraCheckpointBytes; b != wck.Bytes() || wck.Bytes() <= 0 {
 					t.Fatalf("intra %d: stats report %d snapshot bytes, store holds %d",
-						intra, res.Stats.IntraCheckpointBytes, wck.Bytes())
+						intra, b, wck.Bytes())
 				}
 			}
 		})
@@ -351,11 +351,11 @@ func TestCheckpointGaussianEquivalence(t *testing.T) {
 						sites[i].Site, fres.PerSite[i], want[i])
 				}
 			}
-			if res.Stats.CTAsSkipped == 0 || res.Stats.Checkpoints == 0 {
-				t.Fatalf("fast-forward inactive: %+v", res.Stats)
+			if res.Stats.CTAsSkipped == 0 || tg.PrepareStats().Checkpoints == 0 {
+				t.Fatalf("fast-forward inactive: %+v, %+v", res.Stats, tg.PrepareStats())
 			}
-			if fres.Stats.CTAsSkipped != 0 || fres.Stats.Checkpoints != 0 || fres.Stats.EarlyExits != 0 {
-				t.Fatalf("FullRun target still fast-forwarded: %+v", fres.Stats)
+			if fres.Stats.CTAsSkipped != 0 || ftg.PrepareStats().Checkpoints != 0 || fres.Stats.EarlyExits != 0 {
+				t.Fatalf("FullRun target still fast-forwarded: %+v, %+v", fres.Stats, ftg.PrepareStats())
 			}
 			if ftg.Checkpoints() != nil {
 				t.Fatal("FullRun target built a checkpoint store")
@@ -405,8 +405,8 @@ func TestCheckpointSingleCTA(t *testing.T) {
 					t.Fatalf("site %v: %v, reference %v", sites[i].Site, res.PerSite[i], want[i])
 				}
 			}
-			if res.Stats.CTAsSkipped != 0 || res.Stats.Checkpoints != 1 {
-				t.Fatalf("single-CTA campaign stats: %+v", res.Stats)
+			if res.Stats.CTAsSkipped != 0 || tg.PrepareStats().Checkpoints != 1 {
+				t.Fatalf("single-CTA campaign stats: %+v, %+v", res.Stats, tg.PrepareStats())
 			}
 			if kname == "LUD K44" && res.Stats.EarlyExits == 0 {
 				t.Fatal("no thread exit on a thread-independent single-CTA kernel")

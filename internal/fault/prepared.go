@@ -112,14 +112,61 @@ func (s *preparedState) approxBytes() int64 {
 	return n
 }
 
-// takePrepStats harvests the target's Prepare provenance counters and
-// cold golden-run wall-clock exactly once — the first campaign run on the
-// target reports them into CampaignStats, so a pipeline's aggregated stats
-// count each Prepare once no matter how many campaigns the target serves.
-func (t *Target) takePrepStats() (hits, misses, shared int64, wall time.Duration) {
-	hits, misses, shared, wall = t.prepHits, t.prepMisses, t.prepShared, t.prepWall
-	t.prepHits, t.prepMisses, t.prepShared, t.prepWall = 0, 0, 0, 0
-	return
+// PrepareSource is where a target's prepared state came from: a golden run
+// of its own, uncached or as its cache's miss; a finished cache entry (a
+// hit); or another caller's in-flight golden run (shared).
+type PrepareSource int
+
+const (
+	NotPrepared PrepareSource = iota
+	PreparedUncached
+	PreparedMiss
+	PreparedHit
+	PreparedShared
+)
+
+var prepareSourceNames = [...]string{"not prepared", "uncached", "cache miss", "cache hit", "shared in-flight"}
+
+func (s PrepareSource) String() string { return prepareSourceNames[s] }
+
+// PrepareStats is what a target's Prepare did, once: where its prepared
+// state came from; the wall-clock of its golden run — the cold path, golden
+// execution, checkpoint recording and profile build — or zero when the
+// state was adopted; and its checkpoint store's snapshot count (the
+// pristine image included), the approximate bytes the snapshots retain
+// beyond that image, and the bytes of the intra-CTA snapshot store, all
+// zero under FullRun. Unlike CampaignStats it does not add across
+// campaigns.
+type PrepareStats struct {
+	Source                                PrepareSource
+	Wall                                  time.Duration
+	Checkpoints                           int
+	CheckpointBytes, IntraCheckpointBytes int64
+}
+
+// PrepareStats reports what Prepare did for this target: the zero value
+// before Prepare, and the same value after every later campaign or Prepare.
+func (t *Target) PrepareStats() PrepareStats {
+	s := t.prepared
+	if ck := t.Checkpoints(); ck != nil {
+		s.Checkpoints, s.CheckpointBytes = ck.Count(), ck.Bytes()
+	}
+	if wck := t.WarpCheckpoints(); wck != nil {
+		s.IntraCheckpointBytes = wck.Bytes()
+	}
+	return s
+}
+
+// String renders the stats as the -stats "prepare:" line.
+func (s PrepareStats) String() string {
+	out := fmt.Sprintf("prepare: %v, %d checkpoints (%d KiB)", s.Source, s.Checkpoints, s.CheckpointBytes/1024)
+	if s.IntraCheckpointBytes > 0 {
+		out += fmt.Sprintf(", %d KiB warp snapshots", s.IntraCheckpointBytes/1024)
+	}
+	if s.Wall > 0 {
+		out += fmt.Sprintf(", golden run %v", s.Wall.Round(time.Millisecond))
+	}
+	return out
 }
 
 // CacheStats is a point-in-time summary of a PreparedCache. The JSON tags
@@ -222,7 +269,7 @@ func (c *PreparedCache) prepare(t *Target) error {
 			// Finished entries with errors are removed on completion, so a
 			// resident done entry always holds usable state.
 			c.hits++
-			t.prepHits++
+			t.prepared.Source = PreparedHit
 			c.seq++
 			e.lastUse = c.seq
 			t.prep = e.state
@@ -235,7 +282,7 @@ func (c *PreparedCache) prepare(t *Target) error {
 		// under a waiter that already joined it.
 		e.pins++
 		c.shared++
-		t.prepShared++
+		t.prepared.Source = PreparedShared
 		c.mu.Unlock()
 		<-e.ready
 		t.prep = e.state // nil when the shared golden run failed
@@ -255,11 +302,11 @@ func (c *PreparedCache) prepare(t *Target) error {
 	e := &prepEntry{key: key, ready: make(chan struct{}), pins: 1}
 	c.entries[key] = e
 	c.misses++
-	t.prepMisses++
 	c.mu.Unlock()
 
+	start := time.Now()
 	e.state, e.err = t.prepareCold()
-	t.prep = e.state
+	t.prep, t.prepared = e.state, PrepareStats{Source: PreparedMiss, Wall: time.Since(start)}
 
 	c.mu.Lock()
 	if e.err != nil {

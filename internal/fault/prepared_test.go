@@ -242,7 +242,7 @@ func TestAffinityScheduling(t *testing.T) {
 		if st.Retries != 0 {
 			t.Fatalf("%d workers: %d retries on a healthy campaign", w, st.Retries)
 		}
-		if bound := int64(w * st.Checkpoints); st.AffinityResets > bound {
+		if bound := int64(w * tg.PrepareStats().Checkpoints); st.AffinityResets > bound {
 			t.Fatalf("%d workers: %d affinity resets exceed workers × checkpoints = %d",
 				w, st.AffinityResets, bound)
 		}
@@ -252,43 +252,112 @@ func TestAffinityScheduling(t *testing.T) {
 	}
 }
 
-// TestCampaignReportsCachePrep: the first campaign on a cache-routed target
-// reports its Prepare provenance and golden-run wall-clock in CampaignStats
-// exactly once; a second campaign on the same target reports zeros, so
-// pipeline-aggregated sinks count each golden run once.
-func TestCampaignReportsCachePrep(t *testing.T) {
+// TestPrepareStats: a target's PrepareStats names where its prepared state
+// came from — its own golden run (uncached or a cache miss, timed), a
+// finished cache entry or another caller's in-flight golden run (both
+// untimed) — and reads its checkpoint store's size, which a FullRun target
+// does not have. Neither a campaign nor a second Prepare changes it.
+func TestPrepareStats(t *testing.T) {
+	prepare := func(tg *fault.Target) fault.PrepareStats {
+		t.Helper()
+		if err := tg.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		return tg.PrepareStats()
+	}
+	if got := buildGEMM(t, nil).PrepareStats(); got != (fault.PrepareStats{}) {
+		t.Fatalf("before Prepare: %+v", got)
+	}
+
+	uncached := buildGEMM(t, nil)
+	cold := prepare(uncached)
+	if cold.Source != fault.PreparedUncached || cold.Wall <= 0 {
+		t.Fatalf("uncached: %+v", cold)
+	}
+	ck := uncached.Checkpoints()
+	if cold.Checkpoints != 4 || cold.Checkpoints != ck.Count() || cold.CheckpointBytes != ck.Bytes() || cold.CheckpointBytes <= 0 {
+		t.Fatalf("uncached sizes %+v, store holds %d snapshots, %d bytes", cold, ck.Count(), ck.Bytes())
+	}
+	if wck := uncached.WarpCheckpoints(); wck != nil && cold.IntraCheckpointBytes != wck.Bytes() {
+		t.Fatalf("uncached intra bytes %d, store holds %d", cold.IntraCheckpointBytes, wck.Bytes())
+	}
+	sizes := func(s fault.PrepareStats) fault.PrepareStats {
+		s.Source, s.Wall = 0, 0
+		return s
+	}
+
 	cache := fault.NewPreparedCache(0)
-	tg := buildGEMM(t, cache)
-	if err := tg.Prepare(); err != nil {
-		t.Fatal(err)
+	missed := buildGEMM(t, cache)
+	miss := prepare(missed)
+	if miss.Source != fault.PreparedMiss || miss.Wall <= 0 || sizes(miss) != sizes(cold) {
+		t.Fatalf("cache miss: %+v, uncached %+v", miss, cold)
 	}
-	sites := fault.Uniform(fault.NewSpace(tg.Profile()).Random(stats.NewRNG(9), 16))
-
-	first, err := fault.Run(tg, sites, fault.CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.CacheMisses != 1 || first.Stats.CacheHits != 0 || first.Stats.PrepareWall <= 0 {
-		t.Fatalf("first campaign prep stats: %+v", first.Stats)
-	}
-	second, err := fault.Run(tg, sites, fault.CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.CacheMisses != 0 || second.Stats.CacheHits != 0 || second.Stats.PreparedShared != 0 || second.Stats.PrepareWall != 0 {
-		t.Fatalf("second campaign double-counts prep: %+v", second.Stats)
+	hit := prepare(buildGEMM(t, cache))
+	if hit.Source != fault.PreparedHit || hit.Wall != 0 || sizes(hit) != sizes(cold) {
+		t.Fatalf("cache hit: %+v, uncached %+v", hit, cold)
 	}
 
-	adopted := buildGEMM(t, cache)
-	if err := adopted.Prepare(); err != nil {
-		t.Fatal(err)
+	// Two concurrent Prepares on a fresh cache: one runs the golden run,
+	// the other joins it in flight, or — when the first finished before
+	// the second looked — hits. Repeat until one joins.
+	shared := false
+	for try := 0; try < 50 && !shared; try++ {
+		cache := fault.NewPreparedCache(0)
+		pair := [2]*fault.Target{buildGEMM(t, cache), buildGEMM(t, cache)}
+		var got [2]fault.PrepareStats
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, tg := range pair {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := tg.Prepare(); err != nil {
+					t.Error(err)
+				}
+				got[i] = tg.PrepareStats()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if got[0].Source != fault.PreparedMiss {
+			got[0], got[1] = got[1], got[0]
+		}
+		if got[0].Source != fault.PreparedMiss || got[0].Wall <= 0 || sizes(got[0]) != sizes(cold) {
+			t.Fatalf("concurrent pair: no timed miss in %+v", got)
+		}
+		switch got[1].Source {
+		case fault.PreparedShared:
+			shared = true
+		case fault.PreparedHit:
+		default:
+			t.Fatalf("concurrent pair: %+v", got)
+		}
+		if got[1].Wall != 0 || sizes(got[1]) != sizes(cold) {
+			t.Fatalf("concurrent pair: the adopter %+v", got[1])
+		}
 	}
-	res, err := fault.Run(adopted, sites, fault.CampaignOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if !shared {
+		t.Fatal("no concurrent Prepare joined an in-flight golden run in 50 tries")
 	}
-	if res.Stats.CacheHits != 1 || res.Stats.CacheMisses != 0 || res.Stats.PrepareWall != 0 {
-		t.Fatalf("adopted target prep stats: %+v", res.Stats)
+
+	full := buildGEMM(t, nil)
+	full.FullRun = true
+	if got := prepare(full); got.Source != fault.PreparedUncached || got.Wall <= 0 || sizes(got) != (fault.PrepareStats{}) {
+		t.Fatalf("FullRun: %+v", got)
+	}
+
+	sites := fault.Uniform(fault.NewSpace(missed.Profile()).Random(stats.NewRNG(9), 16))
+	for i := 0; i < 2; i++ {
+		if _, err := fault.Run(missed, sites, fault.CampaignOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := prepare(missed); got != miss {
+			t.Fatalf("after campaign %d and a second Prepare: %+v, was %+v", i+1, got, miss)
+		}
 	}
 }
 

@@ -63,12 +63,8 @@ type Target struct {
 
 	// prep is what Prepare produced (or adopted from Cache); nil before.
 	prep *preparedState
-
-	// Cache provenance and cold golden-run wall-clock of this target's
-	// Prepare, harvested once (by the first campaign run on it) into
-	// CampaignStats; see takePrepStats.
-	prepHits, prepMisses, prepShared int64
-	prepWall                         time.Duration
+	// prepared is PrepareStats but the store sizes, read from prep.
+	prepared PrepareStats
 }
 
 // DefaultWatchdogFactor multiplies the fault-free maximum thread iCnt to
@@ -108,18 +104,17 @@ func (t *Target) Prepare() error {
 	if t.Cache != nil {
 		return t.Cache.prepare(t)
 	}
+	start := time.Now()
 	var err error
 	t.prep, err = t.prepareCold()
+	t.prepared = PrepareStats{Source: PreparedUncached, Wall: time.Since(start)}
 	return err
 }
 
 // prepareCold runs the fault-free golden execution with tracing, capturing
 // the golden output, the per-thread profile, the injection watchdog and,
-// unless FullRun, the checkpoint store. It adds its wall-clock to the
-// target's prepWall.
+// unless FullRun, the checkpoint store.
 func (t *Target) prepareCold() (*preparedState, error) {
-	start := time.Now()
-	defer func() { t.prepWall += time.Since(start) }()
 	if len(t.Output) == 0 {
 		return nil, fmt.Errorf("fault: target %s has no output ranges", t.Name)
 	}

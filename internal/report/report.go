@@ -136,52 +136,61 @@ func NewKernelProfile(name string, prof *trace.Profile) KernelProfile {
 	return out
 }
 
-// Campaign is the JSON summary of a campaign's execution stats.
+// Campaign is the JSON summary of a campaign's execution stats; WithPrepare
+// adds its target's checkpoint and cache keys (fault.PrepareStats).
 type Campaign struct {
-	Runs            int64   `json:"runs"`
-	WallMS          float64 `json:"wall_ms"`
-	RunsPerSec      float64 `json:"runs_per_sec"`
-	PagesCopied     int64   `json:"pages_copied"`
-	DevicesCreated  int     `json:"devices_created"`
-	CTAsSkipped     int64   `json:"ctas_skipped,omitempty"`
-	EarlyExits      int64   `json:"early_exits,omitempty"`
-	IntraSkips      int64   `json:"intra_skips,omitempty"`
-	Checkpoints     int     `json:"checkpoints,omitempty"`
-	CheckpointBytes int64   `json:"checkpoint_bytes,omitempty"`
-	// IntraCheckpointBytes is the memory retained by the intra-CTA
-	// (warp-granular) snapshot store.
-	IntraCheckpointBytes int64 `json:"intra_checkpoint_bytes,omitempty"`
-	Replayed             int64 `json:"replayed,omitempty"`
-	Retries              int64 `json:"retries,omitempty"`
-	Quarantined          int64 `json:"quarantined,omitempty"`
-	CacheHits            int64 `json:"cache_hits,omitempty"`
-	CacheMisses          int64 `json:"cache_misses,omitempty"`
-	PreparedShared       int64 `json:"prepared_shared,omitempty"`
-	AffinityResets       int64 `json:"affinity_resets,omitempty"`
+	Runs                 int64   `json:"runs"`
+	WallMS               float64 `json:"wall_ms"`
+	RunsPerSec           float64 `json:"runs_per_sec"`
+	PagesCopied          int64   `json:"pages_copied"`
+	DevicesCreated       int     `json:"devices_created"`
+	CTAsSkipped          int64   `json:"ctas_skipped,omitempty"`
+	EarlyExits           int64   `json:"early_exits,omitempty"`
+	IntraSkips           int64   `json:"intra_skips,omitempty"`
+	Checkpoints          int     `json:"checkpoints,omitempty"`
+	CheckpointBytes      int64   `json:"checkpoint_bytes,omitempty"`
+	IntraCheckpointBytes int64   `json:"intra_checkpoint_bytes,omitempty"`
+	Replayed             int64   `json:"replayed,omitempty"`
+	Retries              int64   `json:"retries,omitempty"`
+	Quarantined          int64   `json:"quarantined,omitempty"`
+	CacheHits            int64   `json:"cache_hits,omitempty"`
+	CacheMisses          int64   `json:"cache_misses,omitempty"`
+	PreparedShared       int64   `json:"prepared_shared,omitempty"`
+	AffinityResets       int64   `json:"affinity_resets,omitempty"`
 }
 
-// NewCampaign converts fault.CampaignStats.
+// NewCampaign converts fault.CampaignStats; it fills no per-target key.
 func NewCampaign(s fault.CampaignStats) Campaign {
 	return Campaign{
-		Runs:                 s.Runs,
-		WallMS:               float64(s.Wall.Microseconds()) / 1000,
-		RunsPerSec:           s.RunsPerSec(),
-		PagesCopied:          s.PagesCopied,
-		DevicesCreated:       s.DevicesCreated,
-		CTAsSkipped:          s.CTAsSkipped,
-		EarlyExits:           s.EarlyExits,
-		IntraSkips:           s.IntraSkips,
-		Checkpoints:          s.Checkpoints,
-		CheckpointBytes:      s.CheckpointBytes,
-		IntraCheckpointBytes: s.IntraCheckpointBytes,
-		Replayed:             s.Replayed,
-		Retries:              s.Retries,
-		Quarantined:          s.Quarantined,
-		CacheHits:            s.CacheHits,
-		CacheMisses:          s.CacheMisses,
-		PreparedShared:       s.PreparedShared,
-		AffinityResets:       s.AffinityResets,
+		Runs:           s.Runs,
+		WallMS:         float64(s.Wall.Microseconds()) / 1000,
+		RunsPerSec:     s.RunsPerSec(),
+		PagesCopied:    s.PagesCopied,
+		DevicesCreated: s.DevicesCreated,
+		CTAsSkipped:    s.CTAsSkipped,
+		EarlyExits:     s.EarlyExits,
+		IntraSkips:     s.IntraSkips,
+		Replayed:       s.Replayed,
+		Retries:        s.Retries,
+		Quarantined:    s.Quarantined,
+		AffinityResets: s.AffinityResets,
 	}
+}
+
+// WithPrepare fills the per-target keys from the campaign target's
+// PrepareStats: its checkpoint store sizes, and a 1 in the cache key that
+// names where its prepared state came from.
+func (c Campaign) WithPrepare(p fault.PrepareStats) Campaign {
+	c.Checkpoints, c.CheckpointBytes, c.IntraCheckpointBytes = p.Checkpoints, p.CheckpointBytes, p.IntraCheckpointBytes
+	switch p.Source {
+	case fault.PreparedHit:
+		c.CacheHits = 1
+	case fault.PreparedMiss:
+		c.CacheMisses = 1
+	case fault.PreparedShared:
+		c.PreparedShared = 1
+	}
+	return c
 }
 
 // Merged is the JSON document fsmerge emits for a campaign recombined from
@@ -266,18 +275,15 @@ type Estimate struct {
 	Campaign *Campaign `json:"campaign,omitempty"`
 }
 
-// NewEstimate assembles the document; baseline and stats may be nil to omit.
-func NewEstimate(p *core.Plan, pruned fault.Dist, baseline *fault.Dist, stats *fault.CampaignStats) Estimate {
+// NewEstimate assembles the document; baseline may be nil to omit. The
+// caller sets Campaign.
+func NewEstimate(p *core.Plan, pruned fault.Dist, baseline *fault.Dist) Estimate {
 	e := Estimate{Plan: NewPlan(p), Pruned: NewProfile(pruned)}
 	if baseline != nil {
 		bp := NewProfile(*baseline)
 		e.Baseline = &bp
 		d := pruned.MaxClassDelta(*baseline)
 		e.MaxDeltaPP = &d
-	}
-	if stats != nil {
-		c := NewCampaign(*stats)
-		e.Campaign = &c
 	}
 	return e
 }

@@ -79,7 +79,7 @@ func TestPlanAndProfileDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := report.NewEstimate(plan, est, nil, nil)
+	doc := report.NewEstimate(plan, est, nil)
 	if doc.Baseline != nil || doc.MaxDeltaPP != nil {
 		t.Fatal("baseline fields should be omitted")
 	}
@@ -89,8 +89,11 @@ func TestPlanAndProfileDocuments(t *testing.T) {
 	var base fault.Dist
 	base.Add(fault.Masked, 1)
 	stats := fault.CampaignStats{Runs: 7, Wall: time.Millisecond, PagesCopied: 3,
-		DevicesCreated: 2, CTAsSkipped: 5, EarlyExits: 1, Checkpoints: 3, CheckpointBytes: 4096}
-	doc = report.NewEstimate(plan, est, &base, &stats)
+		DevicesCreated: 2, CTAsSkipped: 5, EarlyExits: 1}
+	c := report.NewCampaign(stats).WithPrepare(fault.PrepareStats{
+		Source: fault.PreparedMiss, Checkpoints: 3, CheckpointBytes: 4096})
+	doc = report.NewEstimate(plan, est, &base)
+	doc.Campaign = &c
 	if doc.Baseline == nil || doc.MaxDeltaPP == nil {
 		t.Fatal("baseline fields missing")
 	}
@@ -99,7 +102,8 @@ func TestPlanAndProfileDocuments(t *testing.T) {
 	}
 	if doc.Campaign.DevicesCreated != 2 || doc.Campaign.CTAsSkipped != 5 ||
 		doc.Campaign.EarlyExits != 1 || doc.Campaign.Checkpoints != 3 ||
-		doc.Campaign.CheckpointBytes != 4096 {
+		doc.Campaign.CheckpointBytes != 4096 || doc.Campaign.CacheMisses != 1 ||
+		doc.Campaign.CacheHits != 0 || doc.Campaign.PreparedShared != 0 {
 		t.Fatalf("fast-forward stats: %+v", doc.Campaign)
 	}
 

@@ -176,7 +176,7 @@ func (s *Server) Stats() Stats {
 			State:      c.state,
 			OwnedSites: c.sub.OwnedSites(),
 			Completed:  c.completed,
-			Campaign:   report.NewCampaign(c.sink.Total()),
+			Campaign:   report.NewCampaign(c.sink.Total()).WithPrepare(c.prep),
 		})
 		c.mu.Unlock()
 	}

@@ -83,6 +83,8 @@ type campaign struct {
 	mu     sync.Mutex
 	state  State
 	errMsg string
+	// prep is what its target's Prepare did, set once the journal opens.
+	prep fault.PrepareStats
 	// completed counts journaled sites (replayed + executed). dist is
 	// their outcome profile, nil until the journal opens: seeded from
 	// the journal's replayed records, then advanced by each record the
@@ -340,7 +342,7 @@ func (s *Server) execute(c *campaign) ([]journal.Record, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.completed, c.dist = len(j.Replayed()), &dist
+	c.completed, c.dist, c.prep = len(j.Replayed()), &dist, p.Target.PrepareStats()
 	c.mu.Unlock()
 
 	_, runErr := p.Run(fault.CampaignOptions{
