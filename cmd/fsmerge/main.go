@@ -43,14 +43,16 @@ func main() {
 	dist, err := report.MergedDist(recs)
 	fatal(err)
 
-	fmt.Printf("%s (%s) seed %d model %s: merged %d shard journals\n",
-		fp.Kernel, fp.Scale, fp.Seed, fp.Model, flag.NArg())
-	fmt.Printf("sites: %d of %d completed", len(recs), fp.Sites)
-	if doc.Quarantined > 0 {
-		fmt.Printf(" (%d quarantined)", doc.Quarantined)
+	summary := os.Stdout
+	if *jsonPath == "-" {
+		summary = os.Stderr // stdout holds the document alone
 	}
-	fmt.Println()
-	fmt.Printf("profile: %s\n", dist)
+	fmt.Fprintf(summary, "%s (%s) seed %d model %s: merged %d shard journals\nsites: %d of %d completed",
+		fp.Kernel, fp.Scale, fp.Seed, fp.Model, flag.NArg(), len(recs), fp.Sites)
+	if doc.Quarantined > 0 {
+		fmt.Fprintf(summary, " (%d quarantined)", doc.Quarantined)
+	}
+	fmt.Fprintf(summary, "\nprofile: %s\n", dist)
 
 	switch *jsonPath {
 	case "":

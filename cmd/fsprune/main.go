@@ -52,7 +52,6 @@ func main() {
 	loopIters := flag.Int("loop-iters", 0, "sampled loop iterations (0 = default, <0 = disable)")
 	autoLoop := flag.Bool("auto-loop", false, "pick the loop sample size adaptively (paper Section III-D)")
 	bitSamples := flag.Int("bit-samples", 0, "sampled bit positions per register (0 = default, <0 = all)")
-	flag.IntVar(bitSamples, "bits", 0, "alias for -bit-samples")
 	margin := flag.Float64("margin", 0.03, "target error margin for -action baseline (adaptive)")
 	deadPrune := flag.Bool("dead", false, "enable the dead-destination extension stage")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text")
@@ -116,7 +115,7 @@ func main() {
 		}
 		// Bit-sampling subsamples destination-register bit positions, which
 		// mem-addr and stuck-at sites do not have.
-		if explicit["bits"] || explicit["bit-samples"] {
+		if explicit["bit-samples"] {
 			usageError("-bit-samples subsamples destination-register bits; it cannot be combined with -model %s", *modelName)
 		}
 	}

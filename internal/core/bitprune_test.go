@@ -71,8 +71,9 @@ func TestBitPositionsChecked(t *testing.T) {
 	}
 }
 
-// TestBuildPlanRejectsNonDivisorBitSamples: a bad -bits value must surface
-// as a clean error from BuildPlan, not a panic (the fsprune -bits 5 crash).
+// TestBuildPlanRejectsNonDivisorBitSamples: a bad -bit-samples value must
+// surface as a clean error from BuildPlan, not a panic (the fsprune
+// -bit-samples 5 crash).
 func TestBuildPlanRejectsNonDivisorBitSamples(t *testing.T) {
 	tg := prepared(t)
 	for _, samples := range []int{5, 7, 31} {

@@ -1,19 +1,13 @@
 package fault_test
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/kernels"
 )
-
-var update = flag.Bool("update", false, "re-record testdata/work.json")
 
 const workFile = "testdata/work.json"
 
@@ -112,38 +106,7 @@ func TestWorkBudgets(t *testing.T) {
 	for _, s := range workSpecs() {
 		got = append(got, measureWork(t, s))
 	}
-	if *update {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(workFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(workFile, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	buf, err := os.ReadFile(workFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recorded []workBudget
-	if err := json.Unmarshal(buf, &recorded); err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]workBudget, len(recorded))
-	for _, b := range recorded {
-		want[b.Campaign] = b
-	}
-	for _, g := range got {
-		w, ok := want[g.Campaign]
-		if !ok {
-			t.Errorf("%s: no recorded budget; re-record with -update", g.Campaign)
-			continue
-		}
-		delete(want, g.Campaign)
+	goldenTable(t, workFile, got, func(b workBudget) string { return b.Campaign }, func(g, w workBudget) {
 		wc := w.counters()
 		for i, c := range g.counters() {
 			switch d := c.v - wc[i].v; {
@@ -153,8 +116,5 @@ func TestWorkBudgets(t *testing.T) {
 				t.Errorf("%s: %s shrank by %d (%d, budget %d); re-record with -update", g.Campaign, c.name, -d, c.v, wc[i].v)
 			}
 		}
-	}
-	for c := range want {
-		t.Errorf("%s: recorded but no longer run; re-record with -update", c)
-	}
+	})
 }
