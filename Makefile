@@ -133,7 +133,10 @@ doccheck:
 # by site index only inside internal/journal (journal.ReadFile and
 # journal.Merge return them in index order) — a sort by .Index elsewhere
 # names its non-record element type on the line, as fault's SiteFailure
-# sort does. Fails, printing the offending lines, when a
+# sort does; and no file sleeps or arms a timer (time.Sleep, NewTimer,
+# NewTicker, After, AfterFunc, Tick): a site's outcome is a function of the
+# site, never of wall time, so nothing waits on the clock to retry or
+# abandon one. Fails, printing the offending lines, when a
 # pattern appears in more files than allowed.
 recipe-check:
 	@check() { \
@@ -148,7 +151,8 @@ recipe-check:
 	check 0 '\.FullRun *=[^=]' '^$$' && \
 	check 1 '"lane-correlated"' '^$$' && \
 	check 0 '>= *[A-Za-z_.]*\.Sites\b' '^internal/journal/' && \
-	check 0 '\]\.Index *< *[A-Za-z_]*\[[A-Za-z_]*\]\.Index\|Compare([A-Za-z_]*\.Index, *[A-Za-z_]*\.Index)' '^internal/journal/\|SiteFailure)'
+	check 0 '\]\.Index *< *[A-Za-z_]*\[[A-Za-z_]*\]\.Index\|Compare([A-Za-z_]*\.Index, *[A-Za-z_]*\.Index)' '^internal/journal/\|SiteFailure)' && \
+	check 0 'time\.\(Sleep\|NewTimer\|NewTicker\|After\|AfterFunc\|Tick\)(' '^$$'
 
 # Every example program runs to completion (vet and build only compile
 # them).

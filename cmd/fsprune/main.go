@@ -25,6 +25,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -96,28 +97,23 @@ func main() {
 	if *par < 0 {
 		usageError("-par must be >= 0 (0 = GOMAXPROCS), got %d", *par)
 	}
-	// Flags that contradict each other are rejected up front instead of
-	// silently ignored: -auto-loop overwrites any explicit -loop-iters
-	// choice.
+	// Flags the chosen action would not read, or that contradict each
+	// other, are rejected up front instead of silently ignored.
 	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	flag.Visit(func(f *flag.Flag) {
+		explicit[f.Name] = true
+		if actions, ok := readers[f.Name]; ok && !slices.Contains(actions, *action) {
+			usageError("-%s applies only to -action %s", f.Name, strings.Join(actions, ", "))
+		}
+	})
+	// -auto-loop overwrites any explicit -loop-iters choice.
 	if *autoLoop && explicit["loop-iters"] {
 		usageError("-auto-loop selects the loop sample size itself; it cannot be combined with an explicit -loop-iters")
 	}
-	if (*journalPath != "" || *shardSpec != "") && *action != "campaign" {
-		usageError("-journal and -shard apply only to -action campaign")
-	}
-	if *modelName != fault.ModelDestValue.String() {
-		// The pruning pipeline (plan/estimate/baseline) is the paper's
-		// dest-value methodology; alternate models run plain campaigns.
-		if *action != "campaign" {
-			usageError("-model %s applies only to -action campaign (the pruning pipeline is defined over dest-value sites)", *modelName)
-		}
-		// Bit-sampling subsamples destination-register bit positions, which
-		// mem-addr and stuck-at sites do not have.
-		if explicit["bit-samples"] {
-			usageError("-bit-samples subsamples destination-register bits; it cannot be combined with -model %s", *modelName)
-		}
+	// The pruning pipeline (plan/estimate/baseline) is the paper's
+	// dest-value methodology; alternate models run plain campaigns.
+	if *modelName != fault.ModelDestValue.String() && *action != "campaign" {
+		usageError("-model %s applies only to -action campaign (the pruning pipeline is defined over dest-value sites)", *modelName)
 	}
 
 	// pprof profiles cover everything from here on and are flushed when main
@@ -334,6 +330,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown action %q\n", *action)
 		os.Exit(2)
 	}
+}
+
+// readers names, for each flag only some actions read, the actions that
+// read it; setting it for any other action is a usage error. -bit-samples
+// is read only by the pruning pipeline, so it never meets a non-default
+// -model.
+var readers = map[string][]string{
+	"journal":     {"campaign"},
+	"shard":       {"campaign"},
+	"loop-iters":  {"plan", "estimate"},
+	"auto-loop":   {"plan", "estimate"},
+	"bit-samples": {"plan", "estimate"},
+	"dead":        {"plan", "estimate"},
+	"margin":      {"baseline"},
+	"json":        {"profile", "plan", "estimate", "campaign"},
+	"stats":       {"estimate", "baseline", "campaign"},
 }
 
 func usageError(format string, args ...any) {

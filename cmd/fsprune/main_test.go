@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -18,11 +19,7 @@ import (
 // the process cache, one snapshot per CTA of GEMM K1 — however many
 // campaigns -auto-loop ran on that target first.
 func TestJSONStdout(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "fsprune")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildFsprune(t)
 	run := func(t *testing.T, v any, args ...string) {
 		t.Helper()
 		args = append([]string{"-kernel", "GEMM K1", "-par", "2", "-json"}, args...)
@@ -68,5 +65,88 @@ func TestJSONStdout(t *testing.T) {
 				t.Fatalf("campaign object %+v: want cache_misses 1 and checkpoints 4", *c)
 			}
 		})
+	}
+}
+
+// buildFsprune builds the binary into the test's temporary directory.
+func buildFsprune(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "fsprune")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestFlagsOutsideTheirActions: a flag set explicitly for an action that
+// does not read it is a usage error (exit 2) naming the flag, never a
+// silent no-op; on the actions that read them the same flags run.
+func TestFlagsOutsideTheirActions(t *testing.T) {
+	bin := buildFsprune(t)
+	// Each flag that only some actions read, with a value and its readers.
+	readers := []struct {
+		flag    []string
+		actions []string
+	}{
+		{[]string{"-journal", filepath.Join(t.TempDir(), "x.journal")}, []string{"campaign"}},
+		{[]string{"-shard", "0/2"}, []string{"campaign"}},
+		{[]string{"-loop-iters", "3"}, []string{"plan", "estimate"}},
+		{[]string{"-auto-loop"}, []string{"plan", "estimate"}},
+		{[]string{"-bit-samples", "8"}, []string{"plan", "estimate"}},
+		{[]string{"-dead"}, []string{"plan", "estimate"}},
+		{[]string{"-margin", "0.5"}, []string{"baseline"}},
+		{[]string{"-json"}, []string{"profile", "plan", "estimate", "campaign"}},
+		{[]string{"-stats"}, []string{"estimate", "baseline", "campaign"}},
+	}
+	run := func(args ...string) (int, string) {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, append([]string{"-kernel", "GEMM K1", "-par", "2"}, args...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return exit.ExitCode(), stderr.String()
+		}
+		if err != nil {
+			t.Fatalf("fsprune %s: %v", strings.Join(args, " "), err)
+		}
+		return 0, stderr.String()
+	}
+	actions := []string{"profile", "sites", "plan", "estimate", "baseline", "campaign"}
+	for _, r := range readers {
+		for _, a := range actions {
+			reads := false
+			for _, b := range r.actions {
+				reads = reads || a == b
+			}
+			if reads {
+				continue
+			}
+			args := append([]string{"-action", a}, r.flag...)
+			code, stderr := run(args...)
+			if code != 2 || !strings.Contains(stderr, r.flag[0]) {
+				t.Errorf("fsprune %s: exit %d, stderr %q; want exit 2 naming %s",
+					strings.Join(args, " "), code, stderr, r.flag[0])
+			}
+		}
+	}
+	// The readers take the same flags; -bit-samples is read only by the
+	// pruning pipeline, so it is rejected beside a non-default -model too.
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-action", "profile", "-json"}, 0},
+		{[]string{"-action", "plan", "-loop-iters", "3", "-bit-samples", "8", "-dead", "-json"}, 0},
+		{[]string{"-action", "baseline", "-baseline", "250", "-margin", "0.5", "-stats"}, 0},
+		{[]string{"-action", "campaign", "-baseline", "40", "-shard", "1/2", "-stats", "-json",
+			"-journal", filepath.Join(t.TempDir(), "c.journal")}, 0},
+		{[]string{"-action", "campaign", "-model", "stuck-pred", "-bit-samples", "8"}, 2},
+		{[]string{"-action", "plan", "-auto-loop", "-loop-iters", "3"}, 2},
+	} {
+		if code, stderr := run(c.args...); code != c.code {
+			t.Errorf("fsprune %s: exit %d, want %d\n%s", strings.Join(c.args, " "), code, c.code, stderr)
+		}
 	}
 }

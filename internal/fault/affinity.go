@@ -15,7 +15,7 @@ import (
 // take whole chunks off one shared cursor in schedule order. A worker's
 // device switches snapshot sources at chunk boundaries only, and since each
 // worker walks the schedule forwards it meets every snapshot at most once:
-// with no attempt abandoned, AffinityResets is at most workers × snapshots.
+// AffinityResets is at most workers × snapshots.
 // Scheduling can only change which device runs a site, never the site's
 // outcome: every run resets its device to the same snapshot content
 // regardless of provenance (DESIGN.md §3.4).
@@ -74,11 +74,17 @@ func (q *chunkCursor) next() (c chunk, ok bool) {
 // workerDevice is what a campaign worker runs its sites on: a copy-on-write
 // device, the site's launch and injection, the thread-start snapshot a run
 // may resume from, and the state of injectOn's early-exit hooks with the
-// candidate-page buffer they fill. All of it is reused site after site —
-// the hooks are method values bound once, on the first site — and belongs
-// to one workerRunner.
+// candidate-page buffer they fill. A worker owns one for life, so
+// consecutive sites of a snapshot group reset on ResetFrom's same-source
+// fast path. All of it is reused site after site — the hooks are method
+// values bound once, on the first site. Every run resets the device before
+// use (from a checkpoint snapshot or the pristine image) and the reset is
+// driven by the dirty-page list, so reuse is safe after trapped or failed
+// runs.
 type workerDevice struct {
+	// dev is cloned from the pristine image on the worker's first site.
 	dev    *gpusim.Device
+	model  Model
 	launch gpusim.Launch
 	inj    gpusim.Injection
 	// start and dynAt (its per-thread counts) are the synthetic snapshot
@@ -86,7 +92,7 @@ type workerDevice struct {
 	start gpusim.WarpSnapshot
 	dynAt []int64
 
-	// The site being run: its target, thread and CTA.
+	// The worker's target, and the site being run: its thread and CTA.
 	t      *Target
 	thread int
 	cta    int
@@ -130,39 +136,25 @@ func (w *workerDevice) threadExit() bool {
 	return w.exited
 }
 
-// workerRunner owns one workerDevice for life, so consecutive sites of a
-// snapshot group reset on ResetFrom's same-source fast path. Every run
-// resets the device before use (from a checkpoint snapshot or the pristine
-// image) and the reset is driven by the dirty-page list, so reuse is safe
-// after trapped or failed runs. The device is never handed over: a runner
-// whose attempt is abandoned at its deadline stays with the stray (see
-// attempter).
-type workerRunner struct {
-	t     *Target
-	model Model
-	w     *workerDevice
-	// devs counts what this runner's device costs: DevicesCreated,
-	// PagesCopied and AffinityResets.
-	devs CampaignStats
+// run executes one site on the worker's device, cloning the pristine image
+// on first use; it is the runSite hook the campaign engine calls through
+// protect.
+func (w *workerDevice) run(s Site) (Outcome, runCost, error) {
+	if w.dev == nil {
+		w.dev = w.t.Init.Clone()
+	}
+	return w.t.injectOn(w, s, w.model)
 }
 
-// run executes one site on the runner's device, cloning the pristine image
-// on first use; it is the runSite hook the campaign engine calls under its
-// attempter.
-func (r *workerRunner) run(s Site) (Outcome, runCost, error) {
-	if r.w == nil {
-		r.w = &workerDevice{dev: r.t.Init.Clone()}
-		r.devs.DevicesCreated++
+// close returns what the worker's device cost: its clone (if it ran a
+// site), page copies and source switches.
+func (w *workerDevice) close() CampaignStats {
+	if w.dev == nil {
+		return CampaignStats{}
 	}
-	return r.t.injectOn(r.w, s, r.model)
-}
-
-// close collects the device's page-copy and source-switch counters and
-// returns what the runner's device cost.
-func (r *workerRunner) close() CampaignStats {
-	if r.w != nil {
-		r.devs.PagesCopied += r.w.dev.TakePagesCopied()
-		r.devs.AffinityResets += r.w.dev.TakeSrcSwitches()
+	return CampaignStats{
+		DevicesCreated: 1,
+		PagesCopied:    w.dev.TakePagesCopied(),
+		AffinityResets: w.dev.TakeSrcSwitches(),
 	}
-	return r.devs
 }

@@ -42,13 +42,10 @@ type CampaignStats struct {
 	Wall time.Duration
 	// PagesCopied counts global-memory page copies performed by the
 	// copy-on-write device layer (first-store privatizations plus
-	// pristine-reset restores) across the worker devices, except those
-	// abandoned attempts kept (their counters are never harvested).
+	// pristine-reset restores) across the worker devices.
 	PagesCopied int64
 	// DevicesCreated is the number of device clones the campaign
-	// materialized: one per worker that ran a site, plus one for every
-	// attempt abandoned at its deadline — a runner's device is never handed
-	// over, so the stray keeps it and the retry runs on a fresh clone.
+	// materialized: one per worker that ran a site.
 	DevicesCreated int
 	// CTAsSkipped counts CTA executions the checkpointed fast-forward
 	// engine avoided, summed over all runs: golden prefixes resumed from a
@@ -75,14 +72,16 @@ type CampaignStats struct {
 	// Runs.
 	Replayed int64
 	// Retries counts extra executions spent re-attempting failing sites.
+	// This build runs every site once; only records of older builds that
+	// retried carry them.
 	Retries int64
-	// Quarantined counts sites that exhausted their attempts and were
-	// bucketed as EngineError.
+	// Quarantined counts sites whose execution failed and were bucketed as
+	// EngineError.
 	Quarantined int64
 	// AffinityResets counts worker-device resets that switched checkpoint
 	// sources — the slow full-restore path of Device.ResetFrom that
 	// snapshot-affine scheduling exists to avoid. At most workers ×
-	// PrepareStats.Checkpoints with no abandoned attempt; near Runs unpinned.
+	// PrepareStats.Checkpoints; near Runs unpinned.
 	AffinityResets int64
 }
 
@@ -149,8 +148,11 @@ func (s CampaignStats) String() string {
 	if s.Replayed > 0 {
 		out += fmt.Sprintf(", %d replayed from journal", s.Replayed)
 	}
-	if s.Retries > 0 || s.Quarantined > 0 {
-		out += fmt.Sprintf(", %d retries, %d quarantined", s.Retries, s.Quarantined)
+	if s.Retries > 0 {
+		out += fmt.Sprintf(", %d retries", s.Retries)
+	}
+	if s.Quarantined > 0 {
+		out += fmt.Sprintf(", %d quarantined", s.Quarantined)
 	}
 	if s.AffinityResets > 0 {
 		out += fmt.Sprintf(", %d affinity resets", s.AffinityResets)
@@ -210,14 +212,6 @@ type CampaignOptions struct {
 	// (also on error, so cancelled campaigns stay visible).
 	Sink *StatsSink
 
-	// maxAttempts, siteDeadline and retryBackoff override the failure-
-	// isolation constants (DefaultMaxAttempts, DefaultSiteDeadline,
-	// DefaultRetryBackoff) when positive. Production runs at the defaults;
-	// the fields exist so in-package tests can shorten them.
-	maxAttempts  int
-	siteDeadline time.Duration
-	retryBackoff time.Duration
-
 	// Journal, when non-nil, makes the campaign durable: each completed
 	// site is appended to it, and sites already recorded (from an earlier,
 	// interrupted run) are replayed instead of executed — the resumed
@@ -253,12 +247,12 @@ type CampaignOptions struct {
 // list is validated up front, so an invalid site fails before any
 // experiment executes, reporting the lowest-index invalid site.
 //
-// Execution failures are isolated per site: a failing site is retried with
-// exponential backoff and, after DefaultMaxAttempts, quarantined into the
-// EngineError outcome (CampaignResult.Quarantined) while the campaign
-// continues. With a Journal attached the campaign is durable and resumable,
-// with Shard it runs one deterministic slice of the schedule, and Interrupt
-// stops it cooperatively (see CampaignOptions).
+// Execution failures are isolated per site: each site runs once, and one
+// whose execution errs or panics is quarantined into the EngineError outcome
+// (CampaignResult.Quarantined) while the campaign continues. With a Journal
+// attached the campaign is durable and resumable, with Shard it runs one
+// deterministic slice of the schedule, and Interrupt stops it cooperatively
+// (see CampaignOptions).
 func Run(t *Target, sites []WeightedSite, opt CampaignOptions) (*CampaignResult, error) {
 	return RunModel(t, sites, ModelDestValue, opt)
 }
@@ -280,13 +274,13 @@ func RunModel(t *Target, sites []WeightedSite, model Model, opt CampaignOptions)
 		}
 	}
 
-	// Freeze the pristine image now: runners clone it concurrently (see
-	// workerRunner.run), and freezing is only write-free once already frozen.
+	// Freeze the pristine image now: workers clone it concurrently (see
+	// workerDevice.run), and freezing is only write-free once already frozen.
 	t.Init.Clone() // freeze eagerly; the throwaway clone is trivially small
 	eng := campaignEngine{
 		newRunner: func() (func(Site) (Outcome, runCost, error), func() CampaignStats) {
-			r := &workerRunner{t: t, model: model}
-			return r.run, r.close
+			w := &workerDevice{t: t, model: model}
+			return w.run, w.close
 		},
 	}
 	ck, wck := t.Checkpoints(), t.WarpCheckpoints()
@@ -350,9 +344,8 @@ func scheduleOrder(sites []WeightedSite) []int {
 // campaignEngine supplies the per-worker execution hooks of runEngine.
 type campaignEngine struct {
 	// newRunner builds a site executor and its cleanup, which returns what
-	// the executor's device cost. A worker takes one at start and one after
-	// each attempt abandoned at its deadline (the stray keeps the old one),
-	// and cleans up its last one on exit. Campaigns hand out workerRunners.
+	// the executor's device cost. A worker takes one for life and cleans it
+	// up on exit. Campaigns hand out workerDevices.
 	newRunner func() (run func(Site) (Outcome, runCost, error), cleanup func() CampaignStats)
 	// affinityOf, when non-nil, maps an input-order site index to its
 	// scheduling affinity key (the snapshot pair it resumes from): chunks
@@ -373,9 +366,10 @@ type campaignEngine struct {
 // so which device) runs a site — every run resets its device to the
 // same snapshot content, so outcomes are independent of the schedule.
 //
-// A failing site is retried and eventually quarantined as EngineError; only
-// a journal-append failure or an Interrupt stops the campaign, and both stop
-// it the same way: workers finish their current site and take no more.
+// Each site runs once, through protect: a site whose run errs or panics is
+// quarantined as EngineError with its cause journaled. Only a journal-append
+// failure or an Interrupt stops the campaign, and both stop it the same way:
+// workers finish their current site and take no more.
 //
 // Each worker counts the sites it runs in its own CampaignStats, through
 // the record it journals (AddRecord), and keeps its own quarantine list;
@@ -471,11 +465,11 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a := newAttempter(opt, eng)
+			runSite, cleanup := eng.newRunner()
 			var tally CampaignStats
 			var quar []SiteFailure
 			defer func() {
-				tally.Merge(a.close())
+				tally.Merge(cleanup())
 				mu.Lock()
 				st.Merge(tally)
 				quarantined = append(quarantined, quar...)
@@ -494,12 +488,12 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 						break
 					}
 					i := input(work[wpos])
-					o, cost, attempts, err := a.run(sites[i].Site)
+					o, cost, err := protect(runSite, sites[i].Site)
 					var quarErr string
 					if err != nil {
-						quarErr = err.Error()
+						o, cost, quarErr = EngineError, runCost{}, err.Error()
 					}
-					rec := journalRecord(i, sites[i], o, cost, attempts, quarErr)
+					rec := journalRecord(i, sites[i], o, cost, quarErr)
 					tally.AddRecord(rec)
 					tally.ReplayInstrs += cost.replay
 					tally.PostFaultInstrs += cost.postFault

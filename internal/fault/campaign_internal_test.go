@@ -145,7 +145,7 @@ func TestProgressHook(t *testing.T) {
 	sites := fakeSites(n)
 	j := openFakeJournal(t, n)
 	for i := 0; i < replayed; i++ {
-		if err := j.Append(journalRecord(i, sites[i], Masked, runCost{}, 1, "")); err != nil {
+		if err := j.Append(journalRecord(i, sites[i], Masked, runCost{}, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,8 +159,7 @@ func TestProgressHook(t *testing.T) {
 	var calls [n]atomic.Int64
 	var seen atomic.Int64
 	var badQuarantine, unjournaled atomic.Bool
-	opt := fastGuard(4)
-	opt.Journal = j
+	opt := CampaignOptions{Parallelism: 4, KeepPerSite: true, Journal: j}
 	opt.Progress = func(r journal.Record) {
 		calls[r.Index].Add(1)
 		// Each record handed over so far was appended before its call.

@@ -1,46 +1,26 @@
 package fault
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/journal"
 )
 
 // This file is the campaign durability layer: per-site failure isolation
-// (panic recovery, wall-clock deadline, retry with exponential backoff,
-// quarantine into EngineError), deterministic shard partitioning, the
-// journal glue that makes campaigns resumable after a crash or kill -9, and
-// cooperative interruption. DESIGN.md §3.5 documents the semantics.
-
-// Failure-isolation settings of every production campaign.
-const (
-	// DefaultMaxAttempts is how many times a failing site is executed
-	// before quarantine.
-	DefaultMaxAttempts = 3
-	// DefaultSiteDeadline is the per-attempt wall-clock ceiling. It sits on
-	// top of the simulator's own step watchdog (which bounds dynamic
-	// instructions, not wall time) as the last line of defense against an
-	// engine bug that spins without retiring instructions.
-	DefaultSiteDeadline = 30 * time.Second
-	// DefaultRetryBackoff is the sleep before the first retry; it doubles
-	// per attempt.
-	DefaultRetryBackoff = time.Millisecond
-)
+// (panic recovery, quarantine into EngineError), deterministic shard
+// partitioning, the journal glue that makes campaigns resumable after a
+// crash or kill -9, and cooperative interruption. DESIGN.md §3.5 documents
+// the semantics.
 
 // ErrInterrupted is wrapped by Run when the campaign stops because
 // CampaignOptions.Interrupt fired. Completed sites are already journaled
 // (when a journal is attached), so rerunning with the same journal resumes.
 var ErrInterrupted = errors.New("fault: campaign interrupted")
 
-// errSitePanic and errSiteDeadline classify quarantine causes.
-var (
-	errSitePanic    = errors.New("fault: site execution panicked")
-	errSiteDeadline = errors.New("fault: site deadline exceeded")
-)
+// errSitePanic marks a quarantine cause recovered from a panic.
+var errSitePanic = errors.New("fault: site execution panicked")
 
 // Shard deterministically partitions a campaign across processes. Shard i
 // of n owns every n-th schedule position starting at i — the partition is
@@ -87,63 +67,26 @@ func (s Shard) Owned(n int) int {
 }
 
 // SiteFailure records one quarantined site: the engine could not produce an
-// outcome for it within DefaultMaxAttempts attempts, so its
-// outcome is EngineError and the cause is kept here (and in the journal).
+// outcome for it, so its outcome is EngineError and the cause is kept here
+// (and in the journal).
 type SiteFailure struct {
 	// Index is the site's input-order index.
 	Index int
 	// Site is the site itself.
 	Site Site
-	// Attempts is how many executions were tried.
+	// Attempts is how many executions were tried: 1 on this build, more in
+	// journals of builds that retried a failing site.
 	Attempts int
 	// Err describes the last failure.
 	Err string
 }
 
 func (f SiteFailure) String() string {
-	return fmt.Sprintf("site %v (index %d): quarantined after %d attempts: %s",
-		f.Site, f.Index, f.Attempts, f.Err)
-}
-
-// attempter runs one campaign worker's sites, each attempt on its own
-// goroutine so a wedged simulator call can be abandoned at the deadline;
-// panics are recovered (protect), failures retried with doubling backoff
-// and, after maxAttempts, quarantined. It holds the worker's current
-// runner, one result channel and one deadline timer, all reused attempt
-// after attempt. An abandoned attempt finishes (or trips the step
-// watchdog) on its own, keeping its runner — a runner owns its device for
-// life — and its channel, where its result lands unread; the retry takes
-// a fresh runner and channel, so it never shares a device with the stray.
-type attempter struct {
-	maxAttempts int
-	deadline    time.Duration
-	backoff     time.Duration
-
-	newRunner func() (func(Site) (Outcome, runCost, error), func() CampaignStats)
-	runSite   func(Site) (Outcome, runCost, error)
-	cleanup   func() CampaignStats
-	res       chan siteResult
-	timer     *time.Timer
-	// strays counts the devices abandoned attempts kept.
-	strays int
-}
-
-// newAttempter resolves the failure-isolation settings (opt's positive
-// overrides, else the defaults) and takes the worker's first runner.
-func newAttempter(opt CampaignOptions, eng campaignEngine) *attempter {
-	a := &attempter{
-		maxAttempts: cmp.Or(max(opt.maxAttempts, 0), DefaultMaxAttempts),
-		deadline:    cmp.Or(max(opt.siteDeadline, 0), DefaultSiteDeadline),
-		backoff:     cmp.Or(max(opt.retryBackoff, 0), DefaultRetryBackoff),
-		newRunner:   eng.newRunner,
-		res:         make(chan siteResult, 1),
+	var after string
+	if f.Attempts > 1 {
+		after = fmt.Sprintf(" after %d attempts", f.Attempts)
 	}
-	a.runSite, a.cleanup = a.newRunner()
-	a.timer = time.NewTimer(a.deadline)
-	if !a.timer.Stop() {
-		<-a.timer.C
-	}
-	return a
+	return fmt.Sprintf("site %v (index %d): quarantined%s: %s", f.Site, f.Index, after, f.Err)
 }
 
 // protect invokes runSite with panic recovery, converting a panic into an
@@ -159,67 +102,6 @@ func protect(runSite func(Site) (Outcome, runCost, error), s Site) (o Outcome, c
 		}
 	}()
 	return runSite(s)
-}
-
-// siteResult carries one attempt's result out of its goroutine.
-type siteResult struct {
-	o    Outcome
-	cost runCost
-	err  error
-}
-
-// attempt is the body of one attempt's goroutine.
-func attempt(res chan<- siteResult, runSite func(Site) (Outcome, runCost, error), s Site) {
-	o, c, err := protect(runSite, s)
-	res <- siteResult{o, c, err}
-}
-
-// once executes a single attempt against the deadline. The timer follows
-// the pre-Go 1.23 channel rules go.mod selects: a Stop that returns false
-// leaves a tick in C, drained before the next Reset.
-func (a *attempter) once(s Site) (Outcome, runCost, error) {
-	go attempt(a.res, a.runSite, s)
-	a.timer.Reset(a.deadline)
-	select {
-	case r := <-a.res:
-		if !a.timer.Stop() {
-			<-a.timer.C
-		}
-		return r.o, r.cost, r.err
-	case <-a.timer.C:
-		// The stray keeps its runner, device and channel.
-		a.strays++
-		a.runSite, a.cleanup = a.newRunner()
-		a.res = make(chan siteResult, 1)
-		return 0, runCost{}, fmt.Errorf("%w (%v)", errSiteDeadline, a.deadline)
-	}
-}
-
-// run executes one site with retries. A nil error means a real outcome;
-// a non-nil error means the site is quarantined and the returned outcome is
-// EngineError. attempts reports how many executions ran.
-func (a *attempter) run(s Site) (o Outcome, cost runCost, attempts int, err error) {
-	backoff := a.backoff
-	for attempts = 1; ; attempts++ {
-		o, cost, err = a.once(s)
-		if err == nil {
-			return o, cost, attempts, nil
-		}
-		if attempts >= a.maxAttempts {
-			return EngineError, runCost{}, attempts, err
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-	}
-}
-
-// close returns what the worker's devices cost: its current runner's
-// counters, plus one device per abandoned attempt. A stray's page copies
-// and source switches are not counted — its device is never handed back.
-func (a *attempter) close() CampaignStats {
-	st := a.cleanup()
-	st.DevicesCreated += a.strays
-	return st
 }
 
 // JournalFingerprint builds the campaign fingerprint a journal is opened
@@ -257,8 +139,9 @@ func (t *Target) validateJournal(j *journal.Journal, model Model, nsites int, sh
 	return nil
 }
 
-// journalRecord assembles the write-ahead record of one completed site.
-func journalRecord(i int, ws WeightedSite, o Outcome, cost runCost, attempts int, quarantine string) journal.Record {
+// journalRecord assembles the write-ahead record of one completed site: one
+// execution, quarantined when quarantine names its cause.
+func journalRecord(i int, ws WeightedSite, o Outcome, cost runCost, quarantine string) journal.Record {
 	return journal.Record{
 		Index:        i,
 		Thread:       ws.Site.Thread,
@@ -269,7 +152,7 @@ func journalRecord(i int, ws WeightedSite, o Outcome, cost runCost, attempts int
 		CTAsSkipped:  int64(cost.ctasSkipped),
 		EarlyExit:    cost.earlyExit,
 		IntraResumed: cost.intraResumed,
-		Attempts:     attempts,
+		Attempts:     1,
 		Err:          quarantine,
 	}
 }

@@ -14,19 +14,15 @@ import (
 	"repro/internal/journal"
 )
 
-// fastGuard are failure-isolation options tuned so retry/quarantine tests
-// run in microseconds.
-func fastGuard(par int) CampaignOptions {
-	return CampaignOptions{Parallelism: par, maxAttempts: 2, retryBackoff: time.Microsecond, KeepPerSite: true}
-}
-
-// TestRunWithQuarantine: in the default isolating mode, a permanently
-// erroring site and a panicking site are each retried maxAttempts times and
-// then quarantined as EngineError; the rest of the campaign completes.
+// TestRunWithQuarantine: a permanently erroring site and a panicking site
+// each run once and are quarantined as EngineError, the panic's cause kept;
+// the rest of the campaign completes.
 func TestRunWithQuarantine(t *testing.T) {
 	const n = 40
-	res, st, err := runWith(fakeSites(n), nil, fastGuard(4),
+	var calls [n]atomic.Int32
+	res, st, err := runWith(fakeSites(n), nil, CampaignOptions{Parallelism: 4, KeepPerSite: true},
 		func(s Site) (Outcome, runCost, error) {
+			calls[s.Thread].Add(1)
 			switch s.Thread {
 			case 7:
 				return 0, runCost{}, errors.New("permanent engine fault")
@@ -50,124 +46,53 @@ func TestRunWithQuarantine(t *testing.T) {
 	if res.PerSite[7] != EngineError || res.PerSite[11] != EngineError || res.PerSite[0] != Masked {
 		t.Fatalf("per-site outcomes: %v", res.PerSite[:12])
 	}
-	if st.Quarantined != 2 || st.Retries != 2 {
-		t.Fatalf("stats: quarantined %d retries %d, want 2 and 2", st.Quarantined, st.Retries)
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("site %d ran %d times, want once", i, c)
+		}
 	}
-	if st.Runs != n-2+2*2 {
-		t.Fatalf("runs = %d, want %d", st.Runs, n-2+2*2)
-	}
-}
-
-// TestRunWithRetryTransient: a site that fails once and then succeeds costs
-// one retry and contributes its real outcome, not EngineError.
-func TestRunWithRetryTransient(t *testing.T) {
-	const n = 20
-	var flaky atomic.Int64
-	res, st, err := runWith(fakeSites(n), nil, fastGuard(2),
-		func(s Site) (Outcome, runCost, error) {
-			if s.Thread == 3 && flaky.Add(1) == 1 {
-				return 0, runCost{}, errors.New("transient")
-			}
-			return SDC, runCost{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerSite[3] != SDC {
-		t.Fatalf("flaky site outcome = %v, want SDC", res.PerSite[3])
-	}
-	if st.Retries != 1 || st.Quarantined != 0 || len(res.Quarantined) != 0 {
-		t.Fatalf("retries %d quarantined %d", st.Retries, st.Quarantined)
-	}
-	if st.Runs != n+1 {
-		t.Fatalf("runs = %d, want %d", st.Runs, n+1)
+	if st.Quarantined != 2 || st.Retries != 0 || st.Runs != n {
+		t.Fatalf("stats: quarantined %d retries %d runs %d, want 2, 0 and %d", st.Quarantined, st.Retries, st.Runs, n)
 	}
 }
 
-// TestRunWithSiteDeadline: an attempt exceeding the wall-clock deadline is
-// abandoned and the site quarantined, even though the site function never
-// returns an error on its own.
-func TestRunWithSiteDeadline(t *testing.T) {
-	opt := CampaignOptions{Parallelism: 2, maxAttempts: 1, siteDeadline: 5 * time.Millisecond, KeepPerSite: true}
-	release := make(chan struct{})
-	defer close(release)
-	res, st, err := runWith(fakeSites(10), nil, opt,
-		func(s Site) (Outcome, runCost, error) {
-			if s.Thread == 4 {
-				<-release // wedged until the test ends
-			}
-			return Masked, runCost{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerSite[4] != EngineError || st.Quarantined != 1 {
-		t.Fatalf("wedged site: outcome %v, quarantined %d", res.PerSite[4], st.Quarantined)
-	}
-	if len(res.Quarantined) != 1 || !strings.Contains(res.Quarantined[0].Err, "deadline") {
-		t.Fatalf("quarantine record: %+v", res.Quarantined)
-	}
-}
-
-// TestAbandonedAttemptKeepsItsRunner: a runner owns its device for life.
-// The stray of an attempt abandoned at its deadline keeps its runner, so
-// the retry runs on a fresh one from newRunner, the wedged runner is never
-// called again nor cleaned up, and DevicesCreated counts the device the
-// stray kept.
-func TestAbandonedAttemptKeepsItsRunner(t *testing.T) {
-	type stub struct {
-		mu      sync.Mutex // the wedged attempt appends while the test reads
-		threads []int      // the sites this runner was handed
-		cleaned bool
-	}
-	var runners []*stub
-	release := make(chan struct{})
-	defer close(release)
+// TestWorkerKeepsOneRunner: a worker takes one runner from newRunner for
+// life. A panicking site is quarantined and the same runner goes on to the
+// next site; the runner is cleaned up once, and what its cleanup reports
+// is the campaign's device count.
+func TestWorkerKeepsOneRunner(t *testing.T) {
+	var threads []int // the sites the runner was handed, in order
+	runners, cleanups := 0, 0
 	eng := campaignEngine{
 		newRunner: func() (func(Site) (Outcome, runCost, error), func() CampaignStats) {
-			r := &stub{}
-			first := len(runners) == 0
-			runners = append(runners, r)
+			runners++
 			run := func(s Site) (Outcome, runCost, error) {
-				r.mu.Lock()
-				r.threads = append(r.threads, s.Thread)
-				r.mu.Unlock()
-				if first && s.Thread == 4 {
-					<-release // wedged until the test ends
+				threads = append(threads, s.Thread)
+				if s.Thread == 4 {
+					panic("engine bug")
 				}
 				return Masked, runCost{}, nil
 			}
 			cleanup := func() CampaignStats {
-				r.cleaned = true
+				cleanups++
 				return CampaignStats{DevicesCreated: 1}
 			}
 			return run, cleanup
 		},
 	}
-	opt := CampaignOptions{Parallelism: 1, maxAttempts: 2, siteDeadline: 100 * time.Millisecond,
-		retryBackoff: time.Microsecond, KeepPerSite: true}
-	res, st, err := runEngine(fakeSites(10), nil, opt, eng)
+	res, st, err := runEngine(fakeSites(10), nil, CampaignOptions{Parallelism: 1, KeepPerSite: true}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runners) != 2 {
-		t.Fatalf("newRunner called %d times, want 2 (the worker's first, the retry's)", len(runners))
+	if runners != 1 || cleanups != 1 {
+		t.Fatalf("newRunner called %d times, cleanup %d; want 1 and 1", runners, cleanups)
 	}
-	wedged, fresh := runners[0], runners[1]
-	wedged.mu.Lock()
-	defer wedged.mu.Unlock()
-	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(wedged.threads, want) || wedged.cleaned {
-		t.Errorf("wedged runner: ran %v (cleaned %v), want %v and never cleaned", wedged.threads, wedged.cleaned, want)
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(threads, want) {
+		t.Fatalf("runner ran %v, want %v", threads, want)
 	}
-	if want := []int{4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(fresh.threads, want) || !fresh.cleaned {
-		t.Errorf("fresh runner: ran %v (cleaned %v), want %v and cleaned", fresh.threads, fresh.cleaned, want)
-	}
-	if res.PerSite[4] != Masked || st.Retries != 1 || st.Quarantined != 0 {
-		t.Errorf("retried site: outcome %v, retries %d, quarantined %d; want masked, 1, 0",
-			res.PerSite[4], st.Retries, st.Quarantined)
-	}
-	if st.DevicesCreated != 2 {
-		t.Errorf("devices created = %d, want 2 (the fresh runner's and the stray's)", st.DevicesCreated)
+	if res.PerSite[4] != EngineError || st.Quarantined != 1 || st.Runs != 10 || st.DevicesCreated != 1 {
+		t.Fatalf("site 4 %v; quarantined %d, runs %d, devices %d; want engine-error, 1, 10, 1",
+			res.PerSite[4], st.Quarantined, st.Runs, st.DevicesCreated)
 	}
 }
 
@@ -399,8 +324,7 @@ func TestRunWithJournalQuarantineReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fastGuard(2)
-	opt.Journal = j
+	opt := CampaignOptions{Parallelism: 2, KeepPerSite: true, Journal: j}
 	res1, _, err := runWith(sites, nil, opt,
 		func(s Site) (Outcome, runCost, error) {
 			if s.Thread == 5 {
@@ -418,8 +342,7 @@ func TestRunWithJournalQuarantineReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	opt2 := fastGuard(2)
-	opt2.Journal = j2
+	opt2 := CampaignOptions{Parallelism: 2, KeepPerSite: true, Journal: j2}
 	res2, st, err := runWith(sites, nil, opt2,
 		func(s Site) (Outcome, runCost, error) {
 			t.Error("fully journaled campaign executed a site")
@@ -442,8 +365,8 @@ func TestRunWithJournalQuarantineReplay(t *testing.T) {
 
 // TestLiveStatsMatchJournal: the live engine's counters equal
 // CampaignStats.AddRecord summed over its journal's records, and its
-// quarantine list is the records' — under parallel workers, retries,
-// quarantines and fast-forward costs. TestLiveStatsMatchMerged checks the
+// quarantine list is the records' — under parallel workers, quarantines
+// and fast-forward costs. TestLiveStatsMatchMerged checks the
 // same on real kernels through report.NewMerged, which this package cannot
 // import.
 func TestLiveStatsMatchJournal(t *testing.T) {
@@ -454,17 +377,11 @@ func TestLiveStatsMatchJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tries [n]atomic.Int32
-	opt := fastGuard(3)
-	opt.Journal = j
-	res, st, err := runWith(sites, nil, opt,
+	res, st, err := runWith(sites, nil, CampaignOptions{Parallelism: 3, Journal: j},
 		func(s Site) (Outcome, runCost, error) {
 			i := s.Thread
-			switch {
-			case i%17 == 5:
+			if i%17 == 5 {
 				return 0, runCost{}, errors.New("permanent")
-			case i%7 == 3 && tries[i].Add(1) == 1:
-				return 0, runCost{}, errors.New("transient")
 			}
 			return Outcome(i % 3), runCost{ctasSkipped: int32(i % 4), earlyExit: i%2 == 0, intraResumed: i%5 == 0}, nil
 		})
@@ -491,7 +408,7 @@ func TestLiveStatsMatchJournal(t *testing.T) {
 	if got != want {
 		t.Fatalf("live counters %+v, from the journal %+v", got, want)
 	}
-	if want.Retries == 0 || want.Quarantined == 0 || want.CTAsSkipped == 0 || want.EarlyExits == 0 || want.IntraSkips == 0 {
+	if want.Quarantined == 0 || want.CTAsSkipped == 0 || want.EarlyExits == 0 || want.IntraSkips == 0 {
 		t.Fatalf("the stub exercised too little: %+v", want)
 	}
 	if !reflect.DeepEqual(res.Quarantined, quar) {
@@ -561,7 +478,8 @@ func TestDistMergeCommutative(t *testing.T) {
 }
 
 // TestEngineErrorClassAndString: the quarantine bucket folds into the
-// paper's "other" class and has a stable name.
+// paper's "other" class and has a stable name, and quarantines and retries
+// print only what happened.
 func TestEngineErrorClassAndString(t *testing.T) {
 	if EngineError.Class() != ClassOther {
 		t.Fatalf("EngineError class = %v", EngineError.Class())
@@ -572,10 +490,22 @@ func TestEngineErrorClassAndString(t *testing.T) {
 	if !EngineError.Valid() || Outcome(numOutcomes).Valid() {
 		t.Fatal("Outcome.Valid bounds wrong")
 	}
-	var f SiteFailure
-	f.Site = Site{Thread: 1}
-	f.Err = "x"
-	if fmt.Sprint(f) == "" {
-		t.Fatal("empty SiteFailure string")
+	// A site this build quarantined ran once; only a record of a build
+	// that retried names its attempts, and only such records count retries.
+	f := SiteFailure{Site: Site{Thread: 1}, Attempts: 1, Err: "x"}
+	if got := fmt.Sprint(f); strings.Contains(got, "attempt") || !strings.HasSuffix(got, "quarantined: x") {
+		t.Fatalf("one-attempt failure prints %q", got)
+	}
+	f.Attempts = 3
+	if got := fmt.Sprint(f); !strings.Contains(got, "quarantined after 3 attempts: x") {
+		t.Fatalf("three-attempt failure prints %q", got)
+	}
+	st := CampaignStats{Runs: 4, Quarantined: 1}
+	if got := st.String(); strings.Contains(got, "retries") || !strings.Contains(got, ", 1 quarantined") {
+		t.Fatalf("stats without retries print %q", got)
+	}
+	st.Retries = 2
+	if got := st.String(); !strings.Contains(got, ", 2 retries, 1 quarantined") {
+		t.Fatalf("stats with retries print %q", got)
 	}
 }

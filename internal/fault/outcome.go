@@ -10,7 +10,8 @@
 // equal keys); Site names one fault (thread, dynamic instruction, bit); Run
 // executes a weighted-site campaign on per-worker copy-on-write devices with
 // checkpointed fast-forward, snapshot-affine scheduling, per-site failure
-// isolation (retry, deadline, quarantine into EngineError), and optional
+// isolation (each site runs once; a panic or engine error quarantines it
+// into EngineError), and optional
 // durability through a write-ahead journal with deterministic sharding. A
 // campaign's execution is summarized by CampaignStats; its aggregate
 // outcome by Dist, the paper's resilience profile.
@@ -24,14 +25,14 @@ type Outcome uint8
 // Outcomes. Crash and Hang both belong to the paper's "other" class but are
 // tracked separately because the simulator can tell them apart. EngineError
 // is not a paper outcome at all: it marks a site the engine itself failed
-// on (panic, internal error, or per-site deadline) and quarantined after
-// retries, so a long campaign degrades gracefully instead of aborting.
+// on (a panic or an internal error) and quarantined, so a long campaign
+// degrades gracefully instead of aborting.
 const (
 	Masked      Outcome = iota // output identical to golden
 	SDC                        // run completed, output differs
 	Crash                      // memory fault / invalid execution
 	Hang                       // watchdog expired or barrier deadlock
-	EngineError                // site quarantined after repeated engine failures
+	EngineError                // site quarantined after an engine failure
 	numOutcomes
 )
 

@@ -179,8 +179,8 @@ func TestPooledMatchesFreshClone(t *testing.T) {
 						t.Fatalf("model %v par %d: stats runs %d != %d sites",
 							model, par, res.Stats.Runs, len(sites))
 					}
-					// No attempt is abandoned, so every worker that ran a
-					// site cloned exactly one device.
+					// Every worker that ran a site cloned exactly one
+					// device.
 					if res.Stats.DevicesCreated < 1 || res.Stats.DevicesCreated > par {
 						t.Fatalf("model %v par %d: devices created %d out of [1, %d]",
 							model, par, res.Stats.DevicesCreated, par)
@@ -193,17 +193,17 @@ func TestPooledMatchesFreshClone(t *testing.T) {
 
 // TestSiteLoopAllocBytes pins the allocation-free site loop: the launch
 // scratch, the launch and the injection ride the worker's pinned device
-// (DESIGN.md §3.3), and the worker's attempter reuses its result channel
-// and deadline timer, so a site costs a few small headers — the attempt
-// goroutine's arguments, a trap — where it used to rebuild a CTA's thread
-// and shared-memory state per launched CTA (~95 KiB a site on this kernel).
+// (DESIGN.md §3.3), and the worker runs each site on its own goroutine, so
+// a site costs a few small headers — a trap — where it used to rebuild a
+// CTA's thread and shared-memory state per launched CTA (~95 KiB a site on
+// this kernel).
 // The journaled cases hold a durable campaign to the same limit: Append
 // encodes each record into the journal's reused frame buffer, where
 // json.Marshal and a fresh frame cost ~250 B a site. TotalAlloc is
 // process-wide, so this test must not run beside others (no t.Parallel in
 // this package).
 func TestSiteLoopAllocBytes(t *testing.T) {
-	const n, limit = 300, 512
+	const n, limit = 300, 352
 	for _, c := range []struct {
 		model   fault.Model
 		warp    int
@@ -237,7 +237,7 @@ func TestSiteLoopAllocBytes(t *testing.T) {
 		if perSite >= limit {
 			t.Errorf("%v warp %d journal %v: %d B allocated per site, want < %d", c.model, c.warp, c.journal, perSite, limit)
 		}
-		// One worker, one runner's device, one scratch: nothing was abandoned.
+		// One worker, one device, one scratch.
 		if res.Stats.DevicesCreated != 1 {
 			t.Errorf("%v warp %d journal %v: devices created %d, want 1", c.model, c.warp, c.journal, res.Stats.DevicesCreated)
 		}

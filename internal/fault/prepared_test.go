@@ -236,9 +236,8 @@ func TestAffinityScheduling(t *testing.T) {
 			t.Fatalf("%d workers: %d affinity resets for %d runs — pinning ineffective",
 				w, st.AffinityResets, st.Runs)
 		}
-		// No attempt is abandoned here (st.Retries == 0), so each worker
-		// keeps its one device and walks the schedule forwards, meeting
-		// every snapshot at most once.
+		// Each worker keeps its one device and walks the schedule
+		// forwards, meeting every snapshot at most once.
 		if st.Retries != 0 {
 			t.Fatalf("%d workers: %d retries on a healthy campaign", w, st.Retries)
 		}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -329,11 +330,14 @@ func TestParseModelRoundTrip(t *testing.T) {
 
 // TestMixedEraJournalFallbacks: journals recorded under the old conservative
 // engine — whose scheduler-model records carry "fb":true because every such
-// site degraded to a per-site full run, and whose header still names the
-// checkpoint stride or the full-run switch — must still open, resume and
-// fsmerge: the retired keys are ignored, replayed outcomes are final, fresh
-// sites ride the fast-forward engine, Dist/PerSite are bit-identical to an
-// uninterrupted campaign, and the merged report has no trace of the flag.
+// site degraded to a per-site full run, whose header still names the
+// checkpoint stride or the full-run switch, and whose retrying engine wrote
+// records of three attempts ("a":3), one of them quarantined with its cause
+// — must still open, resume and fsmerge: the retired keys are ignored,
+// replayed outcomes are final, fresh sites ride the fast-forward engine and
+// run once, Dist/PerSite are bit-identical to an uninterrupted campaign but
+// for the quarantined site's recorded EngineError, the merged report counts
+// two retries per three-attempt record and has no trace of the flag.
 func TestMixedEraJournalFallbacks(t *testing.T) {
 	for _, headerKeys := range []string{`"stride":1,`, `"full_run":true,`} {
 		t.Run(headerKeys, func(t *testing.T) { mixedEraJournal(t, headerKeys) })
@@ -342,6 +346,10 @@ func TestMixedEraJournalFallbacks(t *testing.T) {
 
 func mixedEraJournal(t *testing.T, headerKeys string) {
 	const oldEra = 12
+	// Old-era records the retrying engine wrote after three attempts; the
+	// last one exhausted them and was quarantined.
+	retried := map[int]string{3: "", 7: "", 10: "fault: site deadline exceeded (30s)"}
+	const quarantinedAt = 10
 	model := fault.ModelStuckActiveMask
 	tg := chainHangTarget(t)
 	if err := tg.Prepare(); err != nil {
@@ -356,6 +364,17 @@ func mixedEraJournal(t *testing.T, headerKeys string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ref.Stats.Retries != 0 || ref.Stats.Runs != int64(len(sites)) {
+		t.Fatalf("fresh run: %d retries, %d runs; want 0 and %d", ref.Stats.Retries, ref.Stats.Runs, len(sites))
+	}
+	// What the resume must reproduce: the fresh run, with the quarantined
+	// record's outcome final.
+	wantPerSite := slices.Clone(ref.PerSite)
+	wantPerSite[quarantinedAt] = fault.EngineError
+	var want fault.Dist
+	for i, o := range wantPerSite {
+		want.Add(o, sites[i].Weight)
 	}
 
 	// Forge the old engine's journal: the first oldEra sites recorded as
@@ -381,10 +400,15 @@ func mixedEraJournal(t *testing.T, headerKeys string) {
 	}
 	addFrame(bytes.Replace(header, []byte(`"sites"`), []byte(headerKeys+`"sites"`), 1))
 	for i := 0; i < oldEra; i++ {
+		attempts := 1
+		cause, ok := retried[i]
+		if ok {
+			attempts = 3
+		}
 		payload, err := json.Marshal(journal.Record{
 			Index: i, Thread: sites[i].Site.Thread, DynInst: sites[i].Site.DynInst,
-			Bit: sites[i].Site.Bit, Outcome: uint8(ref.PerSite[i]),
-			Weight: sites[i].Weight, Attempts: 1,
+			Bit: sites[i].Site.Bit, Outcome: uint8(wantPerSite[i]),
+			Weight: sites[i].Weight, Attempts: attempts, Err: cause,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -407,16 +431,19 @@ func mixedEraJournal(t *testing.T, headerKeys string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dist != ref.Dist {
-		t.Fatalf("mixed-era dist %v != uninterrupted %v", res.Dist, ref.Dist)
+	if res.Dist != want {
+		t.Fatalf("mixed-era dist %v != uninterrupted %v", res.Dist, want)
 	}
-	for i := range ref.PerSite {
-		if res.PerSite[i] != ref.PerSite[i] {
-			t.Fatalf("site %d: mixed-era %v, reference %v", i, res.PerSite[i], ref.PerSite[i])
+	for i := range wantPerSite {
+		if res.PerSite[i] != wantPerSite[i] {
+			t.Fatalf("site %d: mixed-era %v, reference %v", i, res.PerSite[i], wantPerSite[i])
 		}
 	}
-	if res.Stats.Replayed != oldEra {
-		t.Fatalf("replayed %d records, want %d", res.Stats.Replayed, oldEra)
+	if res.Stats.Replayed != oldEra || res.Stats.Retries != 0 {
+		t.Fatalf("replayed %d records with %d retries, want %d and 0", res.Stats.Replayed, res.Stats.Retries, oldEra)
+	}
+	if len(res.Quarantined) != 1 || res.Quarantined[0].Index != quarantinedAt || res.Quarantined[0].Attempts != 3 {
+		t.Fatalf("quarantine %+v, want site %d after 3 attempts", res.Quarantined, quarantinedAt)
 	}
 	if res.Stats.CTAsSkipped == 0 {
 		t.Fatal("fresh sites never fast-forwarded")
@@ -434,8 +461,11 @@ func mixedEraJournal(t *testing.T, headerKeys string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := report.NewProfile(ref.Dist); merged.Profile != want {
+	if want := report.NewProfile(want); merged.Profile != want {
 		t.Fatalf("merged profile %+v != reference %+v", merged.Profile, want)
+	}
+	if want := int64(2 * len(retried)); merged.Campaign.Retries != want || merged.Quarantined != 1 {
+		t.Fatalf("merged retries %d, quarantined %d; want %d and 1", merged.Campaign.Retries, merged.Quarantined, want)
 	}
 	doc, err := json.Marshal(merged)
 	if err != nil {

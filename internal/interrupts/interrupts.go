@@ -2,8 +2,8 @@
 // commands (fsprune campaigns, the fsserve daemon): the first SIGINT or
 // SIGTERM requests a cooperative stop — the returned channel closes, workers
 // drain their in-flight sites, journals flush — and a second signal forces
-// immediate exit with status 130, so a wedged drain (a site stuck against
-// its deadline, a hung flush) never leaves the process killable only by
+// immediate exit with status 130, so a wedged drain (a site an engine bug
+// keeps running, a hung flush) never leaves the process killable only by
 // SIGKILL.
 //
 // The pre-existing per-command handlers reset the signal disposition after

@@ -145,7 +145,9 @@ type Record struct {
 	CTAsSkipped  int64 `json:"cs,omitempty"`
 	EarlyExit    bool  `json:"ee,omitempty"`
 	IntraResumed bool  `json:"ir,omitempty"`
-	// Attempts is how many executions the outcome took (>1 after retries).
+	// Attempts is how many executions the outcome took: 1 in every record
+	// this build writes, larger in journals of older builds that retried a
+	// failing site.
 	Attempts int `json:"a,omitempty"`
 	// Err is the recorded engine error of a quarantined site.
 	Err string `json:"e,omitempty"`
