@@ -136,8 +136,12 @@ doccheck:
 # sort does; and no file sleeps or arms a timer (time.Sleep, NewTimer,
 # NewTicker, After, AfterFunc, Tick): a site's outcome is a function of the
 # site, never of wall time, so nothing waits on the clock to retry or
-# abandon one. Fails, printing the offending lines, when a
-# pattern appears in more files than allowed.
+# abandon one; and the campaign tuple is declared once, as the journal
+# header (journal.Fingerprint): campaign.Spec is that type and every
+# document embeds it, so a json:"seed tag anywhere else is a hand copy of
+# the tuple, the kind that once dropped the warp width from every report.
+# Fails, printing the offending lines, when a pattern appears in more files
+# than allowed.
 recipe-check:
 	@check() { \
 		hits=$$(grep -rn --include='*.go' --exclude='*_test.go' -e "$$2" cmd internal | grep -v "$$3"); \
@@ -152,7 +156,8 @@ recipe-check:
 	check 1 '"lane-correlated"' '^$$' && \
 	check 0 '>= *[A-Za-z_.]*\.Sites\b' '^internal/journal/' && \
 	check 0 '\]\.Index *< *[A-Za-z_]*\[[A-Za-z_]*\]\.Index\|Compare([A-Za-z_]*\.Index, *[A-Za-z_]*\.Index)' '^internal/journal/\|SiteFailure)' && \
-	check 0 'time\.\(Sleep\|NewTimer\|NewTicker\|After\|AfterFunc\|Tick\)(' '^$$'
+	check 0 'time\.\(Sleep\|NewTimer\|NewTicker\|After\|AfterFunc\|Tick\)(' '^$$' && \
+	check 0 'json:"seed' '^internal/journal/journal\.go:'
 
 # Every example program runs to completion (vet and build only compile
 # them).

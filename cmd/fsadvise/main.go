@@ -51,6 +51,16 @@ func main() {
 	if (*journalSpec == "") == (*kernel == "") {
 		usageError("exactly one of -journal or -kernel is required")
 	}
+	// The journal's header names the campaign; a live campaign's flags
+	// beside it would name another.
+	if *journalSpec != "" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "scale", "seed", "sites", "model", "par":
+				usageError("-%s applies only to a live campaign (-kernel); with -journal the journal header names the campaign", f.Name)
+			}
+		})
+	}
 	budgets, err := advisor.ParseBudgets(*budgetSpec)
 	if err != nil {
 		usageError("%v", err)

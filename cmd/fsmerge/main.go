@@ -47,8 +47,8 @@ func main() {
 	if *jsonPath == "-" {
 		summary = os.Stderr // stdout holds the document alone
 	}
-	fmt.Fprintf(summary, "%s (%s) seed %d model %s: merged %d shard journals\nsites: %d of %d completed",
-		fp.Kernel, fp.Scale, fp.Seed, fp.Model, flag.NArg(), len(recs), fp.Sites)
+	fmt.Fprintf(summary, "%s: merged %d shard journals\nsites: %d of %d completed",
+		fp, flag.NArg(), len(recs), fp.Sites)
 	if doc.Quarantined > 0 {
 		fmt.Fprintf(summary, " (%d quarantined)", doc.Quarantined)
 	}

@@ -73,8 +73,8 @@ func TestJSONStdout(t *testing.T) {
 			if rest := bytes.TrimSpace(out[dec.InputOffset():]); len(rest) > 0 {
 				t.Fatalf("stdout continues after the document: %q", rest)
 			}
-			if doc.Kernel != s.Kernel || doc.Shards != c.shards || doc.Completed != s.Sites {
-				t.Fatalf("merged %+v: want %s, %d shards, %d sites completed", doc, s.Kernel, c.shards, s.Sites)
+			if doc.Kernel != s.Kernel || doc.ShardCount != c.shards || doc.Completed != s.Sites {
+				t.Fatalf("merged %#v: want %s, %d shards, %d sites completed", doc, s.Kernel, c.shards, s.Sites)
 			}
 			if !strings.Contains(stderr.String(), "profile: ") {
 				t.Fatalf("no summary on stderr: %q", stderr.String())

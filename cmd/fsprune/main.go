@@ -110,6 +110,10 @@ func main() {
 	if *autoLoop && explicit["loop-iters"] {
 		usageError("-auto-loop selects the loop sample size itself; it cannot be combined with an explicit -loop-iters")
 	}
+	// A plan runs campaigns only to pick its loop sample size.
+	if *action == "plan" && explicit["par"] && !*autoLoop {
+		usageError("-par applies to -action plan only with -auto-loop (a plan alone runs no campaign)")
+	}
 	// The pruning pipeline (plan/estimate/baseline) is the paper's
 	// dest-value methodology; alternate models run plain campaigns.
 	if *modelName != fault.ModelDestValue.String() && *action != "campaign" {
@@ -253,12 +257,13 @@ func main() {
 	case "campaign":
 		// A fixed-size uniform random campaign — the durable workhorse.
 		// The site list derives deterministically from (kernel, scale,
-		// seed, size, model), which is exactly what the journal fingerprint
-		// pins.
+		// seed, size, model); the journal header pins that with the
+		// schedule and shard, and names the campaign in every output.
+		fp := spec.Fingerprint()
 		opt := options()
 		var j *journal.Journal
 		if *journalPath != "" {
-			j, err = journal.Open(*journalPath, spec.Fingerprint())
+			j, err = journal.Open(*journalPath, fp)
 			fatal(err)
 			opt.Journal = j
 		}
@@ -284,36 +289,16 @@ func main() {
 		}
 
 		if *asJSON {
-			doc := struct {
-				Kernel    string          `json:"kernel"`
-				Scale     string          `json:"scale"`
-				Seed      int64           `json:"seed"`
-				Model     string          `json:"model"`
-				Shard     string          `json:"shard,omitempty"`
-				Sites     int             `json:"sites"`
-				Completed int             `json:"completed"`
-				Profile   report.Profile  `json:"profile"`
-				Campaign  report.Campaign `json:"campaign"`
-			}{
-				Kernel:    spec.Kernel,
-				Scale:     spec.Scale,
-				Seed:      spec.Seed,
-				Model:     spec.Model,
-				Shard:     *shardSpec,
-				Sites:     spec.Sites,
-				Completed: res.Completed,
-				Profile:   report.NewProfile(res.Dist),
-				Campaign:  report.NewCampaign(sink.Total()).WithPrepare(inst.Target.PrepareStats()),
-			}
-			fatal(report.Write(os.Stdout, doc))
+			fatal(report.Write(os.Stdout, report.Merged{
+				Fingerprint: fp,
+				Completed:   res.Completed,
+				Quarantined: len(res.Quarantined),
+				Profile:     report.NewProfile(res.Dist),
+				Campaign:    report.NewCampaign(sink.Total()).WithPrepare(inst.Target.PrepareStats()),
+			}))
 			return
 		}
-		if *shardSpec != "" {
-			fmt.Printf("%s (%s): model %s, shard %s, %d of %d sites\n",
-				spec.Kernel, spec.Scale, spec.Model, *shardSpec, res.Completed, spec.Sites)
-		} else {
-			fmt.Printf("%s (%s): model %s, %d sites\n", spec.Kernel, spec.Scale, spec.Model, res.Completed)
-		}
+		fmt.Printf("%s: %d sites completed\n", fp, res.Completed)
 		fmt.Printf("profile: %s\n", res.Dist)
 		if n := len(res.Quarantined); n > 0 {
 			fmt.Printf("quarantined sites: %d\n", n)
@@ -337,6 +322,9 @@ func main() {
 // is read only by the pruning pipeline, so it never meets a non-default
 // -model.
 var readers = map[string][]string{
+	"baseline":    {"estimate", "baseline", "campaign"},
+	"seed":        {"plan", "estimate", "baseline", "campaign"},
+	"par":         {"plan", "estimate", "baseline", "campaign"},
 	"journal":     {"campaign"},
 	"shard":       {"campaign"},
 	"loop-iters":  {"plan", "estimate"},

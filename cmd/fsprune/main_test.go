@@ -9,12 +9,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/report"
 )
 
 // TestJSONStdout builds the binary and decodes its stdout as one JSON
-// document for every -json action of the pruning pipeline, with and without
-// -auto-loop: progress lines go to stderr. The estimate's campaign object
+// document for -action campaign and every -json action of the pruning
+// pipeline, with and without -auto-loop: progress lines go to stderr. The estimate's campaign object
 // describes the target its campaigns ran on — one cold golden run through
 // the process cache, one snapshot per CTA of GEMM K1 — however many
 // campaigns -auto-loop ran on that target first.
@@ -45,6 +46,23 @@ func TestJSONStdout(t *testing.T) {
 		run(t, &plan, "-action", "plan", "-auto-loop")
 		if plan.Kernel != "GEMM K1" {
 			t.Fatalf("plan of %q", plan.Kernel)
+		}
+	})
+	// The campaign document is a merged report: the journal's header whole,
+	// warp width and shard included, over the live campaign's stats.
+	t.Run("campaign", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "c.journal")
+		var doc report.Merged
+		run(t, &doc, "-action", "campaign", "-baseline", "40", "-warp", "32", "-shard", "1/2", "-journal", path)
+		fp, _, err := journal.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.Fingerprint != fp || doc.Warp != 32 || doc.ShardCount != 2 {
+			t.Fatalf("campaign document names %s, journal header %s", doc.Fingerprint, fp)
+		}
+		if c := doc.Campaign; c.Runs == 0 || c.Runs != int64(doc.Completed) || c.CacheMisses != 1 {
+			t.Fatalf("campaign object %+v: want %d live runs on one cold target", c, doc.Completed)
 		}
 	})
 	for _, auto := range []bool{false, true} {
@@ -89,6 +107,9 @@ func TestFlagsOutsideTheirActions(t *testing.T) {
 		flag    []string
 		actions []string
 	}{
+		{[]string{"-baseline", "7"}, []string{"estimate", "baseline", "campaign"}},
+		{[]string{"-seed", "9"}, []string{"plan", "estimate", "baseline", "campaign"}},
+		{[]string{"-par", "3"}, []string{"plan", "estimate", "baseline", "campaign"}},
 		{[]string{"-journal", filepath.Join(t.TempDir(), "x.journal")}, []string{"campaign"}},
 		{[]string{"-shard", "0/2"}, []string{"campaign"}},
 		{[]string{"-loop-iters", "3"}, []string{"plan", "estimate"}},
@@ -101,7 +122,7 @@ func TestFlagsOutsideTheirActions(t *testing.T) {
 	}
 	run := func(args ...string) (int, string) {
 		var stderr bytes.Buffer
-		cmd := exec.Command(bin, append([]string{"-kernel", "GEMM K1", "-par", "2"}, args...)...)
+		cmd := exec.Command(bin, append([]string{"-kernel", "GEMM K1"}, args...)...)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
@@ -138,12 +159,15 @@ func TestFlagsOutsideTheirActions(t *testing.T) {
 		code int
 	}{
 		{[]string{"-action", "profile", "-json"}, 0},
-		{[]string{"-action", "plan", "-loop-iters", "3", "-bit-samples", "8", "-dead", "-json"}, 0},
-		{[]string{"-action", "baseline", "-baseline", "250", "-margin", "0.5", "-stats"}, 0},
-		{[]string{"-action", "campaign", "-baseline", "40", "-shard", "1/2", "-stats", "-json",
+		{[]string{"-action", "plan", "-seed", "9", "-loop-iters", "3", "-bit-samples", "8", "-dead", "-json"}, 0},
+		{[]string{"-action", "baseline", "-par", "2", "-seed", "9", "-baseline", "250", "-margin", "0.5", "-stats"}, 0},
+		{[]string{"-action", "campaign", "-par", "2", "-baseline", "40", "-shard", "1/2", "-stats", "-json",
 			"-journal", filepath.Join(t.TempDir(), "c.journal")}, 0},
 		{[]string{"-action", "campaign", "-model", "stuck-pred", "-bit-samples", "8"}, 2},
 		{[]string{"-action", "plan", "-auto-loop", "-loop-iters", "3"}, 2},
+		// -par on a plan sizes only -auto-loop's campaigns.
+		{[]string{"-action", "plan", "-par", "3"}, 2},
+		{[]string{"-action", "plan", "-par", "2", "-auto-loop", "-json"}, 0},
 	} {
 		if code, stderr := run(c.args...); code != c.code {
 			t.Errorf("fsprune %s: exit %d, want %d\n%s", strings.Join(c.args, " "), code, c.code, stderr)

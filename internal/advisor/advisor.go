@@ -39,15 +39,15 @@ type SiteRecord struct {
 	Weight  float64
 }
 
-// Input is a campaign prepared for analysis: its identity, the attributed
-// outcome records in campaign-index order, and the kernel profile the
-// overhead model reads dynamic instruction counts from.
+// Input is a campaign prepared for analysis: its journal header, the
+// attributed outcome records in campaign-index order, and the kernel
+// profile the overhead model reads dynamic instruction counts from.
 type Input struct {
-	Kernel string
-	Scale  string
-	Seed   int64
-	Model  fault.Model
-	Sites  int
+	// Header is the campaign's journal header; the advice document carries
+	// it whole.
+	Header journal.Fingerprint
+	// Model is Header.Model, parsed.
+	Model fault.Model
 	// Records holds one attributed outcome per campaign site, in campaign
 	// index order (the order aggregation must follow for determinism).
 	Records []SiteRecord
@@ -98,15 +98,7 @@ func FromJournal(t *fault.Target, fp journal.Fingerprint, recs []journal.Record)
 			Weight:  r.Weight,
 		}
 	}
-	return &Input{
-		Kernel:  fp.Kernel,
-		Scale:   fp.Scale,
-		Seed:    fp.Seed,
-		Model:   model,
-		Sites:   fp.Sites,
-		Records: out,
-		Prof:    prof,
-	}, nil
+	return &Input{Header: fp, Model: model, Records: out, Prof: prof}, nil
 }
 
 // Ranking criteria.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/advisor"
 	"repro/internal/fault"
+	"repro/internal/journal"
 	"repro/internal/ptx"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -38,11 +39,8 @@ func fixtureInput(t *testing.T) *advisor.Input {
 		ThreadsPerCTA: 1,
 	}
 	return &advisor.Input{
-		Kernel: "fx",
-		Scale:  "small",
-		Seed:   1,
+		Header: journal.Fingerprint{Kernel: "fx", Scale: "small", Seed: 1, Model: "dest-value", Sites: 4, ShardCount: 1},
 		Model:  fault.ModelDestValue,
-		Sites:  4,
 		Records: []advisor.SiteRecord{
 			{Thread: 0, DynInst: 0, PC: 0, Outcome: fault.SDC, Weight: 1},
 			{Thread: 0, DynInst: 1, PC: 1, Outcome: fault.Masked, Weight: 1},
@@ -166,10 +164,8 @@ func TestAnalyzeWeightedESS(t *testing.T) {
 		ThreadsPerCTA: 1,
 	}
 	in := &advisor.Input{
-		Kernel: "wess",
-		Seed:   1,
+		Header: journal.Fingerprint{Kernel: "wess", Seed: 1, Model: "dest-value", Sites: 3, ShardCount: 1},
 		Model:  fault.ModelDestValue,
-		Sites:  3,
 		Records: []advisor.SiteRecord{
 			{Thread: 0, DynInst: 0, PC: 0, Outcome: fault.SDC, Weight: 4},
 			{Thread: 0, DynInst: 1, PC: 1, Outcome: fault.Masked, Weight: 1},
@@ -268,7 +264,8 @@ func TestFrontierMonotone(t *testing.T) {
 		prof.Threads = append(prof.Threads, tp)
 	}
 	in := &advisor.Input{
-		Kernel: "mono", Seed: 42, Model: fault.ModelDestValue, Prof: prof,
+		Header: journal.Fingerprint{Kernel: "mono", Seed: 42, Model: "dest-value", ShardCount: 1},
+		Model:  fault.ModelDestValue, Prof: prof,
 	}
 	outcomes := []fault.Outcome{fault.Masked, fault.SDC, fault.Crash, fault.Hang}
 	for i := 0; i < 200; i++ {
@@ -282,7 +279,7 @@ func TestFrontierMonotone(t *testing.T) {
 			Weight:  1 + float64(rng.Intn(3)),
 		})
 	}
-	in.Sites = len(in.Records)
+	in.Header.Sites = len(in.Records)
 
 	adv, err := advisor.Analyze(in, advisor.Options{})
 	if err != nil {

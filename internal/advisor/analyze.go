@@ -142,15 +142,11 @@ func Analyze(in *Input, opt Options) (*report.Advice, error) {
 	}
 
 	adv := &report.Advice{
-		Kernel:     in.Kernel,
-		Scale:      in.Scale,
-		Seed:       in.Seed,
-		Model:      in.Model.String(),
-		Sites:      in.Sites,
-		RankBy:     opt.RankBy,
-		Confidence: opt.Confidence,
-		DMRSound:   DMRSound(in.Model),
-		Profile:    report.NewProfile(dist),
+		Fingerprint: in.Header,
+		RankBy:      opt.RankBy,
+		Confidence:  opt.Confidence,
+		DMRSound:    DMRSound(in.Model),
+		Profile:     report.NewProfile(dist),
 	}
 
 	perCTA := in.Prof.ThreadsPerCTA

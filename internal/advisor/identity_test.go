@@ -2,11 +2,14 @@ package advisor_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/advisor"
+	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/gpusim"
 	"repro/internal/journal"
@@ -178,5 +181,89 @@ func TestFromJournalRejectsIncompleteOrUnordered(t *testing.T) {
 	if _, err := advisor.FromJournal(tgt, fp, unordered); err == nil ||
 		!strings.Contains(err.Error(), "site-index order") {
 		t.Fatalf("want ordering error, got %v", err)
+	}
+}
+
+// TestHeaderReachesDocuments: the merged report and the advice document
+// carry their campaign's journal header whole, warp width and shard
+// included, so the same campaign under the two schedulers yields two
+// documents that name different campaigns. Each document is read back as
+// a header from its JSON bytes.
+func TestHeaderReachesDocuments(t *testing.T) {
+	headerOf := func(t *testing.T, doc any) journal.Fingerprint {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := report.Write(&buf, doc); err != nil {
+			t.Fatal(err)
+		}
+		var fp journal.Fingerprint
+		if err := json.Unmarshal(buf.Bytes(), &fp); err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+	dir := t.TempDir()
+	cache := fault.NewPreparedCache(0)
+	var merged, advice []journal.Fingerprint
+	for _, warp := range []int{0, 32} {
+		var p *campaign.Prepared
+		var paths []string
+		for i := range 2 {
+			s := campaign.Spec{Kernel: "GEMM K1", Scale: "small", Seed: 1, Sites: 40, Model: "dest-value",
+				Warp: warp, ShardIndex: i, ShardCount: 2}
+			var err error
+			if p, err = s.Prepare(cache); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("w%d-s%d.journal", warp, i))
+			j, err := journal.Open(path, s.Fingerprint())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Run(fault.CampaignOptions{Parallelism: 1, Journal: j}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, path)
+		}
+
+		// The shard 1/2 journal's report names shard 1 of 2 at this warp.
+		fp, recs, err := journal.ReadFile(paths[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := report.NewMerged(fp, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := headerOf(t, doc)
+		if got != fp || got.Warp != warp || got.ShardCount != 2 {
+			t.Errorf("warp %d: merged report names %s, journal header %s", warp, got, fp)
+		}
+		merged = append(merged, got)
+
+		// Advice on the merged shards names the merged campaign.
+		fp, recs, err = journal.Merge(paths, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := advisor.FromJournal(p.Target, fp, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv, err := advisor.Analyze(in, advisor.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = headerOf(t, adv)
+		if got != fp || got.Warp != warp || got.ShardCount != 2 {
+			t.Errorf("warp %d: advice names %s, journal header %s", warp, got, fp)
+		}
+		advice = append(advice, got)
+	}
+	if merged[0] == merged[1] || advice[0] == advice[1] {
+		t.Errorf("warp 0 and warp 32 documents name one campaign: %s, %s", merged[0], advice[0])
 	}
 }

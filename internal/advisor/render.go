@@ -15,12 +15,7 @@ import (
 // of the same Advice) always carries every entry — Render only trims the
 // terminal view.
 func Render(w io.Writer, adv *report.Advice, top, width int) {
-	fmt.Fprintf(w, "advice: %s", adv.Kernel)
-	if adv.Scale != "" {
-		fmt.Fprintf(w, " (%s)", adv.Scale)
-	}
-	fmt.Fprintf(w, " model=%s sites=%d seed=%d rank-by=%s confidence=%g\n",
-		adv.Model, adv.Sites, adv.Seed, adv.RankBy, adv.Confidence)
+	fmt.Fprintf(w, "advice: %s rank-by=%s confidence=%g\n", adv.Fingerprint, adv.RankBy, adv.Confidence)
 	fmt.Fprintf(w, "overall: masked %.2f%%  sdc %.2f%%  other %.2f%%  (%d experiments)\n",
 		adv.Profile.MaskedPct, adv.Profile.SDCPct, adv.Profile.OtherPct, adv.Profile.Experiments)
 	if !adv.DMRSound {

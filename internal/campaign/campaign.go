@@ -1,9 +1,10 @@
 // Package campaign holds the one definition of "what campaign is this?".
-// A Spec is the tuple (kernel, scale, seed, size, fault model, scheduler
-// width, shard) that the paper's accuracy claim is a function of — what
-// decides the site list and each site's outcome, and nothing about how fast
-// the engine gets there; every entry point — fsprune's and fsadvise's flags, fsserve's
-// JSON submissions, a recovered journal header — is an adapter onto it, and
+// A Spec is the journal header's tuple (kernel, scale, seed, size, fault
+// model, scheduler width, shard) that the paper's accuracy claim is a
+// function of — what decides the site list and each site's outcome, and
+// nothing about how fast the engine gets there; every entry point —
+// fsprune's and fsadvise's flags, fsserve's JSON submissions, a recovered
+// journal header — is an adapter onto it, and
 // everything downstream is derived here exactly once: the usage rules
 // (Validate), the journal fingerprint and its inverse (Fingerprint,
 // FromFingerprint), the content-addressed identity (ID), a shard's
@@ -38,26 +39,11 @@ const (
 	MaxSites     = 1 << 20
 )
 
-// Spec describes one uniform random injection campaign. The JSON tags are
-// fsserve's submission wire format.
-type Spec struct {
-	// Kernel is the target kernel name ("GEMM K1"); see fsprune -list.
-	Kernel string `json:"kernel"`
-	// Scale is the kernel geometry, "small" or "paper".
-	Scale string `json:"scale,omitempty"`
-	// Seed is the site-sampling seed.
-	Seed int64 `json:"seed,omitempty"`
-	// Sites is the campaign size (uniform random sites, all shards).
-	Sites int `json:"sites,omitempty"`
-	// Model is the fault model name (fault.ParseModel).
-	Model string `json:"model,omitempty"`
-	// Warp is the SIMT lockstep width (0 = serial interleaving).
-	Warp int `json:"warp,omitempty"`
-	// ShardIndex/ShardCount restrict the campaign to one deterministic
-	// shard; ShardCount 0 means unsharded (the journal header's 0/1).
-	ShardIndex int `json:"shard_index,omitempty"`
-	ShardCount int `json:"shard_count,omitempty"`
-}
+// Spec describes one uniform random injection campaign. It is the journal
+// header's type (journal.Fingerprint documents the fields and their JSON,
+// fsserve's submission wire format), so the campaign tuple is declared
+// once; the methods below are what a campaign derives from it.
+type Spec journal.Fingerprint
 
 // Validate is the only copy of the campaign usage rules.
 func (s Spec) Validate() error {
@@ -98,40 +84,25 @@ func (s Spec) shard() fault.Shard {
 // the completion target of its journal.
 func (s Spec) OwnedSites() int { return s.shard().Owned(s.Sites) }
 
-// Fingerprint is the journal header of the spec's campaign. It equals what
+// Fingerprint is the journal header of the spec's campaign: the spec itself,
+// with unsharded (ShardCount 0) spelled 0/1. It equals what
 // Target.JournalFingerprint reports on the prepared target (pinned by this
 // package's tests), without building a kernel.
 func (s Spec) Fingerprint() journal.Fingerprint {
-	sh := s.shard()
-	return journal.Fingerprint{
-		Kernel:     s.Kernel,
-		Scale:      s.Scale,
-		Seed:       s.Seed,
-		Model:      s.Model,
-		Warp:       s.Warp,
-		Sites:      s.Sites,
-		ShardIndex: sh.Index,
-		ShardCount: sh.Count,
-	}
+	fp := journal.Fingerprint(s)
+	fp.ShardCount = s.shard().Count
+	return fp
 }
 
 // FromFingerprint is Fingerprint's inverse: the spec a journal header was
 // written for. It fails on headers no entry point of this build writes — a
-// fault model it does not implement or a kernel it does not register.
+// fault model it does not implement, a kernel it does not register, or an
+// unsharded campaign not spelled 0/1.
 func FromFingerprint(fp journal.Fingerprint) (Spec, error) {
 	if _, err := fault.ParseModel(fp.Model); err != nil {
 		return Spec{}, fmt.Errorf("journal was recorded under a fault model this build cannot run: %w", err)
 	}
-	s := Spec{
-		Kernel:     fp.Kernel,
-		Scale:      fp.Scale,
-		Seed:       fp.Seed,
-		Sites:      fp.Sites,
-		Model:      fp.Model,
-		Warp:       fp.Warp,
-		ShardIndex: fp.ShardIndex,
-		ShardCount: fp.ShardCount,
-	}
+	s := Spec(fp)
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}

@@ -63,27 +63,33 @@ import (
 	"sync"
 )
 
-// Fingerprint identifies the campaign a journal belongs to. Every field
+// Fingerprint identifies the campaign a journal belongs to: the tuple
+// (kernel, scale, seed, size, fault model, scheduler width, shard) that
+// decides the site list and each site's outcome, declared here once.
+// campaign.Spec is this type, and every document that names a campaign
+// (report.Merged, report.Advice) carries it whole. Every field
 // participates in staleness detection: replaying outcomes recorded under a
 // different kernel, scale, seed, fault model, scheduler, site count or shard
 // assignment would silently corrupt the resumed profile. Engine tuning is
 // deliberately absent: checkpointed = full-run at every stride, so a journal
-// resumes and merges under any.
+// resumes and merges under any. The JSON tags are the header's bytes, and
+// fsserve's submission wire format.
 type Fingerprint struct {
-	// Kernel is the target name ("GEMM K1").
+	// Kernel is the target kernel name ("GEMM K1"); see fsprune -list.
 	Kernel string `json:"kernel"`
-	// Scale is the kernel geometry ("small", "paper").
+	// Scale is the kernel geometry, "small" or "paper".
 	Scale string `json:"scale,omitempty"`
 	// Seed is the site-sampling seed.
 	Seed int64 `json:"seed"`
-	// Model is the fault model name (fault.Model.String()).
+	// Model is the fault model name (fault.ParseModel, fault.Model.String).
 	Model string `json:"model"`
 	// Warp is the SIMT lockstep width (0 = serial interleaving).
 	Warp int `json:"warp,omitempty"`
-	// Sites is the total campaign size across all shards.
+	// Sites is the campaign size: uniform random sites, all shards.
 	Sites int `json:"sites"`
 	// ShardIndex / ShardCount locate this journal's shard. An unsharded
-	// campaign is shard 0 of 1.
+	// campaign is shard 0 of 1; a submission may leave ShardCount 0 for
+	// unsharded, which campaign.Spec.Fingerprint writes as 0/1.
 	ShardIndex int `json:"shard_index"`
 	ShardCount int `json:"shard_count"`
 }

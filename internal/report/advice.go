@@ -1,5 +1,7 @@
 package report
 
+import "repro/internal/journal"
+
 // Advice is the JSON document produced by the selective-hardening advisor
 // (internal/advisor): per-thread and per-static-instruction vulnerability
 // rankings derived from a completed campaign, plus a simulated
@@ -8,14 +10,9 @@ package report
 // GET /campaigns/{id}/advice — both funnel through advisor.Analyze and
 // report.Write, so the bytes match.
 type Advice struct {
-	// Kernel, Scale, Seed, Model, Sites identify the campaign the advice
-	// was derived from (the journal-fingerprint subset that matters for
-	// interpreting the ranking).
-	Kernel string `json:"kernel"`
-	Scale  string `json:"scale,omitempty"`
-	Seed   int64  `json:"seed"`
-	Model  string `json:"model"`
-	Sites  int    `json:"sites"`
+	// Fingerprint is the journal header of the campaign the advice was
+	// derived from.
+	journal.Fingerprint
 	// RankBy is the ranking criterion ("sdc", "due" or "severity") and
 	// Confidence the Wilson-interval confidence level behind the
 	// sdc_lo_pct / sdc_hi_pct bounds.

@@ -194,23 +194,19 @@ func (c Campaign) WithPrepare(p fault.PrepareStats) Campaign {
 }
 
 // Merged is the JSON document fsmerge emits for a campaign recombined from
-// shard journals — and the campaign service serves as a final report: the
-// identifying fingerprint fields, coverage counters, and the merged
-// resilience profile.
+// shard journals — and the campaign service serves as a final report, and
+// fsprune -action campaign -json prints: the campaign's journal header,
+// coverage counters, and the merged resilience profile.
 type Merged struct {
-	Kernel      string  `json:"kernel"`
-	Scale       string  `json:"scale"`
-	Seed        int64   `json:"seed"`
-	Model       string  `json:"model"`
-	Shards      int     `json:"shards"`
-	Sites       int     `json:"sites"`
+	journal.Fingerprint
 	Completed   int     `json:"completed"`
 	Quarantined int     `json:"quarantined,omitempty"`
 	Profile     Profile `json:"profile"`
 	// Campaign aggregates the execution counters recorded in the journals
 	// (attempt counts and fast-forward savings, tallied by
 	// fault.CampaignStats.AddRecord as the live campaign tallies them; wall
-	// time is not recorded per shard and stays zero).
+	// time is not recorded per shard and stays zero). fsprune's document
+	// holds the live campaign's stats instead.
 	Campaign Campaign `json:"campaign"`
 }
 
@@ -234,12 +230,7 @@ func NewMerged(fp journal.Fingerprint, recs []journal.Record) (Merged, error) {
 		stats.AddRecord(r)
 	}
 	return Merged{
-		Kernel:      fp.Kernel,
-		Scale:       fp.Scale,
-		Seed:        fp.Seed,
-		Model:       fp.Model,
-		Shards:      fp.ShardCount,
-		Sites:       fp.Sites,
+		Fingerprint: fp,
 		Completed:   len(recs),
 		Quarantined: int(stats.Quarantined),
 		Profile:     NewProfile(dist),

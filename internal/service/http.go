@@ -219,7 +219,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Limits at the HTTP byte boundary. Constants, not flags: a submission is
-// ten scalar fields, and every response is built from memory or (advice on a
+// eight scalar fields, and every response is built from memory or (advice on a
 // cold cache) one Prepare.
 const (
 	// MaxSubmissionBytes bounds a POST /campaigns body (overflow is 413).
