@@ -70,8 +70,11 @@ service-smoke:
 # address and stuck-at site spaces, record a small campaign journal with
 # fsprune, advise from it with fsadvise, and check the JSON document
 # carries the frontier and its overhead axis; the live-campaign door must
-# produce the byte-identical document. fsadvise's negative -sites, and a
-# campaign over campaign.MaxSites on either CLI, are usage errors (exit 2).
+# produce the byte-identical document. The live door takes the whole
+# campaign tuple: a -warp 32 campaign of dest-value and stuck-pred, advised
+# from its journal and live, gives one document too. fsadvise's negative
+# -sites, and a campaign over campaign.MaxSites on either CLI, are usage
+# errors (exit 2).
 advise-smoke:
 	t=$$(mktemp -d) && \
 	$(GO) build -o $$t ./cmd/fsprune ./cmd/fsadvise && \
@@ -81,6 +84,13 @@ advise-smoke:
 		grep -q '"frontier"' $$t/$$m.replay.json && grep -q '"overhead_pct"' $$t/$$m.replay.json && \
 		$$t/fsadvise -kernel "GEMM K1" -model $$m -sites 120 -json > $$t/$$m.live.json && \
 		cmp $$t/$$m.replay.json $$t/$$m.live.json || exit 1; \
+	done && \
+	for m in dest-value stuck-pred; do \
+		$$t/fsprune -kernel "GEMM K1" -action campaign -model $$m -warp 32 -baseline 120 -journal $$t/$$m.w32.journal > /dev/null && \
+		$$t/fsadvise -journal $$t/$$m.w32.journal -json > $$t/$$m.w32.replay.json && \
+		$$t/fsadvise -kernel "GEMM K1" -model $$m -warp 32 -sites 120 -json > $$t/$$m.w32.live.json && \
+		grep -q '"warp": 32' $$t/$$m.w32.live.json && \
+		cmp $$t/$$m.w32.replay.json $$t/$$m.w32.live.json || exit 1; \
 	done && \
 	{ $(GO) run ./cmd/fsadvise -kernel "GEMM K1" -sites -1 > /dev/null 2> $$t/neg.err; [ $$? -eq 1 ]; } && \
 	grep -q "exit status 2" $$t/neg.err && ! grep -q "panic:" $$t/neg.err && \
@@ -104,7 +114,8 @@ gpurun-smoke:
 	$$t/gpurun -kernel "HotSpot K1" -warp 32 -inject 76:54:1 -model stuck-active-mask | grep -q -- "-> masked$$" && \
 	rm -rf $$t
 
-# Documentation gate: every internal package carries a package comment,
+# Documentation gate, in one walk of the tree and one read of each
+# document: every internal package carries a package comment,
 # every `go run ./cmd/...` invocation quoted in README/DESIGN/ARCHITECTURE/
 # EXPERIMENTS code fences names a real command and real flags, every cmd/*
 # binary and every flag it defines is documented in README, inline flag

@@ -50,21 +50,12 @@ import (
 	"strings"
 )
 
-// docs are the markdown files rules 5 and 7–9 read.
+// docs are the markdown files rules 5 and 7–9 read; rules 2–4 and 6 read
+// the ones they name.
 var docs = []string{"README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "benchmark/README.md"}
 
 func main() {
-	var violations []string
-	violations = append(violations, checkPackageComments("internal")...)
-	violations = append(violations, checkDocCommands("README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md")...)
-	violations = append(violations, checkCmdCoverage("README.md")...)
-	violations = append(violations, checkInlineFlags("EXPERIMENTS.md")...)
-	violations = append(violations, checkDocTests(docs...)...)
-	violations = append(violations, checkLedger("DESIGN.md")...)
-	violations = append(violations, checkSectionRefs("DESIGN.md", []string{"cmd", "internal", "examples"}, docs...)...)
-	violations = append(violations, checkIdentifiers(docs...)...)
-	violations = append(violations, checkMakeTargets(docs...)...)
-	if len(violations) > 0 {
+	if violations := check(); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "doccheck:", v)
 		}
@@ -73,310 +64,399 @@ func main() {
 	fmt.Println("doccheck: package comments, CLI coverage, documented invocations, cited tests, the contract ledger, section references, identifiers and make targets are clean")
 }
 
-// checkPackageComments walks every Go package directory under root and
-// reports the ones whose files carry no package comment at all.
-func checkPackageComments(root string) []string {
-	var violations []string
-	commented := map[string]bool{} // package dir -> has a package comment
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		dir := filepath.Dir(path)
-		if _, seen := commented[dir]; !seen {
-			commented[dir] = false
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly|parser.ParseComments)
-		if err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-		if f.Doc != nil && strings.HasPrefix(f.Doc.Text(), "Package ") {
-			commented[dir] = true
-		}
-		return nil
-	})
-	if err != nil {
-		return []string{err.Error()}
+// check loads the tree in the working directory and runs the nine rules
+// over it, returning their violations in rule order. A tree that cannot
+// be read whole is not checked: check returns what could not be read.
+func check() []string {
+	t := load()
+	if len(t.violations) > 0 {
+		return t.violations
 	}
-	dirs := make([]string, 0, len(commented))
-	for dir := range commented {
-		dirs = append(dirs, dir)
+	for _, rule := range []func(*tree){
+		(*tree).packageComments,
+		(*tree).docCommands,
+		(*tree).cmdCoverage,
+		(*tree).inlineFlags,
+		(*tree).docTests,
+		(*tree).ledger,
+		(*tree).sectionRefs,
+		(*tree).identifiers,
+		(*tree).makeTargets,
+	} {
+		rule(t)
 	}
-	sort.Strings(dirs)
-	for _, dir := range dirs {
-		if !commented[dir] {
-			violations = append(violations, fmt.Sprintf("%s: no package comment (want a \"Package %s ...\" doc comment)", dir, filepath.Base(dir)))
-		}
-	}
-	return violations
+	return t.violations
 }
 
-var runRE = regexp.MustCompile(`go run \./cmd/([a-z]+)([^\n|>]*)`)
+// A line of a document is prose, a code-fence delimiter (a line opening
+// with ```), or a line inside a fence.
+const (
+	prose = iota
+	delimiter
+	fenced
+)
 
-// checkDocCommands extracts `go run ./cmd/<name> ...` invocations from the
-// fenced code blocks of the given markdown files and validates the command
-// directory and every -flag against the command's flag definitions.
-func checkDocCommands(files ...string) []string {
-	var violations []string
-	flagSets := map[string]map[string]bool{} // cmd name -> defined flags
-	for _, file := range files {
-		lines, err := readLines(file)
-		if err != nil {
-			violations = append(violations, err.Error())
-			continue
-		}
-		inFence := false
-		for lineno, line := range lines {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				inFence = !inFence
-				continue
-			}
-			if !inFence {
-				continue
-			}
-			for _, m := range runRE.FindAllStringSubmatch(line, -1) {
-				name, rest := m[1], m[2]
-				flags, ok := flagSets[name]
-				if !ok {
-					flags, err = cmdFlags(name)
-					if err != nil {
-						violations = append(violations,
-							fmt.Sprintf("%s:%d: %v", file, lineno+1, err))
-						continue
-					}
-					flagSets[name] = flags
-				}
-				for _, tok := range strings.Fields(rest) {
-					if !strings.HasPrefix(tok, "-") {
-						continue
-					}
-					f := strings.TrimLeft(tok, "-")
-					if i := strings.IndexByte(f, '='); i >= 0 {
-						f = f[:i]
-					}
-					// Skip placeholders and negative numbers; flags are
-					// lowercase identifiers.
-					if f == "" || f[0] < 'a' || f[0] > 'z' {
-						continue
-					}
-					if !flags[f] {
-						violations = append(violations,
-							fmt.Sprintf("%s:%d: cmd/%s defines no flag -%s", file, lineno+1, name, f))
-					}
-				}
-			}
-		}
-		if inFence {
-			violations = append(violations, fmt.Sprintf("%s: unterminated code fence", file))
-		}
-	}
-	return violations
-}
-
-// checkCmdCoverage requires every cmd/* binary to be documented in readme:
-// the command must be named ("cmd/<name>") and every flag it defines must
-// appear somewhere in the readme as "-<flag>".
-func checkCmdCoverage(readme string) []string {
-	data, err := os.ReadFile(readme)
-	if err != nil {
-		return []string{err.Error()}
-	}
-	text := string(data)
-	entries, err := os.ReadDir("cmd")
-	if err != nil {
-		return []string{err.Error()}
-	}
-	var violations []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if !strings.Contains(text, "cmd/"+name) {
-			violations = append(violations,
-				fmt.Sprintf("%s: cmd/%s is not documented (no \"cmd/%s\" mention)", readme, name, name))
-			continue
-		}
-		flags, err := cmdFlags(name)
-		if err != nil {
-			violations = append(violations, err.Error())
-			continue
-		}
-		names := make([]string, 0, len(flags))
-		for f := range flags {
-			names = append(names, f)
-		}
-		sort.Strings(names)
-		for _, f := range names {
-			if !flagDocumented(text, f) {
-				violations = append(violations,
-					fmt.Sprintf("%s: cmd/%s flag -%s is not documented", readme, name, f))
-			}
-		}
-	}
-	return violations
-}
-
-// flagDocumented reports whether "-<flag>" occurs in text at a word-ish
-// boundary: preceded by start-of-text, whitespace, '`' or '(' so that
-// "-rank" does not satisfy a search for "-rank-by"'s prefix, and followed
-// by a non-flag character so "-top" is not satisfied by "-topology".
-func flagDocumented(text, flag string) bool {
-	needle := "-" + flag
-	for from := 0; ; {
-		i := strings.Index(text[from:], needle)
-		if i < 0 {
-			return false
-		}
-		i += from
-		from = i + 1
-		if i > 0 {
-			switch text[i-1] {
-			case ' ', '\t', '\n', '`', '(':
-			default:
-				continue
-			}
-		}
-		end := i + len(needle)
-		if end < len(text) {
-			c := text[end]
-			if c == '-' || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') {
-				continue
-			}
-		}
-		return true
-	}
+type line struct {
+	text string
+	kind int
 }
 
 var inlineSpanRE = regexp.MustCompile("`[^`\n]+`")
-var inlineFlagRE = regexp.MustCompile(`(^|\s)-([a-z][a-z0-9-]*)`)
 
-// checkInlineFlags scans the inline code spans (single-backtick, outside
-// fenced blocks) of a markdown file and requires every flag-shaped token to
-// name a flag that at least one cmd/* binary defines.
-func checkInlineFlags(file string) []string {
-	lines, err := readLines(file)
-	if err != nil {
-		return []string{err.Error()}
+// code returns the code a line quotes: the whole line inside a fence, its
+// inline code spans in prose, and nothing on a fence delimiter.
+func (l line) code() []string {
+	switch l.kind {
+	case fenced:
+		return []string{l.text}
+	case prose:
+		return inlineSpanRE.FindAllString(l.text, -1)
 	}
-	defined := map[string]bool{}
-	entries, err := os.ReadDir("cmd")
-	if err != nil {
-		return []string{err.Error()}
-	}
-	var violations []string
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		flags, err := cmdFlags(e.Name())
-		if err != nil {
-			violations = append(violations, err.Error())
-			continue
-		}
-		for f := range flags {
-			defined[f] = true
-		}
-	}
-	inFence := false
-	for lineno, line := range lines {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			inFence = !inFence
-			continue
-		}
-		if inFence {
-			continue
-		}
-		for _, span := range inlineSpanRE.FindAllString(line, -1) {
-			for _, m := range inlineFlagRE.FindAllStringSubmatch(span, -1) {
-				if !defined[m[2]] {
-					violations = append(violations,
-						fmt.Sprintf("%s:%d: no command defines a flag -%s (in %s)", file, lineno+1, m[2], span))
-				}
-			}
-		}
-	}
-	return violations
+	return nil
 }
 
-var docTestRE = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
-var testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
-
-// checkDocTests requires every Test…/Fuzz… identifier the given markdown
-// files name to be a test or fuzz function of some _test.go file in the
-// repository.
-func checkDocTests(files ...string) []string {
-	defined, err := testNames()
-	if err != nil {
-		return []string{err.Error()}
-	}
-	var violations []string
-	for _, file := range files {
-		lines, err := readLines(file)
-		if err != nil {
-			violations = append(violations, err.Error())
-			continue
-		}
-		for lineno, line := range lines {
-			for _, name := range docTestRE.FindAllString(line, -1) {
-				if !defined[name] {
-					violations = append(violations,
-						fmt.Sprintf("%s:%d: no _test.go file defines %s", file, lineno+1, name))
-				}
-			}
-		}
-	}
-	return violations
+// doc is one markdown document.
+type doc struct {
+	text  string
+	lines []line
+	open  bool // the document ends inside a code fence
 }
 
-// testNames collects the Test…/Fuzz… functions every _test.go file under
-// the working directory defines, skipping hidden directories.
-func testNames() (map[string]bool, error) {
-	defined := map[string]bool{}
+// tree is the table of names the rules check citations against, and the
+// violations they report.
+type tree struct {
+	fset       *token.FileSet
+	files      []*ast.File // every Go file under cmd/, internal/ and examples/
+	docs       map[string]*doc
+	tests      map[string]bool            // Test…/Fuzz… functions of every _test.go file
+	targets    map[string]bool            // the Makefile's rule targets
+	cmds       map[string]map[string]bool // cmd/<name> -> the flags its files define
+	pkgDocs    map[string]bool            // internal/ package dir -> has a package comment
+	pkgs       map[string]bool            // internal package names
+	names      map[string]bool            // "pkg.Name" declared, and "pkg.Type.Member"
+	closed     map[string]bool            // "pkg.Type" that neither embeds nor aliases
+	violations []string
+}
+
+func (t *tree) report(format string, args ...any) {
+	t.violations = append(t.violations, fmt.Sprintf(format, args...))
+}
+
+var (
+	testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	makeRuleRE = regexp.MustCompile(`(?m)^([A-Za-z][\w.-]*)\s*:([^=]|$)`)
+)
+
+// load walks the working directory once, skipping hidden directories. It
+// takes the test names of every _test.go file from its bytes, parses every
+// Go file under cmd/, internal/ and examples/ once, with comments, and reads
+// the Makefile and each document once. It reports what it cannot read.
+func load() *tree {
+	t := &tree{
+		fset:    token.NewFileSet(),
+		docs:    map[string]*doc{},
+		tests:   map[string]bool{},
+		targets: map[string]bool{},
+		cmds:    map[string]map[string]bool{},
+		pkgDocs: map[string]bool{},
+		pkgs:    map[string]bool{},
+		names:   map[string]bool{},
+		closed:  map[string]bool{},
+	}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if filepath.Dir(path) == "cmd" {
+				t.cmds[d.Name()] = map[string]bool{}
+			}
+			return nil
 		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+		dir := strings.Split(filepath.ToSlash(filepath.Dir(path)), "/")
+		test := strings.HasSuffix(path, "_test.go")
+		source := strings.HasSuffix(path, ".go") && (dir[0] == "cmd" || dir[0] == "internal" || dir[0] == "examples")
+		if !test && !source {
 			return nil
 		}
 		data, err := os.ReadFile(path)
-		for _, m := range testFuncRE.FindAllSubmatch(data, -1) {
-			defined[string(m[1])] = true
+		if err != nil {
+			return err
 		}
-		return err
+		for _, m := range testFuncRE.FindAllSubmatch(data, -1) {
+			t.tests[string(m[1])] = true
+		}
+		if !source {
+			return nil
+		}
+		f, err := parser.ParseFile(t.fset, path, data, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		t.files = append(t.files, f)
+		switch {
+		case dir[0] == "cmd" && len(dir) == 2:
+			collectFlags(f, t.cmds[dir[1]])
+		case dir[0] == "internal" && !test:
+			pkg := filepath.Dir(path)
+			t.pkgDocs[pkg] = t.pkgDocs[pkg] || f.Doc != nil && strings.HasPrefix(f.Doc.Text(), "Package ")
+			if len(dir) == 2 {
+				t.declare(f)
+			}
+		}
+		return nil
 	})
-	return defined, err
+	if err != nil {
+		t.report("%v", err)
+	}
+	if data, err := os.ReadFile("Makefile"); err != nil {
+		t.report("%v", err)
+	} else {
+		for _, m := range makeRuleRE.FindAllSubmatch(data, -1) {
+			t.targets[string(m[1])] = true
+		}
+	}
+	for _, file := range docs {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.report("%v", err)
+			continue
+		}
+		d := &doc{text: string(data)}
+		for _, s := range strings.Split(d.text, "\n") {
+			kind := prose
+			switch {
+			case strings.HasPrefix(strings.TrimSpace(s), "```"):
+				kind, d.open = delimiter, !d.open
+			case d.open:
+				kind = fenced
+			}
+			d.lines = append(d.lines, line{s, kind})
+		}
+		t.docs[file] = d
+	}
+	return t
+}
+
+// collectFlags adds the names of the flags f defines via the flag package
+// (flag.String, flag.Int, flag.BoolVar, ...) to flags.
+func collectFlags(f *ast.File, flags map[string]bool) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "flag" {
+			return true
+		}
+		// flag.Xxx(name, ...) or flag.XxxVar(&v, name, ...).
+		arg := call.Args[0]
+		if strings.HasSuffix(sel.Sel.Name, "Var") && len(call.Args) > 1 {
+			arg = call.Args[1]
+		}
+		if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			flags[strings.Trim(lit.Value, `"`)] = true
+		}
+		return true
+	})
+}
+
+// declare records the top-level names of a non-test file of an internal
+// package, and the methods and fields of the types it declares.
+func (t *tree) declare(f *ast.File) {
+	pkg := f.Name.Name
+	t.pkgs[pkg] = true
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			name := pkg + "." + d.Name.Name
+			if d.Recv != nil {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				id, ok := recv.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				name = pkg + "." + id.Name + "." + d.Name.Name
+			}
+			t.names[name] = true
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					typ := pkg + "." + spec.Name.Name
+					t.names[typ], t.closed[typ] = true, !spec.Assign.IsValid()
+					var fields []*ast.Field
+					switch s := spec.Type.(type) {
+					case *ast.StructType:
+						fields = s.Fields.List
+					case *ast.InterfaceType:
+						fields = s.Methods.List
+					}
+					for _, f := range fields {
+						t.closed[typ] = t.closed[typ] && len(f.Names) > 0
+						for _, id := range f.Names {
+							t.names[typ+"."+id.Name] = true
+						}
+					}
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						t.names[pkg+"."+id.Name] = true
+					}
+				}
+			}
+		}
+	}
+}
+
+// sorted returns a map's keys in order.
+func sorted[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// packageComments (rule 1) reports every package directory under internal/
+// whose non-test files carry no package comment at all.
+func (t *tree) packageComments() {
+	for _, dir := range sorted(t.pkgDocs) {
+		if !t.pkgDocs[dir] {
+			t.report("%s: no package comment (want a \"Package %s ...\" doc comment)", dir, filepath.Base(dir))
+		}
+	}
+}
+
+var runRE = regexp.MustCompile(`go run \./cmd/([a-z]+)([^\n|>]*)`)
+
+// runFlagRE finds the flags an invocation passes: tokens that open with
+// dashes and a lowercase letter, up to any "=". Placeholders ("-<n>") and
+// negative numbers are not flags.
+var runFlagRE = regexp.MustCompile(`(?:^|\s)-+([a-z][^\s=]*)`)
+
+// docCommands (rule 2) validates the `go run ./cmd/<name> ...` invocations
+// in the fenced code blocks of the walkthrough documents: the command
+// directory and every -flag against the command's flag definitions.
+func (t *tree) docCommands() {
+	for _, file := range []string{"README.md", "DESIGN.md", "ARCHITECTURE.md", "EXPERIMENTS.md"} {
+		d := t.docs[file]
+		for lineno, l := range d.lines {
+			if l.kind != fenced {
+				continue
+			}
+			for _, m := range runRE.FindAllStringSubmatch(l.text, -1) {
+				name, rest := m[1], m[2]
+				flags, ok := t.cmds[name]
+				if !ok {
+					t.report("%s:%d: documented command cmd/%s does not exist", file, lineno+1, name)
+					continue
+				}
+				for _, f := range runFlagRE.FindAllStringSubmatch(rest, -1) {
+					if !flags[f[1]] {
+						t.report("%s:%d: cmd/%s defines no flag -%s", file, lineno+1, name, f[1])
+					}
+				}
+			}
+		}
+		if d.open {
+			t.report("%s: unterminated code fence", file)
+		}
+	}
+}
+
+// docFlagRE finds the flags a text documents: "-<flag>" after start-of-text,
+// whitespace, '`' or '(', so "-by" in "-rank-by" documents no -by, and with
+// every flag character after it, so "-topology" does not document -top.
+var docFlagRE = regexp.MustCompile("(?:^|[ \t\n`(])-([-a-z0-9]+)")
+
+// cmdCoverage (rule 3) requires every cmd/* binary to be documented in
+// README.md: the command must be named ("cmd/<name>") and every flag it
+// defines must appear somewhere in the README as "-<flag>".
+func (t *tree) cmdCoverage() {
+	d := t.docs["README.md"]
+	documented := map[string]bool{}
+	for _, m := range docFlagRE.FindAllStringSubmatch(d.text, -1) {
+		documented[m[1]] = true
+	}
+	for _, name := range sorted(t.cmds) {
+		if !strings.Contains(d.text, "cmd/"+name) {
+			t.report("README.md: cmd/%s is not documented (no \"cmd/%s\" mention)", name, name)
+			continue
+		}
+		for _, f := range sorted(t.cmds[name]) {
+			if !documented[f] {
+				t.report("README.md: cmd/%s flag -%s is not documented", name, f)
+			}
+		}
+	}
+}
+
+var inlineFlagRE = regexp.MustCompile(`(^|\s)-([a-z][a-z0-9-]*)`)
+
+// inlineFlags (rule 4) requires every flag-shaped token in the inline code
+// spans (outside fenced blocks) of EXPERIMENTS.md to name a flag that at
+// least one cmd/* binary defines.
+func (t *tree) inlineFlags() {
+	defined := map[string]bool{}
+	for _, flags := range t.cmds {
+		for f := range flags {
+			defined[f] = true
+		}
+	}
+	d := t.docs["EXPERIMENTS.md"]
+	for lineno, l := range d.lines {
+		if l.kind != prose {
+			continue
+		}
+		for _, span := range l.code() {
+			for _, m := range inlineFlagRE.FindAllStringSubmatch(span, -1) {
+				if !defined[m[2]] {
+					t.report("EXPERIMENTS.md:%d: no command defines a flag -%s (in %s)", lineno+1, m[2], span)
+				}
+			}
+		}
+	}
+}
+
+var docTestRE = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
+
+// docTests (rule 5) requires every Test…/Fuzz… identifier the documents
+// name to be a test or fuzz function of some _test.go file in the
+// repository.
+func (t *tree) docTests() {
+	for _, file := range docs {
+		d := t.docs[file]
+		for lineno, l := range d.lines {
+			for _, name := range docTestRE.FindAllString(l.text, -1) {
+				if !t.tests[name] {
+					t.report("%s:%d: no _test.go file defines %s", file, lineno+1, name)
+				}
+			}
+		}
+	}
 }
 
 var ledgerEntryRE = regexp.MustCompile(`^### (3\.\d+) `)
 var makeRefRE = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 
-// checkLedger requires every entry of design's contract ledger — each
-// "### 3.N" heading under the "## 3." section — to name at least one
+// ledger (rule 6) requires every entry of DESIGN.md's contract ledger —
+// each "### 3.N" heading under the "## 3." section — to name at least one
 // existing oracle test in its "**Oracles:**" paragraph and at least one
 // existing Makefile target, as "`make <target>`", in its "**Make:**"
 // paragraph.
-func checkLedger(design string) []string {
-	lines, err := readLines(design)
-	if err != nil {
-		return []string{err.Error()}
-	}
-	tests, err := testNames()
-	if err != nil {
-		return []string{err.Error()}
-	}
-	targets, err := makeTargets()
-	if err != nil {
-		return []string{err.Error()}
-	}
+func (t *tree) ledger() {
+	d := t.docs["DESIGN.md"]
 	type entry struct {
 		section        string
 		line           int
@@ -385,40 +465,40 @@ func checkLedger(design string) []string {
 	var entries []*entry
 	var cur *entry
 	inLedger, field := false, ""
-	for lineno, line := range lines {
+	for lineno, l := range d.lines {
 		switch {
-		case strings.HasPrefix(line, "## "):
-			inLedger, cur = strings.HasPrefix(line, "## 3. "), nil
+		case strings.HasPrefix(l.text, "## "):
+			inLedger, cur = strings.HasPrefix(l.text, "## 3. "), nil
 			continue
 		case !inLedger:
 			continue
-		case strings.HasPrefix(line, "### "):
+		case strings.HasPrefix(l.text, "### "):
 			cur, field = nil, ""
-			if m := ledgerEntryRE.FindStringSubmatch(line); m != nil {
+			if m := ledgerEntryRE.FindStringSubmatch(l.text); m != nil {
 				cur = &entry{section: m[1], line: lineno + 1}
 				entries = append(entries, cur)
 			}
 			continue
 		case cur == nil:
 			continue
-		case strings.TrimSpace(line) == "":
+		case strings.TrimSpace(l.text) == "":
 			field = ""
-		case strings.HasPrefix(line, "**Oracles:**"):
+		case strings.HasPrefix(l.text, "**Oracles:**"):
 			field = "oracles"
-		case strings.HasPrefix(line, "**Make:**"):
+		case strings.HasPrefix(l.text, "**Make:**"):
 			field = "make"
 		}
 		switch field {
 		case "oracles":
-			for _, name := range docTestRE.FindAllString(line, -1) {
-				if tests[name] {
+			for _, name := range docTestRE.FindAllString(l.text, -1) {
+				if t.tests[name] {
 					cur.oracles++
 				}
 			}
 		case "make":
-			for _, span := range inlineSpanRE.FindAllString(line, -1) {
+			for _, span := range inlineSpanRE.FindAllString(l.text, -1) {
 				for _, m := range makeRefRE.FindAllStringSubmatch(span, -1) {
-					if targets[m[1]] {
+					if t.targets[m[1]] {
 						cur.makes++
 					}
 				}
@@ -426,296 +506,94 @@ func checkLedger(design string) []string {
 		}
 	}
 	if len(entries) == 0 {
-		return []string{fmt.Sprintf("%s: no contract ledger (no \"### 3.N\" entry under \"## 3.\")", design)}
+		t.report("DESIGN.md: no contract ledger (no \"### 3.N\" entry under \"## 3.\")")
 	}
-	var violations []string
 	for _, e := range entries {
 		if e.oracles == 0 {
-			violations = append(violations,
-				fmt.Sprintf("%s:%d: ledger entry §%s names no existing oracle test in an **Oracles:** paragraph", design, e.line, e.section))
+			t.report("DESIGN.md:%d: ledger entry §%s names no existing oracle test in an **Oracles:** paragraph", e.line, e.section)
 		}
 		if e.makes == 0 {
-			violations = append(violations,
-				fmt.Sprintf("%s:%d: ledger entry §%s names no existing make target in a **Make:** paragraph", design, e.line, e.section))
+			t.report("DESIGN.md:%d: ledger entry §%s names no existing make target in a **Make:** paragraph", e.line, e.section)
 		}
 	}
-	return violations
 }
 
 var sectionRefRE = regexp.MustCompile(`§(\d+(?:\.\d+)?)`)
 var headingRE = regexp.MustCompile(`^#{2,3} (\d+(?:\.\d+)?)\.? `)
 
-// checkSectionRefs requires every §N or §N.M in the Go comments under
-// goRoots and in the given markdown files to name a numbered "## N." or
-// "### N.M" heading of design.
-func checkSectionRefs(design string, goRoots []string, files ...string) []string {
-	lines, err := readLines(design)
-	if err != nil {
-		return []string{err.Error()}
-	}
+// sectionRefs (rule 7) requires every §N or §N.M in the Go comments under
+// cmd/, internal/ and examples/ and in the documents to name a numbered
+// "## N." or "### N.M" heading of DESIGN.md.
+func (t *tree) sectionRefs() {
 	headings := map[string]bool{}
-	for _, line := range lines {
-		if m := headingRE.FindStringSubmatch(line); m != nil {
+	for _, l := range t.docs["DESIGN.md"].lines {
+		if m := headingRE.FindStringSubmatch(l.text); m != nil {
 			headings[m[1]] = true
 		}
 	}
-	var violations []string
 	check := func(where, text string) {
 		for _, m := range sectionRefRE.FindAllStringSubmatch(text, -1) {
 			if !headings[m[1]] {
-				violations = append(violations, fmt.Sprintf("%s: §%s names no %s heading", where, m[1], design))
+				t.report("%s: §%s names no DESIGN.md heading", where, m[1])
 			}
 		}
 	}
-	fset := token.NewFileSet()
-	for _, root := range goRoots {
-		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-				return err
+	for _, f := range t.files {
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				pos := t.fset.Position(c.Pos())
+				check(fmt.Sprintf("%s:%d", pos.Filename, pos.Line), c.Text)
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return err
-			}
-			for _, group := range f.Comments {
-				for _, c := range group.List {
-					check(fmt.Sprintf("%s:%d", path, fset.Position(c.Pos()).Line), c.Text)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			violations = append(violations, err.Error())
 		}
 	}
-	for _, file := range files {
-		lines, err := readLines(file)
-		if err != nil {
-			violations = append(violations, err.Error())
-			continue
-		}
-		for lineno, line := range lines {
-			check(fmt.Sprintf("%s:%d", file, lineno+1), line)
+	for _, file := range docs {
+		d := t.docs[file]
+		for lineno, l := range d.lines {
+			check(fmt.Sprintf("%s:%d", file, lineno+1), l.text)
 		}
 	}
-	return violations
 }
 
-// checkIdentifiers requires every exported pkg.Name reference in the given
-// markdown files, where pkg is the name of a package under internal/, to
-// name a top-level declaration of that package's non-test files, and every
+// identifiers (rule 8) requires every exported pkg.Name reference in the
+// documents, where pkg is the name of a package under internal/, to name a
+// top-level declaration of that package's non-test files, and every
 // pkg.Type.Member reference to name a method or field declared on that
 // type. A type that embeds a field or aliases another type takes members
 // from elsewhere, so its member references are not checked. Test…/Fuzz…
 // names ("fault.TestX") are rule 5's.
-func checkIdentifiers(files ...string) []string {
-	decls := map[string]map[string]bool{}   // package name -> top-level names
-	members := map[string]map[string]bool{} // "pkg.Type" -> its methods and fields
-	borrows := map[string]bool{}            // "pkg.Type" that embeds or aliases
-	member := func(typ, name string) {
-		if members[typ] == nil {
-			members[typ] = map[string]bool{}
-		}
-		if name != "" {
-			members[typ][name] = true
-		}
-	}
-	entries, err := os.ReadDir("internal")
-	if err != nil {
-		return []string{err.Error()}
-	}
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		pkgs, err := parser.ParseDir(fset, filepath.Join("internal", e.Name()),
-			func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
-		if err != nil {
-			return []string{err.Error()}
-		}
-		for name, pkg := range pkgs {
-			names := map[string]bool{}
-			for _, f := range pkg.Files {
-				for _, d := range f.Decls {
-					switch d := d.(type) {
-					case *ast.FuncDecl:
-						if d.Recv == nil {
-							names[d.Name.Name] = true
-						} else {
-							recv := d.Recv.List[0].Type
-							if star, ok := recv.(*ast.StarExpr); ok {
-								recv = star.X
-							}
-							if id, ok := recv.(*ast.Ident); ok {
-								member(name+"."+id.Name, d.Name.Name)
-							}
-						}
-					case *ast.GenDecl:
-						for _, spec := range d.Specs {
-							switch spec := spec.(type) {
-							case *ast.TypeSpec:
-								names[spec.Name.Name] = true
-								typ := name + "." + spec.Name.Name
-								member(typ, "")
-								borrows[typ] = spec.Assign.IsValid()
-								var fields []*ast.Field
-								switch t := spec.Type.(type) {
-								case *ast.StructType:
-									fields = t.Fields.List
-								case *ast.InterfaceType:
-									fields = t.Methods.List
-								}
-								for _, f := range fields {
-									borrows[typ] = borrows[typ] || len(f.Names) == 0
-									for _, id := range f.Names {
-										member(typ, id.Name)
-									}
-								}
-							case *ast.ValueSpec:
-								for _, id := range spec.Names {
-									names[id.Name] = true
-								}
-							}
-						}
-					}
-				}
-			}
-			decls[name] = names
-		}
-	}
-	pkgNames := make([]string, 0, len(decls))
-	for name := range decls {
-		pkgNames = append(pkgNames, name)
-	}
-	sort.Strings(pkgNames)
-	refRE := regexp.MustCompile(`(?:^|[^\w/.])(` + strings.Join(pkgNames, "|") + `)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
-	var violations []string
-	for _, file := range files {
-		lines, err := readLines(file)
-		if err != nil {
-			violations = append(violations, err.Error())
-			continue
-		}
-		for lineno, line := range lines {
-			for _, m := range refRE.FindAllStringSubmatch(line, -1) {
+func (t *tree) identifiers() {
+	refRE := regexp.MustCompile(`(?:^|[^\w/.])(` + strings.Join(sorted(t.pkgs), "|") + `)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
+	for _, file := range docs {
+		d := t.docs[file]
+		for lineno, l := range d.lines {
+			for _, m := range refRE.FindAllStringSubmatch(l.text, -1) {
 				typ := m[1] + "." + m[2]
 				switch {
 				case docTestRE.MatchString(m[2]):
-				case !decls[m[1]][m[2]]:
-					violations = append(violations,
-						fmt.Sprintf("%s:%d: package %s declares no %s", file, lineno+1, m[1], m[2]))
-				case m[3] != "" && members[typ] != nil && !borrows[typ] && !members[typ][m[3]]:
-					violations = append(violations,
-						fmt.Sprintf("%s:%d: %s has no method or field %s", file, lineno+1, typ, m[3]))
+				case !t.names[typ]:
+					t.report("%s:%d: package %s declares no %s", file, lineno+1, m[1], m[2])
+				case m[3] != "" && t.closed[typ] && !t.names[typ+"."+m[3]]:
+					t.report("%s:%d: %s has no method or field %s", file, lineno+1, typ, m[3])
 				}
 			}
 		}
 	}
-	return violations
 }
 
-// checkMakeTargets requires every `make <target>` quoted in an inline code
-// span or a fenced code block of the given markdown files to name a
-// Makefile target. Prose ("make sure") is not code and is not read.
-func checkMakeTargets(files ...string) []string {
-	targets, err := makeTargets()
-	if err != nil {
-		return []string{err.Error()}
-	}
-	var violations []string
-	for _, file := range files {
-		lines, err := readLines(file)
-		if err != nil {
-			violations = append(violations, err.Error())
-			continue
-		}
-		inFence := false
-		for lineno, line := range lines {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				inFence = !inFence
-				continue
-			}
-			code := []string{line}
-			if !inFence {
-				code = inlineSpanRE.FindAllString(line, -1)
-			}
-			for _, c := range code {
+// makeTargets (rule 9) requires every `make <target>` quoted in an inline
+// code span or a fenced code block of the documents to name a Makefile
+// target. Prose ("make sure") is not code and is not read.
+func (t *tree) makeTargets() {
+	for _, file := range docs {
+		d := t.docs[file]
+		for lineno, l := range d.lines {
+			for _, c := range l.code() {
 				for _, m := range makeRefRE.FindAllStringSubmatch(c, -1) {
-					if !targets[m[1]] {
-						violations = append(violations,
-							fmt.Sprintf("%s:%d: the Makefile has no target %s", file, lineno+1, m[1]))
+					if !t.targets[m[1]] {
+						t.report("%s:%d: the Makefile has no target %s", file, lineno+1, m[1])
 					}
 				}
 			}
 		}
 	}
-	return violations
-}
-
-var makeRuleRE = regexp.MustCompile(`(?m)^([A-Za-z][\w.-]*)\s*:([^=]|$)`)
-
-// makeTargets lists the rule targets of the Makefile in the working
-// directory.
-func makeTargets() (map[string]bool, error) {
-	data, err := os.ReadFile("Makefile")
-	if err != nil {
-		return nil, err
-	}
-	targets := map[string]bool{}
-	for _, m := range makeRuleRE.FindAllSubmatch(data, -1) {
-		targets[string(m[1])] = true
-	}
-	return targets, nil
-}
-
-// readLines returns a file's lines.
-func readLines(file string) ([]string, error) {
-	data, err := os.ReadFile(file)
-	if err != nil {
-		return nil, err
-	}
-	return strings.Split(string(data), "\n"), nil
-}
-
-// cmdFlags parses cmd/<name>'s sources and collects the names of the flags
-// it defines via the flag package (flag.String, flag.Int, flag.BoolVar, ...).
-func cmdFlags(name string) (map[string]bool, error) {
-	dir := filepath.Join("cmd", name)
-	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-		return nil, fmt.Errorf("documented command cmd/%s does not exist", name)
-	}
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	flags := map[string]bool{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || len(call.Args) == 0 {
-					return true
-				}
-				if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "flag" {
-					return true
-				}
-				// flag.Xxx(name, ...) or flag.XxxVar(&v, name, ...).
-				arg := call.Args[0]
-				if strings.HasSuffix(sel.Sel.Name, "Var") && len(call.Args) > 1 {
-					arg = call.Args[1]
-				}
-				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					flags[strings.Trim(lit.Value, `"`)] = true
-				}
-				return true
-			})
-		}
-	}
-	return flags, nil
 }

@@ -42,19 +42,20 @@ func inTree(t *testing.T, files map[string]string) {
 	t.Chdir(dir)
 }
 
-// checkRule runs rule on the clean fixture, which must pass, and on the
-// fixture with plant applied, which must report a violation containing
-// want.
-func checkRule(t *testing.T, rule func() []string, plant func(map[string]string), want string) {
+// checkRule runs check, the rule list main runs, on the clean fixture,
+// which must pass, and on the fixture with plant applied, which must
+// report a violation containing want. Each rule's test wants a line only
+// that rule prints, so dropping a rule from check fails its test.
+func checkRule(t *testing.T, plant func(map[string]string), want string) {
 	t.Helper()
 	inTree(t, fixture())
-	if v := rule(); len(v) > 0 {
+	if v := check(); len(v) > 0 {
 		t.Fatalf("clean fixture: %q", v)
 	}
 	files := fixture()
 	plant(files)
 	inTree(t, files)
-	v := rule()
+	v := check()
 	for _, line := range v {
 		if strings.Contains(line, want) {
 			return
@@ -64,39 +65,32 @@ func checkRule(t *testing.T, rule func() []string, plant func(map[string]string)
 }
 
 func TestCheckPackageComments(t *testing.T) {
-	checkRule(t, func() []string { return checkPackageComments("internal") },
-		func(f map[string]string) { f["internal/bare/bare.go"] = "package bare\n" },
+	checkRule(t, func(f map[string]string) { f["internal/bare/bare.go"] = "package bare\n" },
 		"internal/bare: no package comment")
 }
 
 func TestCheckDocCommands(t *testing.T) {
-	checkRule(t, func() []string { return checkDocCommands("README.md") },
-		func(f map[string]string) { f["README.md"] += "```sh\ngo run ./cmd/tool -slow\n```\n" },
+	checkRule(t, func(f map[string]string) { f["README.md"] += "```sh\ngo run ./cmd/tool -slow\n```\n" },
 		"cmd/tool defines no flag -slow")
 }
 
 func TestCheckCmdCoverage(t *testing.T) {
-	checkRule(t, func() []string { return checkCmdCoverage("README.md") },
-		func(f map[string]string) {
-			f["cmd/tool/main.go"] = strings.Replace(f["cmd/tool/main.go"], "\nfunc main", "\nvar deep = flag.Int(\"deep\", 0, \"\")\n\nfunc main", 1)
-		},
-		"cmd/tool flag -deep is not documented")
+	checkRule(t, func(f map[string]string) {
+		f["cmd/tool/main.go"] = strings.Replace(f["cmd/tool/main.go"], "\nfunc main", "\nvar deep = flag.Int(\"deep\", 0, \"\")\n\nfunc main", 1)
+	}, "cmd/tool flag -deep is not documented")
 }
 
 func TestCheckInlineFlags(t *testing.T) {
-	checkRule(t, func() []string { return checkInlineFlags("EXPERIMENTS.md") },
-		func(f map[string]string) { f["EXPERIMENTS.md"] += "Or `tool -slow`.\n" },
+	checkRule(t, func(f map[string]string) { f["EXPERIMENTS.md"] += "Or `tool -slow`.\n" },
 		"no command defines a flag -slow")
 }
 
 func TestCheckDocTests(t *testing.T) {
-	checkRule(t, func() []string { return checkDocTests("README.md") },
-		func(f map[string]string) { f["README.md"] += "Pinned by TestGone.\n" },
+	checkRule(t, func(f map[string]string) { f["README.md"] += "Pinned by TestGone.\n" },
 		"no _test.go file defines TestGone")
 }
 
 func TestCheckLedger(t *testing.T) {
-	rule := func() []string { return checkLedger("DESIGN.md") }
 	entry := "### 3.2 C = D\n\n**Oracles:** `TestReal`.\n\n**Make:** `make test`.\n\n"
 	plant := func(old, new string) func(map[string]string) {
 		return func(f map[string]string) {
@@ -104,72 +98,81 @@ func TestCheckLedger(t *testing.T) {
 		}
 	}
 	t.Run("last oracle gone", func(t *testing.T) {
-		checkRule(t, rule, plant("`TestReal`", "`TestGone`"), "§3.2 names no existing oracle test")
+		checkRule(t, plant("`TestReal`", "`TestGone`"), "§3.2 names no existing oracle test")
 	})
 	t.Run("no oracles paragraph", func(t *testing.T) {
-		checkRule(t, rule, plant("**Oracles:** `TestReal`.", "`TestReal` pins it."), "§3.2 names no existing oracle test")
+		checkRule(t, plant("**Oracles:** `TestReal`.", "`TestReal` pins it."), "§3.2 names no existing oracle test")
 	})
 	t.Run("make target gone", func(t *testing.T) {
-		checkRule(t, rule, plant("`make test`", "`make gone`"), "§3.2 names no existing make target")
+		checkRule(t, plant("`make test`", "`make gone`"), "§3.2 names no existing make target")
 	})
 	t.Run("no ledger", func(t *testing.T) {
-		checkRule(t, rule, func(f map[string]string) { f["DESIGN.md"] = "# Design\n\n## 3. Inventory\n" }, "no contract ledger")
+		checkRule(t, func(f map[string]string) { f["DESIGN.md"] = "# Design\n\n## 3. Inventory\n" }, "no contract ledger")
 	})
 }
 
 func TestCheckSectionRefs(t *testing.T) {
-	rule := func() []string {
-		return checkSectionRefs("DESIGN.md", []string{"cmd", "internal", "examples"}, "README.md")
-	}
 	t.Run("go comment", func(t *testing.T) {
-		checkRule(t, rule, func(f map[string]string) {
+		checkRule(t, func(f map[string]string) {
 			f["examples/demo/main.go"] = "package main\n\n// Resumes as DESIGN.md §3.2 argues.\nfunc main() {}\n"
 		}, "examples/demo/main.go:3: §3.2 names no DESIGN.md heading")
 	})
 	t.Run("document", func(t *testing.T) {
-		checkRule(t, rule, func(f map[string]string) { f["README.md"] += "See DESIGN.md §2.\n" }, "README.md:8: §2 names no DESIGN.md heading")
+		checkRule(t, func(f map[string]string) { f["README.md"] += "See DESIGN.md §2.\n" }, "README.md:8: §2 names no DESIGN.md heading")
 	})
 	t.Run("string literal is not a comment", func(t *testing.T) {
 		f := fixture()
 		f["cmd/tool/main.go"] += "\nvar note = \"DESIGN.md §9.9\"\n"
 		inTree(t, f)
-		if v := rule(); len(v) != 0 {
+		if v := check(); len(v) != 0 {
 			t.Fatalf("got %q, want no violation", v)
 		}
 	})
 }
 
 func TestCheckIdentifiers(t *testing.T) {
-	checkRule(t, func() []string { return checkIdentifiers("README.md") },
-		func(f map[string]string) {
-			f["README.md"] += "Also `good.Missing`, good.TestReal and good.unexported, internal/good.go.\n"
-		},
-		"package good declares no Missing")
-	checkRule(t, func() []string { return checkIdentifiers("README.md") },
-		func(f map[string]string) { f["README.md"] += "Call `good.Box.Gone`.\n" },
+	checkRule(t, func(f map[string]string) {
+		f["README.md"] += "Also `good.Missing`, good.TestReal and good.unexported, internal/good.go.\n"
+	}, "package good declares no Missing")
+	checkRule(t, func(f map[string]string) { f["README.md"] += "Call `good.Box.Gone`.\n" },
 		"README.md:8: good.Box has no method or field Gone")
 	f := fixture()
 	f["README.md"] += "Cites good.TestReal, good.unexported and internal/good.go.\n"
 	inTree(t, f)
-	if v := checkIdentifiers("README.md"); len(v) != 0 {
+	if v := check(); len(v) != 0 {
 		t.Fatalf("test names, unexported names and file names: got %q, want no violation", v)
 	}
 }
 
 func TestCheckMakeTargets(t *testing.T) {
-	rule := func() []string { return checkMakeTargets("README.md") }
 	t.Run("inline span", func(t *testing.T) {
-		checkRule(t, rule, func(f map[string]string) { f["README.md"] += "Run `make gone`.\n" }, "README.md:8: the Makefile has no target gone")
+		checkRule(t, func(f map[string]string) { f["README.md"] += "Run `make gone`.\n" }, "README.md:8: the Makefile has no target gone")
 	})
 	t.Run("fenced block", func(t *testing.T) {
-		checkRule(t, rule, func(f map[string]string) { f["README.md"] += "```sh\nmake gone PR=1\n```\n" }, "README.md:9: the Makefile has no target gone")
+		checkRule(t, func(f map[string]string) { f["README.md"] += "```sh\nmake gone PR=1\n```\n" }, "README.md:9: the Makefile has no target gone")
 	})
 	t.Run("prose is not code", func(t *testing.T) {
 		f := fixture()
 		f["README.md"] += "Make sure to make gone things right.\n"
 		inTree(t, f)
-		if v := rule(); len(v) != 0 {
+		if v := check(); len(v) != 0 {
 			t.Fatalf("got %q, want no violation", v)
 		}
 	})
+}
+
+// TestUnreadableTree: a tree check cannot read whole is reported, not
+// checked, so no rule meets a document or a package it could not load.
+func TestUnreadableTree(t *testing.T) {
+	for name, plant := range map[string]func(map[string]string){
+		"DESIGN.md":             func(f map[string]string) { delete(f, "DESIGN.md") },
+		"internal/good/good.go": func(f map[string]string) { f["internal/good/good.go"] += "func {\n" },
+	} {
+		f := fixture()
+		plant(f)
+		inTree(t, f)
+		if v := check(); len(v) != 1 || !strings.Contains(v[0], name) {
+			t.Errorf("%s unreadable: got %q, want one line naming it", name, v)
+		}
+	}
 }

@@ -10,6 +10,7 @@
 //	fsadvise -journal gemm.journal
 //	fsadvise -journal s0.journal,s1.journal -budget 5,10,25 -json
 //	fsadvise -kernel "GEMM K1" -sites 2000 -rank-by severity
+//	fsadvise -kernel "HotSpot K1" -warp 32 -model stuck-active-mask
 //
 // Both paths produce byte-identical JSON for the same campaign: the live
 // door collects the records the engine hands its Progress hook — the
@@ -39,6 +40,7 @@ func main() {
 	seed := flag.Int64("seed", campaign.DefaultSeed, "site-sampling seed for a live campaign")
 	sites := flag.Int("sites", campaign.DefaultSites, "campaign size for a live campaign")
 	modelName := flag.String("model", "dest-value", "fault model for a live campaign: "+fault.ModelNames())
+	warp := flag.Int("warp", 0, "SIMT lockstep warp width for a live campaign (0 = serial thread interleaving)")
 	par := flag.Int("par", 0, "live-campaign parallelism (0 = GOMAXPROCS)")
 	rankBy := flag.String("rank-by", "sdc", "ranking criterion: sdc | due | severity")
 	budgetSpec := flag.String("budget", "", `overhead budgets to sweep, percent ("5,10,25"); empty = every greedy prefix`)
@@ -56,22 +58,33 @@ func main() {
 	if *journalSpec != "" {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "scale", "seed", "sites", "model", "par":
+			case "scale", "seed", "sites", "model", "warp", "par":
 				usageError("-%s applies only to a live campaign (-kernel); with -journal the journal header names the campaign", f.Name)
 			}
 		})
 	}
+	// The advice options are checked before anything is prepared or run:
+	// a bad one must not cost a campaign first.
 	budgets, err := advisor.ParseBudgets(*budgetSpec)
 	if err != nil {
 		usageError("%v", err)
 	}
-	opt := advisor.Options{RankBy: *rankBy, Confidence: *confidence, Budgets: budgets}
+	opt, err := advisor.Options{RankBy: *rankBy, Confidence: *confidence, Budgets: budgets}.Normalize()
+	if err != nil {
+		usageError("%v", err)
+	}
+	if *top < 0 {
+		usageError("-top must be non-negative (0 = all rows), got %d", *top)
+	}
+	if *width < 0 {
+		usageError("-width must be non-negative, got %d", *width)
+	}
 
 	var in *advisor.Input
 	if *journalSpec != "" {
 		in = fromJournals(strings.Split(*journalSpec, ","))
 	} else {
-		spec := campaign.Spec{Kernel: *kernel, Scale: *scale, Seed: *seed, Sites: *sites, Model: *modelName}
+		spec := campaign.Spec{Kernel: *kernel, Scale: *scale, Seed: *seed, Sites: *sites, Model: *modelName, Warp: *warp}
 		if err := spec.Validate(); err != nil {
 			usageError("%v", err)
 		}

@@ -12,13 +12,18 @@
 //	fsmerge -allow-partial s0.journal
 //
 // Records are aggregated in site-index order, so the merged distribution is
-// bit-identical to the unsharded campaign's.
+// bit-identical to the unsharded campaign's. A partial merge names the
+// shards it holds: one shard's journal merges to that shard's report, and
+// a merge of several but not all shards has a summary but no -json
+// document, since a report names one shard or the whole campaign.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"repro/internal/journal"
 	"repro/internal/report"
@@ -33,8 +38,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	fp, recs, err := journal.Merge(flag.Args(), *allowPartial)
+	fp, held, recs, err := journal.MergeShards(flag.Args(), *allowPartial)
 	fatal(err)
+	campaign := fp.String()
+	switch {
+	case len(held) == 1:
+		fp.ShardIndex = held[0]
+		campaign = fp.String()
+	case len(held) < fp.ShardCount:
+		shards := make([]string, len(held))
+		for i, index := range held {
+			shards[i] = strconv.Itoa(index)
+		}
+		if *jsonPath != "" {
+			fmt.Fprintf(os.Stderr, "fsmerge: -json: the journals hold shards %s of %d, and a merged report names one shard or all of them\n",
+				strings.Join(shards, ","), fp.ShardCount)
+			os.Exit(2)
+		}
+		campaign = strings.TrimSuffix(campaign, fmt.Sprintf("shard=0/%d", fp.ShardCount)) +
+			fmt.Sprintf("shards=%s/%d", strings.Join(shards, ","), fp.ShardCount)
+	}
 
 	// Records arrive sorted by site index; NewMerged aggregates in that
 	// order, reproducing the engine's input-order float summation exactly.
@@ -48,7 +71,7 @@ func main() {
 		summary = os.Stderr // stdout holds the document alone
 	}
 	fmt.Fprintf(summary, "%s: merged %d shard journals\nsites: %d of %d completed",
-		fp, flag.NArg(), len(recs), fp.Sites)
+		campaign, flag.NArg(), len(recs), fp.Sites)
 	if doc.Quarantined > 0 {
 		fmt.Fprintf(summary, " (%d quarantined)", doc.Quarantined)
 	}

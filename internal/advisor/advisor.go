@@ -126,8 +126,10 @@ type Options struct {
 	Budgets []float64
 }
 
-// normalize applies defaults and validates.
-func (o Options) normalize() (Options, error) {
+// Normalize applies defaults and validates: it is the one rule set for
+// advice options. Analyze calls it; a front end calls it too, to reject a
+// bad option before it prepares or runs a campaign.
+func (o Options) Normalize() (Options, error) {
 	if o.RankBy == "" {
 		o.RankBy = RankSDC
 	}

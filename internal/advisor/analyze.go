@@ -93,7 +93,7 @@ func (g *groupAcc) stats(rankBy string, confidence float64) report.RankStats {
 // and journal paths call it with identical inputs for equal campaigns, so
 // the JSON document (report.Write of the return value) is byte-identical.
 func Analyze(in *Input, opt Options) (*report.Advice, error) {
-	opt, err := opt.normalize()
+	opt, err := opt.Normalize()
 	if err != nil {
 		return nil, err
 	}

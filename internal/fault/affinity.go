@@ -55,10 +55,23 @@ func buildChunks(nwork int, key func(pos int) int, target int) []chunk {
 }
 
 // chunkCursor hands a campaign's chunks to its workers, each chunk once, in
-// schedule order.
+// schedule order. The first chunks are dealt before any worker starts,
+// chunk w to worker w (the campaign sets taken to the worker count), so the
+// order in which the Go scheduler gets to the workers cannot leave one
+// without work: with fewer CPUs than workers, the first workers to run
+// would otherwise drain the cursor before the last ones start.
 type chunkCursor struct {
 	chunks []chunk
 	taken  atomic.Int64
+}
+
+// dealt returns worker w's first chunk; ok is false when there are fewer
+// chunks than workers.
+func (q *chunkCursor) dealt(w int) (c chunk, ok bool) {
+	if w >= len(q.chunks) {
+		return chunk{}, false
+	}
+	return q.chunks[w], true
 }
 
 // next returns the first chunk no worker has taken yet; ok is false once

@@ -457,6 +457,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 	var cursor chunkCursor
 	if workers > 0 {
 		cursor.chunks = buildChunks(len(work), key, chunkTargetSize(len(work), workers))
+		cursor.taken.Store(int64(workers)) // chunk w is dealt to worker w
 	}
 
 	var mu sync.Mutex // guards st and quarantined while exiting workers fold in
@@ -475,14 +476,7 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 				quarantined = append(quarantined, quar...)
 				mu.Unlock()
 			}()
-			for {
-				if stop() {
-					return
-				}
-				c, ok := cursor.next()
-				if !ok {
-					return
-				}
+			for c, ok := cursor.dealt(w); ok && !stop(); c, ok = cursor.next() {
 				for wpos := c.lo; wpos < c.hi; wpos++ {
 					if stop() {
 						break

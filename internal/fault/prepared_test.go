@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -248,6 +249,26 @@ func TestAffinityScheduling(t *testing.T) {
 		if st.DevicesCreated != w {
 			t.Fatalf("%d workers: %d devices created", w, st.DevicesCreated)
 		}
+	}
+}
+
+// TestWorkersOnOneCPU: four workers sharing one CPU each still run sites on
+// their one device. The first chunks are dealt before any worker starts, so
+// the workers the scheduler reaches first cannot drain the cursor before
+// the others begin.
+func TestWorkersOnOneCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tg := buildGEMM(t, nil)
+	if err := tg.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	sites := fault.Uniform(fault.NewSpace(tg.Profile()).Random(stats.NewRNG(11), 400))
+	res, err := fault.Run(tg, sites, fault.CampaignOptions{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.DevicesCreated != 4 {
+		t.Fatalf("4 workers on one CPU: %d devices created", res.Stats.DevicesCreated)
 	}
 }
 

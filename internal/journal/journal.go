@@ -563,8 +563,16 @@ func ReadFile(path string) (Fingerprint, []Record, error) {
 // Errors come in the order of a check path by path: a journal's records are
 // checked against earlier journals' before later journals are read.
 func Merge(paths []string, allowPartial bool) (Fingerprint, []Record, error) {
+	fp, _, recs, err := MergeShards(paths, allowPartial)
+	return fp, recs, err
+}
+
+// MergeShards is Merge that also returns the indices of the shards the
+// journals hold, in increasing order. A partial merge holds fewer than the
+// fingerprint's ShardCount, and the fingerprint cannot name them.
+func MergeShards(paths []string, allowPartial bool) (Fingerprint, []int, []Record, error) {
 	if len(paths) == 0 {
-		return Fingerprint{}, nil, errors.New("journal: no journals to merge")
+		return Fingerprint{}, nil, nil, errors.New("journal: no journals to merge")
 	}
 	var base Fingerprint
 	var shards [][]Record
@@ -611,23 +619,28 @@ func Merge(paths []string, allowPartial bool) (Fingerprint, []Record, error) {
 	// journal arrives sorted, but the shards' indices interleave.
 	all, rep := mergeSorted(shards)
 	if rep.later > 0 {
-		return base, nil, fmt.Errorf("journal: site %d recorded by both %s and %s",
+		return base, nil, nil, fmt.Errorf("journal: site %d recorded by both %s and %s",
 			rep.index, paths[rep.earlier], paths[rep.later])
 	}
 	if bad != nil {
-		return base, nil, bad
+		return base, nil, nil, bad
 	}
 	if !allowPartial {
 		if len(shardSeen) != base.ShardCount {
-			return base, nil, fmt.Errorf("journal: %d of %d shards present (pass every shard journal, or allow a partial merge)",
+			return base, nil, nil, fmt.Errorf("journal: %d of %d shards present (pass every shard journal, or allow a partial merge)",
 				len(shardSeen), base.ShardCount)
 		}
 		if len(all) != base.Sites {
-			return base, nil, fmt.Errorf("journal: %d of %d sites recorded (campaign incomplete; resume the missing shards, or allow a partial merge)",
+			return base, nil, nil, fmt.Errorf("journal: %d of %d sites recorded (campaign incomplete; resume the missing shards, or allow a partial merge)",
 				len(all), base.Sites)
 		}
 	}
-	return base, all, nil
+	held := make([]int, 0, len(shardSeen))
+	for index := range shardSeen {
+		held = append(held, index)
+	}
+	slices.Sort(held)
+	return base, held, all, nil
 }
 
 // repeat is a site index held by two shard journals, numbered by their
