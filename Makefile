@@ -51,12 +51,16 @@ campaign-smoke:
 # full scheduler/synchronization ledger (DESIGN.md §3.1), so every
 # persistent model — scheduler-corrupting ones included — must ride the
 # fast-forward engine. For each model the -stats line must show CTA
-# skipping.
+# skipping and sites decided from the golden trace without running
+# (DESIGN.md §3.1, decided sites): GEMM K1 has no barrier, so all 40 of its
+# stuck-barrier sites are.
 stuckat-smoke:
 	for m in stuck-active-mask stuck-barrier stuck-pred; do \
 		out=$$($(GO) run ./cmd/fsprune -kernel "GEMM K1" -action campaign -model $$m -baseline 40 -stats) || exit 1; \
 		echo "$$out" | grep "CTAs skipped" > /dev/null || { echo "stuckat-smoke: $$m stats line lacks CTA skipping"; exit 1; }; \
 		echo "$$out" | grep " 0 CTAs skipped" && { echo "stuckat-smoke: $$m campaign skipped no CTAs"; exit 1; }; \
+		echo "$$out" | grep " decided without running" > /dev/null || { echo "stuckat-smoke: $$m campaign decided no site"; exit 1; }; \
+		if [ $$m = stuck-barrier ]; then echo "$$out" | grep ", 40 decided without running" > /dev/null || { echo "stuckat-smoke: GEMM K1 has no barrier, yet not all 40 stuck-barrier sites were decided"; exit 1; }; fi; \
 	done; exit 0
 
 # The campaign service end to end against the real fsserve binary: serve on

@@ -43,6 +43,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -134,7 +135,7 @@ type tree struct {
 	pkgDocs    map[string]bool            // internal/ package dir -> has a package comment
 	pkgs       map[string]bool            // internal package names
 	names      map[string]bool            // "pkg.Name" declared, and "pkg.Type.Member"
-	closed     map[string]bool            // "pkg.Type" that neither embeds nor aliases
+	closed     map[string]bool            // "pkg.Type" that neither embeds, aliases nor names another type
 	violations []string
 }
 
@@ -294,7 +295,7 @@ func (t *tree) declare(f *ast.File) {
 				switch spec := spec.(type) {
 				case *ast.TypeSpec:
 					typ := pkg + "." + spec.Name.Name
-					t.names[typ], t.closed[typ] = true, !spec.Assign.IsValid()
+					t.names[typ], t.closed[typ] = true, !spec.Assign.IsValid() && !namedType(spec.Type)
 					var fields []*ast.Field
 					switch s := spec.Type.(type) {
 					case *ast.StructType:
@@ -316,6 +317,20 @@ func (t *tree) declare(f *ast.File) {
 			}
 		}
 	}
+}
+
+// namedType reports whether a type declaration's type expression names
+// another declared type ("type Spec journal.Fingerprint"), whose fields the
+// new type takes: a type of another package or of this one, generic or
+// not, but not a predeclared one.
+func namedType(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.SelectorExpr, *ast.IndexExpr, *ast.IndexListExpr:
+		return true
+	case *ast.Ident:
+		return types.Universe.Lookup(e.Name) == nil
+	}
+	return false
 }
 
 // sorted returns a map's keys in order.
@@ -558,8 +573,9 @@ func (t *tree) sectionRefs() {
 // documents, where pkg is the name of a package under internal/, to name a
 // top-level declaration of that package's non-test files, and every
 // pkg.Type.Member reference to name a method or field declared on that
-// type. A type that embeds a field or aliases another type takes members
-// from elsewhere, so its member references are not checked. Test…/Fuzz…
+// type. A type that embeds a field, aliases another type or is defined on
+// another named type takes members from elsewhere, so its member
+// references are not checked. Test…/Fuzz…
 // names ("fault.TestX") are rule 5's.
 func (t *tree) identifiers() {
 	refRE := regexp.MustCompile(`(?:^|[^\w/.])(` + strings.Join(sorted(t.pkgs), "|") + `)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)

@@ -142,6 +142,15 @@ func TestCheckIdentifiers(t *testing.T) {
 	if v := check(); len(v) != 0 {
 		t.Fatalf("test names, unexported names and file names: got %q, want no violation", v)
 	}
+	// A defined type takes its fields from the type it names.
+	f = fixture()
+	f["internal/journal/journal.go"] = "// Package journal is a fixture.\npackage journal\n\n// Fingerprint has the field.\ntype Fingerprint struct{ Kernel string }\n"
+	f["internal/campaign/campaign.go"] = "// Package campaign is a fixture.\npackage campaign\n\nimport \"repro/internal/journal\"\n\n// Spec is defined on Fingerprint.\ntype Spec journal.Fingerprint\n"
+	f["README.md"] += "Cites `campaign.Spec.Kernel`.\n"
+	inTree(t, f)
+	if v := check(); len(v) != 0 {
+		t.Fatalf("a field of a defined type: got %q, want no violation", v)
+	}
 }
 
 func TestCheckMakeTargets(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/gpusim"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -49,7 +50,8 @@ func BitPositions(width, samples int) []int {
 type BitPruneResult struct {
 	// Samples is the configured per-32-bit-register sample count (0 = all).
 	Samples int
-	// PredPruned counts predicate flag bits pruned analytically.
+	// PredPruned counts predicate flag bits pruned analytically: flags
+	// no instruction of the program consults.
 	PredPruned int64
 	// GPRPruned counts 32-bit register bits pruned by sampling.
 	GPRPruned int64
@@ -60,14 +62,18 @@ type BitPruneResult struct {
 //
 // For 32-bit destinations, bitSamples equally spaced positions stand for the
 // whole register, each carrying width/samples of the weight. For 4-bit
-// predicate destinations only the zero flag is injected: the sign, carry and
-// overflow flags never feed branch conditions in the studied workloads, so
-// their sites are pruned as known-masked and their weight is returned in
-// knownMasked for the estimator to credit to the masked class directly.
-// keepPred disables that rule (the ablation quantifying what it saves):
-// every predicate flag bit then becomes an injection site.
-func expandBits(prof *trace.Profile, sels []*selection, bitSamples int, keepPred bool) (sites []fault.WeightedSite, knownMasked float64, res BitPruneResult, err error) {
+// predicate destinations the zero flag is always injected. The sign, carry
+// and overflow flags of $p r are injected only where the program consults
+// them (unreadPredFlags): a flag no instruction reads can never change the
+// run, so its sites are pruned as known-masked and their weight is returned
+// in knownMasked for the estimator to credit to the masked class directly.
+// In the 17 kernels every guard tests $p0's zero flag, so every other flag
+// is credited, as the paper does. keepPred disables that rule (the ablation
+// quantifying what it saves): every predicate flag bit then becomes an
+// injection site.
+func expandBits(prog *isa.Program, prof *trace.Profile, sels []*selection, bitSamples int, keepPred bool) (sites []fault.WeightedSite, knownMasked float64, res BitPruneResult, err error) {
 	res.Samples = bitSamples
+	unread := unreadPredFlags(prog)
 	for _, s := range sels {
 		tp := &prof.Threads[s.thread]
 		for i := int64(0); i < tp.ICnt; i++ {
@@ -80,21 +86,24 @@ func expandBits(prof *trace.Profile, sels []*selection, bitSamples int, keepPred
 				continue
 			}
 			if bits == isa.PredBits {
-				if keepPred {
-					for b := 0; b < bits; b++ {
-						sites = append(sites, fault.WeightedSite{
-							Site:   fault.Site{Thread: s.thread, DynInst: i, Bit: b},
-							Weight: w,
-						})
+				var credit uint8
+				if !keepPred {
+					r, _, _ := prog.Instrs[gpusim.PC(tp.PCs[i])].DestReg()
+					credit = unread[r.Index] &^ isa.FlagZero
+				}
+				var credited int
+				for b := 0; b < bits; b++ {
+					if credit&(1<<b) != 0 {
+						credited++
+						continue
 					}
-				} else {
 					sites = append(sites, fault.WeightedSite{
-						Site:   fault.Site{Thread: s.thread, DynInst: i, Bit: 0},
+						Site:   fault.Site{Thread: s.thread, DynInst: i, Bit: b},
 						Weight: w,
 					})
-					knownMasked += w * float64(isa.PredBits-1)
-					res.PredPruned += int64(isa.PredBits - 1)
 				}
+				knownMasked += w * float64(credited)
+				res.PredPruned += int64(credited)
 				continue
 			}
 			pos, perr := BitPositionsChecked(bits, bitSamples)
@@ -112,4 +121,38 @@ func expandBits(prof *trace.Profile, sels []*selection, bitSamples int, keepPred
 		}
 	}
 	return sites, knownMasked, res, nil
+}
+
+// unreadPredFlags returns, for each predicate register $p r, the flags no
+// instruction of prog consults: none has a guard on $p r whose condition
+// code tests the flag (gpusim.CondFlags), and none reads $p r as an operand
+// (a source, or a memory base), which consults all four.
+func unreadPredFlags(prog *isa.Program) (unread [isa.NumPreds]uint8) {
+	var read [isa.NumPreds]uint8
+	mark := func(r isa.Reg, flags uint8) {
+		if r.Class == isa.RegPred && int(r.Index) < isa.NumPreds {
+			read[r.Index] |= flags
+		}
+	}
+	operand := func(o isa.Operand) {
+		if o.Kind == isa.OpdReg || o.Kind == isa.OpdMem && o.BaseValid {
+			mark(o.Reg, 1<<isa.PredBits-1)
+		}
+	}
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		if in.Guard.Active() {
+			mark(in.Guard.Reg, gpusim.CondFlags(in.Guard.Cond))
+		}
+		if in.Dst.Kind == isa.OpdMem {
+			operand(in.Dst)
+		}
+		for _, o := range in.Srcs {
+			operand(o)
+		}
+	}
+	for r := range unread {
+		unread[r] = ^read[r] & (1<<isa.PredBits - 1)
+	}
+	return unread
 }

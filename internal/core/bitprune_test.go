@@ -1,12 +1,16 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/gpusim"
+	"repro/internal/isa"
+	"repro/internal/ptx"
 )
 
 // TestBitPositionsChecked: the error-returning validation behind BuildPlan's
@@ -129,6 +133,83 @@ func TestExpandBitsPredModesConserveWeight(t *testing.T) {
 		if pruned.BitPrune.GPRPruned != kept.BitPrune.GPRPruned {
 			t.Errorf("samples %d: GPR accounting diverged: %d vs %d",
 				samples, pruned.BitPrune.GPRPruned, kept.BitPrune.GPRPruned)
+		}
+	}
+}
+
+// saxpyGuardSrc is examples/customkernel's SAXPY with its exit guard's
+// condition code left open: %s is "ne" there.
+const saxpyGuardSrc = `
+	cvt.u32.u16 $r0, %%tid.x
+	cvt.u32.u16 $r1, %%ctaid.x
+	cvt.u32.u16 $r2, %%ntid.x
+	mad.lo.u32 $r0, $r1, $r2, $r0
+	mov.u32 $r3, s[0x001c]
+	set.ge.u32.u32 $p0/$o127, $r0, $r3
+	@$p0.%s bra lexit
+	shl.u32 $r4, $r0, 0x00000002
+	add.u32 $r5, $r4, s[0x0010]
+	add.u32 $r6, $r4, s[0x0014]
+	ld.global.f32 $r7, [$r5]
+	ld.global.f32 $r8, [$r6]
+	mov.u32 $r9, s[0x0018]
+	mad.f32 $r8, $r9, $r7, $r8
+	st.global.f32 [$r6], $r8
+	lexit: exit
+`
+
+// TestPredCreditComesFromProgram: stage 4 credits a predicate flag as
+// masked only when no instruction consults it. Guarded by .ne, the SAXPY
+// consults only $p0's zero flag, and the plan injects bit 0 of the set's
+// $p0 alone; guarded by .lt, it branches on the sign flag, whose flip is
+// SDC, and the plan must inject bit 1 too, while carry and overflow, which
+// .lt does not test, stay credited.
+func TestPredCreditComesFromProgram(t *testing.T) {
+	const setDyn = 5 // the set's dynamic index in every thread
+	for _, c := range []struct {
+		cond     string
+		wantBits []int
+	}{{"ne", []int{0}}, {"lt", []int{0, 1}}} {
+		prog, err := ptx.Assemble("saxpy", fmt.Sprintf(saxpyGuardSrc, c.cond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.Instrs[setDyn].Op != isa.OpSet {
+			t.Fatalf("PC %d is %v, want set", setDyn, prog.Instrs[setDyn].Op)
+		}
+		const n = 128
+		dev := gpusim.NewDevice(8 * n)
+		x := make([]uint32, 2*n)
+		for i := range x {
+			x[i] = math.Float32bits(float32(i) * 0.25)
+		}
+		dev.WriteWords(0, x)
+		tg := &fault.Target{
+			Name:   "saxpy." + c.cond,
+			Prog:   prog,
+			Grid:   gpusim.Dim3{X: 4, Y: 1, Z: 1},
+			Block:  gpusim.Dim3{X: 32, Y: 1, Z: 1},
+			Params: []uint32{0, 4 * n, math.Float32bits(2.5), n},
+			Init:   dev,
+			Output: []fault.Range{{Off: 4 * n, Len: 4 * n}},
+		}
+		plan, err := core.BuildPlan(tg, core.Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := map[int][]int{} // representative thread -> bits injected at the set
+		for _, ws := range plan.Sites {
+			if ws.Site.DynInst == setDyn {
+				bits[ws.Site.Thread] = append(bits[ws.Site.Thread], ws.Site.Bit)
+			}
+		}
+		if len(bits) == 0 {
+			t.Errorf("@$p0.%s: the plan injects no site at the set", c.cond)
+		}
+		for thread, got := range bits {
+			if fmt.Sprint(got) != fmt.Sprint(c.wantBits) {
+				t.Errorf("@$p0.%s: thread %d injects bits %v of the set's $p0, want %v", c.cond, thread, got, c.wantBits)
+			}
 		}
 	}
 }

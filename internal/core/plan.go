@@ -22,7 +22,8 @@ type Options struct {
 	// stage 4; 0 uses DefaultBitSamples; negative keeps all bits.
 	BitSamples int
 	// DisablePredPrune keeps all four predicate flag bits as injection
-	// sites instead of pruning the three non-zero flags analytically.
+	// sites instead of pruning the non-zero flags no instruction consults
+	// analytically.
 	DisablePredPrune bool
 	// DeadWritePrune enables the extension stage beyond the paper's four:
 	// sites at destinations that are overwritten before any read are
@@ -135,7 +136,7 @@ func BuildPlan(t *fault.Target, opt Options) (*Plan, error) {
 		bitSamples = 0 // keep all positions
 	}
 	var expandErr error
-	p.Sites, p.KnownMasked, p.BitPrune, expandErr = expandBits(prof, sels, bitSamples, opt.DisablePredPrune)
+	p.Sites, p.KnownMasked, p.BitPrune, expandErr = expandBits(t.Prog, prof, sels, bitSamples, opt.DisablePredPrune)
 	if expandErr != nil {
 		return nil, expandErr
 	}

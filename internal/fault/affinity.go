@@ -95,7 +95,8 @@ func (q *chunkCursor) next() (c chunk, ok bool) {
 // driven by the dirty-page list, so reuse is safe after trapped or failed
 // runs.
 type workerDevice struct {
-	// dev is cloned from the pristine image on the worker's first site.
+	// dev is cloned from the pristine image on the first site the worker
+	// executes.
 	dev    *gpusim.Device
 	model  Model
 	launch gpusim.Launch
@@ -149,17 +150,26 @@ func (w *workerDevice) threadExit() bool {
 	return w.exited
 }
 
-// run executes one site on the worker's device, cloning the pristine image
-// on first use; it is the runSite hook the campaign engine calls through
-// protect.
+// run is the runSite hook the campaign engine calls through protect. A
+// persistent-model site whose outcome decide proves returns it at once,
+// every CTA counted as skipped; any other executes on the worker's device,
+// which is cloned from the pristine image on the first site that runs. A
+// FullRun target decides nothing: it is the reference the decided outcomes
+// are held to.
 func (w *workerDevice) run(s Site) (Outcome, runCost, error) {
-	if w.dev == nil {
-		w.dev = w.t.Init.Clone()
+	t := w.t
+	if w.model.Persistent() && t.prep.ckpt != nil {
+		if o, ok := t.decide(s, w.model); ok {
+			return o, runCost{ctasSkipped: int32(t.Grid.Count()), decided: true}, nil
+		}
 	}
-	return w.t.injectOn(w, s, w.model)
+	if w.dev == nil {
+		w.dev = t.Init.Clone()
+	}
+	return t.injectOn(w, s, w.model)
 }
 
-// close returns what the worker's device cost: its clone (if it ran a
+// close returns what the worker's device cost: its clone (if it executed a
 // site), page copies and source switches.
 func (w *workerDevice) close() CampaignStats {
 	if w.dev == nil {

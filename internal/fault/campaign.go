@@ -45,7 +45,8 @@ type CampaignStats struct {
 	// pristine-reset restores) across the worker devices.
 	PagesCopied int64
 	// DevicesCreated is the number of device clones the campaign
-	// materialized: one per worker that ran a site.
+	// materialized: one per worker that executed a site (a decided site
+	// needs no device).
 	DevicesCreated int
 	// CTAsSkipped counts CTA executions the checkpointed fast-forward
 	// engine avoided, summed over all runs: golden prefixes resumed from a
@@ -67,6 +68,10 @@ type CampaignStats struct {
 	// Retired). They are work, not time: the same on any host and at any
 	// parallelism.
 	ReplayInstrs, PostFaultInstrs int64
+	// Decided counts sites whose outcome the golden trace proved, returned
+	// without executing anything (DESIGN.md §3.1, decided sites). They
+	// count in Runs, with every CTA skipped and no instructions.
+	Decided int64
 	// Replayed counts sites whose outcome was restored from the campaign
 	// journal instead of executed (resume path); they are excluded from
 	// Runs.
@@ -127,6 +132,7 @@ func (s *CampaignStats) Merge(o CampaignStats) {
 	s.IntraSkips += o.IntraSkips
 	s.ReplayInstrs += o.ReplayInstrs
 	s.PostFaultInstrs += o.PostFaultInstrs
+	s.Decided += o.Decided
 	s.Replayed += o.Replayed
 	s.Retries += o.Retries
 	s.Quarantined += o.Quarantined
@@ -144,6 +150,9 @@ func (s CampaignStats) String() string {
 	if s.Runs > 0 {
 		out += fmt.Sprintf(", %.0f replay + %.0f post-fault instrs/site",
 			float64(s.ReplayInstrs)/float64(s.Runs), float64(s.PostFaultInstrs)/float64(s.Runs))
+	}
+	if s.Decided > 0 {
+		out += fmt.Sprintf(", %d decided without running", s.Decided)
 	}
 	if s.Replayed > 0 {
 		out += fmt.Sprintf(", %d replayed from journal", s.Replayed)
@@ -491,6 +500,9 @@ func runEngine(sites []WeightedSite, order []int, opt CampaignOptions,
 					tally.AddRecord(rec)
 					tally.ReplayInstrs += cost.replay
 					tally.PostFaultInstrs += cost.postFault
+					if cost.decided {
+						tally.Decided++
+					}
 					if f, ok := failureOf(rec); ok {
 						quar = append(quar, f)
 					}

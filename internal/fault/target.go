@@ -256,13 +256,15 @@ func (t *Target) WarpCheckpoints() *gpusim.WarpCheckpoints {
 
 // runCost carries per-run fast-forward metrics out of injectOn: the
 // instructions the run executed before and after the fault fired, CTAs
-// skipped, and whether it exited early or resumed inside the injected CTA.
+// skipped, and whether it exited early or resumed inside the injected CTA —
+// or, for a site decide settled, that nothing ran.
 type runCost struct {
 	replay       int64
 	postFault    int64
 	ctasSkipped  int32
 	earlyExit    bool
 	intraResumed bool
+	decided      bool
 }
 
 // injectOn is the campaign hot path: one unchecked injection experiment on a

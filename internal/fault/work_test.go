@@ -22,6 +22,7 @@ type workBudget struct {
 	CTAsSkipped     int64  `json:"ctas_skipped"`
 	EarlyExits      int64  `json:"early_exits"`
 	IntraSkips      int64  `json:"intra_skips"`
+	Decided         int64  `json:"decided"`
 	PagesCopied     int64  `json:"pages_copied"`
 	AffinityResets  int64  `json:"affinity_resets"`
 }
@@ -35,14 +36,17 @@ func (b workBudget) counters() []counter {
 	return []counter{
 		{"prepare_dyn", b.PrepareDyn}, {"replay_instrs", b.ReplayInstrs},
 		{"post_fault_instrs", b.PostFaultInstrs}, {"ctas_skipped", b.CTAsSkipped},
-		{"early_exits", b.EarlyExits}, {"intra_skips", b.IntraSkips},
+		{"early_exits", b.EarlyExits}, {"intra_skips", b.IntraSkips}, {"decided", b.Decided},
 		{"pages_copied", b.PagesCopied}, {"affinity_resets", b.AffinityResets},
 	}
 }
 
 // workSpecs are the budgeted campaigns: every small kernel at seed 1 with
-// 300 dest-value sites under serial scheduling, the SIMT scheduler and a
-// persistent model on GEMM K1 and HotSpot K1, and a GEMM K1 paper probe.
+// 300 dest-value sites under serial scheduling, the SIMT scheduler and
+// stuck-pred on GEMM K1 and HotSpot K1, the other two persistent models,
+// whose sites decide also settles (stuck-active-mask on HotSpot K1 under
+// the SIMT scheduler, stuck-barrier on the barrier-free GEMM K1), and a
+// GEMM K1 paper probe.
 func workSpecs() []campaign.Spec {
 	var specs []campaign.Spec
 	for _, k := range kernels.All() {
@@ -53,7 +57,10 @@ func workSpecs() []campaign.Spec {
 			campaign.Spec{Kernel: k, Scale: "small", Seed: 1, Sites: 300, Model: "dest-value", Warp: 32},
 			campaign.Spec{Kernel: k, Scale: "small", Seed: 1, Sites: 300, Model: "stuck-pred"})
 	}
-	return append(specs, campaign.Spec{Kernel: "GEMM K1", Scale: "paper", Seed: 1, Sites: 10, Model: "dest-value"})
+	return append(specs,
+		campaign.Spec{Kernel: "HotSpot K1", Scale: "small", Seed: 1, Sites: 300, Model: "stuck-active-mask", Warp: 32},
+		campaign.Spec{Kernel: "GEMM K1", Scale: "small", Seed: 1, Sites: 300, Model: "stuck-barrier"},
+		campaign.Spec{Kernel: "GEMM K1", Scale: "paper", Seed: 1, Sites: 10, Model: "dest-value"})
 }
 
 // measureWork runs one budgeted campaign at -par 1 and -par 2 and checks
@@ -75,9 +82,9 @@ func measureWork(t *testing.T, s campaign.Spec) workBudget {
 		}
 		runs[i] = res.Stats
 	}
-	type perSite struct{ replay, postFault, ctasSkipped, earlyExits, intraSkips int64 }
+	type perSite struct{ replay, postFault, ctasSkipped, earlyExits, intraSkips, decided int64 }
 	of := func(st fault.CampaignStats) perSite {
-		return perSite{st.ReplayInstrs, st.PostFaultInstrs, st.CTAsSkipped, st.EarlyExits, st.IntraSkips}
+		return perSite{st.ReplayInstrs, st.PostFaultInstrs, st.CTAsSkipped, st.EarlyExits, st.IntraSkips, st.Decided}
 	}
 	if a, b := of(runs[0]), of(runs[1]); a != b {
 		t.Fatalf("per-site work differs: -par 1 %+v, -par 2 %+v", a, b)
@@ -91,6 +98,7 @@ func measureWork(t *testing.T, s campaign.Spec) workBudget {
 		CTAsSkipped:     st.CTAsSkipped,
 		EarlyExits:      st.EarlyExits,
 		IntraSkips:      st.IntraSkips,
+		Decided:         st.Decided,
 		PagesCopied:     st.PagesCopied,
 		AffinityResets:  st.AffinityResets,
 	}

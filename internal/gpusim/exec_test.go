@@ -599,3 +599,28 @@ func TestEvalCondTable(t *testing.T) {
 		}
 	}
 }
+
+// TestCondFlags holds CondFlags to condTest exactly: over all 16 flag
+// values, flipping a flag outside CondFlags(c) never changes condTest(c),
+// and every flag inside it changes the result for some flag value. Codes
+// with no semantics consult nothing.
+func TestCondFlags(t *testing.T) {
+	for c := isa.CmpNone; c <= isa.CmpHs+1; c++ {
+		test, want := condTest(c), CondFlags(c)
+		if test == nil {
+			if want != 0 {
+				t.Errorf("CondFlags(%d) = %#x for a code with no semantics", uint8(c), want)
+			}
+			continue
+		}
+		for b := uint8(1); b < 1<<isa.PredBits; b <<= 1 {
+			matters := false
+			for f := uint8(0); f < 1<<isa.PredBits; f++ {
+				matters = matters || test(f) != test(f^b)
+			}
+			if inside := want&b != 0; matters != inside {
+				t.Errorf("CondFlags(%v) flag %#x: in set %v, changes the test %v", c, b, inside, matters)
+			}
+		}
+	}
+}

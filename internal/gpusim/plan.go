@@ -180,6 +180,25 @@ func condTest(c isa.CmpOp) func(flags uint8) bool {
 	return nil
 }
 
+// CondFlags returns the predicate flags condTest(c) consults: flipping any
+// other flag never changes its result. A code with no defined semantics
+// consults none — it traps whatever the flags.
+func CondFlags(c isa.CmpOp) uint8 {
+	switch c {
+	case isa.CmpEq, isa.CmpNe:
+		return isa.FlagZero
+	case isa.CmpLt, isa.CmpGe:
+		return isa.FlagSign
+	case isa.CmpLe, isa.CmpGt:
+		return isa.FlagSign | isa.FlagZero
+	case isa.CmpLo, isa.CmpLs, isa.CmpHi:
+		return isa.FlagCarry | isa.FlagZero
+	case isa.CmpHs:
+		return isa.FlagCarry
+	}
+	return 0
+}
+
 // compileGuard builds the guard evaluator; nil for unguarded instructions.
 // An invalid condition code compiles to a trap closure producing the same
 // TrapInvalid the reference step raises.

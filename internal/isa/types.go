@@ -84,7 +84,8 @@ func (t DataType) Float() bool { return t == TypeF32 || t == TypeF64 }
 // PredBits is the width of a predicate register. PTXPlus predicates hold four
 // condition flags: zero (bit 0), sign (bit 1), carry (bit 2) and overflow
 // (bit 3). The reproduced paper's bit-wise pruning stage exploits the fact
-// that only the zero flag feeds branch conditions in the studied workloads.
+// that only the zero flag feeds branch conditions in the studied workloads;
+// the plan credits a flag only where no instruction of the program reads it.
 const PredBits = 4
 
 // Predicate flag bit positions within a predicate register.
