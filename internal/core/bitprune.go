@@ -64,16 +64,17 @@ type BitPruneResult struct {
 // whole register, each carrying width/samples of the weight. For 4-bit
 // predicate destinations the zero flag is always injected. The sign, carry
 // and overflow flags of $p r are injected only where the program consults
-// them (unreadPredFlags): a flag no instruction reads can never change the
-// run, so its sites are pruned as known-masked and their weight is returned
-// in knownMasked for the estimator to credit to the masked class directly.
+// them (fault.UnreadPredFlags): a flag no instruction reads can never
+// change the run, so its sites are pruned as known-masked and their weight
+// is returned in knownMasked for the estimator to credit to the masked
+// class directly.
 // In the 17 kernels every guard tests $p0's zero flag, so every other flag
 // is credited, as the paper does. keepPred disables that rule (the ablation
 // quantifying what it saves): every predicate flag bit then becomes an
 // injection site.
 func expandBits(prog *isa.Program, prof *trace.Profile, sels []*selection, bitSamples int, keepPred bool) (sites []fault.WeightedSite, knownMasked float64, res BitPruneResult, err error) {
 	res.Samples = bitSamples
-	unread := unreadPredFlags(prog)
+	unread := fault.UnreadPredFlags(prog)
 	for _, s := range sels {
 		tp := &prof.Threads[s.thread]
 		for i := int64(0); i < tp.ICnt; i++ {
@@ -121,38 +122,4 @@ func expandBits(prog *isa.Program, prof *trace.Profile, sels []*selection, bitSa
 		}
 	}
 	return sites, knownMasked, res, nil
-}
-
-// unreadPredFlags returns, for each predicate register $p r, the flags no
-// instruction of prog consults: none has a guard on $p r whose condition
-// code tests the flag (gpusim.CondFlags), and none reads $p r as an operand
-// (a source, or a memory base), which consults all four.
-func unreadPredFlags(prog *isa.Program) (unread [isa.NumPreds]uint8) {
-	var read [isa.NumPreds]uint8
-	mark := func(r isa.Reg, flags uint8) {
-		if r.Class == isa.RegPred && int(r.Index) < isa.NumPreds {
-			read[r.Index] |= flags
-		}
-	}
-	operand := func(o isa.Operand) {
-		if o.Kind == isa.OpdReg || o.Kind == isa.OpdMem && o.BaseValid {
-			mark(o.Reg, 1<<isa.PredBits-1)
-		}
-	}
-	for i := range prog.Instrs {
-		in := &prog.Instrs[i]
-		if in.Guard.Active() {
-			mark(in.Guard.Reg, gpusim.CondFlags(in.Guard.Cond))
-		}
-		if in.Dst.Kind == isa.OpdMem {
-			operand(in.Dst)
-		}
-		for _, o := range in.Srcs {
-			operand(o)
-		}
-	}
-	for r := range unread {
-		unread[r] = ^read[r] & (1<<isa.PredBits - 1)
-	}
-	return unread
 }

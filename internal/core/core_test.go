@@ -11,7 +11,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/ptx"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // groupedTarget builds a kernel with clear CTA and thread classes: CTA 0
@@ -400,8 +399,8 @@ func TestDeadWriteSoundness(t *testing.T) {
 	space := fault.NewSpace(prof)
 	checked := 0
 	for _, thread := range []int{0, 9, 27, 60} {
-		dead := trace.DeadWrites(prof.Prog, prof.Threads[thread].PCs)
-		sites := space.ThreadSites(thread, func(dyn int64) bool { return dead[dyn] })
+		pcs := prof.Threads[thread].PCs
+		sites := space.ThreadSites(thread, func(dyn int64) bool { return fault.DeadWrite(prof.Prog, pcs, dyn) })
 		for _, s := range sites {
 			o, err := tg.RunSite(s)
 			if err != nil {

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/trace"
+import (
+	"repro/internal/fault"
+	"repro/internal/trace"
+)
 
 // DeadPruneResult summarizes the optional dead-destination stage.
 type DeadPruneResult struct {
@@ -12,7 +15,7 @@ type DeadPruneResult struct {
 
 // pruneDeadWrites implements the extension stage beyond the paper's four:
 // selected instructions whose destination register is overwritten before any
-// read (trace.DeadWrites) cannot produce anything but masked outcomes, so
+// read (fault.DeadWrite) cannot produce anything but masked outcomes, so
 // their sites are removed from the injection plan and their weighted mass is
 // credited to the masked class analytically — the same mechanism as the
 // paper's .pred flag rule, generalized via liveness.
@@ -20,13 +23,12 @@ func pruneDeadWrites(prof *trace.Profile, sels []*selection) (DeadPruneResult, f
 	var res DeadPruneResult
 	for _, s := range sels {
 		tp := &prof.Threads[s.thread]
-		dead := trace.DeadWrites(prof.Prog, tp.PCs)
 		for i := int64(0); i < tp.ICnt; i++ {
-			if s.weight[i] == 0 || !dead[i] {
+			if s.weight[i] == 0 {
 				continue
 			}
 			bits := prof.SiteBitsOf(s.thread, i)
-			if bits == 0 {
+			if bits == 0 || !fault.DeadWrite(prof.Prog, tp.PCs, i) {
 				continue
 			}
 			res.Weight += s.weight[i] * float64(bits)

@@ -27,7 +27,7 @@ type Options struct {
 	DisablePredPrune bool
 	// DeadWritePrune enables the extension stage beyond the paper's four:
 	// sites at destinations that are overwritten before any read are
-	// credited to the masked class analytically (see trace.DeadWrites).
+	// credited to the masked class analytically (see fault.DeadWrite).
 	DeadWritePrune bool
 	// Seed drives the loop-iteration sampler.
 	Seed int64

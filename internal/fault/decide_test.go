@@ -6,29 +6,36 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/gpusim"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/ptx"
 )
 
-// checkDecided holds every site of tg under model that the campaign engine
-// decides without running to the outcome of the executing path: every
-// dynamic instruction of every thread, with the Bit encodings bits (nil:
-// all of them). It returns how many sites were decided, by outcome.
+// checkDecided holds every site of tg under model that is settled without
+// running to the outcome of the executing path: every dynamic instruction
+// of every thread, with the Bit encodings bits (nil: all of them). Under a
+// persistent model those are the sites the campaign engine decides
+// (fault.Decide); under dest-value, the sites the plan credits as masked
+// (credited). It returns how many sites were settled, by outcome.
 func checkDecided(t *testing.T, name string, tg *fault.Target, model fault.Model, bits []int) map[fault.Outcome]int {
 	t.Helper()
-	if bits == nil {
-		for b := range model.StuckBits() {
-			bits = append(bits, b)
-		}
+	decide := func(s fault.Site) (fault.Outcome, bool) { return fault.Decide(tg, s, model) }
+	if model == fault.ModelDestValue {
+		decide = credited(tg)
 	}
 	run := fault.Executor(tg, model)
 	decided := map[fault.Outcome]int{}
 	bad := 0
 	for th, tp := range tg.Profile().Threads {
 		for d := range tp.ICnt {
-			for _, b := range bits {
+			sb := bits
+			if sb == nil {
+				e := tp.PCs[d]
+				sb = allBits[:model.Sites(&tg.Prog.Instrs[gpusim.PC(e)], gpusim.Wrote(e))]
+			}
+			for _, b := range sb {
 				s := fault.Site{Thread: th, DynInst: d, Bit: b}
-				o, ok := fault.Decide(tg, s, model)
+				o, ok := decide(s)
 				if !ok {
 					continue
 				}
@@ -45,6 +52,38 @@ func checkDecided(t *testing.T, name string, tg *fault.Target, model fault.Model
 		}
 	}
 	return decided
+}
+
+// allBits lists the Bit encodings of a site, up to the largest count a
+// model gives one dynamic instruction (stuck-pred's 64).
+var allBits = func() (b [64]int) {
+	for i := range b {
+		b[i] = i
+	}
+	return b
+}()
+
+// credited is the plan's counterpart of fault.Decide under dest-value: a
+// site is Masked without running when its destination is dead
+// (fault.DeadWrite) or it flips a predicate flag no instruction consults
+// (fault.UnreadPredFlags, the zero flag included).
+func credited(tg *fault.Target) func(fault.Site) (fault.Outcome, bool) {
+	prof := tg.Profile()
+	unread := fault.UnreadPredFlags(tg.Prog)
+	// checkDecided asks for the bits of one instruction in a row: DeadWrite
+	// scans once per instruction.
+	at, dead := fault.Site{Thread: -1}, false
+	return func(s fault.Site) (fault.Outcome, bool) {
+		pcs := prof.Threads[s.Thread].PCs
+		if s.Thread != at.Thread || s.DynInst != at.DynInst {
+			at, dead = s, fault.DeadWrite(tg.Prog, pcs, s.DynInst)
+		}
+		r, bits, _ := tg.Prog.Instrs[gpusim.PC(pcs[s.DynInst])].DestReg()
+		if dead || bits == isa.PredBits && unread[r.Index]&(1<<s.Bit) != 0 {
+			return fault.Masked, true
+		}
+		return 0, false
+	}
 }
 
 // plantedLateStoreSrc is a warp-0 kernel of one CTA of two threads in which
@@ -90,14 +129,16 @@ func plantedLateStoreTarget(t *testing.T) *fault.Target {
 	return tg
 }
 
-// TestDecideMatchesExecution is the oracle of the campaign engine's
-// decided sites (DESIGN.md §3.1): at warps 0 and 32, every decided outcome
-// equals what the executing path (injectOn, never deciding) gives, on every
+// TestDecideMatchesExecution is the oracle of the outcomes the golden trace
+// proves (DESIGN.md §3.1): at warps 0 and 32, every decided outcome equals
+// what the executing path (injectOn, never deciding) gives, on every
 // stuck-active-mask and stuck-barrier site of PathFinder K1, LUD K46 and
-// Gaussian K1, every stuck-pred site of Gaussian K1 and K125, and the eight
-// $p0 stuck-pred encodings of every PathFinder K1 dynamic instruction, all
-// small. A planted kernel, whose thread 1 loads an address thread 0 stores
-// last, holds the stuck-at-0 Hang rule to its no-later-store premise.
+// Gaussian K1, every dest-value site of the three that the plan credits as
+// masked (a dead write or an unread predicate flag), every stuck-pred site
+// of Gaussian K1 and K125, and the eight $p0 stuck-pred encodings of every
+// PathFinder K1 dynamic instruction, all small. A planted kernel, whose
+// thread 1 loads an address thread 0 stores last, holds the stuck-at-0
+// Hang rule to its no-later-store premise.
 func TestDecideMatchesExecution(t *testing.T) {
 	p0 := []int{0, 1, 2, 3, 32, 33, 34, 35} // $p0's four flags, stuck at 0, then at 1
 	type population struct {
@@ -107,7 +148,8 @@ func TestDecideMatchesExecution(t *testing.T) {
 	}
 	var pops []population
 	for _, k := range []string{"PathFinder K1", "LUD K46", "Gaussian K1"} {
-		pops = append(pops, population{k, fault.ModelStuckActiveMask, nil}, population{k, fault.ModelStuckBarrier, nil})
+		pops = append(pops, population{k, fault.ModelStuckActiveMask, nil}, population{k, fault.ModelStuckBarrier, nil},
+			population{k, fault.ModelDestValue, nil})
 	}
 	pops = append(pops,
 		population{"Gaussian K1", fault.ModelStuckPred, nil},

@@ -227,7 +227,8 @@ func (k InjectKind) Persistent() bool {
 // StuckBits is the size of a persistent kind's Bit encoding space (0 for
 // transient kinds): stuck value × location. InjectStuckPred enumerates both
 // stuck values of every flag bit of every predicate register; the mask and
-// barrier kinds only their two stuck values. newPersistState decodes it.
+// barrier kinds only their two stuck values. newPersistState decodes it
+// (stuck-pred through DecodeStuckPred).
 func (k InjectKind) StuckBits() int {
 	switch k {
 	case InjectStuckPred:

@@ -30,33 +30,31 @@ type persistState struct {
 
 // newPersistState decodes the injection's persistent-fault parameters; nil
 // for transient (or absent) injections. The Bit field packs the fault
-// location and stuck value in [0, Kind.StuckBits()):
-//
-//   - InjectStuckPred: the high half is stuck at 1; within a half, Bit
-//     selects predicate register and flag bit. Values are reduced modulo
-//     the space so arbitrary fuzzed bits stay well-defined.
-//   - InjectStuckActiveMask, InjectStuckBarrier: Bit&1 is the stuck value.
+// location and stuck value in [0, Kind.StuckBits()): DecodeStuckPred for
+// InjectStuckPred; for InjectStuckActiveMask and InjectStuckBarrier, Bit&1
+// is the stuck value.
 func newPersistState(inj *Injection) *persistState {
 	if inj == nil || !inj.Kind.Persistent() {
 		return nil
 	}
 	p := &persistState{kind: inj.Kind, thread: inj.Thread, dynInst: inj.DynInst}
-	switch inj.Kind {
-	case InjectStuckPred:
-		n := inj.Kind.StuckBits()
-		b := inj.Bit % n
-		if b < 0 {
-			b += n
-		}
-		span := n / 2
-		p.stuck1 = b >= span
-		rem := b % span
-		p.predReg = rem / isa.PredBits
-		p.predMask = 1 << uint(rem%isa.PredBits)
-	default:
+	if inj.Kind == InjectStuckPred {
+		p.stuck1, p.predReg, p.predMask = DecodeStuckPred(inj.Bit)
+	} else {
 		p.stuck1 = inj.Bit&1 == 1
 	}
 	return p
+}
+
+// DecodeStuckPred decodes an InjectStuckPred Bit: the high half of
+// [0, StuckBits()) is stuck at 1, and within a half Bit selects predicate
+// register reg and the flag bit mask it clamps. Values are reduced modulo
+// the space so arbitrary fuzzed bits stay well-defined.
+func DecodeStuckPred(bit int) (stuck1 bool, reg int, mask uint8) {
+	n := InjectStuckPred.StuckBits()
+	b := (bit%n + n) % n
+	rem := b % (n / 2)
+	return b >= n/2, rem / isa.PredBits, 1 << (rem % isa.PredBits)
 }
 
 // persistAfterStep enforces an armed persistent fault after one retired

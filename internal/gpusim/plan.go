@@ -183,21 +183,23 @@ func condTest(c isa.CmpOp) func(flags uint8) bool {
 // CondFlags returns the predicate flags condTest(c) consults: flipping any
 // other flag never changes its result. A code with no defined semantics
 // consults none — it traps whatever the flags.
-func CondFlags(c isa.CmpOp) uint8 {
-	switch c {
-	case isa.CmpEq, isa.CmpNe:
-		return isa.FlagZero
-	case isa.CmpLt, isa.CmpGe:
-		return isa.FlagSign
-	case isa.CmpLe, isa.CmpGt:
-		return isa.FlagSign | isa.FlagZero
-	case isa.CmpLo, isa.CmpLs, isa.CmpHi:
-		return isa.FlagCarry | isa.FlagZero
-	case isa.CmpHs:
-		return isa.FlagCarry
+func CondFlags(c isa.CmpOp) uint8 { return condFlags[c] }
+
+// condFlags probes condTest once per code: a flag is consulted when
+// flipping it changes the test for some value of the flags.
+var condFlags = func() (t [1 << 8]uint8) {
+	for c := range t {
+		test := condTest(isa.CmpOp(c))
+		for b := uint8(1); test != nil && b < 1<<isa.PredBits; b <<= 1 {
+			for f := uint8(0); f < 1<<isa.PredBits; f++ {
+				if test(f) != test(f^b) {
+					t[c] |= b
+				}
+			}
+		}
 	}
-	return 0
-}
+	return t
+}()
 
 // compileGuard builds the guard evaluator; nil for unguarded instructions.
 // An invalid condition code compiles to a trap closure producing the same
